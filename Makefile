@@ -138,7 +138,9 @@ check: build fmt-check vet api-check test
 # run is stamped with a "bench-env:" line (TestMain in benchenv_test.go)
 # recording go version, GOOS/GOARCH, GOMAXPROCS, NumCPU, and the live
 # engine's default worker-shard count, so multi-core claims stay
-# attributable when CI hardware changes.
+# attributable when CI hardware changes. -bench=. takes in every root
+# benchmark, BenchmarkSparseStep (one dirty node per step, flat in n from
+# 1024 to 131072 on both engines) included; bench-smoke and CI likewise.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -json . > $(BENCH_OUT)
 	@grep -o '"Output":"Benchmark[^"]*"' $(BENCH_OUT) | sed -e 's/^"Output":"//' -e 's/"$$//' -e 's/\\t/\t/g' -e 's/\\n//'

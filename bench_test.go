@@ -1,6 +1,6 @@
 // The root benchmarks regenerate every reproduction experiment
-// (one Benchmark per table/claim, E1–E13; see DESIGN.md §5 and
-// EXPERIMENTS.md) plus micro-benchmarks of the communication primitives.
+// (one Benchmark per table/claim, E1–E13) plus micro-benchmarks of the
+// communication primitives.
 //
 // Run with: go test -bench=. -benchmem
 package topkmon
@@ -380,8 +380,11 @@ func BenchmarkFindMax(b *testing.B) {
 
 // BenchmarkMonitorStep measures the steady-state per-step cost of each
 // monitor on a moderately active workload (n=64, k=8). The step vectors are
-// pre-generated outside the timed loop so the measurement isolates the
-// engine + monitor cost — 0 allocs/op is the enforced budget.
+// pre-generated outside the timed loop, so the measurement is the engine +
+// monitor cost — the dense Advance included: every node of the drifting
+// walk moves every step, so it installs n values and is part of the number,
+// not scaffolding around it (BenchmarkSparseStep has the delta path, where
+// a step installs its dirty set). 0 allocs/op is the enforced budget.
 func BenchmarkMonitorStep(b *testing.B) {
 	const n, k = 64, 8
 	const pregen = 1024
@@ -463,6 +466,66 @@ func BenchmarkFacadePush(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSparseStep measures what one committed step costs when one node
+// moved: k=8 static leaders far above n-8 others, each step pushing one
+// random other node a few units — the protocol stays silent, so the step is
+// staging, the delta install (Engine.AdvanceDirty) and the quiet violation
+// sweep. None of those may depend on n: ns/op has to stay within 2× from
+// n=1024 to n=131072 (cache misses on the larger arrays and, on live, the
+// sweep's γ+1 = log₂n+1 barrier rounds are what is left), at 0 allocs/op.
+// `go run ./benchmark -workload embed-quiet-wide` is the end-to-end form.
+func BenchmarkSparseStep(b *testing.B) {
+	const k, pregen = 8, 4096
+	engines := []struct {
+		name string
+		opts []topk.Option
+	}{
+		{"lockstep", nil},
+		{"live", []topk.Option{topk.WithEngine(topk.Live), topk.WithShards(2)}},
+	}
+	for _, eng := range engines {
+		for _, n := range []int{1024, 16384, 131072} {
+			b.Run(fmt.Sprintf("%s/n=%d", eng.name, n), func(b *testing.B) {
+				r := rngx.New(17)
+				load := make([]topk.Update, n)
+				for i := range load {
+					load[i] = topk.Update{Node: i, Value: 1e6 + r.Int63n(1e6)}
+					if i < k {
+						load[i].Value += 2e6
+					}
+				}
+				moves := make([][]topk.Update, pregen)
+				for i := range moves {
+					u := load[k+r.Intn(n-k)]
+					u.Value += r.Int63n(101) - 50
+					moves[i] = []topk.Update{u}
+				}
+				opts := append([]topk.Option{topk.WithNodes(n), topk.WithSeed(5)}, eng.opts...)
+				m, err := topk.New(k, topk.MustEpsilon(1, 8), opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer m.Close()
+				if err := m.UpdateBatch(load); err != nil {
+					b.Fatal(err)
+				}
+				before := m.Cost().Messages
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := m.UpdateBatch(moves[i%pregen]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				if spent := m.Cost().Messages - before; spent != 0 {
+					b.Fatalf("the quiet steps spent %d messages", spent)
+				}
+			})
+		}
 	}
 }
 

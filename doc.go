@@ -73,9 +73,16 @@
 //   - Both engines reuse their sweep buffer and double-buffer Collect
 //     results; see the ownership contract on cluster.Cluster. Inspector
 //     has ValuesInto/FiltersInto for per-step snapshots.
+//   - A committed step costs its dirty set, not n: the facade lists the
+//     nodes a batch staged and hands the engine that delta
+//     (cluster.Inspector.AdvanceDirty), which installs only those nodes —
+//     value, bucket index, violator set — and on the live engine stages
+//     work only for the shards that own one (BenchmarkSparseStep: flat
+//     from n=1024 to n=131072). The dense Advance is the same install over
+//     every node, for harnesses that hold full vectors.
 //   - Both engines route Sweep/Collect through a value-bucket index
-//     (internal/vindex, maintained incrementally on Advance): only the
-//     nodes plausibly matching the predicate's wire.Pred.Bounds interval
+//     (internal/vindex, updated at each install of a node's value): only
+//     the nodes plausibly matching the predicate's wire.Pred.Bounds interval
 //     are visited, so scan cost tracks the matcher count σ rather than n
 //     (BenchmarkSweepSelectivity, experiment E12, BENCH_PR3.json), with a
 //     full-scan fallback for state-decided predicates. Routing is
@@ -123,10 +130,8 @@
 // order — so tables are byte-identical for every worker count, asserted by
 // TestParallelRunsAreDeterministic.
 //
-// See README.md for a tour, ARCHITECTURE.md for the paper-section →
-// package map and the engine dataflow, DESIGN.md for the system inventory
-// and the documented interpretations of underspecified paper details, and
-// EXPERIMENTS.md for paper-vs-measured results. This file's package exists
-// to carry the module-level documentation and the root benchmark suite
-// (bench_test.go), which regenerates every experiment.
+// See ARCHITECTURE.md for the paper-section → package map and the engine
+// dataflow. This file's package exists to carry the module-level
+// documentation and the root benchmark suite (bench_test.go), which
+// regenerates every experiment.
 package topkmon

@@ -42,18 +42,18 @@
 // possibly match the predicate's interval are visited, so the engines'
 // internal scan cost tracks the plausible-matcher count σ rather than n.
 // Violation sweeps — whose matches depend on per-node filters, not value
-// bounds — are routed through the engines' filter-interval mirror
-// (vindex.Mirror): the server assigns every filter, so the engine records
-// each assigned interval and maintains the exact violator set, making the
-// scheduled quiet-step violation sweep O(1) server-side work. All routing
-// is an implementation property with NO protocol-visible effect — the
-// model's message costs stated on each method, the report contents and id
-// order, and every coin flip are identical to a full scan (nodes outside
-// the interval could not have matched or sent). Only tag predicates
-// (HasTag) and domain-covering intervals scan all nodes, the documented
-// fallback. Protocols should therefore prefer interval predicates
-// (InRange, AboveActive with a meaningful floor) over tag collects when
-// either formulation is available.
+// bounds — are routed through the engines' violator set (vindex.Mirror):
+// the server assigns every filter, so the engine re-evaluates a node
+// against its filter whenever either changes and maintains the exact
+// violator set, making the scheduled quiet-step violation sweep O(1)
+// server-side work. All routing is an implementation property with NO
+// protocol-visible effect — the model's message costs stated on each
+// method, the report contents and id order, and every coin flip are
+// identical to a full scan (nodes outside the interval could not have
+// matched or sent). Only tag predicates (HasTag) and domain-covering
+// intervals scan all nodes, the documented fallback. Protocols should
+// therefore prefer interval predicates (InRange, AboveActive with a
+// meaningful floor) over tag collects when either formulation is available.
 package cluster
 
 import (
@@ -138,8 +138,18 @@ type Inspector interface {
 	FiltersInto(dst []filter.Interval) []filter.Interval
 	// Tags returns a copy of all current node tags.
 	Tags() []wire.Tag
-	// Advance installs the next observations (start of a time step).
+	// Advance installs the next observations (start of a time step): one
+	// value per node, each in [0, eps.MaxValue] — a value outside panics.
 	Advance(values []int64)
+	// AdvanceDirty is Advance for a caller that knows which observations
+	// changed: values is the same complete vector Advance takes, dirty
+	// lists the ids whose entry may differ from what the node holds (any
+	// order, duplicates allowed), and every other entry must equal the
+	// node's current value. Under that promise it is Advance(values) — same
+	// node state, same range panic per installed value, same reports and
+	// counters afterwards — at a cost proportional to len(dirty) instead of
+	// n. An empty dirty list is a heartbeat: time advances, nothing moved.
+	AdvanceDirty(values []int64, dirty []int)
 	// EndStep closes the step's round accounting.
 	EndStep()
 }

@@ -1,22 +1,27 @@
 package cluster_test
 
 import (
+	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"topkmon/internal/cluster"
+	"topkmon/internal/eps"
 	"topkmon/internal/filter"
 	"topkmon/internal/live"
 	"topkmon/internal/lockstep"
 	"topkmon/internal/metrics"
+	"topkmon/internal/rngx"
 	"topkmon/internal/wire"
 )
 
 // engines under conformance test: the lockstep reference plus the live
 // engine in its sharded configurations — one worker, two workers (the
-// smallest layout with cross-shard gather), and one worker per core (the
-// default) — so the unit-cost accounting and Reset(seed) byte-equality
-// cover every worker-shard code path.
+// smallest layout with cross-shard gather), one worker per core (the
+// default), and one worker per node (every delta entry on its own shard) —
+// so the unit-cost accounting and Reset(seed) byte-equality cover every
+// worker-shard code path.
 func engines(n int, seed uint64) map[string]func() (cluster.Engine, func()) {
 	mkLive := func(m int) func() (cluster.Engine, func()) {
 		return func() (cluster.Engine, func()) {
@@ -31,6 +36,7 @@ func engines(n int, seed uint64) map[string]func() (cluster.Engine, func()) {
 		"live/m=1":   mkLive(1),
 		"live/m=2":   mkLive(2),
 		"live/m=cpu": mkLive(runtime.NumCPU()),
+		"live/m=n":   mkLive(n),
 	}
 }
 
@@ -85,7 +91,7 @@ func TestConformanceMessageCosts(t *testing.T) {
 // TestConformanceIndexFallbacks pins the engine-side full-scan accounting:
 // tag predicates and domain-covering intervals bill exactly one fallback
 // per Sweep/Collect; routable intervals and violation sweeps (resolved from
-// the filter-interval mirror) bill none — and both engines, at every shard
+// the violator set) bill none — and both engines, at every shard
 // count, agree because the decision is made from the predicate alone.
 func TestConformanceIndexFallbacks(t *testing.T) {
 	for name, mk := range engines(8, 3) {
@@ -243,8 +249,8 @@ func TestConformanceDetectOnlyViolators(t *testing.T) {
 // values at execution time, so an engine deferring or batching directives
 // must still execute it against the values of the PRECEDING Advance when a
 // further Advance follows before any flush — the call-order semantics the
-// lockstep engine has by construction. Regression test for the live
-// engine's Advance coalescing.
+// lockstep engine has by construction, and the live engine gets from
+// staging each Advance as its own directive, installed in batch order.
 func TestConformanceDeferredReadsSeeCallOrderValues(t *testing.T) {
 	for name, mk := range engines(4, 19) {
 		t.Run(name, func(t *testing.T) {
@@ -274,6 +280,193 @@ func TestConformanceRoundsAccounted(t *testing.T) {
 			eng.EndStep()
 			if eng.Counters().MaxRoundsPerStep() < 6 {
 				t.Errorf("rounds/step = %d, want ≥ γ+2", eng.Counters().MaxRoundsPerStep())
+			}
+		})
+	}
+}
+
+// TestConformanceDeltaEqualsDense is the delta contract: on twin engines
+// fed the same random walk, AdvanceDirty(values, dirty) leaves the engine
+// in the state Advance(values) does — values, filters, every kind of
+// report, every counter — after each of a few thousand steps of value moves
+// and filter churn. The dirty lists come in every shape the contract
+// allows: empty, one id, a shuffled handful with duplicates, ids whose
+// value did not move, and the full vector.
+func TestConformanceDeltaEqualsDense(t *testing.T) {
+	const n, domain = 48, 96
+	steps := 3000
+	if testing.Short() {
+		steps = 400 // the race job: barrier rounds cost ~50× under the detector
+	}
+	for name, mk := range engines(n, 23) {
+		t.Run(name, func(t *testing.T) {
+			dense, doneDense := mk()
+			defer doneDense()
+			delta, doneDelta := mk()
+			defer doneDelta()
+			both := [2]cluster.Engine{dense, delta}
+
+			r := rngx.New(41)
+			vals := make([]int64, n)
+			var dirty []int
+			var gotV, wantV []int64
+			var gotF, wantF []filter.Interval
+			violations := 0
+			for step := 0; step < steps; step++ {
+				dirty = dirty[:0]
+				switch r.Intn(8) {
+				case 0: // heartbeat
+				case 1: // full vector, id order (load batch, cold start, sim)
+					for i := range vals {
+						vals[i] = r.Int63n(domain)
+						dirty = append(dirty, i)
+					}
+				default: // a handful in push order, duplicates and no-op moves included
+					for j := r.Intn(6) + 1; j > 0; j-- {
+						id := r.Intn(n)
+						if r.Intn(4) > 0 {
+							vals[id] = r.Int63n(domain)
+						}
+						dirty = append(dirty, id)
+					}
+				}
+				dense.Advance(vals)
+				delta.AdvanceDirty(vals, dirty)
+
+				// Filter churn, so the moves above cross filter edges and
+				// the violator set keeps changing under both install orders.
+				id, lo := r.Intn(n), r.Int63n(domain)
+				iv := filter.Make(lo, lo+r.Int63n(domain/2))
+				for _, e := range both {
+					switch step % 5 {
+					case 0:
+						e.SetFilter(id, iv)
+					case 1:
+						e.SetTagFilter(id, wire.TagV2, iv)
+					case 2:
+						e.BroadcastRule(wire.NewFilterRule().With(wire.TagV2, iv))
+					case 3:
+						e.MaxFindInit(lo, step%2 == 0)
+					}
+				}
+
+				ctx := fmt.Sprintf("step %d (dirty %v)", step, dirty)
+				wantV, gotV = dense.ValuesInto(wantV), delta.ValuesInto(gotV)
+				if !reflect.DeepEqual(wantV, gotV) {
+					t.Fatalf("%s: values diverge:\ndense %v\ndelta %v", ctx, wantV, gotV)
+				}
+				wantF, gotF = dense.FiltersInto(wantF), delta.FiltersInto(gotF)
+				if !reflect.DeepEqual(wantF, gotF) {
+					t.Fatalf("%s: filters diverge:\ndense %v\ndelta %v", ctx, wantF, gotF)
+				}
+				for _, p := range []wire.Pred{
+					wire.Violating(), wire.InRange(lo, lo+8), wire.AboveActive(lo), wire.HasTag(wire.TagV2),
+				} {
+					want, got := dense.Collect(p), delta.Collect(p)
+					if !reflect.DeepEqual(want, got) {
+						t.Fatalf("%s: Collect(%+v) diverges:\ndense %v\ndelta %v", ctx, p, want, got)
+					}
+					if want, got = dense.Sweep(p), delta.Sweep(p); !reflect.DeepEqual(want, got) {
+						t.Fatalf("%s: Sweep(%+v) diverges:\ndense %v\ndelta %v", ctx, p, want, got)
+					}
+				}
+				wantRep, wantOK := dense.DetectViolation()
+				gotRep, gotOK := delta.DetectViolation()
+				if wantRep != gotRep || wantOK != gotOK {
+					t.Fatalf("%s: DetectViolation diverges: dense %v %v, delta %v %v", ctx, wantRep, wantOK, gotRep, gotOK)
+				}
+				if wantOK {
+					violations++
+				}
+				if want, got := dense.Probe(id), delta.Probe(id); want != got {
+					t.Fatalf("%s: Probe(%d) diverges: dense %v, delta %v", ctx, id, want, got)
+				}
+				dense.EndStep()
+				delta.EndStep()
+				if want, got := dense.Counters().Snapshot(), delta.Counters().Snapshot(); !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s: counters diverge:\ndense %+v\ndelta %+v", ctx, want, got)
+				}
+			}
+			if violations < steps/10 {
+				t.Fatalf("only %d of %d steps had a violator: the churn is too weak to exercise the violator set", violations, steps)
+			}
+		})
+	}
+}
+
+// TestConformanceEmptyDelta: a heartbeat moves nothing and costs nothing —
+// no message, no round, no index fallback, every value where it was.
+func TestConformanceEmptyDelta(t *testing.T) {
+	for name, mk := range engines(8, 29) {
+		t.Run(name, func(t *testing.T) {
+			eng, done := mk()
+			defer done()
+			vals := []int64{10, 20, 30, 40, 50, 60, 70, 80}
+			eng.Advance(vals)
+			before := eng.Counters().Snapshot()
+			eng.AdvanceDirty(vals, nil)
+			eng.AdvanceDirty(vals, []int{})
+			eng.EndStep()
+			if d := eng.Counters().Snapshot().Sub(before); d.Total() != 0 || d.IndexFallbacks != 0 || d.MaxRounds != 0 {
+				t.Errorf("heartbeat billed %+v, want nothing", d)
+			}
+			if got := eng.Values(); !reflect.DeepEqual(got, vals) {
+				t.Errorf("heartbeat moved values: %v, want %v", got, vals)
+			}
+		})
+	}
+}
+
+// TestConformanceDeltaDuplicateIDs: an id listed twice is installed twice
+// with the same entry of values, which is the same as once.
+func TestConformanceDeltaDuplicateIDs(t *testing.T) {
+	for name, mk := range engines(8, 31) {
+		t.Run(name, func(t *testing.T) {
+			eng, done := mk()
+			defer done()
+			vals := make([]int64, 8)
+			eng.Advance(vals)
+			eng.SetFilter(5, filter.Make(0, 9))
+			vals[5], vals[2] = 77, 3
+			eng.AdvanceDirty(vals, []int{5, 2, 5, 5, 2})
+			if got := eng.Values(); !reflect.DeepEqual(got, vals) {
+				t.Errorf("values %v, want %v", got, vals)
+			}
+			want := []wire.Report{{ID: 5, Value: 77, Dir: filter.DirUp}}
+			if got := eng.Collect(wire.Violating()); !reflect.DeepEqual(got, want) {
+				t.Errorf("violators %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestConformanceAdvanceRangePanic: both forms reject a value outside
+// [0, eps.MaxValue] with the same panic, and the delta form checks exactly
+// the entries it installs.
+func TestConformanceAdvanceRangePanic(t *testing.T) {
+	panicOf := func(f func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return
+	}
+	for name, mk := range engines(4, 37) {
+		t.Run(name, func(t *testing.T) {
+			for _, bad := range []int64{-1, eps.MaxValue + 1} {
+				vals := []int64{1, 2, bad, 4}
+				dense, doneDense := mk()
+				want := panicOf(func() { dense.Advance(vals) })
+				doneDense()
+				if want == "<nil>" {
+					t.Fatalf("dense Advance accepted value %d", bad)
+				}
+				delta, doneDelta := mk()
+				if got := panicOf(func() { delta.AdvanceDirty(vals, []int{0, 3}) }); got != "<nil>" {
+					t.Errorf("delta not naming node 2 panicked on its value %d: %s", bad, got)
+				}
+				if got := panicOf(func() { delta.AdvanceDirty(vals, []int{3, 2}) }); got != want {
+					t.Errorf("delta panic %q, dense panic %q", got, want)
+				}
+				doneDelta()
 			}
 		})
 	}

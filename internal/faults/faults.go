@@ -213,8 +213,10 @@ type Cluster struct {
 	believedF []filter.Interval
 	believedT []wire.Tag
 
-	// lastVals freezes each node's last value from before a crash, backing
-	// the stale probe replies served while the node is down.
+	// lastVals is the crash-frozen view of the node values: the current
+	// value of every node that is up, and for a crashed node its last value
+	// from before the crash, backing the stale probe replies served while
+	// the node is down. The engine's nodes stay the owners of the values.
 	lastVals []int64
 
 	// pending holds delayed filter ops, applied in order at next Advance.
@@ -643,13 +645,41 @@ func (w *Cluster) Tags() []wire.Tag { return w.inner.Tags() }
 
 // Advance implements cluster.Inspector: the step clock ticks, filter ops
 // delayed from the previous step land (in their original order, before the
-// new observations install), and the stale-probe cache is refreshed for
-// every node that is up.
+// new observations install), and the stale-probe cache follows every node
+// that is up.
 func (w *Cluster) Advance(values []int64) {
 	if !w.on {
 		w.inner.Advance(values)
 		return
 	}
+	w.beginStep(values)
+	for i, v := range values {
+		w.cache(i, v)
+	}
+	w.inner.Advance(values)
+}
+
+// AdvanceDirty implements cluster.Inspector: Advance with the cache
+// following only the dirty nodes — an up node that is not dirty already
+// has its current value cached.
+func (w *Cluster) AdvanceDirty(values []int64, dirty []int) {
+	if !w.on {
+		w.inner.AdvanceDirty(values, dirty)
+		return
+	}
+	w.beginStep(values)
+	for _, id := range dirty {
+		w.cache(id, values[id])
+	}
+	w.inner.AdvanceDirty(values, dirty)
+}
+
+// beginStep ticks the step clock and lands the delayed filter ops. It also
+// re-reads the cache entry of every node whose crash window ends at this
+// step: the node may have moved while it was down, and nothing else would
+// refresh it until its next push. values[id] is the node's current value
+// whether or not id is dirty (the AdvanceDirty promise).
+func (w *Cluster) beginStep(values []int64) {
 	w.step++
 	for i := range w.pending {
 		op := &w.pending[i]
@@ -663,12 +693,20 @@ func (w *Cluster) Advance(values []int64) {
 		}
 	}
 	w.pending = w.pending[:0]
-	for i, v := range values {
-		if !w.Crashed(i) {
-			w.lastVals[i] = v
+	for _, c := range w.plan.Crashes {
+		if c.Until == w.step {
+			w.cache(c.Node, values[c.Node])
 		}
 	}
-	w.inner.Advance(values)
+}
+
+// cache records v as node id's last known value unless the node is down:
+// lastVals is the crash-frozen view, so a crashed node keeps the value it
+// had before its window began.
+func (w *Cluster) cache(id int, v int64) {
+	if !w.Crashed(id) {
+		w.lastVals[id] = v
+	}
 }
 
 // EndStep implements cluster.Inspector.

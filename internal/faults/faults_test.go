@@ -247,6 +247,65 @@ func TestCrashWindowSemantics(t *testing.T) {
 	w.EndStep()
 }
 
+// TestDeltaRefreshesCacheAtWindowEnd: the stale-probe cache follows only the
+// dirty nodes under AdvanceDirty, so a node pushed while it was crashed and
+// not pushed again would keep its pre-crash cache forever unless the cache
+// is re-read when the window ends. Twin wrappers replay one script, dense
+// Advance on one and AdvanceDirty on the other, with every probe REPLY
+// dropped so that each probe of an up node answers from the cache; the two
+// must answer alike at every step. Node 1's back-to-back windows check that
+// the end of the first does not refresh a node the second still holds down.
+func TestDeltaRefreshesCacheAtWindowEnd(t *testing.T) {
+	const n, seed = 4, 7
+	plan := &Plan{
+		Drop:    1,
+		Kinds:   MaskOf(wire.KindProbeReply),
+		Retries: NoRetries,
+		Crashes: []Crash{
+			{Node: 2, From: 2, Until: 4},
+			{Node: 1, From: 2, Until: 3}, {Node: 1, From: 3, Until: 5},
+		},
+	}
+	dense := Wrap(lockstep.New(n, seed), plan, seed)
+	delta := Wrap(lockstep.New(n, seed), plan, seed)
+
+	vals := []int64{10, 20, 30, 40}
+	script := []struct {
+		dirty []int
+		set   map[int]int64
+	}{
+		{dirty: []int{0, 1, 2, 3}},                             // step 1: load
+		{dirty: []int{2, 1}, set: map[int]int64{2: 99, 1: 55}}, // step 2: both pushed while down
+		{dirty: nil}, // step 3: node 1's first window ends, second begins
+		{dirty: []int{0}, set: map[int]int64{0: 11}}, // step 4: node 2 back up, not pushed again
+		{dirty: nil}, // step 5: node 1 back up, not pushed again
+		{dirty: nil},
+	}
+	var last [n]int64
+	for i, st := range script {
+		for id, v := range st.set {
+			vals[id] = v
+		}
+		dense.Advance(vals)
+		delta.AdvanceDirty(vals, st.dirty)
+		for id := 0; id < n; id++ {
+			want, got := dense.Probe(id), delta.Probe(id)
+			if want != got {
+				t.Fatalf("step %d: probe %d answers %+v on the delta path, %+v on the dense path", i+1, id, got, want)
+			}
+			last[id] = got.Value
+		}
+		dense.EndStep()
+		delta.EndStep()
+	}
+	if want := [n]int64{11, 55, 99, 40}; last != want {
+		t.Fatalf("caches after every window closed: %v, want the current values %v", last, want)
+	}
+	if want, got := dense.Counters().Snapshot(), delta.Counters().Snapshot(); !reflect.DeepEqual(want, got) {
+		t.Fatalf("counters diverge:\ndense %+v\ndelta %+v", want, got)
+	}
+}
+
 // TestDesyncDetection: a lost filter assignment makes the node report a
 // violation that is impossible under the filter the server believes it
 // holds; the wrapper latches the desync signal.

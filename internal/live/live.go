@@ -79,7 +79,7 @@ import (
 type dirKind uint8
 
 const (
-	dirAdvance   dirKind = iota // per-node values in Cluster.advVals
+	dirAdvance   dirKind = iota // observations Cluster.adv[lo:hi], all on target's shard
 	dirApplyRule                // rule at Cluster.rules[ruleIdx]
 	dirSetFilter
 	dirSetTagFilter
@@ -115,6 +115,13 @@ type directive struct {
 	holder  int
 	best    int64
 	seed    uint64
+	lo, hi  int // dirAdvance: the directive's range of Cluster.adv
+}
+
+// observation is one staged (node, value) install of an Advance.
+type observation struct {
+	id int32
+	v  int64
 }
 
 // response is one node's answer slot for Probe and Inspector snapshots;
@@ -150,6 +157,11 @@ type shard struct {
 // node returns the shard's node with the given absolute id.
 func (sh *shard) node(id int) *nodecore.Node { return sh.nodes[id-sh.base] }
 
+func (sh *shard) setFilter(nd *nodecore.Node, iv filter.Interval) {
+	nd.SetFilter(iv)
+	sh.router.Mir.Set(nd.ID, nd.Value, iv)
+}
+
 // config collects construction options.
 type config struct {
 	shards int
@@ -182,14 +194,12 @@ type Cluster struct {
 	workerOf []int32 // node id → owning worker index
 
 	// Pending batch. The server owns these between flushes; workers read
-	// them (and only them) during a flush. advPending coalesces repeated
-	// Advance calls into one directive — only when no other directive was
-	// pushed in between, because deferred directives may read node values
-	// at execution time (see Advance).
-	pend       []directive
-	rules      []wire.FilterRule
-	advVals    []int64
-	advPending bool
+	// them (and only them) during a flush. adv holds the batch's staged
+	// observations in call order; each dirAdvance directive names a run of
+	// it that lies on one shard (see stage).
+	pend  []directive
+	rules []wire.FilterRule
+	adv   []observation
 
 	// Flush delivery: per-worker signal channels, an atomic countdown, and
 	// one completion channel the last worker signals. touched/touchedIDs
@@ -250,7 +260,7 @@ func New(n int, seed uint64, opts ...Option) *Cluster {
 		maxV:       1,
 		shards:     make([]*shard, m),
 		workerOf:   make([]int32, n),
-		advVals:    make([]int64, n),
+		adv:        make([]observation, 0, n),
 		sig:        make([]chan struct{}, m),
 		done:       make(chan struct{}, 1),
 		touched:    make([]bool, m),
@@ -303,27 +313,28 @@ func (c *Cluster) worker(w int, sh *shard) {
 			d := &c.pend[i]
 			switch d.kind {
 			case dirAdvance:
-				for _, nd := range sh.nodes {
-					nd.Observe(c.advVals[nd.ID])
-					sh.router.Idx.Update(nd.ID, nd.Value)
-					sh.router.Mir.SetValue(nd.ID, nd.Value)
+				if c.workerOf[d.target] == mine {
+					for _, o := range c.adv[d.lo:d.hi] {
+						nd := sh.node(int(o.id))
+						nd.Observe(o.v)
+						sh.router.Idx.Update(nd.ID, o.v)
+						sh.router.Mir.Set(nd.ID, o.v, nd.Filter)
+					}
 				}
 			case dirApplyRule:
 				for _, nd := range sh.nodes {
 					nd.ApplyFilterRule(&c.rules[d.ruleIdx])
-					sh.router.Mir.SetFilter(nd.ID, nd.Filter)
+					sh.router.Mir.Set(nd.ID, nd.Value, nd.Filter)
 				}
 			case dirSetFilter:
 				if c.workerOf[d.target] == mine {
-					sh.node(d.target).SetFilter(d.iv)
-					sh.router.Mir.SetFilter(d.target, d.iv)
+					sh.setFilter(sh.node(d.target), d.iv)
 				}
 			case dirSetTagFilter:
 				if c.workerOf[d.target] == mine {
 					nd := sh.node(d.target)
 					nd.SetTag(d.tag)
-					nd.SetFilter(d.iv)
-					sh.router.Mir.SetFilter(d.target, d.iv)
+					sh.setFilter(nd, d.iv)
 				}
 			case dirProbe:
 				if c.workerOf[d.target] == mine {
@@ -428,9 +439,9 @@ func (c *Cluster) flush() {
 	}
 	c.touchedIDs = c.touchedIDs[:0]
 	c.allTouched = false
-	c.advPending = false
 	c.pend = c.pend[:0]
 	c.rules = c.rules[:0]
+	c.adv = c.adv[:0]
 }
 
 // Close stops all worker goroutines. Pending deferred directives are
@@ -472,33 +483,51 @@ func (c *Cluster) count(ch metrics.Channel, k wire.Kind) {
 	c.ctr.Count(ch, k.String(), wire.MsgBits(k, c.n, c.maxV))
 }
 
-// Advance implements cluster.Inspector. The values are copied into the
-// engine-owned batch and installed by the next flush; callers may reuse
-// their slice immediately.
-func (c *Cluster) Advance(values []int64) {
+// Advance implements cluster.Inspector: every node's entry of values is
+// staged for the next flush. Callers may reuse their slice immediately.
+func (c *Cluster) Advance(values []int64) { c.stage(values, nil, len(values)) }
+
+// AdvanceDirty implements cluster.Inspector: the same staging as Advance,
+// for the dirty nodes only, so the next flush wakes (on this directive's
+// account) only the shards that own one — and an empty heartbeat stages
+// nothing and wakes nobody.
+func (c *Cluster) AdvanceDirty(values []int64, dirty []int) { c.stage(values, dirty, len(dirty)) }
+
+// stage is the one install routine behind both Advance forms. It stages
+// count observations — of the nodes ids[0:count], or of nodes 0..count-1
+// when ids is nil (the dense form) — each range-checked, folded into the
+// running Δ, and copied into the engine-owned batch. Consecutive
+// observations on one shard share a dirAdvance directive, so a full vector
+// in id order costs one directive per shard.
+//
+// Staged observations are installed in batch order like every other
+// directive, and each call's values live in their own run of adv. A
+// deferred MaxFindInit or MaxFindRaise between two Advances therefore reads
+// the values call order promises: there is no shared value vector a later
+// Advance could overwrite, and so no reason to flush early.
+func (c *Cluster) stage(values []int64, ids []int, count int) {
 	if len(values) != c.n {
 		panic(fmt.Sprintf("live: Advance with %d values for %d nodes", len(values), c.n))
 	}
-	for i, v := range values {
+	run := int32(-1) // shard of the directive being extended
+	for i := 0; i < count; i++ {
+		id := i
+		if ids != nil {
+			id = ids[i]
+		}
+		v := values[id]
 		if v < 0 || v > eps.MaxValue {
-			panic(fmt.Sprintf("live: value %d for node %d out of range", v, i))
+			panic(fmt.Sprintf("live: value %d for node %d out of range", v, id))
 		}
 		if v > c.maxV {
 			c.maxV = v
 		}
-	}
-	if c.advPending && c.pend[len(c.pend)-1].kind != dirAdvance {
-		// Directives pushed since the pending Advance (MaxFindInit,
-		// MaxFindRaise) read node values at execution time; flush so they
-		// observe the earlier values, as call order promises. Coalescing
-		// (below) is only safe when the pending Advance is still the last
-		// directive — then nothing could have read the overwritten values.
-		c.flush()
-	}
-	copy(c.advVals, values)
-	if !c.advPending {
-		c.advPending = true
-		c.push(directive{kind: dirAdvance, target: allNodes})
+		if w := c.workerOf[id]; w != run {
+			run = w
+			c.push(directive{kind: dirAdvance, target: id, lo: len(c.adv), hi: len(c.adv)})
+		}
+		c.pend[len(c.pend)-1].hi++
+		c.adv = append(c.adv, observation{id: int32(id), v: v})
 	}
 }
 

@@ -13,10 +13,12 @@ import (
 // BenchmarkLiveStep measures the steady-state per-step cost of each monitor
 // on the goroutine engine (n=64, k=8) — the live twin of the root
 // BenchmarkMonitorStep. The step vectors are pre-generated outside the timed
-// loop so the measurement isolates engine + monitor cost. With per-step
-// batched directives and double-buffered responses the steady state must
-// allocate nothing (asserted by TestLiveStepAllocs); goroutine wake-ups are
-// the remaining cost over lockstep.
+// loop, so the measurement is engine + monitor cost, the dense Advance
+// included: it stages n observations per step (one directive per shard)
+// that the step's first flush installs. With per-step batched directives
+// and double-buffered responses the steady state must allocate nothing
+// (asserted by TestLiveStepAllocs); goroutine wake-ups are the remaining
+// cost over lockstep.
 func BenchmarkLiveStep(b *testing.B) {
 	const n, k = 64, 8
 	const pregen = 1024

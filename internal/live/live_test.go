@@ -277,6 +277,38 @@ func TestShardPartition(t *testing.T) {
 	}
 }
 
+// TestDeltaWakesOnlyOwningShards pins what AdvanceDirty leaves for the
+// next flush: nothing at all for a heartbeat, and otherwise one directive
+// per run of same-shard ids that marks only the owning shards for wake-up —
+// never a broadcast. The dense form is the same staging over every node:
+// one directive per shard.
+func TestDeltaWakesOnlyOwningShards(t *testing.T) {
+	c := New(8, 9, WithShards(4)) // shards {0,1} {2,3} {4,5} {6,7}
+	defer c.Close()
+	vals := make([]int64, 8)
+
+	c.AdvanceDirty(vals, nil)
+	if len(c.pend) != 0 || len(c.touchedIDs) != 0 || c.allTouched {
+		t.Fatalf("heartbeat staged %d directives, touched %v, broadcast %v", len(c.pend), c.touchedIDs, c.allTouched)
+	}
+
+	vals[5], vals[4], vals[0] = 7, 3, 9
+	c.AdvanceDirty(vals, []int{5, 4, 0})
+	if len(c.pend) != 2 || !reflect.DeepEqual(c.touchedIDs, []int{2, 0}) || c.allTouched {
+		t.Fatalf("delta {5,4,0} staged %d directives, touched %v, broadcast %v; want 2, [2 0], false",
+			len(c.pend), c.touchedIDs, c.allTouched)
+	}
+	if got := c.Values(); !reflect.DeepEqual(got, vals) {
+		t.Fatalf("values %v, want %v", got, vals)
+	}
+
+	c.Advance(vals)
+	if len(c.pend) != 4 || len(c.adv) != 8 || c.allTouched {
+		t.Fatalf("dense Advance staged %d directives over %d observations, broadcast %v; want 4, 8, false",
+			len(c.pend), len(c.adv), c.allTouched)
+	}
+}
+
 func TestCloseIsIdempotent(t *testing.T) {
 	c := New(2, 7)
 	c.Close()

@@ -36,12 +36,13 @@ type Engine struct {
 	rng   *rngx.Source
 	maxV  int64 // running Δ for message-size accounting
 
-	// router holds the value-bucket index (maintained on Advance) and the
-	// filter-interval mirror (maintained at every filter assignment) over
-	// the nodes, plus the scratch that turns predicates into id-ordered
-	// scan lists. visited counts the node structs predicate-routed
-	// primitives actually touched — the observable the index shrinks from
-	// n per round to the plausible-matcher count (reported by E12).
+	// router holds the value-bucket index (maintained at every install)
+	// and the violator set (maintained at every install and every filter
+	// assignment) over the nodes, plus the scratch that turns predicates
+	// into id-ordered scan lists. visited counts the node structs
+	// predicate-routed primitives actually touched — the observable the
+	// index shrinks from n per round to the plausible-matcher count
+	// (reported by E12).
 	router  vindex.Router
 	visited int64
 
@@ -119,20 +120,38 @@ func (e *Engine) Counters() *metrics.Counters { return e.ctr }
 // Rand implements cluster.Cluster.
 func (e *Engine) Rand() *rngx.Source { return e.rng }
 
-// Advance installs the next observations; it is simulation scaffolding (the
-// streams are observed locally at the nodes) and costs nothing.
-func (e *Engine) Advance(values []int64) {
+// Advance implements cluster.Inspector: every node observes its entry of
+// values. The streams are observed locally at the nodes, so it bills no
+// message; its engine-side cost is n installs.
+func (e *Engine) Advance(values []int64) { e.install(values, nil, len(values)) }
+
+// AdvanceDirty implements cluster.Inspector: the same install as Advance,
+// for the dirty nodes only and in the order given, so a step costs its
+// dirty set and not n. Install order is invisible afterwards — the index
+// and the violator set are sorted before every use.
+func (e *Engine) AdvanceDirty(values []int64, dirty []int) { e.install(values, dirty, len(dirty)) }
+
+// install is the one routine behind both Advance forms. It installs count
+// observations — of the nodes ids[0:count], or of nodes 0..count-1 when ids
+// is nil (the dense form): range check, Observe, then the two derived
+// structures and the running Δ.
+func (e *Engine) install(values []int64, ids []int, count int) {
 	if len(values) != len(e.nodes) {
 		panic(fmt.Sprintf("lockstep: Advance with %d values for %d nodes", len(values), len(e.nodes)))
 	}
-	for i, nd := range e.nodes {
-		v := values[i]
-		if v < 0 || v > eps.MaxValue {
-			panic(fmt.Sprintf("lockstep: value %d for node %d outside [0, %d]", v, i, eps.MaxValue))
+	for i := 0; i < count; i++ {
+		id := i
+		if ids != nil {
+			id = ids[i]
 		}
+		v := values[id]
+		if v < 0 || v > eps.MaxValue {
+			panic(fmt.Sprintf("lockstep: value %d for node %d outside [0, %d]", v, id, eps.MaxValue))
+		}
+		nd := e.nodes[id]
 		nd.Observe(v)
-		e.router.Idx.Update(i, v)
-		e.router.Mir.SetValue(i, v)
+		e.router.Idx.Update(id, v)
+		e.router.Mir.Set(id, v, nd.Filter)
 		if v > e.maxV {
 			e.maxV = v
 		}
@@ -217,23 +236,27 @@ func (e *Engine) count(ch metrics.Channel, k wire.Kind) {
 	e.ctr.Count(ch, k.String(), wire.MsgBits(k, len(e.nodes), e.maxV))
 }
 
-// BroadcastRule implements cluster.Cluster. Each node's derived filter is
-// re-mirrored after the rule applies — the mirror needs no tag state of its
-// own, it records what the node actually holds.
+// BroadcastRule implements cluster.Cluster. Each node is re-evaluated
+// against its derived filter after the rule applies — the mirror needs no
+// tag state of its own, it reads what the node actually holds.
 func (e *Engine) BroadcastRule(rule *wire.FilterRule) {
 	e.count(metrics.Broadcast, wire.KindFilterRule)
 	e.ctr.Rounds(1)
 	for _, nd := range e.nodes {
 		nd.ApplyFilterRule(rule)
-		e.router.Mir.SetFilter(nd.ID, nd.Filter)
+		e.router.Mir.Set(nd.ID, nd.Value, nd.Filter)
 	}
 }
 
 // SetFilter implements cluster.Cluster.
 func (e *Engine) SetFilter(id int, iv filter.Interval) {
 	e.count(metrics.ServerToNode, wire.KindSetFilter)
-	e.nodes[id].SetFilter(iv)
-	e.router.Mir.SetFilter(id, iv)
+	e.setFilter(e.nodes[id], iv)
+}
+
+func (e *Engine) setFilter(nd *nodecore.Node, iv filter.Interval) {
+	nd.SetFilter(iv)
+	e.router.Mir.Set(nd.ID, nd.Value, iv)
 }
 
 // SetTagFilter implements cluster.Cluster.
@@ -241,8 +264,7 @@ func (e *Engine) SetTagFilter(id int, t wire.Tag, iv filter.Interval) {
 	e.count(metrics.ServerToNode, wire.KindSetFilter)
 	nd := e.nodes[id]
 	nd.SetTag(t)
-	nd.SetFilter(iv)
-	e.router.Mir.SetFilter(id, iv)
+	e.setFilter(nd, iv)
 }
 
 // Probe implements cluster.Cluster.

@@ -13,15 +13,26 @@
 // harness) allocates nothing on the node side. Handlers never allocate —
 // the per-step zero-allocation budget of both engines rests on that.
 //
+// Ownership: inside an engine, Node.Value and Node.Filter are THE value and
+// THE filter of a node — the only copies the protocols' reports, matches
+// and violations are computed from. Everything else an engine keeps per
+// node is derived from them and holds neither: vindex.Index a bucket
+// number, vindex.Mirror one "value outside filter" bit. Outside the engine
+// two other views exist, each with its own job and neither consulted by a
+// protocol: topk.Monitor.vals, the facade's referee copy of what was
+// pushed (Check validates the output against it, and it is the vector
+// handed to AdvanceDirty), and faults.Cluster.lastVals, the crash-frozen
+// view a probe of a crashed node is answered from.
+//
 // State-mutation contract: Observe and Reset are the ONLY operations that
 // change Node.Value, and SetFilter, ApplyFilterRule, and Reset the only
 // ones that change Node.Filter. The engines rely on this to keep their
-// value-bucket indexes and filter-interval mirrors (internal/vindex)
-// consistent — they re-index a node exactly at those points — so any new
-// mutation of Value or Filter must notify the owning engine's structures
-// as well. In particular, harness code must never mutate a node reached
-// through an engine's white-box Node accessor; it assigns filters through
-// the engine's SetFilter instead.
+// value-bucket indexes and violator sets (internal/vindex) consistent —
+// they re-derive a node's entries exactly at those points, from the node —
+// so any new mutation of Value or Filter must notify the owning engine's
+// structures as well. In particular, harness code must never mutate a node
+// reached through an engine's white-box Node accessor; it assigns filters
+// through the engine's SetFilter instead.
 package nodecore
 
 import (

@@ -83,9 +83,14 @@ type Dense struct {
 	idBuf                    []int
 }
 
-func (d *Dense) trace(format string, args ...any) {
+// traceCase reports which case of the analysis a violation report fell
+// into. The arguments are typed, and every other Trace call is guarded at
+// its site, because handing values to a ...any parameter boxes them on the
+// heap whether or not a hook is installed — and these lines sit on the
+// per-violation path, whose steady state allocates nothing.
+func (d *Dense) traceCase(name string, rep wire.Report) {
 	if d.Trace != nil {
-		d.Trace(format, args...)
+		d.Trace("%s node=%d v=%d", name, rep.ID, rep.Value)
 	}
 }
 
@@ -143,7 +148,9 @@ func (d *Dense) StartWithProbe(reps []wire.Report) {
 	d.sub = nil
 	d.clearSets()
 	vk, vk1 := reps[d.k-1].Value, reps[d.k].Value
-	d.trace("epoch %d start: vk=%d vk1=%d", d.epochs, vk, vk1)
+	if d.Trace != nil {
+		d.Trace("epoch %d start: vk=%d vk1=%d", d.epochs, vk, vk1)
+	}
 	if vk == vk1 {
 		d.inPreamble = false
 		d.beginWithZ(vk)
@@ -159,7 +166,9 @@ func (d *Dense) StartWithProbe(reps []wire.Report) {
 // ε-neighborhood (σ replies) and the clearly-above range (< k replies),
 // matching the O(k log n + σ) initialisation of Lemma 5.3.
 func (d *Dense) beginWithZ(z int64) {
-	d.trace("beginWithZ z=%d", z)
+	if d.Trace != nil {
+		d.Trace("beginWithZ z=%d", z)
+	}
 	d.z = z
 	d.zUpper = d.e.GrowFloor(z)
 	d.zLowC = d.e.ShrinkCeil(z)
@@ -238,7 +247,9 @@ func (d *Dense) Handle(rep wire.Report) {
 
 // endEpoch deactivates the epoch and hands control to the controller.
 func (d *Dense) endEpoch() {
-	d.trace("endEpoch")
+	if d.Trace != nil {
+		d.Trace("endEpoch")
+	}
 	d.active = false
 	d.OnEpochEnd()
 }
@@ -246,7 +257,9 @@ func (d *Dense) endEpoch() {
 // switchTopK deactivates the epoch and asks the controller to run
 // TOP-K-PROTOCOL (case (d): the dense cluster dissolved).
 func (d *Dense) switchTopK() {
-	d.trace("switchTopK")
+	if d.Trace != nil {
+		d.Trace("switchTopK")
+	}
 	d.active = false
 	d.OnSwitchTopK()
 }
@@ -258,36 +271,38 @@ func (d *Dense) handleDense(rep wire.Report) {
 	switch {
 	case d.v1[i]:
 		// Case a: i ∈ V1 fell below ℓ_r ⇒ ℓ* < ℓ_r.
-		d.trace("D.a node=%d v=%d", i, rep.Value)
+		d.traceCase("D.a", rep)
 		d.halveLower()
 	case d.v3[i]:
 		// Case a′: i ∈ V3 rose above u_r ⇒ ℓ* ≥ ℓ_r.
-		d.trace("D.a' node=%d v=%d", i, rep.Value)
+		d.traceCase("D.a'", rep)
 		d.halveUpper()
 	case d.s1[i] && d.s2[i]:
 		// An unresolved S1∩S2 node: SUBPROTOCOL decides it (the
-		// re-entry rule; see DESIGN.md interpretation 9).
-		d.trace("D.reenter node=%d", i)
+		// re-entry rule, see maybeReenterSub).
+		if d.Trace != nil {
+			d.Trace("D.reenter node=%d", i)
+		}
 		d.startSub(i)
 	case d.s1[i]:
 		if rep.Dir == filter.DirUp {
 			// Case c.1: v > z/(1-ε) ⇒ i must be in F*.
-			d.trace("D.c1 node=%d v=%d", i, rep.Value)
+			d.traceCase("D.c1", rep)
 			d.moveToV1(i)
 		} else {
 			// Case c.2: also observed below ℓ_r ⇒ S1∩S2 ⇒ SUB.
-			d.trace("D.c2 node=%d v=%d", i, rep.Value)
+			d.traceCase("D.c2", rep)
 			d.s2[i] = true
 			d.startSub(i)
 		}
 	case d.s2[i]:
 		if rep.Dir == filter.DirDown {
 			// Case c′.1: v < (1-ε)z ⇒ i cannot be in F*.
-			d.trace("D.c'1 node=%d v=%d", i, rep.Value)
+			d.traceCase("D.c'1", rep)
 			d.moveToV3(i)
 		} else {
 			// Case c′.2: also observed above u_r ⇒ S1∩S2 ⇒ SUB.
-			d.trace("D.c'2 node=%d v=%d", i, rep.Value)
+			d.traceCase("D.c'2", rep)
 			// Align the node's tag with its S′1 membership before
 			// the SUB entry broadcast retags the disbanded S′2.
 			d.s1[i] = true
@@ -299,11 +314,11 @@ func (d *Dense) handleDense(rep wire.Report) {
 			// Case b: v > u_r.
 			if len(d.v1)+len(d.s1)+1 > d.k {
 				// b.1: more than k nodes certified above u_r.
-				d.trace("D.b1 node=%d v=%d", i, rep.Value)
+				d.traceCase("D.b1", rep)
 				d.halveUpper()
 			} else {
 				// b.2: record i in S1.
-				d.trace("D.b2 node=%d v=%d", i, rep.Value)
+				d.traceCase("D.b2", rep)
 				d.s1[i] = true
 				d.c.SetTagFilter(i, wire.TagV2S1, filter.Make(d.lr(), d.zUpper))
 				d.refreshOutput()
@@ -312,11 +327,11 @@ func (d *Dense) handleDense(rep wire.Report) {
 			// Case b′: v < ℓ_r.
 			if len(d.v3)+len(d.s2)+1 > d.c.N()-d.k {
 				// b′.1: more than n-k nodes certified below ℓ_r.
-				d.trace("D.b'1 node=%d v=%d", i, rep.Value)
+				d.traceCase("D.b'1", rep)
 				d.halveLower()
 			} else {
 				// b′.2: record i in S2.
-				d.trace("D.b'2 node=%d v=%d", i, rep.Value)
+				d.traceCase("D.b'2", rep)
 				d.s2[i] = true
 				d.c.SetTagFilter(i, wire.TagV2S2, filter.Make(d.zLowC, d.ur()))
 				d.refreshOutput()
@@ -353,7 +368,9 @@ func (d *Dense) halveUpper() {
 // one broadcast retags the disbanded side and installs the new round's
 // filters for every tag.
 func (d *Dense) advanceRound(disbandS2, disbandS1 bool) {
-	d.trace("advanceRound L=%v disbandS2=%v disbandS1=%v", d.l, disbandS2, disbandS1)
+	if d.Trace != nil {
+		d.Trace("advanceRound L=%v disbandS2=%v disbandS1=%v", d.l, disbandS2, disbandS1)
+	}
 	if d.l.Empty() {
 		d.endEpoch()
 		return
@@ -396,7 +413,9 @@ func (d *Dense) roundFilters(rule *wire.FilterRule) {
 
 // moveToV1 moves i out of V2 (and any S-sets) into V1.
 func (d *Dense) moveToV1(i int) {
-	d.trace("moveToV1 node=%d", i)
+	if d.Trace != nil {
+		d.Trace("moveToV1 node=%d", i)
+	}
 	d.removeFromV2(i)
 	d.v1[i] = true
 	d.c.SetTagFilter(i, wire.TagV1, filter.AtLeast(d.lr()))
@@ -406,7 +425,9 @@ func (d *Dense) moveToV1(i int) {
 // moveToV3 moves i out of V2 into V3; the upper endpoint is the current
 // context's u (u_r, or u′_{r′} while SUBPROTOCOL runs).
 func (d *Dense) moveToV3(i int) {
-	d.trace("moveToV3 node=%d", i)
+	if d.Trace != nil {
+		d.Trace("moveToV3 node=%d", i)
+	}
 	d.removeFromV2(i)
 	d.v3[i] = true
 	up := d.ur()

@@ -79,7 +79,7 @@ func TestSubCaseBPrime1(t *testing.T) {
 
 // TestSubReentry: if SUB resolves a different node while the initiator
 // remains in S1∩S2, SUBPROTOCOL is re-entered until the intersection
-// clears (DESIGN.md interpretation 9).
+// clears (the re-entry rule, see maybeReenterSub).
 func TestSubReentry(t *testing.T) {
 	rig := enterSub(t)
 	calls0 := rig.d.SubCalls

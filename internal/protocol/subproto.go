@@ -37,7 +37,7 @@ func (s *subState) ur(d *Dense) int64 { return d.e.GrowFloor(s.l.Mid()) }
 // retags the disbanded S′2 view and installs the round-0 filters.
 func (d *Dense) startSub(initiator int) {
 	if d.Trace != nil {
-		d.trace("startSub init=%d s1=%v s2=%v", initiator, sortedIDs(d.s1), sortedIDs(d.s2))
+		d.Trace("startSub init=%d s1=%v s2=%v", initiator, sortedIDs(d.s1), sortedIDs(d.s2))
 	}
 	d.SubCalls++
 	hi := d.lr()
@@ -85,33 +85,33 @@ func (d *Dense) handleSub(rep wire.Report) {
 	case d.v1[i]:
 		// Case a: a V1 node fell below ℓ_r ⇒ terminate; the outer L
 		// moves to its lower half.
-		d.trace("S.a node=%d v=%d", i, rep.Value)
+		d.traceCase("S.a", rep)
 		d.subEnd()
 		d.halveLower()
 	case d.v3[i]:
 		// Case a′: a V3 node rose above u′ ⇒ L′ → upper half, S′1 := S1.
-		d.trace("S.a' node=%d v=%d", i, rep.Value)
+		d.traceCase("S.a'", rep)
 		d.subUpperHalf()
 	case s.s1[i] && s.s2[i]:
 		if rep.Dir == filter.DirUp {
 			// Case d.1: v > z/(1-ε) ⇒ i joins V1 and SUB terminates.
-			d.trace("S.d1 node=%d v=%d", i, rep.Value)
+			d.traceCase("S.d1", rep)
 			d.subEnd()
 			d.moveToV1(i)
 		} else {
 			// Case d.2: v < ℓ′ ⇒ L′ → lower half, S′2 := ∅.
-			d.trace("S.d2 node=%d v=%d", i, rep.Value)
+			d.traceCase("S.d2", rep)
 			s.lastDown = i
 			d.subLowerHalf(i)
 		}
 	case s.s1[i]:
 		if rep.Dir == filter.DirUp {
 			// Case c.1: v > z/(1-ε) ⇒ move i to V1 (SUB continues).
-			d.trace("S.c1 node=%d v=%d", i, rep.Value)
+			d.traceCase("S.c1", rep)
 			d.moveToV1(i)
 		} else {
 			// Case c.2: i joins S′2, entering S′1∩S′2.
-			d.trace("S.c2 node=%d v=%d", i, rep.Value)
+			d.traceCase("S.c2", rep)
 			s.s2[i] = true
 			d.c.SetTagFilter(i, wire.TagV2S12, filter.Make(s.lr(), d.zUpper))
 			d.refreshOutput()
@@ -119,11 +119,11 @@ func (d *Dense) handleSub(rep wire.Report) {
 	case s.s2[i]:
 		if rep.Dir == filter.DirDown {
 			// Case c′.1: v < (1-ε)z ⇒ move i to V3 (SUB continues).
-			d.trace("S.c'1 node=%d v=%d", i, rep.Value)
+			d.traceCase("S.c'1", rep)
 			d.moveToV3(i)
 		} else {
 			// Case c′.2: i joins S′1, entering S′1∩S′2.
-			d.trace("S.c'2 node=%d v=%d", i, rep.Value)
+			d.traceCase("S.c'2", rep)
 			s.s1[i] = true
 			d.c.SetTagFilter(i, wire.TagV2S12, filter.Make(s.lr(), d.zUpper))
 			d.refreshOutput()
@@ -133,11 +133,11 @@ func (d *Dense) handleSub(rep wire.Report) {
 			// Case b: v > u′.
 			if len(d.v1)+len(s.s1)+1 > d.k {
 				// b.1: more than k nodes certified above.
-				d.trace("S.b1 node=%d v=%d", i, rep.Value)
+				d.traceCase("S.b1", rep)
 				d.subUpperHalf()
 			} else {
 				// b.2: record i in S′1.
-				d.trace("S.b2 node=%d v=%d", i, rep.Value)
+				d.traceCase("S.b2", rep)
 				s.s1[i] = true
 				d.c.SetTagFilter(i, wire.TagV2S1, filter.Make(d.lr(), d.zUpper))
 				d.refreshOutput()
@@ -146,12 +146,12 @@ func (d *Dense) handleSub(rep wire.Report) {
 			// Case b′: v < ℓ_r.
 			if len(d.v3)+len(s.s2)+1 > d.c.N()-d.k {
 				// b′.1: terminate; outer L → lower half.
-				d.trace("S.b'1 node=%d v=%d", i, rep.Value)
+				d.traceCase("S.b'1", rep)
 				d.subEnd()
 				d.halveLower()
 			} else {
 				// b′.2: record i in S′2.
-				d.trace("S.b'2 node=%d v=%d", i, rep.Value)
+				d.traceCase("S.b'2", rep)
 				s.s2[i] = true
 				d.c.SetTagFilter(i, wire.TagV2S2, filter.Make(d.zLowC, s.ur(d)))
 				d.refreshOutput()
@@ -175,7 +175,9 @@ func (d *Dense) handleSub(rep wire.Report) {
 // the initiator) to V3 — it observed a value below every surviving ℓ*
 // candidate, so it cannot be in F* (Lemma 5.6).
 func (d *Dense) subUpperHalf() {
-	d.trace("subUpperHalf L'=%v", d.sub.l)
+	if d.Trace != nil {
+		d.Trace("subUpperHalf L'=%v", d.sub.l)
+	}
 	s := d.sub
 	s.l = s.l.UpperHalf()
 	// Reset S′1 to S1: nodes recorded above an older, lower u′ lose that
@@ -219,7 +221,9 @@ func (d *Dense) subUpperHalf() {
 // subLowerHalf implements case d.2: L′ → lower half and S′2 := ∅. If L′
 // empties, SUB terminates moving the violator to V3.
 func (d *Dense) subLowerHalf(violator int) {
-	d.trace("subLowerHalf L'=%v violator=%d", d.sub.l, violator)
+	if d.Trace != nil {
+		d.Trace("subLowerHalf L'=%v violator=%d", d.sub.l, violator)
+	}
 	s := d.sub
 	s.l = s.l.LowerHalf()
 	if s.l.Empty() {
@@ -250,7 +254,7 @@ func (d *Dense) subLowerHalf(violator int) {
 // to u_r.
 func (d *Dense) subEnd() {
 	if d.Trace != nil {
-		d.trace("subEnd s1'=%v s2'=%v", sortedIDs(d.sub.s1), sortedIDs(d.sub.s2))
+		d.Trace("subEnd s1'=%v s2'=%v", sortedIDs(d.sub.s1), sortedIDs(d.sub.s2))
 	}
 	s := d.sub
 	d.sub = nil
@@ -315,12 +319,19 @@ func (d *Dense) checkSubTopKSwitch() {
 	}
 }
 
-// maybeReenterSub re-invokes SUBPROTOCOL while an S1∩S2 node remains
-// unresolved at the DENSE level (DESIGN.md interpretation 9): every SUB run
+// maybeReenterSub is the DENSE re-entry rule. The paper invokes SUBPROTOCOL
+// for the node whose violation put it into S1∩S2 and does not say what
+// happens when that run ends having resolved a different node, leaving one
+// still in both sets: DENSEPROTOCOL's case analysis has no filter for such a
+// node. This reproduction reads the paper as re-invoking SUBPROTOCOL, on
+// the smallest such id, until S1∩S2 is empty — here after every SUB run,
+// and in handleDense when an unresolved node violates again. Every SUB run
 // either halves L (disbanding one S-side, emptying the intersection) or
 // moves a node out of V2, so re-entry terminates.
 func (d *Dense) maybeReenterSub() {
-	d.trace("maybeReenterSub active=%v sub=%v", d.active, d.sub != nil)
+	if d.Trace != nil {
+		d.Trace("maybeReenterSub active=%v sub=%v", d.active, d.sub != nil)
+	}
 	if !d.active || d.sub != nil {
 		return
 	}

@@ -6,27 +6,32 @@ import (
 	"topkmon/internal/filter"
 )
 
-// Mirror is the server-side filter-interval mirror that makes the violation
-// predicate routable: the server assigns every filter (SetFilter,
-// SetTagFilter, BroadcastRule), so the engine owning the nodes can record
-// each assigned interval next to the node's current value and maintain the
-// exact violator set incrementally — the (value-bucket ∩ mirrored-interval)
-// set operation evaluated not per query but per update, which makes every
-// violation sweep of a quiet step O(1) instead of the O(n) full scan the
-// ROADMAP's BENCH_PR3 numbers price at ~136µs (n=4096) to ~674µs (n=16384)
-// per step.
+// Mirror is the server-side violator set that makes the violation predicate
+// routable: the server assigns every filter (SetFilter, SetTagFilter,
+// BroadcastRule), so the engine owning the nodes can re-evaluate a node's
+// (value, filter) pair whenever either changes and maintain the exact
+// violator set incrementally — the (value-bucket ∩ assigned-interval) set
+// operation evaluated not per query but per update, which makes every
+// violation sweep of a quiet step O(1) instead of the O(n) full scan
+// BENCH_PR3 prices at ~136µs (n=4096) to ~674µs (n=16384) per step.
+//
+// The mirror holds no values and no filters of its own: nodecore.Node is
+// the one owner of both inside an engine, and Set takes the pair from the
+// node at the call site. What it mirrors is one derived bit per node —
+// "value outside filter" — plus the compact list of the ids whose bit is
+// set.
 //
 // # Ownership and update points
 //
 // A Mirror belongs to the engine (or live-engine shard) owning the mirrored
 // nodes and must be updated by the same code path that mutates the node,
-// immediately after the mutation, on the goroutine owning the node:
+// immediately after the mutation, on the goroutine owning the node, with
+// the node's new state:
 //
-//   - Observe/Advance  → SetValue(id, v)
-//   - SetFilter, SetTagFilter → SetFilter(id, iv)
-//   - ApplyFilterRule  → SetFilter(id, nd.Filter) after the rule applied
-//     (the mirror needs no tag state: it reads the node's derived filter)
-//   - engine Reset     → Reset()
+//   - Observe (either Advance form) → Set(id, nd.Value, nd.Filter)
+//   - SetFilter, SetTagFilter, ApplyFilterRule → the same call, after the
+//     filter changed (no tag state needed: it reads the derived filter)
+//   - engine Reset → Reset()
 //
 // Because the mirror update is adjacent to the node mutation, layers above
 // the engine cannot desync it: the fault injector's delayed or dropped
@@ -42,8 +47,6 @@ import (
 // treats the scan list as a superset like any other routed scan.
 type Mirror struct {
 	base int
-	flt  []filter.Interval // mirrored filter per node
-	val  []int64           // mirrored value per node
 
 	// vio holds the violating ids in arbitrary order; pos[id-base] is the
 	// id's position in vio, or -1. Swap-remove keeps both O(1) per update.
@@ -57,8 +60,6 @@ type Mirror struct {
 func NewMirror(base, n int) *Mirror {
 	m := &Mirror{
 		base: base,
-		flt:  make([]filter.Interval, n),
-		val:  make([]int64, n),
 		vio:  make([]int32, 0, n),
 		pos:  make([]int32, n),
 	}
@@ -66,41 +67,26 @@ func NewMirror(base, n int) *Mirror {
 	return m
 }
 
-// Reset returns the mirror to the engines' post-Reset node state: value 0,
-// the all-admitting filter, no violators. It reuses the arrays and
+// Reset returns the mirror to the engines' post-Reset node state (value 0,
+// the all-admitting filter): no violators. It reuses the arrays and
 // allocates nothing.
 func (m *Mirror) Reset() {
-	for i := range m.flt {
-		m.flt[i] = filter.All
-		m.val[i] = 0
+	for i := range m.pos {
 		m.pos[i] = -1
 	}
 	m.vio = m.vio[:0]
 }
 
-// SetValue records that node id now holds value v.
-func (m *Mirror) SetValue(id int, v int64) {
+// Set records that node id now holds value v under filter iv, moving it in
+// or out of the violator set to match; both directions are O(1).
+func (m *Mirror) Set(id int, v int64, iv filter.Interval) {
 	i := id - m.base
-	m.val[i] = v
-	m.recheck(i)
-}
-
-// SetFilter records that node id now holds filter iv.
-func (m *Mirror) SetFilter(id int, iv filter.Interval) {
-	i := id - m.base
-	m.flt[i] = iv
-	m.recheck(i)
-}
-
-// recheck moves slot i in or out of the violator set to match the mirrored
-// (value, filter) pair; both directions are O(1).
-func (m *Mirror) recheck(i int) {
-	want := !m.flt[i].Contains(m.val[i])
+	want := !iv.Contains(v)
 	have := m.pos[i] >= 0
 	switch {
 	case want && !have:
 		m.pos[i] = int32(len(m.vio))
-		m.vio = append(m.vio, int32(m.base+i))
+		m.vio = append(m.vio, int32(id))
 	case !want && have:
 		p := m.pos[i]
 		last := m.vio[len(m.vio)-1]
@@ -114,19 +100,11 @@ func (m *Mirror) recheck(i int) {
 // Violating reports whether the mirror holds node id as a violator.
 func (m *Mirror) Violating(id int) bool { return m.pos[id-m.base] >= 0 }
 
-// Interval returns the mirrored filter of node id (test and invariant
-// scaffolding).
-func (m *Mirror) Interval(id int) filter.Interval { return m.flt[id-m.base] }
-
-// Value returns the mirrored value of node id (test and invariant
-// scaffolding).
-func (m *Mirror) Value(id int) int64 { return m.val[id-m.base] }
-
 // NumViolating returns the current violator count.
 func (m *Mirror) NumViolating() int { return len(m.vio) }
 
 // Len returns the number of mirrored ids.
-func (m *Mirror) Len() int { return len(m.flt) }
+func (m *Mirror) Len() int { return len(m.pos) }
 
 // AppendViolators appends the violating ids to dst in ascending id order,
 // reusing dst's capacity — the form Router.ScanList needs to preserve the

@@ -28,12 +28,6 @@ func checkMirror(t *testing.T, m *Mirror, base int, vals []int64, flts []filter.
 			t.Fatalf("Violating(%d) = %v, want %v (value %d filter %+v)",
 				id, m.Violating(id), wantVio, vals[i], flts[i])
 		}
-		if m.Interval(id) != flts[i] {
-			t.Fatalf("Interval(%d) = %+v, want %+v", id, m.Interval(id), flts[i])
-		}
-		if m.Value(id) != vals[i] {
-			t.Fatalf("Value(%d) = %d, want %d", id, m.Value(id), vals[i])
-		}
 	}
 	if m.NumViolating() != want {
 		t.Fatalf("NumViolating = %d, want %d", m.NumViolating(), want)
@@ -70,22 +64,16 @@ func TestMirrorRandomOps(t *testing.T) {
 		i := r.Intn(n)
 		switch r.Intn(5) {
 		case 0, 1: // value move (small domain to force in/out flips)
-			v := r.Int63n(64)
-			vals[i] = v
-			m.SetValue(base+i, v)
+			vals[i] = r.Int63n(64)
 		case 2: // narrow filter
 			lo := r.Int63n(64)
-			iv := filter.Make(lo, lo+r.Int63n(8))
-			flts[i] = iv
-			m.SetFilter(base+i, iv)
+			flts[i] = filter.Make(lo, lo+r.Int63n(8))
 		case 3: // empty filter: everything violates
-			iv := filter.Make(9, 3)
-			flts[i] = iv
-			m.SetFilter(base+i, iv)
+			flts[i] = filter.Make(9, 3)
 		default: // all-admitting filter: nothing violates
 			flts[i] = filter.All
-			m.SetFilter(base+i, filter.All)
 		}
+		m.Set(base+i, vals[i], flts[i])
 		checkMirror(t, m, base, vals, flts)
 	}
 
@@ -103,7 +91,7 @@ func TestMirrorRandomOps(t *testing.T) {
 func TestMirrorAppendViolatorsReuses(t *testing.T) {
 	m := NewMirror(0, 8)
 	for _, id := range []int{6, 2, 4} {
-		m.SetFilter(id, filter.Make(5, 5)) // value 0 → violating
+		m.Set(id, 0, filter.Make(5, 5)) // value 0 → violating
 	}
 	buf := make([]int32, 1, 16)
 	buf[0] = 99

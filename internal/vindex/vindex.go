@@ -34,12 +34,12 @@
 //
 // The violation predicate (PredViolating) has no value bounds — a match
 // depends on each node's assigned filter — so bucket routing alone cannot
-// serve it. But every filter is server-assigned, so the engine mirrors the
-// assigned intervals next to the node values (Mirror) and maintains the
-// exact violator set incrementally; Router resolves violation sweeps from
-// that set the same way it resolves value sweeps from the buckets. With
-// both structures in place the only remaining full-scan fallbacks are tag
-// predicates and domain-covering intervals.
+// serve it. But every filter is server-assigned, so the engine re-evaluates
+// a node's (value, filter) pair at each change of either (Mirror) and
+// maintains the exact violator set incrementally; Router resolves violation
+// sweeps from that set the same way it resolves value sweeps from the
+// buckets. With both structures in place the only remaining full-scan
+// fallbacks are tag predicates and domain-covering intervals.
 package vindex
 
 import (
@@ -219,9 +219,9 @@ type Router struct {
 	// maintenance (Update on value changes, Reset on engine reset).
 	Idx *Index
 
-	// Mir is the filter-interval mirror over the same nodes; callers own
-	// its maintenance (SetValue/SetFilter on every node mutation, Reset on
-	// engine reset — see the contract on Mirror).
+	// Mir is the violator set over the same nodes; callers own its
+	// maintenance (Set on every node mutation, Reset on engine reset — see
+	// the contract on Mirror).
 	Mir *Mirror
 
 	cand []int32

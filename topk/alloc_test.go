@@ -3,7 +3,9 @@ package topk_test
 import (
 	"testing"
 
+	"topkmon/internal/cluster"
 	"topkmon/internal/eps"
+	"topkmon/internal/protocol"
 	"topkmon/topk"
 )
 
@@ -102,6 +104,75 @@ func TestFacadeStepAllocs(t *testing.T) {
 				t.Errorf("Check allocates %.2f per validation, want 0", avg)
 			}
 		})
+		t.Run("churn/"+eng.name, func(t *testing.T) { churnStepAllocs(t, eng.opts...) })
+	}
+}
+
+// churnStepAllocs extends the zero-allocation budget to the path the
+// drifting walk above never takes: contenders riding
+// phase-shifted triangle waves trade top-k places every few steps, so the
+// Approx controller keeps opening epochs and runs DENSEPROTOCOL — its case
+// analysis, collects and filter broadcasts — on sparse batches that touch
+// only the contenders. One wave period is pre-generated
+// and cycled (the waves return to their start), and the run must actually
+// spend dense epochs, or the measurement is vacuous.
+func churnStepAllocs(t *testing.T, engOpts ...topk.Option) {
+	const n, k, contenders, period = 256, 8, 32, 200
+	wave := func(p int) int64 { // triangle between 1e6 and 2e6
+		if p > period/2 {
+			p = period - p
+		}
+		return 1e6 + 1e6*int64(p)/(period/2)
+	}
+	load := make([]topk.Update, n)
+	for i := range load {
+		load[i] = topk.Update{Node: i, Value: int64(1e5 + i*3000)}
+		if i < contenders {
+			load[i].Value = wave(i * period / contenders)
+		}
+	}
+	batches := make([][]topk.Update, period)
+	for s := range batches {
+		batches[s] = make([]topk.Update, contenders)
+		for i := range batches[s] {
+			batches[s][i] = topk.Update{Node: i, Value: wave((i*period/contenders + s + 1) % period)}
+		}
+	}
+
+	e := eps.MustNew(1, 8)
+	var approx *protocol.Approx
+	opts := append([]topk.Option{topk.WithNodes(n), topk.WithSeed(5),
+		topk.WithMonitorFunc(func(cl cluster.Cluster) protocol.Monitor {
+			approx = protocol.NewApprox(cl, k, e)
+			return approx
+		})}, engOpts...)
+	m, err := topk.New(k, topk.WrapEps(e), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.UpdateBatch(load); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	step := func() {
+		if err := m.UpdateBatch(batches[i%period]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for range 2 * period { // every buffer reaches its high-water mark
+		step()
+	}
+	dense0 := approx.DenseEpochs()
+	if avg := testing.AllocsPerRun(2*period, step); avg != 0 {
+		t.Errorf("contender-churn UpdateBatch allocates %.2f per step, want 0", avg)
+	}
+	if approx.DenseEpochs() == dense0 {
+		t.Fatal("the measured steps opened no dense epoch: the trace does not churn")
+	}
+	if err := m.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -62,11 +62,14 @@ type Monitor struct {
 	e    eps.Eps
 	seed uint64
 
-	// vals mirrors every node's last pushed value — the full observation
-	// vector each committed step installs (nodes without a staged push
-	// keep their previous value). stagedAt[i] == batch marks node i as
-	// staged in the current (uncommitted) batch.
+	// vals holds every node's last pushed value: the facade's referee copy
+	// for Check (the engine's nodes own the values the protocol sees), and
+	// the observation vector each committed step hands the engine. dirty
+	// lists, once each and in push order, the nodes staged in the current
+	// (uncommitted) batch — the only entries of vals a commit installs;
+	// stagedAt[i] == batch marks node i as one of them.
 	vals     []int64
+	dirty    []int
 	stagedAt []uint64
 	batch    uint64
 	steps    int64
@@ -151,6 +154,7 @@ func New(k int, e Epsilon, opts ...Option) (*Monitor, error) {
 		e:             e.e,
 		seed:          cfg.seed,
 		vals:          make([]int64, n),
+		dirty:         make([]int, 0, n),
 		stagedAt:      make([]uint64, n),
 		batch:         1,
 		prev:          make([]int, 0, k),
@@ -169,9 +173,13 @@ func (m *Monitor) Update(node int, value int64) error {
 	if m.closed {
 		return ErrClosed
 	}
-	if err := m.stageLocked(node, value); err != nil {
+	if err := m.checkPush(node, value); err != nil {
 		return err
 	}
+	if m.stagedAt[node] == m.batch {
+		m.commitLocked()
+	}
+	m.stageLocked(node, value)
 	return nil
 }
 
@@ -191,8 +199,7 @@ func (m *Monitor) UpdateBatch(batch []Update) error {
 		}
 	}
 	for _, u := range batch {
-		m.stagedAt[u.Node] = m.batch
-		m.vals[u.Node] = u.Value
+		m.stageLocked(u.Node, u.Value)
 	}
 	m.commitLocked()
 	return nil
@@ -242,31 +249,29 @@ func (m *Monitor) checkPush(node int, value int64) error {
 	return nil
 }
 
-// stageLocked records one push, committing the pending batch first when the
-// node already has a staged value.
-func (m *Monitor) stageLocked(node int, value int64) error {
-	if err := m.checkPush(node, value); err != nil {
-		return err
+// stageLocked records one validated push in the current batch; the last
+// push per node wins and the node enters the dirty list once.
+func (m *Monitor) stageLocked(node int, value int64) {
+	if m.stagedAt[node] != m.batch {
+		m.stagedAt[node] = m.batch
+		m.dirty = append(m.dirty, node)
 	}
-	if m.stagedAt[node] == m.batch {
-		m.commitLocked()
-	}
-	m.stagedAt[node] = m.batch
 	m.vals[node] = value
-	return nil
 }
 
 // commitLocked closes the current batch as one engine time step: install
-// the observation vector, run the algorithm to quiescence, close the round
+// the staged observations, run the algorithm to quiescence, close the round
 // accounting, and notify subscribers on a top-k-set change. This is the
-// exact Advance → Start/HandleStep → EndStep sequence the simulation
-// harness performs, which is what makes pushed runs byte-identical to
-// engine-driven ones.
+// Advance → Start/HandleStep → EndStep sequence the simulation harness
+// performs, in its delta form — only the dirty nodes are installed, every
+// other node already holds its entry of vals — which is what makes pushed
+// runs byte-identical to engine-driven ones at a cost of the batch, not n.
 // A fault-armed monitor (WithFaults) additionally runs the recovery
 // supervisor between the protocol step and the round-accounting close, so
 // resync traffic bills into the step that needed it.
 func (m *Monitor) commitLocked() {
-	m.eng.Advance(m.vals)
+	m.eng.AdvanceDirty(m.vals, m.dirty)
+	m.dirty = m.dirty[:0]
 	if m.faulty == nil {
 		if m.steps == 0 {
 			m.mon.Start()
@@ -496,6 +501,7 @@ func (m *Monitor) Reset(seed uint64) error {
 	m.seed = seed
 	m.mon = m.mkMon(m.eng)
 	clear(m.vals)
+	m.dirty = m.dirty[:0]
 	m.batch++ // invalidates every stagedAt mark: staged pushes are dropped
 	m.steps = 0
 	m.prev = m.prev[:0]

@@ -139,8 +139,11 @@ check: build fmt-check vet api-check test
 # recording go version, GOOS/GOARCH, GOMAXPROCS, NumCPU, and the live
 # engine's default worker-shard count, so multi-core claims stay
 # attributable when CI hardware changes. -bench=. takes in every root
-# benchmark, BenchmarkSparseStep (one dirty node per step, flat in n from
-# 1024 to 131072 on both engines) included; bench-smoke and CI likewise.
+# benchmark — BenchmarkSparseStep (one dirty node per step, flat in n from
+# 1024 to 131072 on both engines), BenchmarkEpochOpen (TopM(k+1) over one
+# value bucket, both engines, fails on an allocation), BenchmarkFindMax up
+# to n = 16384 and BenchmarkSweepSilent's live rows (fail unless a silent
+# sweep is one barrier round) included; bench-smoke and CI likewise.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -json . > $(BENCH_OUT)
 	@grep -o '"Output":"Benchmark[^"]*"' $(BENCH_OUT) | sed -e 's/^"Output":"//' -e 's/"$$//' -e 's/\\t/\t/g' -e 's/\\n//'

@@ -13,6 +13,7 @@ import (
 	"topkmon/internal/eps"
 	"topkmon/internal/exp"
 	"topkmon/internal/filter"
+	"topkmon/internal/live"
 	"topkmon/internal/lockstep"
 	"topkmon/internal/offline"
 	"topkmon/internal/oracle"
@@ -68,7 +69,10 @@ func BenchmarkE11SweepAblationParallel(b *testing.B) { benchExperiment(b, "E11",
 // --- micro-benchmarks of the primitives ---
 
 // BenchmarkSweepSilent measures the zero-violation fast path of the
-// EXISTENCE sweep (the steady-state cost of a quiet time step).
+// EXISTENCE sweep (the steady-state cost of a quiet time step) on both
+// engines. On the live engine a silent sweep must be ONE barrier round —
+// round 0 brings back zero matchers — not γ+1; the benchmark fails
+// otherwise.
 func BenchmarkSweepSilent(b *testing.B) {
 	for _, n := range []int{64, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -80,6 +84,23 @@ func BenchmarkSweepSilent(b *testing.B) {
 				if got := e.Sweep(wire.Violating()); got != nil {
 					b.Fatal("unexpected senders")
 				}
+			}
+		})
+		b.Run(fmt.Sprintf("live/n=%d", n), func(b *testing.B) {
+			e := live.New(n, 1, live.WithShards(2))
+			defer e.Close()
+			e.Advance(make([]int64, n))
+			e.Sweep(wire.Violating()) // installs the observations
+			flushes := e.Flushes()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := e.Sweep(wire.Violating()); got != nil {
+					b.Fatal("unexpected senders")
+				}
+			}
+			if got := e.Flushes() - flushes; got != int64(b.N) {
+				b.Fatalf("%d silent sweeps ran %d barrier rounds, want one each", b.N, got)
 			}
 		})
 	}
@@ -356,9 +377,12 @@ func BenchmarkItemsStep(b *testing.B) {
 	}
 }
 
-// BenchmarkFindMax measures Lemma 2.6's protocol end to end.
+// BenchmarkFindMax measures Lemma 2.6's protocol end to end. Every node
+// matches the first sweep of a run, so n coin flips are the floor; the rest
+// of the time must not grow faster than that (n = 16384 is the load batch
+// of the embed-quiet-wide workload).
 func BenchmarkFindMax(b *testing.B) {
-	for _, n := range []int{64, 1024} {
+	for _, n := range []int{64, 1024, 16384} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			e := lockstep.New(n, 1)
 			vals := make([]int64, n)
@@ -373,6 +397,53 @@ func BenchmarkFindMax(b *testing.B) {
 				if _, ok := protocol.FindMax(e, true); !ok {
 					b.Fatal("no max")
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkEpochOpen measures the probe every epoch of every monitor opens
+// with — TopM(k+1) = k+1 max-finds, about 64 sweeps at k = 8 — in the shape
+// the embed-churn workload has: n = 1024 values inside one power-of-two
+// bucket, where value routing prunes nothing and the max-find active list
+// does the work. Lockstep and live × 2 shards; the probe goes into the
+// caller's buffer, and an iteration that allocates fails the benchmark.
+func BenchmarkEpochOpen(b *testing.B) {
+	const n, k = 1024, 8
+	engines := []struct {
+		name string
+		mk   func() (cluster.Engine, func())
+	}{
+		{"lockstep", func() (cluster.Engine, func()) { return lockstep.New(n, 1), func() {} }},
+		{"live/m=2", func() (cluster.Engine, func()) {
+			e := live.New(n, 1, live.WithShards(2))
+			return e, e.Close
+		}},
+	}
+	for _, eng := range engines {
+		b.Run(eng.name, func(b *testing.B) {
+			e, done := eng.mk()
+			defer done()
+			vals := make([]int64, n)
+			r := rngx.New(9)
+			for i := range vals {
+				vals[i] = 1<<20 + r.Int63n(1<<20) // all in bucket 21
+			}
+			e.Advance(vals)
+			probe := make([]wire.Report, 0, k+1)
+			open := func() {
+				if probe = protocol.TopM(e, k+1, probe); len(probe) != k+1 {
+					b.Fatalf("probe returned %d reports, want %d", len(probe), k+1)
+				}
+			}
+			open()
+			if avg := testing.AllocsPerRun(10, open); avg != 0 {
+				b.Fatalf("an epoch opening allocates %.1f times, want 0", avg)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				open()
 			}
 		})
 	}

@@ -80,22 +80,28 @@
 //     work only for the shards that own one (BenchmarkSparseStep: flat
 //     from n=1024 to n=131072). The dense Advance is the same install over
 //     every node, for harnesses that hold full vectors.
-//   - Both engines route Sweep/Collect through a value-bucket index
-//     (internal/vindex, updated at each install of a node's value): only
-//     the nodes plausibly matching the predicate's wire.Pred.Bounds interval
-//     are visited, so scan cost tracks the matcher count σ rather than n
-//     (BenchmarkSweepSelectivity, experiment E12, BENCH_PR3.json), with a
-//     full-scan fallback for state-decided predicates. Routing is
-//     observably invisible — byte-identical reports, counters, and coin
-//     flips (TestIndexedScanMatchesFullScan).
+//   - Both engines route Sweep/Collect through one vindex.Router: a
+//     value-bucket index (updated at each install of a node's value) for
+//     the predicate's wire.Pred.Bounds interval, the violator set for the
+//     violation predicate, the max-find active list (edited by the three
+//     MaxFind* broadcasts) for the max-find predicate — so scan cost tracks
+//     the matcher count σ rather than n (BenchmarkSweepSelectivity,
+//     experiment E12, BENCH_PR3.json), with a full scan left for tag
+//     predicates and domain-covering intervals. A sweep resolves its
+//     matchers once and runs its γ+1 rounds over them only
+//     (BenchmarkEpochOpen, BenchmarkFindMax). Routing is observably
+//     invisible — byte-identical reports, counters, and coin flips
+//     (TestIndexedScanMatchesFullScan,
+//     TestConformanceSweepCoinsMatchPerRoundLoop).
 //   - The live engine runs m worker shards (default GOMAXPROCS; see
 //     live.WithShards), each owning a contiguous range of nodes and its
 //     bucket partition, and batches directives per step: reply-free
 //     mutations are deferred into a reusable batch that rides along with
 //     the next response-bearing barrier; Collect/sweep matches land in
 //     per-shard report lists, Probe/snapshot replies in per-node slots —
-//     one quiet step wakes m workers instead of n goroutines, no
-//     per-directive channel round-trips, no steady-state allocation. See
+//     one quiet step is one barrier that wakes m workers (a sweep nobody
+//     matches ends after its first round), no per-directive channel
+//     round-trips, no steady-state allocation. See
 //     the internal/live package docs for the flush protocol.
 //   - Protocols reuse broadcast FilterRules (engines apply or copy rules
 //     before returning) and their set/output scratch buffers.

@@ -46,14 +46,21 @@
 // the server assigns every filter, so the engine re-evaluates a node
 // against its filter whenever either changes and maintains the exact
 // violator set, making the scheduled quiet-step violation sweep O(1)
-// server-side work. All routing is an implementation property with NO
-// protocol-visible effect — the model's message costs stated on each
-// method, the report contents and id order, and every coin flip are
-// identical to a full scan (nodes outside the interval could not have
-// matched or sent). Only tag predicates (HasTag) and domain-covering
-// intervals scan all nodes, the documented fallback. Protocols should
-// therefore prefer interval predicates (InRange, AboveActive with a
-// meaningful floor) over tag collects when either formulation is available.
+// server-side work. Max-find sweeps (AboveActive, at any threshold) are
+// routed through the list of max-find-active nodes, which the three
+// MaxFind* broadcasts — the flag's only writers — keep. Each primitive
+// resolves its predicate once: a sweep's rounds run over the nodes that
+// matched before round 0, and a sweep nobody matches bills its γ+1 rounds
+// and does no other work (one barrier round on the live engine). All
+// routing is an implementation property with NO protocol-visible effect —
+// the model's message costs stated on each method, the report contents and
+// id order, the rounds billed and every coin flip are identical to a full
+// scan repeated every round (nodes outside the candidates could not have
+// matched or sent, and node state cannot change while a sweep runs). Only
+// tag predicates (HasTag) and domain-covering InRange intervals scan all
+// nodes, the documented fallback. Protocols should therefore prefer
+// interval predicates over tag collects when either formulation is
+// available.
 package cluster
 
 import (
@@ -103,8 +110,13 @@ type Cluster interface {
 	// zero messages when no node matches; otherwise the senders of the
 	// terminating round (each cost 1) plus one halt broadcast. The sweep
 	// itself needs no kickoff broadcast — it is part of the per-step
-	// schedule all nodes know. The returned slice is owned by the engine
-	// and is recycled by the next Sweep or DetectViolation.
+	// schedule all nodes know. The nodes that match when the sweep starts
+	// are its participants for all its rounds: each draws one coin per
+	// round, in id order, up to and including the terminating round, and
+	// no other node draws. The rounds run are billed on the counters; a
+	// sweep without participants bills all γ+1. The returned slice is
+	// owned by the engine and is recycled by the next Sweep or
+	// DetectViolation.
 	Sweep(p wire.Pred) []wire.Report
 
 	// DetectViolation runs a violation sweep and returns one violator

@@ -12,6 +12,7 @@ import (
 	"topkmon/internal/live"
 	"topkmon/internal/lockstep"
 	"topkmon/internal/metrics"
+	"topkmon/internal/nodecore"
 	"topkmon/internal/rngx"
 	"topkmon/internal/wire"
 )
@@ -90,8 +91,9 @@ func TestConformanceMessageCosts(t *testing.T) {
 
 // TestConformanceIndexFallbacks pins the engine-side full-scan accounting:
 // tag predicates and domain-covering intervals bill exactly one fallback
-// per Sweep/Collect; routable intervals and violation sweeps (resolved from
-// the violator set) bill none — and both engines, at every shard
+// per Sweep/Collect; routable intervals, violation sweeps (resolved from
+// the violator set) and the max-find predicate at any threshold (resolved
+// from the active list) bill none — and both engines, at every shard
 // count, agree because the decision is made from the predicate alone.
 func TestConformanceIndexFallbacks(t *testing.T) {
 	for name, mk := range engines(8, 3) {
@@ -105,7 +107,9 @@ func TestConformanceIndexFallbacks(t *testing.T) {
 			eng.Collect(wire.InRange(30, 50))      // routed
 			eng.Sweep(wire.InRange(200, 300))      // routed (silent)
 			eng.MaxFindInit(-1, true)
-			eng.Collect(wire.AboveActive(-1)) // domain-covering → fallback
+			eng.Collect(wire.AboveActive(-1))          // active list → no fallback
+			eng.Sweep(wire.AboveActive(-1))            // active list → no fallback
+			eng.Collect(wire.InRange(0, eps.MaxValue)) // domain-covering → fallback
 
 			if got := eng.Counters().IndexFallbacks(); got != 2 {
 				t.Errorf("IndexFallbacks = %d, want 2", got)
@@ -469,5 +473,112 @@ func TestConformanceAdvanceRangePanic(t *testing.T) {
 				doneDelta()
 			}
 		})
+	}
+}
+
+// TestConformanceSweepCoinsMatchPerRoundLoop pins the engines' sweep — the
+// predicate resolved once, the rounds run over the matchers, a silent sweep
+// ended after one barrier — to the loop it replaced, kept here as the
+// oracle: every round walks all nodes, re-evaluates Match, and lets each
+// matching node decide ExistenceSend. After every sweep the senders, the
+// rounds billed, and the RNG state of every single node must equal the
+// oracle's, for silent, one-matcher and all-match sweeps of each routable
+// predicate kind, on every engine configuration.
+func TestConformanceSweepCoinsMatchPerRoundLoop(t *testing.T) {
+	const n, seed = 37, 43
+	// oldSweep is the per-round loop of the engines before the matcher
+	// list, over plain nodes.
+	oldSweep := func(nodes []*nodecore.Node, p wire.Pred) (senders []wire.Report, rounds int64) {
+		gamma := nodecore.ExistenceRounds(n)
+		for r := 0; r <= gamma; r++ {
+			rounds++
+			for _, nd := range nodes {
+				if nd.Match(p) && nd.ExistenceSend(r, n) {
+					senders = append(senders, wire.Report{ID: nd.ID, Value: nd.Value, Dir: nd.Violation()})
+				}
+			}
+			if len(senders) > 0 {
+				return senders, rounds
+			}
+		}
+		return nil, rounds
+	}
+	type nodeReader interface {
+		Node(i int) *nodecore.Node
+	}
+
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(1000 + 10*i) // all in [1000, 1360]
+	}
+	scenarios := []struct {
+		name  string
+		setup func(setFilter func(id int, iv filter.Interval), maxFindInit func(floor int64))
+		pred  wire.Pred
+	}{
+		{"violating/silent", func(func(int, filter.Interval), func(int64)) {}, wire.Violating()},
+		{"violating/one", func(set func(int, filter.Interval), _ func(int64)) {
+			set(21, filter.Make(0, 5))
+		}, wire.Violating()},
+		{"violating/all", func(set func(int, filter.Interval), _ func(int64)) {
+			for i := 0; i < n; i++ {
+				set(i, filter.Make(0, 5))
+			}
+		}, wire.Violating()},
+		{"above-active/silent", func(_ func(int, filter.Interval), init func(int64)) { init(5000) }, wire.AboveActive(-1)},
+		{"above-active/one", func(_ func(int, filter.Interval), init func(int64)) { init(1355) }, wire.AboveActive(-1)},
+		{"above-active/all", func(_ func(int, filter.Interval), init func(int64)) { init(-1) }, wire.AboveActive(-1)},
+		{"above-active/threshold", func(_ func(int, filter.Interval), init func(int64)) { init(-1) }, wire.AboveActive(1200)},
+		{"in-range/silent", func(func(int, filter.Interval), func(int64)) {}, wire.InRange(2000, 3000)},
+		{"in-range/one", func(func(int, filter.Interval), func(int64)) {}, wire.InRange(1100, 1105)},
+		{"in-range/all", func(func(int, filter.Interval), func(int64)) {}, wire.InRange(1000, 1360)},
+		{"has-tag/all", func(func(int, filter.Interval), func(int64)) {}, wire.HasTag(wire.TagNone)},
+	}
+	for name, mk := range engines(n, seed) {
+		for _, sc := range scenarios {
+			t.Run(name+"/"+sc.name, func(t *testing.T) {
+				eng, done := mk()
+				defer done()
+				root := rngx.New(seed)
+				ref := make([]*nodecore.Node, n)
+				for i := range ref {
+					ref[i] = nodecore.New(i, root)
+					ref[i].Observe(vals[i])
+				}
+				eng.Advance(vals)
+				sc.setup(
+					func(id int, iv filter.Interval) {
+						eng.SetFilter(id, iv)
+						ref[id].SetFilter(iv)
+					},
+					func(floor int64) {
+						eng.MaxFindInit(floor, true)
+						for _, nd := range ref {
+							nd.MaxFindInit(floor, true)
+						}
+					})
+				eng.EndStep()
+
+				// Several sweeps in a row: the streams keep diverging from
+				// their seeds, and a single coin drawn out of turn in one
+				// sweep shows in the next at the latest.
+				for sweep := 0; sweep < 12; sweep++ {
+					want, rounds := oldSweep(ref, sc.pred)
+					got := eng.Sweep(sc.pred)
+					if !reflect.DeepEqual(append([]wire.Report(nil), got...), want) {
+						t.Fatalf("sweep %d: senders %v, the per-round loop sends %v", sweep, got, want)
+					}
+					for i, nd := range ref {
+						if have := eng.(nodeReader).Node(i).RNG; *have != *nd.RNG {
+							t.Fatalf("sweep %d: node %d's RNG state diverged from the per-round loop's", sweep, i)
+						}
+					}
+					eng.EndStep()
+					if billed := eng.Counters().MaxRoundsPerStep(); sweep == 0 && billed != rounds {
+						t.Fatalf("sweep billed %d rounds, the per-round loop runs %d", billed, rounds)
+					}
+				}
+			})
+		}
 	}
 }

@@ -12,16 +12,28 @@
 // for the n = 10⁴ step cost where every quiet step paid n channel wake-ups
 // per barrier round. One goroutine per node is the m = n special case.
 //
-// Each shard also owns a value-bucket partition and a filter-interval
-// mirror (internal/vindex) over its nodes, maintained incrementally as the
-// directives mutating node state execute: Collect and EXISTENCE-sweep
-// rounds consult wire.Pred.Bounds and visit only the shard's plausible
-// matchers, violation sweeps visit exactly the shard's mirrored violator
-// set, falling back to the full shard scan for tag predicates or
-// domain-covering intervals. Server-side work per response-bearing round is
-// O(m + matches) — workers publish their matches into per-shard report
-// lists which the server concatenates in shard order — instead of scanning
-// all n response slots.
+// Each shard also owns a value-bucket partition, a filter-interval mirror
+// and its part of the max-find active list (internal/vindex) over its
+// nodes, maintained incrementally as the directives mutating node state
+// execute: a Collect and round 0 of an EXISTENCE sweep resolve the
+// predicate once (vindex.Router.Matchers) — interval predicates from the
+// shard's plausible matchers, violation sweeps from exactly the shard's
+// mirrored violator set, max-find sweeps from its active nodes — falling
+// back to the full shard scan for tag predicates or domain-covering
+// intervals. Server-side work per response-bearing round is O(m + matches)
+// — workers publish their matches into per-shard report lists which the
+// server concatenates in shard order — instead of scanning all n response
+// slots.
+//
+// # Sweeps
+//
+// A sweep's round 0 wakes every worker: each resolves its shard's matchers,
+// keeps the list for the later rounds, and draws the round's coins over it.
+// The matcher counts come back with the round's reports. When no shard
+// holds a matcher the sweep is silent, and the server bills the remaining γ
+// rounds and returns — a quiet violation sweep is one barrier, not γ+1.
+// Otherwise each later round wakes only the shards that hold a matcher and
+// they draw over their kept lists; nothing re-evaluates a predicate.
 //
 // # Batched directives
 //
@@ -94,8 +106,19 @@ const (
 	dirStop
 )
 
-// allNodes as a directive target addresses every worker.
-const allNodes = -1
+// Directive targets that are not a node id: allNodes addresses every
+// worker, sweepers every worker whose shard holds a matcher of the running
+// sweep (rounds > 0 of Sweep).
+const (
+	allNodes = -1
+	sweepers = -2
+)
+
+// reportCap is the initial capacity of the engine-owned report buffers (the
+// lockstep engine's choice, for its reason) and of the pending batch: runs
+// whose sweeps and collects return fewer reports, and whose steps defer
+// fewer directives, never allocate after construction.
+const reportCap = 64
 
 // serverRNG is the Child id of the server-side randomness stream, shared
 // with the lockstep engine so both derive identical server coin flips from
@@ -111,6 +134,7 @@ type directive struct {
 	tag     wire.Tag
 	pred    wire.Pred
 	round   int
+	prob    float64 // dirExistRound: the round's send probability
 	reset   bool
 	holder  int
 	best    int64
@@ -142,16 +166,17 @@ type response struct {
 // over them (vindex.Router, the same routing policy the lockstep engine
 // uses — the mirror is updated by the same directive that mutates the
 // node, on the owning worker, so it can never desync), and
-// the report list the worker publishes matches into. sweepScan caches the
-// routed scan list across one sweep's EXISTENCE rounds: values cannot
-// change mid-sweep, so rounds > 0 reuse round 0's candidates instead of
-// re-sorting them γ times.
+// the report list the worker publishes matches into. sweep holds the
+// shard's matchers of the running sweep, resolved in round 0: node state
+// cannot change mid-sweep, so rounds > 0 draw over this list and evaluate
+// no predicate. Like out, it is written by the worker inside a flush and
+// read by the server — its length only — after the flush.
 type shard struct {
-	base      int // id of nodes[0]; the shard covers [base, base+len(nodes))
-	nodes     []*nodecore.Node
-	router    vindex.Router
-	sweepScan []*nodecore.Node
-	out       []wire.Report // this flush's Collect/sweep replies, id order
+	base   int // id of nodes[0]; the shard covers [base, base+len(nodes))
+	nodes  []*nodecore.Node
+	router vindex.Router
+	sweep  []*nodecore.Node
+	out    []wire.Report // this flush's Collect/sweep replies, id order
 }
 
 // node returns the shard's node with the given absolute id.
@@ -211,6 +236,7 @@ type Cluster struct {
 	touched    []bool
 	touchedIDs []int
 	allTouched bool
+	flushes    int64 // barrier rounds run, see Flushes
 
 	// resp holds one slot per node, indexed by id, for Probe replies and
 	// Inspector snapshots.
@@ -260,13 +286,19 @@ func New(n int, seed uint64, opts ...Option) *Cluster {
 		maxV:       1,
 		shards:     make([]*shard, m),
 		workerOf:   make([]int32, n),
+		pend:       make([]directive, 0, reportCap),
+		rules:      make([]wire.FilterRule, 0, 4),
 		adv:        make([]observation, 0, n),
 		sig:        make([]chan struct{}, m),
 		done:       make(chan struct{}, 1),
 		touched:    make([]bool, m),
 		touchedIDs: make([]int, 0, m),
 		resp:       make([]response, n),
+		sweepBuf:   make([]wire.Report, 0, reportCap),
 		alive:      true,
+	}
+	for i := range c.collectBufs {
+		c.collectBufs[i] = make([]wire.Report, 0, reportCap)
 	}
 	// Contiguous near-equal shards: the first n%m shards get one extra node.
 	q, r := n/m, n%m
@@ -277,12 +309,10 @@ func New(n int, seed uint64, opts ...Option) *Cluster {
 			size++
 		}
 		sh := &shard{
-			base:  base,
-			nodes: make([]*nodecore.Node, size),
-			router: vindex.Router{
-				Idx: vindex.New(base, size),
-				Mir: vindex.NewMirror(base, size),
-			},
+			base:   base,
+			nodes:  make([]*nodecore.Node, size),
+			router: vindex.NewRouter(base, size),
+			out:    make([]wire.Report, 0, reportCap),
 		}
 		for i := range sh.nodes {
 			sh.nodes[i] = nodecore.New(base+i, root)
@@ -299,6 +329,23 @@ func New(n int, seed uint64, opts ...Option) *Cluster {
 
 // Shards returns the worker (shard) count m.
 func (c *Cluster) Shards() int { return c.m }
+
+// Flushes returns how many barrier rounds the engine has run since
+// construction. Like the lockstep engine's VisitedNodes it is engine-side
+// work accounting for tests and benchmarks — a quiet step is one barrier, a
+// silent sweep one, not γ+1 — and neither message cost nor part of the
+// cluster interfaces.
+func (c *Cluster) Flushes() int64 { return c.flushes }
+
+// Node exposes one node for white-box tests, like the lockstep engine's
+// accessor: not part of the cluster interfaces, never used by protocols,
+// and read-only for the same reason. It flushes first, so every deferred
+// directive has run and the workers are parked; the node is the caller's
+// to read until its next call into the engine.
+func (c *Cluster) Node(i int) *nodecore.Node {
+	c.flush()
+	return c.shards[c.workerOf[i]].node(i)
+}
 
 // worker is one shard's goroutine: it owns the shard's node and index state
 // and, once per flush it participates in, executes the pending directives
@@ -338,38 +385,32 @@ func (c *Cluster) worker(w int, sh *shard) {
 				}
 			case dirProbe:
 				if c.workerOf[d.target] == mine {
-					nd := sh.node(d.target)
-					c.resp[d.target].report = wire.Report{ID: nd.ID, Value: nd.Value, Dir: nd.Violation()}
+					c.resp[d.target].report = sh.node(d.target).Report()
 				}
 			case dirCollect:
-				for _, nd := range sh.router.ScanList(d.pred, sh.nodes, sh.base) {
-					if nd.Match(d.pred) {
-						sh.out = append(sh.out, wire.Report{ID: nd.ID, Value: nd.Value, Dir: nd.Violation()})
-					}
+				for _, nd := range sh.router.Matchers(d.pred, sh.nodes, sh.base) {
+					sh.out = append(sh.out, nd.Report())
 				}
 			case dirExistRound:
-				// Candidates are stable across one sweep's rounds (values
-				// only move on Advance, which cannot interleave with a
-				// running Sweep), so only round 0 routes the predicate.
+				// Matchers are stable across one sweep's rounds (node state
+				// only moves on Advance and the server's own messages,
+				// which cannot interleave with a running Sweep), so only
+				// round 0 resolves the predicate.
 				if d.round == 0 {
-					sh.sweepScan = sh.router.ScanList(d.pred, sh.nodes, sh.base)
+					sh.sweep = sh.router.Matchers(d.pred, sh.nodes, sh.base)
 				}
-				for _, nd := range sh.sweepScan {
-					if nd.Match(d.pred) && nd.ExistenceSend(d.round, c.n) {
-						sh.out = append(sh.out, wire.Report{ID: nd.ID, Value: nd.Value, Dir: nd.Violation()})
+				for _, nd := range sh.sweep {
+					if nd.RNG.Bool(d.prob) {
+						sh.out = append(sh.out, nd.Report())
 					}
 				}
 			case dirMaxInit:
-				for _, nd := range sh.nodes {
-					nd.MaxFindInit(d.value, d.reset)
-				}
+				sh.router.MaxFindInit(sh.nodes, d.value, d.reset)
 			case dirMaxRaise:
-				for _, nd := range sh.nodes {
-					nd.MaxFindRaise(d.holder, d.best)
-				}
+				sh.router.MaxFindRaise(d.holder, d.best)
 			case dirMaxExclude:
-				for _, nd := range sh.nodes {
-					nd.MaxFindExclude(d.holder)
+				if c.workerOf[d.target] == mine {
+					sh.router.MaxFindExclude(sh.node(d.target))
 				}
 			case dirSnapshot:
 				for _, nd := range sh.nodes {
@@ -385,8 +426,7 @@ func (c *Cluster) worker(w int, sh *shard) {
 				for _, nd := range sh.nodes {
 					nd.Reset(root)
 				}
-				sh.router.Idx.Reset()
-				sh.router.Mir.Reset()
+				sh.router.Reset()
 			case dirStop:
 				stop = true
 			}
@@ -403,13 +443,27 @@ func (c *Cluster) worker(w int, sh *shard) {
 // push appends a directive to the pending batch and records which workers
 // the next flush must wake.
 func (c *Cluster) push(d directive) {
-	if d.target == allNodes {
+	switch d.target {
+	case allNodes:
 		c.allTouched = true
-	} else if w := c.workerOf[d.target]; !c.allTouched && !c.touched[w] {
-		c.touched[w] = true
-		c.touchedIDs = append(c.touchedIDs, int(w))
+	case sweepers:
+		for w, sh := range c.shards {
+			if len(sh.sweep) > 0 {
+				c.wake(w)
+			}
+		}
+	default:
+		c.wake(int(c.workerOf[d.target]))
 	}
 	c.pend = append(c.pend, d)
+}
+
+// wake marks worker w for the next flush.
+func (c *Cluster) wake(w int) {
+	if !c.allTouched && !c.touched[w] {
+		c.touched[w] = true
+		c.touchedIDs = append(c.touchedIDs, w)
+	}
 }
 
 // flush delivers the pending batch to every touched worker in one signal
@@ -422,6 +476,7 @@ func (c *Cluster) flush() {
 	if len(c.pend) == 0 {
 		return
 	}
+	c.flushes++
 	if c.allTouched {
 		c.remaining.Store(int64(c.m))
 		for _, ch := range c.sig {
@@ -480,7 +535,7 @@ func (c *Cluster) Counters() *metrics.Counters { return c.ctr }
 func (c *Cluster) Rand() *rngx.Source { return c.rng }
 
 func (c *Cluster) count(ch metrics.Channel, k wire.Kind) {
-	c.ctr.Count(ch, k.String(), wire.MsgBits(k, c.n, c.maxV))
+	c.ctr.Count(ch, k, wire.MsgBits(k, c.n, c.maxV))
 }
 
 // Advance implements cluster.Inspector: every node's entry of values is
@@ -644,21 +699,32 @@ func (c *Cluster) Collect(p wire.Pred) []wire.Report {
 }
 
 // Sweep implements cluster.Cluster: the EXISTENCE protocol of Lemma 3.1,
-// one batched barrier per probabilistic round. The returned slice is backed
-// by the engine-owned sweep buffer and recycled by the next Sweep.
+// one batched barrier per probabilistic round that has a matcher to draw.
+// Round 0 goes to every worker and brings back each shard's matcher count
+// beside its reports; a sweep nobody matches ends there, with its remaining
+// γ rounds billed and not run, and a later round wakes only the shards that
+// hold a matcher. The returned slice is backed by the engine-owned sweep
+// buffer and recycled by the next Sweep.
 func (c *Cluster) Sweep(p wire.Pred) []wire.Report {
 	if !vindex.Routable(p) {
-		// One fallback per sweep (the scan list is routed once and reused
-		// across rounds), matching the lockstep engine's accounting.
+		// One fallback per sweep (the predicate is resolved once, in round
+		// 0), matching the lockstep engine's accounting.
 		c.ctr.IndexFallback()
 	}
 	gamma := nodecore.ExistenceRounds(c.n)
+	target := allNodes
 	for r := 0; r <= gamma; r++ {
 		c.ctr.Rounds(1)
-		c.push(directive{kind: dirExistRound, target: allNodes, pred: p, round: r})
+		c.push(directive{kind: dirExistRound, target: target, pred: p, round: r, prob: nodecore.ExistenceProb(r, c.n)})
 		c.flush()
+		target = sweepers
+		matchers := 0
 		senders := c.sweepBuf[:0]
 		for _, sh := range c.shards {
+			if len(sh.sweep) == 0 {
+				continue // not woken after round 0: sh.out is not this round's
+			}
+			matchers += len(sh.sweep)
 			for _, rep := range sh.out {
 				c.count(metrics.NodeToServer, wire.KindExistenceReport)
 				senders = append(senders, rep)
@@ -669,8 +735,12 @@ func (c *Cluster) Sweep(p wire.Pred) []wire.Report {
 			c.count(metrics.Broadcast, wire.KindHalt)
 			return senders
 		}
+		if matchers == 0 {
+			c.ctr.Rounds(int64(gamma - r))
+			return nil
+		}
 	}
-	return nil
+	return nil // not reached: the final round sends with certainty
 }
 
 // DetectViolation implements cluster.Cluster.
@@ -700,5 +770,5 @@ func (c *Cluster) MaxFindRaise(holder int, best int64) {
 func (c *Cluster) MaxFindExclude(id int) {
 	c.count(metrics.Broadcast, wire.KindMaxFindExclude)
 	c.ctr.Rounds(1)
-	c.push(directive{kind: dirMaxExclude, target: allNodes, holder: id})
+	c.push(directive{kind: dirMaxExclude, target: id})
 }

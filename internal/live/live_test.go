@@ -309,6 +309,51 @@ func TestDeltaWakesOnlyOwningShards(t *testing.T) {
 	}
 }
 
+// TestSweepBarriers pins what a sweep costs in barrier rounds: a sweep no
+// node matches is ONE flush — round 0 brings back zero matchers and the
+// other γ rounds are billed without being run — so a quiet step (Advance +
+// DetectViolation) is one flush in all; and once round 0 has resolved the
+// matchers, a later round wakes only the shards that hold one.
+func TestSweepBarriers(t *testing.T) {
+	const n = 64                  // γ = 6
+	c := New(n, 9, WithShards(4)) // shards of 16
+	defer c.Close()
+	vals := make([]int64, n)
+
+	c.Advance(vals)
+	f0 := c.Flushes()
+	if _, ok := c.DetectViolation(); ok {
+		t.Fatal("violation on an all-admitting cluster")
+	}
+	c.EndStep()
+	if got := c.Flushes() - f0; got != 1 {
+		t.Errorf("quiet step ran %d barrier rounds, want 1", got)
+	}
+	if got := c.Counters().MaxRoundsPerStep(); got != 7 {
+		t.Errorf("silent sweep billed %d rounds, want γ+1 = 7", got)
+	}
+
+	// One violator, on shard 2. Round 0 with probability 0: everybody
+	// resolves, nobody sends.
+	c.SetFilter(37, filter.Make(5, 10))
+	c.push(directive{kind: dirExistRound, target: allNodes, pred: wire.Violating()})
+	c.flush()
+	c.push(directive{kind: dirExistRound, target: sweepers, round: 1})
+	if !reflect.DeepEqual(c.touchedIDs, []int{2}) || c.allTouched {
+		t.Fatalf("round 1 wakes shards %v (broadcast %v), want only the violator's shard 2", c.touchedIDs, c.allTouched)
+	}
+	c.flush()
+
+	f0 = c.Flushes()
+	senders := c.Sweep(wire.Violating())
+	if len(senders) != 1 || senders[0].ID != 37 {
+		t.Fatalf("senders %v, want node 37", senders)
+	}
+	if got := c.Flushes() - f0; got < 1 || got > 7 {
+		t.Errorf("one-violator sweep ran %d barrier rounds, want one per round up to the terminating one", got)
+	}
+}
+
 func TestCloseIsIdempotent(t *testing.T) {
 	c := New(2, 7)
 	c.Close()

@@ -5,16 +5,19 @@
 // and is — by construction — exactly the synchronous unit-cost model of
 // Section 2.
 //
-// The engine keeps a value-bucket index and a filter-interval mirror
-// (internal/vindex) over its nodes, maintained incrementally at every node
-// mutation: predicate-routed primitives (Sweep, Collect) visit only the
-// nodes whose values can match the predicate's wire.Pred.Bounds interval,
-// and violation sweeps visit exactly the mirror's violator set, so their
-// step cost tracks the number of plausible matchers instead of n. Tag
-// predicates and domain-covering intervals fall back to the full scan.
-// Routing is invisible to protocols: reports stay in id order, only
-// matching nodes consume randomness, and messages are counted identically —
-// asserted byte-for-byte by TestIndexedScanMatchesFullScan.
+// The engine keeps a value-bucket index, a filter-interval mirror and the
+// max-find active list (internal/vindex) over its nodes, maintained
+// incrementally at every node mutation: predicate-routed primitives (Sweep,
+// Collect) visit only the nodes whose values can match the predicate's
+// wire.Pred.Bounds interval, violation sweeps exactly the mirror's violator
+// set, and max-find sweeps the active nodes. Every primitive resolves its
+// predicate once (vindex.Router.Matchers) and a sweep runs its γ+1 rounds
+// over the matchers only, so a step's cost tracks its matchers instead of
+// n × rounds. Tag predicates and domain-covering intervals fall back to the
+// full scan. Routing is invisible to protocols: reports stay in id order,
+// exactly the matching nodes draw one coin per round, and messages are
+// counted identically — asserted byte-for-byte by
+// TestIndexedScanMatchesFullScan.
 package lockstep
 
 import (
@@ -36,12 +39,13 @@ type Engine struct {
 	rng   *rngx.Source
 	maxV  int64 // running Δ for message-size accounting
 
-	// router holds the value-bucket index (maintained at every install)
-	// and the violator set (maintained at every install and every filter
-	// assignment) over the nodes, plus the scratch that turns predicates
-	// into id-ordered scan lists. visited counts the node structs
-	// predicate-routed primitives actually touched — the observable the
-	// index shrinks from n per round to the plausible-matcher count
+	// router holds the value-bucket index (maintained at every install),
+	// the violator set (maintained at every install and every filter
+	// assignment) and the max-find active list (maintained by the three
+	// MaxFind* broadcasts) over the nodes, plus the scratch that turns
+	// predicates into id-ordered scan and matcher lists. visited counts the
+	// node structs predicate-routed primitives actually touched — the
+	// observable the index shrinks from n to the plausible-matcher count
 	// (reported by E12).
 	router  vindex.Router
 	visited int64
@@ -67,6 +71,13 @@ type Engine struct {
 	DirectReports bool
 }
 
+// reportCap is the initial capacity of the engine-owned report buffers: a
+// terminating EXISTENCE round has O(1) senders in expectation and a
+// protocol's collects return k + σ reports, so a run whose reports stay
+// below it never allocates after construction. Larger results grow a
+// buffer once.
+const reportCap = 64
+
 // serverRNG is the Child id of the server-side randomness stream, shared
 // with the live engine so both derive identical server coin flips from the
 // same seed.
@@ -83,7 +94,11 @@ func New(n int, seed uint64) *Engine {
 		ctr:    metrics.NewCounters(),
 		rng:    root.Child(serverRNG),
 		maxV:   1,
-		router: vindex.Router{Idx: vindex.New(0, n), Mir: vindex.NewMirror(0, n)},
+		router: vindex.NewRouter(0, n),
+	}
+	e.sweepBuf = make([]wire.Report, 0, reportCap)
+	for i := range e.collectBufs {
+		e.collectBufs[i] = make([]wire.Report, 0, reportCap)
 	}
 	for i := range e.nodes {
 		e.nodes[i] = nodecore.New(i, root)
@@ -104,8 +119,7 @@ func (e *Engine) Reset(seed uint64) {
 	e.ctr.Reset()
 	e.rng.Reseed(root.ChildSeed(serverRNG))
 	e.maxV = 1
-	e.router.Idx.Reset()
-	e.router.Mir.Reset()
+	e.router.Reset()
 	e.visited = 0
 	e.DirectReports = false
 	e.FullScan = false
@@ -209,31 +223,42 @@ func (e *Engine) Node(i int) *nodecore.Node { return e.nodes[i] }
 
 // VisitedNodes returns the cumulative number of node structs the
 // predicate-routed primitives (Sweep, DetectViolation, Collect) have
-// touched since construction or the last Reset — per sweep round, the size
-// of the scan list. Simulation scaffolding for measuring the value index's
-// selectivity (experiment E12); it is not message accounting and not part
-// of the cluster interfaces.
+// evaluated their predicate on since construction or the last Reset — per
+// call, the size of the scan list, once: a sweep resolves its matchers
+// before its first round and its rounds visit no further candidate.
+// Simulation scaffolding for measuring the value index's selectivity
+// (experiment E12); it is not message accounting and not part of the
+// cluster interfaces.
 func (e *Engine) VisitedNodes() int64 { return e.visited }
 
-// scanList returns the nodes a predicate-routed primitive must visit, in
-// ascending id order — vindex.Router.ScanList (the routing policy shared
-// with the live engine's shards) behind the FullScan ablation toggle.
-// Non-routable predicates bill one full-scan fallback on the counters; the
-// decision is predicate-only, so the live engine counts identically and the
-// FullScan toggle never perturbs the count.
-func (e *Engine) scanList(p wire.Pred) []*nodecore.Node {
+// matchers resolves a predicate once for a predicate-routed primitive: the
+// nodes matching p, in ascending id order — vindex.Router.Matchers (the
+// routing policy shared with the live engine's shards) behind the FullScan
+// ablation toggle, which ignores the routing structures when choosing the
+// candidates. Non-routable predicates bill one full-scan fallback on the
+// counters; the decision is predicate-only, so the live engine counts
+// identically and the FullScan toggle never perturbs the count.
+func (e *Engine) matchers(p wire.Pred) []*nodecore.Node {
 	if !vindex.Routable(p) {
 		e.ctr.IndexFallback()
-		return e.nodes
 	}
-	if e.FullScan {
-		return e.nodes
+	scan := e.nodes
+	if !e.FullScan {
+		scan = e.router.ScanList(p, e.nodes, 0)
 	}
-	return e.router.ScanList(p, e.nodes, 0)
+	e.visited += int64(len(scan))
+	return e.router.Resolve(p, scan)
 }
 
 func (e *Engine) count(ch metrics.Channel, k wire.Kind) {
-	e.ctr.Count(ch, k.String(), wire.MsgBits(k, len(e.nodes), e.maxV))
+	e.ctr.Count(ch, k, wire.MsgBits(k, len(e.nodes), e.maxV))
+}
+
+// report bills one node → server message of kind k and appends nd's report
+// to dst.
+func (e *Engine) report(dst []wire.Report, nd *nodecore.Node, k wire.Kind) []wire.Report {
+	e.count(metrics.NodeToServer, k)
+	return append(dst, nd.Report())
 }
 
 // BroadcastRule implements cluster.Cluster. Each node is re-evaluated
@@ -272,27 +297,21 @@ func (e *Engine) Probe(id int) wire.Report {
 	e.count(metrics.ServerToNode, wire.KindProbeRequest)
 	e.count(metrics.NodeToServer, wire.KindProbeReply)
 	e.ctr.Rounds(1)
-	nd := e.nodes[id]
-	return wire.Report{ID: id, Value: nd.Value, Dir: nd.Violation()}
+	return e.nodes[id].Report()
 }
 
 // Collect implements cluster.Cluster. Results alternate between two
 // engine-owned buffers, honouring the Cluster contract that a Collect result
-// survives exactly one further Collect. The scan is routed through the value
-// index when the predicate exposes bounds, so server-side work tracks the
-// plausible matchers, not n; the message cost (1 broadcast + 1 per match) is
-// identical either way.
+// survives exactly one further Collect. The scan is routed through the
+// Router's structures, so server-side work tracks the plausible matchers,
+// not n; the message cost (1 broadcast + 1 per match) is identical either
+// way.
 func (e *Engine) Collect(p wire.Pred) []wire.Report {
 	e.count(metrics.Broadcast, wire.KindCollect)
 	e.ctr.Rounds(1)
 	out := e.collectBufs[e.collectIdx][:0]
-	scan := e.scanList(p)
-	e.visited += int64(len(scan))
-	for _, nd := range scan {
-		if nd.Match(p) {
-			e.count(metrics.NodeToServer, wire.KindCollectReply)
-			out = append(out, wire.Report{ID: nd.ID, Value: nd.Value, Dir: nd.Violation()})
-		}
+	for _, nd := range e.matchers(p) {
+		out = e.report(out, nd, wire.KindCollectReply)
 	}
 	e.collectBufs[e.collectIdx] = out
 	e.collectIdx ^= 1
@@ -302,23 +321,31 @@ func (e *Engine) Collect(p wire.Pred) []wire.Report {
 // Sweep implements cluster.Cluster: the EXISTENCE protocol of Lemma 3.1.
 // Nodes matching the predicate send independently with probability
 // p_r = 2^r/n per round; the first non-empty round terminates the sweep
-// (one halt broadcast). With no matching node the sweep is silent and free.
+// (one halt broadcast). With no matching node the sweep is silent and free:
+// its γ+1 rounds are billed and nothing else happens.
+//
+// The matchers are resolved once: node state only changes through Advance
+// and the server's own messages, neither of which can interleave with a
+// running sweep. Exactly the matchers draw, one coin per round up to the
+// terminating round, in id order.
 func (e *Engine) Sweep(p wire.Pred) []wire.Report {
 	if e.DirectReports {
 		return e.directSweep(p)
 	}
-	// The candidate list is stable across the sweep's rounds: values only
-	// change on Advance, which cannot interleave with a running sweep.
-	scan := e.scanList(p)
-	gamma := nodecore.ExistenceRounds(len(e.nodes))
+	n := len(e.nodes)
+	gamma := nodecore.ExistenceRounds(n)
+	m := e.matchers(p)
+	if len(m) == 0 {
+		e.ctr.Rounds(int64(gamma) + 1)
+		return nil
+	}
 	for r := 0; r <= gamma; r++ {
 		e.ctr.Rounds(1)
-		e.visited += int64(len(scan))
+		prob := nodecore.ExistenceProb(r, n)
 		senders := e.sweepBuf[:0]
-		for _, nd := range scan {
-			if nd.Match(p) && nd.ExistenceSend(r, len(e.nodes)) {
-				e.count(metrics.NodeToServer, wire.KindExistenceReport)
-				senders = append(senders, wire.Report{ID: nd.ID, Value: nd.Value, Dir: nd.Violation()})
+		for _, nd := range m {
+			if nd.RNG.Bool(prob) {
+				senders = e.report(senders, nd, wire.KindExistenceReport)
 			}
 		}
 		e.sweepBuf = senders[:0]
@@ -327,7 +354,7 @@ func (e *Engine) Sweep(p wire.Pred) []wire.Report {
 			return senders
 		}
 	}
-	return nil
+	return nil // not reached: the final round sends with certainty
 }
 
 // directSweep is the naive reporting scheme (one round, every matching node
@@ -336,13 +363,8 @@ func (e *Engine) Sweep(p wire.Pred) []wire.Report {
 func (e *Engine) directSweep(p wire.Pred) []wire.Report {
 	e.ctr.Rounds(1)
 	senders := e.sweepBuf[:0]
-	scan := e.scanList(p)
-	e.visited += int64(len(scan))
-	for _, nd := range scan {
-		if nd.Match(p) {
-			e.count(metrics.NodeToServer, wire.KindExistenceReport)
-			senders = append(senders, wire.Report{ID: nd.ID, Value: nd.Value, Dir: nd.Violation()})
-		}
+	for _, nd := range e.matchers(p) {
+		senders = e.report(senders, nd, wire.KindExistenceReport)
 	}
 	e.sweepBuf = senders[:0]
 	if len(senders) == 0 {
@@ -366,25 +388,19 @@ func (e *Engine) DetectViolation() (wire.Report, bool) {
 func (e *Engine) MaxFindInit(floor int64, reset bool) {
 	e.count(metrics.Broadcast, wire.KindMaxFindInit)
 	e.ctr.Rounds(1)
-	for _, nd := range e.nodes {
-		nd.MaxFindInit(floor, reset)
-	}
+	e.router.MaxFindInit(e.nodes, floor, reset)
 }
 
 // MaxFindRaise implements cluster.Cluster.
 func (e *Engine) MaxFindRaise(holder int, best int64) {
 	e.count(metrics.Broadcast, wire.KindMaxFindRaise)
 	e.ctr.Rounds(1)
-	for _, nd := range e.nodes {
-		nd.MaxFindRaise(holder, best)
-	}
+	e.router.MaxFindRaise(holder, best)
 }
 
 // MaxFindExclude implements cluster.Cluster.
 func (e *Engine) MaxFindExclude(id int) {
 	e.count(metrics.Broadcast, wire.KindMaxFindExclude)
 	e.ctr.Rounds(1)
-	for _, nd := range e.nodes {
-		nd.MaxFindExclude(id)
-	}
+	e.router.MaxFindExclude(e.nodes[id])
 }

@@ -108,3 +108,113 @@ func FuzzFilterMirror(f *testing.F) {
 		}
 	})
 }
+
+// checkActiveListMatchesNodes asserts the engine's max-find active list is
+// exactly the nodes whose MFActive flag is set, in ascending id — and that
+// both flags of every node are what the delivered broadcasts make them
+// (wantActive, wantExcluded: the test's own replay of the node handlers).
+func checkActiveListMatchesNodes(t *testing.T, e *Engine, wantActive, wantExcluded []bool) {
+	t.Helper()
+	list := e.router.ScanList(wire.AboveActive(-1), e.nodes, 0)
+	at := 0
+	for _, nd := range e.nodes {
+		if nd.MFActive != wantActive[nd.ID] || nd.MFExcluded != wantExcluded[nd.ID] {
+			t.Fatalf("node %d: active=%v excluded=%v, the delivered broadcasts make it active=%v excluded=%v",
+				nd.ID, nd.MFActive, nd.MFExcluded, wantActive[nd.ID], wantExcluded[nd.ID])
+		}
+		if !nd.MFActive {
+			continue
+		}
+		if at >= len(list) || list[at] != nd {
+			t.Fatalf("active node %d missing from the active list at position %d (list holds %d)", nd.ID, at, len(list))
+		}
+		at++
+	}
+	if at != len(list) {
+		t.Fatalf("active list holds %d nodes, %d have the flag", len(list), at)
+	}
+}
+
+// FuzzActiveList drives random sequences of the three max-find broadcasts,
+// observations, engine resets and max-find sweeps through the fault
+// injector with whole-broadcast drops enabled, and checks after every
+// single op that the engine's active list equals a full scan of the
+// MFActive flags. A dropped MaxFindInit/Raise/Exclude never reaches the
+// engine, so the flags go stale — and the list must be exactly as stale as
+// they are; an observation moves values under the list without touching
+// it. The test replays the node handlers for the broadcasts that were
+// delivered (the DroppedMsgs counter says which), so a handler the engine
+// skipped, or applied to the wrong nodes, fails too.
+func FuzzActiveList(f *testing.F) {
+	f.Add(uint8(0), []byte{1, 0, 1, 2, 3, 40, 3, 5, 0, 7, 1, 9, 0, 2, 4, 80})
+	f.Add(uint8(1), []byte{1, 10, 1, 2, 0, 200, 3, 3, 2, 1, 100, 4, 9, 1, 0, 0, 5, 5})
+	f.Add(uint8(2), []byte{0, 9, 1, 255, 0, 3, 16, 3, 0, 3, 1, 1, 30, 1, 2, 2, 60, 5})
+	f.Add(uint8(1), []byte{1, 0, 0, 3, 4, 3, 4, 1, 0, 1, 4, 7, 1, 0, 0, 2, 4, 0})
+
+	f.Fuzz(func(t *testing.T, planByte uint8, script []byte) {
+		const n, seed = 17, 4321
+		drops := [...]float64{0, 0.3, 0.7}
+		e := New(n, seed)
+		w := faults.Wrap(e, &faults.Plan{
+			Drop:  drops[planByte%3],
+			Kinds: faults.MaskOf(wire.KindMaxFindInit, wire.KindMaxFindRaise, wire.KindMaxFindExclude),
+		}, seed)
+
+		next := func() byte {
+			if len(script) == 0 {
+				return 0
+			}
+			b := script[0]
+			script = script[1:]
+			return b
+		}
+		// delivered runs one broadcast and reports whether it arrived.
+		delivered := func(broadcast func()) bool {
+			before := w.Counters().DroppedMsgs()
+			broadcast()
+			return w.Counters().DroppedMsgs() == before
+		}
+		vals := make([]int64, n)
+		active, excluded := make([]bool, n), make([]bool, n)
+		for steps := 0; len(script) > 0 && steps < 4096; steps++ {
+			switch next() % 6 {
+			case 0: // observations: values move, no flag does
+				b := next()
+				for i := range vals {
+					vals[i] = int64(b)%64 + int64(i*7%64)
+				}
+				w.Advance(vals)
+			case 1: // init, with and without clearing the exclusions
+				floor, reset := int64(next())%128-1, next()%2 == 0
+				if delivered(func() { w.MaxFindInit(floor, reset) }) {
+					for i := range active {
+						excluded[i] = excluded[i] && !reset
+						active[i] = !excluded[i] && vals[i] > floor
+					}
+				}
+			case 2: // raise: the holder and everyone at or below best drop out
+				holder, best := int(next())%n, int64(next())%128
+				if delivered(func() { w.MaxFindRaise(holder, best) }) {
+					for i := range active {
+						active[i] = active[i] && i != holder && vals[i] > best
+					}
+				}
+			case 3: // exclude one node, active or not
+				id := int(next()) % n
+				if delivered(func() { w.MaxFindExclude(id) }) {
+					active[id], excluded[id] = false, true
+				}
+			case 4: // full reset: the list must empty with the flags
+				w.Reset(uint64(next()))
+				clear(vals)
+				clear(active)
+				clear(excluded)
+			default: // the read paths served from the list
+				x := int64(next())%128 - 1
+				w.Sweep(wire.AboveActive(x))
+				w.Collect(wire.AboveActive(x))
+			}
+			checkActiveListMatchesNodes(t, e, active, excluded)
+		}
+	})
+}

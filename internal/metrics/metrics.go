@@ -11,6 +11,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"topkmon/internal/wire"
 )
 
 // Channel classifies which primitive carried a message; each costs 1 unit.
@@ -43,7 +45,10 @@ func (c Channel) String() string {
 // Counters accumulates communication cost. The zero value is ready to use.
 type Counters struct {
 	byChannel [numChannels]int64
-	byKind    map[string]int64
+	// byKind is indexed by wire.Kind: counting a message is two array
+	// increments, and the kind's name is resolved only where a caller asks
+	// for it (ByKind, Kinds, Snapshot).
+	byKind [wire.NumKinds]int64
 
 	// Round accounting: the model allows polylogarithmically many rounds
 	// of communication between consecutive time steps.
@@ -57,12 +62,16 @@ type Counters struct {
 	// indexFallbacks counts predicate-routed primitives (Sweep, Collect)
 	// that had to take the full node scan because no index structure can
 	// serve the predicate: tag predicates (HasTag — matches depend on
-	// node-local tags the server does not index) and domain-covering value
-	// intervals (e.g. AboveActive(-1)), where routing could prune nothing.
-	// Violation sweeps no longer fall back: they are resolved from the
-	// engines' filter-interval mirror (vindex.Mirror), so a quiet-step run
-	// holds this counter flat (asserted by the quiet-step regression
-	// tests). It is engine-side work accounting, not message cost: both
+	// node-local tags the server does not index) and domain-covering
+	// InRange intervals, where routing could prune nothing. Violation
+	// sweeps do not fall back: they are resolved from the engines'
+	// filter-interval mirror (vindex.Mirror), so a quiet-step run holds
+	// this counter flat (asserted by the quiet-step regression tests). Nor,
+	// since PR 13, do max-find sweeps at any threshold: AboveActive(-1),
+	// which used to be billed here once per max-find run, is served from
+	// the max-find active list like every other AboveActive and scans
+	// nothing (vindex.Routable). It is engine-side work accounting, not
+	// message cost: both
 	// engines count identically (the decision is made from the predicate
 	// alone), so cross-engine equivalence is preserved.
 	indexFallbacks int64
@@ -83,36 +92,16 @@ type Counters struct {
 }
 
 // NewCounters returns an empty counter set.
-func NewCounters() *Counters {
-	return &Counters{byKind: make(map[string]int64)}
-}
+func NewCounters() *Counters { return &Counters{} }
 
-// Reset returns the counters to the empty state while retaining the kind
-// map's storage, so an engine Reset leaves no garbage behind. A reset
-// counter set is indistinguishable from NewCounters() through the public
-// API.
-func (c *Counters) Reset() {
-	c.byChannel = [numChannels]int64{}
-	clear(c.byKind)
-	c.roundsThisStep = 0
-	c.maxRoundsStep = 0
-	c.steps = 0
-	c.maxBits = 0
-	c.indexFallbacks = 0
-	c.droppedMsgs = 0
-	c.dupMsgs = 0
-	c.retries = 0
-	c.resyncs = 0
-	c.staleSteps = 0
-}
+// Reset returns the counters to the empty state. A reset counter set is
+// indistinguishable from NewCounters() through the public API.
+func (c *Counters) Reset() { *c = Counters{} }
 
-// Count records one message on channel c of the named kind with the given
+// Count records one message on channel c of the given kind with the given
 // accounted bit size.
-func (c *Counters) Count(ch Channel, kind string, bitSize int) {
+func (c *Counters) Count(ch Channel, kind wire.Kind, bitSize int) {
 	c.byChannel[ch]++
-	if c.byKind == nil {
-		c.byKind = make(map[string]int64)
-	}
 	c.byKind[kind]++
 	if bitSize > c.maxBits {
 		c.maxBits = bitSize
@@ -124,7 +113,7 @@ func (c *Counters) Count(ch Channel, kind string, bitSize int) {
 func (c *Counters) Rounds(r int64) { c.roundsThisStep += r }
 
 // IndexFallback records that one predicate-routed primitive fell back to the
-// full node scan because its predicate carries no usable value interval.
+// full node scan because no routing structure serves its predicate.
 func (c *Counters) IndexFallback() { c.indexFallbacks++ }
 
 // IndexFallbacks returns how many predicate-routed primitives took the
@@ -187,14 +176,24 @@ func (c *Counters) Total() int64 {
 // ByChannel returns the count on one channel.
 func (c *Counters) ByChannel(ch Channel) int64 { return c.byChannel[ch] }
 
-// ByKind returns the count of one message kind.
-func (c *Counters) ByKind(kind string) int64 { return c.byKind[kind] }
+// ByKind returns the count of one message kind, named as wire.Kind.String
+// names it; an unknown name counts 0.
+func (c *Counters) ByKind(kind string) int64 {
+	for k, v := range c.byKind {
+		if wire.Kind(k).String() == kind {
+			return v
+		}
+	}
+	return 0
+}
 
-// Kinds returns all recorded kinds, sorted.
+// Kinds returns the names of all recorded kinds, sorted.
 func (c *Counters) Kinds() []string {
 	ks := make([]string, 0, len(c.byKind))
-	for k := range c.byKind {
-		ks = append(ks, k)
+	for k, v := range c.byKind {
+		if v != 0 {
+			ks = append(ks, wire.Kind(k).String())
+		}
 	}
 	sort.Strings(ks)
 	return ks
@@ -230,7 +229,9 @@ func (c *Counters) Snapshot() Snapshot {
 		StaleSteps:     c.staleSteps,
 	}
 	for k, v := range c.byKind {
-		s.ByKind[k] = v
+		if v != 0 {
+			s.ByKind[wire.Kind(k).String()] = v
+		}
 	}
 	return s
 }

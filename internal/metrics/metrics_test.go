@@ -4,13 +4,15 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"topkmon/internal/wire"
 )
 
 func TestCountersBasics(t *testing.T) {
 	c := NewCounters()
-	c.Count(NodeToServer, "probe-reply", 24)
-	c.Count(NodeToServer, "probe-reply", 24)
-	c.Count(Broadcast, "halt", 8)
+	c.Count(NodeToServer, wire.KindProbeReply, 24)
+	c.Count(NodeToServer, wire.KindProbeReply, 24)
+	c.Count(Broadcast, wire.KindHalt, 8)
 	if c.Total() != 3 {
 		t.Errorf("Total = %d", c.Total())
 	}
@@ -31,7 +33,7 @@ func TestCountersBasics(t *testing.T) {
 
 func TestZeroValueCounters(t *testing.T) {
 	var c Counters
-	c.Count(Broadcast, "x", 1)
+	c.Count(Broadcast, wire.KindHalt, 1)
 	if c.Total() != 1 {
 		t.Error("zero-value Counters must be usable")
 	}
@@ -57,12 +59,12 @@ func TestRoundTracking(t *testing.T) {
 
 func TestSnapshotSub(t *testing.T) {
 	c := NewCounters()
-	c.Count(NodeToServer, "a", 1)
+	c.Count(NodeToServer, wire.KindProbeReply, 1)
 	s1 := c.Snapshot()
-	c.Count(NodeToServer, "a", 1)
-	c.Count(Broadcast, "b", 1)
+	c.Count(NodeToServer, wire.KindProbeReply, 1)
+	c.Count(Broadcast, wire.KindHalt, 1)
 	diff := c.Snapshot().Sub(s1)
-	if diff.Total() != 2 || diff.ByKind["a"] != 1 || diff.ByKind["b"] != 1 {
+	if diff.Total() != 2 || diff.ByKind["probe-reply"] != 1 || diff.ByKind["halt"] != 1 {
 		t.Errorf("Sub wrong: %+v", diff)
 	}
 }

@@ -90,6 +90,12 @@ func (nd *Node) Observe(v int64) { nd.Value = v }
 // Violation classifies the node's value against its filter.
 func (nd *Node) Violation() filter.Direction { return nd.Filter.Violation(nd.Value) }
 
+// Report is the node → server message every reply carries: the node's id,
+// value and violation direction.
+func (nd *Node) Report() wire.Report {
+	return wire.Report{ID: nd.ID, Value: nd.Value, Dir: nd.Violation()}
+}
+
 // Match evaluates a broadcastable predicate against node-local state.
 func (nd *Node) Match(p wire.Pred) bool {
 	switch p.Kind {
@@ -156,13 +162,22 @@ func ExistenceRounds(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
+// ExistenceProb returns p_r = 2^r / n, the probability with which a node
+// holding a 1 sends in round r of the EXISTENCE protocol over n nodes, and
+// 1 for the final round r ≥ γ. It is below 1 in every earlier round
+// (2^(γ-1) < n), so rngx.Source.Bool draws a coin exactly in the rounds
+// before the last. The engines compute it once per round.
+func ExistenceProb(r, n int) float64 {
+	if r >= ExistenceRounds(n) {
+		return 1
+	}
+	return float64(uint64(1)<<uint(r)) / float64(n)
+}
+
 // ExistenceSend decides whether a node holding a 1 sends in round r of the
 // EXISTENCE protocol over n nodes: independently with probability
-// p_r = 2^r / n, and with certainty in the final round.
+// ExistenceProb(r, n), and with certainty — no coin drawn — in the final
+// round.
 func (nd *Node) ExistenceSend(r, n int) bool {
-	if r >= ExistenceRounds(n) {
-		return true
-	}
-	p := float64(uint64(1)<<uint(r)) / float64(n)
-	return nd.RNG.Bool(p)
+	return nd.RNG.Bool(ExistenceProb(r, n))
 }

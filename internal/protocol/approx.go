@@ -24,6 +24,7 @@ type Approx struct {
 
 	inDense bool
 	epochs  int64
+	probe   []wire.Report // the epoch-opening TopM buffer
 
 	// AfterHandle, when set, runs after every processed violation (test
 	// instrumentation for invariant checking).
@@ -45,7 +46,7 @@ func NewApprox(c cluster.Cluster, k int, e eps.Eps) *Approx {
 	a.dense.OnEpochEnd = a.startEpoch
 	a.dense.OnSwitchTopK = func() {
 		a.inDense = false
-		a.topk.StartWithProbe(TopM(a.c, a.k+1))
+		a.topk.StartWithProbe(a.topM())
 	}
 	return a
 }
@@ -82,7 +83,7 @@ func (a *Approx) Start() { a.startEpoch() }
 
 func (a *Approx) startEpoch() {
 	a.epochs++
-	reps := TopM(a.c, a.k+1)
+	reps := a.topM()
 	vk, vk1 := reps[a.k-1].Value, reps[a.k].Value
 	if a.e.ClearlyBelow(vk1, vk) {
 		a.inDense = false
@@ -91,6 +92,13 @@ func (a *Approx) startEpoch() {
 		a.inDense = true
 		a.dense.StartWithProbe(reps)
 	}
+}
+
+// topM probes the k+1 largest values into the controller's buffer; the
+// sub-protocols read the result only while StartWithProbe runs.
+func (a *Approx) topM() []wire.Report {
+	a.probe = TopM(a.c, a.k+1, a.probe)
+	return a.probe
 }
 
 // HandleStep implements Monitor, routing each violation to whichever

@@ -37,8 +37,8 @@ type Dense struct {
 	l     filter.Interval // L_r, the guess interval for ℓ*
 	round int
 
-	v1, v2, v3 map[int]bool // partition of node ids
-	s1, s2     map[int]bool // subsets of v2
+	part   partition    // V1 / V2 / V3
+	s1, s2 map[int]bool // subsets of V2
 
 	sub *subState // non-nil while SUBPROTOCOL runs
 
@@ -73,12 +73,13 @@ type Dense struct {
 	Trace func(format string, args ...any)
 
 	rules ruleScratch
-	// Reusable working memory for the per-violation bookkeeping: the
-	// output recomputation buffers, the round-broadcast rule, the
-	// persistent SUBPROTOCOL state, and scratch id lists for the
-	// deterministic sorted iterations.
+	// Reusable working memory: the Start probe, the output recomputation
+	// buffers, the epoch-opening and round-broadcast rules, the persistent
+	// SUBPROTOCOL state, and a scratch id list for the deterministic sorted
+	// iterations.
+	probe                    []wire.Report
 	takeBuf, fillBuf, outBuf []int
-	roundRule                *wire.FilterRule
+	resetRule, roundRule     wire.FilterRule
 	subStore                 subState
 	idBuf                    []int
 }
@@ -104,18 +105,14 @@ func NewDense(c cluster.Cluster, k int, e eps.Eps) *Dense {
 	}
 	return &Dense{
 		c: c, k: k, e: e,
-		v1: map[int]bool{}, v2: map[int]bool{}, v3: map[int]bool{},
-		s1: map[int]bool{}, s2: map[int]bool{},
+		part: newPartition(c.N()),
+		s1:   newIDSet(), s2: newIDSet(),
+		subStore:  subState{s1: newIDSet(), s2: newIDSet()},
+		rules:     newRuleScratch(),
+		resetRule: resetAllTags(wire.TagV3),
+		takeBuf:   make([]int, 0, k),
+		outBuf:    make([]int, 0, k),
 	}
-}
-
-// clearSets empties the partition maps, keeping their buckets allocated.
-func (d *Dense) clearSets() {
-	clear(d.v1)
-	clear(d.v2)
-	clear(d.v3)
-	clear(d.s1)
-	clear(d.s2)
 }
 
 // Name implements Monitor.
@@ -134,7 +131,8 @@ func (d *Dense) Output() []int { return d.out }
 // Start implements Monitor (standalone use; controllers call
 // StartWithProbe).
 func (d *Dense) Start() {
-	d.StartWithProbe(TopM(d.c, d.k+1))
+	d.probe = TopM(d.c, d.k+1, d.probe)
+	d.StartWithProbe(d.probe)
 }
 
 // StartWithProbe begins an epoch from a freshly probed top-(k+1) list.
@@ -146,7 +144,6 @@ func (d *Dense) StartWithProbe(reps []wire.Report) {
 	d.gen++
 	d.active = true
 	d.sub = nil
-	d.clearSets()
 	vk, vk1 := reps[d.k-1].Value, reps[d.k].Value
 	if d.Trace != nil {
 		d.Trace("epoch %d start: vk=%d vk1=%d", d.epochs, vk, vk1)
@@ -158,7 +155,8 @@ func (d *Dense) StartWithProbe(reps []wire.Report) {
 	}
 	d.inPreamble = true
 	d.preVK, d.preV1 = vk, vk1
-	d.out = ids(reps[:d.k])
+	d.outBuf = idsInto(d.outBuf, reps[:d.k])
+	d.out = d.outBuf
 	d.rules.assignTwoSided(d.c, d.out, filter.AtLeast(vk1), filter.AtMost(vk))
 }
 
@@ -176,19 +174,10 @@ func (d *Dense) beginWithZ(z int64) {
 	high := d.c.Collect(wire.InRange(d.zUpper+1, filter.Inf))
 	mid := d.c.Collect(wire.InRange(d.zLowC, d.zUpper))
 
-	d.clearSets()
-	for _, r := range high {
-		d.v1[r.ID] = true
-	}
-	for _, r := range mid {
-		d.v2[r.ID] = true
-	}
-	for i := 0; i < d.c.N(); i++ {
-		if !d.v1[i] && !d.v2[i] {
-			d.v3[i] = true
-		}
-	}
-	if len(d.v1) > d.k || len(d.v1)+len(d.v2) < d.k {
+	d.part.classify(high, mid)
+	clear(d.s1)
+	clear(d.s2)
+	if d.part.size[classV1] > d.k || d.part.size[classV1]+d.part.size[classV2] < d.k {
 		// The dense premise broke between probe and classification
 		// (only possible across steps); restart.
 		d.endEpoch()
@@ -200,13 +189,12 @@ func (d *Dense) beginWithZ(z int64) {
 
 	// One broadcast resets everyone to V3 with its filter; V1 and V2
 	// members get their tags by unicast (≤ k + σ messages).
-	rule := resetAllTags(wire.TagV3).With(wire.TagV3, filter.AtMost(d.ur()))
-	d.c.BroadcastRule(rule)
-	d.idBuf = sortedInto(d.idBuf, d.v1)
+	d.c.BroadcastRule(d.resetRule.With(wire.TagV3, filter.AtMost(d.ur())))
+	d.idBuf = d.part.appendIDs(d.idBuf[:0], classV1)
 	for _, i := range d.idBuf {
 		d.c.SetTagFilter(i, wire.TagV1, filter.AtLeast(d.lr()))
 	}
-	d.idBuf = sortedInto(d.idBuf, d.v2)
+	d.idBuf = d.part.appendIDs(d.idBuf[:0], classV2)
 	for _, i := range d.idBuf {
 		d.c.SetTagFilter(i, wire.TagV2, filter.Make(d.lr(), d.ur()))
 	}
@@ -269,11 +257,11 @@ func (d *Dense) handleDense(rep wire.Report) {
 	gen := d.gen
 	i := rep.ID
 	switch {
-	case d.v1[i]:
+	case d.part.in(i, classV1):
 		// Case a: i ∈ V1 fell below ℓ_r ⇒ ℓ* < ℓ_r.
 		d.traceCase("D.a", rep)
 		d.halveLower()
-	case d.v3[i]:
+	case d.part.in(i, classV3):
 		// Case a′: i ∈ V3 rose above u_r ⇒ ℓ* ≥ ℓ_r.
 		d.traceCase("D.a'", rep)
 		d.halveUpper()
@@ -309,10 +297,10 @@ func (d *Dense) handleDense(rep wire.Report) {
 			d.c.SetTagFilter(i, wire.TagV2S1, filter.Make(d.lr(), d.zUpper))
 			d.startSub(i)
 		}
-	case d.v2[i]:
+	default: // i ∈ V2 \ (S1 ∪ S2)
 		if rep.Dir == filter.DirUp {
 			// Case b: v > u_r.
-			if len(d.v1)+len(d.s1)+1 > d.k {
+			if d.part.size[classV1]+len(d.s1)+1 > d.k {
 				// b.1: more than k nodes certified above u_r.
 				d.traceCase("D.b1", rep)
 				d.halveUpper()
@@ -325,7 +313,7 @@ func (d *Dense) handleDense(rep wire.Report) {
 			}
 		} else {
 			// Case b′: v < ℓ_r.
-			if len(d.v3)+len(d.s2)+1 > d.c.N()-d.k {
+			if d.part.size[classV3]+len(d.s2)+1 > d.c.N()-d.k {
 				// b′.1: more than n-k nodes certified below ℓ_r.
 				d.traceCase("D.b'1", rep)
 				d.halveLower()
@@ -337,8 +325,6 @@ func (d *Dense) handleDense(rep wire.Report) {
 				d.refreshOutput()
 			}
 		}
-	default:
-		panic(fmt.Sprintf("protocol: dense violation from unclassified node %d", i))
 	}
 	if d.gen != gen || !d.active || d.sub != nil {
 		return
@@ -394,11 +380,8 @@ func (d *Dense) advanceRound(disbandS2, disbandS1 bool) {
 // Engines apply rules synchronously (see cluster.Cluster.BroadcastRule), so
 // one rule object serves every round broadcast.
 func (d *Dense) freshRoundRule() *wire.FilterRule {
-	if d.roundRule == nil {
-		d.roundRule = wire.NewFilterRule()
-	}
-	*d.roundRule = wire.FilterRule{}
-	return d.roundRule
+	d.roundRule = wire.FilterRule{}
+	return &d.roundRule
 }
 
 // roundFilters installs the step-2 filter table for the current round.
@@ -416,8 +399,7 @@ func (d *Dense) moveToV1(i int) {
 	if d.Trace != nil {
 		d.Trace("moveToV1 node=%d", i)
 	}
-	d.removeFromV2(i)
-	d.v1[i] = true
+	d.leaveV2(i, classV1)
 	d.c.SetTagFilter(i, wire.TagV1, filter.AtLeast(d.lr()))
 	d.refreshOutput()
 }
@@ -428,8 +410,7 @@ func (d *Dense) moveToV3(i int) {
 	if d.Trace != nil {
 		d.Trace("moveToV3 node=%d", i)
 	}
-	d.removeFromV2(i)
-	d.v3[i] = true
+	d.leaveV2(i, classV3)
 	up := d.ur()
 	if d.sub != nil {
 		up = d.sub.ur(d)
@@ -438,8 +419,9 @@ func (d *Dense) moveToV3(i int) {
 	d.refreshOutput()
 }
 
-func (d *Dense) removeFromV2(i int) {
-	delete(d.v2, i)
+// leaveV2 reclassifies the V2 node i as to and drops it from every S-set.
+func (d *Dense) leaveV2(i int, to class) {
+	d.part.move(i, to)
 	delete(d.s1, i)
 	delete(d.s2, i)
 	if d.sub != nil {
@@ -456,7 +438,7 @@ func (d *Dense) checkTopKSwitch() {
 		return // sub has its own check
 	}
 	inter := intersects(d.s1, d.s2)
-	if !inter && len(d.v1)+len(d.s1) == d.k && len(d.v3)+len(d.s2) == d.c.N()-d.k {
+	if !inter && d.part.size[classV1]+len(d.s1) == d.k && d.part.size[classV3]+len(d.s2) == d.c.N()-d.k {
 		d.switchTopK()
 	}
 }
@@ -466,16 +448,14 @@ func (d *Dense) checkTopKSwitch() {
 // S′1\S′2 ∪ (S′1∩S′2) = S′1). If no valid output of size k exists the dense
 // premise broke and the epoch ends. All buffers are reused; V1 and the
 // S-sets are disjoint subsets of the partition, so concatenation needs no
-// dedup, and sorting makes the result independent of map iteration order.
+// dedup, the partition enumerates in id order, and sorting the result makes
+// it independent of the S-sets' map iteration order.
 func (d *Dense) refreshOutput() {
 	s1, s2 := d.s1, d.s2
 	if d.sub != nil {
 		s1, s2 = d.sub.s1, d.sub.s2
 	}
-	take := d.takeBuf[:0]
-	for i := range d.v1 {
-		take = append(take, i)
-	}
+	take := d.part.appendIDs(d.takeBuf[:0], classV1)
 	for i := range s1 {
 		if d.sub != nil || !s2[i] {
 			take = append(take, i)
@@ -487,12 +467,11 @@ func (d *Dense) refreshOutput() {
 		return
 	}
 	fill := d.fillBuf[:0]
-	for i := range d.v2 {
-		if !s1[i] && !s2[i] {
+	for _, i := range d.part.members {
+		if d.part.in(i, classV2) && !s1[i] && !s2[i] {
 			fill = append(fill, i)
 		}
 	}
-	slices.Sort(fill)
 	d.fillBuf = fill
 	need := d.k - len(take)
 	if need > len(fill) {
@@ -516,16 +495,14 @@ func (d *Dense) CheckInvariants(tags []wire.Tag) error {
 	for i := range tags {
 		var want wire.Tag
 		switch {
-		case d.v1[i]:
+		case d.part.in(i, classV1):
 			want = wire.TagV1
-		case d.v3[i]:
+		case d.part.in(i, classV3):
 			want = wire.TagV3
-		case d.v2[i] && d.sub != nil:
+		case d.sub != nil:
 			want = classTag(d.sub.s1[i], d.sub.s2[i])
-		case d.v2[i]:
-			want = classTag(d.s1[i], d.s2[i])
 		default:
-			return fmt.Errorf("dense: node %d in no set", i)
+			want = classTag(d.s1[i], d.s2[i])
 		}
 		if tags[i] != want {
 			return fmt.Errorf("dense: node %d tag %v, sets say %v (sub=%v)", i, tags[i], want, d.sub != nil)
@@ -536,20 +513,20 @@ func (d *Dense) CheckInvariants(tags []wire.Tag) error {
 
 // --- small set helpers ---
 
-func sortedIDs(m map[int]bool) []int {
-	return sortedInto(make([]int, 0, len(m)), m)
-}
+// newIDSet returns an empty S-set with room for a typical neighbourhood's
+// handful of ids. The size hint matters: the runtime defers the storage of a
+// map made without one to its first insert, which would fall in some later
+// step instead of in construction.
+func newIDSet() map[int]bool { return make(map[int]bool, 16) }
 
-// sortedInto appends m's keys to buf[:0] and sorts them, reusing buf's
-// capacity — the allocation-free form of sortedIDs for deterministic
-// iteration in hot paths.
-func sortedInto(buf []int, m map[int]bool) []int {
-	buf = buf[:0]
+// sortedIDs returns m's keys in ascending order (trace lines only).
+func sortedIDs(m map[int]bool) []int {
+	ids := make([]int, 0, len(m))
 	for i := range m {
-		buf = append(buf, i)
+		ids = append(ids, i)
 	}
-	slices.Sort(buf)
-	return buf
+	slices.Sort(ids)
+	return ids
 }
 
 func intersects(a, b map[int]bool) bool {

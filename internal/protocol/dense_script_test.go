@@ -28,13 +28,13 @@ func newScriptRig(t *testing.T, n, k int, e eps.Eps, first []int64) *scriptRig {
 	rig.d = protocol.NewDense(rig.eng, k, e)
 	rig.d.OnEpochEnd = func() {
 		rig.ended++
-		rig.d.StartWithProbe(protocol.TopM(rig.eng, k+1))
+		rig.d.StartWithProbe(protocol.TopM(rig.eng, k+1, nil))
 	}
 	rig.d.OnSwitchTopK = func() {
 		rig.topked++
 		// The rig keeps Dense in charge (restart) — we only script dense
 		// regimes, and the restart keeps outputs valid.
-		rig.d.StartWithProbe(protocol.TopM(rig.eng, k+1))
+		rig.d.StartWithProbe(protocol.TopM(rig.eng, k+1, nil))
 	}
 	rig.eng.Advance(first)
 	rig.d.Start()

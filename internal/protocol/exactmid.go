@@ -22,6 +22,7 @@ type ExactMid struct {
 	l      filter.Interval
 	epochs int64
 	rules  ruleScratch
+	probe  []wire.Report // startEpoch's TopM buffer
 }
 
 // NewExactMid returns the monitor for the exact problem (ε plays no role).
@@ -29,7 +30,7 @@ func NewExactMid(c cluster.Cluster, k int) *ExactMid {
 	if k < 1 || k >= c.N() {
 		panic(fmt.Sprintf("protocol: ExactMid needs 1 ≤ k < n, got k=%d n=%d", k, c.N()))
 	}
-	return &ExactMid{c: c, k: k}
+	return &ExactMid{c: c, k: k, out: make([]int, 0, k), rules: newRuleScratch()}
 }
 
 // Name implements Monitor.
@@ -46,8 +47,9 @@ func (m *ExactMid) Start() { m.startEpoch() }
 
 func (m *ExactMid) startEpoch() {
 	m.epochs++
-	reps := TopM(m.c, m.k+1)
-	m.out = ids(reps[:m.k])
+	m.probe = TopM(m.c, m.k+1, m.probe)
+	reps := m.probe
+	m.out = idsInto(m.out, reps[:m.k])
 	m.l = filter.Make(reps[m.k].Value, reps[m.k-1].Value)
 	mid := m.l.Mid()
 	m.rules.assignTwoSided(m.c, m.out, filter.AtLeast(mid), filter.AtMost(mid))

@@ -33,8 +33,10 @@ type HalfEps struct {
 	z      int64
 	l0, u0 int64 // the round-0 thresholds (1-ε/2)z and (1-ε/2)z/(1-ε)
 
-	v1, v2, v3 map[int]bool
-	out        []int
+	part  partition // V1 / V2 / V3
+	out   []int
+	probe []wire.Report   // the epoch-opening TopM buffer
+	reset wire.FilterRule // the epoch-opening broadcast
 }
 
 // NewHalfEps returns the Corollary 5.9 monitor.
@@ -45,7 +47,7 @@ func NewHalfEps(c cluster.Cluster, k int, e eps.Eps) *HalfEps {
 	if e.IsZero() {
 		panic("protocol: HalfEps needs ε > 0")
 	}
-	h := &HalfEps{c: c, k: k, e: e}
+	h := &HalfEps{c: c, k: k, e: e, part: newPartition(c.N()), reset: resetAllTags(wire.TagV3)}
 	h.topk = NewTopKProto(c, k, e)
 	h.topk.OnEpochEnd = h.startEpoch
 	return h
@@ -68,8 +70,14 @@ func (h *HalfEps) Output() []int {
 // Start implements Monitor.
 func (h *HalfEps) Start() { h.startEpoch() }
 
+// topM probes the k+1 largest values into the monitor's buffer.
+func (h *HalfEps) topM() []wire.Report {
+	h.probe = TopM(h.c, h.k+1, h.probe)
+	return h.probe
+}
+
 func (h *HalfEps) startEpoch() {
-	reps := TopM(h.c, h.k+1)
+	reps := h.topM()
 	vk, vk1 := reps[h.k-1].Value, reps[h.k].Value
 	if h.e.ClearlyBelow(vk1, vk) {
 		h.inTopK = true
@@ -92,43 +100,41 @@ func (h *HalfEps) startEpoch() {
 
 	high := h.c.Collect(wire.InRange(h.u0+1, filter.Inf))
 	mid := h.c.Collect(wire.InRange(h.l0, h.u0))
-	h.v1, h.v2, h.v3 = map[int]bool{}, map[int]bool{}, map[int]bool{}
-	for _, r := range high {
-		h.v1[r.ID] = true
-	}
-	for _, r := range mid {
-		h.v2[r.ID] = true
-	}
-	for i := 0; i < h.c.N(); i++ {
-		if !h.v1[i] && !h.v2[i] {
-			h.v3[i] = true
-		}
-	}
-	if len(h.v1) > h.k || len(h.v1)+len(h.v2) < h.k {
+	h.part.classify(high, mid)
+	if h.starved() {
 		h.startEpoch()
 		return
 	}
-	rule := resetAllTags(wire.TagV3).With(wire.TagV3, filter.AtMost(h.u0))
-	h.c.BroadcastRule(rule)
-	for _, i := range sortedIDs(h.v1) {
-		h.c.SetTagFilter(i, wire.TagV1, filter.AtLeast(h.l0))
+	h.c.BroadcastRule(h.reset.With(wire.TagV3, filter.AtMost(h.u0)))
+	for _, i := range h.part.members {
+		if h.part.in(i, classV1) {
+			h.c.SetTagFilter(i, wire.TagV1, filter.AtLeast(h.l0))
+		}
 	}
-	for _, i := range sortedIDs(h.v2) {
-		h.c.SetTagFilter(i, wire.TagV2, filter.Make(h.l0, h.u0))
+	for _, i := range h.part.members {
+		if h.part.in(i, classV2) {
+			h.c.SetTagFilter(i, wire.TagV2, filter.Make(h.l0, h.u0))
+		}
 	}
-	if len(h.v1) == h.k && len(h.v3) == h.c.N()-h.k {
-		h.inTopK = true
-		h.topk.StartWithProbe(TopM(h.c, h.k+1))
-		return
-	}
-	h.refreshOutput()
+	h.settle()
 }
 
-func (h *HalfEps) refreshOutput() {
-	out := sortedIDs(h.v1)
-	fill := sortedIDs(h.v2)
-	need := h.k - len(out)
-	out = append(out, fill[:need]...)
+// starved reports that no output of size k exists: V1 overflowed k, or
+// V1 ∪ V2 fell below it.
+func (h *HalfEps) starved() bool {
+	return h.part.size[classV1] > h.k || h.part.size[classV1]+h.part.size[classV2] < h.k
+}
+
+// settle hands over to TOP-K-PROTOCOL once V2 is empty with k nodes above,
+// and otherwise recomputes the output: V1, filled up from V2 in id order.
+func (h *HalfEps) settle() {
+	if h.part.size[classV1] == h.k && h.part.size[classV3] == h.c.N()-h.k {
+		h.inTopK = true
+		h.topk.StartWithProbe(h.topM())
+		return
+	}
+	out := h.part.appendIDs(h.out[:0], classV1)
+	out = h.part.appendIDs(out, classV2)[:h.k]
 	sort.Ints(out)
 	h.out = out
 }
@@ -145,33 +151,20 @@ func (h *HalfEps) handle(rep wire.Report) {
 	}
 	i := rep.ID
 	switch {
-	case h.v1[i] || h.v3[i]:
+	case !h.part.in(i, classV2):
 		// A settled node left its side: the ε/2-optimum communicated.
 		h.startEpoch()
-	case h.v2[i] && rep.Dir == filter.DirUp:
-		delete(h.v2, i)
-		h.v1[i] = true
+		return
+	case rep.Dir == filter.DirUp:
+		h.part.move(i, classV1)
 		h.c.SetTagFilter(i, wire.TagV1, filter.AtLeast(h.l0))
-		h.afterMove()
-	case h.v2[i]:
-		delete(h.v2, i)
-		h.v3[i] = true
-		h.c.SetTagFilter(i, wire.TagV3, filter.AtMost(h.u0))
-		h.afterMove()
 	default:
-		panic(fmt.Sprintf("protocol: half-eps violation from unclassified node %d", i))
+		h.part.move(i, classV3)
+		h.c.SetTagFilter(i, wire.TagV3, filter.AtMost(h.u0))
 	}
-}
-
-func (h *HalfEps) afterMove() {
-	if len(h.v1) > h.k || len(h.v1)+len(h.v2) < h.k {
+	if h.starved() {
 		h.startEpoch()
 		return
 	}
-	if len(h.v1) == h.k && len(h.v3) == h.c.N()-h.k {
-		h.inTopK = true
-		h.topk.StartWithProbe(TopM(h.c, h.k+1))
-		return
-	}
-	h.refreshOutput()
+	h.settle()
 }

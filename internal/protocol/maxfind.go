@@ -45,12 +45,14 @@ func bestValue(best wire.Report, found bool) int64 {
 // TopM computes the nodes holding the m largest values (value ties broken
 // across runs by node id) using O(m log n) expected messages, by iterating
 // FindMax and excluding each found node. The result is ordered by
-// decreasing value.
-func TopM(c cluster.Cluster, m int) []wire.Report {
+// decreasing value and appended to dst[:0], the caller's buffer (nil
+// allocates one): a monitor that probes once per epoch keeps the buffer and
+// opens its epochs without allocating.
+func TopM(c cluster.Cluster, m int, dst []wire.Report) []wire.Report {
 	if m > c.N() {
 		m = c.N()
 	}
-	out := make([]wire.Report, 0, m)
+	out := dst[:0]
 	for j := 0; j < m; j++ {
 		rep, ok := FindMax(c, j == 0)
 		if !ok {

@@ -47,7 +47,7 @@ func TestTopMOrderAndCompleteness(t *testing.T) {
 			vals[i] = rng.Int63n(1000)
 		}
 		e.Advance(vals)
-		reps := protocol.TopM(e, m)
+		reps := protocol.TopM(e, m, nil)
 		if len(reps) != m {
 			t.Fatalf("TopM returned %d of %d", len(reps), m)
 		}
@@ -75,7 +75,7 @@ func TestTopMOrderAndCompleteness(t *testing.T) {
 func TestTopMWithTies(t *testing.T) {
 	e := lockstep.New(6, 5)
 	e.Advance([]int64{50, 50, 50, 10, 10, 5})
-	reps := protocol.TopM(e, 3)
+	reps := protocol.TopM(e, 3, nil)
 	if len(reps) != 3 {
 		t.Fatalf("got %d reports", len(reps))
 	}
@@ -126,7 +126,7 @@ func TestFindMaxMessageScaling(t *testing.T) {
 func TestTopMCapsAtN(t *testing.T) {
 	e := lockstep.New(3, 9)
 	e.Advance([]int64{5, 3, 1})
-	reps := protocol.TopM(e, 10)
+	reps := protocol.TopM(e, 10, nil)
 	if len(reps) != 3 {
 		t.Errorf("TopM beyond n returned %d", len(reps))
 	}

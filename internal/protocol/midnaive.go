@@ -20,6 +20,7 @@ type MidNaive struct {
 	out    []int
 	epochs int64
 	rules  ruleScratch
+	probe  []wire.Report // startEpoch's TopM buffer
 }
 
 // NewMidNaive returns the baseline monitor.
@@ -27,7 +28,7 @@ func NewMidNaive(c cluster.Cluster, k int) *MidNaive {
 	if k < 1 || k >= c.N() {
 		panic(fmt.Sprintf("protocol: MidNaive needs 1 ≤ k < n, got k=%d n=%d", k, c.N()))
 	}
-	return &MidNaive{c: c, k: k}
+	return &MidNaive{c: c, k: k, out: make([]int, 0, k), rules: newRuleScratch()}
 }
 
 // Name implements Monitor.
@@ -44,8 +45,9 @@ func (m *MidNaive) Start() { m.startEpoch() }
 
 func (m *MidNaive) startEpoch() {
 	m.epochs++
-	reps := TopM(m.c, m.k+1)
-	m.out = ids(reps[:m.k])
+	m.probe = TopM(m.c, m.k+1, m.probe)
+	reps := m.probe
+	m.out = idsInto(m.out, reps[:m.k])
 	mid := (reps[m.k].Value + reps[m.k-1].Value) / 2
 	m.rules.assignTwoSided(m.c, m.out, filter.AtLeast(mid), filter.AtMost(mid))
 }

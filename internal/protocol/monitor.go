@@ -53,20 +53,21 @@ func drainViolations(c cluster.Cluster, handle func(wire.Report)) {
 	}
 }
 
-// ids extracts the node ids of reports, sorted ascending.
-func ids(reps []wire.Report) []int {
-	out := make([]int, len(reps))
-	for i, r := range reps {
-		out[i] = r.ID
+// idsInto appends the node ids of reports to dst[:0], sorted ascending.
+func idsInto(dst []int, reps []wire.Report) []int {
+	dst = dst[:0]
+	for _, r := range reps {
+		dst = append(dst, r.ID)
 	}
-	sort.Ints(out)
-	return out
+	sort.Ints(dst)
+	return dst
 }
 
-// resetAllTags returns a rule retagging every tag to the given one; chained
-// With calls then define the fresh filters.
-func resetAllTags(to wire.Tag) *wire.FilterRule {
-	r := wire.NewFilterRule()
+// resetAllTags returns a rule retagging every tag to the given one; With
+// calls then define the fresh filters. Monitors build theirs once, at
+// construction, and reuse it for every epoch opening.
+func resetAllTags(to wire.Tag) wire.FilterRule {
+	var r wire.FilterRule
 	for t := wire.Tag(0); t < wire.NumTags; t++ {
 		r.WithRetag(t, to)
 	}
@@ -76,19 +77,20 @@ func resetAllTags(to wire.Tag) *wire.FilterRule {
 // ruleScratch holds the reusable broadcast rules of a two-sided protocol.
 // Engines apply a rule fully before BroadcastRule returns (see
 // cluster.Cluster), so reusing the same rule object across broadcasts keeps
-// steady-state filter updates allocation-free.
+// filter updates allocation-free from the first epoch on.
 type ruleScratch struct {
-	assign   *wire.FilterRule // retag-everything epoch opener
-	retarget *wire.FilterRule // in-epoch two-filter update
+	assign   wire.FilterRule // retag-everything epoch opener
+	retarget wire.FilterRule // in-epoch two-filter update
+}
+
+func newRuleScratch() ruleScratch {
+	return ruleScratch{assign: resetAllTags(wire.TagRest)}
 }
 
 // assignTwoSided resets the whole cluster to TagRest with the rest filter
 // (one broadcast), then unicasts TagOut with the out filter to each output
 // node — the standard two-filter epoch opening of Prop. 2.4-style protocols.
 func (rs *ruleScratch) assignTwoSided(c cluster.Cluster, out []int, fOut, fRest filter.Interval) {
-	if rs.assign == nil {
-		rs.assign = resetAllTags(wire.TagRest)
-	}
 	c.BroadcastRule(rs.assign.With(wire.TagRest, fRest))
 	for _, id := range out {
 		c.SetTagFilter(id, wire.TagOut, fOut)
@@ -98,9 +100,6 @@ func (rs *ruleScratch) assignTwoSided(c cluster.Cluster, out []int, fOut, fRest 
 // retargetTwoSided updates both filters of an ongoing two-sided epoch with a
 // single broadcast.
 func (rs *ruleScratch) retargetTwoSided(c cluster.Cluster, fOut, fRest filter.Interval) {
-	if rs.retarget == nil {
-		rs.retarget = wire.NewFilterRule()
-	}
 	c.BroadcastRule(rs.retarget.With(wire.TagOut, fOut).With(wire.TagRest, fRest))
 }
 

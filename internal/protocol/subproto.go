@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"fmt"
 	"slices"
 
 	"topkmon/internal/filter"
@@ -45,9 +44,6 @@ func (d *Dense) startSub(initiator int) {
 		hi = d.l.Hi
 	}
 	s := &d.subStore
-	if s.s1 == nil {
-		s.s1, s.s2 = map[int]bool{}, map[int]bool{}
-	}
 	s.l = filter.Make(d.l.Lo, hi)
 	s.round = 0
 	copySetInto(s.s1, d.s1)
@@ -82,13 +78,13 @@ func (d *Dense) handleSub(rep wire.Report) {
 	s := d.sub
 	i := rep.ID
 	switch {
-	case d.v1[i]:
+	case d.part.in(i, classV1):
 		// Case a: a V1 node fell below ℓ_r ⇒ terminate; the outer L
 		// moves to its lower half.
 		d.traceCase("S.a", rep)
 		d.subEnd()
 		d.halveLower()
-	case d.v3[i]:
+	case d.part.in(i, classV3):
 		// Case a′: a V3 node rose above u′ ⇒ L′ → upper half, S′1 := S1.
 		d.traceCase("S.a'", rep)
 		d.subUpperHalf()
@@ -128,10 +124,10 @@ func (d *Dense) handleSub(rep wire.Report) {
 			d.c.SetTagFilter(i, wire.TagV2S12, filter.Make(s.lr(), d.zUpper))
 			d.refreshOutput()
 		}
-	case d.v2[i]:
+	default: // i ∈ V2 \ (S′1 ∪ S′2)
 		if rep.Dir == filter.DirUp {
 			// Case b: v > u′.
-			if len(d.v1)+len(s.s1)+1 > d.k {
+			if d.part.size[classV1]+len(s.s1)+1 > d.k {
 				// b.1: more than k nodes certified above.
 				d.traceCase("S.b1", rep)
 				d.subUpperHalf()
@@ -144,7 +140,7 @@ func (d *Dense) handleSub(rep wire.Report) {
 			}
 		} else {
 			// Case b′: v < ℓ_r.
-			if len(d.v3)+len(s.s2)+1 > d.c.N()-d.k {
+			if d.part.size[classV3]+len(s.s2)+1 > d.c.N()-d.k {
 				// b′.1: terminate; outer L → lower half.
 				d.traceCase("S.b'1", rep)
 				d.subEnd()
@@ -157,8 +153,6 @@ func (d *Dense) handleSub(rep wire.Report) {
 				d.refreshOutput()
 			}
 		}
-	default:
-		panic(fmt.Sprintf("protocol: sub violation from unclassified node %d", i))
 	}
 	if d.gen != gen || !d.active {
 		return
@@ -200,11 +194,11 @@ func (d *Dense) subUpperHalf() {
 	copySetInto(s.s1, d.s1)
 	if s.l.Empty() {
 		victim := s.lastDown
-		if victim < 0 || !d.v2[victim] {
+		if victim < 0 || !d.part.in(victim, classV2) {
 			victim = s.initiator
 		}
 		d.subEnd()
-		if d.v2[victim] {
+		if d.part.in(victim, classV2) {
 			d.moveToV3(victim)
 		} else {
 			d.refreshOutput()
@@ -231,7 +225,7 @@ func (d *Dense) subLowerHalf(violator int) {
 		// against the DENSE sets to restore tags, so they must still
 		// describe the tags physically on the nodes.
 		d.subEnd()
-		if d.v2[violator] {
+		if d.part.in(violator, classV2) {
 			d.moveToV3(violator)
 		} else {
 			d.refreshOutput()
@@ -258,7 +252,7 @@ func (d *Dense) subEnd() {
 	}
 	s := d.sub
 	d.sub = nil
-	d.idBuf = sortedInto(d.idBuf, d.v2)
+	d.idBuf = d.part.appendIDs(d.idBuf[:0], classV2)
 	for _, i := range d.idBuf {
 		cur := classTag(s.s1[i], s.s2[i])
 		want := classTag(d.s1[i], d.s2[i])
@@ -313,7 +307,7 @@ func (d *Dense) checkSubTopKSwitch() {
 	if s == nil {
 		return
 	}
-	if !intersects(s.s1, s.s2) && len(d.v1)+len(s.s1) == d.k && len(d.v3)+len(s.s2) == d.c.N()-d.k {
+	if !intersects(s.s1, s.s2) && d.part.size[classV1]+len(s.s1) == d.k && d.part.size[classV3]+len(s.s2) == d.c.N()-d.k {
 		d.subEnd()
 		d.switchTopK()
 	}

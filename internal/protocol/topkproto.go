@@ -74,8 +74,9 @@ type TopKProto struct {
 	// epoch terminates (used by the Theorem 5.8 controller).
 	OnEpochEnd func()
 
-	phaseViolations map[Phase]int64
+	phaseViolations [PhaseP4 + 1]int64
 	rules           ruleScratch
+	probe           []wire.Report // startEpoch's TopM buffer
 }
 
 // NewTopKProto returns the Section 4 monitor.
@@ -83,7 +84,7 @@ func NewTopKProto(c cluster.Cluster, k int, e eps.Eps) *TopKProto {
 	if k < 1 || k >= c.N() {
 		panic(fmt.Sprintf("protocol: TopKProto needs 1 ≤ k < n, got k=%d n=%d", k, c.N()))
 	}
-	return &TopKProto{c: c, k: k, e: e, phaseViolations: make(map[Phase]int64)}
+	return &TopKProto{c: c, k: k, e: e, out: make([]int, 0, k), rules: newRuleScratch()}
 }
 
 // Name implements Monitor.
@@ -96,21 +97,30 @@ func (m *TopKProto) Epochs() int64 { return m.epochs }
 func (m *TopKProto) Output() []int { return m.out }
 
 // PhaseViolations returns how many violations each phase processed (for the
-// phase-ablation experiment).
-func (m *TopKProto) PhaseViolations() map[Phase]int64 { return m.phaseViolations }
+// phase-ablation experiment); a phase that saw none has no entry.
+func (m *TopKProto) PhaseViolations() map[Phase]int64 {
+	pv := make(map[Phase]int64)
+	for p, v := range m.phaseViolations {
+		if v != 0 {
+			pv[Phase(p)] = v
+		}
+	}
+	return pv
+}
 
 // Start implements Monitor.
 func (m *TopKProto) Start() { m.startEpoch() }
 
 func (m *TopKProto) startEpoch() {
-	m.StartWithProbe(TopM(m.c, m.k+1))
+	m.probe = TopM(m.c, m.k+1, m.probe)
+	m.StartWithProbe(m.probe)
 }
 
 // StartWithProbe begins an epoch from an already-probed top-(k+1) list,
 // avoiding a duplicate probe when a controller has just paid for one.
 func (m *TopKProto) StartWithProbe(reps []wire.Report) {
 	m.epochs++
-	m.out = ids(reps[:m.k])
+	m.out = idsInto(m.out, reps[:m.k])
 	m.l = filter.Make(reps[m.k].Value, reps[m.k-1].Value)
 	m.l0 = m.l.Lo
 	m.r = 0

@@ -139,13 +139,15 @@ type Pred struct {
 // can never match p, so Sweep/Collect may restrict their scan to the nodes
 // plausibly in range. The interval is a NECESSARY condition only —
 // candidates still need a per-node Match (bucket routing visits supersets,
-// and PredAboveActive additionally requires max-find activity). ok is false
+// and PredAboveActive additionally requires max-find activity — the more
+// selective half, so the engines route it through their max-find active
+// list, vindex.Router, rather than through these bounds). ok is false
 // for predicates decided by non-value node state — PredViolating (per-node
 // filters) and PredHasTag (tags). PredViolating is nevertheless routable:
 // filters are server-assigned, so the engines resolve it from their
 // filter-interval mirror (vindex.Mirror) instead of these bounds; only
-// PredHasTag (and domain-covering intervals) still take the full node
-// scan.
+// PredHasTag (and domain-covering PredInRange intervals) still take the
+// full node scan.
 func (p Pred) Bounds() (lo, hi int64, ok bool) {
 	switch p.Kind {
 	case PredInRange:

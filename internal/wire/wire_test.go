@@ -105,7 +105,8 @@ func TestPredBounds(t *testing.T) {
 		t.Errorf("AboveActive bounds lo = %d ok=%v", lo, ok)
 	}
 	// AboveActive(-1) (FindMax's unbounded first run) must yield a bound
-	// starting at 0 — the engines treat it as the full-scan fallback.
+	// starting at 0: the value bounds prune nothing there, which is why
+	// the engines serve the predicate from their max-find active list.
 	if lo, _, ok := AboveActive(-1).Bounds(); !ok || lo != 0 {
 		t.Errorf("AboveActive(-1) lo = %d ok=%v", lo, ok)
 	}

@@ -1,6 +1,7 @@
 package topk_test
 
 import (
+	"runtime"
 	"testing"
 
 	"topkmon/internal/cluster"
@@ -115,7 +116,9 @@ func TestFacadeStepAllocs(t *testing.T) {
 // analysis, collects and filter broadcasts — on sparse batches that touch
 // only the contenders. One wave period is pre-generated
 // and cycled (the waves return to their start), and the run must actually
-// spend dense epochs, or the measurement is vacuous.
+// spend dense epochs, or the measurement is vacuous. The budget is checked
+// twice: as AllocsPerRun's per-step average, and as an exact count of heap
+// allocations over a window that opens many epochs.
 func churnStepAllocs(t *testing.T, engOpts ...topk.Option) {
 	const n, k, contenders, period = 256, 8, 32, 200
 	wave := func(p int) int64 { // triangle between 1e6 and 2e6
@@ -170,6 +173,33 @@ func churnStepAllocs(t *testing.T, engOpts ...topk.Option) {
 	}
 	if approx.DenseEpochs() == dense0 {
 		t.Fatal("the measured steps opened no dense epoch: the trace does not churn")
+	}
+
+	// AllocsPerRun reports an integer average, which rounds a few
+	// allocations per epoch opening (0.12 per step, once) down to the 0 it
+	// is compared with. Count them instead: a window of two wave periods
+	// opens dozens of epochs and must not allocate once. The count is the
+	// whole process's, so the least of three windows is taken: what an
+	// epoch allocates shows in every window, a stray runtime allocation
+	// does not.
+	least, opened := ^uint64(0), int64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		epochs0 := m.Epochs()
+		runtime.ReadMemStats(&before)
+		for range 2 * period {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+		opened = m.Epochs() - epochs0
+	}
+	if opened < 8 {
+		t.Fatalf("a counted window opened %d epochs, want several", opened)
+	}
+	if least != 0 {
+		t.Errorf("%d allocations over %d churn steps and %d epoch openings, want exactly 0",
+			least, 2*period, opened)
 	}
 	if err := m.Check(); err != nil {
 		t.Fatal(err)

@@ -125,10 +125,10 @@ fuzz:
 
 # cover prints per-package statement coverage for the engine-core packages
 # the violation-routing test matrix concentrates on — the index + mirror,
-# both engines, and the fault layer — plus the sketch leaf the item layer
-# stands on. CI publishes the same table.
+# both engines, and the fault layer — plus the sketch leaf and the item
+# layer that stands on it. CI publishes the same table.
 cover:
-	$(GO) test -cover ./internal/vindex/ ./internal/lockstep/ ./internal/live/ ./internal/faults/ ./internal/sketch/
+	$(GO) test -cover ./internal/vindex/ ./internal/lockstep/ ./internal/live/ ./internal/faults/ ./internal/sketch/ ./topk/items/
 
 check: build fmt-check vet api-check test
 
@@ -175,10 +175,12 @@ bench-violation:
 	@grep -o '"Output":"Benchmark[^"]*"' $(BENCH_VIO_OUT) | sed -e 's/^"Output":"//' -e 's/"$$//' -e 's/\\t/\t/g' -e 's/\\n//'
 	@echo "wrote $(BENCH_VIO_OUT)"
 
-# bench-sketch emits the sketch-layer tables: the summaries' hot paths
-# (BenchmarkSketchObserve/BenchmarkSketchHeavy — Observe stays 0 allocs/op),
-# one committed step of the item-monitoring layer (BenchmarkItemsStep), and
-# the E13 recall-vs-summary-size run (BenchmarkE13HeavyHitters), as
+# bench-sketch emits the sketch-layer tables: the summaries' per-event
+# path (BenchmarkSketchObserve, 0 allocs/op), the ranked heavy list
+# (BenchmarkSketchHeavy: a sort, not on items.Step's path), one
+# committed step of the item-monitoring layer at two operating points
+# (BenchmarkItemsStep: fails if a step allocates), and the E13
+# recall-vs-summary-size run (BenchmarkE13HeavyHitters), as
 # test2json into $(BENCH_SKETCH_OUT). The committed snapshot of this table
 # is BENCH_PR10.json. See BENCH.md.
 bench-sketch:

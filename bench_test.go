@@ -314,7 +314,9 @@ func BenchmarkSketchObserve(b *testing.B) {
 }
 
 // BenchmarkSketchHeavy measures extracting the ranked heavy list into a
-// reused buffer — the per-step cost each node pays in the items layer.
+// reused buffer: a sort of every tracked counter, for a caller that wants
+// a node's top k in order. items.Step is not one (it reads Tracked, which
+// does not sort).
 func BenchmarkSketchHeavy(b *testing.B) {
 	trace := sketchTrace(1 << 14)
 	for _, s := range sketchKinds() {
@@ -337,43 +339,62 @@ func BenchmarkSketchHeavy(b *testing.B) {
 }
 
 // BenchmarkItemsStep measures one committed step of the item-monitoring
-// layer end to end — per-node heavy lists, candidate aggregation, and the
-// inner monitor's filter protocol — at the documented operating point
-// (8 nodes, 256 items, k=8, space-saving c=128), with the per-step event
-// batch pre-generated and replayed outside the measurement.
+// layer end to end — the events' Observes, the pass over every node's
+// tracked counters, and the inner monitor's filter protocol — with the
+// per-step event batches pre-generated outside the measurement. Two
+// operating points, both 8 nodes, k=8, space-saving c=128: the documented
+// one (256 items, 1000 events a step) and the repository benchmark's
+// items-zipf (4096 items, 2048 events a step). Either fails if a step
+// allocates (items' TestStepAllocs counts mallocs exactly).
 func BenchmarkItemsStep(b *testing.B) {
-	const nodes, universe, k = 8, 256, 8
-	mon, err := items.New(items.Config{
-		Nodes: nodes, Items: universe, K: k,
-		Epsilon: topk.MustEpsilon(1, 8), Capacity: 128, Seed: 7,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer mon.Close()
-	gen := istream.NewZipf(nodes, universe, 1000, 1.1, 13)
-	const pregen = 64
-	batches := make([][]istream.Event, pregen)
-	for t := range batches {
-		batches[t] = gen.Next(t, nil)
-	}
-	step := func(i int) {
-		for _, e := range batches[i%pregen] {
-			if err := mon.Observe(e.Node, e.Item, e.Count); err != nil {
+	for _, pt := range []struct {
+		name             string
+		universe, events int
+	}{
+		{"items=256", 256, 1000},
+		{"items=4096", 4096, 2048},
+	} {
+		b.Run(pt.name, func(b *testing.B) {
+			const nodes, k = 8, 8
+			mon, err := items.New(items.Config{
+				Nodes: nodes, Items: pt.universe, K: k,
+				Epsilon: topk.MustEpsilon(1, 8), Capacity: 128, Seed: 7,
+			})
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		if err := mon.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i := 0; i < 32; i++ {
-		step(i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step(i + 32)
+			defer mon.Close()
+			gen := istream.NewZipf(nodes, pt.universe, pt.events, 1.1, 13)
+			const pregen = 64
+			batches := make([][]istream.Event, pregen)
+			for t := range batches {
+				batches[t] = gen.Next(t, nil)
+			}
+			step := func(i int) {
+				for _, e := range batches[i%pregen] {
+					if err := mon.Observe(e.Node, e.Item, e.Count); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := mon.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Long enough that the inner monitor has opened epochs and its
+			// buffers have reached their working size.
+			i := 0
+			for ; i < 512; i++ {
+				step(i)
+			}
+			if avg := testing.AllocsPerRun(64, func() { step(i); i++ }); avg != 0 {
+				b.Fatalf("a step allocates %.1f times, want 0", avg)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				step(i + n)
+			}
+		})
 	}
 }
 

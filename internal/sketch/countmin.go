@@ -22,13 +22,11 @@ type CountMin struct {
 	rowSeed      []uint64
 	total        int64
 
-	// Heavy keeper: up to track items with the largest estimates.
+	// Heavy keeper: up to track items with the largest estimates, a
+	// min-heap over (estimate as of the item's last observation, item).
 	track int
-	hcnt  []int64
-	hitem []uint64
+	keep  slotHeap
 	hn    int
-	hheap []int32
-	hpos  []int32
 	hidx  oaTable
 	ord   heavyOrder
 }
@@ -44,13 +42,10 @@ func NewCountMin(width, depth, track int, seed uint64) *CountMin {
 		width: width, depth: depth, seed: seed, track: track,
 		rows:    make([]int64, width*depth),
 		rowSeed: make([]uint64, depth),
-		hcnt:    make([]int64, track),
-		hitem:   make([]uint64, track),
-		hheap:   make([]int32, 0, track),
-		hpos:    make([]int32, track),
+		keep:    newSlotHeap(track),
 		hidx:    newOATable(track),
 	}
-	c.ord = heavyOrder{order: make([]int32, 0, track), cnt: c.hcnt, item: c.hitem}
+	c.ord = heavyOrder{order: make([]int32, 0, track), cnt: c.keep.cnt, item: c.keep.item}
 	for i := range c.rowSeed {
 		c.rowSeed[i] = hashSeed(seed, i)
 	}
@@ -103,30 +98,28 @@ func (c *CountMin) Observe(item uint64, delta int64) {
 	// Keeper update: track the item if it is already kept, there is room,
 	// or it now beats the smallest kept estimate (strictly — deterministic).
 	if slot := c.hidx.get(item); slot >= 0 {
-		c.hcnt[slot] = est
-		c.hSiftDown(c.hpos[slot])
+		c.keep.cnt[slot] = est
+		c.keep.grew(slot)
 		return
 	}
 	if c.hn < c.track {
 		slot := int32(c.hn)
 		c.hn++
-		c.hcnt[slot] = est
-		c.hitem[slot] = item
+		c.keep.cnt[slot] = est
+		c.keep.item[slot] = item
 		c.hidx.put(item, slot)
-		c.hheap = append(c.hheap, slot)
-		c.hpos[slot] = int32(len(c.hheap) - 1)
-		c.hSiftUp(int32(len(c.hheap) - 1))
+		c.keep.push(slot)
 		return
 	}
-	slot := c.hheap[0]
-	if est <= c.hcnt[slot] {
+	slot := c.keep.min()
+	if est <= c.keep.cnt[slot] {
 		return
 	}
-	c.hidx.del(c.hitem[slot])
-	c.hcnt[slot] = est
-	c.hitem[slot] = item
+	c.hidx.del(c.keep.item[slot])
+	c.keep.cnt[slot] = est
+	c.keep.item[slot] = item
 	c.hidx.put(item, slot)
-	c.hSiftDown(0)
+	c.keep.grew(slot)
 }
 
 // Estimate implements Summary.
@@ -153,6 +146,22 @@ func (c *CountMin) Heavy(k int, dst []Counter) []Counter {
 	return dst
 }
 
+// Tracked implements Summary: the keeper's items, each with the estimate
+// as of its last observation (Estimate reads the live table and may be
+// larger) and the shared eps*N bound.
+func (c *CountMin) Tracked(dst []Counter) []Counter {
+	dst = dst[:0]
+	bound := c.ErrorBound()
+	for i := 0; i < c.hn; i++ {
+		dst = append(dst, Counter{Item: c.keep.item[i], Count: c.keep.cnt[i], Err: bound})
+	}
+	return dst
+}
+
+// UntrackedEstimate implements Summary: an item outside the keeper still
+// estimates to the minimum of its own row cells, so there is no one number.
+func (c *CountMin) UntrackedEstimate() (int64, bool) { return 0, false }
+
 // Reset implements Summary: zero counters and keeper, re-derive the row
 // hashes from the new seed.
 func (c *CountMin) Reset(seed uint64) {
@@ -163,49 +172,6 @@ func (c *CountMin) Reset(seed uint64) {
 		c.rowSeed[i] = hashSeed(seed, i)
 	}
 	c.hn = 0
-	c.hheap = c.hheap[:0]
+	c.keep.clear()
 	c.hidx.clear()
-}
-
-func (c *CountMin) hLess(a, b int32) bool {
-	if c.hcnt[a] != c.hcnt[b] {
-		return c.hcnt[a] < c.hcnt[b]
-	}
-	return c.hitem[a] < c.hitem[b]
-}
-
-func (c *CountMin) hSwap(i, j int32) {
-	c.hheap[i], c.hheap[j] = c.hheap[j], c.hheap[i]
-	c.hpos[c.hheap[i]] = i
-	c.hpos[c.hheap[j]] = j
-}
-
-func (c *CountMin) hSiftUp(i int32) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !c.hLess(c.hheap[i], c.hheap[p]) {
-			return
-		}
-		c.hSwap(i, p)
-		i = p
-	}
-}
-
-func (c *CountMin) hSiftDown(i int32) {
-	n := int32(len(c.hheap))
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && c.hLess(c.hheap[l], c.hheap[m]) {
-			m = l
-		}
-		if r < n && c.hLess(c.hheap[r], c.hheap[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		c.hSwap(i, m)
-		i = m
-	}
 }

@@ -28,11 +28,49 @@ func decodeOps(data []byte) []fuzzOp {
 	return ops
 }
 
+// checkTracked asserts the enumeration contract: Tracked equals
+// Heavy(capacity) as a set with equal Count and Err, and a summary that
+// states an untracked estimate answers Estimate with it for every item of
+// [0, universe) that Tracked does not list.
+func checkTracked(t *testing.T, s Summary, universe uint64) {
+	t.Helper()
+	tracked := make(map[uint64]Counter)
+	for _, c := range s.Tracked(nil) {
+		if _, dup := tracked[c.Item]; dup {
+			t.Fatalf("%s: Tracked lists item %d twice", s.Name(), c.Item)
+		}
+		tracked[c.Item] = c
+	}
+	heavy := s.Heavy(1<<20, nil)
+	if len(heavy) != len(tracked) {
+		t.Fatalf("%s: Tracked has %d counters, Heavy(all) %d", s.Name(), len(tracked), len(heavy))
+	}
+	for _, c := range heavy {
+		if tracked[c.Item] != c {
+			t.Fatalf("%s: Tracked says %+v, Heavy says %+v", s.Name(), tracked[c.Item], c)
+		}
+	}
+	u, uniform := s.UntrackedEstimate()
+	if !uniform {
+		return
+	}
+	for item := uint64(0); item < universe; item++ {
+		if _, ok := tracked[item]; ok {
+			continue
+		}
+		if est, _ := s.Estimate(item); est != u {
+			t.Fatalf("%s: untracked item %d estimates %d, UntrackedEstimate says %d", s.Name(), item, est, u)
+		}
+	}
+}
+
 // checkAgainstTruth asserts the per-sketch estimate invariants against the
-// exact counts. over is true for sketches that never under-estimate
-// (Space-Saving, Count-Min), false for never-over (Misra-Gries).
+// exact counts, and the enumeration contract. over is true for sketches
+// that never under-estimate (Space-Saving, Count-Min), false for never-over
+// (Misra-Gries).
 func checkAgainstTruth(t *testing.T, s Summary, truth map[uint64]int64, over bool) {
 	t.Helper()
+	checkTracked(t, s, 48)
 	for item := uint64(0); item < 48; item++ {
 		f := truth[item]
 		est, bound := s.Estimate(item)
@@ -58,6 +96,7 @@ func fuzzSummary(t *testing.T, s Summary, data []byte, over bool) {
 	replay := func() {
 		for i, op := range ops {
 			s.Observe(op.item, op.delta)
+			checkTracked(t, s, 48)
 			if i%64 == 63 {
 				// Interleaved reads must not disturb state.
 				s.Estimate(op.item)
@@ -84,6 +123,7 @@ func fuzzSummary(t *testing.T, s Summary, data []byte, over bool) {
 	if h := s.Heavy(64, nil); len(h) != 0 {
 		t.Fatalf("%s: %d heavy items after Reset, want none", s.Name(), len(h))
 	}
+	checkTracked(t, s, 48)
 	replay()
 	h2, t2, e2 := s.Heavy(64, nil), s.Total(), s.ErrorBound()
 	if !reflect.DeepEqual(h1, h2) || t1 != t2 || e1 != e2 {
@@ -126,6 +166,7 @@ func FuzzCountMin(f *testing.F) {
 		truth := make(map[uint64]int64)
 		for _, op := range ops {
 			c.Observe(op.item, op.delta)
+			checkTracked(t, c, 48)
 			if op.delta > 0 {
 				truth[op.item] += op.delta
 			}
@@ -138,8 +179,10 @@ func FuzzCountMin(f *testing.F) {
 		}
 		h1, t1 := c.Heavy(track, nil), c.Total()
 		c.Reset(seed)
+		checkTracked(t, c, 48)
 		for _, op := range ops {
 			c.Observe(op.item, op.delta)
+			checkTracked(t, c, 48)
 		}
 		h2, t2 := c.Heavy(track, nil), c.Total()
 		if !reflect.DeepEqual(h1, h2) || t1 != t2 {

@@ -120,6 +120,18 @@ func (m *MisraGries) Heavy(k int, dst []Counter) []Counter {
 	return dst
 }
 
+// Tracked implements Summary.
+func (m *MisraGries) Tracked(dst []Counter) []Counter {
+	dst = dst[:0]
+	for i := 0; i < m.n; i++ {
+		dst = append(dst, Counter{Item: m.item[i], Count: m.cnt[i], Err: m.decrs})
+	}
+	return dst
+}
+
+// UntrackedEstimate implements Summary: an untracked item estimates 0.
+func (m *MisraGries) UntrackedEstimate() (int64, bool) { return 0, true }
+
 // Reset implements Summary (deterministic; the seed only honors the
 // rewind contract).
 func (m *MisraGries) Reset(uint64) {

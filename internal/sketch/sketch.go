@@ -18,6 +18,17 @@
 //   - Heavy fills dst[:0] with up to k counters in deterministic order
 //     (count descending, item ascending) — byte-identical across runs,
 //     worker counts, and -race.
+//   - Tracked fills dst[:0] with EVERY tracked counter in slot order: no
+//     sort, O(tracked). As a set it equals Heavy(capacity), with equal Count
+//     and Err per item.
+//   - UntrackedEstimate states what Estimate answers for every item Tracked
+//     does not list, when that is one number: Space-Saving's minimum counter
+//     once full and 0 before, Misra-Gries's 0. The deterministic counter
+//     sketches say (est, true); Count-Min, whose untracked estimate is a
+//     per-item read of the hashed table, says (0, false). This is the
+//     deterministic/probabilistic split as a method: a caller summing
+//     estimates over many summaries (topk/items.Step) needs Estimate only
+//     for summaries that answer false.
 //   - Reset(seed) rewinds to the state a fresh construction with that seed
 //     would produce (the repo-wide replay contract; the deterministic
 //     sketches ignore the seed's value but honor the rewind).
@@ -49,6 +60,13 @@ type Summary interface {
 	// Heavy appends the up-to-k heaviest tracked counters to dst[:0] in
 	// deterministic order (count descending, item ascending) and returns it.
 	Heavy(k int, dst []Counter) []Counter
+	// Tracked appends every tracked counter to dst[:0] in slot order (no
+	// sort, O(tracked)) and returns it: Heavy(capacity) as a set.
+	Tracked(dst []Counter) []Counter
+	// UntrackedEstimate returns the est Estimate answers for every item
+	// Tracked does not list, and true — or (0, false) when that estimate
+	// differs per item, so only Estimate can tell.
+	UntrackedEstimate() (est int64, uniform bool)
 	// Total returns N, the sum of all observed deltas.
 	Total() int64
 	// ErrorBound returns the current worst-case estimation error across
@@ -165,6 +183,102 @@ func (t *oaTable) clear() {
 	for i := range t.vals {
 		t.vals[i] = -1
 	}
+}
+
+// --- shared slot min-heap ---
+
+// slotHeap is an intrusive min-heap of counter slots ordered by (count,
+// item) ascending — the deterministic eviction order of Space-Saving and of
+// Count-Min's keeper. Items are distinct, so the order is total and the
+// minimum does not depend on the heap's layout. The owner writes cnt and
+// item for a slot and then calls push (a new slot) or grew (a used one);
+// heap positions stay in here.
+type slotHeap struct {
+	cnt  []int64  // slot -> count
+	item []uint64 // slot -> item
+	heap []int32  // heap of slot indices
+	pos  []int32  // slot -> heap position
+}
+
+func newSlotHeap(capacity int) slotHeap {
+	return slotHeap{
+		cnt:  make([]int64, capacity),
+		item: make([]uint64, capacity),
+		heap: make([]int32, 0, capacity),
+		pos:  make([]int32, capacity),
+	}
+}
+
+// min returns the slot with the smallest (count, item).
+func (h *slotHeap) min() int32 { return h.heap[0] }
+
+// push adds slot, whose cnt and item are already written.
+func (h *slotHeap) push(slot int32) {
+	h.heap = append(h.heap, slot)
+	h.up(int32(len(h.heap) - 1))
+}
+
+// grew restores the heap after slot's count rose (on an eviction its item
+// changed with it); counts never fall.
+func (h *slotHeap) grew(slot int32) { h.down(h.pos[slot]) }
+
+// clear empties the heap in place; slots are reused from 0.
+func (h *slotHeap) clear() { h.heap = h.heap[:0] }
+
+// before reports whether entry (ac, ai) orders before entry (bc, bi).
+func before(ac int64, ai uint64, bc int64, bi uint64) bool {
+	return ac < bc || ac == bc && ai < bi
+}
+
+// up places the entry appended at position i.
+// Both sifts move a hole: entries on the path shift one level and the
+// moving entry is written once at the end, half the writes of a swap chain.
+func (h *slotHeap) up(i int32) {
+	heap, pos := h.heap, h.pos
+	s := heap[i]
+	cnt, item := h.cnt[s], h.item[s]
+	for i > 0 {
+		p := (i - 1) / 2
+		ps := heap[p]
+		if before(h.cnt[ps], h.item[ps], cnt, item) {
+			break
+		}
+		heap[i] = ps
+		pos[ps] = i
+		i = p
+	}
+	heap[i] = s
+	pos[s] = i
+}
+
+// down sinks the entry at position i to where it belongs.
+func (h *slotHeap) down(i int32) {
+	heap, pos, cnts, items := h.heap, h.pos, h.cnt, h.item
+	s := heap[i]
+	cnt, item := cnts[s], items[s]
+	n := int32(len(heap))
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		cs := heap[c]
+		cc, ci := cnts[cs], items[cs]
+		if r := c + 1; r < n {
+			rs := heap[r]
+			if rc, ri := cnts[rs], items[rs]; before(rc, ri, cc, ci) {
+				c, cs, cc, ci = r, rs, rc, ri
+			}
+		}
+		if !before(cc, ci, cnt, item) {
+			break
+		}
+		heap[i] = cs
+		pos[cs] = i
+		i = c
+	}
+	heap[i] = s
+	pos[s] = i
 }
 
 // --- shared deterministic Heavy ordering ---

@@ -164,6 +164,33 @@ func TestHeavyDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestTrackedEnumeration pins the enumeration contract on a trace that
+// overflows the summaries, at checkpoints from empty to full and after
+// Reset: Tracked is Heavy(capacity) as a set, and the summaries that state
+// an untracked estimate answer Estimate with it across the whole universe.
+func TestTrackedEnumeration(t *testing.T) {
+	const items, events = 512, 6000
+	trace := zipfTrace(items, events, 1.1, 5)
+	for _, s := range mkSummaries() {
+		t.Run(s.Name(), func(t *testing.T) {
+			checkTracked(t, s, items)
+			for i, it := range trace {
+				s.Observe(it, 1)
+				if i%97 == 0 {
+					checkTracked(t, s, items)
+				}
+			}
+			checkTracked(t, s, items)
+			_, uniform := s.UntrackedEstimate()
+			if _, hashed := s.(*CountMin); uniform == hashed {
+				t.Fatalf("UntrackedEstimate uniform = %v", uniform)
+			}
+			s.Reset(42)
+			checkTracked(t, s, items)
+		})
+	}
+}
+
 // TestResetReplaysIdentically pins the repo's replay contract: Reset(seed)
 // followed by the same trace must reproduce the original run's Heavy
 // snapshot, Total, and ErrorBound exactly.
@@ -190,8 +217,8 @@ func TestResetReplaysIdentically(t *testing.T) {
 }
 
 // TestObserveAllocs enforces the construction-time allocation budget:
-// steady-state Observe (and Estimate, and Heavy into a reused buffer)
-// allocate nothing, the sketch analogue of TestLiveStepAllocs.
+// steady-state Observe (and Estimate, and Heavy and Tracked into a reused
+// buffer) allocate nothing, the sketch analogue of TestLiveStepAllocs.
 func TestObserveAllocs(t *testing.T) {
 	const items, events = 512, 4000
 	trace := zipfTrace(items, events, 1.1, 9)
@@ -218,6 +245,11 @@ func TestObserveAllocs(t *testing.T) {
 				buf = s.Heavy(16, buf)
 			}); avg != 0 {
 				t.Errorf("Heavy into reused buffer allocates %.2f per op, want 0", avg)
+			}
+			if avg := testing.AllocsPerRun(500, func() {
+				buf = s.Tracked(buf)
+			}); avg != 0 {
+				t.Errorf("Tracked into reused buffer allocates %.2f per op, want 0", avg)
 			}
 		})
 	}

@@ -15,16 +15,13 @@ import "fmt"
 // smallest item id, so runs replay byte-identically.
 type SpaceSaving struct {
 	cap   int
-	cnt   []int64
-	err   []int64
-	item  []uint64
 	n     int
 	total int64
+	err   []int64 // slot -> takeover error
 
-	heap []int32 // heap of slot indices, min by (cnt, item)
-	pos  []int32 // slot -> heap position
-	idx  oaTable
-	ord  heavyOrder
+	slotHeap // slot -> cnt and item, and the min-heap over the used slots
+	idx      oaTable
+	ord      heavyOrder
 }
 
 // NewSpaceSaving returns a Space-Saving summary with capacity counters
@@ -34,13 +31,10 @@ func NewSpaceSaving(capacity int) *SpaceSaving {
 		panic("sketch: SpaceSaving capacity must be >= 1")
 	}
 	s := &SpaceSaving{
-		cap:  capacity,
-		cnt:  make([]int64, capacity),
-		err:  make([]int64, capacity),
-		item: make([]uint64, capacity),
-		heap: make([]int32, 0, capacity),
-		pos:  make([]int32, capacity),
-		idx:  newOATable(capacity),
+		cap:      capacity,
+		slotHeap: newSlotHeap(capacity),
+		err:      make([]int64, capacity),
+		idx:      newOATable(capacity),
 	}
 	s.ord = heavyOrder{order: make([]int32, 0, capacity), cnt: s.cnt, item: s.item}
 	return s
@@ -59,7 +53,7 @@ func (s *SpaceSaving) ErrorBound() int64 {
 	if s.n < s.cap {
 		return 0
 	}
-	return s.cnt[s.heap[0]]
+	return s.cnt[s.min()]
 }
 
 // Observe implements Summary.
@@ -70,7 +64,7 @@ func (s *SpaceSaving) Observe(item uint64, delta int64) {
 	s.total += delta
 	if slot := s.idx.get(item); slot >= 0 {
 		s.cnt[slot] += delta
-		s.siftDown(s.pos[slot])
+		s.grew(slot)
 		return
 	}
 	if s.n < s.cap {
@@ -80,19 +74,17 @@ func (s *SpaceSaving) Observe(item uint64, delta int64) {
 		s.err[slot] = 0
 		s.item[slot] = item
 		s.idx.put(item, slot)
-		s.heap = append(s.heap, slot)
-		s.pos[slot] = int32(len(s.heap) - 1)
-		s.siftUp(int32(len(s.heap) - 1))
+		s.push(slot)
 		return
 	}
 	// Evict the deterministic minimum: it vouches for the new item's count.
-	slot := s.heap[0]
+	slot := s.min()
 	s.idx.del(s.item[slot])
 	s.err[slot] = s.cnt[slot]
 	s.cnt[slot] += delta
 	s.item[slot] = item
 	s.idx.put(item, slot)
-	s.siftDown(0)
+	s.grew(slot)
 }
 
 // Estimate implements Summary. A tracked item returns its counter and
@@ -102,16 +94,27 @@ func (s *SpaceSaving) Estimate(item uint64) (est, bound int64) {
 	if slot := s.idx.get(item); slot >= 0 {
 		return s.cnt[slot], s.err[slot]
 	}
-	if s.n < s.cap {
-		return 0, 0 // never tracked and nothing ever evicted: true count is 0
-	}
-	m := s.cnt[s.heap[0]]
+	m := s.ErrorBound()
 	return m, m
 }
+
+// UntrackedEstimate implements Summary: the minimum counter once the
+// summary is full, 0 before (never tracked and nothing ever evicted, so the
+// true count is 0) — ErrorBound, by the same argument.
+func (s *SpaceSaving) UntrackedEstimate() (int64, bool) { return s.ErrorBound(), true }
 
 // Heavy implements Summary.
 func (s *SpaceSaving) Heavy(k int, dst []Counter) []Counter {
 	return appendHeavy(&s.ord, s.n, k, dst, s.err)
+}
+
+// Tracked implements Summary.
+func (s *SpaceSaving) Tracked(dst []Counter) []Counter {
+	dst = dst[:0]
+	for i := 0; i < s.n; i++ {
+		dst = append(dst, Counter{Item: s.item[i], Count: s.cnt[i], Err: s.err[i]})
+	}
+	return dst
 }
 
 // Reset implements Summary. Space-Saving is deterministic, so the seed
@@ -119,51 +122,6 @@ func (s *SpaceSaving) Heavy(k int, dst []Counter) []Counter {
 func (s *SpaceSaving) Reset(uint64) {
 	s.n = 0
 	s.total = 0
-	s.heap = s.heap[:0]
+	s.slotHeap.clear()
 	s.idx.clear()
-}
-
-// less orders heap entries by (count, item) ascending — the deterministic
-// eviction order.
-func (s *SpaceSaving) less(a, b int32) bool {
-	if s.cnt[a] != s.cnt[b] {
-		return s.cnt[a] < s.cnt[b]
-	}
-	return s.item[a] < s.item[b]
-}
-
-func (s *SpaceSaving) swap(i, j int32) {
-	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-	s.pos[s.heap[i]] = i
-	s.pos[s.heap[j]] = j
-}
-
-func (s *SpaceSaving) siftUp(i int32) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s.less(s.heap[i], s.heap[p]) {
-			return
-		}
-		s.swap(i, p)
-		i = p
-	}
-}
-
-func (s *SpaceSaving) siftDown(i int32) {
-	n := int32(len(s.heap))
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && s.less(s.heap[l], s.heap[m]) {
-			m = l
-		}
-		if r < n && s.less(s.heap[r], s.heap[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		s.swap(i, m)
-		i = m
-	}
 }

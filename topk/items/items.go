@@ -18,21 +18,46 @@
 // aggregation the inner monitor's output IS the answer (item ids), and
 // its size is independent of the node count.
 //
-// Each committed step, every node reports its sketch's current heavy
-// list; the union of those lists (plus nothing else) is re-aggregated and
-// pushed as one batch. Items outside every heavy list keep their previous
-// pushed value — safe because counts are monotone non-decreasing, so a
-// stale value only under-states an item that, by not being on any node's
-// heavy list, is bounded below the per-node error bounds anyway. The
-// recall harness (internal/stream/items + the E-table experiment)
-// measures the end-to-end effect of both approximations — sketch error
-// and stale non-candidates — against exact ground truth.
+// Each committed step, every node enumerates the counters its sketch
+// tracks (sketch.Summary.Tracked: slot order, no sort); an item some node
+// tracks is a candidate, and every candidate's aggregate — the sum over
+// ALL nodes of Estimate(item) — is pushed, in ascending item id, as one
+// batch. Items no node tracks keep their previous pushed value — safe
+// because counts are monotone non-decreasing, so a stale value only
+// under-states an item that, by not being tracked anywhere, is bounded
+// below the per-node error bounds anyway. The recall harness
+// (internal/stream/items + the E-table experiment) measures the
+// end-to-end effect of both approximations — sketch error and stale
+// non-candidates — against exact ground truth.
+//
+// # The step accumulates; it does not look up
+//
+// Sketch updates are node-local and free in the model, so a step should
+// cost what the tracked counters cost to read. A Space-Saving or
+// Misra-Gries summary answers Estimate for every item it does NOT track
+// with one number u (sketch.Summary.UntrackedEstimate: the minimum counter
+// once full, else 0). So node i's term of an item's sum is u_i unless the
+// node tracks the item, and then it is the counter the enumeration just
+// produced:
+//
+//	Σ_i Estimate_i(j) = Σ_i u_i + Σ_{i tracks j} (count_i(j) − u_i)
+//
+// Step adds count − u_i into a dense per-item accumulator during the
+// enumeration and adds Σ u_i once per candidate: the same integer, with no
+// Estimate call and no sort (candidates come out of a bitset over the
+// universe in ascending id). Count-Min states no such number — an item
+// outside its keeper still estimates to the minimum of its own row cells,
+// and a kept item's keeper count is the estimate as of ITS last
+// observation while Estimate reads the live table — so a Count-Min node
+// contributes its keeper's items as candidates from the same enumeration
+// and its term is read with Estimate per candidate. Which of the two a
+// summary gets is the summary's own answer, not a setting.
 package items
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
 	"sync"
 
 	"topkmon/internal/sketch"
@@ -88,7 +113,9 @@ type Config struct {
 	// Width and Depth size the CountMin table (defaults 256 and 4; see
 	// sketch.CountMinWidth / CountMinDepth to derive them from eps/delta).
 	Width, Depth int
-	// Track is the CountMin keeper size (default Capacity).
+	// Track sizes CountMin's keeper (default Capacity) and nothing else:
+	// every counter a SpaceSaving or MisraGries summary tracks is a
+	// candidate each step, whatever Track says.
 	Track int
 	// Seed is the root seed: it derives every per-node sketch seed and
 	// the inner monitor's seed, so equal seeds replay bit for bit.
@@ -137,13 +164,16 @@ type Monitor struct {
 	inner *topk.Monitor
 	per   []sketch.Summary // one summary per node
 
-	// Step scratch, all reused: per-node heavy lists, the candidate-item
-	// stamp array (stamp[j] == round marks j a candidate this step), the
-	// sorted candidate ids, and the update batch.
-	heavyBuf   []sketch.Counter
-	stamp      []uint64
-	round      uint64
-	candidates []int
+	// Step scratch, sized once in New. acc[j] is Σ (count − u_i) over the
+	// nodes tracking item j and marked is the candidate bitset over the
+	// universe; Step clears each entry as it consumes it, so both are
+	// all-zero between Steps and Reset, Close and an early return leave no
+	// residue. The scan is Items/64 words a step (16k words at a universe
+	// of 1M), below what the inner batch costs, so there is no sparse form.
+	tracked    []sketch.Counter // one node's enumeration
+	acc        []int64
+	marked     []uint64
+	byEstimate []sketch.Summary // this step's nodes without a single untracked estimate
 	batch      []topk.Update
 
 	closed bool
@@ -185,13 +215,14 @@ func New(c Config) (*Monitor, error) {
 		return nil, err
 	}
 	return &Monitor{
-		cfg:      cfg,
-		inner:    inner,
-		per:      per,
-		heavyBuf: make([]sketch.Counter, 0, cfg.Track),
-		stamp:    make([]uint64, cfg.Items),
-		round:    1,
-		batch:    make([]topk.Update, 0, cfg.Items),
+		cfg:        cfg,
+		inner:      inner,
+		per:        per,
+		tracked:    make([]sketch.Counter, 0, max(cfg.Capacity, cfg.Track)),
+		acc:        make([]int64, cfg.Items),
+		marked:     make([]uint64, (cfg.Items+63)/64),
+		byEstimate: make([]sketch.Summary, 0, cfg.Nodes),
+		batch:      make([]topk.Update, 0, cfg.Items),
 	}, nil
 }
 
@@ -215,42 +246,58 @@ func (m *Monitor) Observe(node, item int, count int64) error {
 }
 
 // Step commits everything observed since the last Step as one time step:
-// every node contributes its sketch's heavy list, the union of those
-// lists is re-aggregated (value = sum over nodes of the node's estimate)
-// and pushed to the inner monitor as one batch. Steps with no new heavy
-// movement still advance time (the inner monitor's heartbeat semantics).
+// every item some node's sketch tracks is a candidate, each candidate's
+// value is the sum over all nodes of the node's estimate (accumulated, see
+// the package doc), and the candidates go to the inner monitor as one
+// batch in ascending item id. Steps with no candidate still advance time
+// (the inner monitor's heartbeat semantics). Step allocates nothing.
 func (m *Monitor) Step() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return topk.ErrClosed
 	}
-	m.round++
-	m.candidates = m.candidates[:0]
+	// Every Counter.Item below reached its sketch through Observe's
+	// item < Items check, which is what makes it an index.
+	var base int64 // Σ u_i over the nodes that state one
+	m.byEstimate = m.byEstimate[:0]
 	for _, s := range m.per {
-		m.heavyBuf = s.Heavy(m.cfg.Track, m.heavyBuf[:0])
-		for _, c := range m.heavyBuf {
-			j := int(c.Item)
-			if m.stamp[j] != m.round {
-				m.stamp[j] = m.round
-				m.candidates = append(m.candidates, j)
+		m.tracked = s.Tracked(m.tracked)
+		u, uniform := s.UntrackedEstimate()
+		if uniform {
+			base += u
+		} else {
+			m.byEstimate = append(m.byEstimate, s)
+		}
+		for _, c := range m.tracked {
+			m.marked[c.Item>>6] |= 1 << (c.Item & 63)
+			if uniform {
+				m.acc[c.Item] += c.Count - u
 			}
 		}
 	}
-	// Ascending item order keeps the batch — and therefore the inner
-	// monitor's replay — independent of the per-node iteration interleave.
-	sort.Ints(m.candidates)
+	// The word scan yields ascending item ids, one entry per item however
+	// many nodes track it: the inner monitor's dirty list, hence its
+	// replay, is independent of the per-node iteration interleave.
 	m.batch = m.batch[:0]
-	for _, j := range m.candidates {
-		var sum int64
-		for _, s := range m.per {
-			est, _ := s.Estimate(uint64(j))
-			sum += est
+	for w, word := range m.marked {
+		if word == 0 {
+			continue
 		}
-		if sum > topk.MaxValue {
-			sum = topk.MaxValue
+		m.marked[w] = 0
+		for ; word != 0; word &= word - 1 {
+			j := w<<6 | bits.TrailingZeros64(word)
+			sum := m.acc[j] + base
+			m.acc[j] = 0
+			for _, s := range m.byEstimate {
+				est, _ := s.Estimate(uint64(j))
+				sum += est
+			}
+			if sum > topk.MaxValue {
+				sum = topk.MaxValue
+			}
+			m.batch = append(m.batch, topk.Update{Node: j, Value: sum})
 		}
-		m.batch = append(m.batch, topk.Update{Node: j, Value: sum})
 	}
 	return m.inner.UpdateBatch(m.batch)
 }
@@ -299,9 +346,9 @@ func (m *Monitor) Items() int { return m.cfg.Items }
 // K returns the size of the monitored top set.
 func (m *Monitor) K() int { return m.cfg.K }
 
-// Reset rewinds the monitor — sketches, inner monitor, and scratch — to
-// the state a fresh New with the given seed would produce, keeping every
-// buffer. A reset monitor replays a fresh monitor's run bit for bit.
+// Reset rewinds the monitor — sketches and inner monitor; Step's scratch
+// is all-zero between steps — to the state a fresh New with the given seed
+// would produce, keeping every buffer. A reset monitor replays a fresh monitor's run bit for bit.
 func (m *Monitor) Reset(seed uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -315,8 +362,6 @@ func (m *Monitor) Reset(seed uint64) error {
 	for i, s := range m.per {
 		s.Reset(nodeSeed(seed, i))
 	}
-	clear(m.stamp)
-	m.round = 1
 	return nil
 }
 

@@ -142,8 +142,11 @@ check: build fmt-check vet api-check test
 # benchmark — BenchmarkSparseStep (one dirty node per step, flat in n from
 # 1024 to 131072 on both engines), BenchmarkEpochOpen (TopM(k+1) over one
 # value bucket, both engines, fails on an allocation), BenchmarkFindMax up
-# to n = 16384 and BenchmarkSweepSilent's live rows (fail unless a silent
-# sweep is one barrier round) included; bench-smoke and CI likewise.
+# to n = 16384, BenchmarkSweepSilent's live rows (fail unless a silent
+# sweep is one barrier round) and BenchmarkLiveGrain (FindMax on live × 2
+# with every flush through the workers, on the caller, and at the engine's
+# parallel grain, n up to 262144; fails when the grain is more than 15 %
+# behind the better pure dispatch) included; bench-smoke and CI likewise.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -json . > $(BENCH_OUT)
 	@grep -o '"Output":"Benchmark[^"]*"' $(BENCH_OUT) | sed -e 's/^"Output":"//' -e 's/"$$//' -e 's/\\t/\t/g' -e 's/\\n//'

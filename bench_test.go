@@ -7,7 +7,10 @@ package topkmon
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"topkmon/internal/cluster"
 	"topkmon/internal/eps"
@@ -72,7 +75,8 @@ func BenchmarkE11SweepAblationParallel(b *testing.B) { benchExperiment(b, "E11",
 // EXISTENCE sweep (the steady-state cost of a quiet time step) on both
 // engines. On the live engine a silent sweep must be ONE barrier round —
 // round 0 brings back zero matchers — not γ+1; the benchmark fails
-// otherwise.
+// otherwise. That round is far below the parallel grain and runs on the
+// caller: ≈75 ns against lockstep's 18 (≈0.7 µs when it woke the workers).
 func BenchmarkSweepSilent(b *testing.B) {
 	for _, n := range []int{64, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -423,12 +427,121 @@ func BenchmarkFindMax(b *testing.B) {
 	}
 }
 
+// BenchmarkLiveGrain justifies live's parallelGrain, the batch size in node
+// visits below which a flush runs on the caller instead of waking the
+// workers: protocol.FindMax on live × 2 shards with every flush through the
+// workers (grain 0), every flush on the caller (grain max), and the
+// constant. A max-find is about log n sweeps over an active set that each
+// raise halves, and its first flush (MaxFindInit + round 0) is 2n visits, so
+// a run starts above the grain at large n, crosses it on the way down, and
+// never reaches it at small n. µs per FindMax on the 2-core container the
+// constant was fixed on (least of 7 rounds, median of 3 readings):
+//
+//	n        workers   caller   default (65536)
+//	1024        48.8     25.4     25.6
+//	4096       137       98.0     98.6
+//	16384      507      382      380
+//	65536     2019     2529     1900
+//	262144    5005     7315     4861
+//
+// The workers start paying for their wake-up between n = 16384 and 65536.
+// Flush by flush (one Collect, MaxFindInit or sweep round over n nodes) the
+// caller wins at 32768 visits (52–78 µs against 62–79) and loses at 65536
+// (111–152 against 99–127), so one barrier costs what visiting about 5·10⁴
+// nodes costs. The issue's starting value, 8192, read 128 µs at n = 4096 and
+// 462 at n = 16384 — 31 % and 21 % behind the caller — because it hands the
+// first flushes of those runs to workers that cannot earn their wake-up.
+//
+// After the three timed rows of an n the benchmark compares the dispatches
+// on identical work — each engine Reset to the same seed, so every FindMax
+// draws the same coins; least of five rounds — and fails if the default is
+// more than 15 % slower than the better pure dispatch: the constant has
+// stopped fitting the machine. With one schedulable CPU no grain fits (a
+// worker cannot run beside the server) and the comparison is skipped.
+func BenchmarkLiveGrain(b *testing.B) {
+	for _, n := range []int{1024, 16384, 262144} {
+		benchLiveGrainAt(b, n)
+	}
+}
+
+// benchLiveGrainAt is BenchmarkLiveGrain at one n: three engines, their
+// timed rows, the comparison, and the engines' Close.
+func benchLiveGrainAt(b *testing.B, n int) {
+	dispatches := []struct {
+		name string
+		opts []live.Option
+	}{
+		{"workers", []live.Option{live.WithGrain(0)}},
+		{"caller", []live.Option{live.WithGrain(math.MaxInt)}},
+		{"default", nil},
+	}
+	const workers, caller, dflt = 0, 1, 2
+	vals := make([]int64, n)
+	r := rngx.New(9)
+	for i := range vals {
+		vals[i] = r.Int63n(1 << 30)
+	}
+	// load rewinds an engine to the common start: same seed, same values,
+	// installed before anything is timed.
+	load := func(e *live.Cluster) {
+		e.Reset(1)
+		e.Advance(vals)
+		e.Probe(0)
+	}
+	findMax := func(b *testing.B, e *live.Cluster) {
+		if _, ok := protocol.FindMax(e, true); !ok {
+			b.Fatal("no max")
+		}
+	}
+	engs := make([]*live.Cluster, len(dispatches))
+	for i, d := range dispatches {
+		engs[i] = live.New(n, 1, append(d.opts, live.WithShards(2))...)
+		defer engs[i].Close()
+		b.Run(fmt.Sprintf("n=%d/%s", n, d.name), func(b *testing.B) {
+			load(engs[i])
+			b.ReportAllocs()
+			b.ResetTimer()
+			for j := 0; j < b.N; j++ {
+				findMax(b, engs[i])
+			}
+		})
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		return
+	}
+	const rounds = 5
+	iters := max(2, 400*1024/n) // about 10 ms a round
+	var least [3]time.Duration
+	for round := 0; round < rounds; round++ {
+		for i, e := range engs {
+			load(e)
+			t0 := time.Now()
+			for j := 0; j < iters; j++ {
+				findMax(b, e)
+			}
+			if d := time.Since(t0); round == 0 || d < least[i] {
+				least[i] = d
+			}
+		}
+	}
+	pure := min(least[workers], least[caller])
+	b.Logf("n=%d, %d FindMax: workers %v, caller %v, default %v", n, iters, least[workers], least[caller], least[dflt])
+	if least[dflt] > pure+pure*15/100 {
+		b.Fatalf("n=%d: default dispatch %v per %d FindMax, more than 15%% over the better pure dispatch (workers %v, caller %v)",
+			n, least[dflt], iters, least[workers], least[caller])
+	}
+}
+
 // BenchmarkEpochOpen measures the probe every epoch of every monitor opens
 // with — TopM(k+1) = k+1 max-finds, about 64 sweeps at k = 8 — in the shape
 // the embed-churn workload has: n = 1024 values inside one power-of-two
 // bucket, where value routing prunes nothing and the max-find active list
 // does the work. Lockstep and live × 2 shards; the probe goes into the
 // caller's buffer, and an iteration that allocates fails the benchmark.
+// Expect ≈0.21 ms on lockstep and ≈0.24 ms on live: every flush of the ~64
+// sweeps is below the parallel grain and runs on the caller, so what live
+// pays over lockstep is directive dispatch (0.44 ms when each flush woke the
+// workers).
 func BenchmarkEpochOpen(b *testing.B) {
 	const n, k = 1024, 8
 	engines := []struct {
@@ -566,8 +679,10 @@ func BenchmarkFacadePush(b *testing.B) {
 // random other node a few units — the protocol stays silent, so the step is
 // staging, the delta install (Engine.AdvanceDirty) and the quiet violation
 // sweep. None of those may depend on n: ns/op has to stay within 2× from
-// n=1024 to n=131072 (cache misses on the larger arrays and, on live, the
-// sweep's γ+1 = log₂n+1 barrier rounds are what is left), at 0 allocs/op.
+// n=1024 to n=131072 (cache misses on the larger arrays are what is left),
+// at 0 allocs/op. On live the step is one barrier round of two visits, run
+// on the caller: ≈0.15–0.24 µs against lockstep's 0.06–0.11 (0.9–1.0 µs
+// when that round woke a worker).
 // `go run ./benchmark -workload embed-quiet-wide` is the end-to-end form.
 func BenchmarkSparseStep(b *testing.B) {
 	const k, pregen = 8, 4096

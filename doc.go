@@ -99,10 +99,12 @@
 //     mutations are deferred into a reusable batch that rides along with
 //     the next response-bearing barrier; Collect/sweep matches land in
 //     per-shard report lists, Probe/snapshot replies in per-node slots —
-//     one quiet step is one barrier that wakes m workers (a sweep nobody
-//     matches ends after its first round), no per-directive channel
-//     round-trips, no steady-state allocation. See
-//     the internal/live package docs for the flush protocol.
+//     one quiet step is one barrier (a sweep nobody matches ends after its
+//     first round), no per-directive channel round-trips, no steady-state
+//     allocation. The engine prices every barrier round in node visits and
+//     runs the ones too small to repay a goroutine wake-up on the caller,
+//     so a quiet step wakes nobody (BenchmarkLiveGrain has the crossover).
+//     See the internal/live package docs for the flush protocol.
 //   - Protocols reuse broadcast FilterRules (engines apply or copy rules
 //     before returning) and their set/output scratch buffers.
 //   - offline.Solve reuses envelope and solver buffers and materialises a

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"topkmon/internal/cluster"
@@ -22,11 +23,14 @@ import (
 // smallest layout with cross-shard gather), one worker per core (the
 // default), and one worker per node (every delta entry on its own shard) —
 // so the unit-cost accounting and Reset(seed) byte-equality cover every
-// worker-shard code path.
+// worker-shard code path. At these sizes every flush is below the engine's
+// parallel grain and runs on the caller, so the /workers entries (grain 0:
+// every flush through the worker goroutines) keep the other dispatch under
+// the same suites, the race job's -short run included.
 func engines(n int, seed uint64) map[string]func() (cluster.Engine, func()) {
-	mkLive := func(m int) func() (cluster.Engine, func()) {
+	mkLive := func(m int, opts ...live.Option) func() (cluster.Engine, func()) {
 		return func() (cluster.Engine, func()) {
-			c := live.New(n, seed, live.WithShards(m))
+			c := live.New(n, seed, append(opts, live.WithShards(m))...)
 			return c, c.Close
 		}
 	}
@@ -34,10 +38,12 @@ func engines(n int, seed uint64) map[string]func() (cluster.Engine, func()) {
 		"lockstep": func() (cluster.Engine, func()) {
 			return lockstep.New(n, seed), func() {}
 		},
-		"live/m=1":   mkLive(1),
-		"live/m=2":   mkLive(2),
-		"live/m=cpu": mkLive(runtime.NumCPU()),
-		"live/m=n":   mkLive(n),
+		"live/m=1":         mkLive(1),
+		"live/m=2":         mkLive(2),
+		"live/m=cpu":       mkLive(runtime.NumCPU()),
+		"live/m=n":         mkLive(n),
+		"live/m=2/workers": mkLive(2, live.WithGrain(0)),
+		"live/m=n/workers": mkLive(n, live.WithGrain(0)),
 	}
 }
 
@@ -445,13 +451,18 @@ func TestConformanceDeltaDuplicateIDs(t *testing.T) {
 }
 
 // TestConformanceAdvanceRangePanic: both forms reject a value outside
-// [0, eps.MaxValue] with the same panic, and the delta form checks exactly
-// the entries it installs.
+// [0, eps.MaxValue] with the same panic, the delta form checks exactly the
+// entries it installs, and after its package prefix the text is the lockstep
+// engine's on every engine.
 func TestConformanceAdvanceRangePanic(t *testing.T) {
 	panicOf := func(f func()) (msg string) {
 		defer func() { msg = fmt.Sprint(recover()) }()
 		f()
 		return
+	}
+	afterPrefix := func(msg string) string {
+		_, text, _ := strings.Cut(msg, ": ")
+		return text
 	}
 	for name, mk := range engines(4, 37) {
 		t.Run(name, func(t *testing.T) {
@@ -462,6 +473,10 @@ func TestConformanceAdvanceRangePanic(t *testing.T) {
 				doneDense()
 				if want == "<nil>" {
 					t.Fatalf("dense Advance accepted value %d", bad)
+				}
+				ref := panicOf(func() { lockstep.New(4, 37).Advance(vals) })
+				if afterPrefix(want) != afterPrefix(ref) {
+					t.Errorf("panic %q, lockstep panics %q: the text after the package prefix differs", want, ref)
 				}
 				delta, doneDelta := mk()
 				if got := panicOf(func() { delta.AdvanceDirty(vals, []int{0, 3}) }); got != "<nil>" {

@@ -7,10 +7,12 @@
 // The engine runs m ≪ n worker goroutines (m defaults to GOMAXPROCS,
 // configurable with WithShards), each owning a contiguous shard of roughly
 // n/m nodes. Model nodes are thereby decoupled from OS-level concurrency: a
-// directive that used to wake n goroutines now wakes m workers, each of
-// which executes the directive over its own nodes sequentially — the fix
+// directive that used to wake n goroutines now wakes at most m workers, each
+// of which executes the directive over its own nodes sequentially — the fix
 // for the n = 10⁴ step cost where every quiet step paid n channel wake-ups
-// per barrier round. One goroutine per node is the m = n special case.
+// per barrier round — and a barrier round too small to repay even those m
+// wake-ups runs on the server's goroutine (see "Batched directives"). One
+// goroutine per node is the m = n special case.
 //
 // Each shard also owns a value-bucket partition, a filter-interval mirror
 // and its part of the max-find active list (internal/vindex) over its
@@ -27,50 +29,79 @@
 //
 // # Sweeps
 //
-// A sweep's round 0 wakes every worker: each resolves its shard's matchers,
-// keeps the list for the later rounds, and draws the round's coins over it.
-// The matcher counts come back with the round's reports. When no shard
-// holds a matcher the sweep is silent, and the server bills the remaining γ
-// rounds and returns — a quiet violation sweep is one barrier, not γ+1.
-// Otherwise each later round wakes only the shards that hold a matcher and
-// they draw over their kept lists; nothing re-evaluates a predicate.
+// A sweep's round 0 addresses every shard: each resolves its matchers, keeps
+// the list for the later rounds, and draws the round's coins over it. The
+// matcher counts come back with the round's reports. When no shard holds a
+// matcher the sweep is silent, and the server bills the remaining γ rounds
+// and returns — a quiet violation sweep is one barrier, not γ+1. Otherwise
+// each later round addresses only the shards that hold a matcher and they
+// draw over their kept lists; nothing re-evaluates a predicate.
 //
 // # Batched directives
 //
 // The server does not send one channel message per node per directive.
 // Instead it appends directives to a pending batch and flushes the batch as
-// one barrier round: a single signal per participating worker, after which
-// each worker walks the shared batch, executes the directives addressed to
-// its shard in order, publishes replies (per-shard report lists for
-// Collect/sweep rounds; per-node slots for Probe and Inspector snapshots),
-// and decrements an atomic countdown whose last holder wakes the server.
-// Directives that need no answer (Advance, BroadcastRule, SetFilter,
-// SetTagFilter, MaxFind*, Reset) are deferred — they ride along with the
-// next response-bearing flush — so a typical time step pays one barrier for
-// Advance + the first sweep round combined instead of one per directive.
-// Per-node execution order equals call order, so deferral is semantically
-// invisible.
+// one barrier round: every shard the batch addresses executes the directives
+// meant for it in order (exec, the one batch executor) and publishes replies
+// (per-shard report lists for Collect/sweep rounds; per-node slots for Probe
+// and Inspector snapshots). Directives that need no answer (Advance,
+// BroadcastRule, SetFilter, SetTagFilter, MaxFind*, Reset) are deferred —
+// they ride along with the next response-bearing flush — so a typical time
+// step pays one barrier for Advance + the first sweep round combined instead
+// of one per directive. Per-node execution order equals call order, so
+// deferral is semantically invisible.
+//
+// Who executes a flush depends on its size. While directives are pushed the
+// server keeps the batch's work in node visits: one per staged observation,
+// one per unicast, n for a whole-cluster broadcast (BroadcastRule,
+// MaxFindInit, snapshot, Reset) or an unroutable predicate, the Router's scan
+// size for a routed Collect or a sweep's round 0, the kept matcher lists'
+// lengths for a later round, the active lists' for MaxFindRaise. Below
+// parallelGrain — what one barrier costs, about 5·10⁴ visits — the server
+// runs exec itself, shard after shard in ascending order, and no goroutine
+// is woken; at or above it every addressed worker gets one signal, runs exec
+// over its own shard beside the others, and decrements an atomic countdown
+// whose last holder wakes the server. The paper's rounds are synchronous and
+// the barrier tokens have no model cost, so this is scheduling only: a quiet
+// step or a late max-find round over a few hundred nodes is not worth two
+// goroutine hand-offs, a dense Advance or a MaxFindInit at n = 10⁵ is. The
+// batch that carries Close's stop directive always goes to the workers.
+//
+// The lengths priced above are shard-owned state. The server may read them
+// between flushes because every worker is then parked: it was either never
+// signalled or has passed the countdown behind the done receive that ended
+// the last worker-run flush, and it touches nothing until its next signal.
+// For the same reason the server may run exec on any shard between two
+// worker-run flushes; the next signal a worker receives orders those writes
+// before its reads.
 //
 // The batch, the report lists, the response slots, and the slices returned
 // by Collect/Sweep are all engine-owned and reused, mirroring the lockstep
-// engine's buffers: the steady state allocates nothing (asserted by
-// TestLiveStepAllocs and tracked by BenchmarkLiveStep). Report-slice
-// ownership follows the cluster.Cluster contract — a Collect result
-// survives exactly one further Collect, a Sweep result only until the next
-// Sweep.
+// engine's buffers: the steady state allocates nothing under either dispatch
+// (asserted by TestLiveStepAllocs and tracked by BenchmarkLiveStep).
+// Report-slice ownership follows the cluster.Cluster contract — a Collect
+// result survives exactly one further Collect, a Sweep result only until the
+// next Sweep.
 //
 // # Semantics
 //
 // Semantics match the lockstep engine exactly: a flush is a synchronous
 // round (the barrier realises the model's rounds; barrier tokens are
-// simulation scaffolding and carry no message cost). Workers visit their
-// candidate nodes in ascending id order and shards cover ascending id
-// ranges, so concatenated reports are in id order; node-side randomness is
-// consumed only by matching nodes, exactly as in lockstep. A live run with
-// the same seed therefore reproduces the lockstep run's counters and
-// outputs bit for bit — for every shard count — asserted by the
-// cross-engine equivalence tests up to n = 10⁴ and the sharded conformance
-// and Reset suites.
+// simulation scaffolding and carry no message cost). Shards visit their
+// candidate nodes in ascending id order and cover ascending id ranges, so
+// concatenated reports are in id order; node-side randomness is consumed
+// only by matching nodes, exactly as in lockstep. Both dispatches run the
+// same exec over the same disjoint shards, so which one ran a flush shows in
+// nothing but time. A live run with the same seed therefore reproduces the
+// lockstep run's counters, outputs and every node's RNG state bit for bit —
+// for every shard count and on either side of the grain — asserted by the
+// cross-engine equivalence tests up to n = 10⁴, the sharded conformance and
+// Reset suites (each also with every flush forced through the workers), and
+// TestMixedDispatch.
+//
+// Two white-box counters say what a run cost the engine, not the model:
+// Flushes counts barrier rounds whoever executed them, Wakes the worker
+// wake-ups paid for them (none for a caller-run flush).
 package live
 
 import (
@@ -165,12 +196,12 @@ type response struct {
 // the value-bucket partition + filter-interval mirror + routing scratch
 // over them (vindex.Router, the same routing policy the lockstep engine
 // uses — the mirror is updated by the same directive that mutates the
-// node, on the owning worker, so it can never desync), and
-// the report list the worker publishes matches into. sweep holds the
-// shard's matchers of the running sweep, resolved in round 0: node state
-// cannot change mid-sweep, so rounds > 0 draw over this list and evaluate
-// no predicate. Like out, it is written by the worker inside a flush and
-// read by the server — its length only — after the flush.
+// node, in the same exec, so it can never desync), and the report list exec
+// publishes matches into. sweep holds the shard's matchers of the running
+// sweep, resolved in round 0: node state cannot change mid-sweep, so rounds
+// > 0 draw over this list and evaluate no predicate. All of it is written
+// only inside a flush, by whoever runs the shard's exec, and read by the
+// server between flushes: out's reports, and the lengths visits prices.
 type shard struct {
 	base   int // id of nodes[0]; the shard covers [base, base+len(nodes))
 	nodes  []*nodecore.Node
@@ -187,9 +218,18 @@ func (sh *shard) setFilter(nd *nodecore.Node, iv filter.Interval) {
 	sh.router.Mir.Set(nd.ID, nd.Value, iv)
 }
 
+// parallelGrain is the size, in node visits, below which a flush runs on the
+// server's goroutine. One barrier — signal the workers, park, be woken by
+// the last of them — costs about what visiting 5·10⁴ nodes costs on the box
+// BenchmarkLiveGrain (root bench_test.go) was read on, so below that the
+// workers cannot pay for their own wake-up. The benchmark's comment has the
+// crossover table and the benchmark fails when the constant stops fitting.
+const parallelGrain = 1 << 16
+
 // config collects construction options.
 type config struct {
 	shards int
+	grain  int
 }
 
 // Option configures the engine at construction.
@@ -202,9 +242,19 @@ type Option func(*config)
 // never affects observable behaviour — outputs, counters, and coin flips
 // are bit-identical for every value (asserted by the sharded conformance
 // and equivalence tests) — it only trades goroutine parallelism against
-// wake-up cost.
+// wake-up cost, and only on the flushes large enough to go to the workers.
 func WithShards(m int) Option {
 	return func(c *config) { c.shards = m }
+}
+
+// WithGrain replaces parallelGrain for one engine: 0 sends every flush
+// through the workers, math.MaxInt runs every flush but Close's on the
+// caller. White-box scaffolding for tests and benchmarks, like Flushes and
+// Node — it keeps both dispatches under test at sizes where the constant
+// would pick one — and not a tuning knob: nothing outside _test.go files
+// calls it, and no facade, config or flag reaches it.
+func WithGrain(visits int) Option {
+	return func(c *config) { c.grain = visits }
 }
 
 // Cluster is the sharded concurrent engine.
@@ -218,17 +268,20 @@ type Cluster struct {
 	shards   []*shard
 	workerOf []int32 // node id → owning worker index
 
-	// Pending batch. The server owns these between flushes; workers read
-	// them (and only them) during a flush. adv holds the batch's staged
-	// observations in call order; each dirAdvance directive names a run of
-	// it that lies on one shard (see stage).
+	// Pending batch. The server owns these between flushes; whoever executes
+	// a flush reads them (and only them) during it. adv holds the batch's
+	// staged observations in call order; each dirAdvance directive names a
+	// run of it that lies on one shard (see stage). work is the batch's size
+	// in node visits (see visits), which flush compares with grain.
 	pend  []directive
 	rules []wire.FilterRule
 	adv   []observation
+	work  int
+	grain int
 
 	// Flush delivery: per-worker signal channels, an atomic countdown, and
 	// one completion channel the last worker signals. touched/touchedIDs
-	// track which workers a unicast-only batch must wake; a broadcast
+	// track which shards a unicast-only batch addresses; a broadcast
 	// directive sets allTouched instead.
 	sig        []chan struct{}
 	remaining  atomic.Int64
@@ -237,6 +290,7 @@ type Cluster struct {
 	touchedIDs []int
 	allTouched bool
 	flushes    int64 // barrier rounds run, see Flushes
+	wakes      int64 // worker wake-ups, see Wakes
 
 	// resp holds one slot per node, indexed by id, for Probe replies and
 	// Inspector snapshots.
@@ -266,7 +320,7 @@ func New(n int, seed uint64, opts ...Option) *Cluster {
 	if n < 1 {
 		panic("live: need at least one node")
 	}
-	var cfg config
+	cfg := config{grain: parallelGrain}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -289,6 +343,7 @@ func New(n int, seed uint64, opts ...Option) *Cluster {
 		pend:       make([]directive, 0, reportCap),
 		rules:      make([]wire.FilterRule, 0, 4),
 		adv:        make([]observation, 0, n),
+		grain:      cfg.grain,
 		sig:        make([]chan struct{}, m),
 		done:       make(chan struct{}, 1),
 		touched:    make([]bool, m),
@@ -331,11 +386,17 @@ func New(n int, seed uint64, opts ...Option) *Cluster {
 func (c *Cluster) Shards() int { return c.m }
 
 // Flushes returns how many barrier rounds the engine has run since
-// construction. Like the lockstep engine's VisitedNodes it is engine-side
-// work accounting for tests and benchmarks — a quiet step is one barrier, a
-// silent sweep one, not γ+1 — and neither message cost nor part of the
-// cluster interfaces.
+// construction — whoever executed them: a flush small enough to run on the
+// caller is a barrier round all the same. Like the lockstep engine's
+// VisitedNodes it is engine-side work accounting for tests and benchmarks —
+// a quiet step is one barrier, a silent sweep one, not γ+1 — and neither
+// message cost nor part of the cluster interfaces.
 func (c *Cluster) Flushes() int64 { return c.flushes }
+
+// Wakes returns how many worker wake-ups the engine has paid since
+// construction: one per worker signalled by a flush that went to the
+// workers, none for a flush the caller ran. Same standing as Flushes.
+func (c *Cluster) Wakes() int64 { return c.wakes }
 
 // Node exposes one node for white-box tests, like the lockstep engine's
 // accessor: not part of the cluster interfaces, never used by protocols,
@@ -347,90 +408,12 @@ func (c *Cluster) Node(i int) *nodecore.Node {
 	return c.shards[c.workerOf[i]].node(i)
 }
 
-// worker is one shard's goroutine: it owns the shard's node and index state
-// and, once per flush it participates in, executes the pending directives
-// addressed to its shard in batch order.
+// worker is one shard's goroutine: once per flush that is handed to the
+// workers and addresses its shard, it executes the batch over the shard.
 func (c *Cluster) worker(w int, sh *shard) {
 	defer c.wg.Done()
-	mine := int32(w)
 	for range c.sig[w] {
-		stop := false
-		sh.out = sh.out[:0]
-		for i := range c.pend {
-			d := &c.pend[i]
-			switch d.kind {
-			case dirAdvance:
-				if c.workerOf[d.target] == mine {
-					for _, o := range c.adv[d.lo:d.hi] {
-						nd := sh.node(int(o.id))
-						nd.Observe(o.v)
-						sh.router.Idx.Update(nd.ID, o.v)
-						sh.router.Mir.Set(nd.ID, o.v, nd.Filter)
-					}
-				}
-			case dirApplyRule:
-				for _, nd := range sh.nodes {
-					nd.ApplyFilterRule(&c.rules[d.ruleIdx])
-					sh.router.Mir.Set(nd.ID, nd.Value, nd.Filter)
-				}
-			case dirSetFilter:
-				if c.workerOf[d.target] == mine {
-					sh.setFilter(sh.node(d.target), d.iv)
-				}
-			case dirSetTagFilter:
-				if c.workerOf[d.target] == mine {
-					nd := sh.node(d.target)
-					nd.SetTag(d.tag)
-					sh.setFilter(nd, d.iv)
-				}
-			case dirProbe:
-				if c.workerOf[d.target] == mine {
-					c.resp[d.target].report = sh.node(d.target).Report()
-				}
-			case dirCollect:
-				for _, nd := range sh.router.Matchers(d.pred, sh.nodes, sh.base) {
-					sh.out = append(sh.out, nd.Report())
-				}
-			case dirExistRound:
-				// Matchers are stable across one sweep's rounds (node state
-				// only moves on Advance and the server's own messages,
-				// which cannot interleave with a running Sweep), so only
-				// round 0 resolves the predicate.
-				if d.round == 0 {
-					sh.sweep = sh.router.Matchers(d.pred, sh.nodes, sh.base)
-				}
-				for _, nd := range sh.sweep {
-					if nd.RNG.Bool(d.prob) {
-						sh.out = append(sh.out, nd.Report())
-					}
-				}
-			case dirMaxInit:
-				sh.router.MaxFindInit(sh.nodes, d.value, d.reset)
-			case dirMaxRaise:
-				sh.router.MaxFindRaise(d.holder, d.best)
-			case dirMaxExclude:
-				if c.workerOf[d.target] == mine {
-					sh.router.MaxFindExclude(sh.node(d.target))
-				}
-			case dirSnapshot:
-				for _, nd := range sh.nodes {
-					r := &c.resp[nd.ID]
-					r.value = nd.Value
-					r.filt = nd.Filter
-					r.tag = nd.Tag
-				}
-			case dirReset:
-				// ChildSeed derivation is pure, so one root per shard
-				// rewinds every node exactly as a per-node root would.
-				root := rngx.New(d.seed)
-				for _, nd := range sh.nodes {
-					nd.Reset(root)
-				}
-				sh.router.Reset()
-			case dirStop:
-				stop = true
-			}
-		}
+		stop := c.exec(w, sh)
 		if c.remaining.Add(-1) == 0 {
 			c.done <- struct{}{}
 		}
@@ -440,8 +423,94 @@ func (c *Cluster) worker(w int, sh *shard) {
 	}
 }
 
-// push appends a directive to the pending batch and records which workers
-// the next flush must wake.
+// exec is the one batch executor of a shard: it runs the pending directives
+// addressed to shard w in batch order and publishes the replies. During a
+// flush it is the only code touching the shard's nodes, index and lists;
+// flush decides whether worker w's goroutine or the server's runs it. It
+// reports whether the batch carried dirStop.
+func (c *Cluster) exec(w int, sh *shard) (stop bool) {
+	mine := int32(w)
+	sh.out = sh.out[:0]
+	for i := range c.pend {
+		d := &c.pend[i]
+		switch d.kind {
+		case dirAdvance:
+			if c.workerOf[d.target] == mine {
+				for _, o := range c.adv[d.lo:d.hi] {
+					nd := sh.node(int(o.id))
+					nd.Observe(o.v)
+					sh.router.Idx.Update(nd.ID, o.v)
+					sh.router.Mir.Set(nd.ID, o.v, nd.Filter)
+				}
+			}
+		case dirApplyRule:
+			for _, nd := range sh.nodes {
+				nd.ApplyFilterRule(&c.rules[d.ruleIdx])
+				sh.router.Mir.Set(nd.ID, nd.Value, nd.Filter)
+			}
+		case dirSetFilter:
+			if c.workerOf[d.target] == mine {
+				sh.setFilter(sh.node(d.target), d.iv)
+			}
+		case dirSetTagFilter:
+			if c.workerOf[d.target] == mine {
+				nd := sh.node(d.target)
+				nd.SetTag(d.tag)
+				sh.setFilter(nd, d.iv)
+			}
+		case dirProbe:
+			if c.workerOf[d.target] == mine {
+				c.resp[d.target].report = sh.node(d.target).Report()
+			}
+		case dirCollect:
+			for _, nd := range sh.router.Matchers(d.pred, sh.nodes, sh.base) {
+				sh.out = append(sh.out, nd.Report())
+			}
+		case dirExistRound:
+			// Matchers are stable across one sweep's rounds (node state
+			// only moves on Advance and the server's own messages,
+			// which cannot interleave with a running Sweep), so only
+			// round 0 resolves the predicate.
+			if d.round == 0 {
+				sh.sweep = sh.router.Matchers(d.pred, sh.nodes, sh.base)
+			}
+			for _, nd := range sh.sweep {
+				if nd.RNG.Bool(d.prob) {
+					sh.out = append(sh.out, nd.Report())
+				}
+			}
+		case dirMaxInit:
+			sh.router.MaxFindInit(sh.nodes, d.value, d.reset)
+		case dirMaxRaise:
+			sh.router.MaxFindRaise(d.holder, d.best)
+		case dirMaxExclude:
+			if c.workerOf[d.target] == mine {
+				sh.router.MaxFindExclude(sh.node(d.target))
+			}
+		case dirSnapshot:
+			for _, nd := range sh.nodes {
+				r := &c.resp[nd.ID]
+				r.value = nd.Value
+				r.filt = nd.Filter
+				r.tag = nd.Tag
+			}
+		case dirReset:
+			// ChildSeed derivation is pure, so one root per shard
+			// rewinds every node exactly as a per-node root would.
+			root := rngx.New(d.seed)
+			for _, nd := range sh.nodes {
+				nd.Reset(root)
+			}
+			sh.router.Reset()
+		case dirStop:
+			stop = true
+		}
+	}
+	return stop
+}
+
+// push appends a directive to the pending batch, records which shards the
+// next flush addresses, and adds the directive's price to the batch's work.
 func (c *Cluster) push(d directive) {
 	switch d.target {
 	case allNodes:
@@ -449,46 +518,109 @@ func (c *Cluster) push(d directive) {
 	case sweepers:
 		for w, sh := range c.shards {
 			if len(sh.sweep) > 0 {
-				c.wake(w)
+				c.touch(w)
 			}
 		}
 	default:
-		c.wake(int(c.workerOf[d.target]))
+		c.touch(int(c.workerOf[d.target]))
 	}
+	c.work += c.visits(&d)
 	c.pend = append(c.pend, d)
 }
 
-// wake marks worker w for the next flush.
-func (c *Cluster) wake(w int) {
+// touch marks shard w as addressed by the next flush.
+func (c *Cluster) touch(w int) {
 	if !c.allTouched && !c.touched[w] {
 		c.touched[w] = true
 		c.touchedIDs = append(c.touchedIDs, w)
 	}
 }
 
-// flush delivers the pending batch to every touched worker in one signal
-// each and blocks until all of them have executed it — the engine's barrier
-// round. The server's writes to the batch happen-before the workers'
-// reads (signal channel send/receive); every worker's response writes
-// happen-before the server resumes (atomic countdown observed by the last
-// worker, whose completion send the server receives).
+// visits prices a directive in node visits, the unit parallelGrain is in:
+// what executing it will walk, summed over the shards. The shard-owned
+// lengths it reads (the package doc says why the server may) are those before
+// the directives already pending run; the price those paid covers what they
+// can add — an observation or a filter one violator or one span member,
+// MaxFindInit and BroadcastRule n — so the batch's work stays an upper
+// estimate.
+func (c *Cluster) visits(d *directive) int {
+	switch d.kind {
+	case dirAdvance:
+		return 0 // stage adds one per observation
+	case dirCollect:
+		return c.scanSize(d.pred)
+	case dirExistRound:
+		if d.round == 0 {
+			return c.scanSize(d.pred)
+		}
+		kept := 0
+		for _, sh := range c.shards {
+			kept += len(sh.sweep)
+		}
+		return kept
+	case dirMaxRaise:
+		// A raise walks the active lists: the max-find predicate's scan.
+		return c.scanSize(wire.AboveActive(d.best))
+	case dirApplyRule, dirMaxInit, dirSnapshot, dirReset:
+		return c.n
+	default:
+		return 1
+	}
+}
+
+// scanSize is what routing p visits over all shards; n if p is unroutable.
+func (c *Cluster) scanSize(p wire.Pred) int {
+	size := 0
+	for _, sh := range c.shards {
+		size += sh.router.ScanSize(p)
+	}
+	return size
+}
+
+// flush executes the pending batch over every shard it addresses and
+// returns when all of them are done — the engine's barrier round. Who
+// executes is a matter of size. A batch below the grain runs here, on the
+// server's goroutine, shard after shard in ascending order: waking a worker
+// costs more than the batch does. A larger one is delivered to the touched
+// workers in one signal each, and the server blocks until the last of them
+// reports. Both run the same exec over the same shards, so nothing a caller
+// can observe depends on the choice. Close's batch (alive already false)
+// carries dirStop and always goes to the workers it must end.
+//
+// Happens-before, worker dispatch: the server's writes to the batch precede
+// the workers' reads (signal channel send/receive); every worker's writes
+// precede the server's resumption (atomic countdown observed by the last
+// worker, whose completion send the server receives). Caller dispatch
+// writes shard state from the server's goroutine while the workers are
+// parked, and the next signal a worker receives orders those writes before
+// its reads.
 func (c *Cluster) flush() {
 	if len(c.pend) == 0 {
 		return
 	}
 	c.flushes++
-	if c.allTouched {
-		c.remaining.Store(int64(c.m))
-		for _, ch := range c.sig {
-			ch <- struct{}{}
+	if c.alive && c.work < c.grain {
+		for w, sh := range c.shards {
+			if c.allTouched || c.touched[w] {
+				c.exec(w, sh)
+			}
 		}
 	} else {
-		c.remaining.Store(int64(len(c.touchedIDs)))
-		for _, w := range c.touchedIDs {
-			c.sig[w] <- struct{}{}
+		if c.allTouched {
+			c.wakes += int64(c.m)
+			c.remaining.Store(int64(c.m))
+			for _, ch := range c.sig {
+				ch <- struct{}{}
+			}
+		} else {
+			c.wakes += int64(len(c.touchedIDs))
+			c.remaining.Store(int64(len(c.touchedIDs)))
+			for _, w := range c.touchedIDs {
+				c.sig[w] <- struct{}{}
+			}
 		}
+		<-c.done
 	}
-	<-c.done
 	for _, w := range c.touchedIDs {
 		c.touched[w] = false
 	}
@@ -497,6 +629,7 @@ func (c *Cluster) flush() {
 	c.pend = c.pend[:0]
 	c.rules = c.rules[:0]
 	c.adv = c.adv[:0]
+	c.work = 0
 }
 
 // Close stops all worker goroutines. Pending deferred directives are
@@ -543,9 +676,9 @@ func (c *Cluster) count(ch metrics.Channel, k wire.Kind) {
 func (c *Cluster) Advance(values []int64) { c.stage(values, nil, len(values)) }
 
 // AdvanceDirty implements cluster.Inspector: the same staging as Advance,
-// for the dirty nodes only, so the next flush wakes (on this directive's
+// for the dirty nodes only, so the next flush addresses (on this directive's
 // account) only the shards that own one — and an empty heartbeat stages
-// nothing and wakes nobody.
+// nothing and addresses nobody.
 func (c *Cluster) AdvanceDirty(values []int64, dirty []int) { c.stage(values, dirty, len(dirty)) }
 
 // stage is the one install routine behind both Advance forms. It stages
@@ -572,7 +705,7 @@ func (c *Cluster) stage(values []int64, ids []int, count int) {
 		}
 		v := values[id]
 		if v < 0 || v > eps.MaxValue {
-			panic(fmt.Sprintf("live: value %d for node %d out of range", v, id))
+			panic(fmt.Sprintf("live: value %d for node %d outside [0, %d]", v, id, eps.MaxValue))
 		}
 		if v > c.maxV {
 			c.maxV = v
@@ -583,6 +716,7 @@ func (c *Cluster) stage(values []int64, ids []int, count int) {
 		}
 		c.pend[len(c.pend)-1].hi++
 		c.adv = append(c.adv, observation{id: int32(id), v: v})
+		c.work++
 	}
 }
 
@@ -700,11 +834,11 @@ func (c *Cluster) Collect(p wire.Pred) []wire.Report {
 
 // Sweep implements cluster.Cluster: the EXISTENCE protocol of Lemma 3.1,
 // one batched barrier per probabilistic round that has a matcher to draw.
-// Round 0 goes to every worker and brings back each shard's matcher count
+// Round 0 goes to every shard and brings back each one's matcher count
 // beside its reports; a sweep nobody matches ends there, with its remaining
-// γ rounds billed and not run, and a later round wakes only the shards that
-// hold a matcher. The returned slice is backed by the engine-owned sweep
-// buffer and recycled by the next Sweep.
+// γ rounds billed and not run, and a later round addresses only the shards
+// that hold a matcher. The returned slice is backed by the engine-owned
+// sweep buffer and recycled by the next Sweep.
 func (c *Cluster) Sweep(p wire.Pred) []wire.Report {
 	if !vindex.Routable(p) {
 		// One fallback per sweep (the predicate is resolved once, in round
@@ -722,7 +856,7 @@ func (c *Cluster) Sweep(p wire.Pred) []wire.Report {
 		senders := c.sweepBuf[:0]
 		for _, sh := range c.shards {
 			if len(sh.sweep) == 0 {
-				continue // not woken after round 0: sh.out is not this round's
+				continue // not addressed after round 0: sh.out is not this round's
 			}
 			matchers += len(sh.sweep)
 			for _, rep := range sh.out {

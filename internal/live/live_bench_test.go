@@ -17,8 +17,9 @@ import (
 // included: it stages n observations per step (one directive per shard)
 // that the step's first flush installs. With per-step batched directives
 // and double-buffered responses the steady state must allocate nothing
-// (asserted by TestLiveStepAllocs); goroutine wake-ups are the remaining
-// cost over lockstep.
+// (asserted by TestLiveStepAllocs). At this n every flush is below the
+// parallel grain and runs on the caller, so directive dispatch is the
+// remaining cost over lockstep.
 func BenchmarkLiveStep(b *testing.B) {
 	const n, k = 64, 8
 	const pregen = 1024
@@ -59,7 +60,7 @@ func BenchmarkLiveStep(b *testing.B) {
 
 // BenchmarkLiveSweepSilent measures the zero-violation fast path of the
 // EXISTENCE sweep on the goroutine engine — the per-step floor every quiet
-// time step pays (γ+1 barrier rounds of channel wake-ups).
+// time step pays: one barrier round, run on the caller.
 func BenchmarkLiveSweepSilent(b *testing.B) {
 	for _, n := range []int{64, 1024} {
 		b.Run(benchName(n), func(b *testing.B) {

@@ -21,6 +21,17 @@ var (
 	_ cluster.Engine = (*lockstep.Engine)(nil)
 )
 
+// dispatches names the two executors of a flush for the suites that must
+// hold under both. The default grain runs every flush of a conformance-sized
+// engine on the caller; grain 0 hands every flush to the worker goroutines.
+var dispatches = []struct {
+	suffix string
+	opts   []Option
+}{
+	{"", nil},
+	{"/workers", []Option{WithGrain(0)}},
+}
+
 func TestBasicRoundTrip(t *testing.T) {
 	c := New(4, 1)
 	defer c.Close()
@@ -98,46 +109,48 @@ func TestLockstepEquivalence(t *testing.T) {
 	// live engine must match lockstep bit for bit in every one.
 	for _, m := range monitors {
 		for _, shards := range []int{1, 5, n} {
-			t.Run(fmt.Sprintf("%s/m=%d", m.name, shards), func(t *testing.T) {
-				// Generate the trace once so both engines see identical data.
-				gen := stream.NewWalk(n, 2000, 120, 1<<20, 5)
-				trace := make([][]int64, steps)
-				for i := range trace {
-					trace[i] = gen.Next(i)
-				}
-
-				runOn := func(eng cluster.Engine) ([]int, int64, map[string]int64) {
-					mon := m.make(eng)
-					for ti, vals := range trace {
-						eng.Advance(vals)
-						if ti == 0 {
-							mon.Start()
-						} else {
-							mon.HandleStep()
-						}
-						eng.EndStep()
+			for _, d := range dispatches {
+				t.Run(fmt.Sprintf("%s/m=%d%s", m.name, shards, d.suffix), func(t *testing.T) {
+					// Generate the trace once so both engines see identical data.
+					gen := stream.NewWalk(n, 2000, 120, 1<<20, 5)
+					trace := make([][]int64, steps)
+					for i := range trace {
+						trace[i] = gen.Next(i)
 					}
-					snap := eng.Counters().Snapshot()
-					return mon.Output(), snap.Total(), snap.ByKind
-				}
 
-				ls := lockstep.New(n, 42)
-				lv := New(n, 42, WithShards(shards))
-				defer lv.Close()
+					runOn := func(eng cluster.Engine) ([]int, int64, map[string]int64) {
+						mon := m.make(eng)
+						for ti, vals := range trace {
+							eng.Advance(vals)
+							if ti == 0 {
+								mon.Start()
+							} else {
+								mon.HandleStep()
+							}
+							eng.EndStep()
+						}
+						snap := eng.Counters().Snapshot()
+						return mon.Output(), snap.Total(), snap.ByKind
+					}
 
-				outA, totalA, kindsA := runOn(ls)
-				outB, totalB, kindsB := runOn(lv)
+					ls := lockstep.New(n, 42)
+					lv := New(n, 42, append(d.opts, WithShards(shards))...)
+					defer lv.Close()
 
-				if !reflect.DeepEqual(outA, outB) {
-					t.Errorf("outputs diverge: lockstep=%v live=%v", outA, outB)
-				}
-				if totalA != totalB {
-					t.Errorf("totals diverge: lockstep=%d live=%d", totalA, totalB)
-				}
-				if !reflect.DeepEqual(kindsA, kindsB) {
-					t.Errorf("kind counters diverge:\nlockstep=%v\nlive=%v", kindsA, kindsB)
-				}
-			})
+					outA, totalA, kindsA := runOn(ls)
+					outB, totalB, kindsB := runOn(lv)
+
+					if !reflect.DeepEqual(outA, outB) {
+						t.Errorf("outputs diverge: lockstep=%v live=%v", outA, outB)
+					}
+					if totalA != totalB {
+						t.Errorf("totals diverge: lockstep=%d live=%d", totalA, totalB)
+					}
+					if !reflect.DeepEqual(kindsA, kindsB) {
+						t.Errorf("kind counters diverge:\nlockstep=%v\nlive=%v", kindsA, kindsB)
+					}
+				})
+			}
 		}
 	}
 }
@@ -175,22 +188,26 @@ func TestLockstepEquivalenceLargeN(t *testing.T) {
 	}
 
 	// Worker shards (m ≪ n) are what makes this scale bearable: one quiet
-	// step wakes 8 workers instead of 10⁴ goroutines per barrier round.
-	ls := lockstep.New(n, 271828)
-	lv := New(n, 271828, WithShards(8))
-	defer lv.Close()
+	// step wakes 8 workers instead of 10⁴ goroutines per barrier round — or,
+	// at the default grain, nobody: only the flushes carrying a dense
+	// Advance or a whole-cluster broadcast are large enough for the workers.
+	outA, totalA, kindsA := runOn(lockstep.New(n, 271828))
+	for _, d := range dispatches {
+		t.Run("m=8"+d.suffix, func(t *testing.T) {
+			lv := New(n, 271828, append(d.opts, WithShards(8))...)
+			defer lv.Close()
+			outB, totalB, kindsB := runOn(lv)
 
-	outA, totalA, kindsA := runOn(ls)
-	outB, totalB, kindsB := runOn(lv)
-
-	if !reflect.DeepEqual(outA, outB) {
-		t.Errorf("outputs diverge: lockstep=%v live=%v", outA, outB)
-	}
-	if totalA != totalB {
-		t.Errorf("totals diverge: lockstep=%d live=%d", totalA, totalB)
-	}
-	if !reflect.DeepEqual(kindsA, kindsB) {
-		t.Errorf("kind counters diverge:\nlockstep=%v\nlive=%v", kindsA, kindsB)
+			if !reflect.DeepEqual(outA, outB) {
+				t.Errorf("outputs diverge: lockstep=%v live=%v", outA, outB)
+			}
+			if totalA != totalB {
+				t.Errorf("totals diverge: lockstep=%d live=%d", totalA, totalB)
+			}
+			if !reflect.DeepEqual(kindsA, kindsB) {
+				t.Errorf("kind counters diverge:\nlockstep=%v\nlive=%v", kindsA, kindsB)
+			}
+		})
 	}
 }
 
@@ -211,27 +228,29 @@ func TestLiveStepAllocs(t *testing.T) {
 	// (shard indexes, candidate scratch, report lists) count too, since
 	// AllocsPerRun observes the whole process.
 	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("m=%d", shards), func(t *testing.T) {
-			eng := New(n, 5, WithShards(shards))
-			defer eng.Close()
-			mon := protocol.NewApprox(eng, k, e)
-			eng.Advance(steps[0])
-			mon.Start()
-			eng.EndStep()
-			i := 0
-			step := func() {
-				eng.Advance(steps[(i+1)%pregen])
-				mon.HandleStep()
+		for _, d := range dispatches {
+			t.Run(fmt.Sprintf("m=%d%s", shards, d.suffix), func(t *testing.T) {
+				eng := New(n, 5, append(d.opts, WithShards(shards))...)
+				defer eng.Close()
+				mon := protocol.NewApprox(eng, k, e)
+				eng.Advance(steps[0])
+				mon.Start()
 				eng.EndStep()
-				i++
-			}
-			for range 128 {
-				step()
-			}
-			if avg := testing.AllocsPerRun(400, step); avg != 0 {
-				t.Errorf("steady-state live step allocates %.2f times per step, want 0", avg)
-			}
-		})
+				i := 0
+				step := func() {
+					eng.Advance(steps[(i+1)%pregen])
+					mon.HandleStep()
+					eng.EndStep()
+					i++
+				}
+				for range 128 {
+					step()
+				}
+				if avg := testing.AllocsPerRun(400, step); avg != 0 {
+					t.Errorf("steady-state live step allocates %.2f times per step, want 0", avg)
+				}
+			})
+		}
 	}
 }
 

@@ -60,9 +60,9 @@ func TestResetMatchesFresh(t *testing.T) {
 
 	// Reset must rewind every sharded layout identically: the shard value
 	// indexes and per-shard report lists are part of the state it covers.
-	mkLive := func(m int) func(seed uint64) (cluster.Engine, func()) {
+	mkLive := func(m int, opts ...Option) func(seed uint64) (cluster.Engine, func()) {
 		return func(seed uint64) (cluster.Engine, func()) {
-			c := New(n, seed, WithShards(m))
+			c := New(n, seed, append(opts, WithShards(m))...)
 			return c, c.Close
 		}
 	}
@@ -73,6 +73,9 @@ func TestResetMatchesFresh(t *testing.T) {
 		"live/m=1":   mkLive(1),
 		"live/m=2":   mkLive(2),
 		"live/m=cpu": mkLive(runtime.NumCPU()),
+		// Every flush through the worker goroutines (the entries above run
+		// theirs on the caller at this n).
+		"live/m=2/workers": mkLive(2, WithGrain(0)),
 	}
 	for name, mk := range engines {
 		t.Run(name, func(t *testing.T) {

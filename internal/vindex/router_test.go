@@ -81,7 +81,7 @@ func testDistributions(n int, r *rngx.Source) map[string]func(i int) int64 {
 // rest on: for every predicate kind, over the adversarial value shapes and
 // under filter and max-find churn, the matcher form returns exactly the
 // nodes of ScanList that Match — which are exactly the nodes of a full scan
-// that Match — in ascending id.
+// that Match — in ascending id; and ScanSize is the length of that ScanList.
 func TestMatchersEqualFilteredScanList(t *testing.T) {
 	const base, n, rounds = 300, 133, 60
 	for name := range testDistributions(n, rngx.New(0)) {
@@ -122,7 +122,11 @@ func TestMatchersEqualFilteredScanList(t *testing.T) {
 					wire.HasTag(wire.TagV2),
 				} {
 					var filtered, full []*nodecore.Node
-					for _, nd := range rt.r.ScanList(p, rt.nodes, base) {
+					scan := rt.r.ScanList(p, rt.nodes, base)
+					if got := rt.r.ScanSize(p); got != len(scan) {
+						t.Fatalf("round %d %+v: ScanSize %d, ScanList has %d nodes", round, p, got, len(scan))
+					}
+					for _, nd := range scan {
 						if nd.Match(p) {
 							filtered = append(filtered, nd)
 						}

@@ -317,6 +317,25 @@ func (r *Router) ScanList(p wire.Pred, nodes []*nodecore.Node, base int) []*node
 	return r.scan
 }
 
+// ScanSize returns len(ScanList(p, nodes, base)) without building the list:
+// what routing p would visit, read from the three structures' lengths. The
+// live engine prices a pending Collect or sweep round with it before
+// deciding who executes the flush.
+func (r *Router) ScanSize(p wire.Pred) int {
+	if !Routable(p) {
+		return r.Idx.Len()
+	}
+	switch p.Kind {
+	case wire.PredAboveActive:
+		return len(r.active)
+	case wire.PredViolating:
+		return r.Mir.NumViolating()
+	default:
+		lo, hi, _ := p.Bounds()
+		return len(r.Idx.Span(lo, hi))
+	}
+}
+
 // Matchers is the matcher form of ScanList: it routes the predicate,
 // evaluates Match on every candidate once, and returns the nodes that
 // match, in ascending id order. Node state cannot change while an

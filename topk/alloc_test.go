@@ -6,15 +6,20 @@ import (
 
 	"topkmon/internal/cluster"
 	"topkmon/internal/eps"
+	"topkmon/internal/live"
 	"topkmon/internal/protocol"
 	"topkmon/topk"
 )
+
+// Node counts of the two alloc workloads, for the entries of
+// TestFacadeStepAllocs that build their engine themselves.
+const steadyNodes, churnNodes = 64, 256
 
 // mkSteady returns a warmed-up monitor plus the pre-generated step batches
 // the steady-state alloc tests and benchmarks cycle through.
 func mkSteady(tb testing.TB, engOpts ...topk.Option) (*topk.Monitor, [][]topk.Update) {
 	tb.Helper()
-	const n, k, pregen = 64, 8, 512
+	const n, k, pregen = steadyNodes, 8, 512
 	trace := mkTrace(n, pregen, 13)
 	batches := make([][]topk.Update, pregen)
 	for t, vals := range trace {
@@ -38,19 +43,32 @@ func mkSteady(tb testing.TB, engOpts ...topk.Option) (*topk.Monitor, [][]topk.Up
 // fails on regressions without running benchmarks.
 func TestFacadeStepAllocs(t *testing.T) {
 	engines := []struct {
-		name string
-		opts []topk.Option
+		name    string
+		opts    []topk.Option
+		workers int // > 0: inject a live engine of that many shards, every flush through its goroutines
 	}{
-		{"lockstep", nil},
-		{"live/m=3", []topk.Option{topk.WithEngine(topk.Live), topk.WithShards(3)}},
+		{name: "lockstep"},
+		// At these n the facade's own live engine runs every flush on the
+		// caller; the /workers twin keeps the goroutine path on the budget.
+		// The facade has no option for it, so the test builds the engine.
+		{name: "live/m=3", opts: []topk.Option{topk.WithEngine(topk.Live), topk.WithShards(3)}},
+		{name: "live/m=3/workers", workers: 3},
 		// A zero fault plan arms the injector wrapper and the per-step
 		// supervisor; the whole fault layer must stay on the zero-alloc
 		// budget when nothing is injected.
-		{"lockstep/faults=zero", []topk.Option{topk.WithFaults(&topk.FaultPlan{})}},
+		{name: "lockstep/faults=zero", opts: []topk.Option{topk.WithFaults(&topk.FaultPlan{})}},
 	}
 	for _, eng := range engines {
+		opts := func(t *testing.T, n int) []topk.Option {
+			if eng.workers == 0 {
+				return eng.opts
+			}
+			lv := live.New(n, 5, live.WithShards(eng.workers), live.WithGrain(0))
+			t.Cleanup(lv.Close)
+			return []topk.Option{topk.WithClusterEngine(lv)}
+		}
 		t.Run(eng.name, func(t *testing.T) {
-			m, batches := mkSteady(t, eng.opts...)
+			m, batches := mkSteady(t, opts(t, steadyNodes)...)
 			defer m.Close()
 			i := 0
 			step := func() {
@@ -105,7 +123,7 @@ func TestFacadeStepAllocs(t *testing.T) {
 				t.Errorf("Check allocates %.2f per validation, want 0", avg)
 			}
 		})
-		t.Run("churn/"+eng.name, func(t *testing.T) { churnStepAllocs(t, eng.opts...) })
+		t.Run("churn/"+eng.name, func(t *testing.T) { churnStepAllocs(t, opts(t, churnNodes)...) })
 	}
 }
 
@@ -120,7 +138,7 @@ func TestFacadeStepAllocs(t *testing.T) {
 // twice: as AllocsPerRun's per-step average, and as an exact count of heap
 // allocations over a window that opens many epochs.
 func churnStepAllocs(t *testing.T, engOpts ...topk.Option) {
-	const n, k, contenders, period = 256, 8, 32, 200
+	const n, k, contenders, period = churnNodes, 8, 32, 200
 	wave := func(p int) int64 { // triangle between 1e6 and 2e6
 		if p > period/2 {
 			p = period - p

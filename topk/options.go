@@ -16,7 +16,10 @@ const (
 	Lockstep EngineKind = iota
 	// Live is the concurrent engine: m worker goroutines (see WithShards)
 	// each own a contiguous shard of nodes and communicate over channels.
-	// Observably identical to Lockstep for equal seeds.
+	// A barrier round too small to repay waking them (a quiet step, a late
+	// max-find round) runs on the calling goroutine; the engine sizes every
+	// round itself and there is nothing to tune. Observably identical to
+	// Lockstep for equal seeds.
 	Live
 )
 
@@ -116,7 +119,10 @@ func WithEngine(k EngineKind) Option {
 // WithShards sets the Live engine's worker count m: each worker owns a
 // contiguous shard of roughly n/m nodes and its value-bucket partition.
 // m ≤ 0 (the default) means GOMAXPROCS; the shard count never affects
-// outputs, counters, or coin flips. Ignored by the Lockstep engine.
+// outputs, counters, or coin flips, and it matters to speed only for the
+// rounds large enough to be handed to the workers (tens of thousands of
+// node visits: dense batches and whole-cluster broadcasts at large n).
+// Ignored by the Lockstep engine.
 func WithShards(m int) Option {
 	return func(c *config) { c.shards = m }
 }

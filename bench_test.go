@@ -130,7 +130,7 @@ func BenchmarkSweepOneViolator(b *testing.B) {
 }
 
 // BenchmarkViolationSweep is the tentpole measurement of the
-// filter-interval mirror (BENCH_PR7.json records the before/after): the
+// filter-interval mirror (BENCH.md has the before/after): the
 // scheduled violation sweep of a quiet step, and the same sweep with a
 // single violator, on the mirror-routed engine vs. the FullScan ablation.
 // The quiet indexed variant is the protocol's steady-state per-step cost
@@ -178,7 +178,7 @@ var hotRange = exp.HotInterval()
 
 // BenchmarkSweepSelectivity measures how the value-indexed engines' scan
 // cost follows the plausible-matcher count σ instead of n (the ROADMAP
-// "sharded server state" item; BENCH_PR3.json records the trajectory):
+// "sharded server state" item; BENCH.md has the headline numbers):
 //
 //   - collect/n=…/σ=… — latency grows with σ at fixed n and stays
 //     near-flat in n at fixed σ;

@@ -32,8 +32,9 @@
 //	curl localhost:7070/v1/web/cost
 //	curl -N localhost:7070/v1/web/events        # SSE stream
 //
-// Load-driving a running topkd: internal/tools/loadgen (or `make
-// bench-serve` for the scripted boot + drive + BENCH snapshot).
+// Driving a daemon under load: `go run ./benchmark -workload
+// serve-volatile` (or serve-durable) builds and boots its own topkd, drives
+// it over loopback and checks it against an embedded monitor every pass.
 package main
 
 import (

@@ -43,8 +43,9 @@
 //	                    torn-tail tolerant decode, snapshot sidecars) behind
 //	                    topkd -data-dir — consumes only topk
 //	internal/tools      internal CLIs: tools/bench (experiment tables),
-//	                    tools/tracegen (trace generation / offline pricing),
-//	                    tools/loadgen (closed-loop load driver for topkd)
+//	                    tools/tracegen (trace generation / offline pricing)
+//	benchmark           the repository benchmark (`go run ./benchmark`): six
+//	                    workloads end to end, a child topkd included
 //	cmd/topkmon         live monitoring CLI — imports only topk
 //	cmd/topkd           multi-tenant HTTP ingest daemon over internal/serve
 //	examples/           six runnable scenarios — import only topk (and
@@ -86,7 +87,7 @@
 //     violation predicate, the max-find active list (edited by the three
 //     MaxFind* broadcasts) for the max-find predicate — so scan cost tracks
 //     the matcher count σ rather than n (BenchmarkSweepSelectivity,
-//     experiment E12, BENCH_PR3.json), with a full scan left for tag
+//     experiment E12), with a full scan left for tag
 //     predicates and domain-covering intervals. A sweep resolves its
 //     matchers once and runs its γ+1 rounds over them only
 //     (BenchmarkEpochOpen, BenchmarkFindMax). Routing is observably
@@ -122,17 +123,14 @@
 // engine per worker across all trials of a table cell, and cmd/topkmon
 // -repeat reuses one live engine across whole sessions.
 //
-// Benchmarks: `go test -bench=. -benchmem` at the repo root, or
-// `make bench` for machine-readable JSON (BENCH_*.json records the
-// trajectory across PRs: BENCH_PR1.json is the lockstep/oracle baseline,
-// BENCH_PR2.json the live-engine batching + engine-reuse deltas,
-// BENCH_PR3.json the value-index σ-scaling and worker-shard deltas,
-// BENCH_PR10.json the sketch/item-layer costs via `make bench-sketch`; see
-// BENCH.md for how to read them).
+// Benchmarks: `go run ./benchmark` is the end-to-end number (six
+// workloads, correctness checked every pass; `make smoke` is its
+// one-second form), `make bench` (= `go test -bench=. -benchmem` at the
+// repo root) the micro-benchmarks in benchstat's format; see BENCH.md.
 //
 // The experiment harness fans independent trials and sweep points across
 // exp.Options.Parallelism goroutines (internal/tools/bench flag -parallel;
-// every BENCH_*.json run is stamped with a bench-env line recording
+// every `go test -bench` run is stamped with a bench-env line recording
 // GOMAXPROCS, NumCPU, and the live engine's default shard count). Every unit
 // of work derives its seed from its own index — never from execution
 // order — so tables are byte-identical for every worker count, asserted by

@@ -22,7 +22,7 @@
 //     Collect). Protocols needing a longer lifetime must copy.
 //   - Sweep and DetectViolation results are recycled by the next sweep.
 //   - ValuesInto/FiltersInto append into caller-owned scratch, reusing its
-//     capacity; Values/Filters/Tags are their allocating conveniences.
+//     capacity; Tags returns a fresh copy.
 //   - BroadcastRule arguments are fully applied (or copied, on the live
 //     engine) before the call returns, so callers may mutate and reuse one
 //     rule across broadcasts.
@@ -137,14 +137,9 @@ type Cluster interface {
 // validators, and adaptive adversaries — never by protocols. Engines
 // implement it alongside Cluster.
 type Inspector interface {
-	// Values returns a copy of all current node values.
-	Values() []int64
 	// ValuesInto appends all current node values to dst[:0] and returns
-	// it, reusing dst's capacity — the allocation-free form of Values for
-	// per-step loops.
+	// it, reusing dst's capacity, so a per-step loop allocates nothing.
 	ValuesInto(dst []int64) []int64
-	// Filters returns a copy of all current node filters.
-	Filters() []filter.Interval
 	// FiltersInto appends all current node filters to dst[:0] and returns
 	// it, reusing dst's capacity.
 	FiltersInto(dst []filter.Interval) []filter.Interval

@@ -213,7 +213,7 @@ func TestConformanceTagAndFilterState(t *testing.T) {
 				With(wire.TagV2, filter.Make(7, 8)).
 				With(wire.TagNone, filter.Make(0, 100))
 			eng.BroadcastRule(rule)
-			tags, filters := eng.Tags(), eng.Filters()
+			tags, filters := eng.Tags(), eng.FiltersInto(nil)
 			if tags[1] != wire.TagV2 || filters[1] != filter.Make(7, 8) {
 				t.Errorf("node 1 state: %v %v", tags[1], filters[1])
 			}
@@ -420,7 +420,7 @@ func TestConformanceEmptyDelta(t *testing.T) {
 			if d := eng.Counters().Snapshot().Sub(before); d.Total() != 0 || d.IndexFallbacks != 0 || d.MaxRounds != 0 {
 				t.Errorf("heartbeat billed %+v, want nothing", d)
 			}
-			if got := eng.Values(); !reflect.DeepEqual(got, vals) {
+			if got := eng.ValuesInto(nil); !reflect.DeepEqual(got, vals) {
 				t.Errorf("heartbeat moved values: %v, want %v", got, vals)
 			}
 		})
@@ -439,7 +439,7 @@ func TestConformanceDeltaDuplicateIDs(t *testing.T) {
 			eng.SetFilter(5, filter.Make(0, 9))
 			vals[5], vals[2] = 77, 3
 			eng.AdvanceDirty(vals, []int{5, 2, 5, 5, 2})
-			if got := eng.Values(); !reflect.DeepEqual(got, vals) {
+			if got := eng.ValuesInto(nil); !reflect.DeepEqual(got, vals) {
 				t.Errorf("values %v, want %v", got, vals)
 			}
 			want := []wire.Report{{ID: 5, Value: 77, Dir: filter.DirUp}}

@@ -22,7 +22,7 @@
 // lockstep engine, rewound with Engine.Reset to each trial's index-derived
 // seed — state-identical to a fresh construction, asserted by the Reset
 // property tests). This cut E1's wall clock ≈ 4× and its allocations ≈ 80×
-// (BENCH_PR2.json) while keeping every table byte-for-byte unchanged.
+// while keeping every table byte-for-byte unchanged.
 package exp
 
 import (

@@ -626,14 +626,8 @@ func (w *Cluster) MaxFindExclude(id int) {
 
 // ---- cluster.Inspector ----
 
-// Values implements cluster.Inspector.
-func (w *Cluster) Values() []int64 { return w.inner.Values() }
-
 // ValuesInto implements cluster.Inspector.
 func (w *Cluster) ValuesInto(dst []int64) []int64 { return w.inner.ValuesInto(dst) }
-
-// Filters implements cluster.Inspector.
-func (w *Cluster) Filters() []filter.Interval { return w.inner.Filters() }
 
 // FiltersInto implements cluster.Inspector.
 func (w *Cluster) FiltersInto(dst []filter.Interval) []filter.Interval {

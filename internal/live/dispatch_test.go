@@ -55,7 +55,7 @@ func TestQuietStepWakesNobody(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, step); avg != 0 {
 		t.Errorf("quiet step allocates %.2f times, want 0", avg)
 	}
-	if got := c.Values(); !reflect.DeepEqual(got, vals) {
+	if got := c.ValuesInto(nil); !reflect.DeepEqual(got, vals) {
 		t.Error("the caller-executed installs did not reach the nodes")
 	}
 }
@@ -203,10 +203,10 @@ func TestMixedDispatch(t *testing.T) {
 		if !reflect.DeepEqual(ls.Tags(), tagsB) {
 			t.Fatalf("step %d: tags diverge", step)
 		}
-		if !reflect.DeepEqual(ls.Values(), lv.Values()) {
+		if !reflect.DeepEqual(ls.ValuesInto(nil), lv.ValuesInto(nil)) {
 			t.Fatalf("step %d: values diverge", step)
 		}
-		if !reflect.DeepEqual(ls.Filters(), lv.Filters()) {
+		if !reflect.DeepEqual(ls.FiltersInto(nil), lv.FiltersInto(nil)) {
 			t.Fatalf("step %d: filters diverge", step)
 		}
 		if a, b := ls.Counters().Snapshot(), lv.Counters().Snapshot(); !reflect.DeepEqual(a, b) {

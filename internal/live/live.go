@@ -730,11 +730,6 @@ func (c *Cluster) snapshot() {
 	c.flush()
 }
 
-// Values implements cluster.Inspector.
-func (c *Cluster) Values() []int64 {
-	return c.ValuesInto(make([]int64, 0, c.n))
-}
-
 // ValuesInto implements cluster.Inspector: one snapshot flush, then a copy
 // out of the response slots into dst's reused capacity.
 func (c *Cluster) ValuesInto(dst []int64) []int64 {
@@ -744,11 +739,6 @@ func (c *Cluster) ValuesInto(dst []int64) []int64 {
 		dst = append(dst, c.resp[i].value)
 	}
 	return dst
-}
-
-// Filters implements cluster.Inspector.
-func (c *Cluster) Filters() []filter.Interval {
-	return c.FiltersInto(make([]filter.Interval, 0, c.n))
 }
 
 // FiltersInto implements cluster.Inspector.

@@ -36,7 +36,7 @@ func TestBasicRoundTrip(t *testing.T) {
 	c := New(4, 1)
 	defer c.Close()
 	c.Advance([]int64{10, 20, 30, 40})
-	if got := c.Values(); !reflect.DeepEqual(got, []int64{10, 20, 30, 40}) {
+	if got := c.ValuesInto(nil); !reflect.DeepEqual(got, []int64{10, 20, 30, 40}) {
 		t.Fatalf("Values = %v", got)
 	}
 	rep := c.Probe(2)
@@ -317,7 +317,7 @@ func TestDeltaWakesOnlyOwningShards(t *testing.T) {
 		t.Fatalf("delta {5,4,0} staged %d directives, touched %v, broadcast %v; want 2, [2 0], false",
 			len(c.pend), c.touchedIDs, c.allTouched)
 	}
-	if got := c.Values(); !reflect.DeepEqual(got, vals) {
+	if got := c.ValuesInto(nil); !reflect.DeepEqual(got, vals) {
 		t.Fatalf("values %v, want %v", got, vals)
 	}
 

@@ -175,11 +175,6 @@ func (e *Engine) install(values []int64, ids []int, count int) {
 // EndStep closes the current step's round accounting.
 func (e *Engine) EndStep() { e.ctr.EndStep() }
 
-// Values implements cluster.Inspector.
-func (e *Engine) Values() []int64 {
-	return e.ValuesInto(make([]int64, 0, len(e.nodes)))
-}
-
 // ValuesInto implements cluster.Inspector: it appends all current node
 // values to dst[:0] and returns it, growing dst only when too small.
 func (e *Engine) ValuesInto(dst []int64) []int64 {
@@ -188,11 +183,6 @@ func (e *Engine) ValuesInto(dst []int64) []int64 {
 		dst = append(dst, nd.Value)
 	}
 	return dst
-}
-
-// Filters implements cluster.Inspector.
-func (e *Engine) Filters() []filter.Interval {
-	return e.FiltersInto(make([]filter.Interval, 0, len(e.nodes)))
 }
 
 // FiltersInto implements cluster.Inspector: it appends all current node

@@ -135,7 +135,7 @@ func TestBroadcastRuleAppliesToAll(t *testing.T) {
 	if cost := e.Counters().Snapshot().Sub(before); cost.Total() != 1 {
 		t.Errorf("broadcast cost %d, want 1", cost.Total())
 	}
-	fs := e.Filters()
+	fs := e.FiltersInto(nil)
 	if fs[1] != filter.AtLeast(2) {
 		t.Errorf("tagged node filter = %v", fs[1])
 	}
@@ -167,10 +167,10 @@ func TestValueRangeValidation(t *testing.T) {
 func TestInspectorCopies(t *testing.T) {
 	e := New(3, 2)
 	e.Advance([]int64{1, 2, 3})
-	vs := e.Values()
+	vs := e.ValuesInto(nil)
 	vs[0] = 99
-	if e.Values()[0] == 99 {
-		t.Error("Values must return a copy")
+	if e.ValuesInto(nil)[0] == 99 {
+		t.Error("ValuesInto must return a copy")
 	}
 	ts := e.Tags()
 	ts[0] = wire.TagV3

@@ -23,7 +23,7 @@ func TestTopKPhaseProgression(t *testing.T) {
 	eng := lockstep.New(gen.N(), 9)
 	mon := protocol.NewTopKProto(eng, k, e)
 	for ts := 0; ts < 400; ts++ {
-		gen.ObserveFilters(eng.Filters(), mon.Output())
+		gen.ObserveFilters(eng.FiltersInto(nil), mon.Output())
 		vals := gen.Next(ts)
 		eng.Advance(vals)
 		if ts == 0 {
@@ -120,7 +120,7 @@ func TestTopKEpochRestartsProduceValidFilters(t *testing.T) {
 		} else {
 			mon.HandleStep()
 		}
-		filters := eng.Filters()
+		filters := eng.FiltersInto(nil)
 		for i, v := range vals {
 			if filters[i].Violation(v) != filter.DirNone {
 				t.Fatalf("step %d: node %d value %d outside filter %v after quiescence",

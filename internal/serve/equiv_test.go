@@ -181,11 +181,24 @@ func TestServeEquivalence(t *testing.T) {
 						t.Fatalf("step %d: cost snapshot diverged\nhttp:   %s\ndirect: %s",
 							step, got, want)
 					}
+					// No silent wrong answer over the wire: whenever the
+					// referee rejects the output, served health is not fresh.
+					var cr costResponse
+					if err := json.Unmarshal(got, &cr); err != nil {
+						t.Fatal(err)
+					}
+					if cr.SilentInvalid {
+						t.Fatalf("step %d: served /cost is silent-invalid (check %q, health %+v)",
+							step, cr.Check, cr.Health)
+					}
 				}
 			}
 
-			// Non-vacuity: the trace exercised the protocol.
-			if c := direct.Cost(); c.Messages == 0 || direct.Epochs() == 0 {
+			// Non-vacuity: the trace exercised the protocol, and an armed
+			// plan dropped messages (the served droppedMsgs is this counter,
+			// by the byte comparison above).
+			c := direct.Cost()
+			if c.Messages == 0 || direct.Epochs() == 0 || tc.faults != nil && c.DroppedMsgs == 0 {
 				t.Fatalf("vacuous trace: %+v", c)
 			}
 		})

@@ -8,7 +8,7 @@
 // public topk package) — so the server path inherits every facade
 // guarantee (byte-identical outputs to direct engine use, zero-alloc push
 // path, no-silent-wrong-answers under faults) instead of re-deriving them;
-// the api-boundary check pins this, and TestServeEquivalence proves the
+// topk/boundary_test.go pins this, and TestServeEquivalence proves the
 // HTTP transport adds nothing on top. cmd/topkd is the thin binary around
 // this package (the one sanctioned internal import of cmd/).
 //
@@ -193,7 +193,8 @@ type healthResponse struct {
 // costResponse is the full introspection snapshot: every topk.Cost
 // counter plus epochs, the referee verdict, and health. SilentInvalid is
 // the no-silent-wrong-answers alarm — a failing Check while Health claims
-// Fresh — which the CI smoke job and the load driver fail on.
+// Fresh — which TestServeEquivalence and the benchmark's served workloads
+// fail on.
 type costResponse struct {
 	Algorithm        string     `json:"algorithm"`
 	Steps            int64      `json:"steps"`
@@ -472,8 +473,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // separate facade calls; to keep the SilentInvalid verdict sound under
 // concurrent ingest, the snapshot is retried until no step commits while
 // it is being taken (three attempts, then served as-is — scrapers of a
-// deliberately quiesced tenant, like the smoke job, always get a
-// consistent one).
+// deliberately quiesced tenant, like the benchmark between passes, always
+// get a consistent one).
 func (s *Server) handleCost(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.tenant(w, r)
 	if !ok {

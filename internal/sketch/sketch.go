@@ -36,7 +36,7 @@
 //     units, so callers can pin the epsilon*N guarantees numerically.
 //
 // The package is self-contained by design: it imports nothing from the
-// module (stdlib only), pinned by the api-boundary checks — sketches are
+// module (stdlib only), pinned by topk/boundary_test.go — sketches are
 // pure data structures the engine layers consume, never the reverse.
 package sketch
 

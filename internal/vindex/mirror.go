@@ -12,8 +12,8 @@ import (
 // (value, filter) pair whenever either changes and maintain the exact
 // violator set incrementally — the (value-bucket ∩ assigned-interval) set
 // operation evaluated not per query but per update, which makes every
-// violation sweep of a quiet step O(1) instead of the O(n) full scan
-// BENCH_PR3 prices at ~136µs (n=4096) to ~674µs (n=16384) per step.
+// violation sweep of a quiet step O(1) instead of an O(n) full scan of
+// ~136µs (n=4096) to ~674µs (n=16384) per step.
 //
 // The mirror holds no values and no filters of its own: nodecore.Node is
 // the one owner of both inside an engine, and Set takes the pair from the

@@ -5,164 +5,80 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestPublicEntryPointsImportNoInternal pins the API boundary this package
-// exists for: cmd/ and examples/ are consumers of the PUBLIC surface and
-// must not import any internal/... package. (CI runs the same check via
-// `go list`; asserting it here makes the boundary part of tier-1
-// `go test ./...` as well.)
-//
-// One sanctioned exception: cmd/topkd may import topkmon/internal/serve —
+// importRules is the module's import-boundary map, written down here and
+// nowhere else (`make api-check` runs this test). cmd/ and examples/ are
+// consumers of the PUBLIC surface. cmd/topkd alone may add internal/serve —
 // the HTTP frontend's tenant pool and handlers, factored out of the binary
-// so they are unit-testable without a socket. The boundary's spirit is
-// preserved by the complementary rule below: internal/serve itself may
-// import nothing from internal/, only the public topk facade, so the
-// entire server path still consumes the supported API.
-func TestPublicEntryPointsImportNoInternal(t *testing.T) {
-	allowed := map[string]map[string]bool{
-		filepath.Join("..", "cmd", "topkd", "main.go"): {"topkmon/internal/serve": true},
-	}
-	fset := token.NewFileSet()
-	for _, root := range []string{"../cmd", "../examples"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() || !strings.HasSuffix(path, ".go") {
-				return nil
-			}
-			f, perr := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-			if perr != nil {
-				return perr
-			}
-			for _, imp := range f.Imports {
-				p := strings.Trim(imp.Path.Value, `"`)
-				if strings.HasPrefix(p, "topkmon/internal/") || p == "topkmon/internal" {
-					if allowed[path][p] {
-						continue
+// so they are testable without a socket — and in exchange internal/serve
+// adds only internal/wal, its durability layer, and internal/wal nothing,
+// so the whole server path still consumes the supported API and inherits
+// its guarantees instead of re-deriving them. internal/sketch is a
+// stdlib-only leaf (not even rngx: its seed mixing is self-contained), so
+// the summaries stay reusable, and topk/items stands on the facade and that
+// leaf, so it cannot reach around the facade into engines or protocols.
+//
+// A rule forbids the files under dir every import from this module that is
+// not in allow. skip names one subdirectory that has a rule of its own.
+// Where testsExempt is set, _test.go files may import module helpers (the
+// item tests drive the layer with internal/stream/items traces).
+var importRules = []struct {
+	name, dir, skip string
+	allow           []string
+	testsExempt     bool
+	msg             string
+}{
+	{name: "cmd", dir: "../cmd", skip: "../cmd/topkd", allow: []string{"topkmon/topk", "topkmon/topk/items"},
+		msg: "internal imports leaked into public entry points"},
+	{name: "cmd-topkd", dir: "../cmd/topkd", allow: []string{"topkmon/topk", "topkmon/topk/items", "topkmon/internal/serve"},
+		msg: "cmd/topkd may import only topkmon/internal/serve beyond the public packages"},
+	{name: "examples", dir: "../examples", allow: []string{"topkmon/topk", "topkmon/topk/items"},
+		msg: "internal imports leaked into public entry points"},
+	{name: "serve", dir: "../internal/serve", allow: []string{"topkmon/topk", "topkmon/internal/wal"},
+		msg: "internal/serve may only consume topk and internal/wal"},
+	{name: "wal", dir: "../internal/wal", allow: []string{"topkmon/topk"},
+		msg: "internal/wal may only consume the public topk facade"},
+	{name: "sketch", dir: "../internal/sketch", testsExempt: true,
+		msg: "internal/sketch must stay a stdlib-only leaf"},
+	{name: "items", dir: "items", allow: []string{"topkmon/topk", "topkmon/internal/sketch"}, testsExempt: true,
+		msg: "topk/items may only consume topk and internal/sketch"},
+}
+
+func TestImportBoundaries(t *testing.T) {
+	for _, r := range importRules {
+		t.Run(r.name, func(t *testing.T) {
+			fset := token.NewFileSet()
+			err := filepath.WalkDir(r.dir, func(path string, d fs.DirEntry, err error) error {
+				if err != nil {
+					return err
+				}
+				if d.IsDir() && path == filepath.FromSlash(r.skip) {
+					return fs.SkipDir
+				}
+				if d.IsDir() || !strings.HasSuffix(path, ".go") || r.testsExempt && strings.HasSuffix(path, "_test.go") {
+					return nil
+				}
+				f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+				if err != nil {
+					return err
+				}
+				for _, imp := range f.Imports {
+					p := strings.Trim(imp.Path.Value, `"`)
+					if (p == "topkmon" || strings.HasPrefix(p, "topkmon/")) && !slices.Contains(r.allow, p) {
+						t.Errorf("%s, but %s imports %s", r.msg, path, p)
 					}
-					t.Errorf("%s imports %s — public entry points must use only the topk package", path, p)
 				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("walking %s: %v", root, err)
-		}
-	}
-}
-
-// TestServeImportsOnlyPublicFacade is the other half of the topkd
-// exception: the HTTP frontend must stay a pure consumer of the public
-// topk package — no imports from the rest of internal/ except
-// internal/wal, its durability layer — so every server guarantee
-// (byte-identical outputs, zero-alloc ingest, fault health) is inherited
-// from the facade rather than re-derived beside it. The companion rule
-// closes the loop: internal/wal itself may import only the public topk
-// package, so even the durability layer consumes the supported API.
-func TestServeImportsOnlyPublicFacade(t *testing.T) {
-	check := func(dir string, allowed map[string]bool) {
-		fset := token.NewFileSet()
-		err := filepath.WalkDir(filepath.Join("..", "internal", dir), func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() || !strings.HasSuffix(path, ".go") {
 				return nil
+			})
+			// A missing dir reaches the callback as an error, so a rule cannot
+			// pass because its subject was moved away.
+			if err != nil {
+				t.Fatalf("%s: %v", r.msg, err)
 			}
-			f, perr := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-			if perr != nil {
-				return perr
-			}
-			for _, imp := range f.Imports {
-				p := strings.Trim(imp.Path.Value, `"`)
-				if strings.HasPrefix(p, "topkmon/internal/") || p == "topkmon/internal" {
-					if allowed[p] {
-						continue
-					}
-					t.Errorf("%s imports %s — internal/%s may only consume the public topk facade", path, p, dir)
-				}
-			}
-			return nil
 		})
-		if err != nil {
-			t.Fatalf("walking internal/%s: %v", dir, err)
-		}
-	}
-	check("serve", map[string]bool{"topkmon/internal/wal": true})
-	check("wal", nil)
-}
-
-// TestSketchImportsNothingFromModule pins the sketch layer's isolation:
-// internal/sketch is a pure-stdlib leaf — it imports NOTHING from this
-// module (not even rngx; its seed mixing is self-contained) — so the
-// streaming summaries stay reusable and their replay contract cannot
-// entangle with the engine packages. Test files are exempt (they may use
-// module helpers).
-func TestSketchImportsNothingFromModule(t *testing.T) {
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(filepath.Join("..", "internal", "sketch"), func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, perr := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-		if perr != nil {
-			return perr
-		}
-		for _, imp := range f.Imports {
-			p := strings.Trim(imp.Path.Value, `"`)
-			if p == "topkmon" || strings.HasPrefix(p, "topkmon/") {
-				t.Errorf("%s imports %s — internal/sketch must stay a stdlib-only leaf", path, p)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("walking internal/sketch: %v", err)
-	}
-}
-
-// TestItemsLayerBoundary pins the item-monitoring layer's dependencies:
-// topk/items is a PUBLIC subpackage built strictly on the public facade
-// plus the sketch leaf — topkmon/topk and topkmon/internal/sketch and
-// nothing else from the module — so it can never reach around the facade
-// into the engines or protocols. Test files are exempt (they drive the
-// layer with internal/stream/items traces).
-func TestItemsLayerBoundary(t *testing.T) {
-	allowed := map[string]bool{
-		"topkmon/topk":            true,
-		"topkmon/internal/sketch": true,
-	}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir("items", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, perr := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-		if perr != nil {
-			return perr
-		}
-		for _, imp := range f.Imports {
-			p := strings.Trim(imp.Path.Value, `"`)
-			if p == "topkmon" || strings.HasPrefix(p, "topkmon/") {
-				if allowed[p] {
-					continue
-				}
-				t.Errorf("%s imports %s — topk/items may only consume topk and internal/sketch", path, p)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("walking topk/items: %v", err)
 	}
 }

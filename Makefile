@@ -43,10 +43,11 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# fuzz gives the seeded fuzz targets a short randomized session each — the
-# interval algebra, the Pred.Bounds value-routing contract, the
-# filter-interval mirror's no-desync obligation under fault injection, the
-# HTTP frontend's all-or-nothing batch-decode path, the WAL decoder's
+# fuzz gives each of the eight seeded fuzz targets a short randomized
+# session — the interval algebra, the Pred.Bounds value-routing contract,
+# the filter-interval mirror's no-desync obligation and the max-find active
+# list's agreement with the nodes' flags under fault injection, the HTTP
+# frontend's all-or-nothing batch-decode path, the WAL decoder's
 # torn-write obligations (no panic, exact canonical prefix, idempotent
 # truncation) on arbitrary bytes, and the streaming summaries' estimate
 # invariants (Space-Saving/Misra-Gries one-sided bounds, Count-Min
@@ -55,6 +56,7 @@ fuzz:
 	$(GO) test -fuzz FuzzIntervalContainment -fuzztime $(FUZZTIME) ./internal/filter/
 	$(GO) test -fuzz FuzzPredBounds -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz FuzzFilterMirror -fuzztime $(FUZZTIME) ./internal/lockstep/
+	$(GO) test -fuzz FuzzActiveList -fuzztime $(FUZZTIME) ./internal/lockstep/
 	$(GO) test -fuzz FuzzBatchDecode -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz FuzzWALDecode -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -fuzz FuzzSpaceSaving -fuzztime $(FUZZTIME) ./internal/sketch/

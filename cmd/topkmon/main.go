@@ -45,7 +45,7 @@ func main() {
 	epsStr := flag.String("eps", "1/8", "allowed error ε as a fraction p/q (0/1 = exact)")
 	steps := flag.Int("steps", 2000, "time steps to run")
 	workload := flag.String("workload", "loads", "workload: loads|walk|jumps|oscillator")
-	monitor := flag.String("monitor", "approx", "algorithm: approx|topk|exact|half-eps|naive|mid-naive")
+	monitor := flag.String("monitor", "approx", "algorithm: approx|topk|exact|dense|half-eps|naive|mid-naive")
 	seed := flag.Uint64("seed", 7, "random seed")
 	report := flag.Int("report", 200, "status line every this many steps")
 	engine := flag.String("engine", "live", "engine: live (goroutines) | lockstep")

@@ -42,8 +42,7 @@
 //	internal/wal        per-tenant write-ahead batch log (CRC-framed records,
 //	                    torn-tail tolerant decode, snapshot sidecars) behind
 //	                    topkd -data-dir — consumes only topk
-//	internal/tools      internal CLIs: tools/bench (experiment tables),
-//	                    tools/tracegen (trace generation / offline pricing)
+//	internal/tools      internal CLI: tools/bench (experiment tables)
 //	benchmark           the repository benchmark (`go run ./benchmark`): six
 //	                    workloads end to end, a child topkd included
 //	cmd/topkmon         live monitoring CLI — imports only topk
@@ -73,7 +72,7 @@
 //     offline.SigmaMax, and cmd/topkmon hold one Scratch per run.
 //   - Both engines reuse their sweep buffer and double-buffer Collect
 //     results; see the ownership contract on cluster.Cluster. Inspector
-//     has ValuesInto/FiltersInto for per-step snapshots.
+//     has FiltersInto for per-step filter reads into caller scratch.
 //   - A committed step costs its dirty set, not n: the facade lists the
 //     nodes a batch staged and hands the engine that delta
 //     (cluster.Inspector.AdvanceDirty), which installs only those nodes —
@@ -99,7 +98,7 @@
 //     bucket partition, and batches directives per step: reply-free
 //     mutations are deferred into a reusable batch that rides along with
 //     the next response-bearing barrier; Collect/sweep matches land in
-//     per-shard report lists, Probe/snapshot replies in per-node slots —
+//     per-shard report lists, a Probe reply in one slot —
 //     one quiet step is one barrier (a sweep nobody matches ends after its
 //     first round), no per-directive channel round-trips, no steady-state
 //     allocation. The engine prices every barrier round in node visits and

@@ -21,8 +21,7 @@
 //     buffer them, because DENSEPROTOCOL holds one result across a second
 //     Collect). Protocols needing a longer lifetime must copy.
 //   - Sweep and DetectViolation results are recycled by the next sweep.
-//   - ValuesInto/FiltersInto append into caller-owned scratch, reusing its
-//     capacity; Tags returns a fresh copy.
+//   - FiltersInto appends into caller-owned scratch, reusing its capacity.
 //   - BroadcastRule arguments are fully applied (or copied, on the live
 //     engine) before the call returns, so callers may mutate and reuse one
 //     rule across broadcasts.
@@ -133,18 +132,13 @@ type Cluster interface {
 	MaxFindExclude(id int)
 }
 
-// Inspector is the simulation-scaffolding side door used by the oracle,
-// validators, and adaptive adversaries — never by protocols. Engines
-// implement it alongside Cluster.
+// Inspector is the simulation-scaffolding side door: the step clock, and
+// the filter read adaptive adversaries need — never used by protocols.
+// Engines implement it alongside Cluster.
 type Inspector interface {
-	// ValuesInto appends all current node values to dst[:0] and returns
-	// it, reusing dst's capacity, so a per-step loop allocates nothing.
-	ValuesInto(dst []int64) []int64
 	// FiltersInto appends all current node filters to dst[:0] and returns
-	// it, reusing dst's capacity.
+	// it, reusing dst's capacity, so a per-step loop allocates nothing.
 	FiltersInto(dst []filter.Interval) []filter.Interval
-	// Tags returns a copy of all current node tags.
-	Tags() []wire.Tag
 	// Advance installs the next observations (start of a time step): one
 	// value per node, each in [0, eps.MaxValue] — a value outside panics.
 	Advance(values []int64)

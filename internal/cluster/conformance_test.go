@@ -47,6 +47,29 @@ func engines(n int, seed uint64) map[string]func() (cluster.Engine, func()) {
 	}
 }
 
+// nodeOf reads node i through the white-box Node accessor both engines
+// have, outside the cluster interfaces; valuesOf and tagsOf read every
+// node's state with it.
+func nodeOf(e cluster.Engine, i int) *nodecore.Node {
+	return e.(interface{ Node(int) *nodecore.Node }).Node(i)
+}
+
+func valuesOf(e cluster.Engine) []int64 {
+	out := make([]int64, e.N())
+	for i := range out {
+		out[i] = nodeOf(e, i).Value
+	}
+	return out
+}
+
+func tagsOf(e cluster.Engine) []wire.Tag {
+	out := make([]wire.Tag, e.N())
+	for i := range out {
+		out[i] = nodeOf(e, i).Tag
+	}
+	return out
+}
+
 // TestConformanceMessageCosts pins the exact unit-cost accounting of every
 // primitive on both engines.
 func TestConformanceMessageCosts(t *testing.T) {
@@ -200,7 +223,7 @@ func TestConformanceSweepChannelSplit(t *testing.T) {
 }
 
 // TestConformanceTagAndFilterState: state mutations via broadcast rules and
-// unicasts are observable identically through the Inspector.
+// unicasts land identically in the nodes on every engine.
 func TestConformanceTagAndFilterState(t *testing.T) {
 	for name, mk := range engines(4, 11) {
 		t.Run(name, func(t *testing.T) {
@@ -213,7 +236,7 @@ func TestConformanceTagAndFilterState(t *testing.T) {
 				With(wire.TagV2, filter.Make(7, 8)).
 				With(wire.TagNone, filter.Make(0, 100))
 			eng.BroadcastRule(rule)
-			tags, filters := eng.Tags(), eng.FiltersInto(nil)
+			tags, filters := tagsOf(eng), eng.FiltersInto(nil)
 			if tags[1] != wire.TagV2 || filters[1] != filter.Make(7, 8) {
 				t.Errorf("node 1 state: %v %v", tags[1], filters[1])
 			}
@@ -319,7 +342,6 @@ func TestConformanceDeltaEqualsDense(t *testing.T) {
 			r := rngx.New(41)
 			vals := make([]int64, n)
 			var dirty []int
-			var gotV, wantV []int64
 			var gotF, wantF []filter.Interval
 			violations := 0
 			for step := 0; step < steps; step++ {
@@ -361,7 +383,7 @@ func TestConformanceDeltaEqualsDense(t *testing.T) {
 				}
 
 				ctx := fmt.Sprintf("step %d (dirty %v)", step, dirty)
-				wantV, gotV = dense.ValuesInto(wantV), delta.ValuesInto(gotV)
+				wantV, gotV := valuesOf(dense), valuesOf(delta)
 				if !reflect.DeepEqual(wantV, gotV) {
 					t.Fatalf("%s: values diverge:\ndense %v\ndelta %v", ctx, wantV, gotV)
 				}
@@ -420,7 +442,7 @@ func TestConformanceEmptyDelta(t *testing.T) {
 			if d := eng.Counters().Snapshot().Sub(before); d.Total() != 0 || d.IndexFallbacks != 0 || d.MaxRounds != 0 {
 				t.Errorf("heartbeat billed %+v, want nothing", d)
 			}
-			if got := eng.ValuesInto(nil); !reflect.DeepEqual(got, vals) {
+			if got := valuesOf(eng); !reflect.DeepEqual(got, vals) {
 				t.Errorf("heartbeat moved values: %v, want %v", got, vals)
 			}
 		})
@@ -439,7 +461,7 @@ func TestConformanceDeltaDuplicateIDs(t *testing.T) {
 			eng.SetFilter(5, filter.Make(0, 9))
 			vals[5], vals[2] = 77, 3
 			eng.AdvanceDirty(vals, []int{5, 2, 5, 5, 2})
-			if got := eng.ValuesInto(nil); !reflect.DeepEqual(got, vals) {
+			if got := valuesOf(eng); !reflect.DeepEqual(got, vals) {
 				t.Errorf("values %v, want %v", got, vals)
 			}
 			want := []wire.Report{{ID: 5, Value: 77, Dir: filter.DirUp}}
@@ -518,10 +540,6 @@ func TestConformanceSweepCoinsMatchPerRoundLoop(t *testing.T) {
 		}
 		return nil, rounds
 	}
-	type nodeReader interface {
-		Node(i int) *nodecore.Node
-	}
-
 	vals := make([]int64, n)
 	for i := range vals {
 		vals[i] = int64(1000 + 10*i) // all in [1000, 1360]
@@ -584,7 +602,7 @@ func TestConformanceSweepCoinsMatchPerRoundLoop(t *testing.T) {
 						t.Fatalf("sweep %d: senders %v, the per-round loop sends %v", sweep, got, want)
 					}
 					for i, nd := range ref {
-						if have := eng.(nodeReader).Node(i).RNG; *have != *nd.RNG {
+						if have := nodeOf(eng, i).RNG; *have != *nd.RNG {
 							t.Fatalf("sweep %d: node %d's RNG state diverged from the per-round loop's", sweep, i)
 						}
 					}

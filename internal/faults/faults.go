@@ -626,16 +626,10 @@ func (w *Cluster) MaxFindExclude(id int) {
 
 // ---- cluster.Inspector ----
 
-// ValuesInto implements cluster.Inspector.
-func (w *Cluster) ValuesInto(dst []int64) []int64 { return w.inner.ValuesInto(dst) }
-
 // FiltersInto implements cluster.Inspector.
 func (w *Cluster) FiltersInto(dst []filter.Interval) []filter.Interval {
 	return w.inner.FiltersInto(dst)
 }
-
-// Tags implements cluster.Inspector.
-func (w *Cluster) Tags() []wire.Tag { return w.inner.Tags() }
 
 // Advance implements cluster.Inspector: the step clock ticks, filter ops
 // delayed from the previous step land (in their original order, before the

@@ -55,7 +55,7 @@ func TestQuietStepWakesNobody(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, step); avg != 0 {
 		t.Errorf("quiet step allocates %.2f times, want 0", avg)
 	}
-	if got := c.ValuesInto(nil); !reflect.DeepEqual(got, vals) {
+	if got := valuesOf(c); !reflect.DeepEqual(got, vals) {
 		t.Error("the caller-executed installs did not reach the nodes")
 	}
 }
@@ -198,12 +198,10 @@ func TestMixedDispatch(t *testing.T) {
 
 		ls.EndStep()
 		lv.EndStep()
-		var tagsB []wire.Tag
-		tally(func() { tagsB = lv.Tags() })
-		if !reflect.DeepEqual(ls.Tags(), tagsB) {
+		if !reflect.DeepEqual(tagsOf(ls), tagsOf(lv)) {
 			t.Fatalf("step %d: tags diverge", step)
 		}
-		if !reflect.DeepEqual(ls.ValuesInto(nil), lv.ValuesInto(nil)) {
+		if !reflect.DeepEqual(valuesOf(ls), valuesOf(lv)) {
 			t.Fatalf("step %d: values diverge", step)
 		}
 		if !reflect.DeepEqual(ls.FiltersInto(nil), lv.FiltersInto(nil)) {

@@ -23,7 +23,7 @@ func TestLiveDenseInvariants(t *testing.T) {
 	ap := protocol.NewApprox(eng, k, e)
 	ap.AfterHandle = func(rep wire.Report) {
 		if ap.InDense() {
-			if err := ap.DenseState().CheckInvariants(eng.Tags()); err != nil {
+			if err := ap.DenseState().CheckInvariants(tagsOf(eng)); err != nil {
 				t.Fatalf("invariant after violation (node %d %v): %v", rep.ID, rep.Dir, err)
 			}
 		}

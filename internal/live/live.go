@@ -24,8 +24,7 @@
 // back to the full shard scan for tag predicates or domain-covering
 // intervals. Server-side work per response-bearing round is O(m + matches)
 // — workers publish their matches into per-shard report lists which the
-// server concatenates in shard order — instead of scanning all n response
-// slots.
+// server concatenates in shard order — not O(n).
 //
 // # Sweeps
 //
@@ -43,18 +42,18 @@
 // Instead it appends directives to a pending batch and flushes the batch as
 // one barrier round: every shard the batch addresses executes the directives
 // meant for it in order (exec, the one batch executor) and publishes replies
-// (per-shard report lists for Collect/sweep rounds; per-node slots for Probe
-// and Inspector snapshots). Directives that need no answer (Advance,
-// BroadcastRule, SetFilter, SetTagFilter, MaxFind*, Reset) are deferred —
-// they ride along with the next response-bearing flush — so a typical time
-// step pays one barrier for Advance + the first sweep round combined instead
-// of one per directive. Per-node execution order equals call order, so
-// deferral is semantically invisible.
+// (per-shard report lists for Collect/sweep rounds; one reply slot for a
+// Probe). Directives that need no answer (Advance, BroadcastRule,
+// SetFilter, SetTagFilter, MaxFind*, Reset) are deferred — they ride along
+// with the next response-bearing flush — so a typical time step pays one
+// barrier for Advance + the first sweep round combined instead of one per
+// directive. Per-node execution order equals call order, so deferral is
+// semantically invisible.
 //
 // Who executes a flush depends on its size. While directives are pushed the
 // server keeps the batch's work in node visits: one per staged observation,
 // one per unicast, n for a whole-cluster broadcast (BroadcastRule,
-// MaxFindInit, snapshot, Reset) or an unroutable predicate, the Router's scan
+// MaxFindInit, Reset) or an unroutable predicate, the Router's scan
 // size for a routed Collect or a sweep's round 0, the kept matcher lists'
 // lengths for a later round, the active lists' for MaxFindRaise. Below
 // parallelGrain — what one barrier costs, about 5·10⁴ visits — the server
@@ -72,10 +71,11 @@
 // signalled or has passed the countdown behind the done receive that ended
 // the last worker-run flush, and it touches nothing until its next signal.
 // For the same reason the server may run exec on any shard between two
-// worker-run flushes; the next signal a worker receives orders those writes
-// before its reads.
+// worker-run flushes, and Node and FiltersInto may read the nodes after a
+// flush; the next signal a worker receives orders those writes before its
+// reads.
 //
-// The batch, the report lists, the response slots, and the slices returned
+// The batch, the report lists, the probe slot, and the slices returned
 // by Collect/Sweep are all engine-owned and reused, mirroring the lockstep
 // engine's buffers: the steady state allocates nothing under either dispatch
 // (asserted by TestLiveStepAllocs and tracked by BenchmarkLiveStep).
@@ -132,7 +132,6 @@ const (
 	dirMaxInit
 	dirMaxRaise
 	dirMaxExclude
-	dirSnapshot
 	dirReset
 	dirStop
 )
@@ -177,19 +176,6 @@ type directive struct {
 type observation struct {
 	id int32
 	v  int64
-}
-
-// response is one node's answer slot for Probe and Inspector snapshots;
-// slot i is written only by the worker owning node i during a flush and
-// read only by the server after it. Collect and sweep-round replies go
-// through the per-shard report lists instead, so quiet rounds touch no
-// slots at all.
-type response struct {
-	report wire.Report
-	// snapshot fields (Inspector scaffolding)
-	value int64
-	filt  filter.Interval
-	tag   wire.Tag
 }
 
 // shard is the node range one worker goroutine owns: the nodes themselves,
@@ -292,9 +278,11 @@ type Cluster struct {
 	flushes    int64 // barrier rounds run, see Flushes
 	wakes      int64 // worker wake-ups, see Wakes
 
-	// resp holds one slot per node, indexed by id, for Probe replies and
-	// Inspector snapshots.
-	resp []response
+	// probe is the reply slot of a Probe. Probe flushes at once, so a batch
+	// carries at most one dirProbe: the exec of the shard owning its target
+	// writes the slot during the flush, and the server reads it after.
+	// Collect and sweep-round replies go through the per-shard report lists.
+	probe wire.Report
 
 	// Report buffers mirroring the lockstep engine's ownership contract:
 	// sweepBuf backs Sweep results (recycled by the next Sweep), the
@@ -348,7 +336,6 @@ func New(n int, seed uint64, opts ...Option) *Cluster {
 		done:       make(chan struct{}, 1),
 		touched:    make([]bool, m),
 		touchedIDs: make([]int, 0, m),
-		resp:       make([]response, n),
 		sweepBuf:   make([]wire.Report, 0, reportCap),
 		alive:      true,
 	}
@@ -460,7 +447,7 @@ func (c *Cluster) exec(w int, sh *shard) (stop bool) {
 			}
 		case dirProbe:
 			if c.workerOf[d.target] == mine {
-				c.resp[d.target].report = sh.node(d.target).Report()
+				c.probe = sh.node(d.target).Report()
 			}
 		case dirCollect:
 			for _, nd := range sh.router.Matchers(d.pred, sh.nodes, sh.base) {
@@ -486,13 +473,6 @@ func (c *Cluster) exec(w int, sh *shard) (stop bool) {
 		case dirMaxExclude:
 			if c.workerOf[d.target] == mine {
 				sh.router.MaxFindExclude(sh.node(d.target))
-			}
-		case dirSnapshot:
-			for _, nd := range sh.nodes {
-				r := &c.resp[nd.ID]
-				r.value = nd.Value
-				r.filt = nd.Filter
-				r.tag = nd.Tag
 			}
 		case dirReset:
 			// ChildSeed derivation is pure, so one root per shard
@@ -561,7 +541,7 @@ func (c *Cluster) visits(d *directive) int {
 	case dirMaxRaise:
 		// A raise walks the active lists: the max-find predicate's scan.
 		return c.scanSize(wire.AboveActive(d.best))
-	case dirApplyRule, dirMaxInit, dirSnapshot, dirReset:
+	case dirApplyRule, dirMaxInit, dirReset:
 		return c.n
 	default:
 		return 1
@@ -723,42 +703,18 @@ func (c *Cluster) stage(values []int64, ids []int, count int) {
 // EndStep implements cluster.Inspector.
 func (c *Cluster) EndStep() { c.ctr.EndStep() }
 
-// snapshot flushes a snapshot round; afterwards c.resp holds every node's
-// (value, filter, tag) in id order.
-func (c *Cluster) snapshot() {
-	c.push(directive{kind: dirSnapshot, target: allNodes})
-	c.flush()
-}
-
-// ValuesInto implements cluster.Inspector: one snapshot flush, then a copy
-// out of the response slots into dst's reused capacity.
-func (c *Cluster) ValuesInto(dst []int64) []int64 {
-	c.snapshot()
-	dst = dst[:0]
-	for i := range c.resp {
-		dst = append(dst, c.resp[i].value)
-	}
-	return dst
-}
-
-// FiltersInto implements cluster.Inspector.
+// FiltersInto implements cluster.Inspector. Like Node it flushes first and
+// then reads the parked shards' nodes directly; shards cover ascending id
+// ranges, so dst comes back in id order.
 func (c *Cluster) FiltersInto(dst []filter.Interval) []filter.Interval {
-	c.snapshot()
+	c.flush()
 	dst = dst[:0]
-	for i := range c.resp {
-		dst = append(dst, c.resp[i].filt)
+	for _, sh := range c.shards {
+		for _, nd := range sh.nodes {
+			dst = append(dst, nd.Filter)
+		}
 	}
 	return dst
-}
-
-// Tags implements cluster.Inspector.
-func (c *Cluster) Tags() []wire.Tag {
-	c.snapshot()
-	out := make([]wire.Tag, c.n)
-	for i := range c.resp {
-		out[i] = c.resp[i].tag
-	}
-	return out
 }
 
 // BroadcastRule implements cluster.Cluster. The rule is copied into the
@@ -791,7 +747,7 @@ func (c *Cluster) Probe(id int) wire.Report {
 	c.ctr.Rounds(1)
 	c.push(directive{kind: dirProbe, target: id})
 	c.flush()
-	return c.resp[id].report
+	return c.probe
 }
 
 // Collect implements cluster.Cluster. Results alternate between two

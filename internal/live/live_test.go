@@ -9,6 +9,7 @@ import (
 	"topkmon/internal/eps"
 	"topkmon/internal/filter"
 	"topkmon/internal/lockstep"
+	"topkmon/internal/nodecore"
 	"topkmon/internal/protocol"
 	"topkmon/internal/rngx"
 	"topkmon/internal/stream"
@@ -20,6 +21,29 @@ var (
 	_ cluster.Engine = (*Cluster)(nil)
 	_ cluster.Engine = (*lockstep.Engine)(nil)
 )
+
+// nodeOf reads node i through the white-box Node accessor both engines
+// have, outside the cluster interfaces; valuesOf and tagsOf read every
+// node's state with it.
+func nodeOf(e cluster.Engine, i int) *nodecore.Node {
+	return e.(interface{ Node(int) *nodecore.Node }).Node(i)
+}
+
+func valuesOf(e cluster.Engine) []int64 {
+	out := make([]int64, e.N())
+	for i := range out {
+		out[i] = nodeOf(e, i).Value
+	}
+	return out
+}
+
+func tagsOf(e cluster.Engine) []wire.Tag {
+	out := make([]wire.Tag, e.N())
+	for i := range out {
+		out[i] = nodeOf(e, i).Tag
+	}
+	return out
+}
 
 // dispatches names the two executors of a flush for the suites that must
 // hold under both. The default grain runs every flush of a conformance-sized
@@ -36,7 +60,7 @@ func TestBasicRoundTrip(t *testing.T) {
 	c := New(4, 1)
 	defer c.Close()
 	c.Advance([]int64{10, 20, 30, 40})
-	if got := c.ValuesInto(nil); !reflect.DeepEqual(got, []int64{10, 20, 30, 40}) {
+	if got := valuesOf(c); !reflect.DeepEqual(got, []int64{10, 20, 30, 40}) {
 		t.Fatalf("Values = %v", got)
 	}
 	rep := c.Probe(2)
@@ -44,7 +68,7 @@ func TestBasicRoundTrip(t *testing.T) {
 		t.Errorf("Probe = %+v", rep)
 	}
 	c.SetTagFilter(1, wire.TagOut, filter.AtLeast(15))
-	if tags := c.Tags(); tags[1] != wire.TagOut {
+	if tags := tagsOf(c); tags[1] != wire.TagOut {
 		t.Errorf("Tags = %v", tags)
 	}
 	reps := c.Collect(wire.InRange(25, 45))
@@ -317,7 +341,7 @@ func TestDeltaWakesOnlyOwningShards(t *testing.T) {
 		t.Fatalf("delta {5,4,0} staged %d directives, touched %v, broadcast %v; want 2, [2 0], false",
 			len(c.pend), c.touchedIDs, c.allTouched)
 	}
-	if got := c.ValuesInto(nil); !reflect.DeepEqual(got, vals) {
+	if got := valuesOf(c); !reflect.DeepEqual(got, vals) {
 		t.Fatalf("values %v, want %v", got, vals)
 	}
 

@@ -31,7 +31,7 @@ func traceString(eng cluster.Engine, trace [][]int64, k int, e eps.Eps) string {
 		eng.EndStep()
 		snap := eng.Counters().Snapshot()
 		fmt.Fprintf(&b, "step %d out=%v vals=%v filters=%v tags=%v total=%d kinds=%v rounds=%d bits=%d\n",
-			ti, mon.Output(), eng.ValuesInto(nil), eng.FiltersInto(nil), eng.Tags(),
+			ti, mon.Output(), valuesOf(eng), eng.FiltersInto(nil), tagsOf(eng),
 			snap.Total(), snap.ByKind, snap.MaxRounds, snap.MaxBits)
 	}
 	return b.String()
@@ -133,7 +133,7 @@ func TestResetIsFullRewind(t *testing.T) {
 			if got := eng.Counters().Steps(); got != 0 {
 				t.Errorf("steps after reset = %d, want 0", got)
 			}
-			for i, v := range eng.ValuesInto(nil) {
+			for i, v := range valuesOf(eng) {
 				if v != 0 {
 					t.Errorf("node %d value = %d after reset, want 0", i, v)
 				}

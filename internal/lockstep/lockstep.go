@@ -175,16 +175,6 @@ func (e *Engine) install(values []int64, ids []int, count int) {
 // EndStep closes the current step's round accounting.
 func (e *Engine) EndStep() { e.ctr.EndStep() }
 
-// ValuesInto implements cluster.Inspector: it appends all current node
-// values to dst[:0] and returns it, growing dst only when too small.
-func (e *Engine) ValuesInto(dst []int64) []int64 {
-	dst = dst[:0]
-	for _, nd := range e.nodes {
-		dst = append(dst, nd.Value)
-	}
-	return dst
-}
-
 // FiltersInto implements cluster.Inspector: it appends all current node
 // filters to dst[:0] and returns it, growing dst only when too small.
 func (e *Engine) FiltersInto(dst []filter.Interval) []filter.Interval {
@@ -193,15 +183,6 @@ func (e *Engine) FiltersInto(dst []filter.Interval) []filter.Interval {
 		dst = append(dst, nd.Filter)
 	}
 	return dst
-}
-
-// Tags implements cluster.Inspector.
-func (e *Engine) Tags() []wire.Tag {
-	ts := make([]wire.Tag, len(e.nodes))
-	for i, nd := range e.nodes {
-		ts[i] = nd.Tag
-	}
-	return ts
 }
 
 // Node exposes one node for white-box tests. Not part of the cluster

@@ -164,21 +164,6 @@ func TestValueRangeValidation(t *testing.T) {
 	e.Advance([]int64{-1})
 }
 
-func TestInspectorCopies(t *testing.T) {
-	e := New(3, 2)
-	e.Advance([]int64{1, 2, 3})
-	vs := e.ValuesInto(nil)
-	vs[0] = 99
-	if e.ValuesInto(nil)[0] == 99 {
-		t.Error("ValuesInto must return a copy")
-	}
-	ts := e.Tags()
-	ts[0] = wire.TagV3
-	if e.Tags()[0] == wire.TagV3 {
-		t.Error("Tags must return a copy")
-	}
-}
-
 func TestRoundAccounting(t *testing.T) {
 	e := New(16, 4)
 	vals := make([]int64, 16)

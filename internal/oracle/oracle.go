@@ -239,14 +239,3 @@ func (t Truth) ValidateExact(out []int) error {
 	}
 	return nil
 }
-
-// Unique reports whether the ε-output is forced, i.e. the exact and the
-// approximate problem coincide at this step: |K(t)| = 1, equivalently
-// v_{k+1} < (1-ε)·v_k.
-func (t Truth) Unique() bool {
-	if t.K >= len(t.Values) {
-		return true
-	}
-	vk1 := t.Values[t.Order[t.K]]
-	return t.Eps.ClearlyBelow(vk1, t.VK)
-}

@@ -90,21 +90,6 @@ func TestValidateExact(t *testing.T) {
 	}
 }
 
-func TestUnique(t *testing.T) {
-	e := eps.MustNew(1, 4)
-	// v_{k+1}=50 < 0.75·95: unique.
-	if !Compute([]int64{100, 95, 50}, 2, e).Unique() {
-		t.Error("clear gap must be unique")
-	}
-	// v_{k+1}=90 ≥ 0.75·95: ambiguous.
-	if Compute([]int64{100, 95, 90}, 2, e).Unique() {
-		t.Error("dense neighborhood must not be unique")
-	}
-	if !Compute([]int64{3, 2}, 2, e).Unique() {
-		t.Error("k = n must be unique")
-	}
-}
-
 // TestExactTopKAlwaysValidEps: the exact top-k satisfies the ε-relaxation
 // for every ε — a structural property the protocols rely on.
 func TestExactTopKAlwaysValidEps(t *testing.T) {

@@ -110,22 +110,3 @@ func TestPermIsPermutation(t *testing.T) {
 		seen[v] = true
 	}
 }
-
-func TestNormFloat64Moments(t *testing.T) {
-	s := New(17)
-	var sum, sumSq float64
-	const trials = 50000
-	for i := 0; i < trials; i++ {
-		x := s.NormFloat64()
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / trials
-	variance := sumSq/trials - mean*mean
-	if math.Abs(mean) > 0.03 {
-		t.Errorf("normal mean %f", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("normal variance %f", variance)
-	}
-}

@@ -10,8 +10,8 @@
 // exercises the public API, and the facade-equivalence tests prove the
 // indirection byte-identical to direct engine use. The engine itself stays
 // injected (Config.Engine) and visible to sim for the pieces that are
-// simulation scaffolding, not ingest: Inspector snapshots for adaptive
-// adversaries and the final counter snapshot.
+// simulation scaffolding, not ingest: the Inspector's filter read for
+// adaptive adversaries and the final counter snapshot.
 package sim
 
 import (

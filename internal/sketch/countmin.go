@@ -68,11 +68,10 @@ func (c *CountMin) Name() string {
 // Total implements Summary.
 func (c *CountMin) Total() int64 { return c.total }
 
-// ErrorBound implements Summary: ceil(e*N/width), the eps*N of the
-// standard analysis. Unlike the counter sketches' exact bounds it holds
-// with probability 1-e^-depth per item; the unit tests pin it on seeded
-// traces where it is deterministic.
-func (c *CountMin) ErrorBound() int64 {
+// bound is ceil(e*N/width), the eps*N of the standard analysis. Unlike the
+// counter sketches' exact bounds it holds with probability 1-e^-depth per
+// item; the unit tests pin it on seeded traces where it is deterministic.
+func (c *CountMin) bound() int64 {
 	return int64(math.Ceil(math.E * float64(c.total) / float64(c.width)))
 }
 
@@ -130,7 +129,7 @@ func (c *CountMin) Estimate(item uint64) (est, bound int64) {
 			est = v
 		}
 	}
-	return est, c.ErrorBound()
+	return est, c.bound()
 }
 
 // Heavy implements Summary: the keeper's items by (estimate descending,
@@ -139,7 +138,7 @@ func (c *CountMin) Estimate(item uint64) (est, bound int64) {
 // its last observation. Err is the shared eps*N bound.
 func (c *CountMin) Heavy(k int, dst []Counter) []Counter {
 	dst = appendHeavy(&c.ord, c.hn, k, dst, nil)
-	bound := c.ErrorBound()
+	bound := c.bound()
 	for i := range dst {
 		dst[i].Err = bound
 	}
@@ -151,7 +150,7 @@ func (c *CountMin) Heavy(k int, dst []Counter) []Counter {
 // larger) and the shared eps*N bound.
 func (c *CountMin) Tracked(dst []Counter) []Counter {
 	dst = dst[:0]
-	bound := c.ErrorBound()
+	bound := c.bound()
 	for i := 0; i < c.hn; i++ {
 		dst = append(dst, Counter{Item: c.keep.item[i], Count: c.keep.cnt[i], Err: bound})
 	}

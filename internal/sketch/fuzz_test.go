@@ -89,7 +89,7 @@ func checkAgainstTruth(t *testing.T, s Summary, truth map[uint64]int64, over boo
 // fuzzSummary drives one sketch through the decoded ops, checking the
 // estimate invariants along the way and the Reset-replay contract at the
 // end: Reset(seed) + identical replay must reproduce the identical Heavy
-// snapshot, Total, and ErrorBound (Reset idempotence / replay contract).
+// snapshot, Total, and error bound (Reset idempotence / replay contract).
 func fuzzSummary(t *testing.T, s Summary, data []byte, over bool) {
 	ops := decodeOps(data)
 	truth := make(map[uint64]int64)
@@ -111,11 +111,11 @@ func fuzzSummary(t *testing.T, s Summary, data []byte, over bool) {
 		}
 	}
 	checkAgainstTruth(t, s, truth, over)
-	if s.ErrorBound() < 0 {
-		t.Fatalf("%s: negative ErrorBound", s.Name())
+	if errorBound(s) < 0 {
+		t.Fatalf("%s: negative error bound", s.Name())
 	}
 
-	h1, t1, e1 := s.Heavy(64, nil), s.Total(), s.ErrorBound()
+	h1, t1, e1 := s.Heavy(64, nil), s.Total(), errorBound(s)
 	s.Reset(42)
 	if s.Total() != 0 {
 		t.Fatalf("%s: Total %d after Reset, want 0", s.Name(), s.Total())
@@ -125,7 +125,7 @@ func fuzzSummary(t *testing.T, s Summary, data []byte, over bool) {
 	}
 	checkTracked(t, s, 48)
 	replay()
-	h2, t2, e2 := s.Heavy(64, nil), s.Total(), s.ErrorBound()
+	h2, t2, e2 := s.Heavy(64, nil), s.Total(), errorBound(s)
 	if !reflect.DeepEqual(h1, h2) || t1 != t2 || e1 != e2 {
 		t.Fatalf("%s: Reset replay diverged:\n%v total=%d bound=%d\n%v total=%d bound=%d",
 			s.Name(), h1, t1, e1, h2, t2, e2)

@@ -10,7 +10,7 @@ import "fmt"
 //
 //	Estimate(x) <= f(x)                       (never over-estimates)
 //	Estimate(x) + decrs >= f(x)               (exact undercount bound)
-//	ErrorBound() = decrs <= Total()/(c+1)     (the epsilon*N bound)
+//	decrs <= Total()/(c+1)                    (the epsilon*N bound)
 //
 // Weighted arrivals (delta > 1) are absorbed in decrement rounds of the
 // feasible minimum each, so Observe is O(c) worst case and allocation-free.
@@ -47,10 +47,6 @@ func (m *MisraGries) Name() string { return fmt.Sprintf("misra-gries(c=%d)", m.c
 
 // Total implements Summary.
 func (m *MisraGries) Total() int64 { return m.total }
-
-// ErrorBound implements Summary: the exact cumulative decrement — no item
-// is under-counted by more.
-func (m *MisraGries) ErrorBound() int64 { return m.decrs }
 
 // Observe implements Summary.
 func (m *MisraGries) Observe(item uint64, delta int64) {

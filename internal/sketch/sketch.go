@@ -32,8 +32,6 @@
 //   - Reset(seed) rewinds to the state a fresh construction with that seed
 //     would produce (the repo-wide replay contract; the deterministic
 //     sketches ignore the seed's value but honor the rewind).
-//   - ErrorBound reports the current worst-case estimation error in stream
-//     units, so callers can pin the epsilon*N guarantees numerically.
 //
 // The package is self-contained by design: it imports nothing from the
 // module (stdlib only), pinned by topk/boundary_test.go — sketches are
@@ -69,10 +67,6 @@ type Summary interface {
 	UntrackedEstimate() (est int64, uniform bool)
 	// Total returns N, the sum of all observed deltas.
 	Total() int64
-	// ErrorBound returns the current worst-case estimation error across
-	// all items (the epsilon*N of the sketch's analysis, exact where the
-	// structure tracks it exactly).
-	ErrorBound() int64
 	// Reset rewinds to the freshly-constructed state for seed.
 	Reset(seed uint64)
 	// Name identifies the sketch and its sizing in reports.

@@ -52,6 +52,18 @@ func zipfTrace(items, events int, s float64, seed uint64) []uint64 {
 	return out
 }
 
+// unseen is an item no test trace or fuzz tape observes.
+const unseen = math.MaxUint64
+
+// errorBound is the summary-wide worst-case error: Estimate's bound on an
+// item the summary has never seen. That is one number for every kind —
+// Space-Saving's minimum counter once full (0 before), Misra-Gries's
+// cumulative decrement, Count-Min's ceil(e*N/width).
+func errorBound(s Summary) int64 {
+	_, bound := s.Estimate(unseen)
+	return bound
+}
+
 func mkSummaries() []Summary {
 	return []Summary{
 		NewSpaceSaving(64),
@@ -112,18 +124,19 @@ func TestErrorBounds(t *testing.T) {
 			if inexact == 0 {
 				t.Fatal("vacuous: every estimate exact — trace does not stress the summary")
 			}
-			if s.ErrorBound() <= 0 {
-				t.Fatal("vacuous: ErrorBound is 0 under overflow pressure")
+			eb := errorBound(s)
+			if eb <= 0 {
+				t.Fatal("vacuous: error bound is 0 under overflow pressure")
 			}
 			switch sk := s.(type) {
 			case *SpaceSaving:
 				// eps*N with eps = 1/c.
-				if max := s.Total() / 64; s.ErrorBound() > max {
-					t.Fatalf("space-saving ErrorBound %d exceeds N/c = %d", s.ErrorBound(), max)
+				if max := s.Total() / 64; eb > max {
+					t.Fatalf("space-saving error bound %d exceeds N/c = %d", eb, max)
 				}
 			case *MisraGries:
-				if max := s.Total() / (64 + 1); s.ErrorBound() > max {
-					t.Fatalf("misra-gries ErrorBound %d exceeds N/(c+1) = %d", s.ErrorBound(), max)
+				if max := s.Total() / (64 + 1); eb > max {
+					t.Fatalf("misra-gries error bound %d exceeds N/(c+1) = %d", eb, max)
 				}
 			case *CountMin:
 				// The per-item bound must actually hold on this seed for
@@ -193,7 +206,7 @@ func TestTrackedEnumeration(t *testing.T) {
 
 // TestResetReplaysIdentically pins the repo's replay contract: Reset(seed)
 // followed by the same trace must reproduce the original run's Heavy
-// snapshot, Total, and ErrorBound exactly.
+// snapshot, Total, and error bound exactly.
 func TestResetReplaysIdentically(t *testing.T) {
 	const items, events = 128, 6000
 	trace := zipfTrace(items, events, 1.1, 3)
@@ -203,7 +216,7 @@ func TestResetReplaysIdentically(t *testing.T) {
 				for _, it := range trace {
 					s.Observe(it, 2)
 				}
-				return s.Heavy(32, nil), s.Total(), s.ErrorBound()
+				return s.Heavy(32, nil), s.Total(), errorBound(s)
 			}
 			h1, t1, e1 := run()
 			s.Reset(42)
@@ -303,8 +316,8 @@ func TestSpaceSavingEvictionAccounting(t *testing.T) {
 	if est != 4 || bound != 4 {
 		t.Fatalf("estimate(2) = (%d,%d), want (4,4)", est, bound)
 	}
-	if eb := s.ErrorBound(); eb != 4 {
-		t.Fatalf("ErrorBound = %d, want 4 (min counter)", eb)
+	if eb := errorBound(s); eb != 4 {
+		t.Fatalf("error bound = %d, want 4 (min counter)", eb)
 	}
 }
 
@@ -314,8 +327,8 @@ func TestMisraGriesDecrementAccounting(t *testing.T) {
 	m.Observe(1, 5)
 	m.Observe(2, 3)
 	m.Observe(3, 2) // no room: decrement round d=2 (absorbs the arrival)
-	if m.ErrorBound() != 2 {
-		t.Fatalf("decrs = %d, want 2", m.ErrorBound())
+	if eb := errorBound(m); eb != 2 {
+		t.Fatalf("decrs = %d, want 2", eb)
 	}
 	if est, _ := m.Estimate(1); est != 3 {
 		t.Fatalf("estimate(1) = %d, want 3", est)
@@ -330,8 +343,8 @@ func TestMisraGriesDecrementAccounting(t *testing.T) {
 	if est, _ := m.Estimate(4); est != 3 {
 		t.Fatalf("estimate(4) = %d, want 3", est)
 	}
-	if m.ErrorBound() != 3 {
-		t.Fatalf("decrs = %d, want 3", m.ErrorBound())
+	if eb := errorBound(m); eb != 3 {
+		t.Fatalf("decrs = %d, want 3", eb)
 	}
 }
 

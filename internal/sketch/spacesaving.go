@@ -9,7 +9,7 @@ import "fmt"
 //
 //	Estimate(x) >= f(x)                      (never under-estimates)
 //	Estimate(x) - Err(x) <= f(x)             (per-item error is tracked)
-//	ErrorBound() = min counter <= Total()/c  (the epsilon*N bound, eps=1/c)
+//	Err(x) <= min counter <= Total()/c       (the epsilon*N bound, eps=1/c)
 //
 // Eviction is deterministic: the minimum counter, ties broken by the
 // smallest item id, so runs replay byte-identically.
@@ -46,10 +46,10 @@ func (s *SpaceSaving) Name() string { return fmt.Sprintf("space-saving(c=%d)", s
 // Total implements Summary.
 func (s *SpaceSaving) Total() int64 { return s.total }
 
-// ErrorBound implements Summary: the largest possible over-estimate of any
-// single item — the minimum counter once the summary is full, 0 before
-// (every count is exact until the first eviction).
-func (s *SpaceSaving) ErrorBound() int64 {
+// minCount is the largest possible over-estimate of any single item — the
+// minimum counter once the summary is full, 0 before (every count is exact
+// until the first eviction).
+func (s *SpaceSaving) minCount() int64 {
 	if s.n < s.cap {
 		return 0
 	}
@@ -94,14 +94,14 @@ func (s *SpaceSaving) Estimate(item uint64) (est, bound int64) {
 	if slot := s.idx.get(item); slot >= 0 {
 		return s.cnt[slot], s.err[slot]
 	}
-	m := s.ErrorBound()
+	m := s.minCount()
 	return m, m
 }
 
 // UntrackedEstimate implements Summary: the minimum counter once the
 // summary is full, 0 before (never tracked and nothing ever evicted, so the
-// true count is 0) — ErrorBound, by the same argument.
-func (s *SpaceSaving) UntrackedEstimate() (int64, bool) { return s.ErrorBound(), true }
+// true count is 0) — minCount, by the same argument.
+func (s *SpaceSaving) UntrackedEstimate() (int64, bool) { return s.minCount(), true }
 
 // Heavy implements Summary.
 func (s *SpaceSaving) Heavy(k int, dst []Counter) []Counter {

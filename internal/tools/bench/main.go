@@ -1,4 +1,4 @@
-// Command bench regenerates every reproduction experiment (E1–E12): for
+// Command bench regenerates every reproduction experiment (E1–E13): for
 // each paper claim it runs the corresponding workloads and prints the
 // measured tables, optionally writing text and CSV copies. Independent
 // trials and sweep points fan out across -parallel workers; the tables are

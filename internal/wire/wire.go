@@ -221,14 +221,6 @@ func (r *FilterRule) Apply(t Tag, cur filter.Interval) (Tag, filter.Interval) {
 	return t, cur
 }
 
-// Lookup returns the interval for tag t, if defined.
-func (r *FilterRule) Lookup(t Tag) (filter.Interval, bool) {
-	if r == nil || !r.Set[t] {
-		return filter.Interval{}, false
-	}
-	return r.ByTag[t], true
-}
-
 // Count returns the number of tags the rule defines.
 func (r *FilterRule) Count() int {
 	n := 0

@@ -28,7 +28,9 @@
 //	internal/protocol   the paper's algorithms (the core contribution)
 //	internal/lockstep   deterministic engine (tests, experiments)
 //	internal/live       sharded concurrent engine (bit-identical semantics)
-//	internal/vindex     value-bucket index shared by both engines
+//	internal/nodecore   node logic and nodecore.Shard, the one writer of
+//	                    node state, which both engines hold
+//	internal/vindex     value-bucket index + violator set under the Shard
 //	internal/offline    the offline optimum OPT (greedy segmentation)
 //	internal/oracle     ground truth + output validation
 //	internal/stream     workloads and adaptive adversaries;
@@ -80,7 +82,8 @@
 //     work only for the shards that own one (BenchmarkSparseStep: flat
 //     from n=1024 to n=131072). The dense Advance is the same install over
 //     every node, for harnesses that hold full vectors.
-//   - Both engines route Sweep/Collect through one vindex.Router: a
+//   - Both engines keep their nodes in nodecore.Shard and route
+//     Sweep/Collect through its structures: a
 //     value-bucket index (updated at each install of a node's value) for
 //     the predicate's wire.Pred.Bounds interval, the violator set for the
 //     violation predicate, the max-find active list (edited by the three

@@ -36,15 +36,17 @@
 //
 // # Selectivity of Sweep and Collect
 //
-// Both engines route Sweep and Collect through a value-bucket index
-// (internal/vindex) keyed by wire.Pred.Bounds: only nodes whose values can
-// possibly match the predicate's interval are visited, so the engines'
-// internal scan cost tracks the plausible-matcher count σ rather than n.
-// Violation sweeps — whose matches depend on per-node filters, not value
-// bounds — are routed through the engines' violator set (vindex.Mirror):
-// the server assigns every filter, so the engine re-evaluates a node
-// against its filter whenever either changes and maintains the exact
-// violator set, making the scheduled quiet-step violation sweep O(1)
+// Both engines hold their nodes in nodecore.Shard, which keeps three
+// routing structures in step with every node mutation (its doc comment
+// states that contract once for both engines). Sweep and Collect route
+// through a value-bucket index (internal/vindex) keyed by
+// wire.Pred.Bounds: only nodes whose values can possibly match the
+// predicate's interval are visited, so the engines' internal scan cost
+// tracks the plausible-matcher count σ rather than n. Violation sweeps —
+// whose matches depend on per-node filters, not value bounds — are routed
+// through the violator set (vindex.Mirror): the server assigns every
+// filter, so the shard re-evaluates a node against its filter whenever
+// either changes, making the scheduled quiet-step violation sweep O(1)
 // server-side work. Max-find sweeps (AboveActive, at any threshold) are
 // routed through the list of max-find-active nodes, which the three
 // MaxFind* broadcasts — the flag's only writers — keep. Each primitive

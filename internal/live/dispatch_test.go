@@ -248,11 +248,41 @@ func TestStopGoesThroughWorkers(t *testing.T) {
 		t.Errorf("Close woke %d workers, want all %d", got, m)
 	}
 	for i, want := range vals {
-		if got := c.shards[c.workerOf[i]].node(i).Value; got != want {
+		if got := c.shards[c.workerOf[i]].Node(i).Value; got != want {
 			t.Errorf("node %d holds %d after Close, want the deferred Advance's %d", i, got, want)
 		}
 	}
-	if got := c.shards[c.workerOf[5]].node(5).Filter; got != iv {
+	if got := c.shards[c.workerOf[5]].Node(5).Filter; got != iv {
 		t.Errorf("node 5's filter is %v after Close, want the deferred SetFilter's %v", got, iv)
+	}
+}
+
+// TestUseAfterClosePanics: once Close has stopped the workers, a call that
+// reaches the nodes panics at once instead of signalling goroutines that
+// are gone and waiting for their answer forever.
+func TestUseAfterClosePanics(t *testing.T) {
+	for name, call := range map[string]func(c *Cluster){
+		"Probe":       func(c *Cluster) { c.Probe(3) },
+		"Collect":     func(c *Cluster) { c.Collect(wire.InRange(0, 10)) },
+		"Sweep":       func(c *Cluster) { c.Sweep(wire.Violating()) },
+		"FiltersInto": func(c *Cluster) { c.FiltersInto(nil) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := New(8, 1, WithShards(2))
+			c.Close()
+			got := make(chan any, 1)
+			go func() {
+				defer func() { got <- recover() }()
+				call(c)
+			}()
+			select {
+			case r := <-got:
+				if r != "live: use after Close" {
+					t.Fatalf("%s after Close: recovered %v, want the use-after-Close panic", name, r)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s after Close did not return", name)
+			}
+		})
 	}
 }

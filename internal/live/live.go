@@ -14,17 +14,15 @@
 // wake-ups runs on the server's goroutine (see "Batched directives"). One
 // goroutine per node is the m = n special case.
 //
-// Each shard also owns a value-bucket partition, a filter-interval mirror
-// and its part of the max-find active list (internal/vindex) over its
-// nodes, maintained incrementally as the directives mutating node state
-// execute: a Collect and round 0 of an EXISTENCE sweep resolve the
-// predicate once (vindex.Router.Matchers) — interval predicates from the
-// shard's plausible matchers, violation sweeps from exactly the shard's
-// mirrored violator set, max-find sweeps from its active nodes — falling
-// back to the full shard scan for tag predicates or domain-covering
-// intervals. Server-side work per response-bearing round is O(m + matches)
-// — workers publish their matches into per-shard report lists which the
-// server concatenates in shard order — not O(n).
+// Each shard is a nodecore.Shard: the nodes of its id range and the routing
+// structures over them, kept in step by the Shard's own mutators (its doc
+// comment has the contract), so every directive that changes a node is one
+// Shard call. A Collect and round 0 of an EXISTENCE sweep route their
+// predicate through those structures and fall back to the full shard scan
+// only for tag predicates or domain-covering intervals. Server-side work
+// per response-bearing round is O(m + matches) — each shard's executor
+// publishes its matches into the shard's report list, which the server
+// concatenates in shard order — not O(n).
 //
 // # Sweeps
 //
@@ -53,7 +51,7 @@
 // Who executes a flush depends on its size. While directives are pushed the
 // server keeps the batch's work in node visits: one per staged observation,
 // one per unicast, n for a whole-cluster broadcast (BroadcastRule,
-// MaxFindInit, Reset) or an unroutable predicate, the Router's scan
+// MaxFindInit, Reset) or an unroutable predicate, the shard's scan
 // size for a routed Collect or a sweep's round 0, the kept matcher lists'
 // lengths for a later round, the active lists' for MaxFindRaise. Below
 // parallelGrain — what one barrier costs, about 5·10⁴ visits — the server
@@ -105,12 +103,10 @@
 package live
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"topkmon/internal/eps"
 	"topkmon/internal/filter"
 	"topkmon/internal/metrics"
 	"topkmon/internal/nodecore"
@@ -144,17 +140,6 @@ const (
 	sweepers = -2
 )
 
-// reportCap is the initial capacity of the engine-owned report buffers (the
-// lockstep engine's choice, for its reason) and of the pending batch: runs
-// whose sweeps and collects return fewer reports, and whose steps defer
-// fewer directives, never allocate after construction.
-const reportCap = 64
-
-// serverRNG is the Child id of the server-side randomness stream, shared
-// with the lockstep engine so both derive identical server coin flips from
-// the same seed.
-const serverRNG = 0xC0FFEE
-
 type directive struct {
 	kind    dirKind
 	target  int // node id, or allNodes
@@ -176,32 +161,6 @@ type directive struct {
 type observation struct {
 	id int32
 	v  int64
-}
-
-// shard is the node range one worker goroutine owns: the nodes themselves,
-// the value-bucket partition + filter-interval mirror + routing scratch
-// over them (vindex.Router, the same routing policy the lockstep engine
-// uses — the mirror is updated by the same directive that mutates the
-// node, in the same exec, so it can never desync), and the report list exec
-// publishes matches into. sweep holds the shard's matchers of the running
-// sweep, resolved in round 0: node state cannot change mid-sweep, so rounds
-// > 0 draw over this list and evaluate no predicate. All of it is written
-// only inside a flush, by whoever runs the shard's exec, and read by the
-// server between flushes: out's reports, and the lengths visits prices.
-type shard struct {
-	base   int // id of nodes[0]; the shard covers [base, base+len(nodes))
-	nodes  []*nodecore.Node
-	router vindex.Router
-	sweep  []*nodecore.Node
-	out    []wire.Report // this flush's Collect/sweep replies, id order
-}
-
-// node returns the shard's node with the given absolute id.
-func (sh *shard) node(id int) *nodecore.Node { return sh.nodes[id-sh.base] }
-
-func (sh *shard) setFilter(nd *nodecore.Node, iv filter.Interval) {
-	nd.SetFilter(iv)
-	sh.router.Mir.Set(nd.ID, nd.Value, iv)
 }
 
 // parallelGrain is the size, in node visits, below which a flush runs on the
@@ -251,7 +210,15 @@ type Cluster struct {
 	rng  *rngx.Source
 	maxV int64
 
-	shards   []*shard
+	// shards[w] is the node range worker w owns (nodecore.Shard states the
+	// node-mutation contract), outs[w] the report list its exec publishes
+	// this flush's Collect/sweep replies into, in id order. Both are written
+	// only inside a flush, by whoever runs exec for w, and read by the
+	// server between flushes: outs' reports, and the lengths visits prices.
+	// A shard keeps the matchers of the running sweep (Shard.Kept), resolved
+	// in round 0, so later rounds evaluate no predicate.
+	shards   []*nodecore.Shard
+	outs     [][]wire.Report
 	workerOf []int32 // node id → owning worker index
 
 	// Pending batch. The server owns these between flushes; whoever executes
@@ -324,11 +291,12 @@ func New(n int, seed uint64, opts ...Option) *Cluster {
 		n:          n,
 		m:          m,
 		ctr:        metrics.NewCounters(),
-		rng:        root.Child(serverRNG),
+		rng:        root.Child(nodecore.ServerRNG),
 		maxV:       1,
-		shards:     make([]*shard, m),
+		shards:     make([]*nodecore.Shard, m),
+		outs:       make([][]wire.Report, m),
 		workerOf:   make([]int32, n),
-		pend:       make([]directive, 0, reportCap),
+		pend:       make([]directive, 0, nodecore.ReportCap),
 		rules:      make([]wire.FilterRule, 0, 4),
 		adv:        make([]observation, 0, n),
 		grain:      cfg.grain,
@@ -336,11 +304,11 @@ func New(n int, seed uint64, opts ...Option) *Cluster {
 		done:       make(chan struct{}, 1),
 		touched:    make([]bool, m),
 		touchedIDs: make([]int, 0, m),
-		sweepBuf:   make([]wire.Report, 0, reportCap),
+		sweepBuf:   make([]wire.Report, 0, nodecore.ReportCap),
 		alive:      true,
 	}
 	for i := range c.collectBufs {
-		c.collectBufs[i] = make([]wire.Report, 0, reportCap)
+		c.collectBufs[i] = make([]wire.Report, 0, nodecore.ReportCap)
 	}
 	// Contiguous near-equal shards: the first n%m shards get one extra node.
 	q, r := n/m, n%m
@@ -350,21 +318,15 @@ func New(n int, seed uint64, opts ...Option) *Cluster {
 		if w < r {
 			size++
 		}
-		sh := &shard{
-			base:   base,
-			nodes:  make([]*nodecore.Node, size),
-			router: vindex.NewRouter(base, size),
-			out:    make([]wire.Report, 0, reportCap),
+		c.shards[w] = nodecore.NewShard(base, size, root)
+		c.outs[w] = make([]wire.Report, 0, nodecore.ReportCap)
+		for i := base; i < base+size; i++ {
+			c.workerOf[i] = int32(w)
 		}
-		for i := range sh.nodes {
-			sh.nodes[i] = nodecore.New(base+i, root)
-			c.workerOf[base+i] = int32(w)
-		}
-		c.shards[w] = sh
 		c.sig[w] = make(chan struct{}, 1)
 		base += size
 		c.wg.Add(1)
-		go c.worker(w, sh)
+		go c.worker(w)
 	}
 	return c
 }
@@ -392,15 +354,15 @@ func (c *Cluster) Wakes() int64 { return c.wakes }
 // to read until its next call into the engine.
 func (c *Cluster) Node(i int) *nodecore.Node {
 	c.flush()
-	return c.shards[c.workerOf[i]].node(i)
+	return c.shards[c.workerOf[i]].Node(i)
 }
 
 // worker is one shard's goroutine: once per flush that is handed to the
 // workers and addresses its shard, it executes the batch over the shard.
-func (c *Cluster) worker(w int, sh *shard) {
+func (c *Cluster) worker(w int) {
 	defer c.wg.Done()
 	for range c.sig[w] {
-		stop := c.exec(w, sh)
+		stop := c.exec(w)
 		if c.remaining.Add(-1) == 0 {
 			c.done <- struct{}{}
 		}
@@ -412,80 +374,56 @@ func (c *Cluster) worker(w int, sh *shard) {
 
 // exec is the one batch executor of a shard: it runs the pending directives
 // addressed to shard w in batch order and publishes the replies. During a
-// flush it is the only code touching the shard's nodes, index and lists;
-// flush decides whether worker w's goroutine or the server's runs it. It
-// reports whether the batch carried dirStop.
-func (c *Cluster) exec(w int, sh *shard) (stop bool) {
-	mine := int32(w)
-	sh.out = sh.out[:0]
+// flush it is the only code touching the shard and its report list; flush
+// decides whether worker w's goroutine or the server's runs it. A directive
+// whose target is a node id is addressed to the shard owning that node
+// only. It reports whether the batch carried dirStop.
+func (c *Cluster) exec(w int) (stop bool) {
+	sh, out := c.shards[w], c.outs[w][:0]
 	for i := range c.pend {
 		d := &c.pend[i]
+		if d.target >= 0 && c.workerOf[d.target] != int32(w) {
+			continue
+		}
 		switch d.kind {
 		case dirAdvance:
-			if c.workerOf[d.target] == mine {
-				for _, o := range c.adv[d.lo:d.hi] {
-					nd := sh.node(int(o.id))
-					nd.Observe(o.v)
-					sh.router.Idx.Update(nd.ID, o.v)
-					sh.router.Mir.Set(nd.ID, o.v, nd.Filter)
-				}
+			for _, o := range c.adv[d.lo:d.hi] {
+				sh.Install(int(o.id), o.v)
 			}
 		case dirApplyRule:
-			for _, nd := range sh.nodes {
-				nd.ApplyFilterRule(&c.rules[d.ruleIdx])
-				sh.router.Mir.Set(nd.ID, nd.Value, nd.Filter)
-			}
+			sh.ApplyRule(&c.rules[d.ruleIdx])
 		case dirSetFilter:
-			if c.workerOf[d.target] == mine {
-				sh.setFilter(sh.node(d.target), d.iv)
-			}
+			sh.SetFilter(d.target, d.iv)
 		case dirSetTagFilter:
-			if c.workerOf[d.target] == mine {
-				nd := sh.node(d.target)
-				nd.SetTag(d.tag)
-				sh.setFilter(nd, d.iv)
-			}
+			sh.SetTagFilter(d.target, d.tag, d.iv)
 		case dirProbe:
-			if c.workerOf[d.target] == mine {
-				c.probe = sh.node(d.target).Report()
-			}
+			c.probe = sh.Node(d.target).Report()
 		case dirCollect:
-			for _, nd := range sh.router.Matchers(d.pred, sh.nodes, sh.base) {
-				sh.out = append(sh.out, nd.Report())
-			}
+			out = sh.Collect(out, d.pred)
 		case dirExistRound:
 			// Matchers are stable across one sweep's rounds (node state
 			// only moves on Advance and the server's own messages,
 			// which cannot interleave with a running Sweep), so only
 			// round 0 resolves the predicate.
 			if d.round == 0 {
-				sh.sweep = sh.router.Matchers(d.pred, sh.nodes, sh.base)
+				sh.Matchers(d.pred)
 			}
-			for _, nd := range sh.sweep {
-				if nd.RNG.Bool(d.prob) {
-					sh.out = append(sh.out, nd.Report())
-				}
-			}
+			out = sh.Draw(out, d.prob)
 		case dirMaxInit:
-			sh.router.MaxFindInit(sh.nodes, d.value, d.reset)
+			sh.MaxFindInit(d.value, d.reset)
 		case dirMaxRaise:
-			sh.router.MaxFindRaise(d.holder, d.best)
+			sh.MaxFindRaise(d.holder, d.best)
 		case dirMaxExclude:
-			if c.workerOf[d.target] == mine {
-				sh.router.MaxFindExclude(sh.node(d.target))
-			}
+			sh.MaxFindExclude(d.target)
 		case dirReset:
 			// ChildSeed derivation is pure, so one root per shard
 			// rewinds every node exactly as a per-node root would.
-			root := rngx.New(d.seed)
-			for _, nd := range sh.nodes {
-				nd.Reset(root)
-			}
-			sh.router.Reset()
+			sh.Reset(rngx.New(d.seed))
 		case dirStop:
 			stop = true
 		}
 	}
+	c.outs[w] = out
 	return stop
 }
 
@@ -497,7 +435,7 @@ func (c *Cluster) push(d directive) {
 		c.allTouched = true
 	case sweepers:
 		for w, sh := range c.shards {
-			if len(sh.sweep) > 0 {
+			if sh.Kept() > 0 {
 				c.touch(w)
 			}
 		}
@@ -535,7 +473,7 @@ func (c *Cluster) visits(d *directive) int {
 		}
 		kept := 0
 		for _, sh := range c.shards {
-			kept += len(sh.sweep)
+			kept += sh.Kept()
 		}
 		return kept
 	case dirMaxRaise:
@@ -552,20 +490,32 @@ func (c *Cluster) visits(d *directive) int {
 func (c *Cluster) scanSize(p wire.Pred) int {
 	size := 0
 	for _, sh := range c.shards {
-		size += sh.router.ScanSize(p)
+		size += sh.ScanSize(p)
 	}
 	return size
 }
 
 // flush executes the pending batch over every shard it addresses and
 // returns when all of them are done — the engine's barrier round. Who
-// executes is a matter of size. A batch below the grain runs here, on the
-// server's goroutine, shard after shard in ascending order: waking a worker
-// costs more than the batch does. A larger one is delivered to the touched
-// workers in one signal each, and the server blocks until the last of them
-// reports. Both run the same exec over the same shards, so nothing a caller
-// can observe depends on the choice. Close's batch (alive already false)
-// carries dirStop and always goes to the workers it must end.
+// executes is a matter of size: a batch below the grain runs on the
+// server's goroutine (run(true)), since waking a worker costs more than
+// the batch does, and a larger one goes to the workers. Both run the same
+// exec over the same shards, so nothing a caller can observe depends on
+// the choice. After Close every call that reaches the nodes comes through
+// here, and it panics: the workers it would signal have exited.
+func (c *Cluster) flush() {
+	if !c.alive {
+		panic("live: use after Close")
+	}
+	if len(c.pend) == 0 {
+		return
+	}
+	c.run(c.work < c.grain)
+}
+
+// run executes the pending batch: onCaller runs it here, shard after shard
+// in ascending order; otherwise it is delivered to the touched workers in
+// one signal each, and the server blocks until the last of them reports.
 //
 // Happens-before, worker dispatch: the server's writes to the batch precede
 // the workers' reads (signal channel send/receive); every worker's writes
@@ -574,15 +524,12 @@ func (c *Cluster) scanSize(p wire.Pred) int {
 // writes shard state from the server's goroutine while the workers are
 // parked, and the next signal a worker receives orders those writes before
 // its reads.
-func (c *Cluster) flush() {
-	if len(c.pend) == 0 {
-		return
-	}
+func (c *Cluster) run(onCaller bool) {
 	c.flushes++
-	if c.alive && c.work < c.grain {
-		for w, sh := range c.shards {
+	if onCaller {
+		for w := range c.shards {
 			if c.allTouched || c.touched[w] {
-				c.exec(w, sh)
+				c.exec(w)
 			}
 		}
 	} else {
@@ -613,14 +560,17 @@ func (c *Cluster) flush() {
 }
 
 // Close stops all worker goroutines. Pending deferred directives are
-// executed first; the cluster is unusable afterwards.
+// executed first, in the batch that carries the stop to every worker. Any
+// later call that reaches the nodes (Probe, Collect, Sweep, DetectViolation,
+// FiltersInto, Node) panics with "live: use after Close"; a second Close
+// does nothing.
 func (c *Cluster) Close() {
 	if !c.alive {
 		return
 	}
 	c.alive = false
 	c.push(directive{kind: dirStop, target: allNodes})
-	c.flush()
+	c.run(false)
 	c.wg.Wait()
 }
 
@@ -633,7 +583,7 @@ func (c *Cluster) Close() {
 func (c *Cluster) Reset(seed uint64) {
 	root := rngx.New(seed)
 	c.ctr.Reset()
-	c.rng.Reseed(root.ChildSeed(serverRNG))
+	c.rng.Reseed(root.ChildSeed(nodecore.ServerRNG))
 	c.maxV = 1
 	c.push(directive{kind: dirReset, target: allNodes, seed: seed})
 }
@@ -663,8 +613,10 @@ func (c *Cluster) AdvanceDirty(values []int64, dirty []int) { c.stage(values, di
 
 // stage is the one install routine behind both Advance forms. It stages
 // count observations — of the nodes ids[0:count], or of nodes 0..count-1
-// when ids is nil (the dense form) — each range-checked, folded into the
-// running Δ, and copied into the engine-owned batch. Consecutive
+// when ids is nil (the dense form) — each checked by the argument checks
+// shared with lockstep, which run here so a bad call panics at the caller
+// and not in a worker, folded into the running Δ, and copied into the
+// engine-owned batch. Consecutive
 // observations on one shard share a dirAdvance directive, so a full vector
 // in id order costs one directive per shard.
 //
@@ -674,9 +626,7 @@ func (c *Cluster) AdvanceDirty(values []int64, dirty []int) { c.stage(values, di
 // the values call order promises: there is no shared value vector a later
 // Advance could overwrite, and so no reason to flush early.
 func (c *Cluster) stage(values []int64, ids []int, count int) {
-	if len(values) != c.n {
-		panic(fmt.Sprintf("live: Advance with %d values for %d nodes", len(values), c.n))
-	}
+	nodecore.CheckAdvance("live", c.n, values)
 	run := int32(-1) // shard of the directive being extended
 	for i := 0; i < count; i++ {
 		id := i
@@ -684,9 +634,7 @@ func (c *Cluster) stage(values []int64, ids []int, count int) {
 			id = ids[i]
 		}
 		v := values[id]
-		if v < 0 || v > eps.MaxValue {
-			panic(fmt.Sprintf("live: value %d for node %d outside [0, %d]", v, id, eps.MaxValue))
-		}
+		nodecore.CheckValue("live", id, v)
 		if v > c.maxV {
 			c.maxV = v
 		}
@@ -710,7 +658,7 @@ func (c *Cluster) FiltersInto(dst []filter.Interval) []filter.Interval {
 	c.flush()
 	dst = dst[:0]
 	for _, sh := range c.shards {
-		for _, nd := range sh.nodes {
+		for _, nd := range sh.Nodes() {
 			dst = append(dst, nd.Filter)
 		}
 	}
@@ -767,8 +715,8 @@ func (c *Cluster) Collect(p wire.Pred) []wire.Report {
 	c.push(directive{kind: dirCollect, target: allNodes, pred: p})
 	c.flush()
 	out := c.collectBufs[c.collectIdx][:0]
-	for _, sh := range c.shards {
-		for _, rep := range sh.out {
+	for _, reps := range c.outs {
+		for _, rep := range reps {
 			c.count(metrics.NodeToServer, wire.KindCollectReply)
 			out = append(out, rep)
 		}
@@ -800,12 +748,12 @@ func (c *Cluster) Sweep(p wire.Pred) []wire.Report {
 		target = sweepers
 		matchers := 0
 		senders := c.sweepBuf[:0]
-		for _, sh := range c.shards {
-			if len(sh.sweep) == 0 {
-				continue // not addressed after round 0: sh.out is not this round's
+		for w, sh := range c.shards {
+			if sh.Kept() == 0 {
+				continue // not addressed after round 0: outs[w] is not this round's
 			}
-			matchers += len(sh.sweep)
-			for _, rep := range sh.out {
+			matchers += sh.Kept()
+			for _, rep := range c.outs[w] {
 				c.count(metrics.NodeToServer, wire.KindExistenceReport)
 				senders = append(senders, rep)
 			}

@@ -297,21 +297,22 @@ func TestShardPartition(t *testing.T) {
 		}
 		next := 0
 		for w, sh := range c.shards {
-			if sh.base != next {
-				t.Errorf("shard %d base = %d, want %d (contiguous ascending)", w, sh.base, next)
+			nodes := sh.Nodes()
+			if base := nodes[0].ID; base != next {
+				t.Errorf("shard %d base = %d, want %d (contiguous ascending)", w, base, next)
 			}
-			if len(sh.nodes) < cs.n/cs.want || len(sh.nodes) > cs.n/cs.want+1 {
-				t.Errorf("shard %d size = %d, want near-equal split of %d/%d", w, len(sh.nodes), cs.n, cs.want)
+			if len(nodes) < cs.n/cs.want || len(nodes) > cs.n/cs.want+1 {
+				t.Errorf("shard %d size = %d, want near-equal split of %d/%d", w, len(nodes), cs.n, cs.want)
 			}
-			for i, nd := range sh.nodes {
-				if nd.ID != sh.base+i {
+			for i, nd := range nodes {
+				if nd.ID != next+i {
 					t.Errorf("shard %d node %d has id %d", w, i, nd.ID)
 				}
 				if int(c.workerOf[nd.ID]) != w {
 					t.Errorf("workerOf[%d] = %d, want %d", nd.ID, c.workerOf[nd.ID], w)
 				}
 			}
-			next += len(sh.nodes)
+			next += len(nodes)
 		}
 		if next != cs.n {
 			t.Errorf("shards cover %d ids, want %d", next, cs.n)

@@ -5,25 +5,21 @@
 // and is — by construction — exactly the synchronous unit-cost model of
 // Section 2.
 //
-// The engine keeps a value-bucket index, a filter-interval mirror and the
-// max-find active list (internal/vindex) over its nodes, maintained
-// incrementally at every node mutation: predicate-routed primitives (Sweep,
-// Collect) visit only the nodes whose values can match the predicate's
-// wire.Pred.Bounds interval, violation sweeps exactly the mirror's violator
-// set, and max-find sweeps the active nodes. Every primitive resolves its
-// predicate once (vindex.Router.Matchers) and a sweep runs its γ+1 rounds
+// The nodes live in one nodecore.Shard over [0, n), which keeps the routing
+// structures in step with every node mutation (its doc comment has the
+// contract) and is called directly: predicate-routed primitives (Sweep,
+// Collect) visit only the nodes its structures say can match, every
+// primitive resolves its predicate once, and a sweep runs its γ+1 rounds
 // over the matchers only, so a step's cost tracks its matchers instead of
-// n × rounds. Tag predicates and domain-covering intervals fall back to the
-// full scan. Routing is invisible to protocols: reports stay in id order,
+// n × rounds. What stays here is the server side: message billing, the
+// report buffers and the FullScan, DirectReports and VisitedNodes
+// ablations. Routing is invisible to protocols: reports stay in id order,
 // exactly the matching nodes draw one coin per round, and messages are
 // counted identically — asserted byte-for-byte by
 // TestIndexedScanMatchesFullScan.
 package lockstep
 
 import (
-	"fmt"
-
-	"topkmon/internal/eps"
 	"topkmon/internal/filter"
 	"topkmon/internal/metrics"
 	"topkmon/internal/nodecore"
@@ -34,20 +30,14 @@ import (
 
 // Engine is a deterministic lockstep cluster of n nodes.
 type Engine struct {
-	nodes []*nodecore.Node
-	ctr   *metrics.Counters
-	rng   *rngx.Source
-	maxV  int64 // running Δ for message-size accounting
+	sh   *nodecore.Shard // the nodes and their routing structures
+	ctr  *metrics.Counters
+	rng  *rngx.Source
+	maxV int64 // running Δ for message-size accounting
 
-	// router holds the value-bucket index (maintained at every install),
-	// the violator set (maintained at every install and every filter
-	// assignment) and the max-find active list (maintained by the three
-	// MaxFind* broadcasts) over the nodes, plus the scratch that turns
-	// predicates into id-ordered scan and matcher lists. visited counts the
-	// node structs predicate-routed primitives actually touched — the
-	// observable the index shrinks from n to the plausible-matcher count
-	// (reported by E12).
-	router  vindex.Router
+	// visited counts the node structs predicate-routed primitives actually
+	// touched — the observable the index shrinks from n to the
+	// plausible-matcher count (reported by E12).
 	visited int64
 
 	// FullScan forces the full-scan path everywhere. Ablation scaffolding
@@ -71,18 +61,6 @@ type Engine struct {
 	DirectReports bool
 }
 
-// reportCap is the initial capacity of the engine-owned report buffers: a
-// terminating EXISTENCE round has O(1) senders in expectation and a
-// protocol's collects return k + σ reports, so a run whose reports stay
-// below it never allocates after construction. Larger results grow a
-// buffer once.
-const reportCap = 64
-
-// serverRNG is the Child id of the server-side randomness stream, shared
-// with the live engine so both derive identical server coin flips from the
-// same seed.
-const serverRNG = 0xC0FFEE
-
 // New returns an engine with n nodes, all values 0, all filters [0, ∞].
 func New(n int, seed uint64) *Engine {
 	if n < 1 {
@@ -90,43 +68,36 @@ func New(n int, seed uint64) *Engine {
 	}
 	root := rngx.New(seed)
 	e := &Engine{
-		nodes:  make([]*nodecore.Node, n),
-		ctr:    metrics.NewCounters(),
-		rng:    root.Child(serverRNG),
-		maxV:   1,
-		router: vindex.NewRouter(0, n),
+		sh:   nodecore.NewShard(0, n, root),
+		ctr:  metrics.NewCounters(),
+		rng:  root.Child(nodecore.ServerRNG),
+		maxV: 1,
 	}
-	e.sweepBuf = make([]wire.Report, 0, reportCap)
+	e.sweepBuf = make([]wire.Report, 0, nodecore.ReportCap)
 	for i := range e.collectBufs {
-		e.collectBufs[i] = make([]wire.Report, 0, reportCap)
-	}
-	for i := range e.nodes {
-		e.nodes[i] = nodecore.New(i, root)
+		e.collectBufs[i] = make([]wire.Report, 0, nodecore.ReportCap)
 	}
 	return e
 }
 
 // Reset implements cluster.Cluster: it rewinds the engine to the state
-// New(len(nodes), seed) constructs, reusing nodes, counters, and the
+// New(N(), seed) constructs, reusing nodes, counters, and the
 // sweep/collect buffers. A reset engine replays a fresh engine's run
 // bit for bit (asserted by the Reset property tests), which lets the
 // experiment harness reuse one engine across all trials of a table cell.
 func (e *Engine) Reset(seed uint64) {
 	root := rngx.New(seed)
-	for _, nd := range e.nodes {
-		nd.Reset(root)
-	}
+	e.sh.Reset(root)
 	e.ctr.Reset()
-	e.rng.Reseed(root.ChildSeed(serverRNG))
+	e.rng.Reseed(root.ChildSeed(nodecore.ServerRNG))
 	e.maxV = 1
-	e.router.Reset()
 	e.visited = 0
 	e.DirectReports = false
 	e.FullScan = false
 }
 
 // N implements cluster.Cluster.
-func (e *Engine) N() int { return len(e.nodes) }
+func (e *Engine) N() int { return len(e.sh.Nodes()) }
 
 // Counters implements cluster.Cluster.
 func (e *Engine) Counters() *metrics.Counters { return e.ctr }
@@ -147,25 +118,18 @@ func (e *Engine) AdvanceDirty(values []int64, dirty []int) { e.install(values, d
 
 // install is the one routine behind both Advance forms. It installs count
 // observations — of the nodes ids[0:count], or of nodes 0..count-1 when ids
-// is nil (the dense form): range check, Observe, then the two derived
-// structures and the running Δ.
+// is nil (the dense form): the argument checks shared with live, the
+// shard's Install, and the running Δ.
 func (e *Engine) install(values []int64, ids []int, count int) {
-	if len(values) != len(e.nodes) {
-		panic(fmt.Sprintf("lockstep: Advance with %d values for %d nodes", len(values), len(e.nodes)))
-	}
+	nodecore.CheckAdvance("lockstep", e.N(), values)
 	for i := 0; i < count; i++ {
 		id := i
 		if ids != nil {
 			id = ids[i]
 		}
 		v := values[id]
-		if v < 0 || v > eps.MaxValue {
-			panic(fmt.Sprintf("lockstep: value %d for node %d outside [0, %d]", v, id, eps.MaxValue))
-		}
-		nd := e.nodes[id]
-		nd.Observe(v)
-		e.router.Idx.Update(id, v)
-		e.router.Mir.Set(id, v, nd.Filter)
+		nodecore.CheckValue("lockstep", id, v)
+		e.sh.Install(id, v)
 		if v > e.maxV {
 			e.maxV = v
 		}
@@ -179,18 +143,16 @@ func (e *Engine) EndStep() { e.ctr.EndStep() }
 // filters to dst[:0] and returns it, growing dst only when too small.
 func (e *Engine) FiltersInto(dst []filter.Interval) []filter.Interval {
 	dst = dst[:0]
-	for _, nd := range e.nodes {
+	for _, nd := range e.sh.Nodes() {
 		dst = append(dst, nd.Filter)
 	}
 	return dst
 }
 
 // Node exposes one node for white-box tests. Not part of the cluster
-// interfaces and never used by protocols. Callers must treat the node as
-// read-only: mutating Value or Filter behind the engine's back desyncs the
-// value index and the filter mirror (see the nodecore state-mutation
-// contract) — assign filters through SetFilter instead.
-func (e *Engine) Node(i int) *nodecore.Node { return e.nodes[i] }
+// interfaces and never used by protocols. Read-only, as the
+// nodecore.Shard contract says: assign filters through SetFilter instead.
+func (e *Engine) Node(i int) *nodecore.Node { return e.sh.Node(i) }
 
 // VisitedNodes returns the cumulative number of node structs the
 // predicate-routed primitives (Sweep, DetectViolation, Collect) have
@@ -203,26 +165,27 @@ func (e *Engine) Node(i int) *nodecore.Node { return e.nodes[i] }
 func (e *Engine) VisitedNodes() int64 { return e.visited }
 
 // matchers resolves a predicate once for a predicate-routed primitive: the
-// nodes matching p, in ascending id order — vindex.Router.Matchers (the
-// routing policy shared with the live engine's shards) behind the FullScan
-// ablation toggle, which ignores the routing structures when choosing the
-// candidates. Non-routable predicates bill one full-scan fallback on the
-// counters; the decision is predicate-only, so the live engine counts
-// identically and the FullScan toggle never perturbs the count.
+// nodes matching p, in ascending id order, kept by the shard for Draw —
+// Shard.Matchers (the routing policy shared with the live engine's shards)
+// behind the FullScan ablation toggle, which ignores the routing structures
+// when choosing the candidates. Non-routable predicates bill one full-scan
+// fallback on the counters; the decision is predicate-only, so the live
+// engine counts identically and the FullScan toggle never perturbs the
+// count.
 func (e *Engine) matchers(p wire.Pred) []*nodecore.Node {
 	if !vindex.Routable(p) {
 		e.ctr.IndexFallback()
 	}
-	scan := e.nodes
+	scan := e.sh.Nodes()
 	if !e.FullScan {
-		scan = e.router.ScanList(p, e.nodes, 0)
+		scan = e.sh.ScanList(p)
 	}
 	e.visited += int64(len(scan))
-	return e.router.Resolve(p, scan)
+	return e.sh.Resolve(p, scan)
 }
 
 func (e *Engine) count(ch metrics.Channel, k wire.Kind) {
-	e.ctr.Count(ch, k, wire.MsgBits(k, len(e.nodes), e.maxV))
+	e.ctr.Count(ch, k, wire.MsgBits(k, e.N(), e.maxV))
 }
 
 // report bills one node → server message of kind k and appends nd's report
@@ -232,35 +195,23 @@ func (e *Engine) report(dst []wire.Report, nd *nodecore.Node, k wire.Kind) []wir
 	return append(dst, nd.Report())
 }
 
-// BroadcastRule implements cluster.Cluster. Each node is re-evaluated
-// against its derived filter after the rule applies — the mirror needs no
-// tag state of its own, it reads what the node actually holds.
+// BroadcastRule implements cluster.Cluster.
 func (e *Engine) BroadcastRule(rule *wire.FilterRule) {
 	e.count(metrics.Broadcast, wire.KindFilterRule)
 	e.ctr.Rounds(1)
-	for _, nd := range e.nodes {
-		nd.ApplyFilterRule(rule)
-		e.router.Mir.Set(nd.ID, nd.Value, nd.Filter)
-	}
+	e.sh.ApplyRule(rule)
 }
 
 // SetFilter implements cluster.Cluster.
 func (e *Engine) SetFilter(id int, iv filter.Interval) {
 	e.count(metrics.ServerToNode, wire.KindSetFilter)
-	e.setFilter(e.nodes[id], iv)
-}
-
-func (e *Engine) setFilter(nd *nodecore.Node, iv filter.Interval) {
-	nd.SetFilter(iv)
-	e.router.Mir.Set(nd.ID, nd.Value, iv)
+	e.sh.SetFilter(id, iv)
 }
 
 // SetTagFilter implements cluster.Cluster.
 func (e *Engine) SetTagFilter(id int, t wire.Tag, iv filter.Interval) {
 	e.count(metrics.ServerToNode, wire.KindSetFilter)
-	nd := e.nodes[id]
-	nd.SetTag(t)
-	e.setFilter(nd, iv)
+	e.sh.SetTagFilter(id, t, iv)
 }
 
 // Probe implements cluster.Cluster.
@@ -268,13 +219,13 @@ func (e *Engine) Probe(id int) wire.Report {
 	e.count(metrics.ServerToNode, wire.KindProbeRequest)
 	e.count(metrics.NodeToServer, wire.KindProbeReply)
 	e.ctr.Rounds(1)
-	return e.nodes[id].Report()
+	return e.sh.Node(id).Report()
 }
 
 // Collect implements cluster.Cluster. Results alternate between two
 // engine-owned buffers, honouring the Cluster contract that a Collect result
 // survives exactly one further Collect. The scan is routed through the
-// Router's structures, so server-side work tracks the plausible matchers,
+// shard's structures, so server-side work tracks the plausible matchers,
 // not n; the message cost (1 broadcast + 1 per match) is identical either
 // way.
 func (e *Engine) Collect(p wire.Pred) []wire.Report {
@@ -297,27 +248,23 @@ func (e *Engine) Collect(p wire.Pred) []wire.Report {
 //
 // The matchers are resolved once: node state only changes through Advance
 // and the server's own messages, neither of which can interleave with a
-// running sweep. Exactly the matchers draw, one coin per round up to the
-// terminating round, in id order.
+// running sweep. Exactly the matchers draw (Shard.Draw), one coin per round
+// up to the terminating round, in id order.
 func (e *Engine) Sweep(p wire.Pred) []wire.Report {
 	if e.DirectReports {
 		return e.directSweep(p)
 	}
-	n := len(e.nodes)
+	n := e.N()
 	gamma := nodecore.ExistenceRounds(n)
-	m := e.matchers(p)
-	if len(m) == 0 {
+	if len(e.matchers(p)) == 0 {
 		e.ctr.Rounds(int64(gamma) + 1)
 		return nil
 	}
 	for r := 0; r <= gamma; r++ {
 		e.ctr.Rounds(1)
-		prob := nodecore.ExistenceProb(r, n)
-		senders := e.sweepBuf[:0]
-		for _, nd := range m {
-			if nd.RNG.Bool(prob) {
-				senders = e.report(senders, nd, wire.KindExistenceReport)
-			}
+		senders := e.sh.Draw(e.sweepBuf[:0], nodecore.ExistenceProb(r, n))
+		for range senders {
+			e.count(metrics.NodeToServer, wire.KindExistenceReport)
 		}
 		e.sweepBuf = senders[:0]
 		if len(senders) > 0 {
@@ -359,19 +306,19 @@ func (e *Engine) DetectViolation() (wire.Report, bool) {
 func (e *Engine) MaxFindInit(floor int64, reset bool) {
 	e.count(metrics.Broadcast, wire.KindMaxFindInit)
 	e.ctr.Rounds(1)
-	e.router.MaxFindInit(e.nodes, floor, reset)
+	e.sh.MaxFindInit(floor, reset)
 }
 
 // MaxFindRaise implements cluster.Cluster.
 func (e *Engine) MaxFindRaise(holder int, best int64) {
 	e.count(metrics.Broadcast, wire.KindMaxFindRaise)
 	e.ctr.Rounds(1)
-	e.router.MaxFindRaise(holder, best)
+	e.sh.MaxFindRaise(holder, best)
 }
 
 // MaxFindExclude implements cluster.Cluster.
 func (e *Engine) MaxFindExclude(id int) {
 	e.count(metrics.Broadcast, wire.KindMaxFindExclude)
 	e.ctr.Rounds(1)
-	e.router.MaxFindExclude(e.nodes[id])
+	e.sh.MaxFindExclude(id)
 }

@@ -14,23 +14,28 @@ import (
 // The mirror keeps no value or filter of its own to compare (the node owns
 // both), so this one bit per node is its whole no-desync obligation — a
 // single divergence would make mirror-routed violation sweeps return
-// different reports than a full scan.
+// different reports than a full scan. The shard's ScanList of the violation
+// predicate is the mirror's set in id order, its ScanSize the set's count.
 func checkMirrorMatchesNodes(t *testing.T, e *Engine) {
 	t.Helper()
-	m := e.router.Mir
-	violators := 0
-	for _, nd := range e.nodes {
+	set := e.sh.ScanList(wire.Violating())
+	at, violators := 0, 0
+	for _, nd := range e.sh.Nodes() {
 		want := !nd.Filter.Contains(nd.Value)
 		if want {
 			violators++
 		}
-		if got := m.Violating(nd.ID); got != want {
+		got := at < len(set) && set[at] == nd
+		if got {
+			at++
+		}
+		if got != want {
 			t.Fatalf("mirror Violating(%d) = %v, want %v (value %d, filter %+v)",
 				nd.ID, got, want, nd.Value, nd.Filter)
 		}
 	}
-	if m.NumViolating() != violators {
-		t.Fatalf("mirror holds %d violators, the nodes have %d", m.NumViolating(), violators)
+	if got := e.sh.ScanSize(wire.Violating()); got != violators {
+		t.Fatalf("mirror holds %d violators, the nodes have %d", got, violators)
 	}
 }
 
@@ -115,9 +120,9 @@ func FuzzFilterMirror(f *testing.F) {
 // (wantActive, wantExcluded: the test's own replay of the node handlers).
 func checkActiveListMatchesNodes(t *testing.T, e *Engine, wantActive, wantExcluded []bool) {
 	t.Helper()
-	list := e.router.ScanList(wire.AboveActive(-1), e.nodes, 0)
+	list := e.sh.ScanList(wire.AboveActive(-1))
 	at := 0
-	for _, nd := range e.nodes {
+	for _, nd := range e.sh.Nodes() {
 		if nd.MFActive != wantActive[nd.ID] || nd.MFExcluded != wantExcluded[nd.ID] {
 			t.Fatalf("node %d: active=%v excluded=%v, the delivered broadcasts make it active=%v excluded=%v",
 				nd.ID, nd.MFActive, nd.MFExcluded, wantActive[nd.ID], wantExcluded[nd.ID])

@@ -13,26 +13,15 @@
 // harness) allocates nothing on the node side. Handlers never allocate —
 // the per-step zero-allocation budget of both engines rests on that.
 //
-// Ownership: inside an engine, Node.Value and Node.Filter are THE value and
-// THE filter of a node — the only copies the protocols' reports, matches
-// and violations are computed from. Everything else an engine keeps per
-// node is derived from them and holds neither: vindex.Index a bucket
-// number, vindex.Mirror one "value outside filter" bit. Outside the engine
-// two other views exist, each with its own job and neither consulted by a
-// protocol: topk.Monitor.vals, the facade's referee copy of what was
-// pushed (Check validates the output against it, and it is the vector
-// handed to AdvanceDirty), and faults.Cluster.lastVals, the crash-frozen
-// view a probe of a crashed node is answered from.
-//
-// State-mutation contract: Observe and Reset are the ONLY operations that
-// change Node.Value, and SetFilter, ApplyFilterRule, and Reset the only
-// ones that change Node.Filter. The engines rely on this to keep their
-// value-bucket indexes and violator sets (internal/vindex) consistent —
-// they re-derive a node's entries exactly at those points, from the node —
-// so any new mutation of Value or Filter must notify the owning engine's
-// structures as well. In particular, harness code must never mutate a node
-// reached through an engine's white-box Node accessor; it assigns filters
-// through the engine's SetFilter instead.
+// Inside an engine the nodes live in a Shard, which owns them together
+// with the routing structures derived from them and is the only code that
+// changes a node; its doc comment states that node-mutation contract.
+// Outside the engine two other views of the values exist, each with its
+// own job and neither consulted by a protocol: topk.Monitor.vals, the
+// facade's referee copy of what was pushed (Check validates the output
+// against it, and it is the vector handed to AdvanceDirty), and
+// faults.Cluster.lastVals, the view a probe is answered from when the node
+// or the probe's messages are down.
 package nodecore
 
 import (
@@ -60,7 +49,15 @@ type Node struct {
 	RNG *rngx.Source
 }
 
-// New returns a node with the all-admitting filter and its own child RNG.
+// ServerRNG is the Child id of the engines' server-side randomness stream
+// (Cluster.Rand, which DetectViolation picks a sender with). Both engines
+// derive it from the root their nodes derive from, so equal seeds give
+// equal server coin flips. Node id's stream is root.Child(id), so the
+// server stream stays disjoint from every node's as long as n ≤ ServerRNG.
+const ServerRNG = 0xC0FFEE
+
+// New returns a node with the all-admitting filter and its own child RNG,
+// seed.Child(id).
 func New(id int, seed *rngx.Source) *Node {
 	return &Node{
 		ID:     id,

@@ -1,66 +1,34 @@
-package vindex
+package nodecore
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
 	"topkmon/internal/eps"
 	"topkmon/internal/filter"
-	"topkmon/internal/nodecore"
 	"topkmon/internal/rngx"
 	"topkmon/internal/wire"
 )
 
-// routed is a Router over its own nodes, maintained the way an engine
-// maintains it: install and setFilter re-derive the index and mirror
-// entries next to the node mutation, the max-find broadcasts go through the
-// Router.
-type routed struct {
-	base  int
-	nodes []*nodecore.Node
-	r     Router
-}
-
-func newRouted(base, n int) *routed {
-	root := rngx.New(1)
-	rt := &routed{base: base, nodes: make([]*nodecore.Node, n), r: NewRouter(base, n)}
-	for i := range rt.nodes {
-		rt.nodes[i] = nodecore.New(base+i, root)
-	}
-	return rt
-}
-
-func (rt *routed) install(i int, v int64) {
-	nd := rt.nodes[i]
-	nd.Observe(v)
-	rt.r.Idx.Update(nd.ID, v)
-	rt.r.Mir.Set(nd.ID, v, nd.Filter)
-}
-
-func (rt *routed) setFilter(i int, iv filter.Interval) {
-	nd := rt.nodes[i]
-	nd.SetFilter(iv)
-	rt.r.Mir.Set(nd.ID, nd.Value, iv)
-}
-
 // checkActive asserts the active-list invariant: the list is exactly the
 // nodes whose MFActive flag is set, in ascending id.
-func (rt *routed) checkActive(t *testing.T) {
+func checkActive(t *testing.T, sh *Shard) {
 	t.Helper()
-	var want []*nodecore.Node
-	for _, nd := range rt.nodes {
+	var want []*Node
+	for _, nd := range sh.Nodes() {
 		if nd.MFActive {
 			want = append(want, nd)
 		}
 	}
-	if got := rt.r.ScanList(wire.AboveActive(-1), rt.nodes, rt.base); !slices.Equal(got, want) {
+	if got := sh.ScanList(wire.AboveActive(-1)); !slices.Equal(got, want) {
 		t.Fatalf("active list holds %d nodes, a scan of the MFActive flags finds %d", len(got), len(want))
 	}
 }
 
 // The value shapes that stress the bucket coarsening hardest, as in the
 // lockstep index property test.
-func testDistributions(n int, r *rngx.Source) map[string]func(i int) int64 {
+func testDistributions(r *rngx.Source) map[string]func(i int) int64 {
 	return map[string]func(i int) int64{
 		"random":    func(int) int64 { return r.Int63n(1 << 30) },
 		"all-equal": func(int) int64 { return 4711 }, // every node in one bucket
@@ -79,35 +47,47 @@ func testDistributions(n int, r *rngx.Source) map[string]func(i int) int64 {
 
 // TestMatchersEqualFilteredScanList is the property the engines' sweeps
 // rest on: for every predicate kind, over the adversarial value shapes and
-// under filter and max-find churn, the matcher form returns exactly the
-// nodes of ScanList that Match — which are exactly the nodes of a full scan
-// that Match — in ascending id; and ScanSize is the length of that ScanList.
+// under churn from every Shard mutator — unicast and broadcast filter
+// assignments, the three max-find broadcasts and Reset — the matcher form
+// returns exactly the nodes of ScanList that Match — which are exactly the
+// nodes of a full scan that Match — in ascending id; ScanSize is the length
+// of that ScanList, and Collect reports exactly the matchers.
 func TestMatchersEqualFilteredScanList(t *testing.T) {
 	const base, n, rounds = 300, 133, 60
-	for name := range testDistributions(n, rngx.New(0)) {
+	for name := range testDistributions(rngx.New(0)) {
 		t.Run(name, func(t *testing.T) {
 			r := rngx.New(911)
-			dist := testDistributions(n, r)[name]
-			rt := newRouted(base, n)
+			dist := testDistributions(r)[name]
+			sh := NewShard(base, n, rngx.New(1))
 			matched := 0
 			for round := 0; round < rounds; round++ {
-				for i := range rt.nodes {
+				for i := range sh.Nodes() {
 					if round == 0 || r.Intn(3) == 0 {
-						rt.install(i, dist(i))
+						sh.Install(base+i, dist(i))
 					}
 				}
-				switch round % 4 {
+				switch round % 7 {
 				case 0:
 					lo := r.Int63n(1 << 22)
-					rt.setFilter(r.Intn(n), filter.Make(lo, lo+r.Int63n(1<<22)))
+					sh.SetFilter(base+r.Intn(n), filter.Make(lo, lo+r.Int63n(1<<22)))
 				case 1:
-					rt.r.MaxFindInit(rt.nodes, r.Int63n(1<<21), round%8 == 1)
+					sh.MaxFindInit(r.Int63n(1<<21), round%14 == 1)
 				case 2:
-					rt.r.MaxFindRaise(base+r.Intn(n), r.Int63n(1<<29))
+					sh.MaxFindRaise(base+r.Intn(n), r.Int63n(1<<29))
 				case 3:
-					rt.r.MaxFindExclude(rt.nodes[r.Intn(n)])
+					sh.MaxFindExclude(base + r.Intn(n))
+				case 4:
+					lo := r.Int63n(1 << 22)
+					sh.SetTagFilter(base+r.Intn(n), wire.Tag(r.Intn(int(wire.NumTags))), filter.Make(lo, lo+r.Int63n(1<<22)))
+				case 5:
+					lo := r.Int63n(1 << 22)
+					sh.ApplyRule(wire.NewFilterRule().
+						WithRetag(wire.TagV2, wire.TagNone).
+						With(wire.TagNone, filter.Make(lo, lo+r.Int63n(1<<22))))
+				case 6:
+					sh.Reset(rngx.New(uint64(round)))
 				}
-				rt.checkActive(t)
+				checkActive(t, sh)
 
 				lo := r.Int63n(1 << 30)
 				for _, p := range []wire.Pred{
@@ -121,9 +101,10 @@ func TestMatchersEqualFilteredScanList(t *testing.T) {
 					wire.HasTag(wire.TagNone),
 					wire.HasTag(wire.TagV2),
 				} {
-					var filtered, full []*nodecore.Node
-					scan := rt.r.ScanList(p, rt.nodes, base)
-					if got := rt.r.ScanSize(p); got != len(scan) {
+					var filtered, full []*Node
+					var reports []wire.Report
+					scan := sh.ScanList(p)
+					if got := sh.ScanSize(p); got != len(scan) {
 						t.Fatalf("round %d %+v: ScanSize %d, ScanList has %d nodes", round, p, got, len(scan))
 					}
 					for _, nd := range scan {
@@ -131,12 +112,13 @@ func TestMatchersEqualFilteredScanList(t *testing.T) {
 							filtered = append(filtered, nd)
 						}
 					}
-					for _, nd := range rt.nodes {
+					for _, nd := range sh.Nodes() {
 						if nd.Match(p) {
 							full = append(full, nd)
+							reports = append(reports, nd.Report())
 						}
 					}
-					got := rt.r.Matchers(p, rt.nodes, base)
+					got := sh.Matchers(p)
 					if !slices.Equal(got, filtered) {
 						t.Fatalf("round %d %+v: Matchers returns %d nodes, ScanList filtered by Match %d",
 							round, p, len(got), len(filtered))
@@ -144,6 +126,10 @@ func TestMatchersEqualFilteredScanList(t *testing.T) {
 					if !slices.Equal(got, full) {
 						t.Fatalf("round %d %+v: Matchers returns %d nodes, a full scan matches %d",
 							round, p, len(got), len(full))
+					}
+					if col := sh.Collect(nil, p); !reflect.DeepEqual(col, reports) || sh.Kept() != len(got) {
+						t.Fatalf("round %d %+v: Collect reports %d of %d matchers, or moved the kept list (%d)",
+							round, p, len(col), len(reports), sh.Kept())
 					}
 					matched += len(got)
 				}
@@ -160,43 +146,40 @@ func TestMatchersEqualFilteredScanList(t *testing.T) {
 // decides per sweep), Exclude benches a node that is not on the list, and
 // Reset empties it.
 func TestActiveListMirrorsTheFlag(t *testing.T) {
-	rt := newRouted(10, 6)
-	for i := range rt.nodes {
-		rt.install(i, int64(100*(i+1))) // 100 .. 600
+	sh := NewShard(10, 6, rngx.New(1))
+	for i := range sh.Nodes() {
+		sh.Install(10+i, int64(100*(i+1))) // 100 .. 600
 	}
-	rt.r.MaxFindInit(rt.nodes, 250, true) // ids 12..15 active
-	rt.checkActive(t)
-	if got := len(rt.r.Matchers(wire.AboveActive(-1), rt.nodes, 10)); got != 4 {
+	sh.MaxFindInit(250, true) // ids 12..15 active
+	checkActive(t, sh)
+	if got := len(sh.Matchers(wire.AboveActive(-1))); got != 4 {
 		t.Fatalf("%d active nodes above -1, want 4", got)
 	}
 
-	rt.install(3, 0) // id 13 drops to 0 and stays active
-	rt.checkActive(t)
-	if got := len(rt.r.Matchers(wire.AboveActive(-1), rt.nodes, 10)); got != 4 {
+	sh.Install(13, 0) // id 13 drops to 0 and stays active
+	checkActive(t, sh)
+	if got := len(sh.Matchers(wire.AboveActive(-1))); got != 4 {
 		t.Errorf("%d active nodes above -1 after a value change, want 4 (the flag did not move)", got)
 	}
-	if got := len(rt.r.Matchers(wire.AboveActive(50), rt.nodes, 10)); got != 3 {
+	if got := len(sh.Matchers(wire.AboveActive(50))); got != 3 {
 		t.Errorf("%d active nodes above 50, want 3 (Match tests the value)", got)
 	}
 
-	rt.r.MaxFindExclude(rt.nodes[0]) // id 10 was never active
-	if !rt.nodes[0].MFExcluded {
+	sh.MaxFindExclude(10) // id 10 was never active
+	if !sh.Node(10).MFExcluded {
 		t.Error("Exclude of a node off the list did not set MFExcluded")
 	}
-	rt.r.MaxFindExclude(rt.nodes[4]) // id 14, from the middle of the list
-	rt.checkActive(t)
-	rt.r.MaxFindInit(rt.nodes, -1, false)
-	rt.checkActive(t)
-	if rt.nodes[0].MFActive || rt.nodes[4].MFActive {
+	sh.MaxFindExclude(14) // from the middle of the list
+	checkActive(t, sh)
+	sh.MaxFindInit(-1, false)
+	checkActive(t, sh)
+	if sh.Node(10).MFActive || sh.Node(14).MFActive {
 		t.Error("a non-resetting Init re-activated an excluded node")
 	}
 
-	for _, nd := range rt.nodes {
-		nd.Reset(rngx.New(1))
-	}
-	rt.r.Reset()
-	rt.checkActive(t)
-	if got := rt.r.ScanList(wire.AboveActive(-1), rt.nodes, 10); len(got) != 0 {
+	sh.Reset(rngx.New(1))
+	checkActive(t, sh)
+	if got := sh.ScanList(wire.AboveActive(-1)); len(got) != 0 {
 		t.Errorf("Reset left %d nodes on the active list", len(got))
 	}
 }

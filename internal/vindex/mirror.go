@@ -19,25 +19,10 @@ import (
 // the one owner of both inside an engine, and Set takes the pair from the
 // node at the call site. What it mirrors is one derived bit per node —
 // "value outside filter" — plus the compact list of the ids whose bit is
-// set.
-//
-// # Ownership and update points
-//
-// A Mirror belongs to the engine (or live-engine shard) owning the mirrored
-// nodes and must be updated by the same code path that mutates the node,
-// immediately after the mutation, on the goroutine owning the node, with
-// the node's new state:
-//
-//   - Observe (either Advance form) → Set(id, nd.Value, nd.Filter)
-//   - SetFilter, SetTagFilter, ApplyFilterRule → the same call, after the
-//     filter changed (no tag state needed: it reads the derived filter)
-//   - engine Reset → Reset()
-//
-// Because the mirror update is adjacent to the node mutation, layers above
-// the engine cannot desync it: the fault injector's delayed or dropped
-// filter assignments simply reach — or never reach — the engine's
-// SetFilter, and the mirror tracks exactly what the nodes actually hold
-// (property-tested by FuzzFilterMirror and the chaos routing suites).
+// set. Its owner is nodecore.Shard, which calls Set in the same mutator
+// that changes the node's value or filter (see the node-mutation contract
+// there), so layers above the engine cannot desync it (property-tested by
+// FuzzFilterMirror and the chaos routing suites).
 //
 // # Exactness
 //
@@ -97,18 +82,12 @@ func (m *Mirror) Set(id int, v int64, iv filter.Interval) {
 	}
 }
 
-// Violating reports whether the mirror holds node id as a violator.
-func (m *Mirror) Violating(id int) bool { return m.pos[id-m.base] >= 0 }
-
 // NumViolating returns the current violator count.
 func (m *Mirror) NumViolating() int { return len(m.vio) }
 
-// Len returns the number of mirrored ids.
-func (m *Mirror) Len() int { return len(m.pos) }
-
 // AppendViolators appends the violating ids to dst in ascending id order,
-// reusing dst's capacity — the form Router.ScanList needs to preserve the
-// engines' id-ordered report contract. Sorting costs O(σ log σ) in the
+// reusing dst's capacity — the form nodecore.Shard.ScanList needs to
+// preserve the engines' id-ordered report contract. Sorting costs O(σ log σ) in the
 // violator count σ; a quiet step (σ = 0) appends nothing.
 func (m *Mirror) AppendViolators(dst []int32) []int32 {
 	n := len(dst)

@@ -14,8 +14,8 @@ import (
 // agreeing, and AppendViolators emits them in ascending id order.
 func checkMirror(t *testing.T, m *Mirror, base int, vals []int64, flts []filter.Interval) {
 	t.Helper()
-	if m.Len() != len(vals) {
-		t.Fatalf("mirror holds %d ids, want %d", m.Len(), len(vals))
+	if len(m.pos) != len(vals) {
+		t.Fatalf("mirror holds %d ids, want %d", len(m.pos), len(vals))
 	}
 	want := 0
 	for i := range vals {
@@ -24,9 +24,9 @@ func checkMirror(t *testing.T, m *Mirror, base int, vals []int64, flts []filter.
 		if wantVio {
 			want++
 		}
-		if m.Violating(id) != wantVio {
-			t.Fatalf("Violating(%d) = %v, want %v (value %d filter %+v)",
-				id, m.Violating(id), wantVio, vals[i], flts[i])
+		if got := m.pos[i] >= 0; got != wantVio {
+			t.Fatalf("violating(%d) = %v, want %v (value %d filter %+v)",
+				id, got, wantVio, vals[i], flts[i])
 		}
 	}
 	if m.NumViolating() != want {

@@ -34,27 +34,13 @@
 //
 // The violation predicate (PredViolating) has no value bounds — a match
 // depends on each node's assigned filter — so bucket routing alone cannot
-// serve it. But every filter is server-assigned, so the engine re-evaluates
-// a node's (value, filter) pair at each change of either (Mirror) and
-// maintains the exact violator set incrementally; Router resolves violation
-// sweeps from that set the same way it resolves value sweeps from the
-// buckets.
+// serve it. But every filter is server-assigned, so the owner of the nodes
+// re-evaluates a node's (value, filter) pair at each change of either
+// (Mirror) and maintains the exact violator set incrementally.
 //
-// # Max-find active list and the matcher form
-//
-// The max-find predicate (PredAboveActive) needs a flag no value bound
-// expresses, and its first sweep of every run has the threshold -1, which
-// admits every value. The Router therefore keeps the id-ordered list of the
-// active nodes, edited by the three max-find broadcasts that are the only
-// writers of the flag, and serves the predicate from it: no bucket span, no
-// copy, no sort. With the three structures in place the only remaining
-// full scans are tag predicates and domain-covering interval predicates.
-//
-// A sweep runs up to γ+1 EXISTENCE rounds over nodes whose state cannot
-// change meanwhile, so Router.Matchers resolves the predicate once — route,
-// Match every candidate, keep the matchers in id order — and the engines
-// run the rounds over that list only: an active step costs its matchers,
-// not candidates × rounds.
+// Both structures hold ids, never nodes. The nodes, the max-find active
+// list and the routing policy over all three live in nodecore.Shard, whose
+// doc comment states when each entry is re-derived.
 package vindex
 
 import (
@@ -62,7 +48,6 @@ import (
 	"slices"
 
 	"topkmon/internal/eps"
-	"topkmon/internal/nodecore"
 	"topkmon/internal/wire"
 )
 
@@ -95,7 +80,7 @@ func FullRange(lo, hi int64) bool {
 
 // Routable reports whether predicate p can be served from the engines'
 // routing structures: the violation predicate from the filter-interval
-// Mirror, the max-find predicate from the Router's active list (at every
+// Mirror, the max-find predicate from nodecore.Shard's active list (at every
 // threshold, AboveActive(-1) included), interval predicates from the
 // value-bucket Index when their Bounds do not cover the whole domain. The
 // negation is exactly the full node scan both engines count through
@@ -221,177 +206,4 @@ func (ix *Index) AppendSorted(dst []int32, lo, hi int64) []int32 {
 	dst = append(dst, ix.Span(lo, hi)...)
 	slices.Sort(dst[n:])
 	return dst
-}
-
-// Len returns the number of indexed ids.
-func (ix *Index) Len() int { return len(ix.byBucket) }
-
-// Router bundles the value-bucket Index, the filter-interval Mirror and the
-// max-find active list with the reusable scratch that turns a predicate into
-// an id-ordered node scan list and into the id-ordered list of the nodes
-// that match it. It is the single place the routing policy lives, shared by
-// the lockstep engine and the live engine's worker shards — which
-// predicates route through which structure and which fall back to the full
-// scan can therefore never diverge between engines.
-//
-// # Active list
-//
-// active is exactly {nd : nd.MFActive}, in ascending id, over the routed
-// nodes. It mirrors the flag and nothing else: the flag changes only in the
-// three max-find broadcasts, so the Router applies them (MaxFindInit,
-// MaxFindRaise, MaxFindExclude below) and edits the list in the same pass.
-// A value change never touches it — whether an active node is still above
-// a sweep's threshold is what Match decides, per sweep — and a broadcast
-// the fault layer drops never reaches the Router, so the list stays
-// exactly as stale as the flags are. Init appends in id order and Raise
-// compacts in place, so the list is never sorted.
-type Router struct {
-	// Idx is the bucket index over the routed nodes; callers own its
-	// maintenance (Update on value changes).
-	Idx *Index
-
-	// Mir is the violator set over the same nodes; callers own its
-	// maintenance (Set on every node mutation — see the contract on
-	// Mirror).
-	Mir *Mirror
-
-	active []*nodecore.Node
-
-	cand  []int32
-	scan  []*nodecore.Node
-	match []*nodecore.Node
-}
-
-// NewRouter returns the routing structures over the ids [base, base+n) in
-// the engines' construction state: every value 0, no violator, no node
-// max-find-active. The scratch lists are sized for n up front, so no later
-// call allocates.
-func NewRouter(base, n int) Router {
-	return Router{
-		Idx:    New(base, n),
-		Mir:    NewMirror(base, n),
-		active: make([]*nodecore.Node, 0, n),
-		cand:   make([]int32, 0, n),
-		scan:   make([]*nodecore.Node, 0, n),
-		match:  make([]*nodecore.Node, 0, n),
-	}
-}
-
-// Reset returns the three structures to the node state after an engine
-// Reset: every value 0, no violator, no node active.
-func (r *Router) Reset() {
-	r.Idx.Reset()
-	r.Mir.Reset()
-	r.active = r.active[:0]
-}
-
-// ScanList returns the nodes a predicate-routed primitive must visit out
-// of nodes (whose i-th element must hold id base+i, the Idx id range), in
-// ascending id order: the active list for the max-find predicate (at any
-// threshold — an inactive node cannot match), the mirror's violator set
-// for the violation predicate, the index candidates for an interval
-// predicate's value bounds, or all of nodes for the two full-scan cases —
-// tag predicates and domain-covering intervals, where routing could prune
-// nothing and sorting candidates would only add cost. The result is the
-// active list itself, nodes itself, or Router-owned scratch recycled by the
-// next ScanList call; callers must not modify it. Candidate values may lie
-// outside the bounds (bucket coarsening), so callers still Match every
-// node — or take the matcher form, Matchers.
-func (r *Router) ScanList(p wire.Pred, nodes []*nodecore.Node, base int) []*nodecore.Node {
-	if !Routable(p) {
-		return nodes
-	}
-	switch p.Kind {
-	case wire.PredAboveActive:
-		return r.active
-	case wire.PredViolating:
-		r.cand = r.Mir.AppendViolators(r.cand[:0])
-	default:
-		lo, hi, _ := p.Bounds()
-		r.cand = r.Idx.AppendSorted(r.cand[:0], lo, hi)
-	}
-	r.scan = r.scan[:0]
-	for _, id := range r.cand {
-		r.scan = append(r.scan, nodes[int(id)-base])
-	}
-	return r.scan
-}
-
-// ScanSize returns len(ScanList(p, nodes, base)) without building the list:
-// what routing p would visit, read from the three structures' lengths. The
-// live engine prices a pending Collect or sweep round with it before
-// deciding who executes the flush.
-func (r *Router) ScanSize(p wire.Pred) int {
-	if !Routable(p) {
-		return r.Idx.Len()
-	}
-	switch p.Kind {
-	case wire.PredAboveActive:
-		return len(r.active)
-	case wire.PredViolating:
-		return r.Mir.NumViolating()
-	default:
-		lo, hi, _ := p.Bounds()
-		return len(r.Idx.Span(lo, hi))
-	}
-}
-
-// Matchers is the matcher form of ScanList: it routes the predicate,
-// evaluates Match on every candidate once, and returns the nodes that
-// match, in ascending id order. Node state cannot change while an
-// EXISTENCE sweep runs, so a sweep resolves its matchers once and runs all
-// its rounds over this list. The result is Router-owned scratch recycled by
-// the next Matchers or Resolve call.
-func (r *Router) Matchers(p wire.Pred, nodes []*nodecore.Node, base int) []*nodecore.Node {
-	return r.Resolve(p, r.ScanList(p, nodes, base))
-}
-
-// Resolve returns the nodes of scan that match p, in scan order — the
-// second half of Matchers, for a caller that chose the candidates itself
-// (the lockstep engine's FullScan ablation hands it every node).
-func (r *Router) Resolve(p wire.Pred, scan []*nodecore.Node) []*nodecore.Node {
-	r.match = r.match[:0]
-	for _, nd := range scan {
-		if nd.Match(p) {
-			r.match = append(r.match, nd)
-		}
-	}
-	return r.match
-}
-
-// MaxFindInit applies the broadcast to every routed node and rebuilds the
-// active list in the same O(n) pass.
-func (r *Router) MaxFindInit(nodes []*nodecore.Node, floor int64, reset bool) {
-	r.active = r.active[:0]
-	for _, nd := range nodes {
-		nd.MaxFindInit(floor, reset)
-		if nd.MFActive {
-			r.active = append(r.active, nd)
-		}
-	}
-}
-
-// MaxFindRaise applies the broadcast to the active nodes — it can only
-// deactivate, so no other node's state could change — and compacts the
-// list in place.
-func (r *Router) MaxFindRaise(holder int, best int64) {
-	keep := r.active[:0]
-	for _, nd := range r.active {
-		nd.MaxFindRaise(holder, best)
-		if nd.MFActive {
-			keep = append(keep, nd)
-		}
-	}
-	r.active = keep
-}
-
-// MaxFindExclude applies the broadcast to the one node it names, which the
-// caller looked up among the routed nodes: nd leaves the active list if it
-// is on it, and is benched either way.
-func (r *Router) MaxFindExclude(nd *nodecore.Node) {
-	if nd.MFActive {
-		i, _ := slices.BinarySearchFunc(r.active, nd.ID, func(a *nodecore.Node, id int) int { return a.ID - id })
-		r.active = slices.Delete(r.active, i, i+1)
-	}
-	nd.MaxFindExclude(nd.ID)
 }

@@ -141,7 +141,7 @@ type Pred struct {
 // candidates still need a per-node Match (bucket routing visits supersets,
 // and PredAboveActive additionally requires max-find activity — the more
 // selective half, so the engines route it through their max-find active
-// list, vindex.Router, rather than through these bounds). ok is false
+// list in nodecore.Shard, rather than through these bounds). ok is false
 // for predicates decided by non-value node state — PredViolating (per-node
 // filters) and PredHasTag (tags). PredViolating is nevertheless routable:
 // filters are server-assigned, so the engines resolve it from their

@@ -43,8 +43,9 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# fuzz gives each of the eight seeded fuzz targets a short randomized
-# session — the interval algebra, the Pred.Bounds value-routing contract,
+# fuzz gives each of the nine seeded fuzz targets a short randomized
+# session — the interval algebra, the integer coin threshold's equality
+# with the float coin it replaces, the Pred.Bounds value-routing contract,
 # the filter-interval mirror's no-desync obligation and the max-find active
 # list's agreement with the nodes' flags under fault injection, the HTTP
 # frontend's all-or-nothing batch-decode path, the WAL decoder's
@@ -54,6 +55,7 @@ race:
 # never-under-estimates, Reset replay identity) on arbitrary op tapes.
 fuzz:
 	$(GO) test -fuzz FuzzIntervalContainment -fuzztime $(FUZZTIME) ./internal/filter/
+	$(GO) test -fuzz FuzzThreshold -fuzztime $(FUZZTIME) ./internal/rngx/
 	$(GO) test -fuzz FuzzPredBounds -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz FuzzFilterMirror -fuzztime $(FUZZTIME) ./internal/lockstep/
 	$(GO) test -fuzz FuzzActiveList -fuzztime $(FUZZTIME) ./internal/lockstep/

@@ -434,23 +434,25 @@ func BenchmarkFindMax(b *testing.B) {
 // constant. A max-find is about log n sweeps over an active set that each
 // raise halves, and its first flush (MaxFindInit + round 0) is 2n visits, so
 // a run starts above the grain at large n, crosses it on the way down, and
-// never reaches it at small n. µs per FindMax on the 2-core container the
-// constant was fixed on (least of 7 rounds, median of 3 readings):
+// never reaches it at small n. µs per FindMax on a 2-core container with
+// the nodes stored as rows (median of 8 runs of the comparison below, each
+// the least of its 5 rounds):
 //
 //	n        workers   caller   default (65536)
-//	1024        48.8     25.4     25.6
-//	4096       137       98.0     98.6
-//	16384      507      382      380
-//	65536     2019     2529     1900
-//	262144    5005     7315     4861
+//	1024        47.3     16.8     17.4
+//	4096       123       65.5     59.4
+//	16384      339      283      230
+//	65536     1539     1633     1678
+//	262144    4264     6165     4134
 //
-// The workers start paying for their wake-up between n = 16384 and 65536.
-// Flush by flush (one Collect, MaxFindInit or sweep round over n nodes) the
-// caller wins at 32768 visits (52–78 µs against 62–79) and loses at 65536
-// (111–152 against 99–127), so one barrier costs what visiting about 5·10⁴
-// nodes costs. The issue's starting value, 8192, read 128 µs at n = 4096 and
-// 462 at n = 16384 — 31 % and 21 % behind the caller — because it hands the
-// first flushes of those runs to workers that cannot earn their wake-up.
+// Up to n = 16384 default and caller run the same flushes, so the gap
+// between them there is the noise of a shared machine. The workers start
+// paying for their wake-up near n = 65536. Flush by flush (one MaxFindInit
+// over n nodes, about 3 ns a visit on the caller) the caller ties at 16384
+// visits (48 µs) and loses from 32768 (87–114 µs against 75–91), yet a
+// grain of 32768 put default 13 % behind the caller at n = 16384, where
+// only a run's first flush, priced 2n, reaches it. So the grain stays at
+// 65536.
 //
 // After the three timed rows of an n the benchmark compares the dispatches
 // on identical work — each engine Reset to the same seed, so every FindMax
@@ -538,10 +540,10 @@ func benchLiveGrainAt(b *testing.B, n int) {
 // bucket, where value routing prunes nothing and the max-find active list
 // does the work. Lockstep and live × 2 shards; the probe goes into the
 // caller's buffer, and an iteration that allocates fails the benchmark.
-// Expect ≈0.21 ms on lockstep and ≈0.24 ms on live: every flush of the ~64
-// sweeps is below the parallel grain and runs on the caller, so what live
-// pays over lockstep is directive dispatch (0.44 ms when each flush woke the
-// workers).
+// Expect ≈0.23 ms on lockstep and ≈0.27 ms on live on a 2-core container:
+// every flush of the ~64 sweeps is below the parallel grain and runs on the
+// caller, so what live pays over lockstep is directive dispatch (0.60 ms
+// when each flush woke the workers).
 func BenchmarkEpochOpen(b *testing.B) {
 	const n, k = 1024, 8
 	engines := []struct {

@@ -602,7 +602,7 @@ func TestConformanceSweepCoinsMatchPerRoundLoop(t *testing.T) {
 						t.Fatalf("sweep %d: senders %v, the per-round loop sends %v", sweep, got, want)
 					}
 					for i, nd := range ref {
-						if have := nodeOf(eng, i).RNG; *have != *nd.RNG {
+						if have := nodeOf(eng, i).RNG; have != nd.RNG {
 							t.Fatalf("sweep %d: node %d's RNG state diverged from the per-round loop's", sweep, i)
 						}
 					}

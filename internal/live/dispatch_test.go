@@ -211,7 +211,7 @@ func TestMixedDispatch(t *testing.T) {
 			t.Fatalf("step %d: counters diverge:\nlockstep %+v\nlive     %+v", step, a, b)
 		}
 		for i := 0; i < n; i++ {
-			if *ls.Node(i).RNG != *lv.Node(i).RNG {
+			if ls.Node(i).RNG != lv.Node(i).RNG {
 				t.Fatalf("step %d: node %d's RNG state diverged", step, i)
 			}
 		}

@@ -54,7 +54,7 @@
 // MaxFindInit, Reset) or an unroutable predicate, the shard's scan
 // size for a routed Collect or a sweep's round 0, the kept matcher lists'
 // lengths for a later round, the active lists' for MaxFindRaise. Below
-// parallelGrain — what one barrier costs, about 5·10⁴ visits — the server
+// parallelGrain — about what one barrier costs, in visits — the server
 // runs exec itself, shard after shard in ascending order, and no goroutine
 // is woken; at or above it every addressed worker gets one signal, runs exec
 // over its own shard beside the others, and decrements an atomic countdown
@@ -165,9 +165,10 @@ type observation struct {
 
 // parallelGrain is the size, in node visits, below which a flush runs on the
 // server's goroutine. One barrier — signal the workers, park, be woken by
-// the last of them — costs about what visiting 5·10⁴ nodes costs on the box
-// BenchmarkLiveGrain (root bench_test.go) was read on, so below that the
-// workers cannot pay for their own wake-up. The benchmark's comment has the
+// the last of them — costs about what visiting 2–3·10⁴ nodes costs on the
+// box BenchmarkLiveGrain (root bench_test.go) was read on. The grain sits
+// above that because a flush is priced before it runs, and whole max-find
+// runs measured best with this value. The benchmark's comment has the
 // crossover table and the benchmark fails when the constant stops fitting.
 const parallelGrain = 1 << 16
 
@@ -658,8 +659,8 @@ func (c *Cluster) FiltersInto(dst []filter.Interval) []filter.Interval {
 	c.flush()
 	dst = dst[:0]
 	for _, sh := range c.shards {
-		for _, nd := range sh.Nodes() {
-			dst = append(dst, nd.Filter)
+		for _, id := range sh.IDs() {
+			dst = append(dst, sh.Node(int(id)).Filter)
 		}
 	}
 	return dst

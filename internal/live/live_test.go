@@ -297,22 +297,22 @@ func TestShardPartition(t *testing.T) {
 		}
 		next := 0
 		for w, sh := range c.shards {
-			nodes := sh.Nodes()
-			if base := nodes[0].ID; base != next {
+			ids := sh.IDs()
+			if base := int(ids[0]); base != next {
 				t.Errorf("shard %d base = %d, want %d (contiguous ascending)", w, base, next)
 			}
-			if len(nodes) < cs.n/cs.want || len(nodes) > cs.n/cs.want+1 {
-				t.Errorf("shard %d size = %d, want near-equal split of %d/%d", w, len(nodes), cs.n, cs.want)
+			if sh.Len() < cs.n/cs.want || sh.Len() > cs.n/cs.want+1 {
+				t.Errorf("shard %d size = %d, want near-equal split of %d/%d", w, sh.Len(), cs.n, cs.want)
 			}
-			for i, nd := range nodes {
-				if nd.ID != next+i {
+			for i, id := range ids {
+				if nd := sh.Node(int(id)); nd.ID != next+i {
 					t.Errorf("shard %d node %d has id %d", w, i, nd.ID)
 				}
-				if int(c.workerOf[nd.ID]) != w {
-					t.Errorf("workerOf[%d] = %d, want %d", nd.ID, c.workerOf[nd.ID], w)
+				if int(c.workerOf[id]) != w {
+					t.Errorf("workerOf[%d] = %d, want %d", id, c.workerOf[id], w)
 				}
 			}
-			next += len(nodes)
+			next += sh.Len()
 		}
 		if next != cs.n {
 			t.Errorf("shards cover %d ids, want %d", next, cs.n)

@@ -35,9 +35,9 @@ type Engine struct {
 	rng  *rngx.Source
 	maxV int64 // running Δ for message-size accounting
 
-	// visited counts the node structs predicate-routed primitives actually
-	// touched — the observable the index shrinks from n to the
-	// plausible-matcher count (reported by E12).
+	// visited counts the candidates predicate-routed primitives scanned —
+	// the observable the index shrinks from n to the plausible-matcher
+	// count (reported by E12).
 	visited int64
 
 	// FullScan forces the full-scan path everywhere. Ablation scaffolding
@@ -97,7 +97,7 @@ func (e *Engine) Reset(seed uint64) {
 }
 
 // N implements cluster.Cluster.
-func (e *Engine) N() int { return len(e.sh.Nodes()) }
+func (e *Engine) N() int { return e.sh.Len() }
 
 // Counters implements cluster.Cluster.
 func (e *Engine) Counters() *metrics.Counters { return e.ctr }
@@ -143,8 +143,8 @@ func (e *Engine) EndStep() { e.ctr.EndStep() }
 // filters to dst[:0] and returns it, growing dst only when too small.
 func (e *Engine) FiltersInto(dst []filter.Interval) []filter.Interval {
 	dst = dst[:0]
-	for _, nd := range e.sh.Nodes() {
-		dst = append(dst, nd.Filter)
+	for id := range e.N() {
+		dst = append(dst, e.sh.Node(id).Filter)
 	}
 	return dst
 }
@@ -154,29 +154,31 @@ func (e *Engine) FiltersInto(dst []filter.Interval) []filter.Interval {
 // nodecore.Shard contract says: assign filters through SetFilter instead.
 func (e *Engine) Node(i int) *nodecore.Node { return e.sh.Node(i) }
 
-// VisitedNodes returns the cumulative number of node structs the
+// VisitedNodes returns the cumulative number of candidates the
 // predicate-routed primitives (Sweep, DetectViolation, Collect) have
-// evaluated their predicate on since construction or the last Reset — per
-// call, the size of the scan list, once: a sweep resolves its matchers
-// before its first round and its rounds visit no further candidate.
+// scanned since construction or the last Reset — per call, the size of the
+// scan list, once: a sweep resolves its matchers before its first round
+// and its rounds visit no further candidate. A max-find scan the Shard's
+// floor watermark keeps whole counts in full, though no node is tested.
 // Simulation scaffolding for measuring the value index's selectivity
 // (experiment E12); it is not message accounting and not part of the
 // cluster interfaces.
 func (e *Engine) VisitedNodes() int64 { return e.visited }
 
 // matchers resolves a predicate once for a predicate-routed primitive: the
-// nodes matching p, in ascending id order, kept by the shard for Draw —
+// ids of the nodes matching p, in ascending order, kept by the shard for
+// Draw —
 // Shard.Matchers (the routing policy shared with the live engine's shards)
 // behind the FullScan ablation toggle, which ignores the routing structures
 // when choosing the candidates. Non-routable predicates bill one full-scan
 // fallback on the counters; the decision is predicate-only, so the live
 // engine counts identically and the FullScan toggle never perturbs the
 // count.
-func (e *Engine) matchers(p wire.Pred) []*nodecore.Node {
+func (e *Engine) matchers(p wire.Pred) []int32 {
 	if !vindex.Routable(p) {
 		e.ctr.IndexFallback()
 	}
-	scan := e.sh.Nodes()
+	scan := e.sh.IDs()
 	if !e.FullScan {
 		scan = e.sh.ScanList(p)
 	}
@@ -188,11 +190,11 @@ func (e *Engine) count(ch metrics.Channel, k wire.Kind) {
 	e.ctr.Count(ch, k, wire.MsgBits(k, e.N(), e.maxV))
 }
 
-// report bills one node → server message of kind k and appends nd's report
-// to dst.
-func (e *Engine) report(dst []wire.Report, nd *nodecore.Node, k wire.Kind) []wire.Report {
+// report bills one node → server message of kind k and appends node id's
+// report to dst.
+func (e *Engine) report(dst []wire.Report, id int, k wire.Kind) []wire.Report {
 	e.count(metrics.NodeToServer, k)
-	return append(dst, nd.Report())
+	return append(dst, e.sh.Node(id).Report())
 }
 
 // BroadcastRule implements cluster.Cluster.
@@ -232,8 +234,8 @@ func (e *Engine) Collect(p wire.Pred) []wire.Report {
 	e.count(metrics.Broadcast, wire.KindCollect)
 	e.ctr.Rounds(1)
 	out := e.collectBufs[e.collectIdx][:0]
-	for _, nd := range e.matchers(p) {
-		out = e.report(out, nd, wire.KindCollectReply)
+	for _, id := range e.matchers(p) {
+		out = e.report(out, int(id), wire.KindCollectReply)
 	}
 	e.collectBufs[e.collectIdx] = out
 	e.collectIdx ^= 1
@@ -281,8 +283,8 @@ func (e *Engine) Sweep(p wire.Pred) []wire.Report {
 func (e *Engine) directSweep(p wire.Pred) []wire.Report {
 	e.ctr.Rounds(1)
 	senders := e.sweepBuf[:0]
-	for _, nd := range e.matchers(p) {
-		senders = e.report(senders, nd, wire.KindExistenceReport)
+	for _, id := range e.matchers(p) {
+		senders = e.report(senders, int(id), wire.KindExistenceReport)
 	}
 	e.sweepBuf = senders[:0]
 	if len(senders) == 0 {

@@ -1,6 +1,7 @@
 package lockstep
 
 import (
+	"slices"
 	"testing"
 
 	"topkmon/internal/faults"
@@ -20,12 +21,13 @@ func checkMirrorMatchesNodes(t *testing.T, e *Engine) {
 	t.Helper()
 	set := e.sh.ScanList(wire.Violating())
 	at, violators := 0, 0
-	for _, nd := range e.sh.Nodes() {
+	for id := range e.N() {
+		nd := e.sh.Node(id)
 		want := !nd.Filter.Contains(nd.Value)
 		if want {
 			violators++
 		}
-		got := at < len(set) && set[at] == nd
+		got := at < len(set) && int(set[at]) == id
 		if got {
 			at++
 		}
@@ -115,14 +117,20 @@ func FuzzFilterMirror(f *testing.F) {
 }
 
 // checkActiveListMatchesNodes asserts the engine's max-find active list is
-// exactly the nodes whose MFActive flag is set, in ascending id — and that
-// both flags of every node are what the delivered broadcasts make them
-// (wantActive, wantExcluded: the test's own replay of the node handlers).
-func checkActiveListMatchesNodes(t *testing.T, e *Engine, wantActive, wantExcluded []bool) {
+// exactly the ids of the nodes whose MFActive flag is set, in ascending
+// order — and that both flags of every node are what the delivered
+// broadcasts make them (wantActive, wantExcluded: the test's own replay of
+// the node handlers). It also resolves AboveActive(x) at x, the threshold
+// of the last max-find broadcast sent, where the shard's floor watermark
+// may let it keep the active list untested: the kept ids must be exactly
+// the active nodes above x.
+func checkActiveListMatchesNodes(t *testing.T, e *Engine, wantActive, wantExcluded []bool, x int64) {
 	t.Helper()
 	list := e.sh.ScanList(wire.AboveActive(-1))
+	var above []int32
 	at := 0
-	for _, nd := range e.sh.Nodes() {
+	for id := range e.N() {
+		nd := e.sh.Node(id)
 		if nd.MFActive != wantActive[nd.ID] || nd.MFExcluded != wantExcluded[nd.ID] {
 			t.Fatalf("node %d: active=%v excluded=%v, the delivered broadcasts make it active=%v excluded=%v",
 				nd.ID, nd.MFActive, nd.MFExcluded, wantActive[nd.ID], wantExcluded[nd.ID])
@@ -130,13 +138,19 @@ func checkActiveListMatchesNodes(t *testing.T, e *Engine, wantActive, wantExclud
 		if !nd.MFActive {
 			continue
 		}
-		if at >= len(list) || list[at] != nd {
-			t.Fatalf("active node %d missing from the active list at position %d (list holds %d)", nd.ID, at, len(list))
+		if at >= len(list) || int(list[at]) != id {
+			t.Fatalf("active node %d missing from the active list at position %d (list holds %d)", id, at, len(list))
 		}
 		at++
+		if nd.Value > x {
+			above = append(above, int32(id))
+		}
 	}
 	if at != len(list) {
 		t.Fatalf("active list holds %d nodes, %d have the flag", len(list), at)
+	}
+	if got := e.sh.Matchers(wire.AboveActive(x)); !slices.Equal(got, above) {
+		t.Fatalf("AboveActive(%d) keeps %v, the active nodes above it are %v", x, got, above)
 	}
 }
 
@@ -181,6 +195,7 @@ func FuzzActiveList(f *testing.F) {
 		}
 		vals := make([]int64, n)
 		active, excluded := make([]bool, n), make([]bool, n)
+		var x int64 = -1 // threshold of the last max-find broadcast sent
 		for steps := 0; len(script) > 0 && steps < 4096; steps++ {
 			switch next() % 6 {
 			case 0: // observations: values move, no flag does
@@ -191,6 +206,7 @@ func FuzzActiveList(f *testing.F) {
 				w.Advance(vals)
 			case 1: // init, with and without clearing the exclusions
 				floor, reset := int64(next())%128-1, next()%2 == 0
+				x = floor
 				if delivered(func() { w.MaxFindInit(floor, reset) }) {
 					for i := range active {
 						excluded[i] = excluded[i] && !reset
@@ -199,6 +215,7 @@ func FuzzActiveList(f *testing.F) {
 				}
 			case 2: // raise: the holder and everyone at or below best drop out
 				holder, best := int(next())%n, int64(next())%128
+				x = best
 				if delivered(func() { w.MaxFindRaise(holder, best) }) {
 					for i := range active {
 						active[i] = active[i] && i != holder && vals[i] > best
@@ -219,7 +236,7 @@ func FuzzActiveList(f *testing.F) {
 				w.Sweep(wire.AboveActive(x))
 				w.Collect(wire.AboveActive(x))
 			}
-			checkActiveListMatchesNodes(t, e, active, excluded)
+			checkActiveListMatchesNodes(t, e, active, excluded, x)
 		}
 	})
 }

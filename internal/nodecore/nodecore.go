@@ -7,15 +7,16 @@
 // Apply* message handlers and the EXISTENCE send schedule, so the two
 // engines cannot diverge in node logic.
 //
-// Nodes are built for reuse: New allocates the node and its RNG stream
-// once; Reset rewinds both in place to the state New would construct for a
-// given root source, so engine Reset (trial reuse in the experiment
-// harness) allocates nothing on the node side. Handlers never allocate —
-// the per-step zero-allocation budget of both engines rests on that.
+// A node is a plain value with its RNG stream inside it, built for reuse:
+// Reset rewinds it in place to the state New constructs for a given root
+// source, so engine Reset (trial reuse in the experiment harness)
+// allocates nothing on the node side. Handlers never allocate — the
+// per-step zero-allocation budget of both engines rests on that.
 //
-// Inside an engine the nodes live in a Shard, which owns them together
-// with the routing structures derived from them and is the only code that
-// changes a node; its doc comment states that node-mutation contract.
+// Inside an engine the nodes are the rows of a Shard, one []Node
+// allocated once, which owns them together with the routing structures
+// derived from them and is the only code that changes a node; its doc
+// comment states that node-mutation contract.
 // Outside the engine two other views of the values exist, each with its
 // own job and neither consulted by a protocol: topk.Monitor.vals, the
 // facade's referee copy of what was pushed (Check validates the output
@@ -46,7 +47,7 @@ type Node struct {
 	MFExcluded bool
 
 	// RNG drives the node's EXISTENCE coin flips.
-	RNG *rngx.Source
+	RNG rngx.Source
 }
 
 // ServerRNG is the Child id of the engines' server-side randomness stream
@@ -59,19 +60,14 @@ const ServerRNG = 0xC0FFEE
 // New returns a node with the all-admitting filter and its own child RNG,
 // seed.Child(id).
 func New(id int, seed *rngx.Source) *Node {
-	return &Node{
-		ID:     id,
-		Filter: filter.All,
-		Tag:    wire.TagNone,
-		RNG:    seed.Child(uint64(id)),
-	}
+	nd := &Node{ID: id}
+	nd.Reset(seed)
+	return nd
 }
 
 // Reset returns the node to the state New(nd.ID, root) would construct:
 // value 0, the all-admitting filter, no tag, no max-find participation, and
-// the RNG rewound to the child stream New would have derived from root. It
-// reuses the node's Source, so engine Reset stays allocation-free on the
-// node side.
+// the RNG rewound to the child stream New would have derived from root.
 func (nd *Node) Reset(root *rngx.Source) {
 	nd.Value = 0
 	nd.Filter = filter.All
@@ -134,7 +130,9 @@ func (nd *Node) MaxFindInit(floor int64, reset bool) {
 }
 
 // MaxFindRaise (broadcast) announces a new best (holder, value); the holder
-// and every node not exceeding the value drop out.
+// and every node not exceeding the value drop out. Shard.MaxFindRaise
+// applies it to its active nodes in one batch pass, held equal to this
+// handler by TestRaiseMatchesNodeHandler.
 func (nd *Node) MaxFindRaise(holder int, best int64) {
 	if nd.ID == holder || nd.Value <= best {
 		nd.MFActive = false

@@ -2,6 +2,7 @@ package nodecore
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"topkmon/internal/eps"
@@ -54,6 +55,11 @@ func badValue(pkg string, id int, v int64) {
 // route through which structure, and which fall back to the full scan, is
 // decided here and can therefore never diverge between them.
 //
+// A node is a row: the nodes are one []Node, each with its RNG stream in
+// the row, and every list the Shard keeps or returns (the active list, the
+// routed candidates, the full scan, the kept matchers) is a []int32 of
+// absolute ids, looked up with Node.
+//
 // # Node-mutation contract
 //
 // Node.Value and Node.Filter are THE value and THE filter of a node inside
@@ -62,20 +68,28 @@ func badValue(pkg string, id int, v int64) {
 // re-derives the node's entries in the same call, from the node:
 //
 //   - Install (an observation of either Advance form): the bucket and the
-//     violator bit.
+//     violator bit, and the floor watermark if the node is active and the
+//     value at or below it.
 //   - SetFilter, SetTagFilter, ApplyRule: the violator bit, read from the
 //     filter the node now holds (no tag state of its own).
 //   - MaxFindInit, MaxFindRaise, MaxFindExclude, the only writers of the
 //     max-find flag: the active list. A value change never touches it —
 //     whether an active node is still above a sweep's threshold is what
 //     Match decides, per sweep.
+//   - MaxFindInit and MaxFindRaise also set the floor watermark, a value
+//     every active node's value exceeds: Init's floor, and after a Raise
+//     the larger of that and the raised best. Install invalidates it as
+//     above; Reset, and an Init at math.MinInt64, leave none. While it is
+//     known, a resolve of AboveActive(x) over the active list with x at or
+//     below it keeps the whole list without testing a node — the case of
+//     every sweep of a max-find run.
 //   - Reset: the node state New constructs, an empty index, violator set
-//     and active list.
+//     and active list, no watermark.
 //
 // A broadcast the fault layer drops never reaches the Shard, so the
 // structures stay exactly as stale as the nodes are (FuzzFilterMirror,
-// FuzzActiveList). Code outside the Shard reads nodes (Node, Nodes) and
-// must never mutate one: a Value or Filter changed behind the Shard's back
+// FuzzActiveList). Code outside the Shard reads nodes (Node) and must
+// never mutate one: a Value or Filter changed behind the Shard's back
 // desyncs the index and the violator set.
 //
 // On the read side, node state cannot change while an EXISTENCE sweep
@@ -86,48 +100,63 @@ func badValue(pkg string, id int, v int64) {
 // each one to one executor per flush.
 type Shard struct {
 	base  int
-	nodes []*Node
+	nodes []Node
+	ids   []int32 // every id in order: the full scan
 
 	idx    *vindex.Index
 	mir    *vindex.Mirror
-	active []*Node
+	active []int32
+	floor  int64 // under every active value, or noFloor
 
 	cand []int32
-	scan []*Node
-	kept []*Node
+	kept []int32
 }
+
+// noFloor is the floor watermark when none is known.
+const noFloor = math.MinInt64
 
 // NewShard returns the nodes [base, base+n), each with its Child stream of
 // root, and the routing structures over them in construction state: every
-// value 0, no violator, no node max-find-active. The lists are sized for n
-// up front, so no later call allocates.
+// value 0, no violator, no node max-find-active. The nodes are one
+// allocation and the lists are sized for n up front, so no later call
+// allocates.
 func NewShard(base, n int, root *rngx.Source) *Shard {
 	s := &Shard{
 		base:   base,
-		nodes:  make([]*Node, n),
+		nodes:  make([]Node, n),
+		ids:    make([]int32, n),
 		idx:    vindex.New(base, n),
 		mir:    vindex.NewMirror(base, n),
-		active: make([]*Node, 0, n),
+		active: make([]int32, 0, n),
+		floor:  noFloor,
 		cand:   make([]int32, 0, n),
-		scan:   make([]*Node, 0, n),
-		kept:   make([]*Node, 0, n),
+		kept:   make([]int32, 0, n),
 	}
 	for i := range s.nodes {
-		s.nodes[i] = New(base+i, root)
+		s.ids[i] = int32(base + i)
+		s.nodes[i].ID = base + i
+		s.nodes[i].Reset(root)
 	}
 	return s
 }
 
-// Nodes returns the shard's nodes in id order. Read-only: see the
-// node-mutation contract.
-func (s *Shard) Nodes() []*Node { return s.nodes }
+// Len returns the number of nodes in the shard.
+func (s *Shard) Len() int { return len(s.nodes) }
 
-// Node returns the node with absolute id id. Read-only, like Nodes.
-func (s *Shard) Node(id int) *Node { return s.nodes[id-s.base] }
+// IDs returns every id of the shard in ascending order: the scan of a full
+// scan. Read-only.
+func (s *Shard) IDs() []int32 { return s.ids }
+
+// Node returns the node with absolute id id. Read-only: see the
+// node-mutation contract.
+func (s *Shard) Node(id int) *Node { return &s.nodes[id-s.base] }
 
 // Install records the observation v at node id.
 func (s *Shard) Install(id int, v int64) {
 	nd := s.Node(id)
+	if nd.MFActive && v <= s.floor {
+		s.floor = noFloor
+	}
 	nd.Observe(v)
 	s.idx.Update(id, v)
 	s.mir.Set(id, v, nd.Filter)
@@ -135,7 +164,8 @@ func (s *Shard) Install(id int, v int64) {
 
 // ApplyRule applies a broadcast filter rule to every node.
 func (s *Shard) ApplyRule(r *wire.FilterRule) {
-	for _, nd := range s.nodes {
+	for i := range s.nodes {
+		nd := &s.nodes[i]
 		nd.ApplyFilterRule(r)
 		s.mir.Set(nd.ID, nd.Value, nd.Filter)
 	}
@@ -155,67 +185,85 @@ func (s *Shard) SetTagFilter(id int, t wire.Tag, iv filter.Interval) {
 }
 
 // MaxFindInit applies the broadcast to every node and rebuilds the active
-// list in the same O(n) pass.
+// list in the same O(n) pass: every id is stored, and the list grows past
+// it only if the node is active.
 func (s *Shard) MaxFindInit(floor int64, reset bool) {
-	s.active = s.active[:0]
-	for _, nd := range s.nodes {
+	nodes, ids := s.nodes, s.ids
+	active, k := s.active[:len(nodes)], 0
+	for i := range nodes {
+		nd := &nodes[i]
 		nd.MaxFindInit(floor, reset)
-		if nd.MFActive {
-			s.active = append(s.active, nd)
-		}
+		active[k] = ids[i]
+		k += b2i(nd.MFActive)
 	}
+	s.active = active[:k]
+	s.floor = floor
 }
 
 // MaxFindRaise applies the broadcast to the active nodes — it can only
 // deactivate, so no other node's state could change — and compacts the
-// list in place.
+// list in place like MaxFindInit. The pass drops every node not above best;
+// the holder, if it is this shard's and survived it (its value moved above
+// the one it reported), leaves afterwards.
 func (s *Shard) MaxFindRaise(holder int, best int64) {
-	keep := s.active[:0]
-	for _, nd := range s.active {
-		nd.MaxFindRaise(holder, best)
-		if nd.MFActive {
-			keep = append(keep, nd)
-		}
+	nodes, base, active := s.nodes, s.base, s.active
+	k := 0
+	for _, id := range active {
+		keep := nodes[int(id)-base].Value > best
+		nodes[int(id)-base].MFActive = keep
+		active[k] = id
+		k += b2i(keep)
 	}
-	s.active = keep
+	s.active = active[:k]
+	s.floor = max(s.floor, best)
+	if uint(holder-s.base) < uint(len(s.nodes)) && s.Node(holder).MFActive {
+		s.deactivate(holder)
+	}
 }
 
 // MaxFindExclude applies the broadcast to the one node it names: the node
 // leaves the active list if it is on it, and is benched either way.
 func (s *Shard) MaxFindExclude(id int) {
-	nd := s.Node(id)
-	if nd.MFActive {
-		i, _ := slices.BinarySearchFunc(s.active, id, func(a *Node, id int) int { return a.ID - id })
-		s.active = slices.Delete(s.active, i, i+1)
+	if s.Node(id).MFActive {
+		s.deactivate(id)
 	}
-	nd.MaxFindExclude(id)
+	s.Node(id).MaxFindExclude(id)
+}
+
+// deactivate takes the active node id off the active list and clears its
+// flag.
+func (s *Shard) deactivate(id int) {
+	i, _ := slices.BinarySearch(s.active, int32(id))
+	s.active = slices.Delete(s.active, i, i+1)
+	s.Node(id).MFActive = false
 }
 
 // Reset returns every node to the state New(id, root) constructs and the
 // structures to NewShard's, reusing every array.
 func (s *Shard) Reset(root *rngx.Source) {
-	for _, nd := range s.nodes {
-		nd.Reset(root)
+	for i := range s.nodes {
+		s.nodes[i].Reset(root)
 	}
 	s.idx.Reset()
 	s.mir.Reset()
 	s.active = s.active[:0]
+	s.floor = noFloor
 	s.kept = s.kept[:0]
 }
 
-// ScanList returns the nodes a predicate-routed primitive must visit, in
-// ascending id order: the active list for the max-find predicate (at any
+// ScanList returns the ids a predicate-routed primitive must visit, in
+// ascending order: the active list for the max-find predicate (at any
 // threshold — an inactive node cannot match), the violator set for the
 // violation predicate, the index candidates for an interval predicate's
-// value bounds, or all nodes for the two full-scan cases — tag predicates
-// and domain-covering intervals, where routing could prune nothing and
-// sorting candidates would only add cost. The result is the active list,
-// Nodes, or scratch recycled by the next ScanList call; callers must not
-// modify it. Candidate values may lie outside the bounds (bucket
-// coarsening), so callers still Match every node — or take Matchers.
-func (s *Shard) ScanList(p wire.Pred) []*Node {
+// value bounds, or IDs for the two full-scan cases — tag predicates and
+// domain-covering intervals, where routing could prune nothing and sorting
+// candidates would only add cost. The result is the active list, IDs, or
+// scratch recycled by the next ScanList call; callers must not modify it.
+// Candidate values may lie outside the bounds (bucket coarsening), so
+// callers still Match every node — or take Matchers.
+func (s *Shard) ScanList(p wire.Pred) []int32 {
 	if !vindex.Routable(p) {
-		return s.nodes
+		return s.ids
 	}
 	switch p.Kind {
 	case wire.PredAboveActive:
@@ -226,11 +274,7 @@ func (s *Shard) ScanList(p wire.Pred) []*Node {
 		lo, hi, _ := p.Bounds()
 		s.cand = s.idx.AppendSorted(s.cand[:0], lo, hi)
 	}
-	s.scan = s.scan[:0]
-	for _, id := range s.cand {
-		s.scan = append(s.scan, s.Node(int(id)))
-	}
-	return s.scan
+	return s.cand
 }
 
 // ScanSize returns len(ScanList(p)) without building the list, read from
@@ -251,22 +295,57 @@ func (s *Shard) ScanSize(p wire.Pred) int {
 	}
 }
 
-// Matchers is Resolve over ScanList(p): the nodes matching p, in ascending
-// id order, kept for Draw.
-func (s *Shard) Matchers(p wire.Pred) []*Node { return s.Resolve(p, s.ScanList(p)) }
+// Matchers is Resolve over ScanList(p): the ids of the nodes matching p, in
+// ascending order, kept for Draw.
+func (s *Shard) Matchers(p wire.Pred) []int32 { return s.Resolve(p, s.ScanList(p)) }
 
-// Resolve evaluates p once on every node of scan and keeps those that
-// match, in scan order, as the list Draw draws over; the lockstep engine's
-// FullScan ablation hands it Nodes. The result is that kept list, valid
+// Resolve evaluates p once on every node of scan and keeps the ids of those
+// that match, in scan order, as the list Draw draws over; the lockstep
+// engine's FullScan ablation hands it IDs. Each kind is one loop that
+// stores every id and keeps it if its node matches, as Node.Match decides;
+// a max-find scan that is the active list at a threshold the floor
+// watermark covers is kept whole. The result is that kept list, valid
 // until the next Resolve, Matchers or Reset.
-func (s *Shard) Resolve(p wire.Pred, scan []*Node) []*Node {
-	s.kept = s.kept[:0]
-	for _, nd := range scan {
-		if nd.Match(p) {
-			s.kept = append(s.kept, nd)
+func (s *Shard) Resolve(p wire.Pred, scan []int32) []int32 {
+	nodes, base := s.nodes, s.base
+	kept, k := s.kept[:len(scan)], 0
+	switch p.Kind {
+	case wire.PredAboveActive:
+		if p.X <= s.floor && s.floor != noFloor && s.isActive(scan) {
+			k = copy(kept, scan)
+			break
+		}
+		for _, id := range scan {
+			nd := &nodes[int(id)-base]
+			kept[k] = id
+			k += b2i(nd.MFActive && nd.Value > p.X)
+		}
+	case wire.PredViolating:
+		for _, id := range scan {
+			nd := &nodes[int(id)-base]
+			kept[k] = id
+			k += b2i(!nd.Filter.Contains(nd.Value))
+		}
+	case wire.PredInRange:
+		for _, id := range scan {
+			v := nodes[int(id)-base].Value
+			kept[k] = id
+			k += b2i(v >= p.X && v <= p.Y)
+		}
+	case wire.PredHasTag:
+		for _, id := range scan {
+			kept[k] = id
+			k += b2i(nodes[int(id)-base].Tag == p.Tag)
 		}
 	}
+	s.kept = kept[:k]
 	return s.kept
+}
+
+// isActive reports whether scan is the active list itself, not merely
+// equal to it.
+func (s *Shard) isActive(scan []int32) bool {
+	return len(scan) == len(s.active) && (len(scan) == 0 || &scan[0] == &s.active[0])
 }
 
 // Kept returns the length of the kept matcher list.
@@ -275,10 +354,14 @@ func (s *Shard) Kept() int { return len(s.kept) }
 // Draw runs one EXISTENCE round over the kept matchers: in id order, each
 // sends with probability prob (one coin from its own stream, none in the
 // final round, where prob is 1), and the reports of those that send are
-// appended to dst.
+// appended to dst. The probability becomes an rngx.Threshold once per
+// round, so a coin is the same as Bool(prob) draws without its float
+// arithmetic.
 func (s *Shard) Draw(dst []wire.Report, prob float64) []wire.Report {
-	for _, nd := range s.kept {
-		if nd.RNG.Bool(prob) {
+	nodes, base, t := s.nodes, s.base, rngx.Threshold(prob)
+	for _, id := range s.kept {
+		nd := &nodes[int(id)-base]
+		if nd.RNG.Below(t) {
 			dst = append(dst, nd.Report())
 		}
 	}
@@ -288,10 +371,19 @@ func (s *Shard) Draw(dst []wire.Report, prob float64) []wire.Report {
 // Collect appends the reports of p's matchers to dst in ascending id order.
 // It routes like Matchers but leaves the kept list alone.
 func (s *Shard) Collect(dst []wire.Report, p wire.Pred) []wire.Report {
-	for _, nd := range s.ScanList(p) {
-		if nd.Match(p) {
+	for _, id := range s.ScanList(p) {
+		if nd := s.Node(int(id)); nd.Match(p) {
 			dst = append(dst, nd.Report())
 		}
 	}
 	return dst
+}
+
+// b2i is 1 for true and 0 for false; the compactions above advance their
+// write index by it instead of branching on the node.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

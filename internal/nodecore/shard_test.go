@@ -12,13 +12,13 @@ import (
 )
 
 // checkActive asserts the active-list invariant: the list is exactly the
-// nodes whose MFActive flag is set, in ascending id.
+// ids of the nodes whose MFActive flag is set, in ascending order.
 func checkActive(t *testing.T, sh *Shard) {
 	t.Helper()
-	var want []*Node
-	for _, nd := range sh.Nodes() {
-		if nd.MFActive {
-			want = append(want, nd)
+	var want []int32
+	for _, id := range sh.IDs() {
+		if sh.Node(int(id)).MFActive {
+			want = append(want, id)
 		}
 	}
 	if got := sh.ScanList(wire.AboveActive(-1)); !slices.Equal(got, want) {
@@ -49,9 +49,10 @@ func testDistributions(r *rngx.Source) map[string]func(i int) int64 {
 // rest on: for every predicate kind, over the adversarial value shapes and
 // under churn from every Shard mutator — unicast and broadcast filter
 // assignments, the three max-find broadcasts and Reset — the matcher form
-// returns exactly the nodes of ScanList that Match — which are exactly the
-// nodes of a full scan that Match — in ascending id; ScanSize is the length
-// of that ScanList, and Collect reports exactly the matchers.
+// returns exactly the ids of ScanList whose nodes Match — which are exactly
+// the ids of a full scan that Match, and what Resolve keeps of IDs — in
+// ascending order; ScanSize is the length of that ScanList, and Collect
+// reports exactly the matchers.
 func TestMatchersEqualFilteredScanList(t *testing.T) {
 	const base, n, rounds = 300, 133, 60
 	for name := range testDistributions(rngx.New(0)) {
@@ -61,7 +62,7 @@ func TestMatchersEqualFilteredScanList(t *testing.T) {
 			sh := NewShard(base, n, rngx.New(1))
 			matched := 0
 			for round := 0; round < rounds; round++ {
-				for i := range sh.Nodes() {
+				for i := range sh.Len() {
 					if round == 0 || r.Intn(3) == 0 {
 						sh.Install(base+i, dist(i))
 					}
@@ -101,22 +102,26 @@ func TestMatchersEqualFilteredScanList(t *testing.T) {
 					wire.HasTag(wire.TagNone),
 					wire.HasTag(wire.TagV2),
 				} {
-					var filtered, full []*Node
+					var filtered, full []int32
 					var reports []wire.Report
 					scan := sh.ScanList(p)
 					if got := sh.ScanSize(p); got != len(scan) {
 						t.Fatalf("round %d %+v: ScanSize %d, ScanList has %d nodes", round, p, got, len(scan))
 					}
-					for _, nd := range scan {
-						if nd.Match(p) {
-							filtered = append(filtered, nd)
+					for _, id := range scan {
+						if sh.Node(int(id)).Match(p) {
+							filtered = append(filtered, id)
 						}
 					}
-					for _, nd := range sh.Nodes() {
-						if nd.Match(p) {
-							full = append(full, nd)
+					for _, id := range sh.IDs() {
+						if nd := sh.Node(int(id)); nd.Match(p) {
+							full = append(full, id)
 							reports = append(reports, nd.Report())
 						}
+					}
+					if got := sh.Resolve(p, sh.IDs()); !slices.Equal(got, full) {
+						t.Fatalf("round %d %+v: Resolve over IDs keeps %d nodes, a full scan matches %d",
+							round, p, len(got), len(full))
 					}
 					got := sh.Matchers(p)
 					if !slices.Equal(got, filtered) {
@@ -147,7 +152,7 @@ func TestMatchersEqualFilteredScanList(t *testing.T) {
 // Reset empties it.
 func TestActiveListMirrorsTheFlag(t *testing.T) {
 	sh := NewShard(10, 6, rngx.New(1))
-	for i := range sh.Nodes() {
+	for i := range sh.Len() {
 		sh.Install(10+i, int64(100*(i+1))) // 100 .. 600
 	}
 	sh.MaxFindInit(250, true) // ids 12..15 active
@@ -181,5 +186,127 @@ func TestActiveListMirrorsTheFlag(t *testing.T) {
 	checkActive(t, sh)
 	if got := sh.ScanList(wire.AboveActive(-1)); len(got) != 0 {
 		t.Errorf("Reset left %d nodes on the active list", len(got))
+	}
+}
+
+// TestRaisedFloorShortcut pins the floor watermark: a resolve of
+// AboveActive(x) over the active list with x at or below the floor keeps
+// the list without testing a node, and everything that could make that
+// wrong takes the shortcut away. A node value changed behind the Shard's
+// back (which the contract forbids) tells the two paths apart: the
+// shortcut keeps that node, a re-filter drops it.
+func TestRaisedFloorShortcut(t *testing.T) {
+	sh := NewShard(10, 6, rngx.New(1))
+	for i := range sh.Len() {
+		sh.Install(10+i, int64(100*(i+1))) // 100 .. 600
+	}
+	sh.MaxFindInit(250, true) // ids 12..15 active, floor 250
+	if sh.floor != 250 {
+		t.Fatalf("Init set the floor to %d, want 250", sh.floor)
+	}
+	sh.Node(13).Value = 0 // behind the Shard's back: only the shortcut keeps it
+	if got := sh.Matchers(wire.AboveActive(250)); !slices.Equal(got, []int32{12, 13, 14, 15}) {
+		t.Fatalf("AboveActive(250) at floor 250 keeps %v, want the whole active list (the shortcut)", got)
+	}
+	if got := sh.Matchers(wire.AboveActive(251)); !slices.Equal(got, []int32{12, 14, 15}) {
+		t.Fatalf("AboveActive(251) above the floor keeps %v, want a re-filter", got)
+	}
+	if got := sh.Resolve(wire.AboveActive(250), sh.IDs()); !slices.Equal(got, []int32{12, 14, 15}) {
+		t.Fatalf("AboveActive(250) over IDs keeps %v: a full scan must never take the shortcut", got)
+	}
+
+	// A full scan equal to the active list in content is still not it.
+	sh.MaxFindInit(-1, true) // all six active, floor -1
+	sh.Node(11).Value = -1
+	if got := sh.Resolve(wire.AboveActive(-1), sh.IDs()); !slices.Equal(got, []int32{10, 12, 13, 14, 15}) {
+		t.Fatalf("AboveActive(-1) over IDs with every node active keeps %v, want a re-filter", got)
+	}
+	sh.Install(11, 200)
+
+	// Install of an active node at or below the floor invalidates it; one
+	// above it does not.
+	sh.MaxFindInit(250, true) // ids 12..15 active again
+	sh.Install(14, 900)
+	if sh.floor != 250 {
+		t.Fatalf("Install above the floor moved it to %d", sh.floor)
+	}
+	sh.Install(11, 0) // inactive: the floor holds
+	if sh.floor != 250 {
+		t.Fatalf("Install of an inactive node moved the floor to %d", sh.floor)
+	}
+	sh.Install(13, 250)
+	if got := sh.Matchers(wire.AboveActive(250)); !slices.Equal(got, []int32{12, 14, 15}) {
+		t.Fatalf("after Install(13, 250) AboveActive(250) keeps %v, want a re-filter", got)
+	}
+
+	// Raise restores a floor: the larger of the old one and best.
+	sh.MaxFindRaise(15, 300) // ids 14 (900) and 15 (600) above; 15 holds
+	if sh.floor != 300 || !slices.Equal(sh.ScanList(wire.AboveActive(-1)), []int32{14}) {
+		t.Fatalf("after Raise(15, 300): floor %d, active %v; want 300 and [14]", sh.floor, sh.ScanList(wire.AboveActive(-1)))
+	}
+	sh.MaxFindRaise(99, 200) // a holder of another shard, best below the floor
+	if sh.floor != 300 {
+		t.Fatalf("Raise with best 200 under floor 300 moved it to %d", sh.floor)
+	}
+
+	// A holder whose value exceeds best still leaves the list.
+	sh.MaxFindInit(-1, true)
+	sh.MaxFindRaise(14, 550) // 14 holds 900, 15 holds 600
+	checkActive(t, sh)
+	if sh.Node(14).MFActive || !sh.Node(15).MFActive {
+		t.Fatalf("Raise(14, 550): 14 active=%v, 15 active=%v; want false, true",
+			sh.Node(14).MFActive, sh.Node(15).MFActive)
+	}
+
+	sh.Reset(rngx.New(1))
+	if sh.floor != noFloor {
+		t.Fatalf("Reset left the floor at %d", sh.floor)
+	}
+}
+
+// TestShardAllocs pins "a node is a row": building a shard allocates a
+// fixed number of blocks whatever its size — no object per node and none
+// per RNG stream — and Reset allocates nothing.
+func TestShardAllocs(t *testing.T) {
+	root := rngx.New(1)
+	build := func(n int) float64 {
+		return testing.AllocsPerRun(3, func() { NewShard(0, n, root) })
+	}
+	if small, large := build(64), build(65536); small != large {
+		t.Errorf("NewShard allocates %v blocks at n=64 and %v at n=65536, want the same", small, large)
+	}
+	sh := NewShard(0, 4096, root)
+	if a := testing.AllocsPerRun(10, func() { sh.Reset(root) }); a != 0 {
+		t.Errorf("Shard.Reset allocates %v blocks, want 0", a)
+	}
+}
+
+// TestRaiseMatchesNodeHandler holds the Shard's batch MaxFindRaise — a pass
+// over the active list that tests values only, then the holder taken off —
+// to the node handler applied to every row: the same flags on every node,
+// for holders inside and outside the shard, above, at and below best.
+func TestRaiseMatchesNodeHandler(t *testing.T) {
+	const base, n = 40, 97
+	r := rngx.New(5)
+	sh := NewShard(base, n, rngx.New(1))
+	for round := range 200 {
+		for i := range n {
+			if round%5 == 0 || r.Intn(4) == 0 {
+				sh.Install(base+i, r.Int63n(64))
+			}
+		}
+		if round%3 == 0 {
+			sh.MaxFindInit(r.Int63n(32)-1, round%6 == 0)
+		}
+		holder, best := base-2+r.Intn(n+4), r.Int63n(64)
+		want := slices.Clone(sh.nodes)
+		for i := range want {
+			want[i].MaxFindRaise(holder, best)
+		}
+		sh.MaxFindRaise(holder, best)
+		if !slices.Equal(sh.nodes, want) {
+			t.Fatalf("round %d: Raise(%d, %d) leaves other rows than the node handler", round, holder, best)
+		}
+		checkActive(t, sh)
 	}
 }

@@ -5,6 +5,8 @@
 // engine equivalence tests.
 package rngx
 
+import "math"
+
 // Source is a splitmix64 PRNG. The zero value is a valid source seeded at 0;
 // prefer New to decorrelate streams.
 type Source struct {
@@ -78,6 +80,36 @@ func (s *Source) Bool(p float64) bool {
 		return true
 	}
 	return s.Float64() < p
+}
+
+// Threshold returns the integer form of a probability p for Below, so that
+// Below(Threshold(p)) is Bool(p) coin for coin: the same result and the
+// same stream state after it, for every p, NaN included. Bool compares
+// m/2⁵³ < p for the top 53 bits m of one draw; both sides are exact, so
+// that is m < p·2⁵³, which for an integer m is m < ⌈p·2⁵³⌉. For p in
+// (0, 1) the threshold is that ceiling, in [1, 2⁵³-1]; 2⁵³ stands for
+// "true without a draw" (p ≥ 1) and anything above for "false without a
+// draw" (p ≤ 0). NaN draws and fails, as it does in Bool: threshold 0.
+func Threshold(p float64) uint64 {
+	switch {
+	case p <= 0:
+		return math.MaxUint64
+	case p >= 1:
+		return 1 << 53
+	case p > 0:
+		return uint64(math.Ceil(p * (1 << 53)))
+	}
+	return 0 // NaN
+}
+
+// Below is Bool for a probability already turned into t = Threshold(p): a
+// caller drawing many coins of one probability converts it once, and each
+// coin is one comparison of integers.
+func (s *Source) Below(t uint64) bool {
+	if t >= 1<<53 {
+		return t == 1<<53
+	}
+	return s.Uint64()>>11 < t
 }
 
 // Perm returns a pseudo-random permutation of [0, n).

@@ -145,7 +145,7 @@ func BenchmarkViolationSweep(b *testing.B) {
 		}{{"indexed", false}, {"fullscan", true}} {
 			b.Run(fmt.Sprintf("quiet/%s/n=%d", mode.name, n), func(b *testing.B) {
 				e := lockstep.New(n, 1)
-				e.FullScan = mode.full
+				e.SetFullScan(mode.full)
 				e.Advance(make([]int64, n))
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -157,7 +157,7 @@ func BenchmarkViolationSweep(b *testing.B) {
 			})
 			b.Run(fmt.Sprintf("one-violator/%s/n=%d", mode.name, n), func(b *testing.B) {
 				e := lockstep.New(n, 1)
-				e.FullScan = mode.full
+				e.SetFullScan(mode.full)
 				e.Advance(make([]int64, n))
 				e.SetFilter(3, filter.Make(5, 10))
 				b.ReportAllocs()

@@ -26,8 +26,12 @@
 //	                    Count-Min) behind one Summary interface; stdlib-only
 //	                    leaf, allocation-free Observe, Reset(seed) replay
 //	internal/protocol   the paper's algorithms (the core contribution)
-//	internal/lockstep   deterministic engine (tests, experiments)
-//	internal/live       sharded concurrent engine (bit-identical semantics)
+//	internal/cluster    the engine contract, and cluster.Server: the
+//	                    server side written once (billing, buffers, the
+//	                    EXISTENCE loop) over a node side, cluster.Nodes
+//	internal/lockstep   deterministic engine: the Server over one Shard
+//	internal/live       sharded concurrent engine: the Server over m
+//	                    Shards on worker goroutines (bit-identical)
 //	internal/nodecore   node logic and nodecore.Shard, the one writer of
 //	                    node state, which both engines hold
 //	internal/vindex     value-bucket index + violator set under the Shard
@@ -72,8 +76,9 @@
 //     order/neighborhood/validation buffers and a packed-key index sort);
 //     Compute remains as an allocating convenience wrapper. sim.Run,
 //     offline.SigmaMax, and cmd/topkmon hold one Scratch per run.
-//   - Both engines reuse their sweep buffer and double-buffer Collect
-//     results; see the ownership contract on cluster.Cluster. Inspector
+//   - The one server (cluster.Server) reuses its sweep buffer and
+//     double-buffers Collect results; see the ownership contract on
+//     cluster.Cluster. Inspector
 //     has FiltersInto for per-step filter reads into caller scratch.
 //   - A committed step costs its dirty set, not n: the facade lists the
 //     nodes a batch staged and hands the engine that delta
@@ -100,8 +105,8 @@
 //     live.WithShards), each owning a contiguous range of nodes and its
 //     bucket partition, and batches directives per step: reply-free
 //     mutations are deferred into a reusable batch that rides along with
-//     the next response-bearing barrier; Collect/sweep matches land in
-//     per-shard report lists, a Probe reply in one slot —
+//     the next response-bearing barrier; Probe, Collect and sweep replies
+//     land in per-shard report lists —
 //     one quiet step is one barrier (a sweep nobody matches ends after its
 //     first round), no per-directive channel round-trips, no steady-state
 //     allocation. The engine prices every barrier round in node visits and

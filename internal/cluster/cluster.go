@@ -1,12 +1,17 @@
 // Package cluster defines the engine-neutral server-side interface through
 // which all monitoring protocols talk to the distributed nodes.
 //
-// Two engines implement it: the deterministic sequential engine
-// (internal/lockstep), the primary substrate for tests and experiments, and
-// the concurrent goroutine engine (internal/live) used by the runnable
-// demos. Protocol code written against this interface runs unchanged on
-// both, and — given equal seeds — produces identical message counters,
-// which the cross-engine equivalence tests assert.
+// It is implemented once, by Server: the model's server, which bills every
+// message and round and runs the EXISTENCE loop, over a Nodes that carries
+// each message out at the nodes. There are two node sides, and so two
+// engines: the deterministic sequential engine (internal/lockstep, one
+// nodecore.Shard run inline), the primary substrate for tests and
+// experiments, and the concurrent goroutine engine (internal/live, m
+// Shards behind a directive batcher and worker goroutines) used by the
+// runnable demos. Protocol code written against this interface runs
+// unchanged on both; their message counters agree by construction, and
+// the cross-engine equivalence tests assert that their node sides — and
+// so their outputs and coin flips — agree for equal seeds too.
 //
 // Every method that moves information between server and nodes has a unit
 // communication cost per message, matching the model of Section 2.
@@ -17,8 +22,8 @@
 // buffers; the slices they hand out therefore have documented lifetimes
 // rather than being fresh copies:
 //
-//   - Collect results survive exactly one further Collect (engines double-
-//     buffer them, because DENSEPROTOCOL holds one result across a second
+//   - Collect results survive exactly one further Collect (the Server
+//     double-buffers them, because DENSEPROTOCOL holds one result across a second
 //     Collect). Protocols needing a longer lifetime must copy.
 //   - Sweep and DetectViolation results are recycled by the next sweep.
 //   - FiltersInto appends into caller-owned scratch, reusing its capacity.
@@ -36,7 +41,7 @@
 //
 // # Selectivity of Sweep and Collect
 //
-// Both engines hold their nodes in nodecore.Shard, which keeps three
+// Both node sides hold their nodes in nodecore.Shard, which keeps three
 // routing structures in step with every node mutation (its doc comment
 // states that contract once for both engines). Sweep and Collect route
 // through a value-bucket index (internal/vindex) keyed by
@@ -52,7 +57,8 @@
 // MaxFind* broadcasts — the flag's only writers — keep. Each primitive
 // resolves its predicate once: a sweep's rounds run over the nodes that
 // matched before round 0, and a sweep nobody matches bills its γ+1 rounds
-// and does no other work (one barrier round on the live engine). All
+// and does no other work than its round 0 (one barrier round on the live
+// engine). All
 // routing is an implementation property with NO protocol-visible effect —
 // the model's message costs stated on each method, the report contents and
 // id order, the rounds billed and every coin flip are identical to a full

@@ -301,18 +301,21 @@ func TestConformanceDeferredReadsSeeCallOrderValues(t *testing.T) {
 }
 
 // TestConformanceRoundsAccounted: sweeps and collects consume protocol
-// rounds on both engines.
+// rounds on every engine, exactly as the model bills them — a silent sweep
+// its γ+1 rounds though it ends after round 0, a Collect one.
 func TestConformanceRoundsAccounted(t *testing.T) {
-	for name, mk := range engines(32, 17) {
+	const n = 32
+	gamma := int64(nodecore.ExistenceRounds(n)) // 5
+	for name, mk := range engines(n, 17) {
 		t.Run(name, func(t *testing.T) {
 			eng, done := mk()
 			defer done()
-			eng.Advance(make([]int64, 32))
+			eng.Advance(make([]int64, n))
 			eng.Sweep(wire.Violating()) // silent: γ+1 rounds
 			eng.Collect(wire.InRange(0, 0))
 			eng.EndStep()
-			if eng.Counters().MaxRoundsPerStep() < 6 {
-				t.Errorf("rounds/step = %d, want ≥ γ+2", eng.Counters().MaxRoundsPerStep())
+			if got := eng.Counters().MaxRoundsPerStep(); got != gamma+2 {
+				t.Errorf("rounds/step = %d, want γ+2 = %d", got, gamma+2)
 			}
 		})
 	}
@@ -508,6 +511,35 @@ func TestConformanceAdvanceRangePanic(t *testing.T) {
 					t.Errorf("delta panic %q, dense panic %q", got, want)
 				}
 				doneDelta()
+			}
+		})
+	}
+}
+
+// TestConformanceAdvanceLengthPanic: both Advance forms reject a value
+// vector that does not have one entry per node, on every engine, whatever
+// the dirty list names.
+func TestConformanceAdvanceLengthPanic(t *testing.T) {
+	const n = 4
+	for name, mk := range engines(n, 37) {
+		t.Run(name, func(t *testing.T) {
+			for _, vals := range [][]int64{{1, 2, 3}, {1, 2, 3, 4, 5}} {
+				for form, advance := range map[string]func(cluster.Engine){
+					"dense": func(e cluster.Engine) { e.Advance(vals) },
+					"delta": func(e cluster.Engine) { e.AdvanceDirty(vals, []int{0}) },
+					"empty": func(e cluster.Engine) { e.AdvanceDirty(vals, nil) },
+				} {
+					eng, done := mk()
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Errorf("%s Advance with %d values for %d nodes did not panic", form, len(vals), n)
+							}
+						}()
+						advance(eng)
+					}()
+					done()
+				}
 			}
 		})
 	}

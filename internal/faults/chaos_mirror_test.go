@@ -38,7 +38,7 @@ func TestChaosMirrorMatchesFullScan(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				indexed := Wrap(lockstep.New(n, seed), plan, seed)
 				full := lockstep.New(n, seed)
-				full.FullScan = true
+				full.SetFullScan(true)
 				ref := Wrap(full, plan, seed)
 
 				r := rngx.New(seed * 7919)

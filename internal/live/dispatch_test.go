@@ -248,11 +248,11 @@ func TestStopGoesThroughWorkers(t *testing.T) {
 		t.Errorf("Close woke %d workers, want all %d", got, m)
 	}
 	for i, want := range vals {
-		if got := c.shards[c.workerOf[i]].Node(i).Value; got != want {
+		if got := c.b.shards[c.b.workerOf[i]].Node(i).Value; got != want {
 			t.Errorf("node %d holds %d after Close, want the deferred Advance's %d", i, got, want)
 		}
 	}
-	if got := c.shards[c.workerOf[5]].Node(5).Filter; got != iv {
+	if got := c.b.shards[c.b.workerOf[5]].Node(5).Filter; got != iv {
 		t.Errorf("node 5's filter is %v after Close, want the deferred SetFilter's %v", got, iv)
 	}
 }

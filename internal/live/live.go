@@ -2,6 +2,11 @@
 // workers communicating over channels — the protocols running against a
 // "distributed" cluster rather than a sequential loop.
 //
+// A Cluster is the one server, cluster.Server, over a node side of its
+// own: the batcher, which implements cluster.Nodes by turning each call
+// into a directive and running the batch over m shards. The server bills;
+// everything below is about who runs the node work, and when.
+//
 // # Worker shards
 //
 // The engine runs m ≪ n worker goroutines (m defaults to GOMAXPROCS,
@@ -26,13 +31,15 @@
 //
 // # Sweeps
 //
-// A sweep's round 0 addresses every shard: each resolves its matchers, keeps
-// the list for the later rounds, and draws the round's coins over it. The
-// matcher counts come back with the round's reports. When no shard holds a
-// matcher the sweep is silent, and the server bills the remaining γ rounds
-// and returns — a quiet violation sweep is one barrier, not γ+1. Otherwise
-// each later round addresses only the shards that hold a matcher and they
-// draw over their kept lists; nothing re-evaluates a predicate.
+// The server's sweep loop asks for one EXISTENCE round at a time, and each
+// is one barrier. Round 0 addresses every shard: each resolves its
+// matchers, keeps the list for the later rounds, and draws the round's
+// coins over it. The matcher counts come back with the round's reports.
+// When no shard holds a matcher the sweep is silent, and the server bills
+// the remaining γ rounds and returns — a quiet violation sweep is one
+// barrier, not γ+1. Otherwise each later round addresses only the shards
+// that hold a matcher and they draw over their kept lists; nothing
+// re-evaluates a predicate.
 //
 // # Batched directives
 //
@@ -40,8 +47,8 @@
 // Instead it appends directives to a pending batch and flushes the batch as
 // one barrier round: every shard the batch addresses executes the directives
 // meant for it in order (exec, the one batch executor) and publishes replies
-// (per-shard report lists for Collect/sweep rounds; one reply slot for a
-// Probe). Directives that need no answer (Advance, BroadcastRule,
+// into its shard's report list (a Probe's, a Collect's or a sweep round's).
+// Directives that need no answer (Advance, BroadcastRule,
 // SetFilter, SetTagFilter, MaxFind*, Reset) are deferred — they ride along
 // with the next response-bearing flush — so a typical time step pays one
 // barrier for Advance + the first sweep round combined instead of one per
@@ -73,17 +80,17 @@
 // flush; the next signal a worker receives orders those writes before its
 // reads.
 //
-// The batch, the report lists, the probe slot, and the slices returned
-// by Collect/Sweep are all engine-owned and reused, mirroring the lockstep
-// engine's buffers: the steady state allocates nothing under either dispatch
-// (asserted by TestLiveStepAllocs and tracked by BenchmarkLiveStep).
+// The batch and the report lists are engine-owned and reused, like the
+// server's report buffers: the steady state allocates nothing under either
+// dispatch (asserted by TestLiveStepAllocs and tracked by BenchmarkLiveStep).
 // Report-slice ownership follows the cluster.Cluster contract — a Collect
 // result survives exactly one further Collect, a Sweep result only until the
 // next Sweep.
 //
 // # Semantics
 //
-// Semantics match the lockstep engine exactly: a flush is a synchronous
+// Billing is the server's, so it is the lockstep engine's by construction;
+// what remains to match is the node work. A flush is a synchronous
 // round (the barrier realises the model's rounds; barrier tokens are
 // simulation scaffolding and carry no message cost). Shards visit their
 // candidate nodes in ascending id order and cover ascending id ranges, so
@@ -107,19 +114,18 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"topkmon/internal/cluster"
 	"topkmon/internal/filter"
-	"topkmon/internal/metrics"
 	"topkmon/internal/nodecore"
 	"topkmon/internal/rngx"
-	"topkmon/internal/vindex"
 	"topkmon/internal/wire"
 )
 
 type dirKind uint8
 
 const (
-	dirAdvance   dirKind = iota // observations Cluster.adv[lo:hi], all on target's shard
-	dirApplyRule                // rule at Cluster.rules[ruleIdx]
+	dirAdvance   dirKind = iota // observations batcher.adv[lo:hi], all on target's shard
+	dirApplyRule                // rule at batcher.rules[ruleIdx]
 	dirSetFilter
 	dirSetTagFilter
 	dirProbe
@@ -153,8 +159,8 @@ type directive struct {
 	reset   bool
 	holder  int
 	best    int64
-	seed    uint64
-	lo, hi  int // dirAdvance: the directive's range of Cluster.adv
+	root    *rngx.Source // dirReset
+	lo, hi  int          // dirAdvance: the directive's range of batcher.adv
 }
 
 // observation is one staged (node, value) install of an Advance.
@@ -203,13 +209,19 @@ func WithGrain(visits int) Option {
 	return func(c *config) { c.grain = visits }
 }
 
-// Cluster is the sharded concurrent engine.
+// Cluster is the sharded concurrent engine: the one server, cluster.Server,
+// over a batcher of m worker shards.
 type Cluster struct {
-	n    int
-	m    int // worker (shard) count
-	ctr  *metrics.Counters
-	rng  *rngx.Source
-	maxV int64
+	cluster.Server
+	b *batcher
+}
+
+// batcher is the engine's node side (cluster.Nodes): it turns each call
+// into a directive of the pending batch and flushes the batch where the
+// server needs a reply.
+type batcher struct {
+	n int
+	m int // worker (shard) count
 
 	// shards[w] is the node range worker w owns (nodecore.Shard states the
 	// node-mutation contract), outs[w] the report list its exec publishes
@@ -225,8 +237,8 @@ type Cluster struct {
 	// Pending batch. The server owns these between flushes; whoever executes
 	// a flush reads them (and only them) during it. adv holds the batch's
 	// staged observations in call order; each dirAdvance directive names a
-	// run of it that lies on one shard (see stage). work is the batch's size
-	// in node visits (see visits), which flush compares with grain.
+	// run of it that lies on one shard (see Advance). work is the batch's
+	// size in node visits (see visits), which flush compares with grain.
 	pend  []directive
 	rules []wire.FilterRule
 	adv   []observation
@@ -245,20 +257,6 @@ type Cluster struct {
 	allTouched bool
 	flushes    int64 // barrier rounds run, see Flushes
 	wakes      int64 // worker wake-ups, see Wakes
-
-	// probe is the reply slot of a Probe. Probe flushes at once, so a batch
-	// carries at most one dirProbe: the exec of the shard owning its target
-	// writes the slot during the flush, and the server reads it after.
-	// Collect and sweep-round replies go through the per-shard report lists.
-	probe wire.Report
-
-	// Report buffers mirroring the lockstep engine's ownership contract:
-	// sweepBuf backs Sweep results (recycled by the next Sweep), the
-	// double-buffered collectBufs let a Collect result survive exactly one
-	// further Collect.
-	sweepBuf    []wire.Report
-	collectBufs [2][]wire.Report
-	collectIdx  int
 
 	wg    sync.WaitGroup
 	alive bool
@@ -288,12 +286,9 @@ func New(n int, seed uint64, opts ...Option) *Cluster {
 		m = n
 	}
 	root := rngx.New(seed)
-	c := &Cluster{
+	b := &batcher{
 		n:          n,
 		m:          m,
-		ctr:        metrics.NewCounters(),
-		rng:        root.Child(nodecore.ServerRNG),
-		maxV:       1,
 		shards:     make([]*nodecore.Shard, m),
 		outs:       make([][]wire.Report, m),
 		workerOf:   make([]int32, n),
@@ -305,11 +300,7 @@ func New(n int, seed uint64, opts ...Option) *Cluster {
 		done:       make(chan struct{}, 1),
 		touched:    make([]bool, m),
 		touchedIDs: make([]int, 0, m),
-		sweepBuf:   make([]wire.Report, 0, nodecore.ReportCap),
 		alive:      true,
-	}
-	for i := range c.collectBufs {
-		c.collectBufs[i] = make([]wire.Report, 0, nodecore.ReportCap)
 	}
 	// Contiguous near-equal shards: the first n%m shards get one extra node.
 	q, r := n/m, n%m
@@ -319,21 +310,21 @@ func New(n int, seed uint64, opts ...Option) *Cluster {
 		if w < r {
 			size++
 		}
-		c.shards[w] = nodecore.NewShard(base, size, root)
-		c.outs[w] = make([]wire.Report, 0, nodecore.ReportCap)
+		b.shards[w] = nodecore.NewShard(base, size, root)
+		b.outs[w] = make([]wire.Report, 0, nodecore.ReportCap)
 		for i := base; i < base+size; i++ {
-			c.workerOf[i] = int32(w)
+			b.workerOf[i] = int32(w)
 		}
-		c.sig[w] = make(chan struct{}, 1)
+		b.sig[w] = make(chan struct{}, 1)
 		base += size
-		c.wg.Add(1)
-		go c.worker(w)
+		b.wg.Add(1)
+		go b.worker(w)
 	}
-	return c
+	return &Cluster{Server: cluster.NewServer(b, n, root), b: b}
 }
 
 // Shards returns the worker (shard) count m.
-func (c *Cluster) Shards() int { return c.m }
+func (c *Cluster) Shards() int { return c.b.m }
 
 // Flushes returns how many barrier rounds the engine has run since
 // construction — whoever executed them: a flush small enough to run on the
@@ -341,31 +332,37 @@ func (c *Cluster) Shards() int { return c.m }
 // VisitedNodes it is engine-side work accounting for tests and benchmarks —
 // a quiet step is one barrier, a silent sweep one, not γ+1 — and neither
 // message cost nor part of the cluster interfaces.
-func (c *Cluster) Flushes() int64 { return c.flushes }
+func (c *Cluster) Flushes() int64 { return c.b.flushes }
 
 // Wakes returns how many worker wake-ups the engine has paid since
 // construction: one per worker signalled by a flush that went to the
 // workers, none for a flush the caller ran. Same standing as Flushes.
-func (c *Cluster) Wakes() int64 { return c.wakes }
+func (c *Cluster) Wakes() int64 { return c.b.wakes }
 
-// Node exposes one node for white-box tests, like the lockstep engine's
-// accessor: not part of the cluster interfaces, never used by protocols,
-// and read-only for the same reason. It flushes first, so every deferred
-// directive has run and the workers are parked; the node is the caller's
-// to read until its next call into the engine.
-func (c *Cluster) Node(i int) *nodecore.Node {
-	c.flush()
-	return c.shards[c.workerOf[i]].Node(i)
+// Close stops all worker goroutines. Pending deferred directives are
+// executed first, in the batch that carries the stop to every worker. Any
+// later call that reaches the nodes (Probe, Collect, Sweep, DetectViolation,
+// FiltersInto, Node) panics with "live: use after Close"; a second Close
+// does nothing.
+func (c *Cluster) Close() {
+	b := c.b
+	if !b.alive {
+		return
+	}
+	b.alive = false
+	b.push(directive{kind: dirStop, target: allNodes})
+	b.run(false)
+	b.wg.Wait()
 }
 
 // worker is one shard's goroutine: once per flush that is handed to the
 // workers and addresses its shard, it executes the batch over the shard.
-func (c *Cluster) worker(w int) {
-	defer c.wg.Done()
-	for range c.sig[w] {
-		stop := c.exec(w)
-		if c.remaining.Add(-1) == 0 {
-			c.done <- struct{}{}
+func (b *batcher) worker(w int) {
+	defer b.wg.Done()
+	for range b.sig[w] {
+		stop := b.exec(w)
+		if b.remaining.Add(-1) == 0 {
+			b.done <- struct{}{}
 		}
 		if stop {
 			return
@@ -379,37 +376,30 @@ func (c *Cluster) worker(w int) {
 // decides whether worker w's goroutine or the server's runs it. A directive
 // whose target is a node id is addressed to the shard owning that node
 // only. It reports whether the batch carried dirStop.
-func (c *Cluster) exec(w int) (stop bool) {
-	sh, out := c.shards[w], c.outs[w][:0]
-	for i := range c.pend {
-		d := &c.pend[i]
-		if d.target >= 0 && c.workerOf[d.target] != int32(w) {
+func (b *batcher) exec(w int) (stop bool) {
+	sh, out := b.shards[w], b.outs[w][:0]
+	for i := range b.pend {
+		d := &b.pend[i]
+		if d.target >= 0 && b.workerOf[d.target] != int32(w) {
 			continue
 		}
 		switch d.kind {
 		case dirAdvance:
-			for _, o := range c.adv[d.lo:d.hi] {
+			for _, o := range b.adv[d.lo:d.hi] {
 				sh.Install(int(o.id), o.v)
 			}
 		case dirApplyRule:
-			sh.ApplyRule(&c.rules[d.ruleIdx])
+			sh.ApplyRule(&b.rules[d.ruleIdx])
 		case dirSetFilter:
 			sh.SetFilter(d.target, d.iv)
 		case dirSetTagFilter:
 			sh.SetTagFilter(d.target, d.tag, d.iv)
 		case dirProbe:
-			c.probe = sh.Node(d.target).Report()
+			out = append(out, sh.Probe(d.target))
 		case dirCollect:
 			out = sh.Collect(out, d.pred)
 		case dirExistRound:
-			// Matchers are stable across one sweep's rounds (node state
-			// only moves on Advance and the server's own messages,
-			// which cannot interleave with a running Sweep), so only
-			// round 0 resolves the predicate.
-			if d.round == 0 {
-				sh.Matchers(d.pred)
-			}
-			out = sh.Draw(out, d.prob)
+			out, _ = sh.Round(out, d.pred, d.round, d.prob)
 		case dirMaxInit:
 			sh.MaxFindInit(d.value, d.reset)
 		case dirMaxRaise:
@@ -417,41 +407,41 @@ func (c *Cluster) exec(w int) (stop bool) {
 		case dirMaxExclude:
 			sh.MaxFindExclude(d.target)
 		case dirReset:
-			// ChildSeed derivation is pure, so one root per shard
-			// rewinds every node exactly as a per-node root would.
-			sh.Reset(rngx.New(d.seed))
+			// ChildSeed derivation is pure, so the one root rewinds every
+			// shard exactly as per-shard roots would.
+			sh.Reset(d.root)
 		case dirStop:
 			stop = true
 		}
 	}
-	c.outs[w] = out
+	b.outs[w] = out
 	return stop
 }
 
 // push appends a directive to the pending batch, records which shards the
 // next flush addresses, and adds the directive's price to the batch's work.
-func (c *Cluster) push(d directive) {
+func (b *batcher) push(d directive) {
 	switch d.target {
 	case allNodes:
-		c.allTouched = true
+		b.allTouched = true
 	case sweepers:
-		for w, sh := range c.shards {
+		for w, sh := range b.shards {
 			if sh.Kept() > 0 {
-				c.touch(w)
+				b.touch(w)
 			}
 		}
 	default:
-		c.touch(int(c.workerOf[d.target]))
+		b.touch(int(b.workerOf[d.target]))
 	}
-	c.work += c.visits(&d)
-	c.pend = append(c.pend, d)
+	b.work += b.visits(&d)
+	b.pend = append(b.pend, d)
 }
 
 // touch marks shard w as addressed by the next flush.
-func (c *Cluster) touch(w int) {
-	if !c.allTouched && !c.touched[w] {
-		c.touched[w] = true
-		c.touchedIDs = append(c.touchedIDs, w)
+func (b *batcher) touch(w int) {
+	if !b.allTouched && !b.touched[w] {
+		b.touched[w] = true
+		b.touchedIDs = append(b.touchedIDs, w)
 	}
 }
 
@@ -462,35 +452,35 @@ func (c *Cluster) touch(w int) {
 // can add — an observation or a filter one violator or one span member,
 // MaxFindInit and BroadcastRule n — so the batch's work stays an upper
 // estimate.
-func (c *Cluster) visits(d *directive) int {
+func (b *batcher) visits(d *directive) int {
 	switch d.kind {
 	case dirAdvance:
-		return 0 // stage adds one per observation
+		return 0 // Advance adds one per observation
 	case dirCollect:
-		return c.scanSize(d.pred)
+		return b.scanSize(d.pred)
 	case dirExistRound:
 		if d.round == 0 {
-			return c.scanSize(d.pred)
+			return b.scanSize(d.pred)
 		}
 		kept := 0
-		for _, sh := range c.shards {
+		for _, sh := range b.shards {
 			kept += sh.Kept()
 		}
 		return kept
 	case dirMaxRaise:
 		// A raise walks the active lists: the max-find predicate's scan.
-		return c.scanSize(wire.AboveActive(d.best))
+		return b.scanSize(wire.AboveActive(d.best))
 	case dirApplyRule, dirMaxInit, dirReset:
-		return c.n
+		return b.n
 	default:
 		return 1
 	}
 }
 
 // scanSize is what routing p visits over all shards; n if p is unroutable.
-func (c *Cluster) scanSize(p wire.Pred) int {
+func (b *batcher) scanSize(p wire.Pred) int {
 	size := 0
-	for _, sh := range c.shards {
+	for _, sh := range b.shards {
 		size += sh.ScanSize(p)
 	}
 	return size
@@ -504,14 +494,14 @@ func (c *Cluster) scanSize(p wire.Pred) int {
 // exec over the same shards, so nothing a caller can observe depends on
 // the choice. After Close every call that reaches the nodes comes through
 // here, and it panics: the workers it would signal have exited.
-func (c *Cluster) flush() {
-	if !c.alive {
+func (b *batcher) flush() {
+	if !b.alive {
 		panic("live: use after Close")
 	}
-	if len(c.pend) == 0 {
+	if len(b.pend) == 0 {
 		return
 	}
-	c.run(c.work < c.grain)
+	b.run(b.work < b.grain)
 }
 
 // run executes the pending batch: onCaller runs it here, shard after shard
@@ -525,109 +515,59 @@ func (c *Cluster) flush() {
 // writes shard state from the server's goroutine while the workers are
 // parked, and the next signal a worker receives orders those writes before
 // its reads.
-func (c *Cluster) run(onCaller bool) {
-	c.flushes++
+func (b *batcher) run(onCaller bool) {
+	b.flushes++
 	if onCaller {
-		for w := range c.shards {
-			if c.allTouched || c.touched[w] {
-				c.exec(w)
+		for w := range b.shards {
+			if b.allTouched || b.touched[w] {
+				b.exec(w)
 			}
 		}
 	} else {
-		if c.allTouched {
-			c.wakes += int64(c.m)
-			c.remaining.Store(int64(c.m))
-			for _, ch := range c.sig {
+		if b.allTouched {
+			b.wakes += int64(b.m)
+			b.remaining.Store(int64(b.m))
+			for _, ch := range b.sig {
 				ch <- struct{}{}
 			}
 		} else {
-			c.wakes += int64(len(c.touchedIDs))
-			c.remaining.Store(int64(len(c.touchedIDs)))
-			for _, w := range c.touchedIDs {
-				c.sig[w] <- struct{}{}
+			b.wakes += int64(len(b.touchedIDs))
+			b.remaining.Store(int64(len(b.touchedIDs)))
+			for _, w := range b.touchedIDs {
+				b.sig[w] <- struct{}{}
 			}
 		}
-		<-c.done
+		<-b.done
 	}
-	for _, w := range c.touchedIDs {
-		c.touched[w] = false
+	for _, w := range b.touchedIDs {
+		b.touched[w] = false
 	}
-	c.touchedIDs = c.touchedIDs[:0]
-	c.allTouched = false
-	c.pend = c.pend[:0]
-	c.rules = c.rules[:0]
-	c.adv = c.adv[:0]
-	c.work = 0
+	b.touchedIDs = b.touchedIDs[:0]
+	b.allTouched = false
+	b.pend = b.pend[:0]
+	b.rules = b.rules[:0]
+	b.adv = b.adv[:0]
+	b.work = 0
 }
 
-// Close stops all worker goroutines. Pending deferred directives are
-// executed first, in the batch that carries the stop to every worker. Any
-// later call that reaches the nodes (Probe, Collect, Sweep, DetectViolation,
-// FiltersInto, Node) panics with "live: use after Close"; a second Close
-// does nothing.
-func (c *Cluster) Close() {
-	if !c.alive {
-		return
-	}
-	c.alive = false
-	c.push(directive{kind: dirStop, target: allNodes})
-	c.run(false)
-	c.wg.Wait()
-}
-
-// Reset implements cluster.Cluster: it rewinds the engine — every node, the
-// shard indexes, the counters, and the server RNG — to the state
-// New(n, seed) constructs, keeping the workers, batch, and report buffers.
-// The directive is deferred like any other non-response mutation. A reset
-// engine replays a fresh engine's run bit for bit (asserted by the Reset
-// property tests, including the sharded configurations).
-func (c *Cluster) Reset(seed uint64) {
-	root := rngx.New(seed)
-	c.ctr.Reset()
-	c.rng.Reseed(root.ChildSeed(nodecore.ServerRNG))
-	c.maxV = 1
-	c.push(directive{kind: dirReset, target: allNodes, seed: seed})
-}
-
-// N implements cluster.Cluster.
-func (c *Cluster) N() int { return c.n }
-
-// Counters implements cluster.Cluster.
-func (c *Cluster) Counters() *metrics.Counters { return c.ctr }
-
-// Rand implements cluster.Cluster.
-func (c *Cluster) Rand() *rngx.Source { return c.rng }
-
-func (c *Cluster) count(ch metrics.Channel, k wire.Kind) {
-	c.ctr.Count(ch, k, wire.MsgBits(k, c.n, c.maxV))
-}
-
-// Advance implements cluster.Inspector: every node's entry of values is
-// staged for the next flush. Callers may reuse their slice immediately.
-func (c *Cluster) Advance(values []int64) { c.stage(values, nil, len(values)) }
-
-// AdvanceDirty implements cluster.Inspector: the same staging as Advance,
-// for the dirty nodes only, so the next flush addresses (on this directive's
-// account) only the shards that own one — and an empty heartbeat stages
-// nothing and addresses nobody.
-func (c *Cluster) AdvanceDirty(values []int64, dirty []int) { c.stage(values, dirty, len(dirty)) }
-
-// stage is the one install routine behind both Advance forms. It stages
-// count observations — of the nodes ids[0:count], or of nodes 0..count-1
-// when ids is nil (the dense form) — each checked by the argument checks
-// shared with lockstep, which run here so a bad call panics at the caller
-// and not in a worker, folded into the running Δ, and copied into the
-// engine-owned batch. Consecutive
-// observations on one shard share a dirAdvance directive, so a full vector
-// in id order costs one directive per shard.
+// Advance implements cluster.Nodes: it stages the observations of the
+// nodes ids, or of every node when ids is nil, for the next flush, so a
+// delta addresses only the shards that own one of its ids. Each value is
+// checked here, so a bad call panics at the caller and not in a worker,
+// and copied into the engine-owned batch: callers may reuse their slice
+// immediately. Consecutive observations on one shard share a dirAdvance
+// directive, so a full vector in id order costs one directive per shard.
 //
 // Staged observations are installed in batch order like every other
 // directive, and each call's values live in their own run of adv. A
 // deferred MaxFindInit or MaxFindRaise between two Advances therefore reads
 // the values call order promises: there is no shared value vector a later
 // Advance could overwrite, and so no reason to flush early.
-func (c *Cluster) stage(values []int64, ids []int, count int) {
-	nodecore.CheckAdvance("live", c.n, values)
+func (b *batcher) Advance(values []int64, ids []int) (top int64) {
+	count := len(ids)
+	if ids == nil {
+		count = b.n
+	}
 	run := int32(-1) // shard of the directive being extended
 	for i := 0; i < count; i++ {
 		id := i
@@ -635,169 +575,115 @@ func (c *Cluster) stage(values []int64, ids []int, count int) {
 			id = ids[i]
 		}
 		v := values[id]
-		nodecore.CheckValue("live", id, v)
-		if v > c.maxV {
-			c.maxV = v
-		}
-		if w := c.workerOf[id]; w != run {
+		nodecore.CheckValue(id, v)
+		top = max(top, v)
+		if w := b.workerOf[id]; w != run {
 			run = w
-			c.push(directive{kind: dirAdvance, target: id, lo: len(c.adv), hi: len(c.adv)})
+			b.push(directive{kind: dirAdvance, target: id, lo: len(b.adv), hi: len(b.adv)})
 		}
-		c.pend[len(c.pend)-1].hi++
-		c.adv = append(c.adv, observation{id: int32(id), v: v})
-		c.work++
+		b.pend[len(b.pend)-1].hi++
+		b.adv = append(b.adv, observation{id: int32(id), v: v})
+		b.work++
 	}
+	return top
 }
 
-// EndStep implements cluster.Inspector.
-func (c *Cluster) EndStep() { c.ctr.EndStep() }
+// ApplyRule implements cluster.Nodes. The rule is copied into the
+// engine-owned batch, so the caller may mutate and reuse it immediately —
+// the contract's "fully applied on return" holds observably because every
+// read of node state flushes first.
+func (b *batcher) ApplyRule(rule *wire.FilterRule) {
+	b.rules = append(b.rules, *rule)
+	b.push(directive{kind: dirApplyRule, target: allNodes, ruleIdx: len(b.rules) - 1})
+}
 
-// FiltersInto implements cluster.Inspector. Like Node it flushes first and
-// then reads the parked shards' nodes directly; shards cover ascending id
-// ranges, so dst comes back in id order.
-func (c *Cluster) FiltersInto(dst []filter.Interval) []filter.Interval {
-	c.flush()
-	dst = dst[:0]
-	for _, sh := range c.shards {
-		for _, id := range sh.IDs() {
-			dst = append(dst, sh.Node(int(id)).Filter)
-		}
+// SetFilter implements cluster.Nodes.
+func (b *batcher) SetFilter(id int, iv filter.Interval) {
+	b.push(directive{kind: dirSetFilter, target: id, iv: iv})
+}
+
+// SetTagFilter implements cluster.Nodes.
+func (b *batcher) SetTagFilter(id int, t wire.Tag, iv filter.Interval) {
+	b.push(directive{kind: dirSetTagFilter, target: id, tag: t, iv: iv})
+}
+
+// Probe implements cluster.Nodes: the reply is the one report the target's
+// shard publishes.
+func (b *batcher) Probe(id int) wire.Report {
+	b.push(directive{kind: dirProbe, target: id})
+	b.flush()
+	return b.outs[b.workerOf[id]][0]
+}
+
+// Collect implements cluster.Nodes: every shard routes p through its own
+// structures, and the per-shard match lists are concatenated in shard order
+// (= id order), so gather cost is O(m + matches) rather than O(n).
+func (b *batcher) Collect(dst []wire.Report, p wire.Pred) []wire.Report {
+	b.push(directive{kind: dirCollect, target: allNodes, pred: p})
+	b.flush()
+	for _, reps := range b.outs {
+		dst = append(dst, reps...)
 	}
 	return dst
 }
 
-// BroadcastRule implements cluster.Cluster. The rule is copied into the
-// engine-owned batch, so the caller may mutate and reuse it immediately —
-// the contract's "fully applied on return" holds observably because every
-// read of node state flushes first.
-func (c *Cluster) BroadcastRule(rule *wire.FilterRule) {
-	c.count(metrics.Broadcast, wire.KindFilterRule)
-	c.ctr.Rounds(1)
-	c.rules = append(c.rules, *rule)
-	c.push(directive{kind: dirApplyRule, target: allNodes, ruleIdx: len(c.rules) - 1})
-}
-
-// SetFilter implements cluster.Cluster.
-func (c *Cluster) SetFilter(id int, iv filter.Interval) {
-	c.count(metrics.ServerToNode, wire.KindSetFilter)
-	c.push(directive{kind: dirSetFilter, target: id, iv: iv})
-}
-
-// SetTagFilter implements cluster.Cluster.
-func (c *Cluster) SetTagFilter(id int, t wire.Tag, iv filter.Interval) {
-	c.count(metrics.ServerToNode, wire.KindSetFilter)
-	c.push(directive{kind: dirSetTagFilter, target: id, tag: t, iv: iv})
-}
-
-// Probe implements cluster.Cluster.
-func (c *Cluster) Probe(id int) wire.Report {
-	c.count(metrics.ServerToNode, wire.KindProbeRequest)
-	c.count(metrics.NodeToServer, wire.KindProbeReply)
-	c.ctr.Rounds(1)
-	c.push(directive{kind: dirProbe, target: id})
-	c.flush()
-	return c.probe
-}
-
-// Collect implements cluster.Cluster. Results alternate between two
-// engine-owned buffers, honouring the Cluster contract that a Collect
-// result survives exactly one further Collect. Workers route the scan
-// through their shard's value index; the server concatenates the per-shard
-// match lists in shard order (= id order), so gather cost is O(m + matches)
-// rather than O(n).
-func (c *Cluster) Collect(p wire.Pred) []wire.Report {
-	c.count(metrics.Broadcast, wire.KindCollect)
-	c.ctr.Rounds(1)
-	if !vindex.Routable(p) {
-		// Predicate-only decision, billed server-side so the count is
-		// bit-identical to the lockstep engine's for equal call sequences.
-		c.ctr.IndexFallback()
-	}
-	c.push(directive{kind: dirCollect, target: allNodes, pred: p})
-	c.flush()
-	out := c.collectBufs[c.collectIdx][:0]
-	for _, reps := range c.outs {
-		for _, rep := range reps {
-			c.count(metrics.NodeToServer, wire.KindCollectReply)
-			out = append(out, rep)
-		}
-	}
-	c.collectBufs[c.collectIdx] = out
-	c.collectIdx ^= 1
-	return out
-}
-
-// Sweep implements cluster.Cluster: the EXISTENCE protocol of Lemma 3.1,
-// one batched barrier per probabilistic round that has a matcher to draw.
-// Round 0 goes to every shard and brings back each one's matcher count
-// beside its reports; a sweep nobody matches ends there, with its remaining
-// γ rounds billed and not run, and a later round addresses only the shards
-// that hold a matcher. The returned slice is backed by the engine-owned
-// sweep buffer and recycled by the next Sweep.
-func (c *Cluster) Sweep(p wire.Pred) []wire.Report {
-	if !vindex.Routable(p) {
-		// One fallback per sweep (the predicate is resolved once, in round
-		// 0), matching the lockstep engine's accounting.
-		c.ctr.IndexFallback()
-	}
-	gamma := nodecore.ExistenceRounds(c.n)
+// Round implements cluster.Nodes, one barrier per round: round 0 goes to
+// every shard, a later round only to the shards that hold a matcher.
+func (b *batcher) Round(dst []wire.Report, p wire.Pred, r int, prob float64) ([]wire.Report, int) {
 	target := allNodes
-	for r := 0; r <= gamma; r++ {
-		c.ctr.Rounds(1)
-		c.push(directive{kind: dirExistRound, target: target, pred: p, round: r, prob: nodecore.ExistenceProb(r, c.n)})
-		c.flush()
+	if r > 0 {
 		target = sweepers
-		matchers := 0
-		senders := c.sweepBuf[:0]
-		for w, sh := range c.shards {
-			if sh.Kept() == 0 {
-				continue // not addressed after round 0: outs[w] is not this round's
-			}
-			matchers += sh.Kept()
-			for _, rep := range c.outs[w] {
-				c.count(metrics.NodeToServer, wire.KindExistenceReport)
-				senders = append(senders, rep)
-			}
-		}
-		c.sweepBuf = senders[:0]
-		if len(senders) > 0 {
-			c.count(metrics.Broadcast, wire.KindHalt)
-			return senders
-		}
-		if matchers == 0 {
-			c.ctr.Rounds(int64(gamma - r))
-			return nil
-		}
 	}
-	return nil // not reached: the final round sends with certainty
-}
-
-// DetectViolation implements cluster.Cluster.
-func (c *Cluster) DetectViolation() (wire.Report, bool) {
-	senders := c.Sweep(wire.Violating())
-	if len(senders) == 0 {
-		return wire.Report{}, false
+	b.push(directive{kind: dirExistRound, target: target, pred: p, round: r, prob: prob})
+	b.flush()
+	matchers := 0
+	for w, sh := range b.shards {
+		if sh.Kept() == 0 {
+			continue // not addressed after round 0: outs[w] is not this round's
+		}
+		matchers += sh.Kept()
+		dst = append(dst, b.outs[w]...)
 	}
-	return senders[c.rng.Intn(len(senders))], true
+	return dst, matchers
 }
 
-// MaxFindInit implements cluster.Cluster.
-func (c *Cluster) MaxFindInit(floor int64, reset bool) {
-	c.count(metrics.Broadcast, wire.KindMaxFindInit)
-	c.ctr.Rounds(1)
-	c.push(directive{kind: dirMaxInit, target: allNodes, value: floor, reset: reset})
+// MaxFindInit implements cluster.Nodes.
+func (b *batcher) MaxFindInit(floor int64, reset bool) {
+	b.push(directive{kind: dirMaxInit, target: allNodes, value: floor, reset: reset})
 }
 
-// MaxFindRaise implements cluster.Cluster.
-func (c *Cluster) MaxFindRaise(holder int, best int64) {
-	c.count(metrics.Broadcast, wire.KindMaxFindRaise)
-	c.ctr.Rounds(1)
-	c.push(directive{kind: dirMaxRaise, target: allNodes, holder: holder, best: best})
+// MaxFindRaise implements cluster.Nodes.
+func (b *batcher) MaxFindRaise(holder int, best int64) {
+	b.push(directive{kind: dirMaxRaise, target: allNodes, holder: holder, best: best})
 }
 
-// MaxFindExclude implements cluster.Cluster.
-func (c *Cluster) MaxFindExclude(id int) {
-	c.count(metrics.Broadcast, wire.KindMaxFindExclude)
-	c.ctr.Rounds(1)
-	c.push(directive{kind: dirMaxExclude, target: id})
+// MaxFindExclude implements cluster.Nodes.
+func (b *batcher) MaxFindExclude(id int) {
+	b.push(directive{kind: dirMaxExclude, target: id})
+}
+
+// Reset implements cluster.Nodes. The directive is deferred like any other
+// non-response mutation; the workers, batch and report lists are kept.
+func (b *batcher) Reset(root *rngx.Source) {
+	b.push(directive{kind: dirReset, target: allNodes, root: root})
+}
+
+// AppendFilters implements cluster.Nodes. Like Node it flushes first and
+// then reads the parked shards' nodes directly; shards cover ascending id
+// ranges, so dst comes back in id order.
+func (b *batcher) AppendFilters(dst []filter.Interval) []filter.Interval {
+	b.flush()
+	for _, sh := range b.shards {
+		dst = sh.AppendFilters(dst)
+	}
+	return dst
+}
+
+// Node implements cluster.Nodes: read-only, for white-box tests. It
+// flushes first, so every deferred directive has run and the workers are
+// parked; the node is the caller's to read until its next call into the
+// engine.
+func (b *batcher) Node(i int) *nodecore.Node {
+	b.flush()
+	return b.shards[b.workerOf[i]].Node(i)
 }

@@ -296,7 +296,7 @@ func TestShardPartition(t *testing.T) {
 			t.Errorf("n=%d WithShards(%d): Shards() = %d, want %d", cs.n, cs.opt, got, cs.want)
 		}
 		next := 0
-		for w, sh := range c.shards {
+		for w, sh := range c.b.shards {
 			ids := sh.IDs()
 			if base := int(ids[0]); base != next {
 				t.Errorf("shard %d base = %d, want %d (contiguous ascending)", w, base, next)
@@ -308,8 +308,8 @@ func TestShardPartition(t *testing.T) {
 				if nd := sh.Node(int(id)); nd.ID != next+i {
 					t.Errorf("shard %d node %d has id %d", w, i, nd.ID)
 				}
-				if int(c.workerOf[id]) != w {
-					t.Errorf("workerOf[%d] = %d, want %d", id, c.workerOf[id], w)
+				if int(c.b.workerOf[id]) != w {
+					t.Errorf("workerOf[%d] = %d, want %d", id, c.b.workerOf[id], w)
 				}
 			}
 			next += sh.Len()
@@ -332,24 +332,24 @@ func TestDeltaWakesOnlyOwningShards(t *testing.T) {
 	vals := make([]int64, 8)
 
 	c.AdvanceDirty(vals, nil)
-	if len(c.pend) != 0 || len(c.touchedIDs) != 0 || c.allTouched {
-		t.Fatalf("heartbeat staged %d directives, touched %v, broadcast %v", len(c.pend), c.touchedIDs, c.allTouched)
+	if len(c.b.pend) != 0 || len(c.b.touchedIDs) != 0 || c.b.allTouched {
+		t.Fatalf("heartbeat staged %d directives, touched %v, broadcast %v", len(c.b.pend), c.b.touchedIDs, c.b.allTouched)
 	}
 
 	vals[5], vals[4], vals[0] = 7, 3, 9
 	c.AdvanceDirty(vals, []int{5, 4, 0})
-	if len(c.pend) != 2 || !reflect.DeepEqual(c.touchedIDs, []int{2, 0}) || c.allTouched {
+	if len(c.b.pend) != 2 || !reflect.DeepEqual(c.b.touchedIDs, []int{2, 0}) || c.b.allTouched {
 		t.Fatalf("delta {5,4,0} staged %d directives, touched %v, broadcast %v; want 2, [2 0], false",
-			len(c.pend), c.touchedIDs, c.allTouched)
+			len(c.b.pend), c.b.touchedIDs, c.b.allTouched)
 	}
 	if got := valuesOf(c); !reflect.DeepEqual(got, vals) {
 		t.Fatalf("values %v, want %v", got, vals)
 	}
 
 	c.Advance(vals)
-	if len(c.pend) != 4 || len(c.adv) != 8 || c.allTouched {
+	if len(c.b.pend) != 4 || len(c.b.adv) != 8 || c.b.allTouched {
 		t.Fatalf("dense Advance staged %d directives over %d observations, broadcast %v; want 4, 8, false",
-			len(c.pend), len(c.adv), c.allTouched)
+			len(c.b.pend), len(c.b.adv), c.b.allTouched)
 	}
 }
 
@@ -380,13 +380,13 @@ func TestSweepBarriers(t *testing.T) {
 	// One violator, on shard 2. Round 0 with probability 0: everybody
 	// resolves, nobody sends.
 	c.SetFilter(37, filter.Make(5, 10))
-	c.push(directive{kind: dirExistRound, target: allNodes, pred: wire.Violating()})
-	c.flush()
-	c.push(directive{kind: dirExistRound, target: sweepers, round: 1})
-	if !reflect.DeepEqual(c.touchedIDs, []int{2}) || c.allTouched {
-		t.Fatalf("round 1 wakes shards %v (broadcast %v), want only the violator's shard 2", c.touchedIDs, c.allTouched)
+	c.b.push(directive{kind: dirExistRound, target: allNodes, pred: wire.Violating()})
+	c.b.flush()
+	c.b.push(directive{kind: dirExistRound, target: sweepers, round: 1})
+	if !reflect.DeepEqual(c.b.touchedIDs, []int{2}) || c.b.allTouched {
+		t.Fatalf("round 1 wakes shards %v (broadcast %v), want only the violator's shard 2", c.b.touchedIDs, c.b.allTouched)
 	}
-	c.flush()
+	c.b.flush()
 
 	f0 = c.Flushes()
 	senders := c.Sweep(wire.Violating())
@@ -402,15 +402,4 @@ func TestCloseIsIdempotent(t *testing.T) {
 	c := New(2, 7)
 	c.Close()
 	c.Close()
-}
-
-func TestAdvanceValidation(t *testing.T) {
-	c := New(2, 8)
-	defer c.Close()
-	defer func() {
-		if recover() == nil {
-			t.Error("wrong-length Advance must panic")
-		}
-	}()
-	c.Advance([]int64{1})
 }

@@ -267,7 +267,7 @@ func TestIndexedScanMatchesFullScan(t *testing.T) {
 			script := equivScript(n, rounds, distributions(n, r)[name], r, true)
 
 			fullScan := New(n, seed)
-			fullScan.FullScan = true
+			fullScan.SetFullScan(true)
 			want := runEquivScript(fullScan, script)
 
 			// Guard against a vacuous pass: the churn must manufacture
@@ -295,7 +295,7 @@ func TestIndexedScanMatchesFullScan(t *testing.T) {
 				}
 			}
 			ref := New(n, seed)
-			ref.FullScan = true
+			ref.SetFullScan(true)
 			liveWant := runEquivScript(ref, liveScript)
 			for _, m := range liveShardCounts(n) {
 				t.Run(fmt.Sprintf("live/m=%d", m), func(t *testing.T) {

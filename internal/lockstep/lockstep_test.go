@@ -144,37 +144,6 @@ func TestBroadcastRuleAppliesToAll(t *testing.T) {
 	}
 }
 
-func TestAdvanceValidation(t *testing.T) {
-	e := New(3, 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("wrong-length Advance must panic")
-		}
-	}()
-	e.Advance([]int64{1, 2})
-}
-
-func TestValueRangeValidation(t *testing.T) {
-	e := New(1, 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("negative value must panic")
-		}
-	}()
-	e.Advance([]int64{-1})
-}
-
-func TestRoundAccounting(t *testing.T) {
-	e := New(16, 4)
-	vals := make([]int64, 16)
-	e.Advance(vals)
-	e.Sweep(wire.Violating()) // silent: γ+1 rounds
-	e.EndStep()
-	if e.Counters().MaxRoundsPerStep() < 4 {
-		t.Errorf("silent sweep rounds = %d, want ≥ γ", e.Counters().MaxRoundsPerStep())
-	}
-}
-
 func TestMessageAccountingByKind(t *testing.T) {
 	e := New(4, 6)
 	e.Advance([]int64{1, 2, 3, 4})

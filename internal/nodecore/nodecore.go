@@ -1,5 +1,6 @@
 // Package nodecore implements the node-local state and behaviour shared by
-// the deterministic lockstep engine and the concurrent goroutine engine.
+// the deterministic lockstep engine and the concurrent goroutine engine:
+// the node side of cluster.Server, which both engines are.
 //
 // A node owns: its current stream value, its assigned filter, a protocol tag
 // (V1/V2/S1-style set membership, updated by server messages), and a
@@ -50,11 +51,12 @@ type Node struct {
 	RNG rngx.Source
 }
 
-// ServerRNG is the Child id of the engines' server-side randomness stream
-// (Cluster.Rand, which DetectViolation picks a sender with). Both engines
-// derive it from the root their nodes derive from, so equal seeds give
-// equal server coin flips. Node id's stream is root.Child(id), so the
-// server stream stays disjoint from every node's as long as n ≤ ServerRNG.
+// ServerRNG is the Child id of the server-side randomness stream
+// (Cluster.Rand, which DetectViolation picks a sender with). cluster.Server
+// derives it from the root the nodes derive from, so equal seeds give
+// equal server coin flips on either engine. Node id's stream is
+// root.Child(id), so the server stream stays disjoint from every node's as
+// long as n ≤ ServerRNG.
 const ServerRNG = 0xC0FFEE
 
 // New returns a node with the all-admitting filter and its own child RNG,

@@ -19,41 +19,34 @@ import (
 // once.
 const ReportCap = 64
 
-// CheckAdvance and CheckValue are the argument checks of both Advance
-// forms, shared by the engines so they reject the same calls with the same
-// text after their package prefix pkg. CheckAdvance runs once per call and
-// panics unless values has one entry per node of an n-node cluster.
-func CheckAdvance(pkg string, n int, values []int64) {
-	if len(values) != n {
-		panic(fmt.Sprintf("%s: Advance with %d values for %d nodes", pkg, len(values), n))
-	}
-}
-
-// CheckValue runs once per observation the call installs and panics unless
-// v, the value for node id, lies in the supported domain [0, eps.MaxValue].
-// It sits in the engines' per-observation loops, so it is small enough to
-// inline and builds its message out of line; a separate checking pass over
-// the observations cost more than the install it guards.
-func CheckValue(pkg string, id int, v int64) {
+// CheckValue runs once per observation an Advance installs and panics
+// unless v, the value for node id, lies in the supported domain
+// [0, eps.MaxValue]. It sits in the per-observation loops of Shard.Advance
+// and of the live engine's staging, so it is small enough to inline and
+// builds its message out of line; a separate checking pass over the
+// observations cost more than the install it guards.
+func CheckValue(id int, v int64) {
 	if v < 0 || v > eps.MaxValue {
-		badValue(pkg, id, v)
+		badValue(id, v)
 	}
 }
 
 // badValue stays out of line so that CheckValue inlines.
 //
 //go:noinline
-func badValue(pkg string, id int, v int64) {
-	panic(fmt.Sprintf("%s: value %d for node %d outside [0, %d]", pkg, v, id, eps.MaxValue))
+func badValue(id int, v int64) {
+	panic(fmt.Sprintf("nodecore: value %d for node %d outside [0, %d]", v, id, eps.MaxValue))
 }
 
 // Shard owns the nodes of the id range [base, base+n) together with the
 // three structures the engines route predicates through: the value-bucket
 // index (vindex.Index), the violator set (vindex.Mirror) and the id-ordered
-// list of the max-find-active nodes. The lockstep engine holds one Shard
-// over all its nodes, the live engine one per worker; which predicates
-// route through which structure, and which fall back to the full scan, is
-// decided here and can therefore never diverge between them.
+// list of the max-find-active nodes. It is the node side of a cluster
+// engine (it implements cluster.Nodes): the lockstep engine is a
+// cluster.Server over one Shard of all its nodes, the live engine batches
+// the same calls over one Shard per worker. Which predicates route through
+// which structure, and which fall back to the full scan, is decided here
+// and can therefore never diverge between them.
 //
 // A node is a row: the nodes are one []Node, each with its RNG stream in
 // the row, and every list the Shard keeps or returns (the active list, the
@@ -67,7 +60,7 @@ func badValue(pkg string, id int, v int64) {
 // The Shard is the only code that changes a node, and each of its mutators
 // re-derives the node's entries in the same call, from the node:
 //
-//   - Install (an observation of either Advance form): the bucket and the
+//   - Install (one observation of an Advance batch): the bucket and the
 //     violator bit, and the floor watermark if the node is active and the
 //     value at or below it.
 //   - SetFilter, SetTagFilter, ApplyRule: the violator bit, read from the
@@ -95,9 +88,11 @@ func badValue(pkg string, id int, v int64) {
 // On the read side, node state cannot change while an EXISTENCE sweep
 // runs, so a sweep resolves its matchers once (Matchers, or Resolve over a
 // caller-chosen scan) and then draws one coin round at a time over the
-// kept list (Draw): an active step costs its matchers, not candidates ×
-// rounds. A Shard is not safe for concurrent use; the live engine hands
-// each one to one executor per flush.
+// kept list (Draw); Round is the two as one sweep round. An active step
+// costs its matchers, not candidates × rounds. Every candidate list comes
+// from ScanList, which also counts the candidates (Visited) and obeys the
+// FullScan ablation. A Shard is not safe for concurrent use; the live
+// engine hands each one to one executor per flush.
 type Shard struct {
 	base  int
 	nodes []Node
@@ -110,6 +105,14 @@ type Shard struct {
 
 	cand []int32
 	kept []int32
+
+	// FullScan makes ScanList return every id, ignoring the routing
+	// structures. Ablation scaffolding for the index equivalence property
+	// tests and BenchmarkViolationSweep; leave false otherwise. It never
+	// perturbs outputs, counters, or coin flips — only the scan cost.
+	// Reset clears it.
+	FullScan bool
+	visited  int64 // candidates ScanList returned, see Visited
 }
 
 // noFloor is the floor watermark when none is known.
@@ -160,6 +163,28 @@ func (s *Shard) Install(id int, v int64) {
 	nd.Observe(v)
 	s.idx.Update(id, v)
 	s.mir.Set(id, v, nd.Filter)
+}
+
+// Advance installs values[id] at node id for every id of ids, in that
+// order, or at every node of the shard when ids is nil; values is indexed
+// by absolute id. Each value passes CheckValue before it is installed. It
+// returns the largest value installed, 0 if none was.
+func (s *Shard) Advance(values []int64, ids []int) (top int64) {
+	count := len(ids)
+	if ids == nil {
+		count = len(s.nodes)
+	}
+	for i := 0; i < count; i++ {
+		id := s.base + i
+		if ids != nil {
+			id = ids[i]
+		}
+		v := values[id]
+		CheckValue(id, v)
+		s.Install(id, v)
+		top = max(top, v)
+	}
+	return top
 }
 
 // ApplyRule applies a broadcast filter rule to every node.
@@ -249,6 +274,8 @@ func (s *Shard) Reset(root *rngx.Source) {
 	s.active = s.active[:0]
 	s.floor = noFloor
 	s.kept = s.kept[:0]
+	s.FullScan = false
+	s.visited = 0
 }
 
 // ScanList returns the ids a predicate-routed primitive must visit, in
@@ -260,22 +287,34 @@ func (s *Shard) Reset(root *rngx.Source) {
 // candidates would only add cost. The result is the active list, IDs, or
 // scratch recycled by the next ScanList call; callers must not modify it.
 // Candidate values may lie outside the bounds (bucket coarsening), so
-// callers still Match every node — or take Matchers.
+// callers still Match every node — or take Matchers. Under FullScan it is
+// IDs for every predicate. Its length is added to Visited.
 func (s *Shard) ScanList(p wire.Pred) []int32 {
-	if !vindex.Routable(p) {
-		return s.ids
-	}
-	switch p.Kind {
-	case wire.PredAboveActive:
-		return s.active
-	case wire.PredViolating:
+	scan := s.ids
+	switch {
+	case s.FullScan || !vindex.Routable(p): // the full scan
+	case p.Kind == wire.PredAboveActive:
+		scan = s.active
+	case p.Kind == wire.PredViolating:
 		s.cand = s.mir.AppendViolators(s.cand[:0])
+		scan = s.cand
 	default:
 		lo, hi, _ := p.Bounds()
 		s.cand = s.idx.AppendSorted(s.cand[:0], lo, hi)
+		scan = s.cand
 	}
-	return s.cand
+	s.visited += int64(len(scan))
+	return scan
 }
+
+// Visited returns the cumulative number of candidates ScanList has
+// returned since construction or the last Reset: per Collect or sweep, the
+// size of its scan list, once, since a sweep resolves its matchers before
+// its first round and its rounds visit no further candidate. A max-find
+// scan the floor watermark keeps whole counts in full, though no node is
+// tested. Work accounting for measuring the routing's selectivity
+// (experiment E12), not message cost.
+func (s *Shard) Visited() int64 { return s.visited }
 
 // ScanSize returns len(ScanList(p)) without building the list, read from
 // the structures' lengths. The live engine prices a pending Collect or
@@ -300,11 +339,10 @@ func (s *Shard) ScanSize(p wire.Pred) int {
 func (s *Shard) Matchers(p wire.Pred) []int32 { return s.Resolve(p, s.ScanList(p)) }
 
 // Resolve evaluates p once on every node of scan and keeps the ids of those
-// that match, in scan order, as the list Draw draws over; the lockstep
-// engine's FullScan ablation hands it IDs. Each kind is one loop that
-// stores every id and keeps it if its node matches, as Node.Match decides;
-// a max-find scan that is the active list at a threshold the floor
-// watermark covers is kept whole. The result is that kept list, valid
+// that match, in scan order, as the list Draw draws over. Each kind is one
+// loop that stores every id and keeps it if its node matches, as Node.Match
+// decides; a max-find scan that is the active list at a threshold the
+// floor watermark covers is kept whole. The result is that kept list, valid
 // until the next Resolve, Matchers or Reset.
 func (s *Shard) Resolve(p wire.Pred, scan []int32) []int32 {
 	nodes, base := s.nodes, s.base
@@ -348,6 +386,20 @@ func (s *Shard) isActive(scan []int32) bool {
 	return len(scan) == len(s.active) && (len(scan) == 0 || &scan[0] == &s.active[0])
 }
 
+// Round runs round r of an EXISTENCE sweep for p: round 0 resolves the
+// matchers (Matchers), and every round with a matcher draws over them
+// (Draw). It returns dst with the senders' reports appended, and the
+// number of matchers.
+func (s *Shard) Round(dst []wire.Report, p wire.Pred, r int, prob float64) ([]wire.Report, int) {
+	if r == 0 {
+		s.Resolve(p, s.ScanList(p))
+	}
+	if len(s.kept) == 0 {
+		return dst, 0
+	}
+	return s.Draw(dst, prob), len(s.kept)
+}
+
 // Kept returns the length of the kept matcher list.
 func (s *Shard) Kept() int { return len(s.kept) }
 
@@ -375,6 +427,17 @@ func (s *Shard) Collect(dst []wire.Report, p wire.Pred) []wire.Report {
 		if nd := s.Node(int(id)); nd.Match(p) {
 			dst = append(dst, nd.Report())
 		}
+	}
+	return dst
+}
+
+// Probe returns node id's report.
+func (s *Shard) Probe(id int) wire.Report { return s.Node(id).Report() }
+
+// AppendFilters appends the filter of every node to dst in id order.
+func (s *Shard) AppendFilters(dst []filter.Interval) []filter.Interval {
+	for i := range s.nodes {
+		dst = append(dst, s.nodes[i].Filter)
 	}
 	return dst
 }

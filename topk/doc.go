@@ -44,9 +44,11 @@
 //
 // WithEngine selects the execution substrate: [Lockstep] (deterministic
 // sequential, the default — cheapest and bit-reproducible) or [Live]
-// (worker-sharded goroutines over channels, see WithShards). Both are
-// observably identical for equal seeds; the facade-equivalence tests prove
-// a pushed run byte-identical to driving the engines directly.
+// (worker-sharded goroutines over channels, see WithShards). Both are the
+// same server over different node executors, so message billing agrees by
+// construction and the two are observably identical for equal seeds; the
+// facade-equivalence tests prove a pushed run byte-identical to driving
+// the engines directly.
 //
 // WithMonitor selects the paper's algorithm: the Theorem 5.8 controller
 // [Approx] (default), the exact monitor [Exact] (Corollary 3.3; assumes

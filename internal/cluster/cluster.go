@@ -23,8 +23,8 @@
 // rather than being fresh copies:
 //
 //   - Collect results survive exactly one further Collect (the Server
-//     double-buffers them, because DENSEPROTOCOL holds one result across a second
-//     Collect). Protocols needing a longer lifetime must copy.
+//     double-buffers them, because DENSEPROTOCOL holds one result across a
+//     second Collect). Protocols needing a longer lifetime must copy.
 //   - Sweep and DetectViolation results are recycled by the next sweep.
 //   - FiltersInto appends into caller-owned scratch, reusing its capacity.
 //   - BroadcastRule arguments are fully applied (or copied, on the live
@@ -58,12 +58,12 @@
 // resolves its predicate once: a sweep's rounds run over the nodes that
 // matched before round 0, and a sweep nobody matches bills its γ+1 rounds
 // and does no other work than its round 0 (one barrier round on the live
-// engine). All
-// routing is an implementation property with NO protocol-visible effect —
-// the model's message costs stated on each method, the report contents and
-// id order, the rounds billed and every coin flip are identical to a full
-// scan repeated every round (nodes outside the candidates could not have
-// matched or sent, and node state cannot change while a sweep runs). Only
+// engine). All routing is an implementation property with NO
+// protocol-visible effect — the model's message costs stated on each
+// method, the report contents and id order, the rounds billed and every
+// coin flip are identical to a full scan repeated every round (nodes
+// outside the candidates could not have matched or sent, and node state
+// cannot change while a sweep runs). Only
 // tag predicates (HasTag) and domain-covering InRange intervals scan all
 // nodes, the documented fallback. Protocols should therefore prefer
 // interval predicates over tag collects when either formulation is

@@ -48,12 +48,12 @@
 // one barrier round: every shard the batch addresses executes the directives
 // meant for it in order (exec, the one batch executor) and publishes replies
 // into its shard's report list (a Probe's, a Collect's or a sweep round's).
-// Directives that need no answer (Advance, BroadcastRule,
-// SetFilter, SetTagFilter, MaxFind*, Reset) are deferred — they ride along
-// with the next response-bearing flush — so a typical time step pays one
-// barrier for Advance + the first sweep round combined instead of one per
-// directive. Per-node execution order equals call order, so deferral is
-// semantically invisible.
+// Directives that need no answer (Advance, BroadcastRule, SetFilter,
+// SetTagFilter, MaxFind*, Reset) are deferred — they ride along with the
+// next response-bearing flush — so a typical time step pays one barrier for
+// Advance + the first sweep round combined instead of one per directive.
+// Per-node execution order equals call order, so deferral is semantically
+// invisible.
 //
 // Who executes a flush depends on its size. While directives are pushed the
 // server keeps the batch's work in node visits: one per staged observation,

@@ -24,11 +24,8 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# api-check runs the import-boundary table in topk/boundary_test.go, the one
-# place the rules are written down: cmd/ and examples/ consume only the
-# public topk packages (cmd/topkd may add internal/serve), internal/serve
-# adds only internal/wal, internal/wal only topk, internal/sketch imports
-# nothing from the module, and topk/items only topk + internal/sketch.
+# api-check runs importRules in topk/boundary_test.go, the one place the
+# import-boundary rules are written down.
 api-check:
 	$(GO) test -count=1 -run '^TestImportBoundaries$$' ./topk
 

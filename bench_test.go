@@ -454,7 +454,11 @@ func BenchmarkFindMax(b *testing.B) {
 // only a run's first flush, priced 2n, reaches it. So the grain stays at
 // 65536.
 //
-// After the three timed rows of an n the benchmark compares the dispatches
+// A fourth timed row, n=…/lockstep, runs the same FindMax on lockstep.New(n,
+// 1), which puts the live engine beside the one-shard inline engine at each
+// size. It takes no part in the check.
+//
+// After the timed rows of an n the benchmark compares the three dispatches
 // on identical work — each engine Reset to the same seed, so every FindMax
 // draws the same coins; least of five rounds — and fails if the default is
 // more than 15 % slower than the better pure dispatch: the constant has
@@ -466,8 +470,8 @@ func BenchmarkLiveGrain(b *testing.B) {
 	}
 }
 
-// benchLiveGrainAt is BenchmarkLiveGrain at one n: three engines, their
-// timed rows, the comparison, and the engines' Close.
+// benchLiveGrainAt is BenchmarkLiveGrain at one n: three live engines and a
+// lockstep one, their timed rows, the comparison, and the engines' Close.
 func benchLiveGrainAt(b *testing.B, n int) {
 	dispatches := []struct {
 		name string
@@ -485,29 +489,33 @@ func benchLiveGrainAt(b *testing.B, n int) {
 	}
 	// load rewinds an engine to the common start: same seed, same values,
 	// installed before anything is timed.
-	load := func(e *live.Cluster) {
+	load := func(e cluster.Engine) {
 		e.Reset(1)
 		e.Advance(vals)
 		e.Probe(0)
 	}
-	findMax := func(b *testing.B, e *live.Cluster) {
+	findMax := func(b *testing.B, e cluster.Engine) {
 		if _, ok := protocol.FindMax(e, true); !ok {
 			b.Fatal("no max")
 		}
+	}
+	timed := func(name string, e cluster.Engine) {
+		b.Run(fmt.Sprintf("n=%d/%s", n, name), func(b *testing.B) {
+			load(e)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for j := 0; j < b.N; j++ {
+				findMax(b, e)
+			}
+		})
 	}
 	engs := make([]*live.Cluster, len(dispatches))
 	for i, d := range dispatches {
 		engs[i] = live.New(n, 1, append(d.opts, live.WithShards(2))...)
 		defer engs[i].Close()
-		b.Run(fmt.Sprintf("n=%d/%s", n, d.name), func(b *testing.B) {
-			load(engs[i])
-			b.ReportAllocs()
-			b.ResetTimer()
-			for j := 0; j < b.N; j++ {
-				findMax(b, engs[i])
-			}
-		})
+		timed(d.name, engs[i])
 	}
+	timed("lockstep", lockstep.New(n, 1))
 	if runtime.GOMAXPROCS(0) < 2 {
 		return
 	}

@@ -20,11 +20,10 @@
 //	                    over both engines — the single supported entry point
 //	topk/items          PUBLIC item-monitoring layer: per-node streaming
 //	                    summaries feed the monitor so it tracks top-k ITEMS
-//	                    (heavy hitters) across nodes — consumes only topk
-//	                    and internal/sketch
+//	                    (heavy hitters) across nodes
 //	internal/sketch     streaming summaries (Space-Saving, Misra-Gries,
-//	                    Count-Min) behind one Summary interface; stdlib-only
-//	                    leaf, allocation-free Observe, Reset(seed) replay
+//	                    Count-Min) behind one Summary interface;
+//	                    allocation-free Observe, Reset(seed) replay
 //	internal/protocol   the paper's algorithms (the core contribution)
 //	internal/cluster    the engine contract, and cluster.Server: the
 //	                    server side written once (billing, buffers, the
@@ -43,27 +42,23 @@
 //	internal/sim        run harness (drives runs through topk);
 //	                    internal/exp: experiments E1–E13
 //	internal/serve      multi-tenant HTTP frontend (tenant pool, handlers,
-//	                    SSE bridge, durable commit path) — consumes only the
-//	                    public topk facade and internal/wal
+//	                    SSE bridge, durable commit path)
 //	internal/wal        per-tenant write-ahead batch log (CRC-framed records,
 //	                    torn-tail tolerant decode, snapshot sidecars) behind
-//	                    topkd -data-dir — consumes only topk
+//	                    topkd -data-dir
 //	internal/tools      internal CLI: tools/bench (experiment tables)
 //	benchmark           the repository benchmark (`go run ./benchmark`): six
 //	                    workloads end to end, a child topkd included
-//	cmd/topkmon         live monitoring CLI — imports only topk
+//	cmd/topkmon         live monitoring CLI
 //	cmd/topkd           multi-tenant HTTP ingest daemon over internal/serve
-//	examples/           six runnable scenarios — import only topk (and
-//	                    topk/items for the heavyhitters demo)
+//	examples/           six runnable scenarios
 //
-// Applications embed the topk package; cmd/ and examples/ are its reference
-// consumers, and CI (plus the topk boundary tests) enforces that neither
-// imports any internal/... package — with one sanctioned exception:
-// cmd/topkd imports internal/serve, which in turn may import only
-// internal/wal (its durability layer), and internal/wal only topk — so the
-// served path inherits every facade guarantee (TestServeEquivalence proves
-// it byte-identical to direct embedding, and TestRecoveryEquivalence that
-// a crash-recovered tenant is byte-identical to an uninterrupted one).
+// Applications embed the topk package, and cmd/ and examples/ are its
+// reference consumers; what each package may import is written down once,
+// in importRules (topk/boundary_test.go). The served path stands on the
+// facade and inherits its guarantees: TestServeEquivalence proves it
+// byte-identical to direct embedding, and TestRecoveryEquivalence that a
+// crash-recovered tenant is byte-identical to an uninterrupted one.
 //
 // # Performance
 //

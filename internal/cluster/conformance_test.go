@@ -85,7 +85,7 @@ func TestConformanceMessageCosts(t *testing.T) {
 				return eng.Counters().Snapshot().Sub(before).Total()
 			}
 
-			if got := cost(func() { eng.BroadcastRule(wire.NewFilterRule()) }); got != 1 {
+			if got := cost(func() { eng.BroadcastRule(new(wire.FilterRule)) }); got != 1 {
 				t.Errorf("BroadcastRule cost %d, want 1", got)
 			}
 			if got := cost(func() { eng.SetFilter(2, filter.All) }); got != 1 {
@@ -170,7 +170,7 @@ func TestConformanceQuietStepsNoFallbacks(t *testing.T) {
 			// Wide filters admit the whole value walk below: every step
 			// stays quiet.
 			eng.Advance(make([]int64, n))
-			eng.BroadcastRule(wire.NewFilterRule().With(wire.TagNone, filter.Make(0, 2000)))
+			eng.BroadcastRule(new(wire.FilterRule).With(wire.TagNone, filter.Make(0, 2000)))
 			before := eng.Counters().Snapshot()
 			vals := make([]int64, n)
 			for step := 0; step < steps; step++ {
@@ -231,7 +231,7 @@ func TestConformanceTagAndFilterState(t *testing.T) {
 			defer done()
 			eng.Advance([]int64{1, 2, 3, 4})
 			eng.SetTagFilter(1, wire.TagV2S2, filter.Make(5, 6))
-			rule := wire.NewFilterRule().
+			rule := new(wire.FilterRule).
 				WithRetag(wire.TagV2S2, wire.TagV2).
 				With(wire.TagV2, filter.Make(7, 8)).
 				With(wire.TagNone, filter.Make(0, 100))
@@ -379,7 +379,7 @@ func TestConformanceDeltaEqualsDense(t *testing.T) {
 					case 1:
 						e.SetTagFilter(id, wire.TagV2, iv)
 					case 2:
-						e.BroadcastRule(wire.NewFilterRule().With(wire.TagV2, iv))
+						e.BroadcastRule(new(wire.FilterRule).With(wire.TagV2, iv))
 					case 3:
 						e.MaxFindInit(lo, step%2 == 0)
 					}

@@ -164,6 +164,8 @@ func (s *Server) FiltersInto(dst []filter.Interval) []filter.Interval {
 // Node exposes one node for white-box tests. Not part of the cluster
 // interfaces and never used by protocols; read-only, as the
 // nodecore.Shard contract says: assign filters through SetFilter instead.
+// No program calls it; the tests of this package, internal/live and
+// internal/sim do.
 func (s *Server) Node(i int) *nodecore.Node { return s.nodes.Node(i) }
 
 func (s *Server) count(ch metrics.Channel, k wire.Kind) {

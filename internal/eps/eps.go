@@ -8,10 +8,7 @@
 // values are bounded by MaxValue and denominators by MaxDen.
 package eps
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // MaxValue is the largest observed value supported by the exact predicates.
 // With MaxDen below, all cross-multiplications fit in int64 with slack.
@@ -54,19 +51,8 @@ func MustNew(num, den int64) Eps {
 	return e
 }
 
-// ErrValueRange reports a value outside [0, MaxValue].
-var ErrValueRange = errors.New("eps: value outside supported range")
-
 // IsZero reports whether ε = 0 (the exact problem).
 func (e Eps) IsZero() bool { return e.Num == 0 }
-
-// Float returns ε as a float64 (for reporting only, never for predicates).
-func (e Eps) Float() float64 {
-	if e.Den == 0 {
-		return 0
-	}
-	return float64(e.Num) / float64(e.Den)
-}
 
 // String renders ε as "p/q".
 func (e Eps) String() string {
@@ -114,11 +100,6 @@ func (e Eps) ClearlyBelow(v, ref int64) bool {
 	return v*od < ref*on
 }
 
-// InNeighborhood reports (1-ε)·ref ≤ v ≤ ref/(1-ε), i.e. v ∈ A(t).
-func (e Eps) InNeighborhood(v, ref int64) bool {
-	return !e.ClearlyAbove(v, ref) && !e.ClearlyBelow(v, ref)
-}
-
 // ShrinkFloor returns ⌊(1-ε)·x⌋. Used for conservative lower filter
 // endpoints: flooring can only loosen a lower bound on the F2 side, never
 // violating Observation 2.2.
@@ -143,26 +124,12 @@ func (e Eps) GrowFloor(x int64) int64 {
 	return (x * od) / on
 }
 
-// GrowCeil returns ⌈x/(1-ε)⌉.
-func (e Eps) GrowCeil(x int64) int64 {
-	on, od := e.om()
-	if on == 0 {
-		return MaxValue
-	}
-	return ceilDiv(x*od, on)
-}
-
 // FilterCompatible reports ℓ ≥ (1-ε)·u, the pairwise condition of
 // Observation 2.2 between a lower endpoint ℓ of an output node's filter and
 // an upper endpoint u of a non-output node's filter.
 func (e Eps) FilterCompatible(l, u int64) bool {
 	on, od := e.om()
 	return l*od >= u*on
-}
-
-// Leq reports e ≤ o as rationals.
-func (e Eps) Leq(o Eps) bool {
-	return e.Num*o.den() <= o.Num*e.den()
 }
 
 func ceilDiv(a, b int64) int64 {

@@ -1,7 +1,7 @@
-// Package exp defines the reproduction experiments E1–E11, each mapping a
-// theorem or claim of the paper to a measured table (the paper itself is
-// purely theoretical, so the "tables and figures" reproduced here are the
-// bound shapes its theorems assert).
+// Package exp defines the reproduction experiments E1–E13, each mapping a
+// theorem or claim of the paper to measured tables (the paper itself is
+// purely theoretical, so what the tables reproduce are the bound shapes its
+// theorems assert).
 //
 // Every monitor-driven experiment runs through sim.Run, which itself
 // drives the public topk facade (push-batch ingest) — so the experiment

@@ -61,7 +61,7 @@ func TestChaosMirrorMatchesFullScan(t *testing.T) {
 					}
 					if step%5 == 2 {
 						lo := r.Int63n(256)
-						rule := wire.NewFilterRule().
+						rule := new(wire.FilterRule).
 							With(wire.TagNone, filter.Make(lo, lo+64)).
 							With(wire.TagRest, filter.All)
 						indexed.BroadcastRule(rule)

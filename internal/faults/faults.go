@@ -99,7 +99,8 @@ type Crash struct {
 // to. The zero mask means "all kinds".
 type KindMask uint16
 
-// MaskOf returns a mask enabling exactly the given kinds.
+// MaskOf returns a mask enabling exactly the given kinds. No program calls
+// it; the tests of this package and internal/lockstep do.
 func MaskOf(kinds ...wire.Kind) KindMask {
 	var m KindMask
 	for _, k := range kinds {
@@ -282,16 +283,6 @@ func (w *Cluster) resetBelief() {
 // Inner returns the wrapped engine (harness scaffolding: Close handling
 // and white-box tests).
 func (w *Cluster) Inner() cluster.Engine { return w.inner }
-
-// Plan returns a copy of the wrapper's plan.
-func (w *Cluster) Plan() Plan {
-	p := w.plan
-	p.Crashes = append([]Crash(nil), w.plan.Crashes...)
-	return p
-}
-
-// Step returns the 1-based index of the current committed step.
-func (w *Cluster) Step() int64 { return w.step }
 
 // Crashed reports whether node id is down at the current step.
 func (w *Cluster) Crashed(id int) bool {

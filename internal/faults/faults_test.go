@@ -352,7 +352,7 @@ func TestDesyncDetection(t *testing.T) {
 	// narrows node 0 successfully via a broadcast rule... but first: make
 	// node 3 actually desync the other way. Assign node 3 a REAL filter via
 	// a broadcast (rules are not masked), then believe a lost widening.
-	rule := wire.NewFilterRule().With(wire.TagNone, filter.Make(0, 15))
+	rule := new(wire.FilterRule).With(wire.TagNone, filter.Make(0, 15))
 	w.BroadcastRule(rule)      // delivered: every TagNone node now holds [0,15]
 	w.SetFilter(3, filter.All) // lost: node 3 keeps [0,15], server believes All
 	w.EndStep()

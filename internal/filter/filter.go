@@ -80,17 +80,6 @@ func (iv Interval) Violation(v int64) Direction {
 // Empty reports whether the interval contains no integers.
 func (iv Interval) Empty() bool { return iv.Lo > iv.Hi }
 
-// Width returns Hi - Lo, or a large sentinel for unbounded intervals.
-func (iv Interval) Width() int64 {
-	if iv.Hi >= Inf {
-		return Inf
-	}
-	if iv.Empty() {
-		return -1
-	}
-	return iv.Hi - iv.Lo
-}
-
 // Intersect returns the intersection of two intervals (possibly empty).
 func (iv Interval) Intersect(o Interval) Interval {
 	lo, hi := iv.Lo, iv.Hi
@@ -161,7 +150,8 @@ func (iv Interval) String() string {
 // all pairs i ∈ out, j ∉ out: ℓ_i ≥ (1-ε)·u_j.
 //
 // values[i] is node i's current value; filters[i] its interval; out the
-// output F(t) as a set of node ids; e the allowed error.
+// output F(t) as a set of node ids; e the allowed error. No program calls
+// it: it is the validity oracle of the protocol and offline tests.
 func SetValid(values []int64, filters []Interval, out map[int]bool, e eps.Eps) bool {
 	minLoOut := Inf
 	maxHiRest := int64(-1)
@@ -186,13 +176,4 @@ func SetValid(values []int64, filters []Interval, out map[int]bool, e eps.Eps) b
 		return false // a non-output node with an unbounded filter can pass anyone
 	}
 	return e.FilterCompatible(minLoOut, maxHiRest)
-}
-
-// PairValid reports the pairwise Observation 2.2 condition for a single
-// (output, non-output) filter pair.
-func PairValid(fOut, fRest Interval, e eps.Eps) bool {
-	if fRest.Hi >= Inf {
-		return false
-	}
-	return e.FilterCompatible(fOut.Lo, fRest.Hi)
 }

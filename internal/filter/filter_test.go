@@ -216,7 +216,7 @@ func TestSetValidMatchesPairwise(t *testing.T) {
 				if out[j] {
 					continue
 				}
-				if !PairValid(filters[i], filters[j], e) {
+				if !pairValid(filters[i], filters[j], e) {
 					pair = false
 				}
 			}
@@ -240,4 +240,13 @@ func TestStringForms(t *testing.T) {
 			t.Error("direction must render")
 		}
 	}
+}
+
+// pairValid reports the pairwise Observation 2.2 condition for a single
+// (output, non-output) filter pair.
+func pairValid(fOut, fRest Interval, e eps.Eps) bool {
+	if fRest.Hi >= Inf {
+		return false
+	}
+	return e.FilterCompatible(fOut.Lo, fRest.Hi)
 }

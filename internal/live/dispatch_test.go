@@ -44,12 +44,12 @@ func TestQuietStepWakesNobody(t *testing.T) {
 		}
 		c.EndStep()
 	}
-	f0, w0 := c.Flushes(), c.Wakes()
+	f0, w0 := c.Flushes(), c.b.wakes
 	step()
 	if got := c.Flushes() - f0; got != 1 {
 		t.Errorf("quiet step ran %d barrier rounds, want 1", got)
 	}
-	if got := c.Wakes() - w0; got != 0 {
+	if got := c.b.wakes - w0; got != 0 {
 		t.Errorf("quiet step of %d moved nodes woke %d workers, want 0", moved, got)
 	}
 	if avg := testing.AllocsPerRun(100, step); avg != 0 {
@@ -73,9 +73,9 @@ func TestLargeFlushWakesWorkers(t *testing.T) {
 		vals[i] = int64(i)
 	}
 	flushed := func(f func()) (flushes, wakes int64) {
-		f0, w0 := c.Flushes(), c.Wakes()
+		f0, w0 := c.Flushes(), c.b.wakes
 		f()
-		return c.Flushes() - f0, c.Wakes() - w0
+		return c.Flushes() - f0, c.b.wakes - w0
 	}
 
 	if f, w := flushed(func() {
@@ -127,10 +127,10 @@ func TestMixedDispatch(t *testing.T) {
 	// Every single-flush call is tallied by who executed it.
 	var onCaller, onWorkers int
 	tally := func(f func()) {
-		f0, w0 := lv.Flushes(), lv.Wakes()
+		f0, w0 := lv.Flushes(), lv.b.wakes
 		f()
 		if lv.Flushes()-f0 == 1 {
-			if lv.Wakes() == w0 {
+			if lv.b.wakes == w0 {
 				onCaller++
 			} else {
 				onWorkers++
@@ -232,7 +232,7 @@ func TestStopGoesThroughWorkers(t *testing.T) {
 	iv := filter.Make(0, 4)
 	c.Advance(vals)
 	c.SetFilter(5, iv)
-	w0 := c.Wakes()
+	w0 := c.b.wakes
 
 	closed := make(chan struct{})
 	go func() {
@@ -244,7 +244,7 @@ func TestStopGoesThroughWorkers(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close did not return: the stop directive never reached the workers")
 	}
-	if got := c.Wakes() - w0; got != m {
+	if got := c.b.wakes - w0; got != m {
 		t.Errorf("Close woke %d workers, want all %d", got, m)
 	}
 	for i, want := range vals {

@@ -22,10 +22,8 @@ func TestLiveDenseInvariants(t *testing.T) {
 	defer eng.Close()
 	ap := protocol.NewApprox(eng, k, e)
 	ap.AfterHandle = func(rep wire.Report) {
-		if ap.InDense() {
-			if err := ap.DenseState().CheckInvariants(tagsOf(eng)); err != nil {
-				t.Fatalf("invariant after violation (node %d %v): %v", rep.ID, rep.Dir, err)
-			}
+		if err := ap.CheckInvariants(tagsOf(eng)); err != nil {
+			t.Fatalf("invariant after violation (node %d %v): %v", rep.ID, rep.Dir, err)
 		}
 	}
 	for ts := 0; ts < steps; ts++ {

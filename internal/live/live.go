@@ -105,8 +105,9 @@
 // TestMixedDispatch.
 //
 // Two white-box counters say what a run cost the engine, not the model:
-// Flushes counts barrier rounds whoever executed them, Wakes the worker
-// wake-ups paid for them (none for a caller-run flush).
+// Flushes counts barrier rounds whoever executed them, and the batcher's
+// wakes the worker wake-ups paid for them (none for a caller-run flush),
+// which only this package's tests read.
 package live
 
 import (
@@ -256,7 +257,7 @@ type batcher struct {
 	touchedIDs []int
 	allTouched bool
 	flushes    int64 // barrier rounds run, see Flushes
-	wakes      int64 // worker wake-ups, see Wakes
+	wakes      int64 // worker wake-ups: one per worker a flush signals
 
 	wg    sync.WaitGroup
 	alive bool
@@ -323,9 +324,6 @@ func New(n int, seed uint64, opts ...Option) *Cluster {
 	return &Cluster{Server: cluster.NewServer(b, n, root), b: b}
 }
 
-// Shards returns the worker (shard) count m.
-func (c *Cluster) Shards() int { return c.b.m }
-
 // Flushes returns how many barrier rounds the engine has run since
 // construction — whoever executed them: a flush small enough to run on the
 // caller is a barrier round all the same. Like the lockstep engine's
@@ -333,11 +331,6 @@ func (c *Cluster) Shards() int { return c.b.m }
 // a quiet step is one barrier, a silent sweep one, not γ+1 — and neither
 // message cost nor part of the cluster interfaces.
 func (c *Cluster) Flushes() int64 { return c.b.flushes }
-
-// Wakes returns how many worker wake-ups the engine has paid since
-// construction: one per worker signalled by a flush that went to the
-// workers, none for a flush the caller ran. Same standing as Flushes.
-func (c *Cluster) Wakes() int64 { return c.b.wakes }
 
 // Close stops all worker goroutines. Pending deferred directives are
 // executed first, in the batch that carries the stop to every worker. Any

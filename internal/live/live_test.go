@@ -292,8 +292,8 @@ func TestShardPartition(t *testing.T) {
 	}
 	for _, cs := range cases {
 		c := New(cs.n, 1, WithShards(cs.opt))
-		if got := c.Shards(); got != cs.want {
-			t.Errorf("n=%d WithShards(%d): Shards() = %d, want %d", cs.n, cs.opt, got, cs.want)
+		if got := c.b.m; got != cs.want {
+			t.Errorf("n=%d WithShards(%d): %d shards, want %d", cs.n, cs.opt, got, cs.want)
 		}
 		next := 0
 		for w, sh := range c.b.shards {

@@ -130,7 +130,7 @@ func equivScript(n, rounds int, dist func() []int64, r *rngx.Source, withDirect 
 			// all-admitting one for TagRest, and a retag so filter
 			// derivation exercises the rule path end to end.
 			lo := r.Int63n(1 << 22)
-			rule := wire.NewFilterRule().
+			rule := new(wire.FilterRule).
 				With(wire.TagNone, filter.Make(lo, lo+r.Int63n(1<<22))).
 				With(wire.TagRest, filter.All).
 				WithRetag(wire.TagV3, wire.TagRest)
@@ -138,7 +138,7 @@ func equivScript(n, rounds int, dist func() []int64, r *rngx.Source, withDirect 
 		}
 		if round%9 == 7 {
 			// Clear the board so later rounds re-create violators afresh.
-			rule := wire.NewFilterRule().With(wire.TagNone, filter.All)
+			rule := new(wire.FilterRule).With(wire.TagNone, filter.All)
 			ops = append(ops, equivOp{kind: opBroadcastRule, rule: *rule})
 		}
 		if round%7 == 2 {

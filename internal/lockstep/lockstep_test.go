@@ -127,7 +127,7 @@ func TestBroadcastRuleAppliesToAll(t *testing.T) {
 	e := New(4, 9)
 	e.Advance([]int64{1, 2, 3, 4})
 	e.SetTagFilter(1, wire.TagOut, filter.AtLeast(0))
-	rule := wire.NewFilterRule().
+	rule := new(wire.FilterRule).
 		With(wire.TagOut, filter.AtLeast(2)).
 		With(wire.TagNone, filter.AtMost(2))
 	before := e.Counters().Snapshot()

@@ -101,7 +101,7 @@ func FuzzFilterMirror(f *testing.F) {
 				w.SetTagFilter(id, wire.Tag(int(next())%int(wire.NumTags)), iv)
 			case 3: // broadcast rule: narrow for untagged, all for the rest
 				lo := int64(next()) % 64
-				rule := wire.NewFilterRule().
+				rule := new(wire.FilterRule).
 					With(wire.TagNone, filter.Make(lo, lo+int64(next())%16)).
 					With(wire.TagRest, filter.All)
 				w.BroadcastRule(rule)
@@ -149,7 +149,8 @@ func checkActiveListMatchesNodes(t *testing.T, e *Engine, wantActive, wantExclud
 	if at != len(list) {
 		t.Fatalf("active list holds %d nodes, %d have the flag", len(list), at)
 	}
-	if got := e.sh.Matchers(wire.AboveActive(x)); !slices.Equal(got, above) {
+	p := wire.AboveActive(x)
+	if got := e.sh.Resolve(p, e.sh.ScanList(p)); !slices.Equal(got, above) {
 		t.Fatalf("AboveActive(%d) keeps %v, the active nodes above it are %v", x, got, above)
 	}
 }

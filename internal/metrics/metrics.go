@@ -1,15 +1,13 @@
 // Package metrics provides the communication accounting used throughout the
 // reproduction: message counters by kind and by channel (node→server,
 // server→node unicast, broadcast), per-step round tracking for the model's
-// polylog-round constraint, bit-size high-water marks, and summary
-// statistics with text-table and CSV rendering for the experiment harness.
+// polylog-round constraint, bit-size high-water marks, and the text-table
+// and CSV rendering of the experiment harness.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strconv"
 	"strings"
 
 	"topkmon/internal/wire"
@@ -47,7 +45,7 @@ type Counters struct {
 	byChannel [numChannels]int64
 	// byKind is indexed by wire.Kind: counting a message is two array
 	// increments, and the kind's name is resolved only where a caller asks
-	// for it (ByKind, Kinds, Snapshot).
+	// for it (ByKind, Snapshot).
 	byKind [wire.NumKinds]int64
 
 	// Round accounting: the model allows polylogarithmically many rounds
@@ -177,7 +175,8 @@ func (c *Counters) Total() int64 {
 func (c *Counters) ByChannel(ch Channel) int64 { return c.byChannel[ch] }
 
 // ByKind returns the count of one message kind, named as wire.Kind.String
-// names it; an unknown name counts 0.
+// names it; an unknown name counts 0. No program calls it; the tests of
+// this package and internal/lockstep do.
 func (c *Counters) ByKind(kind string) int64 {
 	for k, v := range c.byKind {
 		if wire.Kind(k).String() == kind {
@@ -185,18 +184,6 @@ func (c *Counters) ByKind(kind string) int64 {
 		}
 	}
 	return 0
-}
-
-// Kinds returns the names of all recorded kinds, sorted.
-func (c *Counters) Kinds() []string {
-	ks := make([]string, 0, len(c.byKind))
-	for k, v := range c.byKind {
-		if v != 0 {
-			ks = append(ks, wire.Kind(k).String())
-		}
-	}
-	sort.Strings(ks)
-	return ks
 }
 
 // MaxRoundsPerStep returns the largest number of protocol rounds consumed by
@@ -211,7 +198,8 @@ func (c *Counters) MaxRoundsPerStep() int64 {
 // MaxBits returns the largest accounted message size seen, in bits.
 func (c *Counters) MaxBits() int { return c.maxBits }
 
-// Steps returns the number of completed time steps.
+// Steps returns the number of completed time steps. No program calls it;
+// the tests of this package and internal/live do.
 func (c *Counters) Steps() int64 { return c.steps }
 
 // Snapshot returns a copy of the counters for later diffing.
@@ -285,59 +273,6 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 	return d
 }
 
-// Summary holds basic statistics over a sample of float64 observations.
-type Summary struct {
-	N              int
-	Mean, Std      float64
-	Min, Max       float64
-	Median, P90    float64
-	ObservationSum float64
-}
-
-// Summarize computes a Summary of xs. An empty sample yields the zero value.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	for _, x := range xs {
-		s.ObservationSum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = s.ObservationSum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if len(xs) > 1 {
-		s.Std = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Median = quantile(sorted, 0.5)
-	s.P90 = quantile(sorted, 0.9)
-	return s
-}
-
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	pos := q * float64(len(sorted)-1)
-	i := int(pos)
-	if i >= len(sorted)-1 {
-		return sorted[len(sorted)-1]
-	}
-	frac := pos - float64(i)
-	return sorted[i]*(1-frac) + sorted[i+1]*frac
-}
-
 // Table renders aligned text tables for experiment output.
 type Table struct {
 	Title   string
@@ -366,41 +301,9 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows.
+// NumRows returns the number of data rows. No program calls it; the tests
+// of this package and internal/exp do.
 func (t *Table) NumRows() int { return len(t.rows) }
-
-// Column returns the rendered cells of column i, or nil if out of range.
-func (t *Table) Column(i int) []string {
-	if i < 0 || i >= len(t.Headers) {
-		return nil
-	}
-	out := make([]string, 0, len(t.rows))
-	for _, row := range t.rows {
-		if i < len(row) {
-			out = append(out, row[i])
-		} else {
-			out = append(out, "")
-		}
-	}
-	return out
-}
-
-// ColumnFloats parses column i as float64s; ok is false if any cell fails.
-func (t *Table) ColumnFloats(i int) (vals []float64, ok bool) {
-	cells := t.Column(i)
-	if cells == nil {
-		return nil, false
-	}
-	vals = make([]float64, len(cells))
-	for j, c := range cells {
-		v, err := strconv.ParseFloat(strings.TrimSpace(c), 64)
-		if err != nil {
-			return nil, false
-		}
-		vals[j] = v
-	}
-	return vals, true
-}
 
 func formatFloat(v float64) string {
 	switch {

@@ -60,7 +60,8 @@ type Node struct {
 const ServerRNG = 0xC0FFEE
 
 // New returns a node with the all-admitting filter and its own child RNG,
-// seed.Child(id).
+// seed.Child(id). No program calls it (a Shard resets its rows in place);
+// the tests of internal/wire and internal/cluster do.
 func New(id int, seed *rngx.Source) *Node {
 	nd := &Node{ID: id}
 	nd.Reset(seed)
@@ -131,16 +132,6 @@ func (nd *Node) MaxFindInit(floor int64, reset bool) {
 	nd.MFActive = !nd.MFExcluded && nd.Value > floor
 }
 
-// MaxFindRaise (broadcast) announces a new best (holder, value); the holder
-// and every node not exceeding the value drop out. Shard.MaxFindRaise
-// applies it to its active nodes in one batch pass, held equal to this
-// handler by TestRaiseMatchesNodeHandler.
-func (nd *Node) MaxFindRaise(holder int, best int64) {
-	if nd.ID == holder || nd.Value <= best {
-		nd.MFActive = false
-	}
-}
-
 // MaxFindExclude (broadcast) permanently benches the named node until the
 // next resetting init; used to find the (j+1)-st largest after the j-th.
 func (nd *Node) MaxFindExclude(id int) {
@@ -174,7 +165,8 @@ func ExistenceProb(r, n int) float64 {
 // ExistenceSend decides whether a node holding a 1 sends in round r of the
 // EXISTENCE protocol over n nodes: independently with probability
 // ExistenceProb(r, n), and with certainty — no coin drawn — in the final
-// round.
+// round. No program calls it (a Shard draws a round's coins in one pass);
+// the tests of this package and internal/cluster do.
 func (nd *Node) ExistenceSend(r, n int) bool {
 	return nd.RNG.Bool(ExistenceProb(r, n))
 }

@@ -63,7 +63,7 @@ func TestApplyFilterRule(t *testing.T) {
 	nd := newNode(t, 1)
 	nd.SetTag(wire.TagV2S2)
 	nd.SetFilter(filter.Make(1, 2))
-	rule := wire.NewFilterRule().
+	rule := new(wire.FilterRule).
 		WithRetag(wire.TagV2S2, wire.TagV2).
 		With(wire.TagV2, filter.Make(30, 40))
 	nd.ApplyFilterRule(rule)

@@ -86,8 +86,8 @@ func badValue(id int, v int64) {
 // desyncs the index and the violator set.
 //
 // On the read side, node state cannot change while an EXISTENCE sweep
-// runs, so a sweep resolves its matchers once (Matchers, or Resolve over a
-// caller-chosen scan) and then draws one coin round at a time over the
+// runs, so a sweep resolves its matchers once (Resolve over ScanList, or
+// over a caller-chosen scan) and then draws one coin round at a time over the
 // kept list (Draw); Round is the two as one sweep round. An active step
 // costs its matchers, not candidates × rounds. Every candidate list comes
 // from ScanList, which also counts the candidates (Visited) and obeys the
@@ -143,11 +143,13 @@ func NewShard(base, n int, root *rngx.Source) *Shard {
 	return s
 }
 
-// Len returns the number of nodes in the shard.
+// Len returns the number of nodes in the shard. No program calls it; the
+// tests of this package and internal/live do.
 func (s *Shard) Len() int { return len(s.nodes) }
 
 // IDs returns every id of the shard in ascending order: the scan of a full
-// scan. Read-only.
+// scan. Read-only. No program calls it; the tests of this package and
+// internal/live do.
 func (s *Shard) IDs() []int32 { return s.ids }
 
 // Node returns the node with absolute id id. Read-only: see the
@@ -225,11 +227,14 @@ func (s *Shard) MaxFindInit(floor int64, reset bool) {
 	s.floor = floor
 }
 
-// MaxFindRaise applies the broadcast to the active nodes — it can only
-// deactivate, so no other node's state could change — and compacts the
-// list in place like MaxFindInit. The pass drops every node not above best;
-// the holder, if it is this shard's and survived it (its value moved above
-// the one it reported), leaves afterwards.
+// MaxFindRaise applies the broadcast announcing a new best (holder, value)
+// to the active nodes: the holder and every node not exceeding the value
+// drop out. It can only deactivate, so no other node's state could change,
+// and it compacts the list in place like MaxFindInit. The pass drops every
+// node not above best; the holder, if it is this shard's and survived it
+// (its value moved above the one it reported), leaves afterwards.
+// TestRaiseMatchesNodeHandler holds it equal to the per-node handler
+// applied to every row.
 func (s *Shard) MaxFindRaise(holder int, best int64) {
 	nodes, base, active := s.nodes, s.base, s.active
 	k := 0
@@ -287,7 +292,7 @@ func (s *Shard) Reset(root *rngx.Source) {
 // candidates would only add cost. The result is the active list, IDs, or
 // scratch recycled by the next ScanList call; callers must not modify it.
 // Candidate values may lie outside the bounds (bucket coarsening), so
-// callers still Match every node — or take Matchers. Under FullScan it is
+// callers still Match every node, or Resolve the list. Under FullScan it is
 // IDs for every predicate. Its length is added to Visited.
 func (s *Shard) ScanList(p wire.Pred) []int32 {
 	scan := s.ids
@@ -334,16 +339,12 @@ func (s *Shard) ScanSize(p wire.Pred) int {
 	}
 }
 
-// Matchers is Resolve over ScanList(p): the ids of the nodes matching p, in
-// ascending order, kept for Draw.
-func (s *Shard) Matchers(p wire.Pred) []int32 { return s.Resolve(p, s.ScanList(p)) }
-
 // Resolve evaluates p once on every node of scan and keeps the ids of those
 // that match, in scan order, as the list Draw draws over. Each kind is one
 // loop that stores every id and keeps it if its node matches, as Node.Match
 // decides; a max-find scan that is the active list at a threshold the
 // floor watermark covers is kept whole. The result is that kept list, valid
-// until the next Resolve, Matchers or Reset.
+// until the next Resolve or Reset.
 func (s *Shard) Resolve(p wire.Pred, scan []int32) []int32 {
 	nodes, base := s.nodes, s.base
 	kept, k := s.kept[:len(scan)], 0
@@ -387,7 +388,7 @@ func (s *Shard) isActive(scan []int32) bool {
 }
 
 // Round runs round r of an EXISTENCE sweep for p: round 0 resolves the
-// matchers (Matchers), and every round with a matcher draws over them
+// matchers (Resolve over ScanList), and every round with a matcher draws over them
 // (Draw). It returns dst with the senders' reports appended, and the
 // number of matchers.
 func (s *Shard) Round(dst []wire.Report, p wire.Pred, r int, prob float64) ([]wire.Report, int) {
@@ -421,7 +422,7 @@ func (s *Shard) Draw(dst []wire.Report, prob float64) []wire.Report {
 }
 
 // Collect appends the reports of p's matchers to dst in ascending id order.
-// It routes like Matchers but leaves the kept list alone.
+// It routes through ScanList like a sweep but leaves the kept list alone.
 func (s *Shard) Collect(dst []wire.Report, p wire.Pred) []wire.Report {
 	for _, id := range s.ScanList(p) {
 		if nd := s.Node(int(id)); nd.Match(p) {

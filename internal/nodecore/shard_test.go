@@ -82,7 +82,7 @@ func TestMatchersEqualFilteredScanList(t *testing.T) {
 					sh.SetTagFilter(base+r.Intn(n), wire.Tag(r.Intn(int(wire.NumTags))), filter.Make(lo, lo+r.Int63n(1<<22)))
 				case 5:
 					lo := r.Int63n(1 << 22)
-					sh.ApplyRule(wire.NewFilterRule().
+					sh.ApplyRule(new(wire.FilterRule).
 						WithRetag(wire.TagV2, wire.TagNone).
 						With(wire.TagNone, filter.Make(lo, lo+r.Int63n(1<<22))))
 				case 6:
@@ -280,6 +280,20 @@ func TestShardAllocs(t *testing.T) {
 		t.Errorf("Shard.Reset allocates %v blocks, want 0", a)
 	}
 }
+
+// MaxFindRaise is the per-node handler of the max-find raise broadcast
+// (holder, best): the holder and every node not exceeding best drop out.
+// The Shard applies the broadcast in one batch pass over its active list
+// instead; TestRaiseMatchesNodeHandler holds the two equal.
+func (nd *Node) MaxFindRaise(holder int, best int64) {
+	if nd.ID == holder || nd.Value <= best {
+		nd.MFActive = false
+	}
+}
+
+// Matchers is Resolve over ScanList(p): the ids of the nodes matching p, in
+// ascending order, kept for Draw.
+func (s *Shard) Matchers(p wire.Pred) []int32 { return s.Resolve(p, s.ScanList(p)) }
 
 // TestRaiseMatchesNodeHandler holds the Shard's batch MaxFindRaise — a pass
 // over the active list that tests values only, then the holder taken off —

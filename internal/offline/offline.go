@@ -12,7 +12,8 @@
 // monotone under shrinking intervals, so the greedy maximal segmentation
 // minimises the number of filter re-assignments; the number of segment
 // breaks lower-bounds OPT's messages, exactly as the paper's analyses use
-// it. A DP cross-check (BruteSegments) validates greedy on small instances.
+// it. The tests cross-check greedy against a dynamic program on small
+// instances.
 package offline
 
 import (
@@ -21,7 +22,6 @@ import (
 	"sort"
 
 	"topkmon/internal/eps"
-	"topkmon/internal/filter"
 	"topkmon/internal/oracle"
 )
 
@@ -51,9 +51,6 @@ func NewInstance(values [][]int64, k int, e eps.Eps) (*Instance, error) {
 
 // T returns the number of steps.
 func (in *Instance) T() int { return len(in.Values) }
-
-// N returns the number of nodes.
-func (in *Instance) N() int { return len(in.Values[0]) }
 
 // envelope tracks per-node running MIN and MAX over the current segment.
 type envelope struct {
@@ -96,24 +93,6 @@ type solver struct {
 	pmin     []int64
 	minsDesc []int64
 	eligible []int
-}
-
-// Feasible reports whether some k-set S satisfies
-// min_{i∈S} MIN_i ≥ (1-ε)·max_{j∉S} MAX_j for the given envelopes.
-//
-// For each candidate threshold θ = min_S MIN (necessarily one of the MIN
-// values), S must avoid every node with MIN below θ and must contain every
-// node with (1-ε)·MAX above θ; those forced nodes form a prefix of the
-// MAX-descending order. The check runs in O(n log n).
-func Feasible(minEnv, maxEnv []int64, k int, e eps.Eps) bool {
-	var s solver
-	return s.feasible(minEnv, maxEnv, k, e)
-}
-
-// Witness returns a witnessing k-set S (sorted ids) if one exists.
-func Witness(minEnv, maxEnv []int64, k int, e eps.Eps) ([]int, bool) {
-	var s solver
-	return s.witness(minEnv, maxEnv, k, e)
 }
 
 // prepare fills the solver's order and threshold buffers for the envelopes.
@@ -188,6 +167,13 @@ func (s *solver) findTheta(minEnv, maxEnv []int64, k int, e eps.Eps) (theta int6
 	return 0, 0, false
 }
 
+// feasible reports whether some k-set S satisfies
+// min_{i∈S} MIN_i ≥ (1-ε)·max_{j∉S} MAX_j for the given envelopes.
+//
+// For each candidate threshold θ = min_S MIN (necessarily one of the MIN
+// values), S must avoid every node with MIN below θ and must contain every
+// node with (1-ε)·MAX above θ; those forced nodes form a prefix of the
+// MAX-descending order. The check runs in O(n log n).
 func (s *solver) feasible(minEnv, maxEnv []int64, k int, e eps.Eps) bool {
 	if k == len(minEnv) {
 		return true
@@ -323,64 +309,6 @@ func (in *Instance) realisticCost(segs []Segment) int64 {
 		prev = cur
 	}
 	return cost
-}
-
-// PlanFilters materialises the Proposition 2.4 two-filter deployment for a
-// solved segment: the output side holds F₁ = [MIN_S(seg), ∞], everyone else
-// F₂ = [0, MAX_S̄(seg)]. By Lemma 2.5's characterisation these filters are
-// valid at every step of the segment and the output never needs to change —
-// the property test in this package verifies both against the oracle.
-func (in *Instance) PlanFilters(seg Segment) (fOut, fRest filter.Interval) {
-	inS := make(map[int]bool, len(seg.Out))
-	for _, id := range seg.Out {
-		inS[id] = true
-	}
-	minS := int64(1) << 62
-	maxR := int64(0)
-	for t := seg.From; t <= seg.To; t++ {
-		for i, v := range in.Values[t] {
-			if inS[i] {
-				if v < minS {
-					minS = v
-				}
-			} else if v > maxR {
-				maxR = v
-			}
-		}
-	}
-	if len(seg.Out) == in.N() {
-		return filter.AtLeast(0), filter.AtMost(0)
-	}
-	return filter.AtLeast(minS), filter.AtMost(maxR)
-}
-
-// BruteSegments returns the minimum number of segments by dynamic
-// programming — O(T²) feasibility checks — for validating greedy on small
-// instances.
-func (in *Instance) BruteSegments() int {
-	T := in.T()
-	feas := make([][]bool, T)
-	for a := 0; a < T; a++ {
-		feas[a] = make([]bool, T)
-		env := newEnvelope(in.Values[a])
-		for b := a; b < T; b++ {
-			if b > a {
-				env.extend(in.Values[b])
-			}
-			feas[a][b] = Feasible(env.min, env.max, in.K, in.Eps)
-		}
-	}
-	const inf = int(1) << 30
-	dp := make([]int, T+1)
-	for i := 1; i <= T; i++ {
-		dp[i] = inf
-		for a := 0; a < i; a++ {
-			if feas[a][i-1] && dp[a]+1 < dp[i] {
-				dp[i] = dp[a] + 1
-			}
-		}
-	}
-	return dp[T]
 }
 
 // SigmaMax returns max_t σ(t) for the instance, the paper's σ parameter.

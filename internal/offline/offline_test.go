@@ -232,3 +232,45 @@ func TestRealisticCostCountsSwitches(t *testing.T) {
 		t.Errorf("realistic = %d, want 4", res.Realistic)
 	}
 }
+
+// Witness is the solver's witness on its own buffers: a k-set S (sorted
+// ids) that makes the envelopes feasible, if one exists.
+func Witness(minEnv, maxEnv []int64, k int, e eps.Eps) ([]int, bool) {
+	var s solver
+	return s.witness(minEnv, maxEnv, k, e)
+}
+
+// BruteSegments returns the minimum number of segments by dynamic
+// programming — O(T²) feasibility checks — for validating greedy on small
+// instances.
+func (in *Instance) BruteSegments() int {
+	T := in.T()
+	feas := make([][]bool, T)
+	for a := 0; a < T; a++ {
+		feas[a] = make([]bool, T)
+		env := newEnvelope(in.Values[a])
+		for b := a; b < T; b++ {
+			if b > a {
+				env.extend(in.Values[b])
+			}
+			feas[a][b] = Feasible(env.min, env.max, in.K, in.Eps)
+		}
+	}
+	const inf = int(1) << 30
+	dp := make([]int, T+1)
+	for i := 1; i <= T; i++ {
+		dp[i] = inf
+		for a := 0; a < i; a++ {
+			if feas[a][i-1] && dp[a]+1 < dp[i] {
+				dp[i] = dp[a] + 1
+			}
+		}
+	}
+	return dp[T]
+}
+
+// Feasible is the solver's feasibility check on its own buffers.
+func Feasible(minEnv, maxEnv []int64, k int, e eps.Eps) bool {
+	var s solver
+	return s.feasible(minEnv, maxEnv, k, e)
+}

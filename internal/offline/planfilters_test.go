@@ -101,3 +101,32 @@ func TestPlanFiltersKEqualsN(t *testing.T) {
 		}
 	}
 }
+
+// PlanFilters materialises the Proposition 2.4 two-filter deployment for a
+// solved segment: the output side holds F₁ = [MIN_S(seg), ∞], everyone else
+// F₂ = [0, MAX_S̄(seg)]. By Lemma 2.5's characterisation these filters are
+// valid at every step of the segment and the output never needs to change —
+// TestPlanFiltersSufficiency verifies both against the oracle.
+func (in *Instance) PlanFilters(seg Segment) (fOut, fRest filter.Interval) {
+	inS := make(map[int]bool, len(seg.Out))
+	for _, id := range seg.Out {
+		inS[id] = true
+	}
+	minS := int64(1) << 62
+	maxR := int64(0)
+	for t := seg.From; t <= seg.To; t++ {
+		for i, v := range in.Values[t] {
+			if inS[i] {
+				if v < minS {
+					minS = v
+				}
+			} else if v > maxR {
+				maxR = v
+			}
+		}
+	}
+	if len(seg.Out) == len(in.Values[0]) {
+		return filter.AtLeast(0), filter.AtMost(0)
+	}
+	return filter.AtLeast(minS), filter.AtMost(maxR)
+}

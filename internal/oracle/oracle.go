@@ -11,8 +11,8 @@
 //
 // The oracle runs once per simulated time step, so its own cost dominates
 // validation-heavy runs. The steady-state entry point is ComputeInto with a
-// reused Scratch, which performs no allocations; Compute remains as a
-// convenience wrapper that allocates a fresh Scratch per call.
+// reused Scratch, which performs no allocations; Compute, a wrapper that
+// allocates a fresh Scratch per call, is left for tests.
 package oracle
 
 import (
@@ -37,10 +37,6 @@ func Compare(values []int64, a, b int) int {
 	}
 	return a - b
 }
-
-// Less reports whether id a precedes id b in the canonical order
-// (value descending, id ascending — the paper's identifier tie-break).
-func Less(values []int64, a, b int) bool { return Compare(values, a, b) < 0 }
 
 // SortIDs sorts ids in place into the canonical order over values.
 func SortIDs(ids []int, values []int64) {
@@ -159,7 +155,8 @@ func ComputeInto(s *Scratch, values []int64, k int, e eps.Eps) Truth {
 
 // Compute derives the truth for one step into fresh buffers; the result
 // stays valid indefinitely. Hot loops should hold a Scratch and call
-// ComputeInto instead.
+// ComputeInto instead. No program calls it; the tests of this package, of
+// internal/protocol and internal/sim, and the root benchmarks do.
 func Compute(values []int64, k int, e eps.Eps) Truth {
 	return ComputeInto(new(Scratch), values, k, e)
 }
@@ -180,13 +177,6 @@ func (t Truth) marks() []bool {
 		s.marks[i] = false
 	}
 	return s.marks
-}
-
-// TopK returns the exact top-k node ids (identifier tie-break), sorted by id.
-func (t Truth) TopK() []int {
-	out := append([]int(nil), t.Order[:t.K]...)
-	slices.Sort(out)
-	return out
 }
 
 // ValidateEps checks output out against the ε-Top-k properties.

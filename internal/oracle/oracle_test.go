@@ -2,12 +2,22 @@ package oracle
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"topkmon/internal/eps"
 	"topkmon/internal/rngx"
 )
+
+// TopK returns the exact top-k node ids (identifier tie-break), sorted by
+// id: the output a correct exact monitor gives, for the tests of this
+// package.
+func (t Truth) TopK() []int {
+	out := append([]int(nil), t.Order[:t.K]...)
+	slices.Sort(out)
+	return out
+}
 
 func TestComputeKnownExample(t *testing.T) {
 	// Values: id0=100 id1=95 id2=80 id3=50 id4=10; k=2; ε=1/4.

@@ -61,14 +61,37 @@ func (a *Approx) Epochs() int64 { return a.topk.Epochs() + a.dense.Epochs() }
 // DenseEpochs returns how many epochs ran DENSEPROTOCOL.
 func (a *Approx) DenseEpochs() int64 { return a.dense.Epochs() }
 
-// DenseState exposes the dense sub-protocol for test instrumentation.
-func (a *Approx) DenseState() *Dense { return a.dense }
-
-// InDense reports whether DENSEPROTOCOL currently runs.
-func (a *Approx) InDense() bool { return a.inDense }
-
 // SubCalls returns the number of SUBPROTOCOL invocations.
 func (a *Approx) SubCalls() int64 { return a.dense.SubCalls }
+
+// CheckInvariants compares the engine-side tags, one per node, against the
+// DENSE/SUB set classification the server holds, and describes the first
+// divergence. Outside a dense phase, and in its preamble, there is nothing
+// to compare. No program calls it; the invariant stress tests of
+// internal/sim and internal/live run it after every violation.
+func (a *Approx) CheckInvariants(tags []wire.Tag) error {
+	d := a.dense
+	if !a.inDense || !d.active || d.inPreamble {
+		return nil
+	}
+	for i := range tags {
+		var want wire.Tag
+		switch {
+		case d.part.in(i, classV1):
+			want = wire.TagV1
+		case d.part.in(i, classV3):
+			want = wire.TagV3
+		case d.sub != nil:
+			want = classTag(d.sub.s1[i], d.sub.s2[i])
+		default:
+			want = classTag(d.s1[i], d.s2[i])
+		}
+		if tags[i] != want {
+			return fmt.Errorf("dense: node %d tag %v, sets say %v (sub=%v)", i, tags[i], want, d.sub != nil)
+		}
+	}
+	return nil
+}
 
 // Output implements Monitor.
 func (a *Approx) Output() []int {

@@ -121,10 +121,6 @@ func (d *Dense) Name() string { return "dense-protocol" }
 // Epochs implements Monitor.
 func (d *Dense) Epochs() int64 { return d.epochs }
 
-// InSub reports whether SUBPROTOCOL is currently running (observability for
-// tests and diagnostics).
-func (d *Dense) InSub() bool { return d.sub != nil }
-
 // Output implements Monitor.
 func (d *Dense) Output() []int { return d.out }
 
@@ -483,32 +479,6 @@ func (d *Dense) refreshOutput() {
 	slices.Sort(out)
 	d.outBuf = out
 	d.out = out
-}
-
-// CheckInvariants compares the engine-side tags against the server-side set
-// classification and the current output against the set-derived expectation.
-// Test instrumentation; returns a description of the first divergence.
-func (d *Dense) CheckInvariants(tags []wire.Tag) error {
-	if !d.active || d.inPreamble {
-		return nil
-	}
-	for i := range tags {
-		var want wire.Tag
-		switch {
-		case d.part.in(i, classV1):
-			want = wire.TagV1
-		case d.part.in(i, classV3):
-			want = wire.TagV3
-		case d.sub != nil:
-			want = classTag(d.sub.s1[i], d.sub.s2[i])
-		default:
-			want = classTag(d.s1[i], d.s2[i])
-		}
-		if tags[i] != want {
-			return fmt.Errorf("dense: node %d tag %v, sets say %v (sub=%v)", i, tags[i], want, d.sub != nil)
-		}
-	}
-	return nil
 }
 
 // --- small set helpers ---

@@ -74,9 +74,8 @@ type TopKProto struct {
 	// epoch terminates (used by the Theorem 5.8 controller).
 	OnEpochEnd func()
 
-	phaseViolations [PhaseP4 + 1]int64
-	rules           ruleScratch
-	probe           []wire.Report // startEpoch's TopM buffer
+	rules ruleScratch
+	probe []wire.Report // startEpoch's TopM buffer
 }
 
 // NewTopKProto returns the Section 4 monitor.
@@ -95,18 +94,6 @@ func (m *TopKProto) Epochs() int64 { return m.epochs }
 
 // Output implements Monitor.
 func (m *TopKProto) Output() []int { return m.out }
-
-// PhaseViolations returns how many violations each phase processed (for the
-// phase-ablation experiment); a phase that saw none has no entry.
-func (m *TopKProto) PhaseViolations() map[Phase]int64 {
-	pv := make(map[Phase]int64)
-	for p, v := range m.phaseViolations {
-		if v != 0 {
-			pv[Phase(p)] = v
-		}
-	}
-	return pv
-}
 
 // Start implements Monitor.
 func (m *TopKProto) Start() { m.startEpoch() }
@@ -204,7 +191,6 @@ func (m *TopKProto) HandleStep() {
 
 // Handle processes one violation report (exported for the controller).
 func (m *TopKProto) Handle(rep wire.Report) {
-	m.phaseViolations[m.phase]++
 	if m.phase == PhaseP4 {
 		// Step 5/6: the violation empties L; terminate the epoch.
 		m.endEpoch()

@@ -15,13 +15,16 @@ import (
 )
 
 // TestTopKPhaseProgression drives TOP-K-PROTOCOL through A1 → A2 → A3 → P4
-// with an ascending adversary and checks the per-phase violation counters.
+// with an ascending adversary and counts the violations each phase
+// processes. The test runs HandleStep's violation loop itself, so it can
+// read the phase before each violation is handled.
 func TestTopKPhaseProgression(t *testing.T) {
 	const k, rest = 2, 5
 	e := eps.MustNew(1, 8)
 	gen := stream.NewClimber(k, rest, 1<<30)
 	eng := lockstep.New(gen.N(), 9)
 	mon := protocol.NewTopKProto(eng, k, e)
+	pv := map[protocol.Phase]int64{}
 	for ts := 0; ts < 400; ts++ {
 		gen.ObserveFilters(eng.FiltersInto(nil), mon.Output())
 		vals := gen.Next(ts)
@@ -29,7 +32,10 @@ func TestTopKPhaseProgression(t *testing.T) {
 		if ts == 0 {
 			mon.Start()
 		} else {
-			mon.HandleStep()
+			for rep, ok := eng.DetectViolation(); ok; rep, ok = eng.DetectViolation() {
+				pv[mon.CurrentPhase()]++
+				mon.Handle(rep)
+			}
 		}
 		truth := oracle.Compute(vals, k, e)
 		if err := truth.ValidateEps(mon.Output()); err != nil {
@@ -37,7 +43,6 @@ func TestTopKPhaseProgression(t *testing.T) {
 		}
 		eng.EndStep()
 	}
-	pv := mon.PhaseViolations()
 	t.Logf("phase violations: %v over %d epochs", pv, mon.Epochs())
 	for _, ph := range []protocol.Phase{protocol.PhaseA1, protocol.PhaseA2, protocol.PhaseA3, protocol.PhaseP4} {
 		if pv[ph] == 0 {

@@ -58,10 +58,8 @@ func runInvariantChecked(t *testing.T, gen stream.Generator, k int, e eps.Eps, s
 	var c cluster.Cluster = eng
 	ap := protocol.NewApprox(c, k, e)
 	ap.AfterHandle = func(rep wire.Report) {
-		if ap.InDense() {
-			if err := ap.DenseState().CheckInvariants(tagsOf(eng)); err != nil {
-				t.Fatalf("invariant after violation (node %d %v): %v", rep.ID, rep.Dir, err)
-			}
+		if err := ap.CheckInvariants(tagsOf(eng)); err != nil {
+			t.Fatalf("invariant after violation (node %d %v): %v", rep.ID, rep.Dir, err)
 		}
 	}
 	for ts := 0; ts < steps; ts++ {

@@ -52,14 +52,6 @@ func NewCountMin(width, depth, track int, seed uint64) *CountMin {
 	return c
 }
 
-// CountMinWidth returns the width achieving over-estimate <= eps*N in the
-// standard analysis (width = ceil(e/eps)).
-func CountMinWidth(eps float64) int { return int(math.Ceil(math.E / eps)) }
-
-// CountMinDepth returns the depth achieving failure probability <= delta
-// (depth = ceil(ln(1/delta))).
-func CountMinDepth(delta float64) int { return int(math.Ceil(math.Log(1 / delta))) }
-
 // Name implements Summary.
 func (c *CountMin) Name() string {
 	return fmt.Sprintf("count-min(w=%d,d=%d,track=%d)", c.width, c.depth, c.track)

@@ -414,17 +414,6 @@ func TestOATableDeleteChains(t *testing.T) {
 	}
 }
 
-// TestSizingHelpers pins the Count-Min sizing formulas from the snippets'
-// from_error_rate construction.
-func TestSizingHelpers(t *testing.T) {
-	if w := CountMinWidth(0.01); w != 272 {
-		t.Fatalf("CountMinWidth(0.01) = %d, want 272", w)
-	}
-	if d := CountMinDepth(0.01); d != 5 {
-		t.Fatalf("CountMinDepth(0.01) = %d, want 5", d)
-	}
-}
-
 // TestNames pins the report-name format other layers embed in tables.
 func TestNames(t *testing.T) {
 	for _, want := range []struct {

@@ -8,8 +8,7 @@ import "sort"
 // array and a sort — so there is nothing to trust but arithmetic.
 type Truth struct {
 	counts []int64
-	total  int64
-	ord    []int // scratch for TopK / threshold
+	ord    []int // scratch for Threshold
 }
 
 // NewTruth returns an exact counter over an m-item universe.
@@ -27,7 +26,6 @@ func (tr *Truth) Observe(item int, count int64) {
 		return
 	}
 	tr.counts[item] += count
-	tr.total += count
 }
 
 // ObserveEvents folds a whole step batch into the truth.
@@ -35,26 +33,6 @@ func (tr *Truth) ObserveEvents(evs []Event) {
 	for _, e := range evs {
 		tr.Observe(e.Item, e.Count)
 	}
-}
-
-// Count returns item's exact frequency (0 for out-of-range ids).
-func (tr *Truth) Count(item int) int64 {
-	if item < 0 || item >= len(tr.counts) {
-		return 0
-	}
-	return tr.counts[item]
-}
-
-// Total returns the exact stream length (sum of all counts).
-func (tr *Truth) Total() int64 { return tr.total }
-
-// Items returns the universe size m.
-func (tr *Truth) Items() int { return len(tr.counts) }
-
-// Reset zeroes the truth.
-func (tr *Truth) Reset() {
-	clear(tr.counts)
-	tr.total = 0
 }
 
 // rank orders the scratch index by (count descending, item ascending) —
@@ -71,16 +49,6 @@ func (tr *Truth) rank() []int {
 		return ord[a] < ord[b]
 	})
 	return ord
-}
-
-// TopK appends the exact top-k item ids (count descending, ties by
-// ascending id) to dst and returns it.
-func (tr *Truth) TopK(k int, dst []int) []int {
-	ord := tr.rank()
-	if k > len(ord) {
-		k = len(ord)
-	}
-	return append(dst, ord[:k]...)
 }
 
 // Threshold returns the exact k-th largest count (the tie threshold):

@@ -23,7 +23,9 @@ type Event struct {
 	Count int64
 }
 
-// Generator produces one batch of item events per time step.
+// Generator produces one batch of item events per time step. No program
+// names the type; the tests of this package and topk/items range over
+// generators through it.
 type Generator interface {
 	// Name identifies the workload in reports.
 	Name() string
@@ -136,7 +138,8 @@ type burst struct {
 }
 
 // NewBursty returns a seeded bursty item-trace generator over a Zipf(s)
-// background.
+// background. No program calls it; the tests of this package and
+// topk/items do.
 func NewBursty(nodes, items, perStep int, s float64, burstProb float64, burstLen int, burstRate int64, seed uint64) *Bursty {
 	if burstLen < 1 || burstRate < 1 {
 		panic("items: NewBursty needs burstLen, burstRate >= 1")
@@ -195,7 +198,7 @@ type Churn struct {
 }
 
 // NewChurn returns a seeded churn generator rotating hotness every period
-// steps.
+// steps. No program calls it; the tests of this package and topk/items do.
 func NewChurn(nodes, items, perStep int, s float64, period int, seed uint64) *Churn {
 	if period < 1 {
 		panic("items: NewChurn needs period >= 1")

@@ -62,6 +62,8 @@ type Walk struct {
 
 // NewWalk returns a seeded random-walk generator. Initial values are spread
 // uniformly in [Start/2, Start+Start/2] so the top-k is non-degenerate.
+// No program calls it; the tests of internal/sim, internal/live,
+// internal/faults and topk, and the root benchmarks do.
 func NewWalk(nodes int, start, step, max int64, seed uint64) *Walk {
 	w := &Walk{Nodes: nodes, Start: start, Step: step, Max: max, rng: rngx.New(seed)}
 	w.cur = make([]int64, nodes)
@@ -196,7 +198,8 @@ type Loads struct {
 	base  []int64
 }
 
-// NewLoads returns a seeded load-trace generator.
+// NewLoads returns a seeded load-trace generator. No program calls it; the
+// tests of internal/sim and the root benchmarks do.
 func NewLoads(nodes int, baseline, jitter int64, burstProb float64, burstSize, max int64, seed uint64) *Loads {
 	g := &Loads{
 		Nodes: nodes, Baseline: baseline, Jitter: jitter,
@@ -240,7 +243,7 @@ type Replay struct {
 }
 
 // NewReplay wraps a recorded matrix; steps beyond the recording repeat the
-// last row.
+// last row. No program calls it; the tests of internal/sim do.
 func NewReplay(label string, matrix [][]int64) *Replay {
 	if len(matrix) == 0 {
 		panic("stream: empty replay matrix")

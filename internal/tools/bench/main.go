@@ -9,7 +9,7 @@
 // public topk API). Run it from the repository root:
 //
 //	go run ./internal/tools/bench [-quick] [-only E4] [-seed 1]
-//	    [-out results/] [-figures=false] [-parallel N]
+//	    [-out results/] [-parallel N]
 package main
 
 import (
@@ -29,7 +29,6 @@ func main() {
 	only := flag.String("only", "", "run a single experiment id (e.g. E4)")
 	seed := flag.Uint64("seed", 1, "root random seed")
 	out := flag.String("out", "", "directory for .txt/.csv copies of each table")
-	figures := flag.Bool("figures", true, "render ASCII figures after each experiment's tables")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker goroutines for independent trials/sweep points (results identical for any value)")
 	flag.Parse()
@@ -67,18 +66,6 @@ func main() {
 				if err := os.WriteFile(base+".csv", []byte(tb.CSV()), 0o644); err != nil {
 					fmt.Fprintf(os.Stderr, "bench: %v\n", err)
 					os.Exit(1)
-				}
-			}
-		}
-		if *figures {
-			for fi, fig := range exp.RenderFigures(e.ID, tables) {
-				fmt.Println(fig)
-				if *out != "" {
-					base := filepath.Join(*out, fmt.Sprintf("%s_fig%d.txt", strings.ToLower(e.ID), fi))
-					if err := os.WriteFile(base, []byte(fig), 0o644); err != nil {
-						fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-						os.Exit(1)
-					}
 				}
 			}
 		}

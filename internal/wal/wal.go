@@ -543,9 +543,6 @@ func (s *Store) flusher(interval time.Duration) {
 // SnapshotEvery returns the configured steps-between-snapshots.
 func (s *Store) SnapshotEvery() int { return s.every }
 
-// Policy returns the store's fsync policy.
-func (s *Store) Policy() Policy { return s.policy }
-
 func (s *Store) walPath(tenant string) string {
 	return filepath.Join(s.dir, tenant+".wal")
 }

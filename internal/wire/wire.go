@@ -178,7 +178,7 @@ func HasTag(t Tag) Pred { return Pred{Kind: PredHasTag, Tag: t} }
 // (e.g. "S2 disbands: every V2∩S2 node becomes plain V2"). Broadcasting one
 // rule lets every node first retag itself and then derive its own filter;
 // rules carry O(1) intervals and tag pairs, so their bit size respects the
-// model's message bound.
+// model's message bound. The zero value is the empty rule.
 type FilterRule struct {
 	ByTag [NumTags]filter.Interval
 	// Set marks which tags the rule defines; nodes with an unset tag keep
@@ -188,9 +188,6 @@ type FilterRule struct {
 	Retag    [NumTags]Tag
 	RetagSet [NumTags]bool
 }
-
-// NewFilterRule returns an empty rule.
-func NewFilterRule() *FilterRule { return &FilterRule{} }
 
 // With adds a tag → interval mapping and returns the rule for chaining.
 func (r *FilterRule) With(t Tag, iv filter.Interval) *FilterRule {
@@ -219,17 +216,6 @@ func (r *FilterRule) Apply(t Tag, cur filter.Interval) (Tag, filter.Interval) {
 		cur = r.ByTag[t]
 	}
 	return t, cur
-}
-
-// Count returns the number of tags the rule defines.
-func (r *FilterRule) Count() int {
-	n := 0
-	for _, s := range r.Set {
-		if s {
-			n++
-		}
-	}
-	return n
 }
 
 // Report is a node → server value report.

@@ -33,7 +33,7 @@ func TestTagStrings(t *testing.T) {
 }
 
 func TestFilterRuleApply(t *testing.T) {
-	r := NewFilterRule().
+	r := new(FilterRule).
 		With(TagOut, filter.AtLeast(50)).
 		With(TagRest, filter.AtMost(50))
 	tag, f := r.Apply(TagOut, filter.All)
@@ -48,7 +48,7 @@ func TestFilterRuleApply(t *testing.T) {
 }
 
 func TestFilterRuleRetagThenFilter(t *testing.T) {
-	r := NewFilterRule().
+	r := new(FilterRule).
 		WithRetag(TagV2S2, TagV2).
 		With(TagV2, filter.Make(10, 20))
 	tag, f := r.Apply(TagV2S2, filter.All)
@@ -65,13 +65,6 @@ func TestFilterRuleNilSafe(t *testing.T) {
 	tag, f := r.Apply(TagV1, filter.Make(3, 4))
 	if tag != TagV1 || f != filter.Make(3, 4) {
 		t.Error("nil rule must be identity")
-	}
-}
-
-func TestFilterRuleCount(t *testing.T) {
-	r := NewFilterRule().With(TagV1, filter.All).With(TagV3, filter.All)
-	if r.Count() != 2 {
-		t.Errorf("Count = %d", r.Count())
 	}
 }
 

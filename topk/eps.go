@@ -40,9 +40,6 @@ func WrapEps(e eps.Eps) Epsilon { return Epsilon{e: e} }
 // String renders ε as "p/q".
 func (e Epsilon) String() string { return e.e.String() }
 
-// Float returns ε as a float64, for reporting only.
-func (e Epsilon) Float() float64 { return e.e.Float() }
-
 // IsZero reports whether ε = 0.
 func (e Epsilon) IsZero() bool { return e.e.IsZero() }
 

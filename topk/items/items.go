@@ -110,8 +110,10 @@ type Config struct {
 	// MisraGries, and the keeper size for CountMin when Track is 0.
 	// Default 64.
 	Capacity int
-	// Width and Depth size the CountMin table (defaults 256 and 4; see
-	// sketch.CountMinWidth / CountMinDepth to derive them from eps/delta).
+	// Width and Depth size the CountMin table (defaults 256 and 4). A
+	// width of ⌈e/ε⌉ bounds each estimate's over-count by ε·N, where N is
+	// the node's stream length, with probability at least 1 − δ for a
+	// depth of ⌈ln 1/δ⌉.
 	Width, Depth int
 	// Track sizes CountMin's keeper (default Capacity) and nothing else:
 	// every counter a SpaceSaving or MisraGries summary tracks is a

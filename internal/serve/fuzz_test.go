@@ -2,10 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
+
+	"topkmon/topk"
 )
 
 // FuzzBatchDecode throws arbitrary bytes at the update-batch request path
@@ -98,40 +103,90 @@ func equalIDs(a, b []int) bool {
 	return true
 }
 
-// TestDecodeBatchGolden re-checks the seed corpus properties without the
-// fuzz engine, so `go test` alone covers them.
+// goldenGood are batches the decoder accepts (at max 32), with the batch
+// each one decodes to.
+var goldenGood = []struct {
+	in   string
+	want []topk.Update
+}{
+	{`[]`, nil},
+	{`[{"node":0,"value":5}]`, []topk.Update{{Node: 0, Value: 5}}},
+	{`[{"node":3,"value":1048576},{"node":0,"value":0}]`, []topk.Update{{Node: 3, Value: 1048576}, {Node: 0, Value: 0}}},
+	{`[{"node":-1,"value":1}]`, []topk.Update{{Node: -1, Value: 1}}}, // range is the monitor's call
+	{`[{"node":0,"value":-1}]`, []topk.Update{{Node: 0, Value: -1}}},
+	// Keys match under ASCII case folding, after unescaping.
+	{`[{"NODE":1,"Value":2}]`, []topk.Update{{Node: 1, Value: 2}}},
+	{`[{"node":1,"value":2}]`, []topk.Update{{Node: 1, Value: 2}}},
+	{`[{"n\u006fDe":1,"valu\u0045":2}]`, []topk.Update{{Node: 1, Value: 2}}},
+	// A repeated key overwrites; null clears, a later value sets again.
+	{`[{"node":1,"node":2,"value":3}]`, []topk.Update{{Node: 2, Value: 3}}},
+	{`[{"node":null,"node":1,"value":2}]`, []topk.Update{{Node: 1, Value: 2}}},
+	{`[{"node":-0,"value":-0}]`, []topk.Update{{Node: 0, Value: 0}}},
+	{`[{"node":0,"value":9223372036854775807}]`, []topk.Update{{Node: 0, Value: math.MaxInt64}}},
+	{`[{"node":0,"value":-9223372036854775808}]`, []topk.Update{{Node: 0, Value: math.MinInt64}}},
+	// Every kind of JSON whitespace around every token.
+	{strings.ReplaceAll(`_[_{_"node"_:_1_,_"value"_:_2_}_,_{"value":4,"node":3}_]_`, "_", " \t\n\r"),
+		[]topk.Update{{Node: 1, Value: 2}, {Node: 3, Value: 4}}},
+}
+
+// goldenBad are batches the decoder rejects as malformed (400) at max 32.
+var goldenBad = []string{
+	``,
+	`[{"node":0,`,
+	`{"node":0,"value":1}`,
+	`[{"node":99999999999999999999,"value":1}]`,
+	`[{"node":0,"value":1,"extra":true}]`,
+	`[{"node":0}]`,
+	`[{"value":1}]`,
+	`[{"node":0,"value":1}] trailing`,
+	`[null]`,
+	`[{"node":1.5,"value":1}]`,
+	`[{"node":1,"node":null,"value":2}]`,
+	`[{"node":0,"value":9223372036854775808}]`,
+	`[{"node":0,"value":-9223372036854775809}]`,
+	`[{"node":01,"value":1}]`,
+	`[{"node":0,"value":1e0}]`,
+	`[{"node":0,"value":1.0}]`,
+	`[{"node":0,"value":"1"}]`,
+	`[{"node":0,"value":true}]`,
+	`[{"node":0,"value":[1]}]`,
+	`[{"node":0,"value":{}}]`,
+	"\xef\xbb\xbf[]",
+	`[1]`,
+	`[{}]`,
+	`[{"nodé":0,"value":1}]`,
+	`[{"node":0,"value":1}}`,
+	`[{"node":0,"value":1}][]`,
+	`[{"node":0,"value":1},]`,
+	`[{"node":0,"value":1}`,
+	`[,{"node":0,"value":1}]`,
+}
+
+// goldenTooLarge are batches rejected with ErrBatchTooLarge (413) at max 1:
+// the cap fires on the byte after an element before that byte is parsed.
+var goldenTooLarge = []string{
+	`[{"node":0,"value":1},{"node":1,"value":2}]`,
+	`[{"node":0,"value":1},]`,
+	`[{"node":0,"value":1},garbage`,
+}
+
+// TestDecodeBatchGolden re-checks the golden cases without the fuzz
+// engine, so `go test` alone covers them.
 func TestDecodeBatchGolden(t *testing.T) {
-	good := map[string]int{
-		`[]`:                     0,
-		`[{"node":0,"value":5}]`: 1,
-		`[{"node":3,"value":1048576},{"node":0,"value":0}]`: 2,
-		`[{"node":-1,"value":1}]`:                           1, // range is the monitor's call
-		`[{"node":0,"value":-1}]`:                           1,
-	}
-	for in, n := range good {
-		batch, err := DecodeBatch(strings.NewReader(in), nil, 32)
-		if err != nil || len(batch) != n {
-			t.Errorf("DecodeBatch(%q) = %v, %v; want %d updates", in, batch, err, n)
+	for _, c := range goldenGood {
+		batch, err := DecodeBatch(strings.NewReader(c.in), nil, 32)
+		if err != nil || !slices.Equal(batch, c.want) {
+			t.Errorf("DecodeBatch(%q) = %v, %v; want %v", c.in, batch, err, c.want)
 		}
 	}
-	bad := []string{
-		`[{"node":0,`,
-		`{"node":0,"value":1}`,
-		`[{"node":99999999999999999999,"value":1}]`,
-		`[{"node":0,"value":1,"extra":true}]`,
-		`[{"node":0}]`,
-		`[{"value":1}]`,
-		`[{"node":0,"value":1}] trailing`,
-		`[null]`,
-		`[{"node":1.5,"value":1}]`,
-		``,
-	}
-	for _, in := range bad {
-		if batch, err := DecodeBatch(strings.NewReader(in), nil, 32); err == nil {
-			t.Errorf("DecodeBatch(%q) accepted: %v", in, batch)
+	for _, in := range goldenBad {
+		if batch, err := DecodeBatch(strings.NewReader(in), nil, 32); err == nil || errors.Is(err, ErrBatchTooLarge) {
+			t.Errorf("DecodeBatch(%q) = %v, %v; want a malformed-batch error", in, batch, err)
 		}
 	}
-	if _, err := DecodeBatch(strings.NewReader(`[{"node":0,"value":1},{"node":1,"value":2}]`), nil, 1); err == nil {
-		t.Error("max-batch cap not enforced")
+	for _, in := range goldenTooLarge {
+		if batch, err := DecodeBatch(strings.NewReader(in), nil, 1); !errors.Is(err, ErrBatchTooLarge) {
+			t.Errorf("DecodeBatch(%q, max 1) = %v, %v; want ErrBatchTooLarge", in, batch, err)
+		}
 	}
 }

@@ -2,7 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -14,11 +17,14 @@ import (
 )
 
 // FuzzBatchDecode throws arbitrary bytes at the update-batch request path
-// and pins two properties end to end:
+// and pins three properties end to end:
 //
-//  1. DecodeBatch never panics, and on success returns only what a strict
-//     re-encode would reproduce (bounded length, both fields present).
-//  2. All-or-nothing ingest: a request the handlers reject — malformed
+//  1. DecodeBatch equals decodeBatchJSON, the encoding/json decoder it
+//     replaced: both accept or reject alike, return the same batch and
+//     agree on ErrBatchTooLarge, at max 1 and at max 32.
+//  2. Behind an http.MaxBytesReader whose limit the body exceeds, the
+//     error is always an *http.MaxBytesError (so the handler answers 413).
+//  3. All-or-nothing ingest: a request the handlers reject — malformed
 //     JSON, overflowing ids, out-of-range nodes/values, oversized batches,
 //     trailing garbage — commits no step and leaves the monitor's output
 //     untouched; an accepted request commits exactly one step.
@@ -40,13 +46,48 @@ func FuzzBatchDecode(f *testing.F) {
 	f.Add([]byte(`[null]`))
 	f.Add([]byte("[" + strings.Repeat(`{"node":0,"value":1},`, 40) + `{"node":0,"value":1}]`))
 	f.Add([]byte("\x00\xff\xfe"))
+	for _, c := range goldenGood {
+		f.Add([]byte(c.in))
+	}
+	for _, in := range goldenBad {
+		f.Add([]byte(in))
+	}
+	for _, in := range goldenTooLarge {
+		f.Add([]byte(in))
+	}
 
 	const maxBatch = 32
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Decoder-level: no panics, hard cap honored.
-		batch, err := DecodeBatch(bytes.NewReader(data), nil, maxBatch)
-		if err == nil && len(batch) > maxBatch {
-			t.Fatalf("decoded %d > max %d updates", len(batch), maxBatch)
+		// Decoder-level: no panics, hard cap honored, same outcome as the
+		// encoding/json reference.
+		for _, max := range []int{1, maxBatch} {
+			got, err := DecodeBatch(bytes.NewReader(data), nil, max)
+			want, wantErr := decodeBatchJSON(bytes.NewReader(data), nil, max)
+			if (err == nil) != (wantErr == nil) || !slices.Equal(got, want) ||
+				errors.Is(err, ErrBatchTooLarge) != errors.Is(wantErr, ErrBatchTooLarge) {
+				t.Fatalf("max %d: DecodeBatch = %v, %v; encoding/json reference = %v, %v",
+					max, got, err, want, wantErr)
+			}
+			if err == nil && len(got) > max {
+				t.Fatalf("decoded %d > max %d updates", len(got), max)
+			}
+		}
+
+		// Body limit: an over-limit body is always a MaxBytesError, and a
+		// body within the limit decodes as if unbounded.
+		if len(data) > 0 {
+			limit := int64(data[len(data)-1]) % int64(len(data)+1)
+			got, err := DecodeBatch(http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(data)), limit), nil, maxBatch)
+			var tooBig *http.MaxBytesError
+			if int64(len(data)) > limit && !errors.As(err, &tooBig) {
+				t.Fatalf("body of %d bytes over limit %d: %v, %v; want *http.MaxBytesError", len(data), limit, got, err)
+			}
+			if int64(len(data)) <= limit {
+				want, wantErr := DecodeBatch(bytes.NewReader(data), nil, maxBatch)
+				if (err == nil) != (wantErr == nil) || !slices.Equal(got, want) {
+					t.Fatalf("body within limit: %v, %v; unbounded: %v, %v", got, err, want, wantErr)
+				}
+			}
 		}
 
 		// Handler-level: a tiny single-tenant server; the request either
@@ -89,6 +130,49 @@ func FuzzBatchDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// updateJSON is the wire shape of one update for decodeBatchJSON. Pointer
+// fields distinguish "absent" from a legitimate zero.
+type updateJSON struct {
+	Node  *int   `json:"node"`
+	Value *int64 `json:"value"`
+}
+
+// decodeBatchJSON is the encoding/json batch decoder DecodeBatch replaced,
+// kept as FuzzBatchDecode's reference for the accepted language.
+func decodeBatchJSON(r io.Reader, dst []topk.Update, max int) ([]topk.Update, error) {
+	dst = dst[:0]
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+
+	tok, err := dec.Token()
+	if err != nil {
+		return nil, fmt.Errorf("serve: batch: %w", err)
+	}
+	if d, ok := tok.(json.Delim); !ok || d != '[' {
+		return nil, fmt.Errorf("serve: batch must be a JSON array, got %v", tok)
+	}
+	for dec.More() {
+		if len(dst) >= max {
+			return nil, fmt.Errorf("%w (max %d)", ErrBatchTooLarge, max)
+		}
+		var u updateJSON
+		if err := dec.Decode(&u); err != nil {
+			return nil, fmt.Errorf("serve: batch element %d: %w", len(dst), err)
+		}
+		if u.Node == nil || u.Value == nil {
+			return nil, fmt.Errorf("serve: batch element %d: need both \"node\" and \"value\"", len(dst))
+		}
+		dst = append(dst, topk.Update{Node: *u.Node, Value: *u.Value})
+	}
+	if _, err := dec.Token(); err != nil { // the closing ']'
+		return nil, fmt.Errorf("serve: batch: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("serve: trailing data after batch array")
+	}
+	return dst, nil
 }
 
 func equalIDs(a, b []int) bool {

@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -210,6 +213,61 @@ func TestDecodeBatchReuse(t *testing.T) {
 	}
 	if got, err := DecodeBatch(strings.NewReader(`[]`), nil, 8); err != nil || len(got) != 0 {
 		t.Fatalf("empty batch: %v, %v", got, err)
+	}
+}
+
+// raceEnabled is set by the -race build, under which sync.Pool drops
+// buffers at random and so allocates.
+var raceEnabled bool
+
+// decodeBody is the wire form of a 16-update batch as the repository
+// benchmark sends it: compact {"node":…,"value":…} objects.
+func decodeBody() []byte {
+	body := []byte{'['}
+	for i, u := range benchBatch(rand.New(rand.NewSource(1)), benchConfig.Nodes) {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = fmt.Appendf(body, `{"node":%d,"value":%d}`, u.Node, u.Value)
+	}
+	return append(body, ']')
+}
+
+// TestDecodeBatchAllocs pins the decoder's steady state: with the body
+// buffer pooled and dst reused, a batch decodes without allocating.
+func TestDecodeBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under -race")
+	}
+	body := decodeBody()
+	rd := bytes.NewReader(body)
+	dst := make([]topk.Update, 0, 16)
+	decode := func() {
+		rd.Reset(body)
+		var err error
+		if dst, err = DecodeBatch(rd, dst, 16); err != nil || len(dst) != 16 {
+			t.Fatalf("DecodeBatch = %v, %v", dst, err)
+		}
+	}
+	decode() // warm the body pool
+	if avg := testing.AllocsPerRun(1000, decode); avg != 0 {
+		t.Fatalf("DecodeBatch: %.2f allocs per batch, want 0", avg)
+	}
+}
+
+// BenchmarkDecodeBatch measures one 16-update batch through DecodeBatch.
+func BenchmarkDecodeBatch(b *testing.B) {
+	body := decodeBody()
+	rd := bytes.NewReader(body)
+	dst := make([]topk.Update, 0, 16)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		rd.Reset(body)
+		var err error
+		if dst, err = DecodeBatch(rd, dst, 16); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

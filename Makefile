@@ -45,7 +45,8 @@ race:
 # with the float coin it replaces, the Pred.Bounds value-routing contract,
 # the filter-interval mirror's no-desync obligation and the max-find active
 # list's agreement with the nodes' flags under fault injection, the HTTP
-# frontend's all-or-nothing batch-decode path, the WAL decoder's
+# frontend's all-or-nothing batch-decode path and the batch decoder's
+# equality with the encoding/json reference it replaced, the WAL decoder's
 # torn-write obligations (no panic, exact canonical prefix, idempotent
 # truncation) on arbitrary bytes, and the streaming summaries' estimate
 # invariants (Space-Saving/Misra-Gries one-sided bounds, Count-Min

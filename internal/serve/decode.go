@@ -189,12 +189,12 @@ const (
 // ASCII case folding; no non-ASCII rune folds onto a letter of either
 // name, so this is the same match as encoding/json's.
 func (p *batchParser) key() (isValue, ok bool) {
-	b, i := p.b, p.i
-	if i == len(b) || b[i] != '"' {
+	if !p.eat('"') {
 		return false, false
 	}
+	b := p.b
 	var w uint64 // the key so far, lower-cased, one byte per 8 bits
-	for n, i := 0, i+1; i < len(b); n++ {
+	for n, i := 0, p.i; i < len(b); n++ {
 		c := b[i]
 		i++
 		switch c {

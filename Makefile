@@ -33,12 +33,16 @@ test:
 	$(GO) test ./...
 
 # race runs the whole module under the race detector (short mode bounds the
-# heavy property suites). The live engine runs small flushes on the caller,
-# so the suites' /workers entries (every flush through the goroutines) and
+# heavy property suites). The live engine runs small calls on the caller,
+# so the suites' /workers entries (every call through the goroutines) and
 # TestMixedDispatch are what put the shard hand-off under the detector;
-# none of them is skipped by -short.
+# none of them is skipped by -short. -short does skip
+# TestLockstepEquivalenceLargeN, the one n = 10⁴ check of that hand-off
+# (each large call is one barrier), so the second line runs it alone
+# (a few seconds under -race).
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -run '^TestLockstepEquivalenceLargeN$$' ./internal/live
 
 # fuzz gives each of the nine seeded fuzz targets a short randomized
 # session — the interval algebra, the integer coin threshold's equality

@@ -73,10 +73,11 @@ func BenchmarkE11SweepAblationParallel(b *testing.B) { benchExperiment(b, "E11",
 
 // BenchmarkSweepSilent measures the zero-violation fast path of the
 // EXISTENCE sweep (the steady-state cost of a quiet time step) on both
-// engines. On the live engine a silent sweep must be ONE barrier round —
-// round 0 brings back zero matchers — not γ+1; the benchmark fails
-// otherwise. That round is far below the parallel grain and runs on the
-// caller: ≈75 ns against lockstep's 18 (≈0.7 µs when it woke the workers).
+// engines. On the live engine a silent sweep is ONE node round — round 0
+// brings back zero matchers — not γ+1 (TestSweepBarriers asserts it). That
+// round is far below the parallel grain and runs on the caller: ≈110 ns
+// against lockstep's 35 on a 2-core container (≈0.7 µs when it woke the
+// workers).
 func BenchmarkSweepSilent(b *testing.B) {
 	for _, n := range []int{64, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -94,17 +95,12 @@ func BenchmarkSweepSilent(b *testing.B) {
 			e := live.New(n, 1, live.WithShards(2))
 			defer e.Close()
 			e.Advance(make([]int64, n))
-			e.Sweep(wire.Violating()) // installs the observations
-			flushes := e.Flushes()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if got := e.Sweep(wire.Violating()); got != nil {
 					b.Fatal("unexpected senders")
 				}
-			}
-			if got := e.Flushes() - flushes; got != int64(b.N) {
-				b.Fatalf("%d silent sweeps ran %d barrier rounds, want one each", b.N, got)
 			}
 		})
 	}
@@ -427,32 +423,32 @@ func BenchmarkFindMax(b *testing.B) {
 	}
 }
 
-// BenchmarkLiveGrain justifies live's parallelGrain, the batch size in node
-// visits below which a flush runs on the caller instead of waking the
-// workers: protocol.FindMax on live × 2 shards with every flush through the
-// workers (grain 0), every flush on the caller (grain max), and the
+// BenchmarkLiveGrain justifies live's parallelGrain, the price in node
+// visits below which a call runs on the caller instead of waking the
+// workers: protocol.FindMax on live × 2 shards with every call through the
+// workers (grain 0), every call on the caller (grain max), and the
 // constant. A max-find is about log n sweeps over an active set that each
-// raise halves, and its first flush (MaxFindInit + round 0) is 2n visits, so
-// a run starts above the grain at large n, crosses it on the way down, and
-// never reaches it at small n. µs per FindMax on a 2-core container with
-// the nodes stored as rows (median of 8 runs of the comparison below, each
-// the least of its 5 rounds):
+// raise halves, and its first call (MaxFindInit) is priced n, so a run
+// starts above the grain at large n, crosses it on the way down, and never
+// reaches it at small n. µs per FindMax on a 2-core container with the
+// nodes stored as rows (median of 8 runs of the comparison below, each the
+// least of its 5 rounds):
 //
 //	n        workers   caller   default (65536)
-//	1024        47.3     16.8     17.4
-//	4096       123       65.5     59.4
-//	16384      339      283      230
-//	65536     1539     1633     1678
-//	262144    4264     6165     4134
+//	1024        56.7     18.8     18.1
+//	4096       165       70.5     63.3
+//	16384      492      248      252
+//	65536     2502     2417     2465
+//	262144    6460    10359     6940
 //
-// Up to n = 16384 default and caller run the same flushes, so the gap
+// Below n = 65536 default and caller run the same calls, so the gap
 // between them there is the noise of a shared machine. The workers start
-// paying for their wake-up near n = 65536. Flush by flush (one MaxFindInit
-// over n nodes, about 3 ns a visit on the caller) the caller ties at 16384
-// visits (48 µs) and loses from 32768 (87–114 µs against 75–91), yet a
-// grain of 32768 put default 13 % behind the caller at n = 16384, where
-// only a run's first flush, priced 2n, reaches it. So the grain stays at
-// 65536.
+// paying for their wake-up near n = 65536, where default mixes the two
+// dispatches and moves the shards between cores on the way down. Each call
+// is priced alone, so no call of a run below n = 32768 reaches a grain of
+// 32768 either; in 12 alternating runs of the check each on the same
+// container, the default failed it 5 times with either grain. So the
+// grain stays at 65536.
 //
 // A fourth timed row, n=…/lockstep, runs the same FindMax on lockstep.New(n,
 // 1), which puts the live engine beside the one-shard inline engine at each
@@ -548,10 +544,10 @@ func benchLiveGrainAt(b *testing.B, n int) {
 // bucket, where value routing prunes nothing and the max-find active list
 // does the work. Lockstep and live × 2 shards; the probe goes into the
 // caller's buffer, and an iteration that allocates fails the benchmark.
-// Expect ≈0.23 ms on lockstep and ≈0.27 ms on live on a 2-core container:
-// every flush of the ~64 sweeps is below the parallel grain and runs on the
-// caller, so what live pays over lockstep is directive dispatch (0.60 ms
-// when each flush woke the workers).
+// Expect ≈0.21 ms on lockstep and ≈0.25 ms on live on a 2-core container:
+// every call of the ~64 sweeps is below the parallel grain and runs on the
+// caller, so what live pays over lockstep is per-call dispatch (0.60 ms
+// when each call woke the workers).
 func BenchmarkEpochOpen(b *testing.B) {
 	const n, k = 1024, 8
 	engines := []struct {
@@ -690,9 +686,10 @@ func BenchmarkFacadePush(b *testing.B) {
 // staging, the delta install (Engine.AdvanceDirty) and the quiet violation
 // sweep. None of those may depend on n: ns/op has to stay within 2× from
 // n=1024 to n=131072 (cache misses on the larger arrays are what is left),
-// at 0 allocs/op. On live the step is one barrier round of two visits, run
-// on the caller: ≈0.15–0.24 µs against lockstep's 0.06–0.11 (0.9–1.0 µs
-// when that round woke a worker).
+// at 0 allocs/op. On live the step is two calls of about one visit each,
+// the one-id delta and the sweep's round 0, both run on the caller:
+// ≈0.2–0.5 µs against lockstep's 0.1–0.15 on a 2-core container (0.9–1.0 µs
+// when the step woke a worker).
 // `go run ./benchmark -workload embed-quiet-wide` is the end-to-end form.
 func BenchmarkSparseStep(b *testing.B) {
 	const k, pregen = 8, 4096

@@ -98,18 +98,15 @@
 //     TestConformanceSweepCoinsMatchPerRoundLoop).
 //   - The live engine runs m worker shards (default GOMAXPROCS; see
 //     live.WithShards), each owning a contiguous range of nodes and its
-//     bucket partition, and batches directives per step: reply-free
-//     mutations are deferred into a reusable batch that rides along with
-//     the next response-bearing barrier; Probe, Collect and sweep replies
-//     land in per-shard report lists —
-//     one quiet step is one barrier (a sweep nobody matches ends after its
-//     first round), no per-directive channel round-trips, no steady-state
-//     allocation. The engine prices every barrier round in node visits and
-//     runs the ones too small to repay a goroutine wake-up on the caller,
-//     so a quiet step wakes nobody (BenchmarkLiveGrain has the crossover).
-//     See the internal/live package docs for the flush protocol.
-//   - Protocols reuse broadcast FilterRules (engines apply or copy rules
-//     before returning) and their set/output scratch buffers.
+//     bucket partition. Each call completes at the nodes before it returns;
+//     Probe, Collect and sweep replies land in per-shard report lists, and
+//     a sweep nobody matches ends after its first round, with no
+//     steady-state allocation. The engine prices every call in node visits
+//     and runs the ones too small to repay a goroutine wake-up on the
+//     caller, so a quiet step wakes nobody (BenchmarkLiveGrain has the
+//     crossover). See the internal/live package docs for the dispatch.
+//   - Protocols reuse broadcast FilterRules (engines apply rules before
+//     returning) and their set/output scratch buffers.
 //   - offline.Solve reuses envelope and solver buffers and materialises a
 //     witness only when a segment closes.
 //   - The public topk facade adds nothing on top: Update/UpdateBatch (a

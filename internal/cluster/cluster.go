@@ -7,8 +7,8 @@
 // engines: the deterministic sequential engine (internal/lockstep, one
 // nodecore.Shard run inline), the primary substrate for tests and
 // experiments, and the concurrent goroutine engine (internal/live, m
-// Shards behind a directive batcher and worker goroutines) used by the
-// runnable demos. Protocol code written against this interface runs
+// Shards run by worker goroutines, or by the caller when a call is small)
+// used by the runnable demos. Protocol code written against this interface runs
 // unchanged on both; their message counters agree by construction, and
 // the cross-engine equivalence tests assert that their node sides — and
 // so their outputs and coin flips — agree for equal seeds too.
@@ -27,9 +27,8 @@
 //     second Collect). Protocols needing a longer lifetime must copy.
 //   - Sweep and DetectViolation results are recycled by the next sweep.
 //   - FiltersInto appends into caller-owned scratch, reusing its capacity.
-//   - BroadcastRule arguments are fully applied (or copied, on the live
-//     engine) before the call returns, so callers may mutate and reuse one
-//     rule across broadcasts.
+//   - BroadcastRule arguments are fully applied before the call returns,
+//     so callers may mutate and reuse one rule across broadcasts.
 //
 // # Engine reuse
 //
@@ -57,7 +56,7 @@
 // MaxFind* broadcasts — the flag's only writers — keep. Each primitive
 // resolves its predicate once: a sweep's rounds run over the nodes that
 // matched before round 0, and a sweep nobody matches bills its γ+1 rounds
-// and does no other work than its round 0 (one barrier round on the live
+// and does no other work than its round 0 (one node round on the live
 // engine). All routing is an implementation property with NO
 // protocol-visible effect — the model's message costs stated on each
 // method, the report contents and id order, the rounds billed and every

@@ -23,9 +23,9 @@ import (
 // smallest layout with cross-shard gather), one worker per core (the
 // default), and one worker per node (every delta entry on its own shard) —
 // so the unit-cost accounting and Reset(seed) byte-equality cover every
-// worker-shard code path. At these sizes every flush is below the engine's
+// worker-shard code path. At these sizes every call is below the engine's
 // parallel grain and runs on the caller, so the /workers entries (grain 0:
-// every flush through the worker goroutines) keep the other dispatch under
+// every call through the worker goroutines) keep the other dispatch under
 // the same suites, the race job's -short run included.
 func engines(n int, seed uint64) map[string]func() (cluster.Engine, func()) {
 	mkLive := func(m int, opts ...live.Option) func() (cluster.Engine, func()) {
@@ -279,11 +279,10 @@ func TestConformanceDetectOnlyViolators(t *testing.T) {
 }
 
 // TestConformanceDeferredReadsSeeCallOrderValues: MaxFindInit reads node
-// values at execution time, so an engine deferring or batching directives
-// must still execute it against the values of the PRECEDING Advance when a
-// further Advance follows before any flush — the call-order semantics the
-// lockstep engine has by construction, and the live engine gets from
-// staging each Advance as its own directive, installed in batch order.
+// values when it runs, so it must see the values of the PRECEDING Advance
+// and not those of a further Advance that follows before any reply-bearing
+// call — the call-order semantics both engines have by construction, since
+// each call completes at the nodes before it returns.
 func TestConformanceDeferredReadsSeeCallOrderValues(t *testing.T) {
 	for name, mk := range engines(4, 19) {
 		t.Run(name, func(t *testing.T) {

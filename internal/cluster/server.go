@@ -16,12 +16,13 @@ import (
 // one EXISTENCE round, or a step's observations) carried out on every node
 // it addresses; the Server bills it. The one decision an implementation
 // hides is who runs the node work: nodecore.Shard runs it inline over its
-// own nodes, the live engine batches it over m Shards and runs each batch
-// on the caller or on its workers.
+// own nodes, the live engine runs it over m Shards, on the caller or on
+// its workers.
 //
-// Replies come back in ascending id order. The nodes a method changes are
-// changed before any later call reads them, so an implementation may defer
-// the calls without a reply.
+// Replies come back in ascending id order. Each call has completed at
+// every node it addresses when it returns, as each of the model's rounds
+// completes before the next message is sent: no implementation defers a
+// call, and none reads a call's arguments after it returns.
 type Nodes interface {
 	// Advance installs values[id] at node id for every id of ids, in that
 	// order, or for every node when ids is nil, panicking on a value

@@ -15,9 +15,9 @@ import (
 
 // TestQuietStepWakesNobody pins what the grain buys on the step most steps
 // are: a few dozen nodes moved inside their filters, at an n where the
-// workers used to be woken for it. The delta rides with the violation
-// sweep's round 0, which finds no matcher — one barrier round, executed by
-// the caller, and nothing allocated.
+// workers used to be woken for it. The delta and the violation sweep's
+// round 0, which finds no matcher, each run on the caller, and nothing is
+// allocated.
 func TestQuietStepWakesNobody(t *testing.T) {
 	const n, m, moved = 16384, 4, 48
 	c := New(n, 9, WithShards(m))
@@ -44,12 +44,9 @@ func TestQuietStepWakesNobody(t *testing.T) {
 		}
 		c.EndStep()
 	}
-	f0, w0 := c.Flushes(), c.b.wakes
+	w0 := c.d.wakes
 	step()
-	if got := c.Flushes() - f0; got != 1 {
-		t.Errorf("quiet step ran %d barrier rounds, want 1", got)
-	}
-	if got := c.b.wakes - w0; got != 0 {
+	if got := c.d.wakes - w0; got != 0 {
 		t.Errorf("quiet step of %d moved nodes woke %d workers, want 0", moved, got)
 	}
 	if avg := testing.AllocsPerRun(100, step); avg != 0 {
@@ -60,59 +57,55 @@ func TestQuietStepWakesNobody(t *testing.T) {
 	}
 }
 
-// TestLargeFlushWakesWorkers is the other side: a batch whose work reaches
+// TestLargeFlushWakesWorkers is the other side: a call whose price reaches
 // the grain is handed to every worker it addresses — and the boundary sits
-// where the accounting says, one visit per staged observation and one per
-// unicast.
+// where the pricing says, one visit per observation, each call alone.
 func TestLargeFlushWakesWorkers(t *testing.T) {
-	const n, m = parallelGrain, 4
+	const n, m = parallelGrain, 4 // shards of n/4
 	c := New(n, 9, WithShards(m))
 	defer c.Close()
 	vals := make([]int64, n)
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	flushed := func(f func()) (flushes, wakes int64) {
-		f0, w0 := c.Flushes(), c.b.wakes
+	wakes := func(f func()) int64 {
+		w0 := c.d.wakes
 		f()
-		return c.Flushes() - f0, c.b.wakes - w0
+		return c.d.wakes - w0
 	}
 
-	if f, w := flushed(func() {
-		c.Advance(vals)
-		c.MaxFindInit(-1, true)
-		c.Probe(0)
-	}); f != 1 || w != m {
-		t.Errorf("dense Advance + MaxFindInit at n=%d: %d flushes woke %d workers, want 1 and all %d", n, f, w, m)
+	if w := wakes(func() { c.Advance(vals) }); w != m {
+		t.Errorf("dense Advance at n=%d woke %d workers, want all %d", n, w, m)
 	}
 
-	// parallelGrain-2 observations and a probe: one visit short of the grain.
-	ids := make([]int, parallelGrain-2)
+	ids := make([]int, parallelGrain-1)
 	for i := range ids {
 		ids[i] = i
 	}
-	if f, w := flushed(func() {
-		c.AdvanceDirty(vals, ids)
-		c.Probe(0)
-	}); f != 1 || w != 0 {
-		t.Errorf("a batch of %d visits: %d flushes woke %d workers, want 1 and 0", parallelGrain-1, f, w)
+	if w := wakes(func() { c.AdvanceDirty(vals, ids) }); w != 0 {
+		t.Errorf("AdvanceDirty of %d ids woke %d workers, want 0", len(ids), w)
 	}
-	if f, w := flushed(func() {
-		c.AdvanceDirty(vals, ids)
-		c.SetFilter(n-1, filter.All)
-		c.Probe(0)
-	}); f != 1 || w != m {
-		t.Errorf("a batch of %d visits: %d flushes woke %d workers, want 1 and the %d it addresses", parallelGrain, f, w, m)
+
+	// parallelGrain ids, every one on shard 0 or 1.
+	ids = make([]int, parallelGrain)
+	for i := range ids {
+		ids[i] = i % (n / 2)
+	}
+	if w := wakes(func() { c.AdvanceDirty(vals, ids) }); w != 2 {
+		t.Errorf("AdvanceDirty of %d ids on shards 0 and 1 woke %d workers, want those 2", len(ids), w)
+	}
+	if got := valuesOf(c); !reflect.DeepEqual(got, vals) {
+		t.Error("the worker-executed installs did not reach the nodes")
 	}
 }
 
-// TestMixedDispatch alternates flushes on both sides of the grain inside one
+// TestMixedDispatch alternates calls on both sides of the grain inside one
 // run — dense and sparse installs, whole-cluster and routed collects, sweeps
 // whose later rounds shrink below it — and holds the engine to a lockstep
 // twin after every step: values, filters, tags, reports, the counter
 // snapshot, and every node's RNG state. Under -race it is also the proof
 // that shard state handed back and forth between the server's goroutine and
-// the workers' is ordered by the flush's own synchronisation.
+// the workers' is ordered by the dispatch's own synchronisation.
 func TestMixedDispatch(t *testing.T) {
 	const n, m, k, grain = 48, 3, 4, 24
 	steps := 300
@@ -124,17 +117,15 @@ func TestMixedDispatch(t *testing.T) {
 	lv := New(n, 77, WithShards(m), WithGrain(grain))
 	defer lv.Close()
 
-	// Every single-flush call is tallied by who executed it.
+	// Each node call is tallied by who ran it.
 	var onCaller, onWorkers int
 	tally := func(f func()) {
-		f0, w0 := lv.Flushes(), lv.b.wakes
+		w0 := lv.d.wakes
 		f()
-		if lv.Flushes()-f0 == 1 {
-			if lv.b.wakes == w0 {
-				onCaller++
-			} else {
-				onWorkers++
-			}
+		if lv.d.wakes == w0 {
+			onCaller++
+		} else {
+			onWorkers++
 		}
 	}
 
@@ -157,7 +148,7 @@ func TestMixedDispatch(t *testing.T) {
 			}
 		}
 		ls.AdvanceDirty(vals, dirty)
-		lv.AdvanceDirty(vals, dirty)
+		tally(func() { lv.AdvanceDirty(vals, dirty) })
 		id := r.Intn(n)
 		var repA, repB wire.Report
 		repA = ls.Probe(id)
@@ -217,22 +208,18 @@ func TestMixedDispatch(t *testing.T) {
 		}
 	}
 	if onCaller < steps || onWorkers < steps {
-		t.Fatalf("%d single-flush calls ran on the caller and %d on the workers: the run does not mix the dispatches",
+		t.Fatalf("%d tallied calls ran on the caller and %d on the workers: the run does not mix the dispatches",
 			onCaller, onWorkers)
 	}
 }
 
-// TestStopGoesThroughWorkers: the batch Close flushes is tiny, and it is the
-// one batch that may never run on the caller — dirStop is what ends the
-// goroutines. Deferred directives pending at Close are applied first.
+// TestStopGoesThroughWorkers: Close hands the stop to all m workers,
+// whatever the grain, and returns once they have exited.
 func TestStopGoesThroughWorkers(t *testing.T) {
 	const n, m = 8, 4
 	c := New(n, 3, WithShards(m))
-	vals := []int64{8, 7, 6, 5, 4, 3, 2, 1}
-	iv := filter.Make(0, 4)
-	c.Advance(vals)
-	c.SetFilter(5, iv)
-	w0 := c.b.wakes
+	c.Advance([]int64{8, 7, 6, 5, 4, 3, 2, 1})
+	w0 := c.d.wakes
 
 	closed := make(chan struct{})
 	go func() {
@@ -242,30 +229,33 @@ func TestStopGoesThroughWorkers(t *testing.T) {
 	select {
 	case <-closed:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Close did not return: the stop directive never reached the workers")
+		t.Fatal("Close did not return: the stop never reached the workers")
 	}
-	if got := c.b.wakes - w0; got != m {
+	if got := c.d.wakes - w0; got != m {
 		t.Errorf("Close woke %d workers, want all %d", got, m)
-	}
-	for i, want := range vals {
-		if got := c.b.shards[c.b.workerOf[i]].Node(i).Value; got != want {
-			t.Errorf("node %d holds %d after Close, want the deferred Advance's %d", i, got, want)
-		}
-	}
-	if got := c.b.shards[c.b.workerOf[5]].Node(5).Filter; got != iv {
-		t.Errorf("node 5's filter is %v after Close, want the deferred SetFilter's %v", got, iv)
 	}
 }
 
-// TestUseAfterClosePanics: once Close has stopped the workers, a call that
-// reaches the nodes panics at once instead of signalling goroutines that
-// are gone and waiting for their answer forever.
+// TestUseAfterClosePanics: once Close has stopped the workers, every call
+// that reaches the nodes panics at once — instead of signalling goroutines
+// that are gone and waiting for their answer forever, or of billing a
+// message whose nodes never change.
 func TestUseAfterClosePanics(t *testing.T) {
+	vals := make([]int64, 8)
 	for name, call := range map[string]func(c *Cluster){
-		"Probe":       func(c *Cluster) { c.Probe(3) },
-		"Collect":     func(c *Cluster) { c.Collect(wire.InRange(0, 10)) },
-		"Sweep":       func(c *Cluster) { c.Sweep(wire.Violating()) },
-		"FiltersInto": func(c *Cluster) { c.FiltersInto(nil) },
+		"Probe":          func(c *Cluster) { c.Probe(3) },
+		"Collect":        func(c *Cluster) { c.Collect(wire.InRange(0, 10)) },
+		"Sweep":          func(c *Cluster) { c.Sweep(wire.Violating()) },
+		"FiltersInto":    func(c *Cluster) { c.FiltersInto(nil) },
+		"SetFilter":      func(c *Cluster) { c.SetFilter(3, filter.All) },
+		"SetTagFilter":   func(c *Cluster) { c.SetTagFilter(3, wire.TagOut, filter.All) },
+		"BroadcastRule":  func(c *Cluster) { c.BroadcastRule(&wire.FilterRule{}) },
+		"MaxFindInit":    func(c *Cluster) { c.MaxFindInit(0, true) },
+		"MaxFindRaise":   func(c *Cluster) { c.MaxFindRaise(3, 0) },
+		"MaxFindExclude": func(c *Cluster) { c.MaxFindExclude(3) },
+		"Advance":        func(c *Cluster) { c.Advance(vals) },
+		"AdvanceDirty":   func(c *Cluster) { c.AdvanceDirty(vals, []int{3}) },
+		"Reset":          func(c *Cluster) { c.Reset(1) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			c := New(8, 1, WithShards(2))

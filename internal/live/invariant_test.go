@@ -13,7 +13,7 @@ import (
 // TestLiveDenseInvariants runs the DENSE/SUB tag-vs-set invariant checker on
 // the goroutine engine after every processed violation — the live twin of
 // the lockstep invariant stress, guarding against engine-specific state
-// divergence (ordering, races, lost directives).
+// divergence (ordering, races, lost hand-offs).
 func TestLiveDenseInvariants(t *testing.T) {
 	const n, k, steps = 20, 3, 150
 	e := eps.MustNew(1, 4)

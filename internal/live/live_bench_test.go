@@ -14,12 +14,10 @@ import (
 // on the goroutine engine (n=64, k=8) — the live twin of the root
 // BenchmarkMonitorStep. The step vectors are pre-generated outside the timed
 // loop, so the measurement is engine + monitor cost, the dense Advance
-// included: it stages n observations per step (one directive per shard)
-// that the step's first flush installs. With per-step batched directives
-// and double-buffered responses the steady state must allocate nothing
-// (asserted by TestLiveStepAllocs). At this n every flush is below the
-// parallel grain and runs on the caller, so directive dispatch is the
-// remaining cost over lockstep.
+// included. With engine-owned report lists and double-buffered responses
+// the steady state must allocate nothing (asserted by TestLiveStepAllocs).
+// At this n every call is below the parallel grain and runs on the caller,
+// so per-call dispatch is the remaining cost over lockstep.
 func BenchmarkLiveStep(b *testing.B) {
 	const n, k = 64, 8
 	const pregen = 1024
@@ -60,7 +58,7 @@ func BenchmarkLiveStep(b *testing.B) {
 
 // BenchmarkLiveSweepSilent measures the zero-violation fast path of the
 // EXISTENCE sweep on the goroutine engine — the per-step floor every quiet
-// time step pays: one barrier round, run on the caller.
+// time step pays: one node round, run on the caller.
 func BenchmarkLiveSweepSilent(b *testing.B) {
 	for _, n := range []int{64, 1024} {
 		b.Run(benchName(n), func(b *testing.B) {

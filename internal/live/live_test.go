@@ -45,9 +45,9 @@ func tagsOf(e cluster.Engine) []wire.Tag {
 	return out
 }
 
-// dispatches names the two executors of a flush for the suites that must
-// hold under both. The default grain runs every flush of a conformance-sized
-// engine on the caller; grain 0 hands every flush to the worker goroutines.
+// dispatches names the two executors of a call for the suites that must
+// hold under both. The default grain runs every call of a conformance-sized
+// engine on the caller; grain 0 hands every call to the worker goroutines.
 var dispatches = []struct {
 	suffix string
 	opts   []Option
@@ -180,10 +180,9 @@ func TestLockstepEquivalence(t *testing.T) {
 }
 
 // TestLockstepEquivalenceLargeN raises the cross-engine equivalence proof
-// to n = 10⁴ nodes: with the batched flush pipeline the live engine must
-// still reproduce the lockstep run's outputs and counters bit for bit at a
-// scale where any ordering or lost-directive bug in the batch delivery
-// would surface.
+// to n = 10⁴ nodes: the live engine must still reproduce the lockstep run's
+// outputs and counters bit for bit at a scale where any ordering or lost
+// hand-off bug in the worker delivery would surface.
 func TestLockstepEquivalenceLargeN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-n equivalence is CI-sized; skipped under -short")
@@ -211,10 +210,9 @@ func TestLockstepEquivalenceLargeN(t *testing.T) {
 		return mon.Output(), snap.Total(), snap.ByKind
 	}
 
-	// Worker shards (m ≪ n) are what makes this scale bearable: one quiet
-	// step wakes 8 workers instead of 10⁴ goroutines per barrier round — or,
-	// at the default grain, nobody: only the flushes carrying a dense
-	// Advance or a whole-cluster broadcast are large enough for the workers.
+	// Worker shards (m ≪ n) are what makes this scale bearable: under
+	// /workers each call wakes at most 8 workers instead of 10⁴ goroutines.
+	// At the default grain nobody is woken: no call at this n reaches it.
 	outA, totalA, kindsA := runOn(lockstep.New(n, 271828))
 	for _, d := range dispatches {
 		t.Run("m=8"+d.suffix, func(t *testing.T) {
@@ -235,7 +233,7 @@ func TestLockstepEquivalenceLargeN(t *testing.T) {
 	}
 }
 
-// TestLiveStepAllocs enforces the batched engine's allocation budget: after
+// TestLiveStepAllocs enforces the live engine's allocation budget: after
 // warm-up, a full monitored time step (Advance + HandleStep + EndStep) on
 // the live engine allocates nothing — the property BenchmarkLiveStep
 // tracks, asserted here so CI fails on regressions without running
@@ -292,11 +290,11 @@ func TestShardPartition(t *testing.T) {
 	}
 	for _, cs := range cases {
 		c := New(cs.n, 1, WithShards(cs.opt))
-		if got := c.b.m; got != cs.want {
+		if got := c.d.m; got != cs.want {
 			t.Errorf("n=%d WithShards(%d): %d shards, want %d", cs.n, cs.opt, got, cs.want)
 		}
 		next := 0
-		for w, sh := range c.b.shards {
+		for w, sh := range c.d.shards {
 			ids := sh.IDs()
 			if base := int(ids[0]); base != next {
 				t.Errorf("shard %d base = %d, want %d (contiguous ascending)", w, base, next)
@@ -308,8 +306,8 @@ func TestShardPartition(t *testing.T) {
 				if nd := sh.Node(int(id)); nd.ID != next+i {
 					t.Errorf("shard %d node %d has id %d", w, i, nd.ID)
 				}
-				if int(c.b.workerOf[id]) != w {
-					t.Errorf("workerOf[%d] = %d, want %d", id, c.b.workerOf[id], w)
+				if int(c.d.workerOf[id]) != w {
+					t.Errorf("workerOf[%d] = %d, want %d", id, c.d.workerOf[id], w)
 				}
 			}
 			next += sh.Len()
@@ -321,58 +319,61 @@ func TestShardPartition(t *testing.T) {
 	}
 }
 
-// TestDeltaWakesOnlyOwningShards pins what AdvanceDirty leaves for the
-// next flush: nothing at all for a heartbeat, and otherwise one directive
-// per run of same-shard ids that marks only the owning shards for wake-up —
-// never a broadcast. The dense form is the same staging over every node:
-// one directive per shard.
+// TestDeltaWakesOnlyOwningShards pins what AdvanceDirty addresses when it
+// goes to the workers: nobody for a heartbeat, and otherwise only the shards
+// owning one of its ids — never a broadcast. The dense form addresses every
+// shard.
 func TestDeltaWakesOnlyOwningShards(t *testing.T) {
-	c := New(8, 9, WithShards(4)) // shards {0,1} {2,3} {4,5} {6,7}
+	c := New(8, 9, WithShards(4), WithGrain(0)) // shards {0,1} {2,3} {4,5} {6,7}
 	defer c.Close()
 	vals := make([]int64, 8)
+	wakes := func(f func()) int64 {
+		w0 := c.d.wakes
+		f()
+		return c.d.wakes - w0
+	}
 
-	c.AdvanceDirty(vals, nil)
-	if len(c.b.pend) != 0 || len(c.b.touchedIDs) != 0 || c.b.allTouched {
-		t.Fatalf("heartbeat staged %d directives, touched %v, broadcast %v", len(c.b.pend), c.b.touchedIDs, c.b.allTouched)
+	if w := wakes(func() { c.AdvanceDirty(vals, nil) }); w != 0 {
+		t.Fatalf("heartbeat woke %d workers, want 0", w)
 	}
 
 	vals[5], vals[4], vals[0] = 7, 3, 9
-	c.AdvanceDirty(vals, []int{5, 4, 0})
-	if len(c.b.pend) != 2 || !reflect.DeepEqual(c.b.touchedIDs, []int{2, 0}) || c.b.allTouched {
-		t.Fatalf("delta {5,4,0} staged %d directives, touched %v, broadcast %v; want 2, [2 0], false",
-			len(c.b.pend), c.b.touchedIDs, c.b.allTouched)
+	if w := wakes(func() { c.AdvanceDirty(vals, []int{5, 4, 0}) }); w != 2 {
+		t.Fatalf("delta {5,4,0} woke %d workers, want the 2 owning shards 0 and 2", w)
 	}
 	if got := valuesOf(c); !reflect.DeepEqual(got, vals) {
 		t.Fatalf("values %v, want %v", got, vals)
 	}
 
-	c.Advance(vals)
-	if len(c.b.pend) != 4 || len(c.b.adv) != 8 || c.b.allTouched {
-		t.Fatalf("dense Advance staged %d directives over %d observations, broadcast %v; want 4, 8, false",
-			len(c.b.pend), len(c.b.adv), c.b.allTouched)
+	if w := wakes(func() { c.Advance(vals) }); w != 4 {
+		t.Fatalf("dense Advance woke %d workers, want all 4", w)
 	}
 }
 
-// TestSweepBarriers pins what a sweep costs in barrier rounds: a sweep no
-// node matches is ONE flush — round 0 brings back zero matchers and the
-// other γ rounds are billed without being run — so a quiet step (Advance +
-// DetectViolation) is one flush in all; and once round 0 has resolved the
+// TestSweepBarriers pins what a sweep costs in node rounds, with every
+// call forced through the workers: a sweep no node matches is ONE round —
+// round 0 wakes each worker once, brings back zero matchers, and the other
+// γ rounds are billed without being run; and once round 0 has resolved the
 // matchers, a later round wakes only the shards that hold one.
 func TestSweepBarriers(t *testing.T) {
-	const n = 64                  // γ = 6
-	c := New(n, 9, WithShards(4)) // shards of 16
+	const n, m = 64, 4                          // γ = 6
+	c := New(n, 9, WithShards(m), WithGrain(0)) // shards of 16
 	defer c.Close()
-	vals := make([]int64, n)
+	wakes := func(f func()) int64 {
+		w0 := c.d.wakes
+		f()
+		return c.d.wakes - w0
+	}
 
-	c.Advance(vals)
-	f0 := c.Flushes()
-	if _, ok := c.DetectViolation(); ok {
-		t.Fatal("violation on an all-admitting cluster")
+	c.Advance(make([]int64, n))
+	if w := wakes(func() {
+		if _, ok := c.DetectViolation(); ok {
+			t.Fatal("violation on an all-admitting cluster")
+		}
+	}); w != m {
+		t.Errorf("silent sweep woke %d workers, want each of the %d once", w, m)
 	}
 	c.EndStep()
-	if got := c.Flushes() - f0; got != 1 {
-		t.Errorf("quiet step ran %d barrier rounds, want 1", got)
-	}
 	if got := c.Counters().MaxRoundsPerStep(); got != 7 {
 		t.Errorf("silent sweep billed %d rounds, want γ+1 = 7", got)
 	}
@@ -380,21 +381,19 @@ func TestSweepBarriers(t *testing.T) {
 	// One violator, on shard 2. Round 0 with probability 0: everybody
 	// resolves, nobody sends.
 	c.SetFilter(37, filter.Make(5, 10))
-	c.b.push(directive{kind: dirExistRound, target: allNodes, pred: wire.Violating()})
-	c.b.flush()
-	c.b.push(directive{kind: dirExistRound, target: sweepers, round: 1})
-	if !reflect.DeepEqual(c.b.touchedIDs, []int{2}) || c.b.allTouched {
-		t.Fatalf("round 1 wakes shards %v (broadcast %v), want only the violator's shard 2", c.b.touchedIDs, c.b.allTouched)
+	if w := wakes(func() { c.d.Round(nil, wire.Violating(), 0, 0) }); w != m {
+		t.Errorf("round 0 woke %d workers, want all %d", w, m)
 	}
-	c.b.flush()
+	if w := wakes(func() { c.d.Round(nil, wire.Violating(), 1, 0) }); w != 1 {
+		t.Errorf("round 1 woke %d workers, want only the violator's shard 2", w)
+	}
 
-	f0 = c.Flushes()
-	senders := c.Sweep(wire.Violating())
+	var senders []wire.Report
+	if w := wakes(func() { senders = c.Sweep(wire.Violating()) }); w < m || w > m+6 {
+		t.Errorf("one-violator sweep woke %d workers, want %d for round 0 and one per later round up to the terminating one", w, m)
+	}
 	if len(senders) != 1 || senders[0].ID != 37 {
 		t.Fatalf("senders %v, want node 37", senders)
-	}
-	if got := c.Flushes() - f0; got < 1 || got > 7 {
-		t.Errorf("one-violator sweep ran %d barrier rounds, want one per round up to the terminating one", got)
 	}
 }
 

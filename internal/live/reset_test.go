@@ -73,7 +73,7 @@ func TestResetMatchesFresh(t *testing.T) {
 		"live/m=1":   mkLive(1),
 		"live/m=2":   mkLive(2),
 		"live/m=cpu": mkLive(runtime.NumCPU()),
-		// Every flush through the worker goroutines (the entries above run
+		// Every call through the worker goroutines (the entries above run
 		// theirs on the caller at this n).
 		"live/m=2/workers": mkLive(2, WithGrain(0)),
 	}

@@ -22,7 +22,7 @@ const ReportCap = 64
 // CheckValue runs once per observation an Advance installs and panics
 // unless v, the value for node id, lies in the supported domain
 // [0, eps.MaxValue]. It sits in the per-observation loops of Shard.Advance
-// and of the live engine's staging, so it is small enough to inline and
+// and of the live engine's Advance, so it is small enough to inline and
 // builds its message out of line; a separate checking pass over the
 // observations cost more than the install it guards.
 func CheckValue(id int, v int64) {
@@ -43,7 +43,7 @@ func badValue(id int, v int64) {
 // index (vindex.Index), the violator set (vindex.Mirror) and the id-ordered
 // list of the max-find-active nodes. It is the node side of a cluster
 // engine (it implements cluster.Nodes): the lockstep engine is a
-// cluster.Server over one Shard of all its nodes, the live engine batches
+// cluster.Server over one Shard of all its nodes, the live engine runs
 // the same calls over one Shard per worker. Which predicates route through
 // which structure, and which fall back to the full scan, is decided here
 // and can therefore never diverge between them.
@@ -92,7 +92,7 @@ func badValue(id int, v int64) {
 // costs its matchers, not candidates × rounds. Every candidate list comes
 // from ScanList, which also counts the candidates (Visited) and obeys the
 // FullScan ablation. A Shard is not safe for concurrent use; the live
-// engine hands each one to one executor per flush.
+// engine hands each one to one executor per call.
 type Shard struct {
 	base  int
 	nodes []Node
@@ -322,8 +322,8 @@ func (s *Shard) ScanList(p wire.Pred) []int32 {
 func (s *Shard) Visited() int64 { return s.visited }
 
 // ScanSize returns len(ScanList(p)) without building the list, read from
-// the structures' lengths. The live engine prices a pending Collect or
-// sweep round with it before deciding who executes the flush.
+// the structures' lengths. The live engine prices a Collect, a sweep round
+// or a MaxFindRaise with it before deciding who runs the call.
 func (s *Shard) ScanSize(p wire.Pred) int {
 	if !vindex.Routable(p) {
 		return len(s.nodes)

@@ -45,10 +45,10 @@ func TestFacadeStepAllocs(t *testing.T) {
 	engines := []struct {
 		name    string
 		opts    []topk.Option
-		workers int // > 0: inject a live engine of that many shards, every flush through its goroutines
+		workers int // > 0: inject a live engine of that many shards, every call through its goroutines
 	}{
 		{name: "lockstep"},
-		// At these n the facade's own live engine runs every flush on the
+		// At these n the facade's own live engine runs every call on the
 		// caller; the /workers twin keeps the goroutine path on the budget.
 		// The facade has no option for it, so the test builds the engine.
 		{name: "live/m=3", opts: []topk.Option{topk.WithEngine(topk.Live), topk.WithShards(3)}},

@@ -82,9 +82,9 @@ func (a *Approx) CheckInvariants(tags []wire.Tag) error {
 		case d.part.in(i, classV3):
 			want = wire.TagV3
 		case d.sub != nil:
-			want = classTag(d.sub.s1[i], d.sub.s2[i])
+			want = classTag(d.part.sides(i, subView))
 		default:
-			want = classTag(d.s1[i], d.s2[i])
+			want = classTag(d.part.sides(i, denseView))
 		}
 		if tags[i] != want {
 			return fmt.Errorf("dense: node %d tag %v, sets say %v (sub=%v)", i, tags[i], want, d.sub != nil)

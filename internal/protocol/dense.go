@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"fmt"
-	"slices"
 
 	"topkmon/internal/cluster"
 	"topkmon/internal/eps"
@@ -37,8 +36,7 @@ type Dense struct {
 	l     filter.Interval // L_r, the guess interval for ℓ*
 	round int
 
-	part   partition    // V1 / V2 / V3
-	s1, s2 map[int]bool // subsets of V2
+	part partition // V1 / V2 / V3, with S1/S2 and S′1/S′2 as node bits
 
 	sub *subState // non-nil while SUBPROTOCOL runs
 
@@ -69,30 +67,14 @@ type Dense struct {
 	// Halvings counts L halvings across the epoch history.
 	Halvings int64
 
-	// Trace, when set, receives a line per state transition (debugging).
-	Trace func(format string, args ...any)
-
 	rules ruleScratch
-	// Reusable working memory: the Start probe, the output recomputation
-	// buffers, the epoch-opening and round-broadcast rules, the persistent
-	// SUBPROTOCOL state, and a scratch id list for the deterministic sorted
-	// iterations.
-	probe                    []wire.Report
-	takeBuf, fillBuf, outBuf []int
-	resetRule, roundRule     wire.FilterRule
-	subStore                 subState
-	idBuf                    []int
-}
-
-// traceCase reports which case of the analysis a violation report fell
-// into. The arguments are typed, and every other Trace call is guarded at
-// its site, because handing values to a ...any parameter boxes them on the
-// heap whether or not a hook is installed — and these lines sit on the
-// per-violation path, whose steady state allocates nothing.
-func (d *Dense) traceCase(name string, rep wire.Report) {
-	if d.Trace != nil {
-		d.Trace("%s node=%d v=%d", name, rep.ID, rep.Value)
-	}
+	// Reusable working memory: the Start probe, the output buffer, the
+	// epoch-opening and round-broadcast rules, and the persistent
+	// SUBPROTOCOL state.
+	probe                []wire.Report
+	outBuf               []int
+	resetRule, roundRule wire.FilterRule
+	subStore             subState
 }
 
 // NewDense returns the Section 5.2 monitor core.
@@ -105,12 +87,9 @@ func NewDense(c cluster.Cluster, k int, e eps.Eps) *Dense {
 	}
 	return &Dense{
 		c: c, k: k, e: e,
-		part: newPartition(c.N()),
-		s1:   newIDSet(), s2: newIDSet(),
-		subStore:  subState{s1: newIDSet(), s2: newIDSet()},
+		part:      newPartition(c.N()),
 		rules:     newRuleScratch(),
 		resetRule: resetAllTags(wire.TagV3),
-		takeBuf:   make([]int, 0, k),
 		outBuf:    make([]int, 0, k),
 	}
 }
@@ -141,9 +120,6 @@ func (d *Dense) StartWithProbe(reps []wire.Report) {
 	d.active = true
 	d.sub = nil
 	vk, vk1 := reps[d.k-1].Value, reps[d.k].Value
-	if d.Trace != nil {
-		d.Trace("epoch %d start: vk=%d vk1=%d", d.epochs, vk, vk1)
-	}
 	if vk == vk1 {
 		d.inPreamble = false
 		d.beginWithZ(vk)
@@ -160,9 +136,6 @@ func (d *Dense) StartWithProbe(reps []wire.Report) {
 // ε-neighborhood (σ replies) and the clearly-above range (< k replies),
 // matching the O(k log n + σ) initialisation of Lemma 5.3.
 func (d *Dense) beginWithZ(z int64) {
-	if d.Trace != nil {
-		d.Trace("beginWithZ z=%d", z)
-	}
 	d.z = z
 	d.zUpper = d.e.GrowFloor(z)
 	d.zLowC = d.e.ShrinkCeil(z)
@@ -171,8 +144,6 @@ func (d *Dense) beginWithZ(z int64) {
 	mid := d.c.Collect(wire.InRange(d.zLowC, d.zUpper))
 
 	d.part.classify(high, mid)
-	clear(d.s1)
-	clear(d.s2)
 	if d.part.size[classV1] > d.k || d.part.size[classV1]+d.part.size[classV2] < d.k {
 		// The dense premise broke between probe and classification
 		// (only possible across steps); restart.
@@ -186,13 +157,15 @@ func (d *Dense) beginWithZ(z int64) {
 	// One broadcast resets everyone to V3 with its filter; V1 and V2
 	// members get their tags by unicast (≤ k + σ messages).
 	d.c.BroadcastRule(d.resetRule.With(wire.TagV3, filter.AtMost(d.ur())))
-	d.idBuf = d.part.appendIDs(d.idBuf[:0], classV1)
-	for _, i := range d.idBuf {
-		d.c.SetTagFilter(i, wire.TagV1, filter.AtLeast(d.lr()))
+	for _, i := range d.part.members {
+		if d.part.in(i, classV1) {
+			d.c.SetTagFilter(i, wire.TagV1, filter.AtLeast(d.lr()))
+		}
 	}
-	d.idBuf = d.part.appendIDs(d.idBuf[:0], classV2)
-	for _, i := range d.idBuf {
-		d.c.SetTagFilter(i, wire.TagV2, filter.Make(d.lr(), d.ur()))
+	for _, i := range d.part.members {
+		if d.part.in(i, classV2) {
+			d.c.SetTagFilter(i, wire.TagV2, filter.Make(d.lr(), d.ur()))
+		}
 	}
 	d.refreshOutput()
 }
@@ -231,9 +204,6 @@ func (d *Dense) Handle(rep wire.Report) {
 
 // endEpoch deactivates the epoch and hands control to the controller.
 func (d *Dense) endEpoch() {
-	if d.Trace != nil {
-		d.Trace("endEpoch")
-	}
 	d.active = false
 	d.OnEpochEnd()
 }
@@ -241,9 +211,6 @@ func (d *Dense) endEpoch() {
 // switchTopK deactivates the epoch and asks the controller to run
 // TOP-K-PROTOCOL (case (d): the dense cluster dissolved).
 func (d *Dense) switchTopK() {
-	if d.Trace != nil {
-		d.Trace("switchTopK")
-	}
 	d.active = false
 	d.OnSwitchTopK()
 }
@@ -252,71 +219,58 @@ func (d *Dense) switchTopK() {
 func (d *Dense) handleDense(rep wire.Report) {
 	gen := d.gen
 	i := rep.ID
-	switch {
+	switch in := d.part.sides(i, denseView); {
 	case d.part.in(i, classV1):
 		// Case a: i ∈ V1 fell below ℓ_r ⇒ ℓ* < ℓ_r.
-		d.traceCase("D.a", rep)
 		d.halveLower()
 	case d.part.in(i, classV3):
 		// Case a′: i ∈ V3 rose above u_r ⇒ ℓ* ≥ ℓ_r.
-		d.traceCase("D.a'", rep)
 		d.halveUpper()
-	case d.s1[i] && d.s2[i]:
+	case in == inS12:
 		// An unresolved S1∩S2 node: SUBPROTOCOL decides it (the
 		// re-entry rule, see maybeReenterSub).
-		if d.Trace != nil {
-			d.Trace("D.reenter node=%d", i)
-		}
 		d.startSub(i)
-	case d.s1[i]:
+	case in == inS1:
 		if rep.Dir == filter.DirUp {
 			// Case c.1: v > z/(1-ε) ⇒ i must be in F*.
-			d.traceCase("D.c1", rep)
 			d.moveToV1(i)
 		} else {
 			// Case c.2: also observed below ℓ_r ⇒ S1∩S2 ⇒ SUB.
-			d.traceCase("D.c2", rep)
-			d.s2[i] = true
+			d.part.join(i, denseView, inS2)
 			d.startSub(i)
 		}
-	case d.s2[i]:
+	case in == inS2:
 		if rep.Dir == filter.DirDown {
 			// Case c′.1: v < (1-ε)z ⇒ i cannot be in F*.
-			d.traceCase("D.c'1", rep)
 			d.moveToV3(i)
 		} else {
 			// Case c′.2: also observed above u_r ⇒ S1∩S2 ⇒ SUB.
-			d.traceCase("D.c'2", rep)
 			// Align the node's tag with its S′1 membership before
 			// the SUB entry broadcast retags the disbanded S′2.
-			d.s1[i] = true
+			d.part.join(i, denseView, inS1)
 			d.c.SetTagFilter(i, wire.TagV2S1, filter.Make(d.lr(), d.zUpper))
 			d.startSub(i)
 		}
 	default: // i ∈ V2 \ (S1 ∪ S2)
 		if rep.Dir == filter.DirUp {
 			// Case b: v > u_r.
-			if d.part.size[classV1]+len(d.s1)+1 > d.k {
+			if d.part.size[classV1]+d.part.count(denseView, inS1)+1 > d.k {
 				// b.1: more than k nodes certified above u_r.
-				d.traceCase("D.b1", rep)
 				d.halveUpper()
 			} else {
 				// b.2: record i in S1.
-				d.traceCase("D.b2", rep)
-				d.s1[i] = true
+				d.part.join(i, denseView, inS1)
 				d.c.SetTagFilter(i, wire.TagV2S1, filter.Make(d.lr(), d.zUpper))
 				d.refreshOutput()
 			}
 		} else {
 			// Case b′: v < ℓ_r.
-			if d.part.size[classV3]+len(d.s2)+1 > d.c.N()-d.k {
+			if d.part.size[classV3]+d.part.count(denseView, inS2)+1 > d.c.N()-d.k {
 				// b′.1: more than n-k nodes certified below ℓ_r.
-				d.traceCase("D.b'1", rep)
 				d.halveLower()
 			} else {
 				// b′.2: record i in S2.
-				d.traceCase("D.b'2", rep)
-				d.s2[i] = true
+				d.part.join(i, denseView, inS2)
 				d.c.SetTagFilter(i, wire.TagV2S2, filter.Make(d.zLowC, d.ur()))
 				d.refreshOutput()
 			}
@@ -333,7 +287,7 @@ func (d *Dense) handleDense(rep wire.Report) {
 func (d *Dense) halveLower() {
 	d.l = d.l.LowerHalf()
 	d.Halvings++
-	clear(d.s2)
+	d.part.disband(denseView, inS2)
 	d.advanceRound( /* disbandS2 */ true, false)
 }
 
@@ -342,7 +296,7 @@ func (d *Dense) halveLower() {
 func (d *Dense) halveUpper() {
 	d.l = d.l.UpperHalf()
 	d.Halvings++
-	clear(d.s1)
+	d.part.disband(denseView, inS1)
 	d.advanceRound(false /* disbandS1 */, true)
 }
 
@@ -350,9 +304,6 @@ func (d *Dense) halveUpper() {
 // one broadcast retags the disbanded side and installs the new round's
 // filters for every tag.
 func (d *Dense) advanceRound(disbandS2, disbandS1 bool) {
-	if d.Trace != nil {
-		d.Trace("advanceRound L=%v disbandS2=%v disbandS1=%v", d.l, disbandS2, disbandS1)
-	}
 	if d.l.Empty() {
 		d.endEpoch()
 		return
@@ -392,10 +343,7 @@ func (d *Dense) roundFilters(rule *wire.FilterRule) {
 
 // moveToV1 moves i out of V2 (and any S-sets) into V1.
 func (d *Dense) moveToV1(i int) {
-	if d.Trace != nil {
-		d.Trace("moveToV1 node=%d", i)
-	}
-	d.leaveV2(i, classV1)
+	d.part.move(i, classV1)
 	d.c.SetTagFilter(i, wire.TagV1, filter.AtLeast(d.lr()))
 	d.refreshOutput()
 }
@@ -403,10 +351,7 @@ func (d *Dense) moveToV1(i int) {
 // moveToV3 moves i out of V2 into V3; the upper endpoint is the current
 // context's u (u_r, or u′_{r′} while SUBPROTOCOL runs).
 func (d *Dense) moveToV3(i int) {
-	if d.Trace != nil {
-		d.Trace("moveToV3 node=%d", i)
-	}
-	d.leaveV2(i, classV3)
+	d.part.move(i, classV3)
 	up := d.ur()
 	if d.sub != nil {
 		up = d.sub.ur(d)
@@ -415,107 +360,55 @@ func (d *Dense) moveToV3(i int) {
 	d.refreshOutput()
 }
 
-// leaveV2 reclassifies the V2 node i as to and drops it from every S-set.
-func (d *Dense) leaveV2(i int, to class) {
-	d.part.move(i, to)
-	delete(d.s1, i)
-	delete(d.s2, i)
-	if d.sub != nil {
-		delete(d.sub.s1, i)
-		delete(d.sub.s2, i)
-	}
-}
-
 // checkTopKSwitch implements case (d)/(e): when V2 is fully classified —
 // k nodes certified above and n-k below — the unique-output regime holds
 // and the controller switches to TOP-K-PROTOCOL.
 func (d *Dense) checkTopKSwitch() {
-	if d.sub != nil {
-		return // sub has its own check
-	}
-	inter := intersects(d.s1, d.s2)
-	if !inter && d.part.size[classV1]+len(d.s1) == d.k && d.part.size[classV3]+len(d.s2) == d.c.N()-d.k {
+	if d.sub == nil && d.settled(denseView) { // SUB has its own check
 		d.switchTopK()
 	}
+}
+
+// settled reports that the sets of view v classify all of V2 — k nodes
+// certified above and n-k below, none on both sides — so the output is
+// unique.
+func (d *Dense) settled(v view) bool {
+	return d.part.count(v, inS12) == 0 &&
+		d.part.size[classV1]+d.part.count(v, inS1) == d.k &&
+		d.part.size[classV3]+d.part.count(v, inS2) == d.c.N()-d.k
 }
 
 // refreshOutput recomputes F(t) = V1 ∪ (S1\S2) ∪ fill from V2\(S1∪S2);
 // during SUBPROTOCOL the primed sets take over (Lemma 5.4's output — and
 // S′1\S′2 ∪ (S′1∩S′2) = S′1). If no valid output of size k exists the dense
-// premise broke and the epoch ends. All buffers are reused; V1 and the
-// S-sets are disjoint subsets of the partition, so concatenation needs no
-// dedup, the partition enumerates in id order, and sorting the result makes
-// it independent of the S-sets' map iteration order.
+// premise broke and the epoch ends. The set sizes are counted, so both
+// checks come first and one ascending pass over the partition writes the
+// output in id order.
 func (d *Dense) refreshOutput() {
-	s1, s2 := d.s1, d.s2
+	v := denseView
 	if d.sub != nil {
-		s1, s2 = d.sub.s1, d.sub.s2
+		v = subView
 	}
-	take := d.part.appendIDs(d.takeBuf[:0], classV1)
-	for i := range s1 {
-		if d.sub != nil || !s2[i] {
-			take = append(take, i)
-		}
+	t := &d.part.tally[v]
+	take := d.part.size[classV1] + t[inS1]
+	if v == subView {
+		take += t[inS12]
 	}
-	d.takeBuf = take
-	if len(take) > d.k {
+	need := d.k - take
+	if need < 0 || need > t[0] {
 		d.endEpoch()
 		return
 	}
-	fill := d.fillBuf[:0]
+	out := d.outBuf[:0]
 	for _, i := range d.part.members {
-		if d.part.in(i, classV2) && !s1[i] && !s2[i] {
-			fill = append(fill, i)
+		switch in := d.part.sides(i, v); {
+		case d.part.in(i, classV1), in == inS1, in == inS12 && v == subView:
+			out = append(out, i)
+		case need > 0 && in == 0 && d.part.in(i, classV2):
+			out = append(out, i)
+			need--
 		}
 	}
-	d.fillBuf = fill
-	need := d.k - len(take)
-	if need > len(fill) {
-		d.endEpoch()
-		return
-	}
-	out := append(d.outBuf[:0], take...)
-	out = append(out, fill[:need]...)
-	slices.Sort(out)
 	d.outBuf = out
 	d.out = out
-}
-
-// --- small set helpers ---
-
-// newIDSet returns an empty S-set with room for a typical neighbourhood's
-// handful of ids. The size hint matters: the runtime defers the storage of a
-// map made without one to its first insert, which would fall in some later
-// step instead of in construction.
-func newIDSet() map[int]bool { return make(map[int]bool, 16) }
-
-// sortedIDs returns m's keys in ascending order (trace lines only).
-func sortedIDs(m map[int]bool) []int {
-	ids := make([]int, 0, len(m))
-	for i := range m {
-		ids = append(ids, i)
-	}
-	slices.Sort(ids)
-	return ids
-}
-
-func intersects(a, b map[int]bool) bool {
-	small, big := a, b
-	if len(b) < len(a) {
-		small, big = b, a
-	}
-	for i := range small {
-		if big[i] {
-			return true
-		}
-	}
-	return false
-}
-
-// copySetInto clears dst and fills it with src's members.
-func copySetInto(dst, src map[int]bool) {
-	clear(dst)
-	for i := range src {
-		dst[i] = true
-	}
 }

@@ -1,8 +1,6 @@
 package protocol
 
 import (
-	"slices"
-
 	"topkmon/internal/filter"
 	"topkmon/internal/wire"
 )
@@ -12,12 +10,11 @@ import (
 // DENSEPROTOCOL cannot decide whether it belongs to the optimal output).
 // SUBPROTOCOL bisects L′ ⊆ [(1-ε)z, ℓ_r] — the lower part of the guess
 // interval — until it either halves the outer L correctly or moves one node
-// out of V2 into V1 or V3 (Lemma 5.6).
+// out of V2 into V1 or V3 (Lemma 5.6). Its sets S′1 (initialised to S1) and
+// S′2 (initialised to ∅) are the partition's sub view.
 type subState struct {
 	l     filter.Interval // L′
 	round int
-	s1    map[int]bool // S′1 (initialised to S1)
-	s2    map[int]bool // S′2 (initialised to ∅)
 
 	initiator int
 	// lastDown is the last S′1∩S′2 node that violated downwards; it is the
@@ -35,9 +32,6 @@ func (s *subState) ur(d *Dense) int64 { return d.e.GrowFloor(s.l.Mid()) }
 // of L at or below ℓ_r, S′1 copies S1, S′2 starts empty. One broadcast
 // retags the disbanded S′2 view and installs the round-0 filters.
 func (d *Dense) startSub(initiator int) {
-	if d.Trace != nil {
-		d.Trace("startSub init=%d s1=%v s2=%v", initiator, sortedIDs(d.s1), sortedIDs(d.s2))
-	}
 	d.SubCalls++
 	hi := d.lr()
 	if hi > d.l.Hi {
@@ -46,8 +40,8 @@ func (d *Dense) startSub(initiator int) {
 	s := &d.subStore
 	s.l = filter.Make(d.l.Lo, hi)
 	s.round = 0
-	copySetInto(s.s1, d.s1)
-	clear(s.s2)
+	d.part.disband(subView, inS2)
+	d.part.copyS1()
 	s.initiator = initiator
 	s.lastDown = -1
 	d.sub = s
@@ -77,78 +71,66 @@ func (d *Dense) handleSub(rep wire.Report) {
 	gen := d.gen
 	s := d.sub
 	i := rep.ID
-	switch {
+	switch in := d.part.sides(i, subView); {
 	case d.part.in(i, classV1):
 		// Case a: a V1 node fell below ℓ_r ⇒ terminate; the outer L
 		// moves to its lower half.
-		d.traceCase("S.a", rep)
 		d.subEnd()
 		d.halveLower()
 	case d.part.in(i, classV3):
 		// Case a′: a V3 node rose above u′ ⇒ L′ → upper half, S′1 := S1.
-		d.traceCase("S.a'", rep)
 		d.subUpperHalf()
-	case s.s1[i] && s.s2[i]:
+	case in == inS12:
 		if rep.Dir == filter.DirUp {
 			// Case d.1: v > z/(1-ε) ⇒ i joins V1 and SUB terminates.
-			d.traceCase("S.d1", rep)
 			d.subEnd()
 			d.moveToV1(i)
 		} else {
 			// Case d.2: v < ℓ′ ⇒ L′ → lower half, S′2 := ∅.
-			d.traceCase("S.d2", rep)
 			s.lastDown = i
 			d.subLowerHalf(i)
 		}
-	case s.s1[i]:
+	case in == inS1:
 		if rep.Dir == filter.DirUp {
 			// Case c.1: v > z/(1-ε) ⇒ move i to V1 (SUB continues).
-			d.traceCase("S.c1", rep)
 			d.moveToV1(i)
 		} else {
 			// Case c.2: i joins S′2, entering S′1∩S′2.
-			d.traceCase("S.c2", rep)
-			s.s2[i] = true
+			d.part.join(i, subView, inS2)
 			d.c.SetTagFilter(i, wire.TagV2S12, filter.Make(s.lr(), d.zUpper))
 			d.refreshOutput()
 		}
-	case s.s2[i]:
+	case in == inS2:
 		if rep.Dir == filter.DirDown {
 			// Case c′.1: v < (1-ε)z ⇒ move i to V3 (SUB continues).
-			d.traceCase("S.c'1", rep)
 			d.moveToV3(i)
 		} else {
 			// Case c′.2: i joins S′1, entering S′1∩S′2.
-			d.traceCase("S.c'2", rep)
-			s.s1[i] = true
+			d.part.join(i, subView, inS1)
 			d.c.SetTagFilter(i, wire.TagV2S12, filter.Make(s.lr(), d.zUpper))
 			d.refreshOutput()
 		}
 	default: // i ∈ V2 \ (S′1 ∪ S′2)
 		if rep.Dir == filter.DirUp {
 			// Case b: v > u′.
-			if d.part.size[classV1]+len(s.s1)+1 > d.k {
+			if d.part.size[classV1]+d.part.count(subView, inS1)+1 > d.k {
 				// b.1: more than k nodes certified above.
-				d.traceCase("S.b1", rep)
 				d.subUpperHalf()
 			} else {
 				// b.2: record i in S′1.
-				d.traceCase("S.b2", rep)
-				s.s1[i] = true
+				d.part.join(i, subView, inS1)
 				d.c.SetTagFilter(i, wire.TagV2S1, filter.Make(d.lr(), d.zUpper))
 				d.refreshOutput()
 			}
 		} else {
 			// Case b′: v < ℓ_r.
-			if d.part.size[classV3]+len(s.s2)+1 > d.c.N()-d.k {
+			if d.part.size[classV3]+d.part.count(subView, inS2)+1 > d.c.N()-d.k {
 				// b′.1: terminate; outer L → lower half.
-				d.traceCase("S.b'1", rep)
 				d.subEnd()
 				d.halveLower()
 			} else {
 				// b′.2: record i in S′2.
-				d.traceCase("S.b'2", rep)
-				s.s2[i] = true
+				d.part.join(i, subView, inS2)
 				d.c.SetTagFilter(i, wire.TagV2S2, filter.Make(d.zLowC, s.ur(d)))
 				d.refreshOutput()
 			}
@@ -169,29 +151,22 @@ func (d *Dense) handleSub(rep wire.Report) {
 // the initiator) to V3 — it observed a value below every surviving ℓ*
 // candidate, so it cannot be in F* (Lemma 5.6).
 func (d *Dense) subUpperHalf() {
-	if d.Trace != nil {
-		d.Trace("subUpperHalf L'=%v", d.sub.l)
-	}
 	s := d.sub
 	s.l = s.l.UpperHalf()
 	// Reset S′1 to S1: nodes recorded above an older, lower u′ lose that
 	// certification (their tag reverts per their S′2 status).
-	reverting := d.idBuf[:0]
-	for i := range s.s1 {
-		if !d.s1[i] {
-			reverting = append(reverting, i)
+	for _, i := range d.part.members {
+		in := d.part.sides(i, subView)
+		if in&inS1 == 0 || d.part.sides(i, denseView)&inS1 != 0 {
+			continue // not in S′1 \ S1
 		}
-	}
-	slices.Sort(reverting)
-	d.idBuf = reverting
-	for _, i := range reverting {
-		if s.s2[i] {
+		if in&inS2 != 0 {
 			d.c.SetTagFilter(i, wire.TagV2S2, filter.Make(d.zLowC, s.ur(d)))
 		} else {
 			d.c.SetTagFilter(i, wire.TagV2, filter.Make(d.lr(), s.ur(d)))
 		}
 	}
-	copySetInto(s.s1, d.s1)
+	d.part.copyS1()
 	if s.l.Empty() {
 		victim := s.lastDown
 		if victim < 0 || !d.part.in(victim, classV2) {
@@ -215,9 +190,6 @@ func (d *Dense) subUpperHalf() {
 // subLowerHalf implements case d.2: L′ → lower half and S′2 := ∅. If L′
 // empties, SUB terminates moving the violator to V3.
 func (d *Dense) subLowerHalf(violator int) {
-	if d.Trace != nil {
-		d.Trace("subLowerHalf L'=%v violator=%d", d.sub.l, violator)
-	}
 	s := d.sub
 	s.l = s.l.LowerHalf()
 	if s.l.Empty() {
@@ -232,7 +204,7 @@ func (d *Dense) subLowerHalf(violator int) {
 		}
 		return
 	}
-	clear(s.s2)
+	d.part.disband(subView, inS2)
 	s.round++
 	rule := d.freshRoundRule().
 		WithRetag(wire.TagV2S2, wire.TagV2).
@@ -247,16 +219,11 @@ func (d *Dense) subLowerHalf(violator int) {
 // rebroadcasts the DENSE round filters so V3/V2 filters widen back from u′
 // to u_r.
 func (d *Dense) subEnd() {
-	if d.Trace != nil {
-		d.Trace("subEnd s1'=%v s2'=%v", sortedIDs(d.sub.s1), sortedIDs(d.sub.s2))
-	}
-	s := d.sub
 	d.sub = nil
-	d.idBuf = d.part.appendIDs(d.idBuf[:0], classV2)
-	for _, i := range d.idBuf {
-		cur := classTag(s.s1[i], s.s2[i])
-		want := classTag(d.s1[i], d.s2[i])
-		if cur != want {
+	// A node outside V2 is in no S-set, so only V2 nodes can differ.
+	for _, i := range d.part.members {
+		cur := classTag(d.part.sides(i, subView))
+		if want := classTag(d.part.sides(i, denseView)); cur != want {
 			d.c.SetTagFilter(i, want, d.denseFilterFor(want))
 		}
 	}
@@ -265,18 +232,9 @@ func (d *Dense) subEnd() {
 	d.c.BroadcastRule(rule)
 }
 
-// classTag maps S1/S2 membership to the node tag.
-func classTag(inS1, inS2 bool) wire.Tag {
-	switch {
-	case inS1 && inS2:
-		return wire.TagV2S12
-	case inS1:
-		return wire.TagV2S1
-	case inS2:
-		return wire.TagV2S2
-	default:
-		return wire.TagV2
-	}
+// classTag maps a V2 node's S1/S2 membership to its tag.
+func classTag(in sides) wire.Tag {
+	return [...]wire.Tag{wire.TagV2, wire.TagV2S1, wire.TagV2S2, wire.TagV2S12}[in]
 }
 
 // denseFilterFor returns the DENSE step-2 filter for a tag. S1∩S2 nodes
@@ -303,11 +261,7 @@ func (d *Dense) denseFilterFor(t wire.Tag) filter.Interval {
 // checkSubTopKSwitch is SUBPROTOCOL's case e, identical in spirit to the
 // DENSE case (d) check but over the primed sets.
 func (d *Dense) checkSubTopKSwitch() {
-	s := d.sub
-	if s == nil {
-		return
-	}
-	if !intersects(s.s1, s.s2) && d.part.size[classV1]+len(s.s1) == d.k && d.part.size[classV3]+len(s.s2) == d.c.N()-d.k {
+	if d.sub != nil && d.settled(subView) {
 		d.subEnd()
 		d.switchTopK()
 	}
@@ -323,21 +277,13 @@ func (d *Dense) checkSubTopKSwitch() {
 // either halves L (disbanding one S-side, emptying the intersection) or
 // moves a node out of V2, so re-entry terminates.
 func (d *Dense) maybeReenterSub() {
-	if d.Trace != nil {
-		d.Trace("maybeReenterSub active=%v sub=%v", d.active, d.sub != nil)
-	}
-	if !d.active || d.sub != nil {
+	if !d.active || d.sub != nil || d.part.count(denseView, inS12) == 0 {
 		return
 	}
-	// Pick the smallest-id unresolved S1∩S2 node (the first hit of the
-	// former sorted iteration) without materialising the sorted list.
-	best := -1
-	for i := range d.s1 {
-		if d.s2[i] && (best < 0 || i < best) {
-			best = i
+	for _, i := range d.part.members {
+		if d.part.sides(i, denseView) == inS12 {
+			d.startSub(i)
+			return
 		}
-	}
-	if best >= 0 {
-		d.startSub(best)
 	}
 }

@@ -87,21 +87,11 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	var faults *serve.FaultConfig
-	if plan != nil {
-		faults = &serve.FaultConfig{
-			Drop: plan.Drop, Dup: plan.Dup, Delay: plan.Delay, Retries: plan.Retries,
-		}
-		for _, c := range plan.Crashes {
-			faults.Crashes = append(faults.Crashes,
-				serve.CrashConfig{Node: c.Node, From: c.From, Until: c.Until})
-		}
-	}
 
 	srv, err := serve.New(serve.Options{
 		Defaults: serve.Config{
 			Nodes: *n, K: *k, Eps: *epsStr, Engine: *engine, Shards: *shards,
-			Monitor: *monitor, Seed: *seed, Faults: faults,
+			Monitor: *monitor, Seed: *seed, Faults: plan,
 		},
 		Lazy:       *lazy,
 		MaxTenants: *maxTenants,

@@ -96,10 +96,9 @@ func TestServeEquivalence(t *testing.T) {
 		seed  = 11
 	)
 	cases := []struct {
-		name   string
-		cfg    Config
-		opts   []topk.Option
-		faults *topk.FaultPlan
+		name string
+		cfg  Config
+		opts []topk.Option
 	}{
 		{
 			name: "lockstep",
@@ -114,10 +113,9 @@ func TestServeEquivalence(t *testing.T) {
 		{
 			name: "lockstep-faulty",
 			cfg: Config{Nodes: n, K: k, Eps: "1/8", Engine: "lockstep", Monitor: "approx", Seed: seed,
-				Faults: &FaultConfig{Drop: 0.05, Dup: 0.02, Delay: 0.05,
-					Crashes: []CrashConfig{{Node: 3, From: 40, Until: 90}}}},
-			opts:   []topk.Option{topk.WithEngine(topk.Lockstep)},
-			faults: &topk.FaultPlan{Drop: 0.05, Dup: 0.02, Delay: 0.05, Crashes: []topk.Crash{{Node: 3, From: 40, Until: 90}}},
+				Faults: &topk.FaultPlan{Drop: 0.05, Dup: 0.02, Delay: 0.05,
+					Crashes: []topk.Crash{{Node: 3, From: 40, Until: 90}}}},
+			opts: []topk.Option{topk.WithEngine(topk.Lockstep)},
 		},
 	}
 
@@ -128,8 +126,8 @@ func TestServeEquivalence(t *testing.T) {
 			opts := append([]topk.Option{
 				topk.WithNodes(n), topk.WithSeed(seed), topk.WithMonitor(topk.Approx),
 			}, tc.opts...)
-			if tc.faults != nil {
-				opts = append(opts, topk.WithFaults(tc.faults))
+			if tc.cfg.Faults != nil {
+				opts = append(opts, topk.WithFaults(tc.cfg.Faults))
 			}
 			direct, err := topk.New(k, e, opts...)
 			if err != nil {
@@ -198,7 +196,7 @@ func TestServeEquivalence(t *testing.T) {
 			// plan dropped messages (the served droppedMsgs is this counter,
 			// by the byte comparison above).
 			c := direct.Cost()
-			if c.Messages == 0 || direct.Epochs() == 0 || tc.faults != nil && c.DroppedMsgs == 0 {
+			if c.Messages == 0 || direct.Epochs() == 0 || tc.cfg.Faults != nil && c.DroppedMsgs == 0 {
 				t.Fatalf("vacuous trace: %+v", c)
 			}
 		})

@@ -19,48 +19,19 @@ var (
 	ErrBadName       = errors.New("serve: invalid tenant name")
 )
 
-// CrashConfig schedules one node crash window, mirroring topk.Crash.
-type CrashConfig struct {
-	Node  int   `json:"node"`
-	From  int64 `json:"from"`
-	Until int64 `json:"until"`
-}
-
-// FaultConfig arms a tenant's deterministic fault layer, mirroring
-// topk.FaultPlan field for field.
-type FaultConfig struct {
-	Drop    float64       `json:"drop,omitempty"`
-	Dup     float64       `json:"dup,omitempty"`
-	Delay   float64       `json:"delay,omitempty"`
-	Retries int           `json:"retries,omitempty"`
-	Crashes []CrashConfig `json:"crashes,omitempty"`
-}
-
-// plan converts to the facade's fault plan.
-func (f *FaultConfig) plan() *topk.FaultPlan {
-	if f == nil {
-		return nil
-	}
-	p := &topk.FaultPlan{Drop: f.Drop, Dup: f.Dup, Delay: f.Delay, Retries: f.Retries}
-	for _, c := range f.Crashes {
-		p.Crashes = append(p.Crashes, topk.Crash{Node: c.Node, From: c.From, Until: c.Until})
-	}
-	return p
-}
-
 // Config describes one tenant's monitor — the JSON body of a tenant-create
 // request, and (fully populated) the server's per-tenant defaults. Zero
 // fields inherit the server default; note that seed 0 therefore means "the
 // default seed", not seed zero.
 type Config struct {
-	Nodes   int          `json:"nodes,omitempty"`
-	K       int          `json:"k,omitempty"`
-	Eps     string       `json:"eps,omitempty"`     // "p/q", e.g. "1/8"
-	Engine  string       `json:"engine,omitempty"`  // "lockstep" | "live"
-	Shards  int          `json:"shards,omitempty"`  // live engine workers; 0 = GOMAXPROCS
-	Monitor string       `json:"monitor,omitempty"` // algorithm name, e.g. "approx"
-	Seed    uint64       `json:"seed,omitempty"`
-	Faults  *FaultConfig `json:"faults,omitempty"`
+	Nodes   int             `json:"nodes,omitempty"`
+	K       int             `json:"k,omitempty"`
+	Eps     string          `json:"eps,omitempty"`     // "p/q", e.g. "1/8"
+	Engine  string          `json:"engine,omitempty"`  // "lockstep" | "live"
+	Shards  int             `json:"shards,omitempty"`  // live engine workers; 0 = GOMAXPROCS
+	Monitor string          `json:"monitor,omitempty"` // algorithm name, e.g. "approx"
+	Seed    uint64          `json:"seed,omitempty"`
+	Faults  *topk.FaultPlan `json:"faults,omitempty"` // arms the tenant's fault layer
 }
 
 // withDefaults fills zero fields from d.
@@ -124,7 +95,7 @@ func (c Config) build() (*topk.Monitor, error) {
 		topk.WithShards(c.Shards),
 		topk.WithMonitor(algo),
 		topk.WithSeed(c.Seed),
-		topk.WithFaults(c.Faults.plan()))
+		topk.WithFaults(c.Faults))
 }
 
 // Tenant is one entry of the pool: an immutable name/config pair and the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"topkmon/internal/wal"
@@ -54,34 +55,47 @@ func TestRecoveryEquivalence(t *testing.T) {
 		seed  = 11
 	)
 	cases := []struct {
-		name   string
-		cfg    Config
-		opts   []topk.Option
-		faults *topk.FaultPlan
+		name string
+		cfg  Config
+		opts []topk.Option
+		// journal is the config record's JSON as every build of the server
+		// has written it: a log written by an older build must replay.
+		journal string
 	}{
 		{
-			name: "lockstep",
-			cfg:  Config{Nodes: n, K: k, Eps: "1/8", Engine: "lockstep", Monitor: "approx", Seed: seed},
-			opts: []topk.Option{topk.WithEngine(topk.Lockstep)},
+			name:    "lockstep",
+			cfg:     Config{Nodes: n, K: k, Eps: "1/8", Engine: "lockstep", Monitor: "approx", Seed: seed},
+			opts:    []topk.Option{topk.WithEngine(topk.Lockstep)},
+			journal: `{"nodes":48,"k":4,"eps":"1/8","engine":"lockstep","monitor":"approx","seed":11}`,
 		},
 		{
-			name: "live",
-			cfg:  Config{Nodes: n, K: k, Eps: "1/8", Engine: "live", Shards: 3, Monitor: "approx", Seed: seed},
-			opts: []topk.Option{topk.WithEngine(topk.Live), topk.WithShards(3)},
+			name:    "live",
+			cfg:     Config{Nodes: n, K: k, Eps: "1/8", Engine: "live", Shards: 3, Monitor: "approx", Seed: seed},
+			opts:    []topk.Option{topk.WithEngine(topk.Live), topk.WithShards(3)},
+			journal: `{"nodes":48,"k":4,"eps":"1/8","engine":"live","shards":3,"monitor":"approx","seed":11}`,
 		},
 		{
+			// Retries 3 is the default budget, spelled out so the journal
+			// carries all five fault keys.
 			name: "lockstep-faulty",
 			cfg: Config{Nodes: n, K: k, Eps: "1/8", Engine: "lockstep", Monitor: "approx", Seed: seed,
-				Faults: &FaultConfig{Drop: 0.05, Dup: 0.02, Delay: 0.05,
-					Crashes: []CrashConfig{{Node: 3, From: 10, Until: 30}}}},
+				Faults: &topk.FaultPlan{Drop: 0.05, Dup: 0.02, Delay: 0.05, Retries: 3,
+					Crashes: []topk.Crash{{Node: 3, From: 10, Until: 30}}}},
 			opts: []topk.Option{topk.WithEngine(topk.Lockstep)},
-			faults: &topk.FaultPlan{Drop: 0.05, Dup: 0.02, Delay: 0.05,
-				Crashes: []topk.Crash{{Node: 3, From: 10, Until: 30}}},
+			journal: `{"nodes":48,"k":4,"eps":"1/8","engine":"lockstep","monitor":"approx","seed":11,` +
+				`"faults":{"drop":0.05,"dup":0.02,"delay":0.05,"retries":3,"crashes":[{"node":3,"from":10,"until":30}]}}`,
 		},
 	}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if got, err := json.Marshal(tc.cfg); err != nil || string(got) != tc.journal {
+				t.Fatalf("journaled config = %s, %v\nwant %s", got, err, tc.journal)
+			}
+			var back Config
+			if err := json.Unmarshal([]byte(tc.journal), &back); err != nil || !reflect.DeepEqual(back, tc.cfg) {
+				t.Fatalf("journaled config reads back as %+v, %v", back, err)
+			}
 			trace := makeTrace(n, steps, seed)
 
 			// The uninterrupted reference: the facade, driven in-process.
@@ -89,8 +103,8 @@ func TestRecoveryEquivalence(t *testing.T) {
 			opts := append([]topk.Option{
 				topk.WithNodes(n), topk.WithSeed(seed), topk.WithMonitor(topk.Approx),
 			}, tc.opts...)
-			if tc.faults != nil {
-				opts = append(opts, topk.WithFaults(tc.faults))
+			if tc.cfg.Faults != nil {
+				opts = append(opts, topk.WithFaults(tc.cfg.Faults))
 			}
 			direct, err := topk.New(k, e, opts...)
 			if err != nil {

@@ -14,8 +14,9 @@ import (
 // protocol endpoint is not — which is exactly the divergence the recovery
 // supervisor must detect.
 type Crash struct {
-	Node        int
-	From, Until int64
+	Node  int   `json:"node"`
+	From  int64 `json:"from"`
+	Until int64 `json:"until"`
 }
 
 // FaultPlan describes deterministic transport faults to inject under the
@@ -24,20 +25,24 @@ type Crash struct {
 // pushes, and plans. The zero plan injects nothing but still arms the
 // recovery supervisor, whose per-step validation then never fires — a
 // zero-plan monitor is bit-for-bit equivalent to an unfaulted one.
+//
+// The JSON form is the "faults" object of a topkd tenant config, which the
+// daemon's write-ahead log journals; its keys and their order are part of
+// that log format.
 type FaultPlan struct {
 	// Drop is the per-message drop probability in [0, 1].
-	Drop float64
+	Drop float64 `json:"drop,omitempty"`
 	// Dup is the per-message duplication probability in [0, 1].
-	Dup float64
+	Dup float64 `json:"dup,omitempty"`
 	// Delay is the probability a filter assignment is applied one step
 	// late instead of immediately.
-	Delay float64
-	// Crashes is the node crash/recover schedule.
-	Crashes []Crash
+	Delay float64 `json:"delay,omitempty"`
 	// Retries is the reliability sublayer's redelivery budget per dropped
 	// server→node unicast: 0 means the default (3), negative disables
 	// retries.
-	Retries int
+	Retries int `json:"retries,omitempty"`
+	// Crashes is the node crash/recover schedule.
+	Crashes []Crash `json:"crashes,omitempty"`
 }
 
 // internal converts the public plan to the injector's representation.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 
 	"topkmon/internal/wal"
 	"topkmon/topk"
@@ -28,8 +27,6 @@ type Durability struct {
 	// the synced offset + seq watermarks; recovery fails loudly if the log
 	// has lost data a snapshot vouched for.
 	SnapshotEvery int
-	// SyncInterval is the "interval" policy's flush period (0 = 100ms).
-	SyncInterval time.Duration
 }
 
 // openStore builds the wal.Store for a non-zero Durability config.
@@ -48,7 +45,6 @@ func (d Durability) openStore() (*wal.Store, error) {
 	return wal.Open(wal.Options{
 		Dir:           d.Dir,
 		Policy:        policy,
-		Interval:      d.SyncInterval,
 		SnapshotEvery: d.SnapshotEvery,
 	})
 }
@@ -153,7 +149,7 @@ func (t *Tenant) CommitReset(seed uint64) (int64, error) {
 		}
 		t.log = log
 		t.epoch++
-		t.writeSnapshotLocked(0, seed)
+		t.writeSnapshotLocked(0)
 	}
 	if err := t.Mon.Reset(seed); err != nil {
 		return 0, err
@@ -211,14 +207,10 @@ func (t *Tenant) maybeSnapshotLocked() {
 	if err := t.log.Sync(); err != nil {
 		return
 	}
-	t.writeSnapshotLocked(t.Mon.Steps(), t.seed)
+	t.writeSnapshotLocked(t.Mon.Steps())
 }
 
-func (t *Tenant) writeSnapshotLocked(steps int64, seed uint64) {
-	cfgJSON, err := json.Marshal(t.Cfg)
-	if err != nil {
-		return
-	}
+func (t *Tenant) writeSnapshotLocked(steps int64) {
 	marks := make(map[string]uint64, len(t.seqs))
 	for c, s := range t.seqs {
 		marks[c] = s
@@ -227,8 +219,6 @@ func (t *Tenant) writeSnapshotLocked(steps int64, seed uint64) {
 		Epoch:      t.epoch,
 		Steps:      steps,
 		Offset:     t.log.SyncedOffset(),
-		Seed:       seed,
-		Config:     cfgJSON,
 		Watermarks: marks,
 	})
 }

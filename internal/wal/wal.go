@@ -52,16 +52,16 @@
 // # Fsync policies
 //
 // SyncAlways fsyncs after every append — an acked batch survives a kernel
-// panic. SyncInterval batches fsyncs on a background ticker (default
-// 100ms) — an ack may precede durability by up to one interval.
+// panic. SyncInterval batches fsyncs on a background ticker (every 100ms)
+// — an ack may precede durability by up to one interval.
 // SyncNever leaves flushing to the OS. Lifecycle records (config epochs,
 // deletes) are always fsynced regardless of policy: tenant existence is
 // never allowed to race a crash.
 //
 // # Snapshots
 //
-// A snapshot is deliberately tiny — {config, seed, synced log offset,
-// steps, seq watermarks} — because replay *is* the state transfer. It is
+// A snapshot is deliberately tiny — {epoch, steps, synced log offset, seq
+// watermarks} — because replay *is* the state transfer. It is
 // written atomically (temp file + rename) beside the log every
 // snapshot-every steps (forcing an fsync first, so the recorded offset is
 // durable) and on compaction. Recovery uses it as a tripwire, not a fast
@@ -362,8 +362,6 @@ type Snapshot struct {
 	Epoch      uint64            `json:"epoch"`
 	Steps      int64             `json:"steps"`
 	Offset     int64             `json:"offset"` // synced log bytes the snapshot vouches for
-	Seed       uint64            `json:"seed"`
-	Config     json.RawMessage   `json:"config"`
 	Watermarks map[string]uint64 `json:"watermarks,omitempty"`
 }
 
@@ -474,8 +472,6 @@ type Options struct {
 	// Policy is the fsync policy for batch appends (lifecycle records are
 	// always synced).
 	Policy Policy
-	// Interval is the SyncInterval flush period (0 = 100ms).
-	Interval time.Duration
 	// SnapshotEvery is the number of committed steps between durable
 	// snapshots (0 = 1024).
 	SnapshotEvery int
@@ -499,9 +495,6 @@ type Store struct {
 
 // Open creates the data directory if needed and returns a Store.
 func Open(o Options) (*Store, error) {
-	if o.Interval <= 0 {
-		o.Interval = 100 * time.Millisecond
-	}
 	if o.SnapshotEvery <= 0 {
 		o.SnapshotEvery = 1024
 	}
@@ -512,15 +505,18 @@ func Open(o Options) (*Store, error) {
 	if o.Policy == SyncInterval {
 		s.stop = make(chan struct{})
 		s.done = make(chan struct{})
-		go s.flusher(o.Interval)
+		go s.flusher()
 	}
 	return s, nil
 }
 
+// syncInterval is the SyncInterval policy's flush period.
+const syncInterval = 100 * time.Millisecond
+
 // flusher fsyncs every dirty log each tick until Close.
-func (s *Store) flusher(interval time.Duration) {
+func (s *Store) flusher() {
 	defer close(s.done)
-	t := time.NewTicker(interval)
+	t := time.NewTicker(syncInterval)
 	defer t.Stop()
 	for {
 		select {

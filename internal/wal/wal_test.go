@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -241,7 +242,8 @@ func TestStoreLifecycle(t *testing.T) {
 
 // TestSnapshotTripwire: OpenExisting fails with ErrLostData when the valid
 // prefix is shorter than the snapshot's synced offset, and succeeds when
-// the snapshot is honest.
+// the snapshot is honest. Snapshots written before they lost their config
+// and seed fields still load, and still trip.
 func TestSnapshotTripwire(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Options{Dir: dir, Policy: SyncAlways})
@@ -261,8 +263,7 @@ func TestSnapshotTripwire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := &Snapshot{Epoch: 1, Steps: 1, Offset: end2, Seed: 1, Config: []byte(`{}`),
-		Watermarks: map[string]uint64{"a": 3}}
+	snap := &Snapshot{Epoch: 1, Steps: 1, Offset: end2, Watermarks: map[string]uint64{"a": 3}}
 	if err := s.WriteSnapshot("x", snap); err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +272,16 @@ func TestSnapshotTripwire(t *testing.T) {
 	got, err := s.ReadSnapshot("x")
 	if err != nil || got.Offset != end2 || got.Watermarks["a"] != 3 {
 		t.Fatalf("ReadSnapshot = %+v, %v", got, err)
+	}
+
+	// The same snapshot in the older format, with its config and seed.
+	old := fmt.Sprintf(`{"epoch":1,"steps":1,"offset":%d,"seed":1,"config":{},"watermarks":{"a":3}}`, end2)
+	if err := os.WriteFile(filepath.Join(dir, "x.snap"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err = s.ReadSnapshot("x")
+	if err != nil || !reflect.DeepEqual(got, snap) {
+		t.Fatalf("ReadSnapshot of the older format = %+v, %v", got, err)
 	}
 
 	// Honest log: reopen fine.

@@ -69,10 +69,11 @@ fuzz:
 # cover prints per-package statement coverage for the engine-core packages
 # the violation-routing test matrix concentrates on — the node core with
 # its Shard (the one writer of node state), the index + mirror, both
-# engines, and the fault layer — plus the sketch leaf and the item layer
-# that stands on it.
+# engines, and the fault layer — plus the paper's protocols that run on
+# them (DENSE/SUB's case analysis is covered by its own script tests), the
+# sketch leaf and the item layer that stands on it.
 cover:
-	$(GO) test -cover ./internal/nodecore/ ./internal/vindex/ ./internal/lockstep/ ./internal/live/ ./internal/faults/ ./internal/sketch/ ./topk/items/
+	$(GO) test -cover ./internal/nodecore/ ./internal/vindex/ ./internal/lockstep/ ./internal/live/ ./internal/faults/ ./internal/protocol/ ./internal/sketch/ ./topk/items/
 
 check: build fmt-check vet api-check test
 

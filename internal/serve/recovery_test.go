@@ -38,6 +38,19 @@ func postSeq(t *testing.T, s *Server, tenant string, batch []topk.Update, client
 	return resp
 }
 
+// checkJournal fails t unless cfg marshals to exactly journal, the config
+// record's bytes in the WAL, and journal reads back as cfg.
+func checkJournal(t *testing.T, cfg Config, journal string) {
+	t.Helper()
+	if got, err := json.Marshal(cfg); err != nil || string(got) != journal {
+		t.Fatalf("journaled config = %s, %v\nwant %s", got, err, journal)
+	}
+	var back Config
+	if err := json.Unmarshal([]byte(journal), &back); err != nil || !reflect.DeepEqual(back, cfg) {
+		t.Fatalf("journaled config reads back as %+v, %v", back, err)
+	}
+}
+
 // TestRecoveryEquivalence is the durability layer's headline proof: drive
 // a tenant to completion on a durable server, kill the log at every
 // interesting byte offset — clean record boundaries, mid-frame-header,
@@ -75,27 +88,28 @@ func TestRecoveryEquivalence(t *testing.T) {
 			journal: `{"nodes":48,"k":4,"eps":"1/8","engine":"live","shards":3,"monitor":"approx","seed":11}`,
 		},
 		{
-			// Retries 3 is the default budget, spelled out so the journal
-			// carries all five fault keys.
 			name: "lockstep-faulty",
 			cfg: Config{Nodes: n, K: k, Eps: "1/8", Engine: "lockstep", Monitor: "approx", Seed: seed,
-				Faults: &topk.FaultPlan{Drop: 0.05, Dup: 0.02, Delay: 0.05, Retries: 3,
+				Faults: &topk.FaultPlan{Drop: 0.05, Dup: 0.02, Delay: 0.05,
 					Crashes: []topk.Crash{{Node: 3, From: 10, Until: 30}}}},
 			opts: []topk.Option{topk.WithEngine(topk.Lockstep)},
 			journal: `{"nodes":48,"k":4,"eps":"1/8","engine":"lockstep","monitor":"approx","seed":11,` +
-				`"faults":{"drop":0.05,"dup":0.02,"delay":0.05,"retries":3,"crashes":[{"node":3,"from":10,"until":30}]}}`,
+				`"faults":{"drop":0.05,"dup":0.02,"delay":0.05,"crashes":[{"node":3,"from":10,"until":30}]}}`,
 		},
 	}
 
+	// A plan with all five fault keys, so "retries" is pinned in its place
+	// too. It is checked apart from the cases: a longer config record would
+	// move the WAL offsets the kill points below are named after.
+	checkJournal(t, Config{Nodes: n, K: k, Eps: "1/8", Engine: "lockstep", Monitor: "approx", Seed: seed,
+		Faults: &topk.FaultPlan{Drop: 0.05, Dup: 0.02, Delay: 0.05, Retries: 3,
+			Crashes: []topk.Crash{{Node: 3, From: 10, Until: 30}}}},
+		`{"nodes":48,"k":4,"eps":"1/8","engine":"lockstep","monitor":"approx","seed":11,`+
+			`"faults":{"drop":0.05,"dup":0.02,"delay":0.05,"retries":3,"crashes":[{"node":3,"from":10,"until":30}]}}`)
+
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got, err := json.Marshal(tc.cfg); err != nil || string(got) != tc.journal {
-				t.Fatalf("journaled config = %s, %v\nwant %s", got, err, tc.journal)
-			}
-			var back Config
-			if err := json.Unmarshal([]byte(tc.journal), &back); err != nil || !reflect.DeepEqual(back, tc.cfg) {
-				t.Fatalf("journaled config reads back as %+v, %v", back, err)
-			}
+			checkJournal(t, tc.cfg, tc.journal)
 			trace := makeTrace(n, steps, seed)
 
 			// The uninterrupted reference: the facade, driven in-process.

@@ -80,9 +80,9 @@ func TestConformanceMessageCosts(t *testing.T) {
 			eng.Advance([]int64{10, 20, 30, 40, 50, 60, 70, 80})
 
 			cost := func(f func()) int64 {
-				before := eng.Counters().Snapshot()
+				before := *eng.Counters()
 				f()
-				return eng.Counters().Snapshot().Sub(before).Total()
+				return eng.Counters().Sub(before).Total()
 			}
 
 			if got := cost(func() { eng.BroadcastRule(new(wire.FilterRule)) }); got != 1 {
@@ -143,9 +143,6 @@ func TestConformanceIndexFallbacks(t *testing.T) {
 			if got := eng.Counters().IndexFallbacks(); got != 2 {
 				t.Errorf("IndexFallbacks = %d, want 2", got)
 			}
-			if got := eng.Counters().Snapshot().IndexFallbacks; got != 2 {
-				t.Errorf("Snapshot.IndexFallbacks = %d, want 2", got)
-			}
 			eng.Reset(3)
 			if got := eng.Counters().IndexFallbacks(); got != 0 {
 				t.Errorf("Reset left IndexFallbacks = %d", got)
@@ -171,7 +168,7 @@ func TestConformanceQuietStepsNoFallbacks(t *testing.T) {
 			// stays quiet.
 			eng.Advance(make([]int64, n))
 			eng.BroadcastRule(new(wire.FilterRule).With(wire.TagNone, filter.Make(0, 2000)))
-			before := eng.Counters().Snapshot()
+			before := *eng.Counters()
 			vals := make([]int64, n)
 			for step := 0; step < steps; step++ {
 				for i := range vals {
@@ -184,9 +181,9 @@ func TestConformanceQuietStepsNoFallbacks(t *testing.T) {
 				}
 				eng.EndStep()
 			}
-			d := eng.Counters().Snapshot().Sub(before)
-			if d.IndexFallbacks != 0 {
-				t.Errorf("quiet steps billed %d index fallbacks, want 0", d.IndexFallbacks)
+			d := eng.Counters().Sub(before)
+			if d.IndexFallbacks() != 0 {
+				t.Errorf("quiet steps billed %d index fallbacks, want 0", d.IndexFallbacks())
 			}
 			if d.Total() != 0 {
 				t.Errorf("quiet steps spent %d messages, want 0", d.Total())
@@ -205,18 +202,18 @@ func TestConformanceSweepChannelSplit(t *testing.T) {
 			vals := make([]int64, 16)
 			eng.Advance(vals)
 			eng.SetFilter(5, filter.Make(1, 2))
-			before := eng.Counters().Snapshot()
+			before := *eng.Counters()
 			senders := eng.Sweep(wire.Violating())
 			if len(senders) == 0 {
 				t.Fatal("missed violator")
 			}
-			d := eng.Counters().Snapshot().Sub(before)
-			if d.ByChannel[metrics.Broadcast] != 1 {
-				t.Errorf("halt broadcasts = %d, want 1", d.ByChannel[metrics.Broadcast])
+			d := eng.Counters().Sub(before)
+			if d.ByChannel(metrics.Broadcast) != 1 {
+				t.Errorf("halt broadcasts = %d, want 1", d.ByChannel(metrics.Broadcast))
 			}
-			if d.ByChannel[metrics.NodeToServer] != int64(len(senders)) {
+			if d.ByChannel(metrics.NodeToServer) != int64(len(senders)) {
 				t.Errorf("node reports %d != senders %d",
-					d.ByChannel[metrics.NodeToServer], len(senders))
+					d.ByChannel(metrics.NodeToServer), len(senders))
 			}
 		})
 	}
@@ -417,7 +414,7 @@ func TestConformanceDeltaEqualsDense(t *testing.T) {
 				}
 				dense.EndStep()
 				delta.EndStep()
-				if want, got := dense.Counters().Snapshot(), delta.Counters().Snapshot(); !reflect.DeepEqual(want, got) {
+				if want, got := *dense.Counters(), *delta.Counters(); !reflect.DeepEqual(want, got) {
 					t.Fatalf("%s: counters diverge:\ndense %+v\ndelta %+v", ctx, want, got)
 				}
 			}
@@ -437,11 +434,11 @@ func TestConformanceEmptyDelta(t *testing.T) {
 			defer done()
 			vals := []int64{10, 20, 30, 40, 50, 60, 70, 80}
 			eng.Advance(vals)
-			before := eng.Counters().Snapshot()
+			before := *eng.Counters()
 			eng.AdvanceDirty(vals, nil)
 			eng.AdvanceDirty(vals, []int{})
 			eng.EndStep()
-			if d := eng.Counters().Snapshot().Sub(before); d.Total() != 0 || d.IndexFallbacks != 0 || d.MaxRounds != 0 {
+			if d := eng.Counters().Sub(before); d.Total() != 0 || d.IndexFallbacks() != 0 || d.MaxRoundsPerStep() != 0 {
 				t.Errorf("heartbeat billed %+v, want nothing", d)
 			}
 			if got := valuesOf(eng); !reflect.DeepEqual(got, vals) {

@@ -59,15 +59,15 @@ func existenceMean(o Options, n, b, trials int) float64 {
 			e.Advance(c.vals)
 			// b nodes hold a "1": realised as a violating filter, assigned
 			// through the engine (so its filter mirror stays consistent);
-			// the snapshot below excludes the assignment messages.
+			// the copy below excludes the assignment messages.
 			for i := 0; i < b; i++ {
 				e.SetFilter(i, filter.Make(5, 10))
 			}
-			before := e.Counters().Snapshot()
+			before := *e.Counters()
 			if senders := e.Sweep(wire.Violating()); len(senders) == 0 {
 				panic("exp: EXISTENCE missed b ≥ 1 ones")
 			}
-			return e.Counters().Snapshot().Sub(before).Total()
+			return e.Counters().Sub(before).Total()
 		})
 	var total int64
 	for _, c := range costs {
@@ -102,11 +102,11 @@ func E2MaxFind() Experiment {
 							c.vals[i] = r.Int63n(1 << 30)
 						}
 						e.Advance(c.vals)
-						before := e.Counters().Snapshot()
+						before := *e.Counters()
 						if _, ok := protocol.FindMax(e, true); !ok {
 							panic("exp: FindMax failed")
 						}
-						return e.Counters().Snapshot().Sub(before).Total()
+						return e.Counters().Sub(before).Total()
 					})
 				var total int64
 				for _, c := range costs {
@@ -173,5 +173,5 @@ type compliance struct {
 func complianceRun(n int, maxV int64, steps int, seed uint64) compliance {
 	// A hostile workload maximises per-step protocol work.
 	rep := runOrPanic(complianceConfig(n, maxV, steps, seed))
-	return compliance{rounds: rep.MaxRounds, bits: rep.MaxBits}
+	return compliance{rounds: rep.Messages.MaxRoundsPerStep(), bits: rep.Messages.MaxBits()}
 }

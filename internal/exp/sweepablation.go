@@ -52,8 +52,8 @@ func E11SweepAblation() Experiment {
 				ex, dr := reps[2*i], reps[2*i+1]
 				tb.AddRow(n, ex.Messages.Total(), dr.Messages.Total(),
 					ratio(dr.Messages.Total(), ex.Messages.Total()),
-					ex.Messages.ByKind["existence-report"],
-					dr.Messages.ByKind["existence-report"])
+					ex.Messages.ByKind("existence-report"),
+					dr.Messages.ByKind("existence-report"))
 			}
 			return []*metrics.Table{tb}
 		},

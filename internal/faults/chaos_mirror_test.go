@@ -95,14 +95,14 @@ func TestChaosMirrorMatchesFullScan(t *testing.T) {
 					indexed.EndStep()
 					ref.EndStep()
 				}
-				a, b := indexed.Counters().Snapshot(), ref.Counters().Snapshot()
+				a, b := *indexed.Counters(), *ref.Counters()
 				if !reflect.DeepEqual(a, b) {
 					t.Fatalf("%s seed %d: final counters diverge:\nfull scan %+v\nmirror    %+v",
 						name, seed, b, a)
 				}
-				if a.IndexFallbacks != 0 {
+				if a.IndexFallbacks() != 0 {
 					t.Fatalf("%s seed %d: %d index fallbacks on a violation/interval-only script, want 0",
-						name, seed, a.IndexFallbacks)
+						name, seed, a.IndexFallbacks())
 				}
 			}
 		})

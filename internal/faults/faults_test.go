@@ -29,7 +29,7 @@ func mkTrace(n, steps int, seed uint64) [][]int64 {
 // and the final counter snapshot (model messages AND fault accounting).
 type faultTrail struct {
 	outs []([]int)
-	snap metrics.Snapshot
+	snap metrics.Counters
 }
 
 // runMonitored drives the Approx monitor over a trace on eng, tolerating
@@ -67,7 +67,7 @@ func runMonitored(eng cluster.Engine, trace [][]int64, k int) (trail faultTrail)
 		}
 		eng.EndStep()
 	}
-	trail.snap = eng.Counters().Snapshot()
+	trail.snap = *eng.Counters()
 	return trail
 }
 
@@ -108,7 +108,7 @@ func TestZeroPlanTransparent(t *testing.T) {
 				t.Fatalf("counters diverge through a transparent wrapper:\nbare:    %+v\nwrapped: %+v",
 					want.snap, got.snap)
 			}
-			if got.snap.DroppedMsgs|got.snap.DupMsgs|got.snap.Retries != 0 {
+			if got.snap.DroppedMsgs()|got.snap.DupMsgs()|got.snap.Retries() != 0 {
 				t.Fatalf("transparent wrapper billed faults: %+v", got.snap)
 			}
 		})
@@ -122,13 +122,13 @@ func TestActivePlanInjects(t *testing.T) {
 	const n, k, steps, seed = 32, 4, 150, 9
 	trace := mkTrace(n, steps, 3)
 	got := runMonitored(Wrap(lockstep.New(n, seed), chaosPlan(), seed), trace, k)
-	if got.snap.DroppedMsgs == 0 {
+	if got.snap.DroppedMsgs() == 0 {
 		t.Error("active plan dropped no messages")
 	}
-	if got.snap.DupMsgs == 0 {
+	if got.snap.DupMsgs() == 0 {
 		t.Error("active plan duplicated no messages")
 	}
-	if got.snap.Retries == 0 {
+	if got.snap.Retries() == 0 {
 		t.Error("active plan triggered no retries")
 	}
 }
@@ -193,9 +193,9 @@ func TestEngineConformance(t *testing.T) {
 		name string
 		v    int64
 	}{
-		{"DroppedMsgs", ls.snap.DroppedMsgs},
-		{"DupMsgs", ls.snap.DupMsgs},
-		{"Retries", ls.snap.Retries},
+		{"DroppedMsgs", ls.snap.DroppedMsgs()},
+		{"DupMsgs", ls.snap.DupMsgs()},
+		{"Retries", ls.snap.Retries()},
 	} {
 		if c.v == 0 {
 			t.Errorf("conformance run never exercised %s", c.name)
@@ -301,7 +301,7 @@ func TestDeltaRefreshesCacheAtWindowEnd(t *testing.T) {
 	if want := [n]int64{11, 55, 99, 40}; last != want {
 		t.Fatalf("caches after every window closed: %v, want the current values %v", last, want)
 	}
-	if want, got := dense.Counters().Snapshot(), delta.Counters().Snapshot(); !reflect.DeepEqual(want, got) {
+	if want, got := *dense.Counters(), *delta.Counters(); !reflect.DeepEqual(want, got) {
 		t.Fatalf("counters diverge:\ndense %+v\ndelta %+v", want, got)
 	}
 }

@@ -198,7 +198,7 @@ func TestMixedDispatch(t *testing.T) {
 		if !reflect.DeepEqual(ls.FiltersInto(nil), lv.FiltersInto(nil)) {
 			t.Fatalf("step %d: filters diverge", step)
 		}
-		if a, b := ls.Counters().Snapshot(), lv.Counters().Snapshot(); !reflect.DeepEqual(a, b) {
+		if a, b := *ls.Counters(), *lv.Counters(); !reflect.DeepEqual(a, b) {
 			t.Fatalf("step %d: counters diverge:\nlockstep %+v\nlive     %+v", step, a, b)
 		}
 		for i := 0; i < n; i++ {

@@ -9,6 +9,7 @@ import (
 	"topkmon/internal/eps"
 	"topkmon/internal/filter"
 	"topkmon/internal/lockstep"
+	"topkmon/internal/metrics"
 	"topkmon/internal/nodecore"
 	"topkmon/internal/protocol"
 	"topkmon/internal/rngx"
@@ -142,7 +143,7 @@ func TestLockstepEquivalence(t *testing.T) {
 						trace[i] = gen.Next(i)
 					}
 
-					runOn := func(eng cluster.Engine) ([]int, int64, map[string]int64) {
+					runOn := func(eng cluster.Engine) ([]int, int64, metrics.Counters) {
 						mon := m.make(eng)
 						for ti, vals := range trace {
 							eng.Advance(vals)
@@ -153,16 +154,16 @@ func TestLockstepEquivalence(t *testing.T) {
 							}
 							eng.EndStep()
 						}
-						snap := eng.Counters().Snapshot()
-						return mon.Output(), snap.Total(), snap.ByKind
+						c := *eng.Counters()
+						return mon.Output(), c.Total(), c
 					}
 
 					ls := lockstep.New(n, 42)
 					lv := New(n, 42, append(d.opts, WithShards(shards))...)
 					defer lv.Close()
 
-					outA, totalA, kindsA := runOn(ls)
-					outB, totalB, kindsB := runOn(lv)
+					outA, totalA, countersA := runOn(ls)
+					outB, totalB, countersB := runOn(lv)
 
 					if !reflect.DeepEqual(outA, outB) {
 						t.Errorf("outputs diverge: lockstep=%v live=%v", outA, outB)
@@ -170,8 +171,8 @@ func TestLockstepEquivalence(t *testing.T) {
 					if totalA != totalB {
 						t.Errorf("totals diverge: lockstep=%d live=%d", totalA, totalB)
 					}
-					if !reflect.DeepEqual(kindsA, kindsB) {
-						t.Errorf("kind counters diverge:\nlockstep=%v\nlive=%v", kindsA, kindsB)
+					if !reflect.DeepEqual(countersA, countersB) {
+						t.Errorf("counters diverge:\nlockstep=%v\nlive=%v", countersA, countersB)
 					}
 				})
 			}
@@ -195,7 +196,7 @@ func TestLockstepEquivalenceLargeN(t *testing.T) {
 		trace[i] = gen.Next(i)
 	}
 
-	runOn := func(eng cluster.Engine) ([]int, int64, map[string]int64) {
+	runOn := func(eng cluster.Engine) ([]int, int64, metrics.Counters) {
 		mon := protocol.NewApprox(eng, k, e)
 		for ti, vals := range trace {
 			eng.Advance(vals)
@@ -206,19 +207,19 @@ func TestLockstepEquivalenceLargeN(t *testing.T) {
 			}
 			eng.EndStep()
 		}
-		snap := eng.Counters().Snapshot()
-		return mon.Output(), snap.Total(), snap.ByKind
+		c := *eng.Counters()
+		return mon.Output(), c.Total(), c
 	}
 
 	// Worker shards (m ≪ n) are what makes this scale bearable: under
 	// /workers each call wakes at most 8 workers instead of 10⁴ goroutines.
 	// At the default grain nobody is woken: no call at this n reaches it.
-	outA, totalA, kindsA := runOn(lockstep.New(n, 271828))
+	outA, totalA, countersA := runOn(lockstep.New(n, 271828))
 	for _, d := range dispatches {
 		t.Run("m=8"+d.suffix, func(t *testing.T) {
 			lv := New(n, 271828, append(d.opts, WithShards(8))...)
 			defer lv.Close()
-			outB, totalB, kindsB := runOn(lv)
+			outB, totalB, countersB := runOn(lv)
 
 			if !reflect.DeepEqual(outA, outB) {
 				t.Errorf("outputs diverge: lockstep=%v live=%v", outA, outB)
@@ -226,8 +227,8 @@ func TestLockstepEquivalenceLargeN(t *testing.T) {
 			if totalA != totalB {
 				t.Errorf("totals diverge: lockstep=%d live=%d", totalA, totalB)
 			}
-			if !reflect.DeepEqual(kindsA, kindsB) {
-				t.Errorf("kind counters diverge:\nlockstep=%v\nlive=%v", kindsA, kindsB)
+			if !reflect.DeepEqual(countersA, countersB) {
+				t.Errorf("counters diverge:\nlockstep=%v\nlive=%v", countersA, countersB)
 			}
 		})
 	}

@@ -29,10 +29,8 @@ func traceString(eng cluster.Engine, trace [][]int64, k int, e eps.Eps) string {
 			mon.HandleStep()
 		}
 		eng.EndStep()
-		snap := eng.Counters().Snapshot()
-		fmt.Fprintf(&b, "step %d out=%v vals=%v filters=%v tags=%v total=%d kinds=%v rounds=%d bits=%d\n",
-			ti, mon.Output(), valuesOf(eng), eng.FiltersInto(nil), tagsOf(eng),
-			snap.Total(), snap.ByKind, snap.MaxRounds, snap.MaxBits)
+		fmt.Fprintf(&b, "step %d out=%v vals=%v filters=%v tags=%v counters=%+v\n",
+			ti, mon.Output(), valuesOf(eng), eng.FiltersInto(nil), tagsOf(eng), *eng.Counters())
 	}
 	return b.String()
 }
@@ -127,7 +125,7 @@ func TestResetIsFullRewind(t *testing.T) {
 			eng.Sweep(wire.Violating())
 			eng.EndStep()
 			eng.Reset(99)
-			if got := eng.Counters().Snapshot().Total(); got != 0 {
+			if got := eng.Counters().Total(); got != 0 {
 				t.Errorf("messages after reset = %d, want 0", got)
 			}
 			if got := eng.Counters().Steps(); got != 0 {

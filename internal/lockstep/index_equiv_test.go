@@ -166,14 +166,14 @@ type equivTrail struct {
 	reports [][]wire.Report
 	picks   []wire.Report
 	found   []bool
-	deltas  []metrics.Snapshot
-	final   metrics.Snapshot
+	deltas  []metrics.Counters
+	final   metrics.Counters
 }
 
 // runEquivScript replays ops against eng and records the trail.
 func runEquivScript(eng cluster.Engine, ops []equivOp) equivTrail {
 	var trail equivTrail
-	prev := eng.Counters().Snapshot()
+	prev := *eng.Counters()
 	for i := range ops {
 		op := &ops[i]
 		switch op.kind {
@@ -202,12 +202,12 @@ func runEquivScript(eng cluster.Engine, ops []equivOp) equivTrail {
 		}
 		if op.endStep {
 			eng.EndStep()
-			cur := eng.Counters().Snapshot()
+			cur := *eng.Counters()
 			trail.deltas = append(trail.deltas, cur.Sub(prev))
 			prev = cur
 		}
 	}
-	trail.final = eng.Counters().Snapshot()
+	trail.final = *eng.Counters()
 	return trail
 }
 

@@ -64,13 +64,13 @@ func TestSweepExpectedMessages(t *testing.T) {
 			for i := 0; i < b; i++ {
 				e.SetFilter(i, filter.Make(5, 10)) // value 0 violates down
 			}
-			before := e.Counters().Snapshot()
+			before := *e.Counters()
 			// Exclude the b filter-setting unicasts from the measurement.
 			senders := e.Sweep(wire.Violating())
 			if len(senders) == 0 {
 				t.Fatal("sweep missed violators")
 			}
-			total += e.Counters().Snapshot().Sub(before).Total()
+			total += e.Counters().Sub(before).Total()
 		}
 		mean := float64(total) / trials
 		if mean > 8.0 {
@@ -100,12 +100,12 @@ func TestDetectViolationPicksOne(t *testing.T) {
 func TestCollect(t *testing.T) {
 	e := New(6, 5)
 	e.Advance([]int64{10, 20, 30, 40, 50, 60})
-	before := e.Counters().Snapshot()
+	before := *e.Counters()
 	reps := e.Collect(wire.InRange(25, 45))
 	if len(reps) != 2 || reps[0].ID != 2 || reps[1].ID != 3 {
 		t.Fatalf("Collect = %v", reps)
 	}
-	cost := e.Counters().Snapshot().Sub(before)
+	cost := e.Counters().Sub(before)
 	if cost.Total() != 3 { // 1 broadcast + 2 replies
 		t.Errorf("collect cost %d, want 3", cost.Total())
 	}
@@ -130,9 +130,9 @@ func TestBroadcastRuleAppliesToAll(t *testing.T) {
 	rule := new(wire.FilterRule).
 		With(wire.TagOut, filter.AtLeast(2)).
 		With(wire.TagNone, filter.AtMost(2))
-	before := e.Counters().Snapshot()
+	before := *e.Counters()
 	e.BroadcastRule(rule)
-	if cost := e.Counters().Snapshot().Sub(before); cost.Total() != 1 {
+	if cost := e.Counters().Sub(before); cost.Total() != 1 {
 		t.Errorf("broadcast cost %d, want 1", cost.Total())
 	}
 	fs := e.FiltersInto(nil)

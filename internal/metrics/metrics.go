@@ -45,7 +45,7 @@ type Counters struct {
 	byChannel [numChannels]int64
 	// byKind is indexed by wire.Kind: counting a message is two array
 	// increments, and the kind's name is resolved only where a caller asks
-	// for it (ByKind, Snapshot).
+	// for it (ByKind).
 	byKind [wire.NumKinds]int64
 
 	// Round accounting: the model allows polylogarithmically many rounds
@@ -116,34 +116,34 @@ func (c *Counters) IndexFallback() { c.indexFallbacks++ }
 
 // IndexFallbacks returns how many predicate-routed primitives took the
 // full-scan fallback since construction or the last Reset.
-func (c *Counters) IndexFallbacks() int64 { return c.indexFallbacks }
+func (c Counters) IndexFallbacks() int64 { return c.indexFallbacks }
 
 // DroppedMsg records that the fault layer lost one message of the given
 // kind after exhausting any retries.
 func (c *Counters) DroppedMsg() { c.droppedMsgs++ }
 
 // DroppedMsgs returns how many messages the fault layer lost for good.
-func (c *Counters) DroppedMsgs() int64 { return c.droppedMsgs }
+func (c Counters) DroppedMsgs() int64 { return c.droppedMsgs }
 
 // DupMsg records that the fault layer delivered one message twice.
 func (c *Counters) DupMsg() { c.dupMsgs++ }
 
 // DupMsgs returns how many duplicate deliveries the fault layer injected.
-func (c *Counters) DupMsgs() int64 { return c.dupMsgs }
+func (c Counters) DupMsgs() int64 { return c.dupMsgs }
 
 // Retry records one redelivery attempt of the reliability sublayer.
 func (c *Counters) Retry() { c.retries++ }
 
 // Retries returns how many redelivery attempts the reliability sublayer
 // has made (successful or not).
-func (c *Counters) Retries() int64 { return c.retries }
+func (c Counters) Retries() int64 { return c.retries }
 
 // Resync records one epoch resync: the server re-broadcasting filters and
 // re-running the sweep after detecting divergence.
 func (c *Counters) Resync() { c.resyncs++ }
 
 // Resyncs returns how many epoch resyncs the recovery supervisor ran.
-func (c *Counters) Resyncs() int64 { return c.resyncs }
+func (c Counters) Resyncs() int64 { return c.resyncs }
 
 // StaleStep records one committed step whose published output was not
 // validated fresh (the monitor was degraded or still recovering).
@@ -151,7 +151,7 @@ func (c *Counters) StaleStep() { c.staleSteps++ }
 
 // StaleSteps returns how many committed steps ended without a
 // validated-fresh output.
-func (c *Counters) StaleSteps() int64 { return c.staleSteps }
+func (c Counters) StaleSteps() int64 { return c.staleSteps }
 
 // EndStep closes the current time step's round accounting.
 func (c *Counters) EndStep() {
@@ -163,7 +163,7 @@ func (c *Counters) EndStep() {
 }
 
 // Total returns the total number of messages across all channels.
-func (c *Counters) Total() int64 {
+func (c Counters) Total() int64 {
 	var t int64
 	for _, v := range c.byChannel {
 		t += v
@@ -172,12 +172,11 @@ func (c *Counters) Total() int64 {
 }
 
 // ByChannel returns the count on one channel.
-func (c *Counters) ByChannel(ch Channel) int64 { return c.byChannel[ch] }
+func (c Counters) ByChannel(ch Channel) int64 { return c.byChannel[ch] }
 
 // ByKind returns the count of one message kind, named as wire.Kind.String
-// names it; an unknown name counts 0. No program calls it; the tests of
-// this package and internal/lockstep do.
-func (c *Counters) ByKind(kind string) int64 {
+// names it; an unknown name counts 0.
+func (c Counters) ByKind(kind string) int64 {
 	for k, v := range c.byKind {
 		if wire.Kind(k).String() == kind {
 			return v
@@ -188,7 +187,7 @@ func (c *Counters) ByKind(kind string) int64 {
 
 // MaxRoundsPerStep returns the largest number of protocol rounds consumed by
 // any single time step.
-func (c *Counters) MaxRoundsPerStep() int64 {
+func (c Counters) MaxRoundsPerStep() int64 {
 	if c.roundsThisStep > c.maxRoundsStep {
 		return c.roundsThisStep
 	}
@@ -196,81 +195,31 @@ func (c *Counters) MaxRoundsPerStep() int64 {
 }
 
 // MaxBits returns the largest accounted message size seen, in bits.
-func (c *Counters) MaxBits() int { return c.maxBits }
+func (c Counters) MaxBits() int { return c.maxBits }
 
 // Steps returns the number of completed time steps. No program calls it;
 // the tests of this package and internal/live do.
-func (c *Counters) Steps() int64 { return c.steps }
+func (c Counters) Steps() int64 { return c.steps }
 
-// Snapshot returns a copy of the counters for later diffing.
-func (c *Counters) Snapshot() Snapshot {
-	s := Snapshot{
-		ByChannel:      c.byChannel,
-		ByKind:         make(map[string]int64, len(c.byKind)),
-		MaxRounds:      c.MaxRoundsPerStep(),
-		MaxBits:        c.maxBits,
-		IndexFallbacks: c.indexFallbacks,
-		DroppedMsgs:    c.droppedMsgs,
-		DupMsgs:        c.dupMsgs,
-		Retries:        c.retries,
-		Resyncs:        c.resyncs,
-		StaleSteps:     c.staleSteps,
+// Sub returns the difference c - o: channels, kinds, index fallbacks and
+// the fault counters subtract, while the high-water marks (max rounds per
+// step, max bits) and the step count stay c's. Counters holds only arrays
+// and integers, so a plain copy (before := *eng.Counters()) is the earlier
+// value to subtract.
+func (c Counters) Sub(o Counters) Counters {
+	for i := range c.byChannel {
+		c.byChannel[i] -= o.byChannel[i]
 	}
-	for k, v := range c.byKind {
-		if v != 0 {
-			s.ByKind[wire.Kind(k).String()] = v
-		}
+	for i := range c.byKind {
+		c.byKind[i] -= o.byKind[i]
 	}
-	return s
-}
-
-// Snapshot is an immutable copy of counter state.
-type Snapshot struct {
-	ByChannel [numChannels]int64
-	ByKind    map[string]int64
-	MaxRounds int64
-	MaxBits   int
-	// IndexFallbacks is the engine-side full-scan count (see
-	// Counters.IndexFallback); it is work accounting, not message cost.
-	IndexFallbacks int64
-	// Fault accounting (see the matching Counters methods): zero on a
-	// fault-free run.
-	DroppedMsgs int64
-	DupMsgs     int64
-	Retries     int64
-	Resyncs     int64
-	StaleSteps  int64
-}
-
-// Total returns total messages in the snapshot.
-func (s Snapshot) Total() int64 {
-	var t int64
-	for _, v := range s.ByChannel {
-		t += v
-	}
-	return t
-}
-
-// Sub returns the message-count difference s - o (channel- and kind-wise).
-func (s Snapshot) Sub(o Snapshot) Snapshot {
-	d := Snapshot{
-		ByKind:         make(map[string]int64),
-		MaxRounds:      s.MaxRounds,
-		MaxBits:        s.MaxBits,
-		IndexFallbacks: s.IndexFallbacks - o.IndexFallbacks,
-		DroppedMsgs:    s.DroppedMsgs - o.DroppedMsgs,
-		DupMsgs:        s.DupMsgs - o.DupMsgs,
-		Retries:        s.Retries - o.Retries,
-		Resyncs:        s.Resyncs - o.Resyncs,
-		StaleSteps:     s.StaleSteps - o.StaleSteps,
-	}
-	for i := range s.ByChannel {
-		d.ByChannel[i] = s.ByChannel[i] - o.ByChannel[i]
-	}
-	for k, v := range s.ByKind {
-		d.ByKind[k] = v - o.ByKind[k]
-	}
-	return d
+	c.indexFallbacks -= o.indexFallbacks
+	c.droppedMsgs -= o.droppedMsgs
+	c.dupMsgs -= o.dupMsgs
+	c.retries -= o.retries
+	c.resyncs -= o.resyncs
+	c.staleSteps -= o.staleSteps
+	return c
 }
 
 // Table renders aligned text tables for experiment output.

@@ -52,15 +52,71 @@ func TestRoundTracking(t *testing.T) {
 	}
 }
 
-func TestSnapshotSub(t *testing.T) {
+func TestCountersSub(t *testing.T) {
 	c := NewCounters()
+	// Each layered counter holds a different amount at the copy and gains
+	// another after it, so a Sub that mixes two of them up cannot pass.
+	layered := []struct {
+		name string
+		inc  func()
+		get  func(Counters) int64
+	}{
+		{"IndexFallbacks", c.IndexFallback, Counters.IndexFallbacks},
+		{"DroppedMsgs", c.DroppedMsg, Counters.DroppedMsgs},
+		{"DupMsgs", c.DupMsg, Counters.DupMsgs},
+		{"Retries", c.Retry, Counters.Retries},
+		{"Resyncs", c.Resync, Counters.Resyncs},
+		{"StaleSteps", c.StaleStep, Counters.StaleSteps},
+	}
+	c.Count(NodeToServer, wire.KindProbeReply, 8)
+	c.Count(ServerToNode, wire.KindHalt, 8)
+	for i, l := range layered {
+		for range 2*i + 1 {
+			l.inc()
+		}
+	}
+	c.Rounds(2)
+	c.EndStep()
+	before := *c
+
 	c.Count(NodeToServer, wire.KindProbeReply, 1)
-	s1 := c.Snapshot()
-	c.Count(NodeToServer, wire.KindProbeReply, 1)
+	c.Count(Broadcast, wire.KindHalt, 40)
 	c.Count(Broadcast, wire.KindHalt, 1)
-	diff := c.Snapshot().Sub(s1)
-	if diff.Total() != 2 || diff.ByKind["probe-reply"] != 1 || diff.ByKind["halt"] != 1 {
-		t.Errorf("Sub wrong: %+v", diff)
+	c.Count(ServerToNode, wire.KindHalt, 1)
+	for i, l := range layered {
+		for range i + 1 {
+			l.inc()
+		}
+	}
+	c.Rounds(7)
+	c.EndStep()
+	c.Rounds(1)
+	c.EndStep()
+
+	d := c.Sub(before)
+	for i, l := range layered {
+		if got := l.get(d); got != int64(i+1) {
+			t.Errorf("Sub: %s = %d, want %d", l.name, got, i+1)
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"Total", d.Total(), 4},
+		{"node→server", d.ByChannel(NodeToServer), 1},
+		{"server→node", d.ByChannel(ServerToNode), 1},
+		{"broadcast", d.ByChannel(Broadcast), 2},
+		{"probe-reply", d.ByKind("probe-reply"), 1},
+		{"halt", d.ByKind("halt"), 3},
+		// The high-water marks and the step count are the later value's.
+		{"MaxRoundsPerStep", d.MaxRoundsPerStep(), 7},
+		{"MaxBits", int64(d.MaxBits()), 40},
+		{"Steps", d.Steps(), 3},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("Sub: %s = %d, want %d", tc.name, tc.got, tc.want)
+		}
 	}
 }
 
@@ -71,13 +127,10 @@ func TestIndexFallbackCounting(t *testing.T) {
 	if c.IndexFallbacks() != 2 {
 		t.Errorf("IndexFallbacks = %d, want 2", c.IndexFallbacks())
 	}
-	s1 := c.Snapshot()
-	if s1.IndexFallbacks != 2 {
-		t.Errorf("Snapshot.IndexFallbacks = %d, want 2", s1.IndexFallbacks)
-	}
+	s1 := *c
 	c.IndexFallback()
-	if d := c.Snapshot().Sub(s1); d.IndexFallbacks != 1 {
-		t.Errorf("Sub.IndexFallbacks = %d, want 1", d.IndexFallbacks)
+	if d := c.Sub(s1); d.IndexFallbacks() != 1 {
+		t.Errorf("Sub.IndexFallbacks = %d, want 1", d.IndexFallbacks())
 	}
 	c.Reset()
 	if c.IndexFallbacks() != 0 {
@@ -100,16 +153,12 @@ func TestFaultCounters(t *testing.T) {
 		t.Errorf("fault counters wrong: drop=%d dup=%d retry=%d resync=%d stale=%d",
 			c.DroppedMsgs(), c.DupMsgs(), c.Retries(), c.Resyncs(), c.StaleSteps())
 	}
-	s1 := c.Snapshot()
-	if s1.DroppedMsgs != 2 || s1.DupMsgs != 1 || s1.Retries != 3 ||
-		s1.Resyncs != 1 || s1.StaleSteps != 1 {
-		t.Errorf("Snapshot fault counters wrong: %+v", s1)
-	}
+	s1 := *c
 	c.DroppedMsg()
 	c.Resync()
-	d := c.Snapshot().Sub(s1)
-	if d.DroppedMsgs != 1 || d.DupMsgs != 0 || d.Retries != 0 ||
-		d.Resyncs != 1 || d.StaleSteps != 0 {
+	d := c.Sub(s1)
+	if d.DroppedMsgs() != 1 || d.DupMsgs() != 0 || d.Retries() != 0 ||
+		d.Resyncs() != 1 || d.StaleSteps() != 0 {
 		t.Errorf("Sub fault counters wrong: %+v", d)
 	}
 	c.Reset()

@@ -23,7 +23,6 @@ type Approx struct {
 	dense *Dense
 
 	inDense bool
-	epochs  int64
 	probe   []wire.Report // the epoch-opening TopM buffer
 
 	// AfterHandle, when set, runs after every processed violation (test
@@ -105,7 +104,6 @@ func (a *Approx) Output() []int {
 func (a *Approx) Start() { a.startEpoch() }
 
 func (a *Approx) startEpoch() {
-	a.epochs++
 	reps := a.topM()
 	vk, vk1 := reps[a.k-1].Value, reps[a.k].Value
 	if a.e.ClearlyBelow(vk1, vk) {

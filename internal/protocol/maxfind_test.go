@@ -106,11 +106,11 @@ func TestFindMaxMessageScaling(t *testing.T) {
 				vals[i] = r.Int63n(1 << 30)
 			}
 			e.Advance(vals)
-			before := e.Counters().Snapshot()
+			before := *e.Counters()
 			if _, ok := protocol.FindMax(e, true); !ok {
 				t.Fatal("no max")
 			}
-			total += e.Counters().Snapshot().Sub(before).Total()
+			total += e.Counters().Sub(before).Total()
 		}
 		means[n] = float64(total) / trials
 	}

@@ -57,28 +57,15 @@ func encodeBatch(t *testing.T, batch []topk.Update) string {
 // monitor — the reference the HTTP-scraped snapshot must match byte for
 // byte.
 func costSnapshot(m *topk.Monitor) costResponse {
-	c := m.Cost()
 	chk := m.Check()
 	h := m.Health()
 	return costResponse{
-		Algorithm:        m.AlgorithmName(),
-		Steps:            c.Steps,
-		Epochs:           m.Epochs(),
-		Messages:         c.Messages,
-		NodeToServer:     c.NodeToServer,
-		Unicasts:         c.Unicasts,
-		Broadcasts:       c.Broadcasts,
-		MaxRoundsPerStep: c.MaxRoundsPerStep,
-		MaxMessageBits:   c.MaxMessageBits,
-		IndexFallbacks:   c.IndexFallbacks,
-		DroppedMsgs:      c.DroppedMsgs,
-		DupMsgs:          c.DupMsgs,
-		Retries:          c.Retries,
-		Resyncs:          c.Resyncs,
-		StaleSteps:       c.StaleSteps,
-		Check:            checkString(chk),
-		Health:           healthOf(h),
-		SilentInvalid:    chk != nil && h.State == topk.Fresh,
+		Algorithm:     m.AlgorithmName(),
+		Epochs:        m.Epochs(),
+		Cost:          m.Cost(),
+		Check:         checkString(chk),
+		Health:        healthOf(h),
+		SilentInvalid: chk != nil && h.State == topk.Fresh,
 	}
 }
 

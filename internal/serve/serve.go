@@ -190,30 +190,18 @@ type healthResponse struct {
 	Health healthJSON `json:"health"`
 }
 
-// costResponse is the full introspection snapshot: every topk.Cost
-// counter plus epochs, the referee verdict, and health. SilentInvalid is
-// the no-silent-wrong-answers alarm — a failing Check while Health claims
-// Fresh — which TestServeEquivalence and the benchmark's served workloads
-// fail on.
+// costResponse is the full introspection snapshot: the embedded topk.Cost,
+// whose JSON keys appear inline, plus algorithm, epochs, the referee
+// verdict, and health. SilentInvalid is the no-silent-wrong-answers alarm —
+// a failing Check while Health claims Fresh — which TestServeEquivalence
+// and the benchmark's served workloads fail on.
 type costResponse struct {
-	Algorithm        string     `json:"algorithm"`
-	Steps            int64      `json:"steps"`
-	Epochs           int64      `json:"epochs"`
-	Messages         int64      `json:"messages"`
-	NodeToServer     int64      `json:"nodeToServer"`
-	Unicasts         int64      `json:"unicasts"`
-	Broadcasts       int64      `json:"broadcasts"`
-	MaxRoundsPerStep int64      `json:"maxRoundsPerStep"`
-	MaxMessageBits   int        `json:"maxMessageBits"`
-	IndexFallbacks   int64      `json:"indexFallbacks"`
-	DroppedMsgs      int64      `json:"droppedMsgs"`
-	DupMsgs          int64      `json:"dupMsgs"`
-	Retries          int64      `json:"retries"`
-	Resyncs          int64      `json:"resyncs"`
-	StaleSteps       int64      `json:"staleSteps"`
-	Check            string     `json:"check"`
-	Health           healthJSON `json:"health"`
-	SilentInvalid    bool       `json:"silentInvalid"`
+	Algorithm string `json:"algorithm"`
+	Epochs    int64  `json:"epochs"`
+	topk.Cost
+	Check         string     `json:"check"`
+	Health        healthJSON `json:"health"`
+	SilentInvalid bool       `json:"silentInvalid"`
 }
 
 type tenantInfo struct {
@@ -292,6 +280,10 @@ func healthOf(h topk.Health) healthJSON {
 	return j
 }
 
+func infoOf(t *Tenant) tenantInfo {
+	return tenantInfo{Name: t.Name, Config: t.Cfg, Steps: t.Mon.Steps(), Algorithm: t.Mon.AlgorithmName()}
+}
+
 func checkString(err error) string {
 	if err == nil {
 		return "ok"
@@ -309,9 +301,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	ts := s.pool.List()
 	out := make([]tenantInfo, 0, len(ts))
 	for _, t := range ts {
-		out = append(out, tenantInfo{
-			Name: t.Name, Config: t.Cfg, Steps: t.Mon.Steps(), Algorithm: t.Mon.AlgorithmName(),
-		})
+		out = append(out, infoOf(t))
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -335,9 +325,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		poolErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, tenantInfo{
-		Name: t.Name, Config: t.Cfg, Steps: t.Mon.Steps(), Algorithm: t.Mon.AlgorithmName(),
-	})
+	writeJSON(w, http.StatusCreated, infoOf(t))
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -356,9 +344,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, tenantInfo{
-		Name: t.Name, Config: t.Cfg, Steps: t.Mon.Steps(), Algorithm: t.Mon.AlgorithmName(),
-	})
+	writeJSON(w, http.StatusOK, infoOf(t))
 }
 
 // handleUpdate is the hot path: decode one batch (strictly, all-or-nothing
@@ -484,29 +470,15 @@ func (s *Server) handleCost(w http.ResponseWriter, r *http.Request) {
 	var resp costResponse
 	for attempt := 0; attempt < 3; attempt++ {
 		before := m.Steps()
-		c := m.Cost()
 		chk := m.Check()
 		h := m.Health()
-		epochs := m.Epochs()
 		resp = costResponse{
-			Algorithm:        m.AlgorithmName(),
-			Steps:            c.Steps,
-			Epochs:           epochs,
-			Messages:         c.Messages,
-			NodeToServer:     c.NodeToServer,
-			Unicasts:         c.Unicasts,
-			Broadcasts:       c.Broadcasts,
-			MaxRoundsPerStep: c.MaxRoundsPerStep,
-			MaxMessageBits:   c.MaxMessageBits,
-			IndexFallbacks:   c.IndexFallbacks,
-			DroppedMsgs:      c.DroppedMsgs,
-			DupMsgs:          c.DupMsgs,
-			Retries:          c.Retries,
-			Resyncs:          c.Resyncs,
-			StaleSteps:       c.StaleSteps,
-			Check:            checkString(chk),
-			Health:           healthOf(h),
-			SilentInvalid:    chk != nil && h.State == topk.Fresh,
+			Algorithm:     m.AlgorithmName(),
+			Epochs:        m.Epochs(),
+			Cost:          m.Cost(),
+			Check:         checkString(chk),
+			Health:        healthOf(h),
+			SilentInvalid: chk != nil && h.State == topk.Fresh,
 		}
 		if m.Steps() == before {
 			break

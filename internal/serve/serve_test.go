@@ -124,6 +124,33 @@ func TestTenantLifecycle(t *testing.T) {
 	wantStatus(t, do(t, s, "DELETE", "/v1/web", ""), http.StatusNotFound)
 }
 
+// TestCostKeys pins the /cost body's key set: every topk.Cost counter
+// under its wire name, plus algorithm, epochs, check, health and
+// silentInvalid, and nothing else.
+func TestCostKeys(t *testing.T) {
+	s := newTestServer(t, Options{Defaults: Config{Nodes: 8, K: 2}})
+	wantStatus(t, do(t, s, "PUT", "/v1/web", ""), http.StatusCreated)
+	wantStatus(t, do(t, s, "POST", "/v1/web/update", `[{"node":0,"value":100}]`), http.StatusOK)
+	rec := do(t, s, "GET", "/v1/web/cost", "")
+	wantStatus(t, rec, http.StatusOK)
+	var body map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Fields(`algorithm steps epochs messages nodeToServer unicasts broadcasts
+		maxRoundsPerStep maxMessageBits indexFallbacks droppedMsgs dupMsgs retries resyncs
+		staleSteps check health silentInvalid`)
+	for _, k := range want {
+		if _, ok := body[k]; !ok {
+			t.Errorf("/cost lacks key %q", k)
+		}
+		delete(body, k)
+	}
+	for k := range body {
+		t.Errorf("/cost has unexpected key %q", k)
+	}
+}
+
 // TestLazyCreationAndLimits pins the lazy-ingest path and the tenant cap.
 func TestLazyCreationAndLimits(t *testing.T) {
 	s := newTestServer(t, Options{Defaults: Config{Nodes: 8, K: 2}, Lazy: true, MaxTenants: 2})

@@ -121,5 +121,5 @@ func TestSoakLargeDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("soak: msgs=%d epochs=%d σ=%d maxRounds=%d",
-		rep.Messages.Total(), rep.Epochs, rep.SigmaMax, rep.MaxRounds)
+		rep.Messages.Total(), rep.Epochs, rep.SigmaMax, rep.Messages.MaxRoundsPerStep())
 }

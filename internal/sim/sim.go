@@ -11,7 +11,7 @@
 // indirection byte-identical to direct engine use. The engine itself stays
 // injected (Config.Engine) and visible to sim for the pieces that are
 // simulation scaffolding, not ingest: the Inspector's filter read for
-// adaptive adversaries and the final counter snapshot.
+// adaptive adversaries and the Report's copy of its Counters.
 package sim
 
 import (
@@ -81,7 +81,7 @@ type Report struct {
 	Eps      eps.Eps
 	Steps    int
 
-	Messages metrics.Snapshot
+	Messages metrics.Counters
 	Epochs   int64
 
 	SigmaMax     int
@@ -91,9 +91,6 @@ type Report struct {
 	// RatioLB is messages / max(1, OPT breaks): the empirical competitive
 	// ratio against the break lower bound.
 	RatioLB float64
-
-	MaxRounds int64
-	MaxBits   int
 
 	Trace [][]int64
 }
@@ -187,10 +184,8 @@ func Run(cfg Config) (Report, error) {
 		}
 	}
 
-	rep.Messages = eng.Counters().Snapshot()
+	rep.Messages = *eng.Counters()
 	rep.Epochs = m.Epochs()
-	rep.MaxRounds = rep.Messages.MaxRounds
-	rep.MaxBits = rep.Messages.MaxBits
 
 	if cfg.ComputeOPT {
 		optEps := cfg.OPTEps

@@ -18,7 +18,7 @@ import (
 // directRun is the pre-facade outer loop: generator → engine → monitor,
 // exactly as internal/sim drove runs before the push API existed. The
 // facade must reproduce it byte for byte.
-func directRun(eng cluster.Engine, trace [][]int64, k int, e eps.Eps) ([][]int, metrics.Snapshot, int64) {
+func directRun(eng cluster.Engine, trace [][]int64, k int, e eps.Eps) ([][]int, metrics.Counters, int64) {
 	mon := protocol.NewApprox(eng, k, e)
 	outs := make([][]int, 0, len(trace))
 	for t, vals := range trace {
@@ -31,7 +31,7 @@ func directRun(eng cluster.Engine, trace [][]int64, k int, e eps.Eps) ([][]int, 
 		eng.EndStep()
 		outs = append(outs, append([]int(nil), mon.Output()...))
 	}
-	return outs, eng.Counters().Snapshot(), mon.Epochs()
+	return outs, *eng.Counters(), mon.Epochs()
 }
 
 // facadeRun pushes the same trace through the public API, one UpdateBatch
@@ -109,7 +109,7 @@ func TestFacadeEquivalence(t *testing.T) {
 	}
 }
 
-func assertEquivalent(t *testing.T, wantOuts [][]int, want metrics.Snapshot, wantEpochs int64,
+func assertEquivalent(t *testing.T, wantOuts [][]int, want metrics.Counters, wantEpochs int64,
 	gotOuts [][]int, got topk.Cost, gotEpochs int64) {
 	t.Helper()
 	if !reflect.DeepEqual(wantOuts, gotOuts) {
@@ -123,19 +123,19 @@ func assertEquivalent(t *testing.T, wantOuts [][]int, want metrics.Snapshot, wan
 	if want.Total() != got.Messages {
 		t.Errorf("total messages: direct=%d facade=%d", want.Total(), got.Messages)
 	}
-	if want.ByChannel[metrics.NodeToServer] != got.NodeToServer ||
-		want.ByChannel[metrics.ServerToNode] != got.Unicasts ||
-		want.ByChannel[metrics.Broadcast] != got.Broadcasts {
-		t.Errorf("channel split diverges: direct=%v facade=%+v", want.ByChannel, got)
+	if want.ByChannel(metrics.NodeToServer) != got.NodeToServer ||
+		want.ByChannel(metrics.ServerToNode) != got.Unicasts ||
+		want.ByChannel(metrics.Broadcast) != got.Broadcasts {
+		t.Errorf("channel split diverges: direct=%+v facade=%+v", want, got)
 	}
-	if want.MaxRounds != got.MaxRoundsPerStep {
-		t.Errorf("max rounds: direct=%d facade=%d", want.MaxRounds, got.MaxRoundsPerStep)
+	if want.MaxRoundsPerStep() != got.MaxRoundsPerStep {
+		t.Errorf("max rounds: direct=%d facade=%d", want.MaxRoundsPerStep(), got.MaxRoundsPerStep)
 	}
-	if want.MaxBits != got.MaxMessageBits {
-		t.Errorf("max bits: direct=%d facade=%d", want.MaxBits, got.MaxMessageBits)
+	if want.MaxBits() != got.MaxMessageBits {
+		t.Errorf("max bits: direct=%d facade=%d", want.MaxBits(), got.MaxMessageBits)
 	}
-	if want.IndexFallbacks != got.IndexFallbacks {
-		t.Errorf("index fallbacks: direct=%d facade=%d", want.IndexFallbacks, got.IndexFallbacks)
+	if want.IndexFallbacks() != got.IndexFallbacks {
+		t.Errorf("index fallbacks: direct=%d facade=%d", want.IndexFallbacks(), got.IndexFallbacks)
 	}
 	if wantEpochs != gotEpochs {
 		t.Errorf("epochs: direct=%d facade=%d", wantEpochs, gotEpochs)

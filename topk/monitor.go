@@ -345,37 +345,38 @@ func (m *Monitor) TopK(dst []int) []int {
 }
 
 // Cost is the communication bill and engine-side work accounting of a run.
-// All message counts follow the paper's unit-cost model.
+// All message counts follow the paper's unit-cost model. The JSON keys are
+// the ones topkd's /cost route serves.
 type Cost struct {
 	// Messages is the total across all channels.
-	Messages int64
+	Messages int64 `json:"messages"`
 	// NodeToServer / Unicasts / Broadcasts split Messages by channel.
-	NodeToServer int64
-	Unicasts     int64
-	Broadcasts   int64
+	NodeToServer int64 `json:"nodeToServer"`
+	Unicasts     int64 `json:"unicasts"`
+	Broadcasts   int64 `json:"broadcasts"`
 	// MaxRoundsPerStep is the largest number of protocol rounds any single
 	// step consumed (the model allows polylog rounds between steps).
-	MaxRoundsPerStep int64
+	MaxRoundsPerStep int64 `json:"maxRoundsPerStep"`
 	// MaxMessageBits is the largest accounted message size seen.
-	MaxMessageBits int
+	MaxMessageBits int `json:"maxMessageBits"`
 	// Steps is the number of committed time steps.
-	Steps int64
+	Steps int64 `json:"steps"`
 	// IndexFallbacks counts predicate-routed engine primitives that fell
 	// back to a full node scan (engine-side work, not message cost). Only
 	// tag predicates and domain-covering intervals full-scan; violation
 	// sweeps — once the dominant source — are routed through the engines'
 	// filter-interval mirror, so a settled monitor's quiet steps hold this
 	// counter flat (a regression test pins that on both engines).
-	IndexFallbacks int64
+	IndexFallbacks int64 `json:"indexFallbacks"`
 	// Fault-layer accounting, all zero without WithFaults: messages the
 	// injector lost for good / delivered twice, redelivery attempts by the
 	// reliability sublayer, epoch resyncs run by the recovery supervisor,
 	// and committed steps whose output ended unvalidated (served degraded).
-	DroppedMsgs int64
-	DupMsgs     int64
-	Retries     int64
-	Resyncs     int64
-	StaleSteps  int64
+	DroppedMsgs int64 `json:"droppedMsgs"`
+	DupMsgs     int64 `json:"dupMsgs"`
+	Retries     int64 `json:"retries"`
+	Resyncs     int64 `json:"resyncs"`
+	StaleSteps  int64 `json:"staleSteps"`
 }
 
 // Cost returns the communication spent since construction or the last

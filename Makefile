@@ -33,7 +33,11 @@ test:
 	$(GO) test ./...
 
 # race runs the whole module under the race detector (short mode bounds the
-# heavy property suites). The live engine runs small calls on the caller,
+# heavy property suites). Short mode keeps, on every link of the
+# byte-identity chain, the first fault-free and the first fault-armed row of
+# each algorithm in internal/chaintest's table, so the detector sees all
+# seven algorithms (Dense, Exact and HalfEps among them) served, recovered
+# and on both engines. The live engine runs small calls on the caller,
 # so the suites' /workers entries (every call through the goroutines) and
 # TestMixedDispatch are what put the shard hand-off under the detector;
 # none of them is skipped by -short. -short does skip

@@ -3,6 +3,8 @@
 // per tick into an embeddable topk.Monitor (lockstep or live engine, any of
 // the paper's algorithms), every output is validated against the built-in
 // referee, and the communication bill is reported as the stream evolves.
+// An output that fails validation while Health reads fresh is printed as
+// an INVALID OUTPUT line, and the command then exits with status 1.
 //
 // The command imports ONLY the public topk package — it is the reference
 // consumer of the embeddable API (CI enforces that no internal/ package
@@ -166,6 +168,9 @@ func runSession(m *topk.Monitor, gen *workload, steps, report int, faulty bool) 
 			c.DroppedMsgs, c.DupMsgs, c.Retries, c.Resyncs, c.StaleSteps)
 		fmt.Printf("health: %s (stale for %d steps, degraded-and-flagged steps=%d)\n",
 			h.State, h.StaleFor, degraded)
+	}
+	if invalid > 0 {
+		os.Exit(1)
 	}
 }
 

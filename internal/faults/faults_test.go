@@ -4,204 +4,10 @@ import (
 	"reflect"
 	"testing"
 
-	"topkmon/internal/cluster"
-	"topkmon/internal/eps"
 	"topkmon/internal/filter"
-	"topkmon/internal/live"
 	"topkmon/internal/lockstep"
-	"topkmon/internal/metrics"
-	"topkmon/internal/protocol"
-	"topkmon/internal/stream"
 	"topkmon/internal/wire"
 )
-
-// mkTrace pre-generates a drifting-walk trace.
-func mkTrace(n, steps int, seed uint64) [][]int64 {
-	gen := stream.NewWalk(n, 100000, 500, 1<<24, seed)
-	trace := make([][]int64, steps)
-	for t := range trace {
-		trace[t] = gen.Next(t)
-	}
-	return trace
-}
-
-// faultTrail is everything observable about a faulty run: per-step outputs
-// and the final counter snapshot (model messages AND fault accounting).
-type faultTrail struct {
-	outs []([]int)
-	snap metrics.Counters
-}
-
-// runMonitored drives the Approx monitor over a trace on eng, tolerating
-// protocol panics: under heavy injected faults a desynced protocol may
-// trip its quiescence guard, and this harness heals it the way the facade
-// supervisor does — rebuild the algorithm and reopen an epoch on the next
-// step. Panic steps record the marker output [-1]. The whole trail,
-// including where panics land, is deterministic.
-func runMonitored(eng cluster.Engine, trace [][]int64, k int) (trail faultTrail) {
-	e := eps.MustNew(1, 8)
-	mon := protocol.NewApprox(eng, k, e)
-	start := true
-	for _, vals := range trace {
-		eng.Advance(vals)
-		panicked := func() (p bool) {
-			defer func() {
-				if recover() != nil {
-					p = true
-				}
-			}()
-			if start {
-				mon.Start()
-				start = false
-			} else {
-				mon.HandleStep()
-			}
-			return false
-		}()
-		if panicked {
-			mon = protocol.NewApprox(eng, k, e)
-			start = true
-			trail.outs = append(trail.outs, []int{-1})
-		} else {
-			trail.outs = append(trail.outs, append([]int(nil), mon.Output()...))
-		}
-		eng.EndStep()
-	}
-	trail.snap = *eng.Counters()
-	return trail
-}
-
-func chaosPlan() *Plan {
-	return &Plan{
-		Drop:  0.15,
-		Dup:   0.05,
-		Delay: 0.05,
-		Crashes: []Crash{
-			{Node: 1, From: 20, Until: 60},
-			{Node: 5, From: 80, Until: 110},
-		},
-	}
-}
-
-// TestZeroPlanTransparent: wrapping with a nil or zero plan changes
-// nothing — outputs and every counter are byte-identical to the bare
-// engine, and no fault counter moves.
-func TestZeroPlanTransparent(t *testing.T) {
-	const n, k, steps, seed = 32, 4, 150, 9
-	trace := mkTrace(n, steps, 3)
-	want := runMonitored(lockstep.New(n, seed), trace, k)
-
-	for _, tc := range []struct {
-		name string
-		plan *Plan
-	}{
-		{"nil-plan", nil},
-		{"zero-plan", &Plan{}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			w := Wrap(lockstep.New(n, seed), tc.plan, seed)
-			got := runMonitored(w, trace, k)
-			if !reflect.DeepEqual(want.outs, got.outs) {
-				t.Fatal("outputs diverge through a transparent wrapper")
-			}
-			if !reflect.DeepEqual(want.snap, got.snap) {
-				t.Fatalf("counters diverge through a transparent wrapper:\nbare:    %+v\nwrapped: %+v",
-					want.snap, got.snap)
-			}
-			if got.snap.DroppedMsgs()|got.snap.DupMsgs()|got.snap.Retries() != 0 {
-				t.Fatalf("transparent wrapper billed faults: %+v", got.snap)
-			}
-		})
-	}
-}
-
-// TestActivePlanInjects: a plan with real rates actually drops, duplicates
-// and retries — the chaos suite must not vacuously pass on a silent
-// injector.
-func TestActivePlanInjects(t *testing.T) {
-	const n, k, steps, seed = 32, 4, 150, 9
-	trace := mkTrace(n, steps, 3)
-	got := runMonitored(Wrap(lockstep.New(n, seed), chaosPlan(), seed), trace, k)
-	if got.snap.DroppedMsgs() == 0 {
-		t.Error("active plan dropped no messages")
-	}
-	if got.snap.DupMsgs() == 0 {
-		t.Error("active plan duplicated no messages")
-	}
-	if got.snap.Retries() == 0 {
-		t.Error("active plan triggered no retries")
-	}
-}
-
-// TestFaultyReplayByteIdentical: equal seeds and plans replay chaos byte
-// for byte — outputs, model counters, and fault counters.
-func TestFaultyReplayByteIdentical(t *testing.T) {
-	const n, k, steps, seed = 32, 4, 150, 9
-	trace := mkTrace(n, steps, 3)
-	a := runMonitored(Wrap(lockstep.New(n, seed), chaosPlan(), seed), trace, k)
-	b := runMonitored(Wrap(lockstep.New(n, seed), chaosPlan(), seed), trace, k)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("identical faulty runs diverge:\na: %+v\nb: %+v", a.snap, b.snap)
-	}
-}
-
-// TestResetReplaysInjector: Reset(seed) rewinds the injector's RNG stream,
-// step clock, belief mirror and delay queue along with the engine, so a
-// reset faulty system replays the fresh one bit for bit.
-func TestResetReplaysInjector(t *testing.T) {
-	const n, k, steps, seed = 32, 4, 120, 9
-	trace := mkTrace(n, steps, 3)
-	w := Wrap(lockstep.New(n, seed), chaosPlan(), seed)
-	fresh := runMonitored(w, trace, k)
-	w.Reset(seed)
-	replay := runMonitored(w, trace, k)
-	if !reflect.DeepEqual(fresh, replay) {
-		t.Fatalf("reset faulty run diverges from fresh run:\nfresh:  %+v\nreplay: %+v",
-			fresh.snap, replay.snap)
-	}
-
-	// A different seed must give a different fault pattern (the injector's
-	// stream really is seed-derived, not fixed).
-	w.Reset(seed + 1)
-	other := runMonitored(w, trace, k)
-	if reflect.DeepEqual(fresh.snap, other.snap) {
-		t.Fatal("different seeds produced identical fault accounting")
-	}
-}
-
-// TestEngineConformance pins the five fault counters across engines: the
-// injector's decisions depend only on (seed, plan, message history), and
-// the engines' message histories are equivalent, so lockstep and live runs
-// under the same faults must agree on every counter and every output.
-func TestEngineConformance(t *testing.T) {
-	const n, k, steps, seed = 32, 4, 150, 9
-	trace := mkTrace(n, steps, 3)
-
-	ls := runMonitored(Wrap(lockstep.New(n, seed), chaosPlan(), seed), trace, k)
-	lv := live.New(n, seed, live.WithShards(3))
-	defer lv.Close()
-	lw := runMonitored(Wrap(lv, chaosPlan(), seed), trace, k)
-
-	if !reflect.DeepEqual(ls.outs, lw.outs) {
-		t.Fatal("faulty outputs diverge across engines")
-	}
-	if !reflect.DeepEqual(ls.snap, lw.snap) {
-		t.Fatalf("faulty counters diverge across engines:\nlockstep: %+v\nlive:     %+v",
-			ls.snap, lw.snap)
-	}
-	for _, c := range []struct {
-		name string
-		v    int64
-	}{
-		{"DroppedMsgs", ls.snap.DroppedMsgs()},
-		{"DupMsgs", ls.snap.DupMsgs()},
-		{"Retries", ls.snap.Retries()},
-	} {
-		if c.v == 0 {
-			t.Errorf("conformance run never exercised %s", c.name)
-		}
-	}
-}
 
 // TestCrashWindowSemantics: during its window a crashed node reports
 // nothing and probes serve the stale pre-crash cache; after the window it

@@ -9,7 +9,6 @@ import (
 	"topkmon/internal/eps"
 	"topkmon/internal/filter"
 	"topkmon/internal/lockstep"
-	"topkmon/internal/metrics"
 	"topkmon/internal/nodecore"
 	"topkmon/internal/protocol"
 	"topkmon/internal/rngx"
@@ -44,17 +43,6 @@ func tagsOf(e cluster.Engine) []wire.Tag {
 		out[i] = nodeOf(e, i).Tag
 	}
 	return out
-}
-
-// dispatches names the two executors of a call for the suites that must
-// hold under both. The default grain runs every call of a conformance-sized
-// engine on the caller; grain 0 hands every call to the worker goroutines.
-var dispatches = []struct {
-	suffix string
-	opts   []Option
-}{
-	{"", nil},
-	{"/workers", []Option{WithGrain(0)}},
 }
 
 func TestBasicRoundTrip(t *testing.T) {
@@ -112,128 +100,6 @@ func TestFindMaxOnLiveEngine(t *testing.T) {
 	}
 }
 
-// TestLockstepEquivalence is the strongest integration test in the suite:
-// the same seed, workload and monitor on both engines must produce
-// identical outputs AND identical message counters, proving the two
-// engines implement the same model.
-func TestLockstepEquivalence(t *testing.T) {
-	const n, k, steps = 12, 3, 250
-	e := eps.MustNew(1, 5)
-	type mk struct {
-		name string
-		make func(c cluster.Cluster) protocol.Monitor
-	}
-	monitors := []mk{
-		{"exact-mid", func(c cluster.Cluster) protocol.Monitor { return protocol.NewExactMid(c, k) }},
-		{"topk", func(c cluster.Cluster) protocol.Monitor { return protocol.NewTopKProto(c, k, e) }},
-		{"approx", func(c cluster.Cluster) protocol.Monitor { return protocol.NewApprox(c, k, e) }},
-		{"half-eps", func(c cluster.Cluster) protocol.Monitor { return protocol.NewHalfEps(c, k, e) }},
-	}
-	// Shard counts bracket the interesting layouts: one worker for all
-	// nodes, an uneven multi-shard split, and one goroutine per node. The
-	// live engine must match lockstep bit for bit in every one.
-	for _, m := range monitors {
-		for _, shards := range []int{1, 5, n} {
-			for _, d := range dispatches {
-				t.Run(fmt.Sprintf("%s/m=%d%s", m.name, shards, d.suffix), func(t *testing.T) {
-					// Generate the trace once so both engines see identical data.
-					gen := stream.NewWalk(n, 2000, 120, 1<<20, 5)
-					trace := make([][]int64, steps)
-					for i := range trace {
-						trace[i] = gen.Next(i)
-					}
-
-					runOn := func(eng cluster.Engine) ([]int, int64, metrics.Counters) {
-						mon := m.make(eng)
-						for ti, vals := range trace {
-							eng.Advance(vals)
-							if ti == 0 {
-								mon.Start()
-							} else {
-								mon.HandleStep()
-							}
-							eng.EndStep()
-						}
-						c := *eng.Counters()
-						return mon.Output(), c.Total(), c
-					}
-
-					ls := lockstep.New(n, 42)
-					lv := New(n, 42, append(d.opts, WithShards(shards))...)
-					defer lv.Close()
-
-					outA, totalA, countersA := runOn(ls)
-					outB, totalB, countersB := runOn(lv)
-
-					if !reflect.DeepEqual(outA, outB) {
-						t.Errorf("outputs diverge: lockstep=%v live=%v", outA, outB)
-					}
-					if totalA != totalB {
-						t.Errorf("totals diverge: lockstep=%d live=%d", totalA, totalB)
-					}
-					if !reflect.DeepEqual(countersA, countersB) {
-						t.Errorf("counters diverge:\nlockstep=%v\nlive=%v", countersA, countersB)
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestLockstepEquivalenceLargeN raises the cross-engine equivalence proof
-// to n = 10⁴ nodes: the live engine must still reproduce the lockstep run's
-// outputs and counters bit for bit at a scale where any ordering or lost
-// hand-off bug in the worker delivery would surface.
-func TestLockstepEquivalenceLargeN(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large-n equivalence is CI-sized; skipped under -short")
-	}
-	const n, k, steps = 10000, 8, 10
-	e := eps.MustNew(1, 8)
-	gen := stream.NewWalk(n, 100000, 150, 1<<24, 17)
-	trace := make([][]int64, steps)
-	for i := range trace {
-		trace[i] = gen.Next(i)
-	}
-
-	runOn := func(eng cluster.Engine) ([]int, int64, metrics.Counters) {
-		mon := protocol.NewApprox(eng, k, e)
-		for ti, vals := range trace {
-			eng.Advance(vals)
-			if ti == 0 {
-				mon.Start()
-			} else {
-				mon.HandleStep()
-			}
-			eng.EndStep()
-		}
-		c := *eng.Counters()
-		return mon.Output(), c.Total(), c
-	}
-
-	// Worker shards (m ≪ n) are what makes this scale bearable: under
-	// /workers each call wakes at most 8 workers instead of 10⁴ goroutines.
-	// At the default grain nobody is woken: no call at this n reaches it.
-	outA, totalA, countersA := runOn(lockstep.New(n, 271828))
-	for _, d := range dispatches {
-		t.Run("m=8"+d.suffix, func(t *testing.T) {
-			lv := New(n, 271828, append(d.opts, WithShards(8))...)
-			defer lv.Close()
-			outB, totalB, countersB := runOn(lv)
-
-			if !reflect.DeepEqual(outA, outB) {
-				t.Errorf("outputs diverge: lockstep=%v live=%v", outA, outB)
-			}
-			if totalA != totalB {
-				t.Errorf("totals diverge: lockstep=%d live=%d", totalA, totalB)
-			}
-			if !reflect.DeepEqual(countersA, countersB) {
-				t.Errorf("counters diverge:\nlockstep=%v\nlive=%v", countersA, countersB)
-			}
-		})
-	}
-}
-
 // TestLiveStepAllocs enforces the live engine's allocation budget: after
 // warm-up, a full monitored time step (Advance + HandleStep + EndStep) on
 // the live engine allocates nothing — the property BenchmarkLiveStep
@@ -251,9 +117,9 @@ func TestLiveStepAllocs(t *testing.T) {
 	// (shard indexes, candidate scratch, report lists) count too, since
 	// AllocsPerRun observes the whole process.
 	for _, shards := range []int{1, 3} {
-		for _, d := range dispatches {
-			t.Run(fmt.Sprintf("m=%d%s", shards, d.suffix), func(t *testing.T) {
-				eng := New(n, 5, append(d.opts, WithShards(shards))...)
+		for _, d := range Dispatches {
+			t.Run(fmt.Sprintf("m=%d%s", shards, d.Suffix), func(t *testing.T) {
+				eng := New(n, 5, append(d.Opts, WithShards(shards))...)
 				defer eng.Close()
 				mon := protocol.NewApprox(eng, k, e)
 				eng.Advance(steps[0])

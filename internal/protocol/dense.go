@@ -55,11 +55,12 @@ type Dense struct {
 	gen    int64
 
 	// OnEpochEnd is invoked when the epoch terminates (L empty or the
-	// dense premise broke); the controller restarts. Required.
+	// dense premise broke). NewDense sets it to Start, so a standalone
+	// Dense opens its next epoch itself; a controller overrides it.
 	OnEpochEnd func()
 	// OnSwitchTopK is invoked when all of V2 is classified (case (d)):
-	// the unique-output regime applies and TOP-K-PROTOCOL takes over.
-	// Required.
+	// the unique-output regime applies. NewDense sets it to Start, the
+	// controller overrides it to hand over to TOP-K-PROTOCOL.
 	OnSwitchTopK func()
 
 	// SubCalls counts SUBPROTOCOL invocations (Lemma 5.3's factor).
@@ -85,13 +86,15 @@ func NewDense(c cluster.Cluster, k int, e eps.Eps) *Dense {
 	if e.IsZero() {
 		panic("protocol: Dense needs ε > 0; use ExactMid for the exact problem")
 	}
-	return &Dense{
+	d := &Dense{
 		c: c, k: k, e: e,
 		part:      newPartition(c.N()),
 		rules:     newRuleScratch(),
 		resetRule: resetAllTags(wire.TagV3),
 		outBuf:    make([]int, 0, k),
 	}
+	d.OnEpochEnd, d.OnSwitchTopK = d.Start, d.Start
+	return d
 }
 
 // Name implements Monitor.

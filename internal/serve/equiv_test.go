@@ -3,190 +3,131 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"math/rand"
+	"strconv"
 	"testing"
 
+	"topkmon/internal/chaintest"
 	"topkmon/topk"
 )
 
-// makeTrace builds a deterministic random-walk trace: steps full batches
-// over n nodes, identical for every caller with equal parameters.
-func makeTrace(n, steps int, seed uint64) [][]topk.Update {
-	rng := rand.New(rand.NewSource(int64(seed) * 7919))
-	walk := make([]int64, n)
-	for i := range walk {
-		walk[i] = 5000 + rng.Int63n(10001)
-	}
-	out := make([][]topk.Update, steps)
-	for t := range out {
-		batch := make([]topk.Update, n)
-		for i := range walk {
-			if t > 0 {
-				walk[i] += rng.Int63n(401) - 200
-				if walk[i] < 0 {
-					walk[i] = 0
-				}
-			}
-			batch[i] = topk.Update{Node: i, Value: walk[i]}
+// encodeBatch renders a batch in the update route's wire shape.
+func encodeBatch(batch []topk.Update) string {
+	b := []byte{'['}
+	for i, u := range batch {
+		if i > 0 {
+			b = append(b, ',')
 		}
-		out[t] = batch
+		b = strconv.AppendInt(append(b, `{"node":`...), int64(u.Node), 10)
+		b = append(strconv.AppendInt(append(b, `,"value":`...), u.Value, 10), '}')
 	}
-	return out
+	return string(append(b, ']'))
 }
 
-// encodeBatch renders a batch in the update route's wire shape.
-func encodeBatch(t *testing.T, batch []topk.Update) string {
+// rowConfig is the tenant config that runs r on lockstep, or on the live
+// engine with 3 shards. The table's sparse rows take the live engine, so
+// AdvanceDirty crosses the served links on both engines.
+func rowConfig(r chaintest.Row, live bool) Config {
+	c := Config{Nodes: r.N, K: r.K, Eps: r.Eps.String(), Engine: "lockstep",
+		Monitor: r.Algo.String(), Seed: r.Seed, Faults: r.Faults}
+	if live {
+		c.Engine, c.Shards = "live", 3
+	}
+	return c
+}
+
+// createTenant creates tenant on s with cfg over the tenant-create route.
+func createTenant(t *testing.T, s *Server, tenant string, cfg Config) {
 	t.Helper()
-	type upd struct {
-		Node  int   `json:"node"`
-		Value int64 `json:"value"`
-	}
-	w := make([]upd, len(batch))
-	for i, u := range batch {
-		w[i] = upd{Node: u.Node, Value: u.Value}
-	}
-	data, err := json.Marshal(w)
+	body, err := json.Marshal(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(data)
+	wantStatus(t, do(t, s, "PUT", "/v1/"+tenant, string(body)), 201)
 }
 
-// costSnapshot builds the /cost wire response directly from a facade
-// monitor — the reference the HTTP-scraped snapshot must match byte for
-// byte.
-func costSnapshot(m *topk.Monitor) costResponse {
-	chk := m.Check()
-	h := m.Health()
-	return costResponse{
-		Algorithm:     m.AlgorithmName(),
-		Epochs:        m.Epochs(),
-		Cost:          m.Cost(),
-		Check:         checkString(chk),
-		Health:        healthOf(h),
-		SilentInvalid: chk != nil && h.State == topk.Fresh,
+// served is a tenant stepped over the HTTP handlers: each batch is one POST
+// to the update route, after which /topk and /cost are read back. It keeps
+// every /cost body it read.
+type served struct {
+	t      *testing.T
+	s      *Server
+	tenant string
+	batch  []topk.Update
+	costs  [][]byte
+}
+
+func (v *served) Step(b chaintest.Batch) chaintest.Obs {
+	v.batch = b.Updates(v.batch)
+	wantStatus(v.t, do(v.t, v.s, "POST", "/v1/"+v.tenant+"/update", encodeBatch(v.batch)), 200)
+	return v.observe()
+}
+
+// observe reads the tenant's output and introspection snapshot.
+func (v *served) observe() chaintest.Obs {
+	v.t.Helper()
+	var tr topkResponse
+	decodeJSON(v.t, do(v.t, v.s, "GET", "/v1/"+v.tenant+"/topk", ""), &tr)
+	rec := do(v.t, v.s, "GET", "/v1/"+v.tenant+"/cost", "")
+	var cr costResponse
+	decodeJSON(v.t, rec, &cr)
+	if tr.Step != cr.Steps {
+		v.t.Fatalf("/topk is at step %d, /cost at step %d", tr.Step, cr.Steps)
 	}
+	v.costs = append(v.costs, bytes.TrimSpace(rec.Body.Bytes()))
+	return chaintest.Obs{Out: tr.TopK, Cost: cr.Cost, Epochs: cr.Epochs, Algo: cr.Algorithm,
+		Check: cr.Check, Health: chaintest.Health(cr.Health)}
 }
 
-// TestServeEquivalence is the frontend's core guarantee: a trace ingested
-// over the HTTP handlers is byte-identical — outputs, the full Cost
-// counter snapshot, and epochs — to the same trace pushed directly into a
-// topk.Monitor. The server path is pure transport; it inherits the
-// facade's equivalence guarantee instead of weakening it. Covered on both
-// engines and with the fault layer armed.
+// costBody is the /cost body a tenant must serve after a step that
+// recorded o.
+func costBody(t *testing.T, o chaintest.Obs) []byte {
+	t.Helper()
+	body, err := json.Marshal(costResponse{Algorithm: o.Algo, Epochs: o.Epochs, Cost: o.Cost,
+		Check: o.Check, Health: healthJSON(o.Health), SilentInvalid: o.Check != "ok" && o.Health.State == "fresh"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestServeEquivalence is the frontend's core guarantee and the served link
+// of the chain: a trace ingested over the HTTP handlers records, step for
+// step, what the direct lockstep run records (for a fault-armed row, the
+// facade on lockstep) — outputs, the whole Cost bill, epochs, algorithm,
+// Check and Health — and every /cost body is byte for byte the one that
+// record encodes to. The server path is pure transport; it inherits the
+// facade's equivalence guarantee instead of weakening it. The walk this
+// test ran before the table runs on both engines and with the fault layer
+// armed; every table row runs too.
 func TestServeEquivalence(t *testing.T) {
-	const (
-		n     = 48
-		k     = 4
-		steps = 220
-		seed  = 11
-	)
-	cases := []struct {
-		name string
-		cfg  Config
-		opts []topk.Option
-	}{
-		{
-			name: "lockstep",
-			cfg:  Config{Nodes: n, K: k, Eps: "1/8", Engine: "lockstep", Monitor: "approx", Seed: seed},
-			opts: []topk.Option{topk.WithEngine(topk.Lockstep)},
-		},
-		{
-			name: "live",
-			cfg:  Config{Nodes: n, K: k, Eps: "1/8", Engine: "live", Shards: 3, Monitor: "approx", Seed: seed},
-			opts: []topk.Option{topk.WithEngine(topk.Live), topk.WithShards(3)},
-		},
-		{
-			name: "lockstep-faulty",
-			cfg: Config{Nodes: n, K: k, Eps: "1/8", Engine: "lockstep", Monitor: "approx", Seed: seed,
-				Faults: &topk.FaultPlan{Drop: 0.05, Dup: 0.02, Delay: 0.05,
-					Crashes: []topk.Crash{{Node: 3, From: 40, Until: 90}}}},
-			opts: []topk.Option{topk.WithEngine(topk.Lockstep)},
-		},
+	run := func(t *testing.T, r chaintest.Row, cfg Config) {
+		ref := r.FacadeReference()
+		s := newTestServer(t, Options{})
+		createTenant(t, s, "eq", cfg)
+		v := &served{t: t, s: s, tenant: "eq"}
+		got := chaintest.Run(ref.Trace, v.Step)
+		chaintest.Same(t, ref.Obs, got)
+		for i, o := range ref.Obs {
+			if want := costBody(t, o); !bytes.Equal(v.costs[i], want) {
+				t.Fatalf("step %d: cost snapshot diverged\nhttp:   %s\ndirect: %s", i, v.costs[i], want)
+			}
+		}
+		// No silent wrong answer over the wire, and an armed plan dropped
+		// messages.
+		last := got[len(got)-1]
+		if i := chaintest.SilentWrong(got); r.Faults != nil && (i >= 0 || last.Cost.DroppedMsgs == 0) {
+			t.Fatalf("faulty run: silent wrong answer at step %d, %d messages dropped", i, last.Cost.DroppedMsgs)
+		}
 	}
-
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			// The direct path: the embeddable facade, driven in-process.
-			e := topk.MustEpsilon(1, 8)
-			opts := append([]topk.Option{
-				topk.WithNodes(n), topk.WithSeed(seed), topk.WithMonitor(topk.Approx),
-			}, tc.opts...)
-			if tc.cfg.Faults != nil {
-				opts = append(opts, topk.WithFaults(tc.cfg.Faults))
-			}
-			direct, err := topk.New(k, e, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer direct.Close()
-
-			// The HTTP path: same config through the tenant-create route.
-			s := newTestServer(t, Options{})
-			cfgBody, err := json.Marshal(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantStatus(t, do(t, s, "PUT", "/v1/eq", string(cfgBody)), 201)
-
-			trace := makeTrace(n, steps, seed)
-			topBuf := make([]int, 0, k)
-			for step, batch := range trace {
-				rec := do(t, s, "POST", "/v1/eq/update", encodeBatch(t, batch))
-				wantStatus(t, rec, 200)
-				if err := direct.UpdateBatch(batch); err != nil {
-					t.Fatal(err)
-				}
-
-				// Outputs must match after EVERY step.
-				rec = do(t, s, "GET", "/v1/eq/topk", "")
-				wantStatus(t, rec, 200)
-				var tr topkResponse
-				if err := json.Unmarshal(rec.Body.Bytes(), &tr); err != nil {
-					t.Fatal(err)
-				}
-				topBuf = direct.TopK(topBuf)
-				if fmt.Sprint(tr.TopK) != fmt.Sprint(topBuf) || tr.Step != direct.Steps() {
-					t.Fatalf("step %d: served topk %v (step %d) != direct %v (step %d)",
-						step, tr.TopK, tr.Step, topBuf, direct.Steps())
-				}
-
-				// Full introspection snapshots must be byte-identical at
-				// checkpoints and at the end.
-				if (step+1)%55 == 0 || step == steps-1 {
-					rec = do(t, s, "GET", "/v1/eq/cost", "")
-					wantStatus(t, rec, 200)
-					want, err := json.Marshal(costSnapshot(direct))
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := bytes.TrimSpace(rec.Body.Bytes())
-					if !bytes.Equal(got, want) {
-						t.Fatalf("step %d: cost snapshot diverged\nhttp:   %s\ndirect: %s",
-							step, got, want)
-					}
-					// No silent wrong answer over the wire: whenever the
-					// referee rejects the output, served health is not fresh.
-					var cr costResponse
-					if err := json.Unmarshal(got, &cr); err != nil {
-						t.Fatal(err)
-					}
-					if cr.SilentInvalid {
-						t.Fatalf("step %d: served /cost is silent-invalid (check %q, health %+v)",
-							step, cr.Check, cr.Health)
-					}
-				}
-			}
-
-			// Non-vacuity: the trace exercised the protocol, and an armed
-			// plan dropped messages (the served droppedMsgs is this counter,
-			// by the byte comparison above).
-			c := direct.Cost()
-			if c.Messages == 0 || direct.Epochs() == 0 || tc.cfg.Faults != nil && c.DroppedMsgs == 0 {
-				t.Fatalf("vacuous trace: %+v", c)
-			}
-		})
+	kept := chaintest.Kept("serve")
+	faulty := kept
+	faulty.Faults = &topk.FaultPlan{Drop: 0.05, Dup: 0.02, Delay: 0.05,
+		Crashes: []topk.Crash{{Node: 3, From: 40, Until: 90}}}
+	t.Run("lockstep", func(t *testing.T) { run(t, kept, rowConfig(kept, false)) })
+	t.Run("live", func(t *testing.T) { run(t, kept, rowConfig(kept, true)) })
+	t.Run("lockstep-faulty", func(t *testing.T) { run(t, faulty, rowConfig(faulty, false)) })
+	for _, r := range chaintest.Rows(chaintest.Served) {
+		t.Run(r.Name, func(t *testing.T) { run(t, r, rowConfig(r, r.Sparse)) })
 	}
 }
 
@@ -194,32 +135,12 @@ func TestServeEquivalence(t *testing.T) {
 // trace byte-identically to its first run — the facade's Reset contract
 // survives the transport.
 func TestServeResetEquivalence(t *testing.T) {
-	const n, k, steps = 24, 3, 120
-	s := newTestServer(t, Options{Defaults: Config{Nodes: n, K: k, Seed: 5}, Lazy: true})
-	trace := makeTrace(n, steps, 5)
-
-	run := func() (last topkResponse, cost costResponse) {
-		for _, batch := range trace {
-			wantStatus(t, do(t, s, "POST", "/v1/r/update", encodeBatch(t, batch)), 200)
-		}
-		rec := do(t, s, "GET", "/v1/r/topk", "")
-		wantStatus(t, rec, 200)
-		json.Unmarshal(rec.Body.Bytes(), &last)
-		rec = do(t, s, "GET", "/v1/r/cost", "")
-		wantStatus(t, rec, 200)
-		json.Unmarshal(rec.Body.Bytes(), &cost)
-		return last, cost
-	}
-
-	top1, cost1 := run()
+	r := chaintest.Kept("sse")
+	trace := r.Reference().Trace
+	s := newTestServer(t, Options{})
+	createTenant(t, s, "r", rowConfig(r, false))
+	first := chaintest.Run(trace, (&served{t: t, s: s, tenant: "r"}).Step)
 	// Reset with the tenant's construction seed (the default body).
 	wantStatus(t, do(t, s, "POST", "/v1/r/reset", ""), 200)
-	top2, cost2 := run()
-
-	if fmt.Sprint(top1) != fmt.Sprint(top2) {
-		t.Fatalf("topk after reset replay: %+v != %+v", top2, top1)
-	}
-	if cost1 != cost2 {
-		t.Fatalf("cost after reset replay:\n%+v\n!=\n%+v", cost2, cost1)
-	}
+	chaintest.Same(t, first, chaintest.Run(trace, (&served{t: t, s: s, tenant: "r"}).Step))
 }

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"topkmon/internal/chaintest"
 	"topkmon/internal/wal"
 	"topkmon/topk"
 )
@@ -29,12 +30,10 @@ func durableServer(t *testing.T, dir string, snapEvery int) *Server {
 func postSeq(t *testing.T, s *Server, tenant string, batch []topk.Update, client string, seq uint64) updateResponse {
 	t.Helper()
 	path := fmt.Sprintf("/v1/%s/update?client=%s&seq=%d", tenant, client, seq)
-	rec := do(t, s, "POST", path, encodeBatch(t, batch))
+	rec := do(t, s, "POST", path, encodeBatch(batch))
 	wantStatus(t, rec, 200)
 	var resp updateResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
+	decodeJSON(t, rec, &resp)
 	return resp
 }
 
@@ -51,98 +50,73 @@ func checkJournal(t *testing.T, cfg Config, journal string) {
 	}
 }
 
-// TestRecoveryEquivalence is the durability layer's headline proof: drive
-// a tenant to completion on a durable server, kill the log at every
-// interesting byte offset — clean record boundaries, mid-frame-header,
-// mid-CRC, mid-payload, and a flipped bit — restart, re-drive the SAME
-// batches with the SAME client sequence numbers (the recovered prefix is
-// absorbed as duplicates, the lost suffix recommits), and demand the
-// final TopK set and the full JSON cost snapshot be byte-identical to an
-// uninterrupted in-process monitor. Covered on both engines and with the
-// fault injector armed, so even the injector's coin flips replay exactly.
+// TestRecoveryEquivalence is the durability layer's headline proof and the
+// recovered link of the chain: drive a tenant to completion on a durable
+// server, kill the log at every interesting byte offset — clean record
+// boundaries, mid-frame-header, mid-CRC, mid-payload, and a flipped bit —
+// restart, re-drive the SAME batches with the SAME client sequence numbers
+// (the recovered prefix is absorbed as duplicates, the lost suffix
+// recommits), and demand the final record, the TopK set and the full JSON
+// cost snapshot equal those of an uninterrupted run. The walk this test ran
+// before the table runs on both engines and with the fault injector armed,
+// so even the injector's coin flips replay exactly; every table row runs
+// at one kill point.
 func TestRecoveryEquivalence(t *testing.T) {
-	const (
-		n     = 48
-		k     = 4
-		steps = 60
-		seed  = 11
-	)
-	cases := []struct {
+	kept := chaintest.Kept("serve")
+	kept.Steps = 60
+	faulty := kept
+	faulty.Faults = &topk.FaultPlan{Drop: 0.05, Dup: 0.02, Delay: 0.05,
+		Crashes: []topk.Crash{{Node: 3, From: 10, Until: 30}}}
+	type recoveryCase struct {
 		name string
+		r    chaintest.Row
 		cfg  Config
-		opts []topk.Option
 		// journal is the config record's JSON as every build of the server
 		// has written it: a log written by an older build must replay.
+		// Table rows have none; they run at one kill point, mid-CRC, and
+		// without the bit flip.
 		journal string
-	}{
-		{
-			name:    "lockstep",
-			cfg:     Config{Nodes: n, K: k, Eps: "1/8", Engine: "lockstep", Monitor: "approx", Seed: seed},
-			opts:    []topk.Option{topk.WithEngine(topk.Lockstep)},
-			journal: `{"nodes":48,"k":4,"eps":"1/8","engine":"lockstep","monitor":"approx","seed":11}`,
-		},
-		{
-			name:    "live",
-			cfg:     Config{Nodes: n, K: k, Eps: "1/8", Engine: "live", Shards: 3, Monitor: "approx", Seed: seed},
-			opts:    []topk.Option{topk.WithEngine(topk.Live), topk.WithShards(3)},
-			journal: `{"nodes":48,"k":4,"eps":"1/8","engine":"live","shards":3,"monitor":"approx","seed":11}`,
-		},
-		{
-			name: "lockstep-faulty",
-			cfg: Config{Nodes: n, K: k, Eps: "1/8", Engine: "lockstep", Monitor: "approx", Seed: seed,
-				Faults: &topk.FaultPlan{Drop: 0.05, Dup: 0.02, Delay: 0.05,
-					Crashes: []topk.Crash{{Node: 3, From: 10, Until: 30}}}},
-			opts: []topk.Option{topk.WithEngine(topk.Lockstep)},
-			journal: `{"nodes":48,"k":4,"eps":"1/8","engine":"lockstep","monitor":"approx","seed":11,` +
-				`"faults":{"drop":0.05,"dup":0.02,"delay":0.05,"crashes":[{"node":3,"from":10,"until":30}]}}`,
-		},
+	}
+	cases := []recoveryCase{
+		{"lockstep", kept, rowConfig(kept, false),
+			`{"nodes":48,"k":4,"eps":"1/8","engine":"lockstep","monitor":"approx","seed":11}`},
+		{"live", kept, rowConfig(kept, true),
+			`{"nodes":48,"k":4,"eps":"1/8","engine":"live","shards":3,"monitor":"approx","seed":11}`},
+		{"lockstep-faulty", faulty, rowConfig(faulty, false),
+			`{"nodes":48,"k":4,"eps":"1/8","engine":"lockstep","monitor":"approx","seed":11,` +
+				`"faults":{"drop":0.05,"dup":0.02,"delay":0.05,"crashes":[{"node":3,"from":10,"until":30}]}}`},
 	}
 
 	// A plan with all five fault keys, so "retries" is pinned in its place
 	// too. It is checked apart from the cases: a longer config record would
 	// move the WAL offsets the kill points below are named after.
-	checkJournal(t, Config{Nodes: n, K: k, Eps: "1/8", Engine: "lockstep", Monitor: "approx", Seed: seed,
-		Faults: &topk.FaultPlan{Drop: 0.05, Dup: 0.02, Delay: 0.05, Retries: 3,
-			Crashes: []topk.Crash{{Node: 3, From: 10, Until: 30}}}},
+	retries := *faulty.Faults
+	retries.Retries = 3
+	cfg := rowConfig(faulty, false)
+	cfg.Faults = &retries
+	checkJournal(t, cfg,
 		`{"nodes":48,"k":4,"eps":"1/8","engine":"lockstep","monitor":"approx","seed":11,`+
 			`"faults":{"drop":0.05,"dup":0.02,"delay":0.05,"retries":3,"crashes":[{"node":3,"from":10,"until":30}]}}`)
 
+	for _, r := range chaintest.Rows(chaintest.Recovered) {
+		cases = append(cases, recoveryCase{r.Name, r, rowConfig(r, r.Sparse), ""})
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			checkJournal(t, tc.cfg, tc.journal)
-			trace := makeTrace(n, steps, seed)
-
-			// The uninterrupted reference: the facade, driven in-process.
-			e := topk.MustEpsilon(1, 8)
-			opts := append([]topk.Option{
-				topk.WithNodes(n), topk.WithSeed(seed), topk.WithMonitor(topk.Approx),
-			}, tc.opts...)
-			if tc.cfg.Faults != nil {
-				opts = append(opts, topk.WithFaults(tc.cfg.Faults))
+			if tc.journal != "" {
+				checkJournal(t, tc.cfg, tc.journal)
 			}
-			direct, err := topk.New(k, e, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer direct.Close()
-			for _, batch := range trace {
-				if err := direct.UpdateBatch(batch); err != nil {
-					t.Fatal(err)
-				}
-			}
-			wantTopK := fmt.Sprint(direct.TopK(nil))
-			wantCost, err := json.Marshal(costSnapshot(direct))
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := tc.r.FacadeReference()
+			steps := len(ref.Trace)
+			want := ref.Obs[steps-1]
+			wantCost := costBody(t, want)
 
 			// One full durable run produces the reference log.
 			src := t.TempDir()
 			a := durableServer(t, src, 1<<20)
-			cfgBody, _ := json.Marshal(tc.cfg)
-			wantStatus(t, do(t, a, "PUT", "/v1/eq", string(cfgBody)), 201)
-			for i, batch := range trace {
-				if resp := postSeq(t, a, "eq", batch, "c", uint64(i+1)); resp.Duplicate {
+			createTenant(t, a, "eq", tc.cfg)
+			for i, b := range ref.Trace {
+				if resp := postSeq(t, a, "eq", b.Updates(nil), "c", uint64(i+1)); resp.Duplicate {
 					t.Fatalf("step %d: fresh seq reported duplicate", i)
 				}
 			}
@@ -169,7 +143,10 @@ func TestRecoveryEquivalence(t *testing.T) {
 					}
 				}
 			}
-			if testing.Short() {
+			switch {
+			case tc.journal == "":
+				kills = []int64{recs[2*steps/3].End + 6}
+			case testing.Short():
 				kills = []int64{recs[steps/3].End, recs[2*steps/3].End + 6, int64(len(full))}
 			}
 
@@ -182,10 +159,8 @@ func TestRecoveryEquivalence(t *testing.T) {
 
 				// The recovered prefix must already be live.
 				wantRecovered, _ := wal.DecodePrefix(data)
-				rec := do(t, b, "GET", "/v1/eq", "")
-				wantStatus(t, rec, 200)
 				var info tenantInfo
-				json.Unmarshal(rec.Body.Bytes(), &info)
+				decodeJSON(t, do(t, b, "GET", "/v1/eq", ""), &info)
 				if got, want := info.Steps, int64(len(wantRecovered)-1); got != want {
 					t.Fatalf("recovered %d steps, want %d", got, want)
 				}
@@ -194,8 +169,8 @@ func TestRecoveryEquivalence(t *testing.T) {
 				// everything with the original seqs. Recovered steps must
 				// dedupe; lost ones must commit — exactly once either way.
 				dups := 0
-				for i, batch := range trace {
-					if resp := postSeq(t, b, "eq", batch, "c", uint64(i+1)); resp.Duplicate {
+				for i, batch := range ref.Trace {
+					if resp := postSeq(t, b, "eq", batch.Updates(nil), "c", uint64(i+1)); resp.Duplicate {
 						dups++
 					}
 				}
@@ -203,18 +178,10 @@ func TestRecoveryEquivalence(t *testing.T) {
 					t.Fatalf("deduped %d retries, want %d", dups, len(wantRecovered)-1)
 				}
 
-				rec = do(t, b, "GET", "/v1/eq/topk", "")
-				wantStatus(t, rec, 200)
-				var tr topkResponse
-				json.Unmarshal(rec.Body.Bytes(), &tr)
-				if tr.Step != steps || fmt.Sprint(tr.TopK) != wantTopK {
-					t.Fatalf("recovered topk %v (step %d) != direct %s (step %d)",
-						tr.TopK, tr.Step, wantTopK, steps)
-				}
-				rec = do(t, b, "GET", "/v1/eq/cost", "")
-				wantStatus(t, rec, 200)
-				if got := bytes.TrimSpace(rec.Body.Bytes()); !bytes.Equal(got, wantCost) {
-					t.Fatalf("recovered cost snapshot diverged\nrecovered: %s\ndirect:    %s", got, wantCost)
+				v := &served{t: t, s: b, tenant: "eq"}
+				chaintest.Same(t, []chaintest.Obs{want}, []chaintest.Obs{v.observe()})
+				if !bytes.Equal(v.costs[0], wantCost) {
+					t.Fatalf("recovered cost snapshot diverged\nrecovered: %s\ndirect:    %s", v.costs[0], wantCost)
 				}
 				b.Close()
 			}
@@ -227,11 +194,13 @@ func TestRecoveryEquivalence(t *testing.T) {
 			// Corrupted tail: a flipped bit mid-log invalidates that record
 			// and discards everything after it; recovery still replays the
 			// exact prefix and the retries recommit the rest.
-			t.Run("bitflip", func(t *testing.T) {
-				flip := append([]byte(nil), full...)
-				flip[recs[steps/2].End+9] ^= 0x40
-				check(t, flip)
-			})
+			if tc.journal != "" {
+				t.Run("bitflip", func(t *testing.T) {
+					flip := append([]byte(nil), full...)
+					flip[recs[steps/2].End+9] ^= 0x40
+					check(t, flip)
+				})
+			}
 		})
 	}
 }
@@ -258,15 +227,15 @@ func TestExactlyOnceRetry(t *testing.T) {
 		t.Fatalf("client b: %+v", resp)
 	}
 	// No seq = no idempotency: every send commits.
-	rec := do(t, s, "POST", "/v1/x/update", encodeBatch(t, batch))
+	rec := do(t, s, "POST", "/v1/x/update", encodeBatch(batch))
 	wantStatus(t, rec, 200)
 	var resp updateResponse
-	json.Unmarshal(rec.Body.Bytes(), &resp)
+	decodeJSON(t, rec, &resp)
 	if resp.Duplicate || resp.Step != 3 {
 		t.Fatalf("seqless send: %+v", resp)
 	}
 	// A malformed seq is a client bug, not a silent non-idempotent commit.
-	wantStatus(t, do(t, s, "POST", "/v1/x/update?seq=banana", encodeBatch(t, batch)), 400)
+	wantStatus(t, do(t, s, "POST", "/v1/x/update?seq=banana", encodeBatch(batch)), 400)
 
 	// The watermark is durable: the retry is still a duplicate after a
 	// crash-restart.
@@ -306,7 +275,7 @@ func TestResetCompactionDurability(t *testing.T) {
 	rec := do(t, s2, "GET", "/v1/x", "")
 	wantStatus(t, rec, 200)
 	var info tenantInfo
-	json.Unmarshal(rec.Body.Bytes(), &info)
+	decodeJSON(t, rec, &info)
 	if info.Steps != 1 {
 		t.Fatalf("recovered %d steps after reset+1, want 1", info.Steps)
 	}
@@ -379,7 +348,7 @@ func TestDrainAndRetryAfter(t *testing.T) {
 	if rec.Header().Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	big := encodeBatch(t, makeTrace(8, 1, 1)[0])
+	big := encodeBatch(chaintest.Kept("serve").Reference().Trace[0].Updates(nil))
 	rec = do(t, s, "POST", "/v1/one/update", big)
 	wantStatus(t, rec, 413)
 	if rec.Header().Get("Retry-After") == "" {

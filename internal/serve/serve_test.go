@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -34,6 +33,14 @@ func wantStatus(t *testing.T, rec *httptest.ResponseRecorder, want int) {
 	}
 }
 
+// decodeJSON decodes rec's body into v, failing t on a malformed body.
+func decodeJSON(t *testing.T, rec *httptest.ResponseRecorder, v any) {
+	t.Helper()
+	if err := json.Unmarshal(rec.Body.Bytes(), v); err != nil {
+		t.Fatalf("malformed body %q: %v", rec.Body.String(), err)
+	}
+}
+
 func newTestServer(t *testing.T, opts Options) *Server {
 	t.Helper()
 	s, err := New(opts)
@@ -57,9 +64,7 @@ func TestTenantLifecycle(t *testing.T) {
 	rec := do(t, s, "PUT", "/v1/web", `{"k":3,"seed":9}`)
 	wantStatus(t, rec, http.StatusCreated)
 	var info tenantInfo
-	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
-		t.Fatal(err)
-	}
+	decodeJSON(t, rec, &info)
 	if info.Config.Nodes != 16 || info.Config.K != 3 || info.Config.Seed != 9 ||
 		info.Config.Eps != "1/8" || info.Config.Engine != "lockstep" || info.Config.Monitor != "approx" {
 		t.Fatalf("merged config = %+v", info.Config)
@@ -81,7 +86,7 @@ func TestTenantLifecycle(t *testing.T) {
 	rec = do(t, s, "POST", "/v1/web/flush", "")
 	wantStatus(t, rec, http.StatusOK)
 	var ur updateResponse
-	json.Unmarshal(rec.Body.Bytes(), &ur)
+	decodeJSON(t, rec, &ur)
 	if ur.Step != 3 {
 		t.Fatalf("steps after 3 commits = %d", ur.Step)
 	}
@@ -90,21 +95,21 @@ func TestTenantLifecycle(t *testing.T) {
 	rec = do(t, s, "GET", "/v1/web/topk", "")
 	wantStatus(t, rec, http.StatusOK)
 	var tr topkResponse
-	json.Unmarshal(rec.Body.Bytes(), &tr)
+	decodeJSON(t, rec, &tr)
 	if tr.K != 3 || len(tr.TopK) != 3 || tr.Step != 3 {
 		t.Fatalf("topk response = %+v", tr)
 	}
 	rec = do(t, s, "GET", "/v1/web/cost", "")
 	wantStatus(t, rec, http.StatusOK)
 	var cr costResponse
-	json.Unmarshal(rec.Body.Bytes(), &cr)
+	decodeJSON(t, rec, &cr)
 	if cr.Check != "ok" || cr.SilentInvalid || cr.Steps != 3 || cr.Messages == 0 {
 		t.Fatalf("cost response = %+v", cr)
 	}
 	rec = do(t, s, "GET", "/v1/web/health", "")
 	wantStatus(t, rec, http.StatusOK)
 	var hr healthResponse
-	json.Unmarshal(rec.Body.Bytes(), &hr)
+	decodeJSON(t, rec, &hr)
 	if hr.Check != "ok" || hr.Health.State != "fresh" {
 		t.Fatalf("health response = %+v", hr)
 	}
@@ -113,7 +118,7 @@ func TestTenantLifecycle(t *testing.T) {
 	wantStatus(t, do(t, s, "POST", "/v1/web/reset", `{"seed":5}`), http.StatusOK)
 	rec = do(t, s, "GET", "/v1/web", "")
 	wantStatus(t, rec, http.StatusOK)
-	json.Unmarshal(rec.Body.Bytes(), &info)
+	decodeJSON(t, rec, &info)
 	if info.Steps != 0 {
 		t.Fatalf("steps after reset = %d", info.Steps)
 	}
@@ -134,9 +139,7 @@ func TestCostKeys(t *testing.T) {
 	rec := do(t, s, "GET", "/v1/web/cost", "")
 	wantStatus(t, rec, http.StatusOK)
 	var body map[string]json.RawMessage
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatal(err)
-	}
+	decodeJSON(t, rec, &body)
 	want := strings.Fields(`algorithm steps epochs messages nodeToServer unicasts broadcasts
 		maxRoundsPerStep maxMessageBits indexFallbacks droppedMsgs dupMsgs retries resyncs
 		staleSteps check health silentInvalid`)
@@ -164,7 +167,7 @@ func TestLazyCreationAndLimits(t *testing.T) {
 	rec := do(t, s, "GET", "/v1/a", "")
 	wantStatus(t, rec, http.StatusOK)
 	var info tenantInfo
-	json.Unmarshal(rec.Body.Bytes(), &info)
+	decodeJSON(t, rec, &info)
 	if info.Config.Nodes != 8 || info.Config.K != 2 {
 		t.Fatalf("lazy tenant config = %+v", info.Config)
 	}
@@ -175,7 +178,7 @@ func TestLazyCreationAndLimits(t *testing.T) {
 	rec = do(t, s, "GET", "/v1/tenants", "")
 	wantStatus(t, rec, http.StatusOK)
 	var list []tenantInfo
-	json.Unmarshal(rec.Body.Bytes(), &list)
+	decodeJSON(t, rec, &list)
 	if len(list) != 2 || list[0].Name != "a" || list[1].Name != "c" {
 		t.Fatalf("tenant list = %+v", list)
 	}
@@ -213,7 +216,7 @@ func TestUpdateRejections(t *testing.T) {
 	rec := do(t, s, "GET", "/v1/x", "")
 	wantStatus(t, rec, http.StatusOK)
 	var info tenantInfo
-	json.Unmarshal(rec.Body.Bytes(), &info)
+	decodeJSON(t, rec, &info)
 	if info.Steps != 0 {
 		t.Fatalf("rejected updates committed %d steps", info.Steps)
 	}
@@ -250,14 +253,7 @@ var raceEnabled bool
 // decodeBody is the wire form of a 16-update batch as the repository
 // benchmark sends it: compact {"node":…,"value":…} objects.
 func decodeBody() []byte {
-	body := []byte{'['}
-	for i, u := range benchBatch(rand.New(rand.NewSource(1)), benchConfig.Nodes) {
-		if i > 0 {
-			body = append(body, ',')
-		}
-		body = fmt.Appendf(body, `{"node":%d,"value":%d}`, u.Node, u.Value)
-	}
-	return append(body, ']')
+	return []byte(encodeBatch(benchBatch(rand.New(rand.NewSource(1)), benchConfig.Nodes)))
 }
 
 // TestDecodeBatchAllocs pins the decoder's steady state: with the body

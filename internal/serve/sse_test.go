@@ -6,11 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"topkmon/topk"
+	"topkmon/internal/chaintest"
 )
 
 // sseClient consumes /v1/{tenant}/events from a real listener, delivering
@@ -87,106 +88,81 @@ func putTenant(t *testing.T, hc *http.Client, base, name string) {
 	}
 }
 
-// TestSSEBridgeMatchesSubscribe drives the same scripted trace through a
-// served tenant (with an SSE consumer attached) and a direct facade
-// monitor (with a drained Subscribe channel), and asserts the SSE stream
-// carried exactly the events the facade emitted — same steps, same sets,
-// same health, same order, nothing extra.
+// TestSSEBridgeMatchesSubscribe is the SSE link of the chain: it drives a
+// trace through a served tenant with an SSE consumer attached and asserts
+// the stream carried exactly the events Subscribe delivers for the direct
+// lockstep run — one per step that changes the top-k set or the health,
+// with that step, set and health, in order, nothing extra. The comparison
+// is synchronous: each step's frame is awaited before the next step, so
+// no subscription buffer can overrun. The churn trace this test ran before
+// the table, where the hot set rotates by one node per step so nearly
+// every commit changes the set, runs first; then the table rows.
 func TestSSEBridgeMatchesSubscribe(t *testing.T) {
-	const n, k, steps = 24, 3, 160
-	srv := newTestServer(t, Options{Defaults: Config{Nodes: n, K: k, Seed: 3}, Lazy: true})
+	srv := newTestServer(t, Options{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-
-	direct, err := topk.New(k, topk.MustEpsilon(1, 8),
-		topk.WithNodes(n), topk.WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer direct.Close()
-	directCh := direct.Subscribe()
-
-	// Subscribe BEFORE the first step so no event predates the bridge.
-	putTenant(t, ts.Client(), ts.URL, "sub")
-	sse := newSSEClient(t, ts.URL, "sub")
-	defer sse.Close()
-
-	// A churny trace: the hot set rotates by one node per step, so nearly
-	// every commit changes the top-k set. The comparison is synchronous —
-	// the facade delivers events inside UpdateBatch, so after each step the
-	// direct event (if any) is already buffered, and the bridge's frame for
-	// it is awaited before the next step; neither side can overrun a
-	// subscription buffer, making the exactly-once comparison
-	// deterministic.
-	trace := makeChurnTrace(n, k, steps)
 	hc := ts.Client()
-	events := 0
-	for step, batch := range trace {
-		resp, err := hc.Post(ts.URL+"/v1/sub/update", "application/json",
-			strings.NewReader(encodeBatch(t, batch)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("update status = %d", resp.StatusCode)
-		}
-		if err := direct.UpdateBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-		for {
-			var want topk.Event
-			select {
-			case want = <-directCh:
-			default:
-				goto nextStep
+	var clients []*sseClient
+
+	run := func(t *testing.T, tenant string, r chaintest.Row) (events int) {
+		ref := r.FacadeReference()
+		// Subscribe BEFORE the first step so no event predates the bridge.
+		createTenant(t, srv, tenant, rowConfig(r, r.Sparse))
+		sse := newSSEClient(t, ts.URL, tenant)
+		clients = append(clients, sse)
+
+		prev := chaintest.Obs{Health: chaintest.Health{State: "fresh"}}
+		for step, b := range ref.Trace {
+			resp, err := hc.Post(ts.URL+"/v1/"+tenant+"/update", "application/json",
+				strings.NewReader(encodeBatch(b.Updates(nil))))
+			if err != nil {
+				t.Fatal(err)
 			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("update status = %d", resp.StatusCode)
+			}
+			want := ref.Obs[step]
+			if slices.Equal(want.Out, prev.Out) && want.Health.State == prev.Health.State {
+				continue
+			}
+			prev = want
 			select {
 			case g, ok := <-sse.Events:
 				if !ok {
 					t.Fatalf("SSE stream ended at step %d", step)
 				}
-				if g.Step != want.Step || fmt.Sprint(g.TopK) != fmt.Sprint(want.TopK) ||
-					g.Health.State != want.Health.State.String() || g.Health.StaleFor != want.Health.StaleFor {
-					t.Fatalf("event %d: served %+v != direct {step:%d topk:%v health:%s/%d}",
-						events, g, want.Step, want.TopK, want.Health.State, want.Health.StaleFor)
+				// A frame spells health without its error text.
+				if g.Step != int64(step+1) || !slices.Equal(g.TopK, want.Out) ||
+					g.Health.State != want.Health.State || g.Health.StaleFor != want.Health.StaleFor {
+					t.Fatalf("event %d: served %+v != direct {step:%d topk:%v health:%+v}",
+						events, g, step+1, want.Out, want.Health)
 				}
 				events++
 			case <-time.After(5 * time.Second):
-				t.Fatalf("SSE frame for step %d never arrived", want.Step)
+				t.Fatalf("SSE frame for step %d never arrived", step+1)
 			}
 		}
-	nextStep:
+		return events
 	}
-	if events < steps/2 {
-		t.Fatalf("vacuous trace: only %d set changes over %d steps", events, steps)
-	}
-	// Silence after the trace: the bridge forwarded nothing the facade did
-	// not emit.
-	select {
-	case ev := <-sse.Events:
-		t.Fatalf("unexpected extra SSE event: %+v", ev)
-	case <-time.After(50 * time.Millisecond):
-	}
-}
 
-// makeChurnTrace rotates the k hot nodes by one position per step: value
-// rank is preserved inside the hot set, so nearly every step changes the
-// top-k set by exactly one node.
-func makeChurnTrace(n, k, steps int) [][]topk.Update {
-	out := make([][]topk.Update, steps)
-	for t := range out {
-		batch := make([]topk.Update, n)
-		for i := 0; i < n; i++ {
-			batch[i] = topk.Update{Node: i, Value: int64(1000 + i)}
-		}
-		for j := 0; j < k; j++ {
-			hot := (t + j) % n
-			batch[hot].Value = int64(900000 - j*10000)
-		}
-		out[t] = batch
+	churn := chaintest.Kept("sse")
+	if events := run(t, "sub", churn); events < churn.Steps/2 {
+		t.Fatalf("vacuous trace: only %d set changes over %d steps", events, churn.Steps)
 	}
-	return out
+	for i, r := range chaintest.Rows(chaintest.SSE) {
+		t.Run(r.Name, func(t *testing.T) { run(t, fmt.Sprint("row", i), r) })
+	}
+	// Silence after the traces: the bridge forwarded nothing more.
+	time.Sleep(50 * time.Millisecond)
+	for _, c := range clients {
+		select {
+		case ev := <-c.Events:
+			t.Fatalf("unexpected extra SSE event: %+v", ev)
+		default:
+		}
+		c.Close()
+	}
 }
 
 // TestSSESlowClientDoesNotBlockIngest pins the delivery contract under a
@@ -241,8 +217,11 @@ func TestSSESlowClientDoesNotBlockIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cost costResponse
-	json.NewDecoder(cr.Body).Decode(&cost)
+	err = json.NewDecoder(cr.Body).Decode(&cost)
 	cr.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cost.Steps != steps {
 		t.Fatalf("steps = %d, want %d", cost.Steps, steps)
 	}

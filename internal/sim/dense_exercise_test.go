@@ -1,44 +1,31 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
+	"topkmon/internal/chaintest"
 	"topkmon/internal/cluster"
 	"topkmon/internal/eps"
 	"topkmon/internal/protocol"
 	"topkmon/internal/stream"
 )
 
-// TestDenseProtocolIsExercised drives the Approx controller on a workload
-// whose k-th value sits inside a dense oscillating band, and asserts that
-// DENSEPROTOCOL (and, over enough churn, SUBPROTOCOL) actually ran — the
-// correctness tests would be vacuous for Section 5 if the controller always
-// fell through to TOP-K-PROTOCOL.
+// TestDenseProtocolIsExercised asserts that DENSEPROTOCOL actually runs
+// under the Approx controller on the chain table's dense-exercised row,
+// whose k-th value sits inside a dense oscillating band (2 pinned-high
+// nodes, 18 oscillating around 1000 ± 40, inside the ε = 1/4 neighborhood
+// of v_k ≈ 1000, and 4 pinned low) — the correctness tests would be
+// vacuous for Section 5 if the controller always fell through to
+// TOP-K-PROTOCOL. TestTableCoverage validates every one of its outputs.
 func TestDenseProtocolIsExercised(t *testing.T) {
-	const n, k, steps = 24, 4, 1500
-	e := eps.MustNew(1, 4) // wide neighborhood: (1-ε)v_k = 0.75·v_k
-	// 2 pinned-high nodes, 18 oscillating around 1000 ± 40 (inside the
-	// ε-neighborhood of v_k ≈ 1000), 4 pinned low.
-	gen := stream.NewOscillator(2, 18, 4, 1000, 40, 100000, 10, 77)
-
-	var ap *protocol.Approx
-	rep, err := Run(Config{
-		K: k, Eps: e, Steps: steps, Seed: 21,
-		Gen: gen,
-		NewMonitor: func(c cluster.Cluster) protocol.Monitor {
-			ap = protocol.NewApprox(c, k, e)
-			return ap
-		},
-		Validate: ValidateEps,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ap.DenseEpochs() == 0 {
+	i := slices.IndexFunc(chaintest.Table, func(r chaintest.Row) bool { return r.Name == "dense-exercised/approx" })
+	ref := chaintest.Table[i].Reference()
+	if ref.Dense == 0 {
 		t.Fatal("DENSEPROTOCOL never ran on a dense workload")
 	}
-	t.Logf("messages=%d epochs=%d denseEpochs=%d subCalls=%d sigmaMax=%d",
-		rep.Messages.Total(), rep.Epochs, ap.DenseEpochs(), ap.SubCalls(), rep.SigmaMax)
+	last := ref.Obs[len(ref.Obs)-1]
+	t.Logf("messages=%d epochs=%d denseEpochs=%d subCalls=%d", last.Cost.Messages, last.Epochs, ref.Dense, ref.Sub)
 }
 
 // TestDenseWithTightOscillation: oscillation fully inside the neighborhood

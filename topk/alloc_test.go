@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"topkmon/internal/chaintest"
 	"topkmon/internal/cluster"
 	"topkmon/internal/eps"
 	"topkmon/internal/live"
@@ -19,21 +20,12 @@ const steadyNodes, churnNodes = 64, 256
 // the steady-state alloc tests and benchmarks cycle through.
 func mkSteady(tb testing.TB, engOpts ...topk.Option) (*topk.Monitor, [][]topk.Update) {
 	tb.Helper()
-	const n, k, pregen = steadyNodes, 8, 512
-	trace := mkTrace(n, pregen, 13)
-	batches := make([][]topk.Update, pregen)
-	for t, vals := range trace {
-		batches[t] = make([]topk.Update, n)
-		for i, v := range vals {
-			batches[t][i] = topk.Update{Node: i, Value: v}
-		}
+	r := chaintest.Kept("steady")
+	var batches [][]topk.Update
+	for _, b := range r.Reference().Trace {
+		batches = append(batches, b.Updates(nil))
 	}
-	opts := append([]topk.Option{topk.WithNodes(n), topk.WithSeed(5)}, engOpts...)
-	m, err := topk.New(k, topk.WrapEps(eps.MustNew(1, 8)), opts...)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return m, batches
+	return chaintest.NewPusher(r, engOpts...).M, batches
 }
 
 // TestFacadeStepAllocs enforces the acceptance budget of the push API: in

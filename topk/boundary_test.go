@@ -23,14 +23,14 @@ import (
 // leaf, so it cannot reach around the facade into engines or protocols.
 //
 // A rule forbids the files under dir every import from this module that is
-// not in allow. skip names one subdirectory that has a rule of its own.
-// Where testsExempt is set, _test.go files may import module helpers (the
-// item tests drive the layer with internal/stream/items traces).
+// not in allow; its _test.go files may also import what testAllow lists
+// (the package itself from an external test package, the item layer's
+// internal/stream/items traces, and the serve tests' internal/chaintest
+// table). skip names one subdirectory that has a rule of its own.
 var importRules = []struct {
-	name, dir, skip string
-	allow           []string
-	testsExempt     bool
-	msg             string
+	name, dir, skip  string
+	allow, testAllow []string
+	msg              string
 }{
 	{name: "cmd", dir: "../cmd", skip: "../cmd/topkd", allow: []string{"topkmon/topk", "topkmon/topk/items"},
 		msg: "internal imports leaked into public entry points"},
@@ -39,13 +39,15 @@ var importRules = []struct {
 	{name: "examples", dir: "../examples", allow: []string{"topkmon/topk", "topkmon/topk/items"},
 		msg: "internal imports leaked into public entry points"},
 	{name: "serve", dir: "../internal/serve", allow: []string{"topkmon/topk", "topkmon/internal/wal"},
-		msg: "internal/serve may only consume topk and internal/wal"},
+		testAllow: []string{"topkmon/internal/chaintest"},
+		msg:       "internal/serve may only consume topk and internal/wal"},
 	{name: "wal", dir: "../internal/wal", allow: []string{"topkmon/topk"},
 		msg: "internal/wal may only consume the public topk facade"},
-	{name: "sketch", dir: "../internal/sketch", testsExempt: true,
+	{name: "sketch", dir: "../internal/sketch", testAllow: []string{"topkmon/internal/sketch"},
 		msg: "internal/sketch must stay a stdlib-only leaf"},
-	{name: "items", dir: "items", allow: []string{"topkmon/topk", "topkmon/internal/sketch"}, testsExempt: true,
-		msg: "topk/items may only consume topk and internal/sketch"},
+	{name: "items", dir: "items", allow: []string{"topkmon/topk", "topkmon/internal/sketch"},
+		testAllow: []string{"topkmon/topk/items", "topkmon/internal/stream/items"},
+		msg:       "topk/items may only consume topk and internal/sketch"},
 }
 
 func TestImportBoundaries(t *testing.T) {
@@ -59,16 +61,18 @@ func TestImportBoundaries(t *testing.T) {
 				if d.IsDir() && path == filepath.FromSlash(r.skip) {
 					return fs.SkipDir
 				}
-				if d.IsDir() || !strings.HasSuffix(path, ".go") || r.testsExempt && strings.HasSuffix(path, "_test.go") {
+				if d.IsDir() || !strings.HasSuffix(path, ".go") {
 					return nil
 				}
+				isTest := strings.HasSuffix(path, "_test.go")
 				f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
 				if err != nil {
 					return err
 				}
 				for _, imp := range f.Imports {
 					p := strings.Trim(imp.Path.Value, `"`)
-					if (p == "topkmon" || strings.HasPrefix(p, "topkmon/")) && !slices.Contains(r.allow, p) {
+					if (p == "topkmon" || strings.HasPrefix(p, "topkmon/")) && !slices.Contains(r.allow, p) &&
+						!(isTest && slices.Contains(r.testAllow, p)) {
 						t.Errorf("%s, but %s imports %s", r.msg, path, p)
 					}
 				}

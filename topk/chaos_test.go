@@ -2,54 +2,25 @@ package topk_test
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
-	"topkmon/internal/eps"
+	"topkmon/internal/chaintest"
 	"topkmon/topk"
 )
 
 // chaosSchedules are the crash schedules the chaos matrix cycles through:
 // a single mid-run crash, and two overlapping-window crashes.
-func chaosSchedules() [][]topk.Crash {
-	return [][]topk.Crash{
-		{{Node: 1, From: 10, Until: 30}},
-		{{Node: 0, From: 5, Until: 25}, {Node: 7, From: 40, Until: 60}},
-	}
+var chaosSchedules = [][]topk.Crash{
+	{{Node: 1, From: 10, Until: 30}},
+	{{Node: 0, From: 5, Until: 25}, {Node: 7, From: 40, Until: 60}},
 }
 
-// chaosTrail is everything observable about a fault-armed facade run:
-// per-step outputs, per-step health, and the final bill.
-type chaosTrail struct {
-	outs    [][]int
-	healths []topk.Health
-	cost    topk.Cost
-}
-
-// chaosRun drives m over trace one batch per step, recording output and
-// health after every commit and enforcing the no-silent-wrong-answers
-// guarantee: whenever Check fails, Health must not read Fresh.
-func chaosRun(t *testing.T, m *topk.Monitor, trace [][]int64) chaosTrail {
-	t.Helper()
-	var trail chaosTrail
-	batch := make([]topk.Update, 0, len(trace[0]))
-	for step, vals := range trace {
-		batch = batch[:0]
-		for i, v := range vals {
-			batch = append(batch, topk.Update{Node: i, Value: v})
-		}
-		if err := m.UpdateBatch(batch); err != nil {
-			t.Fatalf("step %d: UpdateBatch: %v", step+1, err)
-		}
-		h := m.Health()
-		if err := m.Check(); err != nil && h.State == topk.Fresh {
-			t.Fatalf("step %d: SILENT WRONG ANSWER: Check failed (%v) but Health is fresh", step+1, err)
-		}
-		trail.outs = append(trail.outs, m.TopK(nil))
-		trail.healths = append(trail.healths, h)
-	}
-	trail.cost = m.Cost()
-	return trail
+// chaosRow is the kept chaos walk under a plan of the given drop rate
+// (duplicates and delays at half of it) and crash schedule.
+func chaosRow(drop float64, sched int) chaintest.Row {
+	r := chaintest.Kept("chaos")
+	r.Faults = &topk.FaultPlan{Drop: drop, Dup: drop / 2, Delay: drop / 2, Crashes: chaosSchedules[sched]}
+	return r
 }
 
 // TestChaosNoSilentWrongAnswers is the acceptance proof of the fault layer:
@@ -59,41 +30,21 @@ func chaosRun(t *testing.T, m *topk.Monitor, trace [][]int64) chaosTrail {
 // not vacuous — the injector demonstrably drops messages, and the heavy
 // corner demonstrably forces resyncs.
 func TestChaosNoSilentWrongAnswers(t *testing.T) {
-	const n, k, steps, seed = 24, 4, 80, 9
-	e := eps.MustNew(1, 8)
-	trace := mkTrace(n, steps, 3)
-
+	trace := chaintest.Kept("chaos").Reference().Trace
 	var sawDrop, sawResync, sawNonFresh bool
 	for _, engine := range []topk.EngineKind{topk.Lockstep, topk.Live} {
 		for _, rate := range []float64{0, 0.01, 0.1, 0.3} {
-			for si, sched := range chaosSchedules() {
-				name := fmt.Sprintf("%v/drop=%v/sched=%d", engine, rate, si)
-				t.Run(name, func(t *testing.T) {
-					plan := &topk.FaultPlan{
-						Drop:    rate,
-						Dup:     rate / 2,
-						Delay:   rate / 2,
-						Crashes: sched,
+			for si := range chaosSchedules {
+				t.Run(fmt.Sprintf("%v/drop=%v/sched=%d", engine, rate, si), func(t *testing.T) {
+					obs := chaintest.RunFacade(chaosRow(rate, si), trace, topk.WithEngine(engine), topk.WithShards(3))
+					if i := chaintest.SilentWrong(obs); i >= 0 {
+						t.Fatalf("step %d: SILENT WRONG ANSWER: Check failed (%s) but Health is fresh", i+1, obs[i].Check)
 					}
-					m, err := topk.New(k, topk.WrapEps(e),
-						topk.WithNodes(n), topk.WithSeed(seed),
-						topk.WithEngine(engine), topk.WithShards(3),
-						topk.WithFaults(plan))
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer m.Close()
-					trail := chaosRun(t, m, trace)
-					if trail.cost.DroppedMsgs > 0 {
-						sawDrop = true
-					}
-					if trail.cost.Resyncs > 0 {
-						sawResync = true
-					}
-					for _, h := range trail.healths {
-						if h.State != topk.Fresh {
-							sawNonFresh = true
-						}
+					last := obs[len(obs)-1].Cost
+					sawDrop = sawDrop || last.DroppedMsgs > 0
+					sawResync = sawResync || last.Resyncs > 0
+					for _, o := range obs {
+						sawNonFresh = sawNonFresh || o.Health.State != "fresh"
 					}
 				})
 			}
@@ -112,61 +63,21 @@ func TestChaosNoSilentWrongAnswers(t *testing.T) {
 
 // TestChaosReplayByteIdentical: two fault-armed monitors with equal seeds,
 // plans and pushes replay chaos byte for byte — outputs, health trail, and
-// the full bill including fault accounting.
+// the full bill including fault accounting, at every step.
 func TestChaosReplayByteIdentical(t *testing.T) {
-	const n, k, steps, seed = 24, 4, 80, 9
-	e := eps.MustNew(1, 8)
-	trace := mkTrace(n, steps, 3)
-	plan := func() *topk.FaultPlan {
-		return &topk.FaultPlan{Drop: 0.1, Dup: 0.05, Delay: 0.05, Crashes: chaosSchedules()[1]}
-	}
-
-	mk := func() *topk.Monitor {
-		m, err := topk.New(k, topk.WrapEps(e), topk.WithNodes(n),
-			topk.WithSeed(seed), topk.WithFaults(plan()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	a, b := mk(), mk()
-	defer a.Close()
-	defer b.Close()
-	ta, tb := chaosRun(t, a, trace), chaosRun(t, b, trace)
-	if !reflect.DeepEqual(ta, tb) {
-		t.Fatalf("identical chaotic runs diverge:\na: %+v\nb: %+v", ta.cost, tb.cost)
-	}
+	r := chaosRow(0.1, 1)
+	ref := r.FacadeReference()
+	chaintest.Same(t, ref.Obs, chaintest.RunFacade(r, ref.Trace))
 }
 
 // TestChaosEngineConformance: the same chaotic run on lockstep and on the
-// sharded live engine yields identical outputs, health, and bills — the
-// fault layer preserves the engines' observable equivalence.
+// sharded live engine records the same outputs, health, and bills at every
+// step — the fault layer preserves the engines' observable equivalence.
 func TestChaosEngineConformance(t *testing.T) {
-	const n, k, steps, seed = 24, 4, 80, 9
-	e := eps.MustNew(1, 8)
-	trace := mkTrace(n, steps, 3)
-	plan := func() *topk.FaultPlan {
-		return &topk.FaultPlan{Drop: 0.1, Dup: 0.05, Delay: 0.05, Crashes: chaosSchedules()[0]}
-	}
-
-	ls, err := topk.New(k, topk.WrapEps(e), topk.WithNodes(n),
-		topk.WithSeed(seed), topk.WithFaults(plan()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ls.Close()
-	lv, err := topk.New(k, topk.WrapEps(e), topk.WithNodes(n),
-		topk.WithSeed(seed), topk.WithEngine(topk.Live), topk.WithShards(3),
-		topk.WithFaults(plan()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lv.Close()
-
-	tl, tv := chaosRun(t, ls, trace), chaosRun(t, lv, trace)
-	if !reflect.DeepEqual(tl, tv) {
-		t.Fatalf("chaotic runs diverge across engines:\nlockstep: %+v\nlive:     %+v", tl.cost, tv.cost)
-	}
+	r := chaosRow(0.1, 0)
+	ref := r.FacadeReference()
+	got := chaintest.RunFacade(r, ref.Trace, topk.WithEngine(topk.Live), topk.WithShards(3))
+	chaintest.Same(t, ref.Obs, got)
 }
 
 // TestChaosResetReplays: Reset(seed) on a fault-armed monitor rewinds the
@@ -174,94 +85,51 @@ func TestChaosEngineConformance(t *testing.T) {
 // engine, so the replay is byte-identical to the fresh run — and a
 // different seed yields a different fault pattern.
 func TestChaosResetReplays(t *testing.T) {
-	const n, k, steps, seed = 24, 4, 80, 9
-	e := eps.MustNew(1, 8)
-	trace := mkTrace(n, steps, 3)
-	plan := &topk.FaultPlan{Drop: 0.1, Dup: 0.05, Delay: 0.05, Crashes: chaosSchedules()[1]}
+	r := chaosRow(0.1, 1)
+	ref := r.FacadeReference()
+	p := chaintest.NewPusher(r)
+	defer p.M.Close()
+	chaintest.Run(ref.Trace, p.Step)
 
-	m, err := topk.New(k, topk.WrapEps(e), topk.WithNodes(n),
-		topk.WithSeed(seed), topk.WithFaults(plan))
-	if err != nil {
+	if err := p.M.Reset(r.Seed); err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-
-	fresh := chaosRun(t, m, trace)
-	if err := m.Reset(seed); err != nil {
-		t.Fatal(err)
-	}
-	if h := m.Health(); h.State != topk.Fresh || h.StaleFor != 0 || h.Err != nil {
+	if h := p.M.Health(); h.State != topk.Fresh || h.StaleFor != 0 || h.Err != nil {
 		t.Fatalf("Health after Reset = %+v, want zero", h)
 	}
-	replay := chaosRun(t, m, trace)
-	if !reflect.DeepEqual(fresh, replay) {
-		t.Fatalf("reset chaotic run diverges from fresh:\nfresh:  %+v\nreplay: %+v", fresh.cost, replay.cost)
-	}
+	chaintest.Same(t, ref.Obs, chaintest.Run(ref.Trace, p.Step))
 
-	if err := m.Reset(seed + 1); err != nil {
+	if err := p.M.Reset(r.Seed + 1); err != nil {
 		t.Fatal(err)
 	}
-	other := chaosRun(t, m, trace)
-	if reflect.DeepEqual(fresh.cost, other.cost) {
+	other := chaintest.Run(ref.Trace, p.Step)
+	if ref.Obs[len(ref.Obs)-1].Cost == other[len(other)-1].Cost {
 		t.Fatal("different seeds produced identical chaotic bills")
 	}
 }
 
 // TestZeroPlanFacadeTransparent: arming the fault layer with a zero plan
-// changes nothing — outputs and the full bill are byte-identical to an
-// unfaulted monitor, with every fault counter at zero and health pinned
-// Fresh.
+// changes nothing — every step records what the direct run records, so
+// every fault counter stays zero and health stays Fresh.
 func TestZeroPlanFacadeTransparent(t *testing.T) {
-	const n, k, steps, seed = 32, 4, 150, 42
-	e := eps.MustNew(1, 8)
-	trace := mkTrace(n, steps, 7)
-
-	wantOuts, wantCost, wantEpochs, mw := facadeRun(t, trace, k, e, seed)
-	defer mw.Close()
-	gotOuts, gotCost, gotEpochs, mg := facadeRun(t, trace, k, e, seed,
-		topk.WithFaults(&topk.FaultPlan{}))
-	defer mg.Close()
-
-	if !reflect.DeepEqual(wantOuts, gotOuts) {
-		t.Error("outputs diverge under a zero fault plan")
-	}
-	if wantCost != gotCost {
-		t.Errorf("bills diverge under a zero fault plan:\nbare:  %+v\narmed: %+v", wantCost, gotCost)
-	}
-	if wantEpochs != gotEpochs {
-		t.Errorf("epochs diverge: bare=%d armed=%d", wantEpochs, gotEpochs)
-	}
-	if gotCost.DroppedMsgs|gotCost.DupMsgs|gotCost.Retries|gotCost.Resyncs|gotCost.StaleSteps != 0 {
-		t.Errorf("zero plan billed faults: %+v", gotCost)
-	}
-	if h := mg.Health(); h.State != topk.Fresh || h.StaleFor != 0 || h.Err != nil {
-		t.Errorf("zero-plan health = %+v, want Fresh", h)
-	}
+	r := chaintest.Kept("facade/n=16")
+	ref := r.Reference()
+	chaintest.Same(t, ref.Obs, chaintest.RunFacade(r, ref.Trace, topk.WithFaults(&topk.FaultPlan{})))
 }
 
 // TestDegradationEvents: a monitor that degrades delivers events carrying
 // the non-Fresh health to subscribers, even when the top-k set itself is
 // unchanged.
 func TestDegradationEvents(t *testing.T) {
-	const n, k, steps, seed = 24, 4, 80, 9
-	e := eps.MustNew(1, 8)
-	trace := mkTrace(n, steps, 3)
+	r := chaosRow(0.3, 0)
+	r.Faults.Dup, r.Faults.Delay = 0.1, 0
+	p := chaintest.NewPusher(r)
+	defer p.M.Close()
+	ev := p.M.Subscribe()
 
-	m, err := topk.New(k, topk.WrapEps(e), topk.WithNodes(n),
-		topk.WithSeed(seed),
-		topk.WithFaults(&topk.FaultPlan{Drop: 0.3, Dup: 0.1, Crashes: chaosSchedules()[0]}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	ev := m.Subscribe()
-
-	trail := chaosRun(t, m, trace)
 	var wantNonFresh bool
-	for _, h := range trail.healths {
-		if h.State != topk.Fresh {
-			wantNonFresh = true
-		}
+	for _, o := range chaintest.Run(r.Reference().Trace, p.Step) {
+		wantNonFresh = wantNonFresh || o.Health.State != "fresh"
 	}
 	if !wantNonFresh {
 		t.Skip("run stayed fresh; degradation event check is moot at this seed")

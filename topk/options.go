@@ -51,7 +51,9 @@ const (
 	// TopKProtocol is the four-phase TOP-K-PROTOCOL of Section 4.
 	TopKProtocol
 	// Dense is DENSEPROTOCOL of Section 5.2; ε-correct in the dense regime
-	// it is designed for (many nodes inside the ε-neighborhood).
+	// it is designed for (many nodes inside the ε-neighborhood). Run
+	// alone, it opens a fresh DENSEPROTOCOL epoch wherever Approx would
+	// hand over to the next epoch or to TOP-K-PROTOCOL.
 	Dense
 	// HalfEps is the Corollary 5.9 monitor: runs at ε/2 to be competitive
 	// against the ε/2-optimum while outputting valid ε-Top-k sets.

@@ -2,9 +2,11 @@ package topk_test
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"topkmon/internal/chaintest"
 	"topkmon/internal/eps"
 	"topkmon/topk"
 )
@@ -370,38 +372,22 @@ func TestClosedMonitor(t *testing.T) {
 }
 
 // TestAllAlgorithmsRun smoke-tests every selectable algorithm through the
-// facade on a small distinct-valued workload, Check-validated each step.
+// facade on the first chaintest row that runs it, Check-validated each
+// step.
 func TestAllAlgorithmsRun(t *testing.T) {
-	algos := []topk.Algorithm{
-		topk.Approx, topk.Exact, topk.TopKProtocol, topk.HalfEps, topk.Naive, topk.MidNaive,
-	}
-	for _, algo := range algos {
-		t.Run(algo.String(), func(t *testing.T) {
-			const n, k = 12, 3
-			m, err := topk.New(k, topk.MustEpsilon(1, 8), topk.WithNodes(n),
-				topk.WithMonitor(algo), topk.WithSeed(3))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer m.Close()
-			if m.AlgorithmName() == "" {
-				t.Error("empty algorithm name")
-			}
-			batch := make([]topk.Update, n)
-			for step := 0; step < 40; step++ {
-				for i := range batch {
-					// Distinct, drifting values (Exact assumes distinctness).
-					batch[i] = topk.Update{Node: i, Value: int64(1000 + 100*i + (step*37+i*13)%90)}
-				}
-				if err := m.UpdateBatch(batch); err != nil {
-					t.Fatal(err)
-				}
-				if err := m.Check(); err != nil {
-					t.Fatalf("step %d: %v", step, err)
+	for a := topk.Approx; a <= topk.MidNaive; a++ {
+		i := slices.IndexFunc(chaintest.Table, func(r chaintest.Row) bool { return r.Algo == a && r.Faults == nil })
+		r := chaintest.Table[i]
+		t.Run(a.String(), func(t *testing.T) {
+			p := chaintest.NewPusher(r)
+			defer p.M.Close()
+			for step, o := range chaintest.Run(r.Reference().Trace, p.Step) {
+				if o.Check != "ok" {
+					t.Fatalf("%s step %d: %s", r.Name, step, o.Check)
 				}
 			}
-			if got := len(m.TopK(nil)); got != k {
-				t.Errorf("|TopK| = %d, want %d", got, k)
+			if got := len(p.M.TopK(nil)); got != r.K {
+				t.Errorf("|TopK| = %d, want %d", got, r.K)
 			}
 		})
 	}

@@ -4,7 +4,8 @@
 // the paper's algorithms), every output is validated against the built-in
 // referee, and the communication bill is reported as the stream evolves.
 // An output that fails validation while Health reads fresh is printed as
-// an INVALID OUTPUT line, and the command then exits with status 1.
+// an INVALID OUTPUT line, and once every session has run the command
+// exits with status 1.
 //
 // The command imports ONLY the public topk package — it is the reference
 // consumer of the embeddable API (CI enforces that no internal/ package
@@ -92,6 +93,7 @@ func main() {
 	}
 	defer m.Close()
 
+	invalid := 0
 	for r := 0; r < *repeat; r++ {
 		sessionSeed := *seed + uint64(r)
 		if r > 0 {
@@ -111,15 +113,20 @@ func main() {
 		}
 		fmt.Printf("topkmon: %s on %s, n=%d k=%d ε=%s engine=%s\n",
 			m.AlgorithmName(), gen.name(), *n, *k, e, *engine)
-		runSession(m, gen, *steps, *report, plan != nil)
+		invalid += runSession(m, gen, *steps, *report, plan != nil)
+	}
+	if invalid > 0 {
+		m.Close()
+		os.Exit(1)
 	}
 }
 
 // runSession pushes one batch per tick into the monitor, validating every
 // output and printing the communication summary. Under -faults an invalid
 // output the monitor itself flagged non-Fresh counts as degraded (the
-// guarantee working); only unflagged failures count as invalid.
-func runSession(m *topk.Monitor, gen *workload, steps, report int, faulty bool) {
+// guarantee working); only unflagged failures count as invalid, and
+// runSession returns their number.
+func runSession(m *topk.Monitor, gen *workload, steps, report int, faulty bool) int {
 	var invalid, degraded int
 	n := m.N()
 	vals := make([]int64, n)
@@ -169,9 +176,7 @@ func runSession(m *topk.Monitor, gen *workload, steps, report int, faulty bool) 
 		fmt.Printf("health: %s (stale for %d steps, degraded-and-flagged steps=%d)\n",
 			h.State, h.StaleFor, degraded)
 	}
-	if invalid > 0 {
-		os.Exit(1)
-	}
+	return invalid
 }
 
 // workload is a seeded local data source: it fills a value vector per tick.

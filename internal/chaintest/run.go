@@ -182,6 +182,9 @@ func NewDirect(r Row, eng cluster.Engine) *Direct {
 	return d
 }
 
+// Monitor is the algorithm d runs.
+func (d *Direct) Monitor() protocol.Monitor { return d.mon }
+
 // Reset rewinds the engine to seed and rebuilds the monitor on it.
 func (d *Direct) Reset(seed uint64) {
 	d.eng.Reset(seed)

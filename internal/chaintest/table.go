@@ -241,6 +241,9 @@ var kept = func() map[string]Row {
 		"steady":        walk(64, 100000, 400, 1<<24, 13, 8, e8, 512, 5),
 		"serve":         {N: 48, K: 4, Eps: e8, Steps: 220, Seed: 11, gen: func() stream.Generator { return randWalk(48, 220, 11) }},
 		"sse":           {N: 24, K: 3, Eps: e8, Steps: 160, Seed: 3, gen: func() stream.Generator { return churn(24, 3, 160) }},
+		"live/invariants": {N: 19, K: 3, Eps: eps.MustNew(1, 4), Steps: 150, Seed: 41, gen: func() stream.Generator {
+			return stream.NewOscillator(2, 13, 4, 20000, 20000*4/100, 2000000, 300, 9)
+		}},
 	}
 }()
 

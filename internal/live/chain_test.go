@@ -9,6 +9,8 @@ import (
 	"topkmon/internal/cluster"
 	"topkmon/internal/live"
 	"topkmon/internal/lockstep"
+	"topkmon/internal/protocol"
+	"topkmon/internal/wire"
 	"topkmon/topk"
 )
 
@@ -40,7 +42,8 @@ func TestLockstepEquivalence(t *testing.T) {
 		t.Run(r.Name+"/m=3", func(t *testing.T) {
 			eng := live.New(r.N, r.Seed, live.WithShards(3))
 			defer eng.Close()
-			chaintest.Same(t, r.Reference().Obs, chaintest.Run(r.Reference().Trace, chaintest.NewDirect(r, eng).Step))
+			ref := r.Reference()
+			chaintest.Same(t, ref.Obs, chaintest.Run(ref.Trace, chaintest.NewDirect(r, eng).Step))
 		})
 	}
 }
@@ -105,5 +108,31 @@ func TestResetMatchesFresh(t *testing.T) {
 	for _, r := range chaintest.Rows(chaintest.Reset) {
 		ref := r.Reference()
 		t.Run(r.Name+"/live/m=2", func(t *testing.T) { check(t, engines["live/m=2"], r, ref) })
+	}
+}
+
+// TestLiveDenseInvariants runs the DENSE/SUB tag-vs-set invariant checker on
+// the goroutine engine after every processed violation — the live twin of
+// the lockstep invariant stress, guarding against engine-specific state
+// divergence (ordering, races, lost hand-offs) — and checks every output.
+func TestLiveDenseInvariants(t *testing.T) {
+	r := chaintest.Kept("live/invariants")
+	eng := live.New(r.N, r.Seed)
+	defer eng.Close()
+	d := chaintest.NewDirect(r, eng)
+	ap := d.Monitor().(*protocol.Approx)
+	tags := make([]wire.Tag, r.N)
+	ap.AfterHandle = func(rep wire.Report) {
+		for i := range tags {
+			tags[i] = eng.Node(i).Tag
+		}
+		if err := ap.CheckInvariants(tags); err != nil {
+			t.Fatalf("invariant after violation (node %d %v): %v", rep.ID, rep.Dir, err)
+		}
+	}
+	for i, o := range chaintest.Run(r.Reference().Trace, d.Step) {
+		if o.Check != "ok" {
+			t.Fatalf("step %d: %s", i, o.Check)
+		}
 	}
 }

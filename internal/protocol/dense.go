@@ -61,6 +61,11 @@ type Dense struct {
 	// OnSwitchTopK is invoked when all of V2 is classified (case (d)):
 	// the unique-output regime applies. NewDense sets it to Start, the
 	// controller overrides it to hand over to TOP-K-PROTOCOL.
+	//
+	// With both defaults, a standalone Dense keeps running DENSEPROTOCOL
+	// where the regime is no longer dense, and there it can output a node
+	// clearly below v_k (seen at σ = 1 and at σ = k+1); only the
+	// controller's hand-over keeps every output valid.
 	OnSwitchTopK func()
 
 	// SubCalls counts SUBPROTOCOL invocations (Lemma 5.3's factor).

@@ -95,10 +95,11 @@ func costBody(t *testing.T, o chaintest.Obs) []byte {
 // step, what the direct lockstep run records (for a fault-armed row, the
 // facade on lockstep) — outputs, the whole Cost bill, epochs, algorithm,
 // Check and Health — and every /cost body is byte for byte the one that
-// record encodes to. The server path is pure transport; it inherits the
-// facade's equivalence guarantee instead of weakening it. The walk this
-// test ran before the table runs on both engines and with the fault layer
-// armed; every table row runs too.
+// record encodes to. No served step may be silent-invalid (Check failing
+// while Health reads fresh), on any row. The server path is pure
+// transport; it inherits the facade's equivalence guarantee instead of
+// weakening it. The walk this test ran before the table runs on both
+// engines and with the fault layer armed; every table row runs too.
 func TestServeEquivalence(t *testing.T) {
 	run := func(t *testing.T, r chaintest.Row, cfg Config) {
 		ref := r.FacadeReference()
@@ -114,9 +115,11 @@ func TestServeEquivalence(t *testing.T) {
 		}
 		// No silent wrong answer over the wire, and an armed plan dropped
 		// messages.
-		last := got[len(got)-1]
-		if i := chaintest.SilentWrong(got); r.Faults != nil && (i >= 0 || last.Cost.DroppedMsgs == 0) {
-			t.Fatalf("faulty run: silent wrong answer at step %d, %d messages dropped", i, last.Cost.DroppedMsgs)
+		if i := chaintest.SilentWrong(got); i >= 0 {
+			t.Fatalf("step %d: served /cost is silent-invalid (check %q)", i, got[i].Check)
+		}
+		if last := got[len(got)-1]; r.Faults != nil && last.Cost.DroppedMsgs == 0 {
+			t.Fatal("faulty run: the fault plan dropped no message")
 		}
 	}
 	kept := chaintest.Kept("serve")

@@ -89,58 +89,59 @@ func putTenant(t *testing.T, hc *http.Client, base, name string) {
 }
 
 // TestSSEBridgeMatchesSubscribe is the SSE link of the chain: it drives a
-// trace through a served tenant with an SSE consumer attached and asserts
-// the stream carried exactly the events Subscribe delivers for the direct
-// lockstep run — one per step that changes the top-k set or the health,
-// with that step, set and health, in order, nothing extra. The comparison
-// is synchronous: each step's frame is awaited before the next step, so
-// no subscription buffer can overrun. The churn trace this test ran before
-// the table, where the hot set rotates by one node per step so nearly
-// every commit changes the set, runs first; then the table rows.
+// trace through a served tenant with an SSE consumer attached and through
+// a facade monitor built for the same row with a Subscribe channel, and
+// asserts the stream carried exactly the events Subscribe delivered —
+// same steps, same sets, same health, same order, nothing extra. The
+// comparison is synchronous: the facade delivers events inside
+// UpdateBatch, so after each step its event (if any) is already buffered,
+// and the bridge's frame for it is awaited before the next step; neither
+// side can overrun a subscription buffer. The churn trace this test ran
+// before the table, where the hot set rotates by one node per step so
+// nearly every commit changes the set, runs first; then the table rows.
 func TestSSEBridgeMatchesSubscribe(t *testing.T) {
 	srv := newTestServer(t, Options{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	hc := ts.Client()
 	var clients []*sseClient
+	// Close the streams before the listener, which waits for them.
+	defer func() {
+		for _, c := range clients {
+			c.Close()
+		}
+	}()
 
 	run := func(t *testing.T, tenant string, r chaintest.Row) (events int) {
-		ref := r.FacadeReference()
+		trace := r.Reference().Trace
+		direct := chaintest.NewPusher(r)
+		defer direct.M.Close()
+		directCh := direct.M.Subscribe()
 		// Subscribe BEFORE the first step so no event predates the bridge.
 		createTenant(t, srv, tenant, rowConfig(r, r.Sparse))
 		sse := newSSEClient(t, ts.URL, tenant)
 		clients = append(clients, sse)
 
-		prev := chaintest.Obs{Health: chaintest.Health{State: "fresh"}}
-		for step, b := range ref.Trace {
-			resp, err := hc.Post(ts.URL+"/v1/"+tenant+"/update", "application/json",
-				strings.NewReader(encodeBatch(b.Updates(nil))))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("update status = %d", resp.StatusCode)
-			}
-			want := ref.Obs[step]
-			if slices.Equal(want.Out, prev.Out) && want.Health.State == prev.Health.State {
-				continue
-			}
-			prev = want
-			select {
-			case g, ok := <-sse.Events:
-				if !ok {
-					t.Fatalf("SSE stream ended at step %d", step)
+		v := &served{t: t, s: srv, tenant: tenant}
+		for _, b := range trace {
+			v.Step(b)
+			direct.Step(b)
+			for len(directCh) > 0 {
+				want := <-directCh
+				select {
+				case g, ok := <-sse.Events:
+					if !ok {
+						t.Fatalf("SSE stream ended at step %d", want.Step)
+					}
+					// A frame spells health without its error text.
+					if g.Step != want.Step || !slices.Equal(g.TopK, want.TopK) ||
+						g.Health.State != want.Health.State.String() || g.Health.StaleFor != want.Health.StaleFor {
+						t.Fatalf("event %d: served %+v != direct {step:%d topk:%v health:%s/%d}",
+							events, g, want.Step, want.TopK, want.Health.State, want.Health.StaleFor)
+					}
+					events++
+				case <-time.After(5 * time.Second):
+					t.Fatalf("SSE frame for step %d never arrived", want.Step)
 				}
-				// A frame spells health without its error text.
-				if g.Step != int64(step+1) || !slices.Equal(g.TopK, want.Out) ||
-					g.Health.State != want.Health.State || g.Health.StaleFor != want.Health.StaleFor {
-					t.Fatalf("event %d: served %+v != direct {step:%d topk:%v health:%+v}",
-						events, g, step+1, want.Out, want.Health)
-				}
-				events++
-			case <-time.After(5 * time.Second):
-				t.Fatalf("SSE frame for step %d never arrived", step+1)
 			}
 		}
 		return events
@@ -161,7 +162,6 @@ func TestSSEBridgeMatchesSubscribe(t *testing.T) {
 			t.Fatalf("unexpected extra SSE event: %+v", ev)
 		default:
 		}
-		c.Close()
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"topkmon/internal/cluster"
 	"topkmon/internal/eps"
 	"topkmon/internal/lockstep"
-	"topkmon/internal/oracle"
 	"topkmon/internal/protocol"
 	"topkmon/internal/stream"
 	"topkmon/internal/wire"
@@ -55,25 +54,17 @@ func tagsOf(eng *lockstep.Engine) []wire.Tag {
 func runInvariantChecked(t *testing.T, gen stream.Generator, k int, e eps.Eps, steps int, seed uint64) {
 	t.Helper()
 	eng := lockstep.New(gen.N(), seed)
-	var c cluster.Cluster = eng
-	ap := protocol.NewApprox(c, k, e)
-	ap.AfterHandle = func(rep wire.Report) {
-		if err := ap.CheckInvariants(tagsOf(eng)); err != nil {
-			t.Fatalf("invariant after violation (node %d %v): %v", rep.ID, rep.Dir, err)
-		}
-	}
-	for ts := 0; ts < steps; ts++ {
-		vals := gen.Next(ts)
-		eng.Advance(vals)
-		if ts == 0 {
-			ap.Start()
-		} else {
-			ap.HandleStep()
-		}
-		truth := oracle.Compute(vals, k, e)
-		if err := truth.ValidateEps(ap.Output()); err != nil {
-			t.Fatalf("step %d: %v", ts, err)
-		}
-		eng.EndStep()
+	_, err := Run(Config{K: k, Eps: e, Steps: steps, Seed: seed, Gen: gen, Engine: eng, Validate: ValidateEps,
+		NewMonitor: func(c cluster.Cluster) protocol.Monitor {
+			ap := protocol.NewApprox(c, k, e)
+			ap.AfterHandle = func(rep wire.Report) {
+				if err := ap.CheckInvariants(tagsOf(eng)); err != nil {
+					t.Fatalf("invariant after violation (node %d %v): %v", rep.ID, rep.Dir, err)
+				}
+			}
+			return ap
+		}})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

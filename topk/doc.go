@@ -53,7 +53,8 @@
 // WithMonitor selects the paper's algorithm: the Theorem 5.8 controller
 // [Approx] (default), the exact monitor [Exact] (Corollary 3.3; assumes
 // pairwise-distinct values), [TopKProtocol] (Section 4), [Dense]
-// (Section 5.2; ε-correct in the dense regime it is designed for),
+// (Section 5.2; ε-correct only in the dense regime it is designed for:
+// outside it, it can publish an invalid output under fresh health),
 // [HalfEps] (Corollary 5.9), and the [Naive] / [MidNaive] baselines.
 //
 // [Monitor.Check] recomputes the ground truth over the monitor's mirror of

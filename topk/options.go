@@ -53,7 +53,12 @@ const (
 	// Dense is DENSEPROTOCOL of Section 5.2; ε-correct in the dense regime
 	// it is designed for (many nodes inside the ε-neighborhood). Run
 	// alone, it opens a fresh DENSEPROTOCOL epoch wherever Approx would
-	// hand over to the next epoch or to TOP-K-PROTOCOL.
+	// hand over to the next epoch or to TOP-K-PROTOCOL. Once the regime
+	// stops being dense (few nodes inside the ε-neighborhood of v_k) it
+	// is not ε-correct: it can publish an output that fails
+	// [Monitor.Check] while [Monitor.Health] reads Fresh. Use Approx,
+	// which hands such epochs to TOP-K-PROTOCOL, wherever every answer
+	// must be valid.
 	Dense
 	// HalfEps is the Corollary 5.9 monitor: runs at ε/2 to be competitive
 	// against the ε/2-optimum while outputting valid ε-Top-k sets.

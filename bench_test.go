@@ -600,25 +600,19 @@ func BenchmarkMonitorStep(b *testing.B) {
 	const n, k = 64, 8
 	const pregen = 1024
 	e := eps.MustNew(1, 8)
-	monitors := []struct {
-		name string
-		mk   func(cluster.Cluster) protocol.Monitor
-	}{
-		{"exact-mid", func(c cluster.Cluster) protocol.Monitor { return protocol.NewExactMid(c, k) }},
-		{"topk", func(c cluster.Cluster) protocol.Monitor { return protocol.NewTopKProto(c, k, e) }},
-		{"approx", func(c cluster.Cluster) protocol.Monitor { return protocol.NewApprox(c, k, e) }},
-		{"half-eps", func(c cluster.Cluster) protocol.Monitor { return protocol.NewHalfEps(c, k, e) }},
-		{"naive", func(c cluster.Cluster) protocol.Monitor { return protocol.NewNaive(c, k) }},
-	}
-	for _, m := range monitors {
-		b.Run(m.name, func(b *testing.B) {
+	for _, name := range []string{"exact-mid", "topk", "approx", "half-eps", "naive"} {
+		algo, err := topk.ParseAlgorithm(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
 			gen := stream.NewWalk(n, 100000, 500, 1<<24, 13)
 			steps := make([][]int64, pregen)
 			for t := range steps {
 				steps[t] = gen.Next(t)
 			}
 			eng := lockstep.New(n, 5)
-			mon := m.mk(eng)
+			mon := algo.NewMonitor(eng, k, e)
 			eng.Advance(steps[0])
 			mon.Start()
 			eng.EndStep()

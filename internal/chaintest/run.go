@@ -175,7 +175,7 @@ type Direct struct {
 // Advance.
 func NewDirect(r Row, eng cluster.Engine) *Direct {
 	if r.Faults != nil {
-		eng = faults.Wrap(eng, faultPlan(r.Faults), r.Seed)
+		eng = faults.Wrap(eng, r.Faults.Injector(), r.Seed)
 	}
 	d := &Direct{eng: eng, r: r, delta: true}
 	d.restart()
@@ -197,7 +197,7 @@ func (d *Direct) restart() {
 	if d.pin != nil {
 		c = callRecorder{d.eng, d.pin}
 	}
-	d.mon, d.start = newMonitor(d.r, c), true
+	d.mon, d.start = d.r.Algo.NewMonitor(c, d.r.K, d.r.Eps), true
 }
 
 // Step commits b as one time step and observes the result.
@@ -218,7 +218,7 @@ func (d *Direct) Step(b Batch) Obs {
 		check = checkString(b.truth.ValidateEps(d.out))
 	}
 	c := d.eng.Counters()
-	return Obs{Out: d.out, Cost: costOf(c, d.steps), Epochs: d.mon.Epochs(), Algo: d.mon.Name(),
+	return Obs{Out: d.out, Cost: topk.CostOf(c, d.steps), Epochs: d.mon.Epochs(), Algo: d.mon.Name(),
 		Check: check, Health: Health{State: "fresh"}, Counters: *c, Nodes: d.nodeDigest()}
 }
 
@@ -330,57 +330,6 @@ func nodeOf(e cluster.Engine, i int) *nodecore.Node {
 		e = w.Inner()
 	}
 	return e.(interface{ Node(int) *nodecore.Node }).Node(i)
-}
-
-// costOf is topk.Monitor.Cost over an engine's counters.
-func costOf(c *metrics.Counters, steps int64) topk.Cost {
-	return topk.Cost{
-		Messages:         c.Total(),
-		NodeToServer:     c.ByChannel(metrics.NodeToServer),
-		Unicasts:         c.ByChannel(metrics.ServerToNode),
-		Broadcasts:       c.ByChannel(metrics.Broadcast),
-		MaxRoundsPerStep: c.MaxRoundsPerStep(),
-		MaxMessageBits:   c.MaxBits(),
-		Steps:            steps,
-		IndexFallbacks:   c.IndexFallbacks(),
-		DroppedMsgs:      c.DroppedMsgs(),
-		DupMsgs:          c.DupMsgs(),
-		Retries:          c.Retries(),
-		Resyncs:          c.Resyncs(),
-		StaleSteps:       c.StaleSteps(),
-	}
-}
-
-// newMonitor builds r's algorithm as topk.WithMonitor does.
-func newMonitor(r Row, c cluster.Cluster) protocol.Monitor {
-	switch r.Algo {
-	case topk.Exact:
-		return protocol.NewExactMid(c, r.K)
-	case topk.TopKProtocol:
-		return protocol.NewTopKProto(c, r.K, r.Eps)
-	case topk.Dense:
-		return protocol.NewDense(c, r.K, r.Eps)
-	case topk.HalfEps:
-		return protocol.NewHalfEps(c, r.K, r.Eps)
-	case topk.Naive:
-		return protocol.NewNaive(c, r.K)
-	case topk.MidNaive:
-		return protocol.NewMidNaive(c, r.K)
-	default:
-		return protocol.NewApprox(c, r.K, r.Eps)
-	}
-}
-
-// faultPlan is topk.FaultPlan's engine-level form.
-func faultPlan(p *topk.FaultPlan) *faults.Plan {
-	fp := &faults.Plan{Drop: p.Drop, Dup: p.Dup, Delay: p.Delay, Retries: p.Retries}
-	if p.Retries < 0 {
-		fp.Retries = faults.NoRetries
-	}
-	for _, c := range p.Crashes {
-		fp.Crashes = append(fp.Crashes, faults.Crash{Node: c.Node, From: c.From, Until: c.Until})
-	}
-	return fp
 }
 
 // Pusher pushes each batch through topk.Monitor.UpdateBatch.

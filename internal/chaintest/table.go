@@ -99,8 +99,8 @@ var maxSteps = map[Link]int{Live: 100, Reset: 100, Faulty: 100, Facade: 100, Ser
 // the coverage check) run every row to the end. Under
 // -short, and always on the served, recovered and SSE links, whose steps
 // are HTTP requests, a link keeps the first row of each algorithm and of
-// each workload, and the first fault-armed row; the table's order makes
-// the first sparse row one of them.
+// each workload, and the first fault-armed row of each algorithm; the
+// table's order makes the first sparse row one of them.
 func Rows(l Link) []Row {
 	var rows []Row
 	seen := map[string]bool{}
@@ -110,10 +110,11 @@ func Rows(l Link) []Row {
 		}
 		r.Steps, r.Pin = min(r.Steps, maxSteps[l]), 0
 		// A row joins the subset when it is the first of its algorithm
-		// or of its workload, or the first fault-armed one.
+		// or of its workload, or the first fault-armed one of its
+		// algorithm.
 		keys := []string{r.Algo.String(), r.Work}
 		if r.Faults != nil {
-			keys = []string{"faulty"}
+			keys = []string{"faulty/" + r.Algo.String()}
 		}
 		if !seen[keys[0]] || !seen[keys[len(keys)-1]] || !testing.Short() && l < Served {
 			rows = append(rows, r)

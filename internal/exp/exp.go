@@ -38,6 +38,7 @@ import (
 	"topkmon/internal/metrics"
 	"topkmon/internal/protocol"
 	"topkmon/internal/sim"
+	"topkmon/topk"
 )
 
 // Options configures an experiment run.
@@ -178,24 +179,14 @@ func runOrPanic(cfg sim.Config) sim.Report {
 	return rep
 }
 
-// mkMonitor builds the named monitor; shared across experiments.
+// mkMonitor builds the named monitor; shared across experiments. The
+// names are topk.ParseAlgorithm's, the E5 table prints them.
 func mkMonitor(name string, k int, e eps.Eps) func(cluster.Cluster) protocol.Monitor {
-	switch name {
-	case "exact-mid":
-		return func(c cluster.Cluster) protocol.Monitor { return protocol.NewExactMid(c, k) }
-	case "topk":
-		return func(c cluster.Cluster) protocol.Monitor { return protocol.NewTopKProto(c, k, e) }
-	case "approx":
-		return func(c cluster.Cluster) protocol.Monitor { return protocol.NewApprox(c, k, e) }
-	case "half-eps":
-		return func(c cluster.Cluster) protocol.Monitor { return protocol.NewHalfEps(c, k, e) }
-	case "naive":
-		return func(c cluster.Cluster) protocol.Monitor { return protocol.NewNaive(c, k) }
-	case "mid-naive":
-		return func(c cluster.Cluster) protocol.Monitor { return protocol.NewMidNaive(c, k) }
-	default:
-		panic("exp: unknown monitor " + name)
+	a, err := topk.ParseAlgorithm(name)
+	if err != nil {
+		panic("exp: " + err.Error())
 	}
+	return func(c cluster.Cluster) protocol.Monitor { return a.NewMonitor(c, k, e) }
 }
 
 func sortedKeys[K int | int64, V any](m map[K]V) []K {

@@ -312,6 +312,8 @@ func (in *Instance) realisticCost(segs []Segment) int64 {
 }
 
 // SigmaMax returns max_t σ(t) for the instance, the paper's σ parameter.
+// No program calls it (sim.Run takes σ from its per-step validation); the
+// tests of this package do.
 func (in *Instance) SigmaMax() int {
 	best := 0
 	var sc oracle.Scratch

@@ -54,14 +54,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				return
 			}
-			data, err := json.Marshal(eventJSON{
-				Step: ev.Step,
-				TopK: ev.TopK,
-				Health: healthJSON{
-					State:    ev.Health.State.String(),
-					StaleFor: ev.Health.StaleFor,
-				},
-			})
+			data, err := json.Marshal(eventJSON{Step: ev.Step, TopK: ev.TopK, Health: healthOf(ev.Health)})
 			if err != nil {
 				return
 			}

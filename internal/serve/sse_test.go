@@ -132,11 +132,9 @@ func TestSSEBridgeMatchesSubscribe(t *testing.T) {
 					if !ok {
 						t.Fatalf("SSE stream ended at step %d", want.Step)
 					}
-					// A frame spells health without its error text.
-					if g.Step != want.Step || !slices.Equal(g.TopK, want.TopK) ||
-						g.Health.State != want.Health.State.String() || g.Health.StaleFor != want.Health.StaleFor {
-						t.Fatalf("event %d: served %+v != direct {step:%d topk:%v health:%s/%d}",
-							events, g, want.Step, want.TopK, want.Health.State, want.Health.StaleFor)
+					if g.Step != want.Step || !slices.Equal(g.TopK, want.TopK) || g.Health != healthOf(want.Health) {
+						t.Fatalf("event %d: served %+v != direct {step:%d topk:%v health:%+v}",
+							events, g, want.Step, want.TopK, healthOf(want.Health))
 					}
 					events++
 				case <-time.After(5 * time.Second):

@@ -40,38 +40,6 @@ func TestRunRejectsMissingPieces(t *testing.T) {
 	}
 }
 
-func TestRunValidateNoneSkipsOracle(t *testing.T) {
-	cfg := validCfg()
-	cfg.Validate = ValidateNone
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.SigmaMax != 0 {
-		t.Error("σ should not be computed without validation or OPT")
-	}
-}
-
-func TestRunKeepsTraceOnRequest(t *testing.T) {
-	cfg := validCfg()
-	cfg.KeepTrace = true
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Trace) != cfg.Steps || len(rep.Trace[0]) != 6 {
-		t.Errorf("trace shape %dx%d", len(rep.Trace), len(rep.Trace[0]))
-	}
-	cfg.KeepTrace = false
-	rep, err = Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Trace != nil {
-		t.Error("trace kept without request")
-	}
-}
-
 func TestRunReportsValidationFailureWithContext(t *testing.T) {
 	cfg := validCfg()
 	// A monitor that lies: always outputs the first k ids.

@@ -33,10 +33,8 @@ import (
 type Validate int
 
 const (
-	// ValidateNone skips output validation (pure benchmarking).
-	ValidateNone Validate = iota
 	// ValidateEps checks the ε-Top-k properties each step.
-	ValidateEps
+	ValidateEps Validate = iota
 	// ValidateExact checks output == exact top-k each step.
 	ValidateExact
 )
@@ -67,9 +65,6 @@ type Config struct {
 	// Run uses the engine as handed over — callers reusing one engine
 	// across runs are responsible for the Reset between them.
 	Engine cluster.Engine
-
-	// KeepTrace retains the recorded matrix in the report.
-	KeepTrace bool
 }
 
 // Report summarises one run.
@@ -91,8 +86,6 @@ type Report struct {
 	// RatioLB is messages / max(1, OPT breaks): the empirical competitive
 	// ratio against the break lower bound.
 	RatioLB float64
-
-	Trace [][]int64
 }
 
 // Run executes the configured simulation. It returns an error on the first
@@ -130,11 +123,10 @@ func Run(cfg Config) (Report, error) {
 	}
 	adaptive, _ := cfg.Gen.(stream.Adaptive)
 
-	// The recorded trace is only needed for offline pricing or on request;
-	// skipping it keeps pure monitoring runs free of per-step retention.
-	needTrace := cfg.ComputeOPT || cfg.KeepTrace
+	// The recorded trace is only needed for offline pricing; skipping it
+	// keeps pure monitoring runs free of per-step retention.
 	var trace [][]int64
-	if needTrace {
+	if cfg.ComputeOPT {
 		trace = make([][]int64, 0, cfg.Steps)
 	}
 
@@ -153,7 +145,7 @@ func Run(cfg Config) (Report, error) {
 			adaptive.ObserveFilters(filterBuf, outBuf)
 		}
 		vals := cfg.Gen.Next(t)
-		if needTrace {
+		if cfg.ComputeOPT {
 			trace = append(trace, vals)
 		}
 
@@ -165,22 +157,19 @@ func Run(cfg Config) (Report, error) {
 			return rep, fmt.Errorf("sim: step %d: %w", t, err)
 		}
 
-		if cfg.Validate != ValidateNone {
-			truth := oracle.ComputeInto(&sc, vals, cfg.K, cfg.Eps)
-			if truth.Sigma > rep.SigmaMax {
-				rep.SigmaMax = truth.Sigma
-			}
-			outBuf = m.TopK(outBuf)
-			var err error
-			if cfg.Validate == ValidateExact {
-				err = truth.ValidateExact(outBuf)
-			} else {
-				err = truth.ValidateEps(outBuf)
-			}
-			if err != nil {
-				return rep, fmt.Errorf("sim: step %d, monitor %s on %s: %w",
-					t, rep.Monitor, rep.Workload, err)
-			}
+		truth := oracle.ComputeInto(&sc, vals, cfg.K, cfg.Eps)
+		if truth.Sigma > rep.SigmaMax {
+			rep.SigmaMax = truth.Sigma
+		}
+		outBuf = m.TopK(outBuf)
+		if cfg.Validate == ValidateExact {
+			err = truth.ValidateExact(outBuf)
+		} else {
+			err = truth.ValidateEps(outBuf)
+		}
+		if err != nil {
+			return rep, fmt.Errorf("sim: step %d, monitor %s on %s: %w",
+				t, rep.Monitor, rep.Workload, err)
 		}
 	}
 
@@ -201,12 +190,6 @@ func Run(cfg Config) (Report, error) {
 			denom = 1
 		}
 		rep.RatioLB = float64(rep.Messages.Total()) / denom
-		if rep.SigmaMax == 0 {
-			rep.SigmaMax = inst.SigmaMax()
-		}
-	}
-	if cfg.KeepTrace {
-		rep.Trace = trace
 	}
 	return rep, nil
 }

@@ -8,18 +8,20 @@ import (
 	"topkmon/internal/eps"
 	"topkmon/internal/protocol"
 	"topkmon/internal/stream"
+	"topkmon/topk"
 )
 
 // monitors under test, constructed per run.
 func monitorFactories(k int, e eps.Eps) map[string]func(cluster.Cluster) protocol.Monitor {
-	return map[string]func(cluster.Cluster) protocol.Monitor{
-		"exact-mid": func(c cluster.Cluster) protocol.Monitor { return protocol.NewExactMid(c, k) },
-		"topk":      func(c cluster.Cluster) protocol.Monitor { return protocol.NewTopKProto(c, k, e) },
-		"approx":    func(c cluster.Cluster) protocol.Monitor { return protocol.NewApprox(c, k, e) },
-		"half-eps":  func(c cluster.Cluster) protocol.Monitor { return protocol.NewHalfEps(c, k, e) },
-		"naive":     func(c cluster.Cluster) protocol.Monitor { return protocol.NewNaive(c, k) },
-		"mid-naive": func(c cluster.Cluster) protocol.Monitor { return protocol.NewMidNaive(c, k) },
+	m := map[string]func(cluster.Cluster) protocol.Monitor{}
+	for _, name := range []string{"exact-mid", "topk", "approx", "half-eps", "naive", "mid-naive"} {
+		a, err := topk.ParseAlgorithm(name)
+		if err != nil {
+			panic(err)
+		}
+		m[name] = func(c cluster.Cluster) protocol.Monitor { return a.NewMonitor(c, k, e) }
 	}
+	return m
 }
 
 func generators(n int, seed uint64) map[string]stream.Generator {

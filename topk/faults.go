@@ -45,20 +45,16 @@ type FaultPlan struct {
 	Crashes []Crash `json:"crashes,omitempty"`
 }
 
-// internal converts the public plan to the injector's representation.
-func (p *FaultPlan) internal() *faults.Plan {
+// Injector converts the plan to the fault injector's form, as WithFaults
+// does inside New (nil for a nil plan). Harness scaffolding like
+// WithClusterEngine (the result's type lives under internal/, so code
+// outside this module cannot use it): internal/chaintest wraps its direct
+// runs' engines with it.
+func (p *FaultPlan) Injector() *faults.Plan {
 	if p == nil {
 		return nil
 	}
-	fp := &faults.Plan{
-		Drop:    p.Drop,
-		Dup:     p.Dup,
-		Delay:   p.Delay,
-		Retries: p.Retries,
-	}
-	if p.Retries < 0 {
-		fp.Retries = faults.NoRetries
-	}
+	fp := &faults.Plan{Drop: p.Drop, Dup: p.Dup, Delay: p.Delay, Retries: p.Retries}
 	for _, c := range p.Crashes {
 		fp.Crashes = append(fp.Crashes, faults.Crash{Node: c.Node, From: c.From, Until: c.Until})
 	}

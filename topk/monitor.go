@@ -116,6 +116,12 @@ func New(k int, e Epsilon, opts ...Option) (*Monitor, error) {
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("topk: k = %d outside [1, n = %d]", k, n)
 	}
+	if !cfg.algo.valid() {
+		return nil, fmt.Errorf("topk: unknown algorithm %d (WithMonitor)", int(cfg.algo))
+	}
+	if cfg.engine != Lockstep && cfg.engine != Live {
+		return nil, fmt.Errorf("topk: unknown engine %d (WithEngine)", int(cfg.engine))
+	}
 
 	eng := cfg.rawEngine
 	owns := false
@@ -131,7 +137,7 @@ func New(k int, e Epsilon, opts ...Option) (*Monitor, error) {
 
 	var faulty *faults.Cluster
 	if cfg.faults != nil {
-		fp := cfg.faults.internal()
+		fp := cfg.faults.Injector()
 		if err := fp.Validate(n); err != nil {
 			if owns {
 				if lc, ok := eng.(*live.Cluster); ok {
@@ -144,12 +150,17 @@ func New(k int, e Epsilon, opts ...Option) (*Monitor, error) {
 		eng = faulty
 	}
 
+	mkMon := cfg.monitorFn
+	if mkMon == nil {
+		a := cfg.algo
+		mkMon = func(c cluster.Cluster) protocol.Monitor { return a.NewMonitor(c, k, e.e) }
+	}
 	m := &Monitor{
 		eng:           eng,
 		ownsEngine:    owns,
 		faulty:        faulty,
 		resyncBackoff: 1,
-		mkMon:         cfg.newMonitorFn(k, e.e),
+		mkMon:         mkMon,
 		k:             k,
 		e:             e.e,
 		seed:          cfg.seed,
@@ -384,7 +395,14 @@ type Cost struct {
 func (m *Monitor) Cost() Cost {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	c := m.eng.Counters()
+	return CostOf(m.eng.Counters(), m.steps)
+}
+
+// CostOf is the bill Cost reads off an engine's counters after steps
+// committed steps. Harness scaffolding like WithClusterEngine (the
+// counters live under internal/, so code outside this module cannot call
+// it): internal/chaintest bills its direct runs with it.
+func CostOf(c *metrics.Counters, steps int64) Cost {
 	return Cost{
 		Messages:         c.Total(),
 		NodeToServer:     c.ByChannel(metrics.NodeToServer),
@@ -392,7 +410,7 @@ func (m *Monitor) Cost() Cost {
 		Broadcasts:       c.ByChannel(metrics.Broadcast),
 		MaxRoundsPerStep: c.MaxRoundsPerStep(),
 		MaxMessageBits:   c.MaxBits(),
-		Steps:            m.steps,
+		Steps:            steps,
 		IndexFallbacks:   c.IndexFallbacks(),
 		DroppedMsgs:      c.DroppedMsgs(),
 		DupMsgs:          c.DupMsgs(),

@@ -69,26 +69,39 @@ const (
 	MidNaive
 )
 
+// algorithms is the one table of the algorithms, indexed by Algorithm:
+// String, ParseAlgorithm and NewMonitor all read it.
+var algorithms = [...]struct {
+	name string
+	new  func(cluster.Cluster, int, eps.Eps) protocol.Monitor
+}{
+	Approx:       {"approx", func(c cluster.Cluster, k int, e eps.Eps) protocol.Monitor { return protocol.NewApprox(c, k, e) }},
+	Exact:        {"exact", func(c cluster.Cluster, k int, _ eps.Eps) protocol.Monitor { return protocol.NewExactMid(c, k) }},
+	TopKProtocol: {"topk-protocol", func(c cluster.Cluster, k int, e eps.Eps) protocol.Monitor { return protocol.NewTopKProto(c, k, e) }},
+	Dense:        {"dense", func(c cluster.Cluster, k int, e eps.Eps) protocol.Monitor { return protocol.NewDense(c, k, e) }},
+	HalfEps:      {"half-eps", func(c cluster.Cluster, k int, e eps.Eps) protocol.Monitor { return protocol.NewHalfEps(c, k, e) }},
+	Naive:        {"naive", func(c cluster.Cluster, k int, _ eps.Eps) protocol.Monitor { return protocol.NewNaive(c, k) }},
+	MidNaive:     {"mid-naive", func(c cluster.Cluster, k int, _ eps.Eps) protocol.Monitor { return protocol.NewMidNaive(c, k) }},
+}
+
+// valid reports whether a names a row of the algorithm table.
+func (a Algorithm) valid() bool { return a >= 0 && int(a) < len(algorithms) }
+
 // String implements fmt.Stringer.
 func (a Algorithm) String() string {
-	switch a {
-	case Approx:
-		return "approx"
-	case Exact:
-		return "exact"
-	case TopKProtocol:
-		return "topk-protocol"
-	case Dense:
-		return "dense"
-	case HalfEps:
-		return "half-eps"
-	case Naive:
-		return "naive"
-	case MidNaive:
-		return "mid-naive"
-	default:
+	if !a.valid() {
 		return "Algorithm(?)"
 	}
+	return algorithms[a].name
+}
+
+// NewMonitor builds algorithm a on c, as WithMonitor(a) does inside New; a
+// must be one of the constants above. Harness scaffolding like
+// WithMonitorFunc (its parameter types live under internal/, so code
+// outside this module cannot call it): internal/exp, internal/chaintest
+// and the module's tests and benchmarks build their direct runs with it.
+func (a Algorithm) NewMonitor(c cluster.Cluster, k int, e eps.Eps) protocol.Monitor {
+	return algorithms[a].new(c, k, e)
 }
 
 // config collects the construction options of New.
@@ -160,27 +173,4 @@ func WithClusterEngine(e cluster.Engine) Option {
 // runs every experiment's monitor through the facade with it.
 func WithMonitorFunc(fn func(cluster.Cluster) protocol.Monitor) Option {
 	return func(c *config) { c.monitorFn = fn }
-}
-
-// newMonitorFn resolves the configured algorithm to a constructor.
-func (c *config) newMonitorFn(k int, e eps.Eps) func(cluster.Cluster) protocol.Monitor {
-	if c.monitorFn != nil {
-		return c.monitorFn
-	}
-	switch c.algo {
-	case Exact:
-		return func(cl cluster.Cluster) protocol.Monitor { return protocol.NewExactMid(cl, k) }
-	case TopKProtocol:
-		return func(cl cluster.Cluster) protocol.Monitor { return protocol.NewTopKProto(cl, k, e) }
-	case Dense:
-		return func(cl cluster.Cluster) protocol.Monitor { return protocol.NewDense(cl, k, e) }
-	case HalfEps:
-		return func(cl cluster.Cluster) protocol.Monitor { return protocol.NewHalfEps(cl, k, e) }
-	case Naive:
-		return func(cl cluster.Cluster) protocol.Monitor { return protocol.NewNaive(cl, k) }
-	case MidNaive:
-		return func(cl cluster.Cluster) protocol.Monitor { return protocol.NewMidNaive(cl, k) }
-	default:
-		return func(cl cluster.Cluster) protocol.Monitor { return protocol.NewApprox(cl, k, e) }
-	}
 }

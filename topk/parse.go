@@ -44,23 +44,17 @@ func ParseEngine(s string) (EngineKind, error) {
 // topk-protocol, "exact-mid" for exact).
 func ParseAlgorithm(s string) (Algorithm, error) {
 	switch s {
-	case "approx":
-		return Approx, nil
-	case "exact", "exact-mid":
-		return Exact, nil
-	case "topk", "topk-protocol":
+	case "topk":
 		return TopKProtocol, nil
-	case "dense":
-		return Dense, nil
-	case "half-eps":
-		return HalfEps, nil
-	case "naive":
-		return Naive, nil
-	case "mid-naive":
-		return MidNaive, nil
-	default:
-		return 0, fmt.Errorf("topk: unknown algorithm %q", s)
+	case "exact-mid":
+		return Exact, nil
 	}
+	for a := range algorithms {
+		if algorithms[a].name == s {
+			return Algorithm(a), nil
+		}
+	}
+	return 0, fmt.Errorf("topk: unknown algorithm %q", s)
 }
 
 // ParseFaultPlan parses the textual fault-injection spec used by the CLIs:

@@ -22,6 +22,8 @@ func TestNewValidation(t *testing.T) {
 		{"no nodes", 3, nil, "node count"},
 		{"k too large", 9, []topk.Option{topk.WithNodes(8)}, "outside"},
 		{"k zero", 0, []topk.Option{topk.WithNodes(8)}, "outside"},
+		{"unknown algorithm", 2, []topk.Option{topk.WithNodes(8), topk.WithMonitor(topk.Algorithm(99))}, "unknown algorithm"},
+		{"unknown engine", 2, []topk.Option{topk.WithNodes(8), topk.WithEngine(topk.EngineKind(9))}, "unknown engine"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -284,15 +286,25 @@ func TestParsers(t *testing.T) {
 	if _, err := topk.ParseEngine("vax"); err == nil {
 		t.Error("ParseEngine(vax) accepted")
 	}
-	for in, want := range map[string]topk.Algorithm{
-		"approx": topk.Approx, "exact": topk.Exact, "exact-mid": topk.Exact,
-		"topk": topk.TopKProtocol, "topk-protocol": topk.TopKProtocol,
-		"dense": topk.Dense, "half-eps": topk.HalfEps,
-		"naive": topk.Naive, "mid-naive": topk.MidNaive,
+	// The -monitor flags and tenant configs spell these names.
+	for a, name := range map[topk.Algorithm]string{
+		topk.Approx: "approx", topk.Exact: "exact", topk.TopKProtocol: "topk-protocol",
+		topk.Dense: "dense", topk.HalfEps: "half-eps", topk.Naive: "naive", topk.MidNaive: "mid-naive",
 	} {
+		if a.String() != name {
+			t.Errorf("Algorithm(%d).String() = %q, want %q", int(a), a, name)
+		}
+		if got, err := topk.ParseAlgorithm(a.String()); err != nil || got != a {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", name, got, err, a)
+		}
+	}
+	for in, want := range map[string]topk.Algorithm{"exact-mid": topk.Exact, "topk": topk.TopKProtocol} {
 		if a, err := topk.ParseAlgorithm(in); err != nil || a != want {
 			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", in, a, err, want)
 		}
+	}
+	if s := topk.Algorithm(99).String(); s != "Algorithm(?)" {
+		t.Errorf("Algorithm(99).String() = %q", s)
 	}
 	if _, err := topk.ParseAlgorithm("quantum"); err == nil {
 		t.Error("ParseAlgorithm(quantum) accepted")

@@ -9,9 +9,9 @@
 // experiments, and the concurrent goroutine engine (internal/live, m
 // Shards run by worker goroutines, or by the caller when a call is small)
 // used by the runnable demos. Protocol code written against this interface runs
-// unchanged on both; their message counters agree by construction, and
-// the cross-engine equivalence tests assert that their node sides — and
-// so their outputs and coin flips — agree for equal seeds too.
+// unchanged on both; their message counters and the server's draws agree
+// by construction, and the cross-engine equivalence tests assert that their
+// node sides — and so their outputs — agree for equal seeds too.
 //
 // Every method that moves information between server and nodes has a unit
 // communication cost per message, matching the model of Section 2.
@@ -54,13 +54,13 @@
 // server-side work. Max-find sweeps (AboveActive, at any threshold) are
 // routed through the list of max-find-active nodes, which the three
 // MaxFind* broadcasts — the flag's only writers — keep. Each primitive
-// resolves its predicate once: a sweep's rounds run over the nodes that
-// matched before round 0, and a sweep nobody matches bills its γ+1 rounds
-// and does no other work than its round 0 (one node round on the live
-// engine). All routing is an implementation property with NO
+// resolves its predicate once: a sweep's rounds draw their senders over
+// the nodes that matched in round 0, and a sweep nobody matches bills its
+// γ+1 rounds and does no other work than its round 0 (one node round on the
+// live engine). All routing is an implementation property with NO
 // protocol-visible effect — the model's message costs stated on each
 // method, the report contents and id order, the rounds billed and every
-// coin flip are identical to a full scan repeated every round (nodes
+// draw are identical to a full scan repeated every round (nodes
 // outside the candidates could not have matched or sent, and node state
 // cannot change while a sweep runs). Only
 // tag predicates (HasTag) and domain-covering InRange intervals scan all
@@ -88,7 +88,7 @@ type Cluster interface {
 	// Reset returns the engine to the state a fresh construction with the
 	// same n and the given seed would produce: values zeroed, filters
 	// all-admitting, tags cleared, max-find state forgotten, counters
-	// emptied, and every RNG stream (server and per-node) rewound. Nodes
+	// emptied, and the server's RNG stream rewound. Nodes
 	// and internal buffers are retained, so experiment harnesses can run
 	// hundreds of independent trials on one engine instead of constructing
 	// one per trial. Reset is harness scaffolding: a protocol never calls
@@ -117,10 +117,13 @@ type Cluster interface {
 	// terminating round (each cost 1) plus one halt broadcast. The sweep
 	// itself needs no kickoff broadcast — it is part of the per-step
 	// schedule all nodes know. The nodes that match when the sweep starts
-	// are its participants for all its rounds: each draws one coin per
-	// round, in id order, up to and including the terminating round, and
-	// no other node draws. The rounds run are billed on the counters; a
-	// sweep without participants bills all γ+1. The returned slice is
+	// are its participants for all its rounds; in round r each sends
+	// independently with probability 2^r/n (with certainty in round γ).
+	// The engine draws that law as sender ranks over the participants in
+	// id order, from the server's stream (Rand), at a cost of O(1 + senders)
+	// draws a round rather than a coin per participant. The rounds run are
+	// billed on the counters; a sweep without participants bills all γ+1
+	// and draws nothing. The returned slice is
 	// owned by the engine and is recycled by the next Sweep or
 	// DetectViolation.
 	Sweep(p wire.Pred) []wire.Report

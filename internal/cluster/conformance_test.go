@@ -542,25 +542,32 @@ func TestConformanceAdvanceLengthPanic(t *testing.T) {
 }
 
 // TestConformanceSweepCoinsMatchPerRoundLoop pins the engines' sweep — the
-// predicate resolved once, the rounds run over the matchers, a silent sweep
-// ended after one barrier — to the loop it replaced, kept here as the
-// oracle: every round walks all nodes, re-evaluates Match, and lets each
-// matching node decide ExistenceSend. After every sweep the senders, the
-// rounds billed, and the RNG state of every single node must equal the
-// oracle's, for silent, one-matcher and all-match sweeps of each routable
-// predicate kind, on every engine configuration.
+// predicate resolved once at the nodes, the sender ranks drawn by the
+// server, the reports read at those ranks only, a silent sweep ended after
+// one barrier — to a plain per-round reference, the oracle: every round
+// walks all nodes, re-evaluates Match, ranks the matchers in id order and
+// takes the reports of those at the ranks the sampler draws for the round
+// from a copy of the server stream. After every sweep the senders, the
+// rounds billed, and the server stream's state must equal the oracle's,
+// for silent, one-matcher and all-match sweeps of each routable predicate
+// kind, on every engine configuration.
 func TestConformanceSweepCoinsMatchPerRoundLoop(t *testing.T) {
 	const n, seed = 37, 43
-	// oldSweep is the per-round loop of the engines before the matcher
-	// list, over plain nodes.
-	oldSweep := func(nodes []*nodecore.Node, p wire.Pred) (senders []wire.Report, rounds int64) {
+	gaps := nodecore.NewGaps(n)
+	// refSweep is the per-round reference over plain nodes.
+	refSweep := func(nodes []*nodecore.Node, p wire.Pred, rng *rngx.Source) (senders []wire.Report, rounds int64) {
 		gamma := nodecore.ExistenceRounds(n)
 		for r := 0; r <= gamma; r++ {
 			rounds++
+			var matchers []*nodecore.Node
 			for _, nd := range nodes {
-				if nd.Match(p) && nd.ExistenceSend(r, n) {
-					senders = append(senders, wire.Report{ID: nd.ID, Value: nd.Value, Dir: nd.Violation()})
+				if nd.Match(p) {
+					matchers = append(matchers, nd)
 				}
+			}
+			for _, rank := range gaps.Ranks(nil, rng, r, len(matchers)) {
+				nd := matchers[rank]
+				senders = append(senders, wire.Report{ID: nd.ID, Value: nd.Value, Dir: nd.Violation()})
 			}
 			if len(senders) > 0 {
 				return senders, rounds
@@ -600,10 +607,10 @@ func TestConformanceSweepCoinsMatchPerRoundLoop(t *testing.T) {
 			t.Run(name+"/"+sc.name, func(t *testing.T) {
 				eng, done := mk()
 				defer done()
-				root := rngx.New(seed)
+				stream := rngx.New(seed).Child(nodecore.ServerRNG)
 				ref := make([]*nodecore.Node, n)
 				for i := range ref {
-					ref[i] = nodecore.New(i, root)
+					ref[i] = nodecore.New(i)
 					ref[i].Observe(vals[i])
 				}
 				eng.Advance(vals)
@@ -620,19 +627,17 @@ func TestConformanceSweepCoinsMatchPerRoundLoop(t *testing.T) {
 					})
 				eng.EndStep()
 
-				// Several sweeps in a row: the streams keep diverging from
-				// their seeds, and a single coin drawn out of turn in one
-				// sweep shows in the next at the latest.
+				// Several sweeps in a row: the stream keeps diverging from
+				// its seed, and a single draw out of turn in one sweep
+				// shows in the next at the latest.
 				for sweep := 0; sweep < 12; sweep++ {
-					want, rounds := oldSweep(ref, sc.pred)
+					want, rounds := refSweep(ref, sc.pred, stream)
 					got := eng.Sweep(sc.pred)
 					if !reflect.DeepEqual(append([]wire.Report(nil), got...), want) {
 						t.Fatalf("sweep %d: senders %v, the per-round loop sends %v", sweep, got, want)
 					}
-					for i, nd := range ref {
-						if have := nodeOf(eng, i).RNG; have != nd.RNG {
-							t.Fatalf("sweep %d: node %d's RNG state diverged from the per-round loop's", sweep, i)
-						}
+					if *eng.Rand() != *stream {
+						t.Fatalf("sweep %d: the server stream's state diverged from the per-round loop's", sweep)
 					}
 					eng.EndStep()
 					if billed := eng.Counters().MaxRoundsPerStep(); sweep == 0 && billed != rounds {

@@ -13,8 +13,8 @@ import (
 
 // Nodes is the node side of an engine: what a server message does at the
 // nodes, and nothing of its cost. Each method is one server message (or
-// one EXISTENCE round, or a step's observations) carried out on every node
-// it addresses; the Server bills it. The one decision an implementation
+// an EXISTENCE sweep's matchers and senders, or a step's observations)
+// carried out on every node it addresses; the Server bills it. The one decision an implementation
 // hides is who runs the node work: nodecore.Shard runs it inline over its
 // own nodes, the live engine runs it over m Shards, on the caller or on
 // its workers.
@@ -39,19 +39,23 @@ type Nodes interface {
 	Probe(id int) wire.Report
 	// Collect appends the reports of the nodes matching p to dst.
 	Collect(dst []wire.Report, p wire.Pred) []wire.Report
-	// Round runs round r of an EXISTENCE sweep for p: round 0 resolves
-	// the sweep's matchers, and in every round each matcher sends with
-	// probability prob, drawing its coin from its own stream. It appends
-	// the senders' reports to dst and returns the number of matchers.
-	Round(dst []wire.Report, p wire.Pred, r int, prob float64) (senders []wire.Report, matchers int)
+	// Resolve is round 0 of an EXISTENCE sweep for p: every node
+	// evaluates p, and the nodes keep their matchers for the sweep's later
+	// rounds. It returns their number M; the matchers' ranks 0..M−1 are
+	// their places in id order.
+	Resolve(p wire.Pred) int
+	// Senders appends to dst the reports of the matchers of the last
+	// Resolve at the given ranks, which ascend and lie below its M, so
+	// the reports come in id order. It evaluates nothing: the matchers
+	// were kept by Resolve, and no node changes while a sweep runs.
+	Senders(dst []wire.Report, ranks []int32) []wire.Report
 	// MaxFindInit, MaxFindRaise and MaxFindExclude apply the max-find
 	// broadcasts of the same name.
 	MaxFindInit(floor int64, reset bool)
 	MaxFindRaise(holder int, best int64)
 	MaxFindExclude(id int)
-	// Reset returns every node to the state it had at construction from
-	// root.
-	Reset(root *rngx.Source)
+	// Reset returns every node to the state it had at construction.
+	Reset()
 	// AppendFilters appends every node's filter to dst in id order.
 	AppendFilters(dst []filter.Interval) []filter.Interval
 	// Node returns node i, read-only, for white-box tests.
@@ -61,15 +65,16 @@ type Nodes interface {
 // Server is the server side of an engine over n nodes, written once for
 // every Nodes: it implements Engine by billing each message on its counters
 // and handing the node work to its Nodes. The counters, the server RNG, the
-// running Δ that prices a message and the report buffers are its own; the
-// nodes are the Nodes'.
+// running Δ that prices a message, the sweeps' sender sampler and the
+// report buffers are its own; the nodes are the Nodes'.
 type Server struct {
 	nodes Nodes
 	n     int
 	ctr   *metrics.Counters
 	rng   *rngx.Source
-	maxV  int64     // running Δ for message-size accounting
-	probs []float64 // ExistenceProb(r, n) for r = 0..γ, divided out once
+	maxV  int64         // running Δ for message-size accounting
+	gaps  nodecore.Gaps // the EXISTENCE rounds' threshold tables over n
+	ranks []int32       // a sweep's sender ranks, reused
 
 	// sweepBuf backs the slices Sweep returns; collectBufs double-buffer
 	// Collect so protocols holding one Collect result across a second
@@ -86,20 +91,18 @@ type Server struct {
 	DirectReports bool
 }
 
-// NewServer returns the server of the n nodes of nodes, built from the same
-// root their RNG streams were: its own stream is root.Child(nodecore.ServerRNG).
-func NewServer(nodes Nodes, n int, root *rngx.Source) Server {
+// NewServer returns the server of the n nodes of nodes. Its stream, the
+// engine's one, is rngx.New(seed).Child(nodecore.ServerRNG).
+func NewServer(nodes Nodes, n int, seed uint64) Server {
 	s := Server{
 		nodes:    nodes,
 		n:        n,
 		ctr:      metrics.NewCounters(),
-		rng:      root.Child(nodecore.ServerRNG),
+		rng:      rngx.New(seed).Child(nodecore.ServerRNG),
 		maxV:     1,
-		probs:    make([]float64, nodecore.ExistenceRounds(n)+1),
+		gaps:     nodecore.NewGaps(n),
+		ranks:    make([]int32, 0, nodecore.ReportCap),
 		sweepBuf: make([]wire.Report, 0, nodecore.ReportCap),
-	}
-	for r := range s.probs {
-		s.probs[r] = nodecore.ExistenceProb(r, n)
 	}
 	for i := range s.collectBufs {
 		s.collectBufs[i] = make([]wire.Report, 0, nodecore.ReportCap)
@@ -113,12 +116,11 @@ func NewServer(nodes Nodes, n int, root *rngx.Source) Server {
 // for bit (asserted by the Reset property tests), which lets the
 // experiment harness reuse one engine across all trials of a table cell.
 func (s *Server) Reset(seed uint64) {
-	root := rngx.New(seed)
 	s.ctr.Reset()
-	s.rng.Reseed(root.ChildSeed(nodecore.ServerRNG))
+	s.rng.Reseed(rngx.New(seed).ChildSeed(nodecore.ServerRNG))
 	s.maxV = 1
 	s.DirectReports = false
-	s.nodes.Reset(root)
+	s.nodes.Reset()
 }
 
 // N implements Cluster.
@@ -227,31 +229,37 @@ func (s *Server) Collect(p wire.Pred) []wire.Report {
 // Sweep implements Cluster: the EXISTENCE protocol of Lemma 3.1. Matching
 // nodes send independently with probability p_r = 2^r/n in round r; the
 // first non-empty round terminates the sweep (one halt broadcast). Round 0
-// resolves the matchers; a round that leaves none ends the sweep silently
-// with the remaining rounds billed and not run, so a sweep nobody matches
-// bills its γ+1 rounds, draws no coin and costs the nodes one round.
+// resolves the matchers at the nodes. The server draws each round's
+// senders as ranks over them (nodecore.Gaps, from its own stream) and asks
+// the nodes for the reports at those ranks only, so a round costs its
+// senders, and a round that draws none costs the nodes nothing. A sweep
+// without matchers ends after round 0, with the remaining rounds billed and
+// not run: it bills its γ+1 rounds, draws nothing and costs the nodes one
+// round.
 func (s *Server) Sweep(p wire.Pred) []wire.Report {
 	s.fallback(p)
 	if s.DirectReports {
 		return s.directSweep(p)
 	}
-	for r, prob := range s.probs {
-		s.ctr.Rounds(1)
-		senders, matchers := s.nodes.Round(s.sweepBuf[:0], p, r, prob)
-		if len(senders) > 0 {
-			for range senders {
-				s.count(metrics.NodeToServer, wire.KindExistenceReport)
-			}
-			s.count(metrics.Broadcast, wire.KindHalt)
-			s.sweepBuf = senders[:0]
-			return senders
-		}
-		if matchers == 0 {
-			s.ctr.Rounds(int64(len(s.probs) - 1 - r))
-			return nil
-		}
+	s.ctr.Rounds(1)
+	m := s.nodes.Resolve(p)
+	if m == 0 {
+		s.ctr.Rounds(int64(nodecore.ExistenceRounds(s.n)))
+		return nil
 	}
-	return nil // not reached: the final round sends with certainty
+	ranks := s.gaps.Ranks(s.ranks[:0], s.rng, 0, m)
+	for r := 1; len(ranks) == 0; r++ { // the final round sends with certainty
+		s.ctr.Rounds(1)
+		ranks = s.gaps.Ranks(ranks, s.rng, r, m)
+	}
+	s.ranks = ranks[:0]
+	senders := s.nodes.Senders(s.sweepBuf[:0], ranks)
+	for range senders {
+		s.count(metrics.NodeToServer, wire.KindExistenceReport)
+	}
+	s.count(metrics.Broadcast, wire.KindHalt)
+	s.sweepBuf = senders[:0]
+	return senders
 }
 
 // directSweep is the naive reporting scheme (one round, every matching node

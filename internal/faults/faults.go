@@ -7,9 +7,9 @@
 // # Determinism
 //
 // Every coin the injector flips comes from its own rngx child stream,
-// derived from the engine seed and fully disjoint from the server and
-// per-node streams (the injector draws nothing from the engine's RNGs and
-// perturbs none of their draws). A run under seed s and plan p therefore
+// derived from the engine seed and fully disjoint from the engine's one
+// stream, the server's, which draws every sweep's sender ranks (the
+// injector draws nothing from it and perturbs none of its draws). A run under seed s and plan p therefore
 // replays byte-identically — outputs, model counters, fault counters, and
 // every injected fault — and Reset(seed) rewinds the injector's stream
 // along with the engine, so a reset faulty run replays a fresh faulty run
@@ -179,7 +179,7 @@ func (p *Plan) Validate(n int) error {
 }
 
 // faultRNG is the Child id of the injector's randomness stream; distinct
-// from the engines' server stream id and from any node id, so the
+// from the engines' server stream id (nodecore.ServerRNG), so the
 // injector's draws are decorrelated from — and invisible to — the engine.
 const faultRNG = 0xFA177 // "fault"
 

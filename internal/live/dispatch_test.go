@@ -201,10 +201,8 @@ func TestMixedDispatch(t *testing.T) {
 		if a, b := *ls.Counters(), *lv.Counters(); !reflect.DeepEqual(a, b) {
 			t.Fatalf("step %d: counters diverge:\nlockstep %+v\nlive     %+v", step, a, b)
 		}
-		for i := 0; i < n; i++ {
-			if ls.Node(i).RNG != lv.Node(i).RNG {
-				t.Fatalf("step %d: node %d's RNG state diverged", step, i)
-			}
+		if *ls.Rand() != *lv.Rand() {
+			t.Fatalf("step %d: the server stream's state diverged", step)
 		}
 	}
 	if onCaller < steps || onWorkers < steps {

@@ -25,32 +25,35 @@
 // Shard call per shard. A Collect and round 0 of an EXISTENCE sweep route
 // their predicate through those structures and fall back to the full shard
 // scan only for tag predicates or domain-covering intervals. Server-side
-// work per response-bearing round is O(m + matches) — each shard publishes
-// its matches into the shard's report list, which the server concatenates
-// in shard order — not O(n).
+// work per Collect is O(m + matches) — each shard publishes its matches
+// into the shard's report list, which the server concatenates in shard
+// order — not O(n).
 //
 // # Sweeps
 //
-// The server's sweep loop asks for one EXISTENCE round at a time, and each
-// is one call. Round 0 addresses every shard: each resolves its matchers,
-// keeps the list for the later rounds, and draws the round's coins over it.
-// The matcher counts come back with the round's reports. When no shard
-// holds a matcher the sweep is silent, and the server bills the remaining γ
+// A sweep is one call to the shards, Resolve, and one walk on the caller,
+// Senders. Resolve is round 0: it addresses every shard, and each keeps
+// the matchers of its nodes (Shard.Kept) and reports their number. When
+// there are none the sweep is silent, and the server bills the remaining γ
 // rounds and returns — a quiet violation sweep is one node round, not γ+1.
-// Otherwise each later round addresses only the shards that hold a matcher
-// and they draw over their kept lists; nothing re-evaluates a predicate.
+// Otherwise the server draws every round's sender ranks over the M
+// matchers, ranked in id order, from its own stream, and Senders turns the
+// terminating round's ranks into reports on the caller: it walks the
+// shards' kept lengths, which the parked workers leave alone, and reads
+// each sender's report from its shard. Rounds past 0 dispatch nothing, and
+// the ranks, drawn without looking at the shards, are the same at every
+// shard count.
 //
 // # Dispatch
 //
 // Each call has run on every shard it addresses when it returns, as each
 // of the model's rounds completes at the nodes before the next message is
 // sent. A unicast addresses the shard owning its node, a delta Advance the
-// shards owning one of its ids, a later sweep round the shards holding a
-// matcher, and every other call every shard. Who runs a call depends on its
-// price in node visits: one per unicast, len(ids) for a delta Advance and n
-// for a dense one, n for ApplyRule, MaxFindInit and Reset, the shards' scan
-// size for a Collect, a sweep's round 0 and MaxFindRaise, and the kept
-// matcher lists' lengths for a later round. Below parallelGrain — about
+// shards owning one of its ids, and every other call every shard. Who runs
+// a call depends on its price in node visits: one per unicast, len(ids)
+// for a delta Advance and n for a dense one, n for ApplyRule, MaxFindInit
+// and Reset, and the shards' scan size for a Collect, a sweep's Resolve
+// and MaxFindRaise. Below parallelGrain — about
 // what one barrier costs, in visits — the caller runs exec itself over
 // every shard, in ascending order, and no goroutine is woken; at or above
 // it every addressed worker gets one signal, runs exec over its own shard
@@ -65,8 +68,8 @@
 // has passed the countdown of the last call it ran, and it touches nothing
 // until its next signal. So the caller may read the shard-owned lengths a
 // price needs, run exec on any shard, and read the nodes (Node,
-// AppendFilters) between calls; the next signal a worker receives orders
-// those accesses before its own.
+// AppendFilters, Senders) between calls; the next signal a worker receives
+// orders those accesses before its own.
 //
 // A call's arguments are read in place — the caller's value vector, id
 // list and rule — since nothing reads them after the call returns. The
@@ -79,18 +82,18 @@
 //
 // # Semantics
 //
-// Billing is the server's, so it is the lockstep engine's by construction;
-// what remains to match is the node work. Shards visit their candidate
-// nodes in ascending id order and cover ascending id ranges, so
-// concatenated reports are in id order; node-side randomness is consumed
-// only by matching nodes, exactly as in lockstep. Both dispatches run the
-// same exec over the same disjoint shards, so which one ran a call shows in
-// nothing but time. A live run with the same seed therefore reproduces the
-// lockstep run's counters, outputs and every node's RNG state bit for bit —
-// for every shard count and on either side of the grain — asserted by the
-// cross-engine equivalence tests up to n = 10⁴, the sharded conformance and
-// Reset suites (each also with every call forced through the workers), and
-// TestMixedDispatch.
+// Billing and every draw are the server's, so they are the lockstep
+// engine's by construction; what remains to match is the node work. Shards
+// visit their candidate nodes in ascending id order and cover ascending id
+// ranges, so concatenated reports — and a sweep's matchers, whose ranks
+// the server draws over — are in id order, as in lockstep. Nodes draw
+// nothing. Both dispatches run the same exec over the same disjoint
+// shards, so which one ran a call shows in nothing but time. A live run
+// with the same seed therefore reproduces the lockstep run's counters,
+// outputs and server stream state bit for bit — for every shard count and
+// on either side of the grain — asserted by the cross-engine equivalence
+// tests up to n = 10⁴, the sharded conformance and Reset suites (each also
+// with every call forced through the workers), and TestMixedDispatch.
 //
 // One white-box counter says what a run cost the engine, not the model: the
 // dispatcher's wakes, the worker wake-ups paid (none for a call run on the
@@ -105,7 +108,6 @@ import (
 	"topkmon/internal/cluster"
 	"topkmon/internal/filter"
 	"topkmon/internal/nodecore"
-	"topkmon/internal/rngx"
 	"topkmon/internal/wire"
 )
 
@@ -118,7 +120,7 @@ const (
 	opSetTagFilter
 	opProbe
 	opCollect
-	opRound
+	opResolve
 	opMaxInit
 	opMaxRaise
 	opMaxExclude
@@ -135,11 +137,8 @@ type op struct {
 	iv     filter.Interval
 	tag    wire.Tag
 	pred   wire.Pred
-	round  int
-	prob   float64 // a sweep round's send probability
-	v      int64   // MaxFindInit's floor, MaxFindRaise's best
+	v      int64 // MaxFindInit's floor, MaxFindRaise's best
 	reset  bool
-	root   *rngx.Source
 }
 
 // parallelGrain is the price, in node visits, below which a call runs on
@@ -164,8 +163,8 @@ type Option func(*config)
 // Each worker owns a contiguous range of roughly n/m nodes and its own
 // value-bucket partition. Any m ≤ 0 (including the default 0) means
 // runtime.GOMAXPROCS(0); values above n are clamped to n. The shard count
-// never affects observable behaviour — outputs, counters, and coin flips
-// are bit-identical for every value (asserted by the sharded conformance
+// never affects observable behaviour — outputs, counters, and the server's
+// draws are bit-identical for every value (asserted by the sharded conformance
 // and equivalence tests) — it only trades goroutine parallelism against
 // wake-up cost, and only on the calls large enough to go to the workers.
 func WithShards(m int) Option {
@@ -197,11 +196,11 @@ type dispatcher struct {
 
 	// shards[w] is the node range worker w owns (nodecore.Shard states the
 	// node-mutation contract), outs[w] the report list exec publishes its
-	// Probe, Collect and sweep-round replies into, in id order. Both are
+	// Probe and Collect replies into, in id order. Both are
 	// written only inside a call, by whoever runs exec for w, and read by
 	// the caller between calls. A shard keeps the matchers of the running
-	// sweep (Shard.Kept), resolved in round 0, so later rounds evaluate no
-	// predicate.
+	// sweep (Shard.Kept), resolved in round 0, which Senders reads on the
+	// caller.
 	shards   []*nodecore.Shard
 	outs     [][]wire.Report
 	workerOf []int32 // node id → owning worker index
@@ -247,7 +246,6 @@ func New(n int, seed uint64, opts ...Option) *Cluster {
 	if m > n {
 		m = n
 	}
-	root := rngx.New(seed)
 	d := &dispatcher{
 		n:        n,
 		m:        m,
@@ -268,7 +266,7 @@ func New(n int, seed uint64, opts ...Option) *Cluster {
 		if w < r {
 			size++
 		}
-		d.shards[w] = nodecore.NewShard(base, size, root)
+		d.shards[w] = nodecore.NewShard(base, size)
 		d.outs[w] = make([]wire.Report, 0, nodecore.ReportCap)
 		for i := base; i < base+size; i++ {
 			d.workerOf[i] = int32(w)
@@ -278,7 +276,7 @@ func New(n int, seed uint64, opts ...Option) *Cluster {
 		d.wg.Add(1)
 		go d.worker(w)
 	}
-	return &Cluster{Server: cluster.NewServer(d, n, root), d: d}
+	return &Cluster{Server: cluster.NewServer(d, n, seed), d: d}
 }
 
 // Close stops all worker goroutines and returns once they have exited. Any
@@ -348,10 +346,9 @@ func (d *dispatcher) exec(lo, hi int) (top int64) {
 		for w := lo; w < hi; w++ {
 			d.outs[w] = d.shards[w].Collect(d.outs[w][:0], o.pred)
 		}
-	case opRound:
-		for w := lo; w < hi; w++ {
-			// Past round 0 a shard without a matcher returns at once.
-			d.outs[w], _ = d.shards[w].Round(d.outs[w][:0], o.pred, o.round, o.prob)
+	case opResolve:
+		for _, sh := range d.shards[lo:hi] {
+			sh.Resolve(o.pred)
 		}
 	case opMaxInit:
 		for _, sh := range d.shards[lo:hi] {
@@ -364,10 +361,8 @@ func (d *dispatcher) exec(lo, hi int) (top int64) {
 	case opMaxExclude:
 		d.owner(o.id).MaxFindExclude(o.id)
 	case opReset:
-		// ChildSeed derivation is pure, so the one root rewinds every shard
-		// exactly as per-shard roots would.
 		for _, sh := range d.shards[lo:hi] {
-			sh.Reset(o.root)
+			sh.Reset()
 		}
 	}
 	return top
@@ -384,8 +379,6 @@ func (d *dispatcher) addressed(w int) bool {
 		return o.ids == nil || d.owns[w]
 	case opSetFilter, opSetTagFilter, opProbe, opMaxExclude:
 		return int(d.workerOf[o.id]) == w
-	case opRound:
-		return o.round == 0 || d.shards[w].Kept() > 0
 	}
 	return true
 }
@@ -501,28 +494,33 @@ func (d *dispatcher) Collect(dst []wire.Report, p wire.Pred) []wire.Report {
 	return dst
 }
 
-// Round implements cluster.Nodes: round 0 goes to every shard, a later
-// round only to the shards that hold a matcher.
-func (d *dispatcher) Round(dst []wire.Report, p wire.Pred, r int, prob float64) ([]wire.Report, int) {
-	d.op = op{kind: opRound, pred: p, round: r, prob: prob}
-	visits := 0
-	if r == 0 {
-		visits = d.scanSize(p)
-	} else {
-		for _, sh := range d.shards {
-			visits += sh.Kept()
-		}
+// Resolve implements cluster.Nodes: every shard keeps its matchers of p,
+// and the matcher count is the sum of the kept lengths.
+func (d *dispatcher) Resolve(p wire.Pred) int {
+	d.op = op{kind: opResolve, pred: p}
+	d.run(d.scanSize(p))
+	m := 0
+	for _, sh := range d.shards {
+		m += sh.Kept()
 	}
-	d.run(visits)
-	matchers := 0
-	for w, sh := range d.shards {
-		if sh.Kept() == 0 {
-			continue // not addressed after round 0: outs[w] is not this round's
+	return m
+}
+
+// Senders implements cluster.Nodes on the caller, with the workers parked:
+// shard w's kept matchers hold the global ranks after those of the shards
+// before it, so one walk over the kept lengths finds the shard of each
+// ascending rank.
+func (d *dispatcher) Senders(dst []wire.Report, ranks []int32) []wire.Report {
+	d.checkAlive()
+	w, first := 0, 0 // the first global rank of shard w
+	for _, r := range ranks {
+		for int(r)-first >= d.shards[w].Kept() {
+			first += d.shards[w].Kept()
+			w++
 		}
-		matchers += sh.Kept()
-		dst = append(dst, d.outs[w]...)
+		dst = append(dst, d.shards[w].KeptReport(int(r)-first))
 	}
-	return dst, matchers
+	return dst
 }
 
 // MaxFindInit implements cluster.Nodes.
@@ -545,8 +543,8 @@ func (d *dispatcher) MaxFindExclude(id int) {
 }
 
 // Reset implements cluster.Nodes; the workers and report lists are kept.
-func (d *dispatcher) Reset(root *rngx.Source) {
-	d.op = op{kind: opReset, root: root}
+func (d *dispatcher) Reset() {
+	d.op = op{kind: opReset}
 	d.run(d.n)
 }
 

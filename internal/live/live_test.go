@@ -221,7 +221,8 @@ func TestDeltaWakesOnlyOwningShards(t *testing.T) {
 // call forced through the workers: a sweep no node matches is ONE round —
 // round 0 wakes each worker once, brings back zero matchers, and the other
 // γ rounds are billed without being run; and once round 0 has resolved the
-// matchers, a later round wakes only the shards that hold one.
+// matchers, the later rounds wake nobody: the server draws their sender
+// ranks, and the caller reads the senders' reports from the parked shards.
 func TestSweepBarriers(t *testing.T) {
 	const n, m = 64, 4                          // γ = 6
 	c := New(n, 9, WithShards(m), WithGrain(0)) // shards of 16
@@ -245,19 +246,27 @@ func TestSweepBarriers(t *testing.T) {
 		t.Errorf("silent sweep billed %d rounds, want γ+1 = 7", got)
 	}
 
-	// One violator, on shard 2. Round 0 with probability 0: everybody
-	// resolves, nobody sends.
+	// One violator, on shard 2: Resolve wakes everybody and counts it,
+	// and its report is read on the caller.
 	c.SetFilter(37, filter.Make(5, 10))
-	if w := wakes(func() { c.d.Round(nil, wire.Violating(), 0, 0) }); w != m {
+	if w := wakes(func() {
+		if got := c.d.Resolve(wire.Violating()); got != 1 {
+			t.Errorf("Resolve counts %d matchers, want the one violator", got)
+		}
+	}); w != m {
 		t.Errorf("round 0 woke %d workers, want all %d", w, m)
 	}
-	if w := wakes(func() { c.d.Round(nil, wire.Violating(), 1, 0) }); w != 1 {
-		t.Errorf("round 1 woke %d workers, want only the violator's shard 2", w)
+	if w := wakes(func() {
+		if got := c.d.Senders(nil, []int32{0}); len(got) != 1 || got[0].ID != 37 {
+			t.Errorf("Senders at rank 0 reports %v, want node 37", got)
+		}
+	}); w != 0 {
+		t.Errorf("Senders woke %d workers, want none", w)
 	}
 
 	var senders []wire.Report
-	if w := wakes(func() { senders = c.Sweep(wire.Violating()) }); w < m || w > m+6 {
-		t.Errorf("one-violator sweep woke %d workers, want %d for round 0 and one per later round up to the terminating one", w, m)
+	if w := wakes(func() { senders = c.Sweep(wire.Violating()) }); w != m {
+		t.Errorf("one-violator sweep woke %d workers, want %d for round 0 and none for the rounds after it", w, m)
 	}
 	if len(senders) != 1 || senders[0].ID != 37 {
 		t.Fatalf("senders %v, want node 37", senders)

@@ -12,15 +12,14 @@
 // contract), so a Sweep or Collect visits only the nodes its structures
 // say can match and a step's cost tracks its matchers instead of
 // n × rounds. Routing is invisible to protocols: reports stay in id order,
-// exactly the matching nodes draw one coin per round, and messages are
-// counted identically — asserted byte-for-byte against the Shard's
-// FullScan ablation by TestIndexedScanMatchesFullScan.
+// the server draws a sweep's sender ranks over the same matchers, and
+// messages are counted identically — asserted byte-for-byte against the
+// Shard's FullScan ablation by TestIndexedScanMatchesFullScan.
 package lockstep
 
 import (
 	"topkmon/internal/cluster"
 	"topkmon/internal/nodecore"
-	"topkmon/internal/rngx"
 )
 
 // Engine is a deterministic lockstep cluster of n nodes.
@@ -34,9 +33,8 @@ func New(n int, seed uint64) *Engine {
 	if n < 1 {
 		panic("lockstep: need at least one node")
 	}
-	root := rngx.New(seed)
-	sh := nodecore.NewShard(0, n, root)
-	return &Engine{Server: cluster.NewServer(sh, n, root), sh: sh}
+	sh := nodecore.NewShard(0, n)
+	return &Engine{Server: cluster.NewServer(sh, n, seed), sh: sh}
 }
 
 // SetFullScan switches the Shard's FullScan ablation: every Sweep and

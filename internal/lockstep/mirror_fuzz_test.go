@@ -150,7 +150,7 @@ func checkActiveListMatchesNodes(t *testing.T, e *Engine, wantActive, wantExclud
 		t.Fatalf("active list holds %d nodes, %d have the flag", len(list), at)
 	}
 	p := wire.AboveActive(x)
-	if got := e.sh.Resolve(p, e.sh.ScanList(p)); !slices.Equal(got, above) {
+	if got := e.sh.Keep(p, e.sh.ScanList(p)); !slices.Equal(got, above) {
 		t.Fatalf("AboveActive(%d) keeps %v, the active nodes above it are %v", x, got, above)
 	}
 }

@@ -5,14 +5,15 @@
 // A node owns: its current stream value, its assigned filter, a protocol tag
 // (V1/V2/S1-style set membership, updated by server messages), and a
 // max-find activation flag. All server-visible behaviour is driven through
-// Apply* message handlers and the EXISTENCE send schedule, so the two
-// engines cannot diverge in node logic.
+// Apply* message handlers, so the two engines cannot diverge in node logic.
+// A node draws no randomness: which matchers of an EXISTENCE round send is
+// drawn by the server, as ranks over the round's id-ordered matchers
+// (Gaps), from its own stream.
 //
-// A node is a plain value with its RNG stream inside it, built for reuse:
-// Reset rewinds it in place to the state New constructs for a given root
-// source, so engine Reset (trial reuse in the experiment harness)
-// allocates nothing on the node side. Handlers never allocate — the
-// per-step zero-allocation budget of both engines rests on that.
+// A node is a plain value built for reuse: Reset rewinds it in place to the
+// state New constructs, so engine Reset (trial reuse in the experiment
+// harness) allocates nothing on the node side. Handlers never allocate —
+// the per-step zero-allocation budget of both engines rests on that.
 //
 // Inside an engine the nodes are the rows of a Shard, one []Node
 // allocated once, which owns them together with the routing structures
@@ -30,7 +31,6 @@ import (
 	"math/bits"
 
 	"topkmon/internal/filter"
-	"topkmon/internal/rngx"
 	"topkmon/internal/wire"
 )
 
@@ -46,38 +46,32 @@ type Node struct {
 	// MFExcluded marks a node already returned by a previous max-find run
 	// of the same top-m computation; it sits out until a resetting init.
 	MFExcluded bool
-
-	// RNG drives the node's EXISTENCE coin flips.
-	RNG rngx.Source
 }
 
 // ServerRNG is the Child id of the server-side randomness stream
-// (Cluster.Rand, which DetectViolation picks a sender with). cluster.Server
-// derives it from the root the nodes derive from, so equal seeds give
-// equal server coin flips on either engine. Node id's stream is
-// root.Child(id), so the server stream stays disjoint from every node's as
-// long as n ≤ ServerRNG.
+// (Cluster.Rand), the one stream of an engine: cluster.Server draws every
+// sweep's sender ranks (Gaps) and DetectViolation's pick among the senders
+// from it, so equal seeds give equal draws on either engine and at every
+// shard count.
 const ServerRNG = 0xC0FFEE
 
-// New returns a node with the all-admitting filter and its own child RNG,
-// seed.Child(id). No program calls it (a Shard resets its rows in place);
-// the tests of internal/wire and internal/cluster do.
-func New(id int, seed *rngx.Source) *Node {
+// New returns node id with the all-admitting filter. No program calls it
+// (a Shard resets its rows in place); the tests of internal/wire and
+// internal/cluster do.
+func New(id int) *Node {
 	nd := &Node{ID: id}
-	nd.Reset(seed)
+	nd.Reset()
 	return nd
 }
 
-// Reset returns the node to the state New(nd.ID, root) would construct:
-// value 0, the all-admitting filter, no tag, no max-find participation, and
-// the RNG rewound to the child stream New would have derived from root.
-func (nd *Node) Reset(root *rngx.Source) {
+// Reset returns the node to the state New(nd.ID) constructs: value 0, the
+// all-admitting filter, no tag, no max-find participation.
+func (nd *Node) Reset() {
 	nd.Value = 0
 	nd.Filter = filter.All
 	nd.Tag = wire.TagNone
 	nd.MFActive = false
 	nd.MFExcluded = false
-	nd.RNG.Reseed(root.ChildSeed(uint64(nd.ID)))
 }
 
 // Observe sets the node's current value (the next stream element).
@@ -153,20 +147,12 @@ func ExistenceRounds(n int) int {
 // ExistenceProb returns p_r = 2^r / n, the probability with which a node
 // holding a 1 sends in round r of the EXISTENCE protocol over n nodes, and
 // 1 for the final round r ≥ γ. It is below 1 in every earlier round
-// (2^(γ-1) < n), so rngx.Source.Bool draws a coin exactly in the rounds
-// before the last. The engines compute it once per round.
+// (2^(γ-1) < n). No program calls it (Gaps builds its tables from
+// 1 − p_r = (n − 2^r)/n directly); it is the law the tests of this package,
+// internal/cluster and internal/rngx hold the sampler to.
 func ExistenceProb(r, n int) float64 {
 	if r >= ExistenceRounds(n) {
 		return 1
 	}
 	return float64(uint64(1)<<uint(r)) / float64(n)
-}
-
-// ExistenceSend decides whether a node holding a 1 sends in round r of the
-// EXISTENCE protocol over n nodes: independently with probability
-// ExistenceProb(r, n), and with certainty — no coin drawn — in the final
-// round. No program calls it (a Shard draws a round's coins in one pass);
-// the tests of this package and internal/cluster do.
-func (nd *Node) ExistenceSend(r, n int) bool {
-	return nd.RNG.Bool(ExistenceProb(r, n))
 }

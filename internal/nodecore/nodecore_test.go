@@ -11,7 +11,7 @@ import (
 
 func newNode(t *testing.T, id int) *Node {
 	t.Helper()
-	return New(id, rngx.New(99))
+	return New(id)
 }
 
 func TestViolationClassification(t *testing.T) {
@@ -127,29 +127,39 @@ func TestExistenceRounds(t *testing.T) {
 	}
 }
 
+// TestExistenceFinalRoundIsCertain: in round γ every matcher sends, and the
+// sampler returns every rank without a draw from the server stream.
 func TestExistenceFinalRoundIsCertain(t *testing.T) {
-	nd := newNode(t, 5)
-	n := 64
+	const n = 64
+	gaps := NewGaps(n)
 	gamma := ExistenceRounds(n)
-	for trial := 0; trial < 100; trial++ {
-		if !nd.ExistenceSend(gamma, n) {
-			t.Fatal("final round must send with certainty")
+	rng := rngx.New(5).Child(ServerRNG)
+	for _, m := range []int{1, 2, 37, n} {
+		before := *rng
+		ranks := gaps.Ranks(nil, rng, gamma, m)
+		if len(ranks) != m || ranks[0] != 0 || ranks[m-1] != int32(m-1) {
+			t.Fatalf("final round over %d matchers sends ranks %v, want all of them", m, ranks)
+		}
+		if *rng != before {
+			t.Fatalf("final round over %d matchers drew from the server stream", m)
 		}
 	}
 }
 
+// TestExistenceSendRate: round r sends each matcher with probability 2^r/n;
+// checked empirically at r = 3, n = 64 (p = 1/8) over 64 matchers, the
+// ranks drawn from a server stream.
 func TestExistenceSendRate(t *testing.T) {
-	// Round r sends with probability 2^r/n: check empirically at r=3, n=64
-	// (p = 1/8).
-	nd := New(6, rngx.New(123))
-	const n, r, trials = 64, 3, 40000
+	const n, r, trials = 64, 3, 1000
+	gaps := NewGaps(n)
+	rng := rngx.New(123).Child(ServerRNG)
 	hits := 0
+	var ranks []int32
 	for i := 0; i < trials; i++ {
-		if nd.ExistenceSend(r, n) {
-			hits++
-		}
+		ranks = gaps.Ranks(ranks[:0], rng, r, n)
+		hits += len(ranks)
 	}
-	rate := float64(hits) / trials
+	rate := float64(hits) / (trials * n)
 	if math.Abs(rate-0.125) > 0.01 {
 		t.Errorf("round-%d send rate %f, want 0.125", r, rate)
 	}

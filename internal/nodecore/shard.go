@@ -7,7 +7,6 @@ import (
 
 	"topkmon/internal/eps"
 	"topkmon/internal/filter"
-	"topkmon/internal/rngx"
 	"topkmon/internal/vindex"
 	"topkmon/internal/wire"
 )
@@ -48,10 +47,9 @@ func badValue(id int, v int64) {
 // which structure, and which fall back to the full scan, is decided here
 // and can therefore never diverge between them.
 //
-// A node is a row: the nodes are one []Node, each with its RNG stream in
-// the row, and every list the Shard keeps or returns (the active list, the
-// routed candidates, the full scan, the kept matchers) is a []int32 of
-// absolute ids, looked up with Node.
+// A node is a row: the nodes are one []Node, and every list the Shard keeps
+// or returns (the active list, the routed candidates, the full scan, the
+// kept matchers) is a []int32 of absolute ids, looked up with Node.
 //
 // # Node-mutation contract
 //
@@ -86,13 +84,14 @@ func badValue(id int, v int64) {
 // desyncs the index and the violator set.
 //
 // On the read side, node state cannot change while an EXISTENCE sweep
-// runs, so a sweep resolves its matchers once (Resolve over ScanList, or
-// over a caller-chosen scan) and then draws one coin round at a time over the
-// kept list (Draw); Round is the two as one sweep round. An active step
-// costs its matchers, not candidates × rounds. Every candidate list comes
-// from ScanList, which also counts the candidates (Visited) and obeys the
-// FullScan ablation. A Shard is not safe for concurrent use; the live
-// engine hands each one to one executor per call.
+// runs, so a sweep resolves its matchers once (Resolve: Keep over
+// ScanList), and the server, which draws each round's sender ranks over
+// them, reads the reports at those ranks of the kept list (Senders,
+// KeptReport). An active step costs its matchers once and its senders, not
+// candidates × rounds. Every candidate list comes from ScanList, which
+// also counts the candidates (Visited) and obeys the FullScan ablation. A
+// Shard is not safe for concurrent use; the live engine hands each one to
+// one executor per call.
 type Shard struct {
 	base  int
 	nodes []Node
@@ -109,7 +108,8 @@ type Shard struct {
 	// FullScan makes ScanList return every id, ignoring the routing
 	// structures. Ablation scaffolding for the index equivalence property
 	// tests and BenchmarkViolationSweep; leave false otherwise. It never
-	// perturbs outputs, counters, or coin flips — only the scan cost.
+	// perturbs outputs, counters, or the server's draws — only the scan
+	// cost.
 	// Reset clears it.
 	FullScan bool
 	visited  int64 // candidates ScanList returned, see Visited
@@ -118,12 +118,11 @@ type Shard struct {
 // noFloor is the floor watermark when none is known.
 const noFloor = math.MinInt64
 
-// NewShard returns the nodes [base, base+n), each with its Child stream of
-// root, and the routing structures over them in construction state: every
-// value 0, no violator, no node max-find-active. The nodes are one
-// allocation and the lists are sized for n up front, so no later call
-// allocates.
-func NewShard(base, n int, root *rngx.Source) *Shard {
+// NewShard returns the nodes [base, base+n) and the routing structures
+// over them in construction state: every value 0, no violator, no node
+// max-find-active. The nodes are one allocation and the lists are sized for
+// n up front, so no later call allocates.
+func NewShard(base, n int) *Shard {
 	s := &Shard{
 		base:   base,
 		nodes:  make([]Node, n),
@@ -138,7 +137,7 @@ func NewShard(base, n int, root *rngx.Source) *Shard {
 	for i := range s.nodes {
 		s.ids[i] = int32(base + i)
 		s.nodes[i].ID = base + i
-		s.nodes[i].Reset(root)
+		s.nodes[i].Reset()
 	}
 	return s
 }
@@ -268,11 +267,11 @@ func (s *Shard) deactivate(id int) {
 	s.Node(id).MFActive = false
 }
 
-// Reset returns every node to the state New(id, root) constructs and the
+// Reset returns every node to the state New(id) constructs and the
 // structures to NewShard's, reusing every array.
-func (s *Shard) Reset(root *rngx.Source) {
+func (s *Shard) Reset() {
 	for i := range s.nodes {
-		s.nodes[i].Reset(root)
+		s.nodes[i].Reset()
 	}
 	s.idx.Reset()
 	s.mir.Reset()
@@ -314,16 +313,16 @@ func (s *Shard) ScanList(p wire.Pred) []int32 {
 
 // Visited returns the cumulative number of candidates ScanList has
 // returned since construction or the last Reset: per Collect or sweep, the
-// size of its scan list, once, since a sweep resolves its matchers before
-// its first round and its rounds visit no further candidate. A max-find
+// size of its scan list, once, since a sweep resolves its matchers in its
+// first round and its rounds visit no further candidate. A max-find
 // scan the floor watermark keeps whole counts in full, though no node is
 // tested. Work accounting for measuring the routing's selectivity
 // (experiment E12), not message cost.
 func (s *Shard) Visited() int64 { return s.visited }
 
 // ScanSize returns len(ScanList(p)) without building the list, read from
-// the structures' lengths. The live engine prices a Collect, a sweep round
-// or a MaxFindRaise with it before deciding who runs the call.
+// the structures' lengths. The live engine prices a Collect, a sweep's
+// Resolve or a MaxFindRaise with it before deciding who runs the call.
 func (s *Shard) ScanSize(p wire.Pred) int {
 	if !vindex.Routable(p) {
 		return len(s.nodes)
@@ -339,13 +338,14 @@ func (s *Shard) ScanSize(p wire.Pred) int {
 	}
 }
 
-// Resolve evaluates p once on every node of scan and keeps the ids of those
-// that match, in scan order, as the list Draw draws over. Each kind is one
+// Keep evaluates p once on every node of scan and keeps the ids of those
+// that match, in scan order: the sweep's matchers, whose ranks the server
+// draws the senders over. Each kind is one
 // loop that stores every id and keeps it if its node matches, as Node.Match
 // decides; a max-find scan that is the active list at a threshold the
 // floor watermark covers is kept whole. The result is that kept list, valid
 // until the next Resolve or Reset.
-func (s *Shard) Resolve(p wire.Pred, scan []int32) []int32 {
+func (s *Shard) Keep(p wire.Pred, scan []int32) []int32 {
 	nodes, base := s.nodes, s.base
 	kept, k := s.kept[:len(scan)], 0
 	switch p.Kind {
@@ -387,36 +387,22 @@ func (s *Shard) isActive(scan []int32) bool {
 	return len(scan) == len(s.active) && (len(scan) == 0 || &scan[0] == &s.active[0])
 }
 
-// Round runs round r of an EXISTENCE sweep for p: round 0 resolves the
-// matchers (Resolve over ScanList), and every round with a matcher draws over them
-// (Draw). It returns dst with the senders' reports appended, and the
-// number of matchers.
-func (s *Shard) Round(dst []wire.Report, p wire.Pred, r int, prob float64) ([]wire.Report, int) {
-	if r == 0 {
-		s.Resolve(p, s.ScanList(p))
-	}
-	if len(s.kept) == 0 {
-		return dst, 0
-	}
-	return s.Draw(dst, prob), len(s.kept)
-}
+// Resolve implements cluster.Nodes: it keeps the matchers of an EXISTENCE
+// sweep for p (Keep over ScanList) and returns how many there are.
+func (s *Shard) Resolve(p wire.Pred) int { return len(s.Keep(p, s.ScanList(p))) }
 
 // Kept returns the length of the kept matcher list.
 func (s *Shard) Kept() int { return len(s.kept) }
 
-// Draw runs one EXISTENCE round over the kept matchers: in id order, each
-// sends with probability prob (one coin from its own stream, none in the
-// final round, where prob is 1), and the reports of those that send are
-// appended to dst. The probability becomes an rngx.Threshold once per
-// round, so a coin is the same as Bool(prob) draws without its float
-// arithmetic.
-func (s *Shard) Draw(dst []wire.Report, prob float64) []wire.Report {
-	nodes, base, t := s.nodes, s.base, rngx.Threshold(prob)
-	for _, id := range s.kept {
-		nd := &nodes[int(id)-base]
-		if nd.RNG.Below(t) {
-			dst = append(dst, nd.Report())
-		}
+// KeptReport returns the report of the kept matcher of rank i, 0 ≤ i <
+// Kept().
+func (s *Shard) KeptReport(i int) wire.Report { return s.nodes[int(s.kept[i])-s.base].Report() }
+
+// Senders implements cluster.Nodes: it appends to dst the reports of the
+// kept matchers at ranks, which ascend, so dst gets them in id order.
+func (s *Shard) Senders(dst []wire.Report, ranks []int32) []wire.Report {
+	for _, r := range ranks {
+		dst = append(dst, s.KeptReport(int(r)))
 	}
 	return dst
 }

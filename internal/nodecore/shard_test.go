@@ -50,16 +50,17 @@ func testDistributions(r *rngx.Source) map[string]func(i int) int64 {
 // under churn from every Shard mutator — unicast and broadcast filter
 // assignments, the three max-find broadcasts and Reset — the matcher form
 // returns exactly the ids of ScanList whose nodes Match — which are exactly
-// the ids of a full scan that Match, and what Resolve keeps of IDs — in
-// ascending order; ScanSize is the length of that ScanList, and Collect
-// reports exactly the matchers.
+// the ids of a full scan that Match, and what Keep keeps of IDs — in
+// ascending order; ScanSize is the length of that ScanList, Collect
+// reports exactly the matchers, and so do Resolve's count and Senders at
+// every rank.
 func TestMatchersEqualFilteredScanList(t *testing.T) {
 	const base, n, rounds = 300, 133, 60
 	for name := range testDistributions(rngx.New(0)) {
 		t.Run(name, func(t *testing.T) {
 			r := rngx.New(911)
 			dist := testDistributions(r)[name]
-			sh := NewShard(base, n, rngx.New(1))
+			sh := NewShard(base, n)
 			matched := 0
 			for round := 0; round < rounds; round++ {
 				for i := range sh.Len() {
@@ -86,7 +87,7 @@ func TestMatchersEqualFilteredScanList(t *testing.T) {
 						WithRetag(wire.TagV2, wire.TagNone).
 						With(wire.TagNone, filter.Make(lo, lo+r.Int63n(1<<22))))
 				case 6:
-					sh.Reset(rngx.New(uint64(round)))
+					sh.Reset()
 				}
 				checkActive(t, sh)
 
@@ -119,8 +120,8 @@ func TestMatchersEqualFilteredScanList(t *testing.T) {
 							reports = append(reports, nd.Report())
 						}
 					}
-					if got := sh.Resolve(p, sh.IDs()); !slices.Equal(got, full) {
-						t.Fatalf("round %d %+v: Resolve over IDs keeps %d nodes, a full scan matches %d",
+					if got := sh.Keep(p, sh.IDs()); !slices.Equal(got, full) {
+						t.Fatalf("round %d %+v: Keep over IDs keeps %d nodes, a full scan matches %d",
 							round, p, len(got), len(full))
 					}
 					got := sh.Matchers(p)
@@ -135,6 +136,16 @@ func TestMatchersEqualFilteredScanList(t *testing.T) {
 					if col := sh.Collect(nil, p); !reflect.DeepEqual(col, reports) || sh.Kept() != len(got) {
 						t.Fatalf("round %d %+v: Collect reports %d of %d matchers, or moved the kept list (%d)",
 							round, p, len(col), len(reports), sh.Kept())
+					}
+					if m := sh.Resolve(p); m != len(full) {
+						t.Fatalf("round %d %+v: Resolve counts %d matchers, a full scan matches %d", round, p, m, len(full))
+					}
+					ranks := make([]int32, len(full))
+					for i := range ranks {
+						ranks[i] = int32(i)
+					}
+					if snd := sh.Senders(nil, ranks); !reflect.DeepEqual(snd, reports) {
+						t.Fatalf("round %d %+v: Senders at every rank reports %v, the matchers are %v", round, p, snd, reports)
 					}
 					matched += len(got)
 				}
@@ -151,7 +162,7 @@ func TestMatchersEqualFilteredScanList(t *testing.T) {
 // decides per sweep), Exclude benches a node that is not on the list, and
 // Reset empties it.
 func TestActiveListMirrorsTheFlag(t *testing.T) {
-	sh := NewShard(10, 6, rngx.New(1))
+	sh := NewShard(10, 6)
 	for i := range sh.Len() {
 		sh.Install(10+i, int64(100*(i+1))) // 100 .. 600
 	}
@@ -182,7 +193,7 @@ func TestActiveListMirrorsTheFlag(t *testing.T) {
 		t.Error("a non-resetting Init re-activated an excluded node")
 	}
 
-	sh.Reset(rngx.New(1))
+	sh.Reset()
 	checkActive(t, sh)
 	if got := sh.ScanList(wire.AboveActive(-1)); len(got) != 0 {
 		t.Errorf("Reset left %d nodes on the active list", len(got))
@@ -196,7 +207,7 @@ func TestActiveListMirrorsTheFlag(t *testing.T) {
 // back (which the contract forbids) tells the two paths apart: the
 // shortcut keeps that node, a re-filter drops it.
 func TestRaisedFloorShortcut(t *testing.T) {
-	sh := NewShard(10, 6, rngx.New(1))
+	sh := NewShard(10, 6)
 	for i := range sh.Len() {
 		sh.Install(10+i, int64(100*(i+1))) // 100 .. 600
 	}
@@ -211,14 +222,14 @@ func TestRaisedFloorShortcut(t *testing.T) {
 	if got := sh.Matchers(wire.AboveActive(251)); !slices.Equal(got, []int32{12, 14, 15}) {
 		t.Fatalf("AboveActive(251) above the floor keeps %v, want a re-filter", got)
 	}
-	if got := sh.Resolve(wire.AboveActive(250), sh.IDs()); !slices.Equal(got, []int32{12, 14, 15}) {
+	if got := sh.Keep(wire.AboveActive(250), sh.IDs()); !slices.Equal(got, []int32{12, 14, 15}) {
 		t.Fatalf("AboveActive(250) over IDs keeps %v: a full scan must never take the shortcut", got)
 	}
 
 	// A full scan equal to the active list in content is still not it.
 	sh.MaxFindInit(-1, true) // all six active, floor -1
 	sh.Node(11).Value = -1
-	if got := sh.Resolve(wire.AboveActive(-1), sh.IDs()); !slices.Equal(got, []int32{10, 12, 13, 14, 15}) {
+	if got := sh.Keep(wire.AboveActive(-1), sh.IDs()); !slices.Equal(got, []int32{10, 12, 13, 14, 15}) {
 		t.Fatalf("AboveActive(-1) over IDs with every node active keeps %v, want a re-filter", got)
 	}
 	sh.Install(11, 200)
@@ -258,25 +269,24 @@ func TestRaisedFloorShortcut(t *testing.T) {
 			sh.Node(14).MFActive, sh.Node(15).MFActive)
 	}
 
-	sh.Reset(rngx.New(1))
+	sh.Reset()
 	if sh.floor != noFloor {
 		t.Fatalf("Reset left the floor at %d", sh.floor)
 	}
 }
 
 // TestShardAllocs pins "a node is a row": building a shard allocates a
-// fixed number of blocks whatever its size — no object per node and none
-// per RNG stream — and Reset allocates nothing.
+// fixed number of blocks whatever its size — no object per node — and
+// Reset allocates nothing.
 func TestShardAllocs(t *testing.T) {
-	root := rngx.New(1)
 	build := func(n int) float64 {
-		return testing.AllocsPerRun(3, func() { NewShard(0, n, root) })
+		return testing.AllocsPerRun(3, func() { NewShard(0, n) })
 	}
 	if small, large := build(64), build(65536); small != large {
 		t.Errorf("NewShard allocates %v blocks at n=64 and %v at n=65536, want the same", small, large)
 	}
-	sh := NewShard(0, 4096, root)
-	if a := testing.AllocsPerRun(10, func() { sh.Reset(root) }); a != 0 {
+	sh := NewShard(0, 4096)
+	if a := testing.AllocsPerRun(10, func() { sh.Reset() }); a != 0 {
 		t.Errorf("Shard.Reset allocates %v blocks, want 0", a)
 	}
 }
@@ -291,9 +301,9 @@ func (nd *Node) MaxFindRaise(holder int, best int64) {
 	}
 }
 
-// Matchers is Resolve over ScanList(p): the ids of the nodes matching p, in
-// ascending order, kept for Draw.
-func (s *Shard) Matchers(p wire.Pred) []int32 { return s.Resolve(p, s.ScanList(p)) }
+// Matchers is Keep over ScanList(p): the ids of the nodes matching p, in
+// ascending order, kept for Senders.
+func (s *Shard) Matchers(p wire.Pred) []int32 { return s.Keep(p, s.ScanList(p)) }
 
 // TestRaiseMatchesNodeHandler holds the Shard's batch MaxFindRaise — a pass
 // over the active list that tests values only, then the holder taken off —
@@ -302,7 +312,7 @@ func (s *Shard) Matchers(p wire.Pred) []int32 { return s.Resolve(p, s.ScanList(p
 func TestRaiseMatchesNodeHandler(t *testing.T) {
 	const base, n = 40, 97
 	r := rngx.New(5)
-	sh := NewShard(base, n, rngx.New(1))
+	sh := NewShard(base, n)
 	for round := range 200 {
 		for i := range n {
 			if round%5 == 0 || r.Intn(4) == 0 {

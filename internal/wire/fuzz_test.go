@@ -6,7 +6,6 @@ import (
 
 	"topkmon/internal/filter"
 	"topkmon/internal/nodecore"
-	"topkmon/internal/rngx"
 	"topkmon/internal/wire"
 )
 
@@ -31,7 +30,7 @@ func FuzzPredBounds(f *testing.F) {
 		}
 		lo, hi, ok := p.Bounds()
 
-		nd := nodecore.New(0, rngx.New(1))
+		nd := nodecore.New(0)
 		nd.Observe(v)
 		nd.MFActive = active
 		nd.SetTag(wire.Tag(tag % uint8(wire.NumTags)))

@@ -202,14 +202,14 @@ var Table = func() []Row {
 			Crashes: []topk.Crash{{Node: 2, From: 20, Until: 60}}}, 0),
 		row("sub-lower-half", subLowerHalf, 4, e64, 120, 30, topk.Dense, true, &topk.FaultPlan{Drop: 0.05, Dup: 0.02}, 0),
 	},
-		pinned("dense-exercised", denseExercised, 4, e4, 1500, 21, 0xb34cf10bcf3e3713, 0x43762814a09e2da7, 0x6d36881ff06647bc),
-		pinned("sub-lower-half", subLowerHalf, 4, e64, 60, 30, 0x3ce9544f1487b9bb, 0x2f672b2fd929a9c6, 0xa5d818faff74d20c),
+		pinned("dense-exercised", denseExercised, 4, e4, 1500, 21, 0xa18c8aa9fe1a6cf7, 0xc0d2aec1fd749b, 0x8da3461721498544),
+		pinned("sub-lower-half", subLowerHalf, 4, e64, 60, 30, 0x5608ace61bc23536, 0x4897256395dfdd70, 0x28be63a6ce0d67e8),
 		pinned("stress/eps=1_16/seed=0", stress(0), 3, eps.MustNew(1, 16), 200, 0,
-			0x9fa654af559e1e07, 0xf14326e071e48ec0, 0x44fc7a2e8bd8a294),
+			0x896b9c6b121b4237, 0xf9f8d2a83356b6a4, 0x46324501d0ba56d),
 		pinned("stress/eps=1_64/seed=5", stress(5), 3, e64, 200, 5,
-			0x8988bc35cc2a359, 0x2829d4b7f0e7caab, 0xf9f5156cc8d82bfc),
+			0x44aa0da1e8e4bf89, 0x9c6cf8a334f6f905, 0x4eb2339aa7b78e24),
 		pinned("stress/eps=1_256/seed=0", stress(0), 3, eps.MustNew(1, 256), 200, 0,
-			0xbf99fc5cc26ac1ed, 0x36d97a3ec230dfe8, 0xd588d359b2c8dae5),
+			0x4a8c7fad45d98473, 0x5accaf40821dd8c6, 0x35b913086bc2e288),
 	)
 }()
 

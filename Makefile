@@ -48,9 +48,11 @@ race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -run '^TestLockstepEquivalenceLargeN$$' ./internal/live
 
-# fuzz gives each of the nine seeded fuzz targets a short randomized
+# fuzz gives each of the ten seeded fuzz targets a short randomized
 # session — the interval algebra, the integer coin threshold's equality
-# with the float coin it replaces, the Pred.Bounds value-routing contract,
+# with the float coin it replaces, the sweep sampler's sender ranks
+# (strictly ascending below the matcher count, every rank without a draw
+# in the final round, no allocation), the Pred.Bounds value-routing contract,
 # the filter-interval mirror's no-desync obligation and the max-find active
 # list's agreement with the nodes' flags under fault injection, the HTTP
 # frontend's all-or-nothing batch-decode path and the batch decoder's
@@ -62,6 +64,7 @@ race:
 fuzz:
 	$(GO) test -fuzz FuzzIntervalContainment -fuzztime $(FUZZTIME) ./internal/filter/
 	$(GO) test -fuzz FuzzThreshold -fuzztime $(FUZZTIME) ./internal/rngx/
+	$(GO) test -fuzz FuzzSweepGaps -fuzztime $(FUZZTIME) ./internal/nodecore/
 	$(GO) test -fuzz FuzzPredBounds -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz FuzzFilterMirror -fuzztime $(FUZZTIME) ./internal/lockstep/
 	$(GO) test -fuzz FuzzActiveList -fuzztime $(FUZZTIME) ./internal/lockstep/

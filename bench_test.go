@@ -179,7 +179,7 @@ var hotRange = exp.HotInterval()
 //   - collect/n=…/σ=… — latency grows with σ at fixed n and stays
 //     near-flat in n at fixed σ;
 //   - sweep-hit/… — an EXISTENCE sweep whose predicate interval isolates
-//     the σ hot nodes: only they flip coins;
+//     the σ hot nodes: only they are resolved and ranked;
 //   - sweep-quiet-indexed/… — a matchless interval sweep: the index makes
 //     all γ+1 rounds free, where the state-decided fallback
 //     (sweep-quiet-fallback, = the violation sweep of a quiet step) still
@@ -399,9 +399,10 @@ func BenchmarkItemsStep(b *testing.B) {
 }
 
 // BenchmarkFindMax measures Lemma 2.6's protocol end to end. Every node
-// matches the first sweep of a run, so n coin flips are the floor; the rest
-// of the time must not grow faster than that (n = 16384 is the load batch
-// of the embed-quiet-wide workload).
+// matches the first sweep of a run, so its MaxFindInit and the first
+// resolve visit all n nodes, the floor; the rest of the time must not grow
+// faster than that (n = 16384 is the load batch of the embed-quiet-wide
+// workload).
 func BenchmarkFindMax(b *testing.B) {
 	for _, n := range []int{64, 1024, 16384} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -456,7 +457,7 @@ func BenchmarkFindMax(b *testing.B) {
 //
 // After the timed rows of an n the benchmark compares the three dispatches
 // on identical work — each engine Reset to the same seed, so every FindMax
-// draws the same coins; least of five rounds — and fails if the default is
+// draws the same sender ranks; least of five rounds — and fails if the default is
 // more than 15 % slower than the better pure dispatch: the constant has
 // stopped fitting the machine. With one schedulable CPU no grain fits (a
 // worker cannot run beside the server) and the comparison is skipped.
@@ -544,10 +545,13 @@ func benchLiveGrainAt(b *testing.B, n int) {
 // bucket, where value routing prunes nothing and the max-find active list
 // does the work. Lockstep and live × 2 shards; the probe goes into the
 // caller's buffer, and an iteration that allocates fails the benchmark.
-// Expect ≈0.21 ms on lockstep and ≈0.25 ms on live on a 2-core container:
-// every call of the ~64 sweeps is below the parallel grain and runs on the
-// caller, so what live pays over lockstep is per-call dispatch (0.60 ms
-// when each call woke the workers).
+// Expect ≈0.07–0.09 ms on lockstep and ≈0.08–0.10 ms on live on a 2-core
+// container: a sweep's rounds cost their senders, drawn as ranks by the
+// server, and what is left is each max-find's O(n) MaxFindInit pass and
+// its raises' compactions of the active list (0.20 and 0.20–0.25 ms when
+// every matcher drew a coin per round). Every call of the ~64 sweeps is
+// below the parallel grain and runs on the caller, so what live pays over
+// lockstep is per-call dispatch (0.60 ms when each call woke the workers).
 func BenchmarkEpochOpen(b *testing.B) {
 	const n, k = 1024, 8
 	engines := []struct {
@@ -731,6 +735,94 @@ func BenchmarkSparseStep(b *testing.B) {
 				b.StopTimer()
 				if spent := m.Cost().Messages - before; spent != 0 {
 					b.Fatalf("the quiet steps spent %d messages", spent)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkWideChurn is embed-churn's walk at the widths where a step's
+// O(n) parts would show: 32 contenders on phase-shifted triangle waves
+// trade top-8 places every few steps, 16 random other nodes take a ±50
+// move each step, k = 8, ε = 1/8, Approx — at n = 2¹⁶ and 2¹⁸, on lockstep
+// and on live with 2 shards. A step's sweeps cost their matchers once and
+// their senders, so what grows with n is each epoch opening's O(n) passes
+// (MaxFindInit's row pass and the ApplyRule retag) and the max-find
+// compaction over the active list; the contenders are always at most 32.
+// Ten pre-generated wave periods of batches are cycled. A step that
+// allocates after the warm-up fails the benchmark, so it holds at 0
+// allocs/op and means something at -benchtime=1x.
+func BenchmarkWideChurn(b *testing.B) {
+	const k, contenders, noise, period, steps = 8, 32, 16, 200, 2000
+	wave := func(p int) int64 { // triangle between 1e6 and 2e6
+		if p > period/2 {
+			p = period - p
+		}
+		return 1e6 + 1e6*int64(p)/(period/2)
+	}
+	engines := []struct {
+		name string
+		opts []topk.Option
+	}{
+		{"lockstep", nil},
+		{"live/m=2", []topk.Option{topk.WithEngine(topk.Live), topk.WithShards(2)}},
+	}
+	for _, n := range []int{1 << 16, 1 << 18} {
+		r := rngx.New(23)
+		vals := make([]int64, n)
+		load := make([]topk.Update, n)
+		for i := range load {
+			vals[i] = 1e5 + r.Int63n(8e5+1)
+			if i < contenders {
+				vals[i] = wave(i * period / contenders)
+			}
+			load[i] = topk.Update{Node: i, Value: vals[i]}
+		}
+		batches := make([][]topk.Update, steps)
+		for s := range batches {
+			batch := make([]topk.Update, 0, contenders+noise)
+			for i := range contenders {
+				batch = append(batch, topk.Update{Node: i, Value: wave((i*period/contenders + s + 1) % period)})
+			}
+			for range noise {
+				i := contenders + r.Intn(n-contenders)
+				vals[i] = max(0, vals[i]+r.Int63n(101)-50)
+				batch = append(batch, topk.Update{Node: i, Value: vals[i]})
+			}
+			batches[s] = batch
+		}
+		for _, eng := range engines {
+			b.Run(fmt.Sprintf("%s/n=%d", eng.name, n), func(b *testing.B) {
+				opts := append([]topk.Option{topk.WithNodes(n), topk.WithSeed(5)}, eng.opts...)
+				m, err := topk.New(k, topk.MustEpsilon(1, 8), opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer m.Close()
+				if err := m.UpdateBatch(load); err != nil {
+					b.Fatal(err)
+				}
+				i := 0
+				step := func() {
+					if err := m.UpdateBatch(batches[i%steps]); err != nil {
+						b.Fatal(err)
+					}
+					i++
+				}
+				epochs0 := m.Epochs()
+				for range 2 * period {
+					step()
+				}
+				if m.Epochs() == epochs0 {
+					b.Fatal("the warm-up opened no epoch: the trace does not churn")
+				}
+				if avg := testing.AllocsPerRun(period, step); avg != 0 {
+					b.Fatalf("a churn step allocates %.2f times, want 0", avg)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for range b.N {
+					step()
 				}
 			})
 		}

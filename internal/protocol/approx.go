@@ -118,7 +118,7 @@ func (a *Approx) startEpoch() {
 // topM probes the k+1 largest values into the controller's buffer; the
 // sub-protocols read the result only while StartWithProbe runs.
 func (a *Approx) topM() []wire.Report {
-	a.probe = TopM(a.c, a.k+1, a.probe)
+	a.probe = openProbe(a.c, a.k, a.probe)
 	return a.probe
 }
 

@@ -114,7 +114,7 @@ func (d *Dense) Output() []int { return d.out }
 // Start implements Monitor (standalone use; controllers call
 // StartWithProbe).
 func (d *Dense) Start() {
-	d.probe = TopM(d.c, d.k+1, d.probe)
+	d.probe = openProbe(d.c, d.k, d.probe)
 	d.StartWithProbe(d.probe)
 }
 

@@ -47,7 +47,7 @@ func (m *ExactMid) Start() { m.startEpoch() }
 
 func (m *ExactMid) startEpoch() {
 	m.epochs++
-	m.probe = TopM(m.c, m.k+1, m.probe)
+	m.probe = openProbe(m.c, m.k, m.probe)
 	reps := m.probe
 	m.out = idsInto(m.out, reps[:m.k])
 	m.l = filter.Make(reps[m.k].Value, reps[m.k-1].Value)

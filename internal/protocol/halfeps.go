@@ -72,7 +72,7 @@ func (h *HalfEps) Start() { h.startEpoch() }
 
 // topM probes the k+1 largest values into the monitor's buffer.
 func (h *HalfEps) topM() []wire.Report {
-	h.probe = TopM(h.c, h.k+1, h.probe)
+	h.probe = openProbe(h.c, h.k, h.probe)
 	return h.probe
 }
 

@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"fmt"
+
 	"topkmon/internal/cluster"
 	"topkmon/internal/wire"
 )
@@ -62,4 +64,18 @@ func TopM(c cluster.Cluster, m int, dst []wire.Report) []wire.Report {
 		c.MaxFindExclude(rep.ID)
 	}
 	return out
+}
+
+// openProbe is the probe an epoch opens with, TopM(c, k+1, dst), for an
+// opener that reads the k-th and (k+1)-st values. Fault-free, with k < n,
+// it always returns k+1 reports; under faults a dropped report or
+// broadcast can hide nodes from every max-find, and then it panics with
+// the short count instead of leaving the opener to index past the end. A
+// fault-armed facade reports the panic as the step's or the resync's error.
+func openProbe(c cluster.Cluster, k int, dst []wire.Report) []wire.Report {
+	reps := TopM(c, k+1, dst)
+	if len(reps) <= k {
+		panic(fmt.Sprintf("protocol: probe returned %d of %d reports", len(reps), k+1))
+	}
+	return reps
 }

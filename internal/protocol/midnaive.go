@@ -45,7 +45,7 @@ func (m *MidNaive) Start() { m.startEpoch() }
 
 func (m *MidNaive) startEpoch() {
 	m.epochs++
-	m.probe = TopM(m.c, m.k+1, m.probe)
+	m.probe = openProbe(m.c, m.k, m.probe)
 	reps := m.probe
 	m.out = idsInto(m.out, reps[:m.k])
 	mid := (reps[m.k].Value + reps[m.k-1].Value) / 2

@@ -99,7 +99,7 @@ func (m *TopKProto) Output() []int { return m.out }
 func (m *TopKProto) Start() { m.startEpoch() }
 
 func (m *TopKProto) startEpoch() {
-	m.probe = TopM(m.c, m.k+1, m.probe)
+	m.probe = openProbe(m.c, m.k, m.probe)
 	m.StartWithProbe(m.probe)
 }
 

@@ -2,9 +2,13 @@ package topk_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"topkmon/internal/chaintest"
+	"topkmon/internal/faults"
+	"topkmon/internal/lockstep"
+	"topkmon/internal/wire"
 	"topkmon/topk"
 )
 
@@ -148,5 +152,39 @@ func TestDegradationEvents(t *testing.T) {
 			}
 			return
 		}
+	}
+}
+
+// TestShortProbeNamed: with every EXISTENCE report dropped, no max-find
+// finds a node, so the probe an epoch opens with comes back empty. Each of
+// the six algorithms that open with one fails its first step and its
+// resync with an error that names the short probe — not an index out of
+// range — and the supervised monitor's health is not Fresh. The plan masks
+// a kind the facade's FaultPlan cannot, so the injector wraps the engine
+// directly and a zero FaultPlan arms the supervisor over it.
+func TestShortProbeNamed(t *testing.T) {
+	const n, k = 16, 4
+	for _, a := range []topk.Algorithm{topk.Approx, topk.Exact, topk.TopKProtocol, topk.Dense, topk.HalfEps, topk.MidNaive} {
+		t.Run(a.String(), func(t *testing.T) {
+			plan := &faults.Plan{Drop: 1, Kinds: faults.MaskOf(wire.KindExistenceReport)}
+			m, err := topk.New(k, topk.MustEpsilon(1, 8), topk.WithMonitor(a),
+				topk.WithClusterEngine(faults.Wrap(lockstep.New(n, 3), plan, 3)), topk.WithFaults(&topk.FaultPlan{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			for i := range n {
+				if err := m.Update(i, int64(100*(i+1))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			h := m.Health()
+			if h.State == topk.Fresh || h.Err == nil || !strings.Contains(h.Err.Error(), "probe returned 0 of 5 reports") {
+				t.Fatalf("health %v, err %v; want a non-Fresh health naming the short probe", h.State, h.Err)
+			}
+		})
 	}
 }

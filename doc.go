@@ -27,7 +27,8 @@
 //	internal/protocol   the paper's algorithms (the core contribution)
 //	internal/cluster    the engine contract, and cluster.Server: the
 //	                    server side written once (billing, buffers, the
-//	                    EXISTENCE loop) over a node side, cluster.Nodes
+//	                    EXISTENCE loop and its sender draws) over a node
+//	                    side, cluster.Nodes
 //	internal/lockstep   deterministic engine: the Server over one Shard
 //	internal/live       sharded concurrent engine: the Server over m
 //	                    Shards on worker goroutines (bit-identical)
@@ -91,7 +92,8 @@
 //     the matcher count σ rather than n (BenchmarkSweepSelectivity,
 //     experiment E12), with a full scan left for tag
 //     predicates and domain-covering intervals. A sweep resolves its
-//     matchers once and runs its γ+1 rounds over them only
+//     matchers once, and the server draws each round's senders as ranks
+//     over them, so a round costs its senders, not its matchers
 //     (BenchmarkEpochOpen, BenchmarkFindMax). Routing is observably
 //     invisible — byte-identical reports, counters, and coin flips
 //     (TestIndexedScanMatchesFullScan,

@@ -69,7 +69,7 @@ func TestLockstepEquivalenceLargeN(t *testing.T) {
 
 // TestResetMatchesFresh is the reset link, on both engines: an engine that
 // has run a complete session under another seed and is then Reset(seed)
-// must record what a fresh lockstep engine with that seed records — every counter, and every server- and node-side coin flip. A
+// must record what a fresh lockstep engine with that seed records — every counter, and every draw from the server stream. A
 // second Reset replays the run again: Reset leaves no residue of the run it
 // just hosted. The sharded layouts are covered because Reset must rewind
 // their shard value indexes and report lists too.

@@ -103,7 +103,7 @@ func TestLargeFlushWakesWorkers(t *testing.T) {
 // run — dense and sparse installs, whole-cluster and routed collects, sweeps
 // whose later rounds shrink below it — and holds the engine to a lockstep
 // twin after every step: values, filters, tags, reports, the counter
-// snapshot, and every node's RNG state. Under -race it is also the proof
+// snapshot, and the server stream's state. Under -race it is also the proof
 // that shard state handed back and forth between the server's goroutine and
 // the workers' is ordered by the dispatch's own synchronisation.
 func TestMixedDispatch(t *testing.T) {

@@ -14,10 +14,10 @@ import (
 // Nodes is the node side of an engine: what a server message does at the
 // nodes, and nothing of its cost. Each method is one server message (or
 // an EXISTENCE sweep's matchers and senders, or a step's observations)
-// carried out on every node it addresses; the Server bills it. The one decision an implementation
-// hides is who runs the node work: nodecore.Shard runs it inline over its
-// own nodes, the live engine runs it over m Shards, on the caller or on
-// its workers.
+// carried out on every node it addresses; the Server bills it. The one
+// decision an implementation hides is who runs the node work:
+// nodecore.Shard runs it inline over its own nodes, the live engine runs it
+// over m Shards, on the caller or on its workers. Nodes draw no randomness.
 //
 // Replies come back in ascending id order. Each call has completed at
 // every node it addresses when it returns, as each of the model's rounds

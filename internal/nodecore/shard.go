@@ -109,8 +109,7 @@ type Shard struct {
 	// structures. Ablation scaffolding for the index equivalence property
 	// tests and BenchmarkViolationSweep; leave false otherwise. It never
 	// perturbs outputs, counters, or the server's draws — only the scan
-	// cost.
-	// Reset clears it.
+	// cost. Reset clears it.
 	FullScan bool
 	visited  int64 // candidates ScanList returned, see Visited
 }
@@ -339,12 +338,11 @@ func (s *Shard) ScanSize(p wire.Pred) int {
 }
 
 // Keep evaluates p once on every node of scan and keeps the ids of those
-// that match, in scan order: the sweep's matchers, whose ranks the server
-// draws the senders over. Each kind is one
-// loop that stores every id and keeps it if its node matches, as Node.Match
-// decides; a max-find scan that is the active list at a threshold the
-// floor watermark covers is kept whole. The result is that kept list, valid
-// until the next Resolve or Reset.
+// that match, in scan order: a sweep's matchers, whose ranks the server
+// draws the senders over. Each kind is one loop that stores every id and
+// keeps it if its node matches, as Node.Match decides; a max-find scan that
+// is the active list at a threshold the floor watermark covers is kept
+// whole. The result is that kept list, valid until the next Keep or Reset.
 func (s *Shard) Keep(p wire.Pred, scan []int32) []int32 {
 	nodes, base := s.nodes, s.base
 	kept, k := s.kept[:len(scan)], 0

@@ -274,7 +274,7 @@ func FuzzSweepGaps(f *testing.F) {
 	f.Add(uint32(1024), uint32(9), uint8(0), uint64(1))
 	f.Add(uint32(37), uint32(37), uint8(5), uint64(2))
 	f.Add(uint32(1), uint32(1), uint8(0), uint64(3))
-	f.Add(uint32(65536), uint32(65536), uint8(15), uint64(4))
+	f.Add(uint32(65535), uint32(65536), uint8(15), uint64(4))
 	f.Fuzz(func(t *testing.T, nRaw, mRaw uint32, rRaw uint8, seed uint64) {
 		n := 1 + int(nRaw%(1<<16))
 		m := int(mRaw % uint32(n+1))

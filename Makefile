@@ -54,7 +54,8 @@ race:
 # (strictly ascending below the matcher count, every rank without a draw
 # in the final round, no allocation), the Pred.Bounds value-routing contract,
 # the filter-interval mirror's no-desync obligation and the max-find active
-# list's agreement with the nodes' flags under fault injection, the HTTP
+# list's agreement with a replay of the per-node max-find handlers under
+# fault injection (a raise left pending across the next op), the HTTP
 # frontend's all-or-nothing batch-decode path and the batch decoder's
 # equality with the encoding/json reference it replaced, the WAL decoder's
 # torn-write obligations (no panic, exact canonical prefix, idempotent

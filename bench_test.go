@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -399,10 +400,10 @@ func BenchmarkItemsStep(b *testing.B) {
 }
 
 // BenchmarkFindMax measures Lemma 2.6's protocol end to end. Every node
-// matches the first sweep of a run, so its MaxFindInit and the first
-// resolve visit all n nodes, the floor; the rest of the time must not grow
-// faster than that (n = 16384 is the load batch of the embed-quiet-wide
-// workload).
+// matches the first sweep of a run, so its MaxFindInit copies all n ids
+// and the compaction that applies its first raise visits all n nodes, the
+// floor; the rest of the time must not grow faster than that (n = 16384 is
+// the load batch of the embed-quiet-wide workload).
 func BenchmarkFindMax(b *testing.B) {
 	for _, n := range []int{64, 1024, 16384} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -429,27 +430,25 @@ func BenchmarkFindMax(b *testing.B) {
 // workers: protocol.FindMax on live × 2 shards with every call through the
 // workers (grain 0), every call on the caller (grain max), and the
 // constant. A max-find is about log n sweeps over an active set that each
-// raise halves, and its first call (MaxFindInit) is priced n, so a run
+// raise halves; its first call (MaxFindInit, a copy of the ids) is priced
+// n/8, and each sweep's Resolve the active lists it compacts, so a run
 // starts above the grain at large n, crosses it on the way down, and never
-// reaches it at small n. µs per FindMax on a 2-core container with the
-// nodes stored as rows (median of 8 runs of the comparison below, each the
-// least of its 5 rounds):
+// reaches it at small n. µs per FindMax on a 2-core container, with a
+// raise applied by the next sweep's compaction (median of 8 runs of the
+// comparison below, each the least of its 5 rounds):
 //
-//	n        workers   caller   default (65536)
-//	1024        56.7     18.8     18.1
-//	4096       165       70.5     63.3
-//	16384      492      248      252
-//	65536     2502     2417     2465
-//	262144    6460    10359     6940
+//	n        workers   caller   default (32768)
+//	1024        15.3      5.8      5.4
+//	16384       70.5     51.0     49.2
+//	262144    1924     2759     1739
 //
-// Below n = 65536 default and caller run the same calls, so the gap
-// between them there is the noise of a shared machine. The workers start
-// paying for their wake-up near n = 65536, where default mixes the two
-// dispatches and moves the shards between cores on the way down. Each call
-// is priced alone, so no call of a run below n = 32768 reaches a grain of
-// 32768 either; in 12 alternating runs of the check each on the same
-// container, the default failed it 5 times with either grain. So the
-// grain stays at 65536.
+// Below n = 32768 default and caller run the same calls, so the gap
+// between them there is the noise of a shared machine; the two failures
+// of the check in those 8 runs were there. At 2¹⁸ the compactions are
+// memory-bound and the workers pay for their wake-up down to about 32768
+// visits: with a grain of 65536 the default read 1960 µs against the
+// workers' 1698 in 8 other runs and failed the check at 2¹⁸ in 4 of them,
+// with 32768 in none of these 8.
 //
 // A fourth timed row, n=…/lockstep, runs the same FindMax on lockstep.New(n,
 // 1), which puts the live engine beside the one-shard inline engine at each
@@ -545,13 +544,16 @@ func benchLiveGrainAt(b *testing.B, n int) {
 // bucket, where value routing prunes nothing and the max-find active list
 // does the work. Lockstep and live × 2 shards; the probe goes into the
 // caller's buffer, and an iteration that allocates fails the benchmark.
-// Expect ≈0.07–0.09 ms on lockstep and ≈0.08–0.10 ms on live on a 2-core
+// Expect ≈0.05 ms on lockstep and ≈0.06 ms on live on a 2-core
 // container: a sweep's rounds cost their senders, drawn as ranks by the
-// server, and what is left is each max-find's O(n) MaxFindInit pass and
-// its raises' compactions of the active list (0.20 and 0.20–0.25 ms when
-// every matcher drew a coin per round). Every call of the ~64 sweeps is
-// below the parallel grain and runs on the caller, so what live pays over
-// lockstep is per-call dispatch (0.60 ms when each call woke the workers).
+// server, a max-find writes no row (its Init copies the ids), and what is
+// left is the compactions of the active list, each run by the sweep after
+// a raise, the first of every max-find over all n nodes (0.07–0.09 and
+// 0.08–0.10 ms when Init wrote every row and a raise compacted at once;
+// 0.20 and 0.20–0.25 ms when every matcher drew a coin per round). Every
+// call of the ~64 sweeps is below the parallel grain and runs on the
+// caller, so what live pays over lockstep is per-call dispatch (0.60 ms
+// when each call woke the workers).
 func BenchmarkEpochOpen(b *testing.B) {
 	const n, k = 1024, 8
 	engines := []struct {
@@ -746,12 +748,15 @@ func BenchmarkSparseStep(b *testing.B) {
 // trade top-8 places every few steps, 16 random other nodes take a ±50
 // move each step, k = 8, ε = 1/8, Approx — at n = 2¹⁶ and 2¹⁸, on lockstep
 // and on live with 2 shards. A step's sweeps cost their matchers once and
-// their senders, so what grows with n is each epoch opening's O(n) passes
-// (MaxFindInit's row pass and the ApplyRule retag) and the max-find
-// compaction over the active list; the contenders are always at most 32.
-// Ten pre-generated wave periods of batches are cycled. A step that
-// allocates after the warm-up fails the benchmark, so it holds at 0
-// allocs/op and means something at -benchtime=1x.
+// their senders, and a max-find writes no row, so what grows with n is
+// each max-find's first compaction of its active list (every node, after
+// an Init that copied the ids) and each epoch opening's ApplyRule retag;
+// the contenders are always at most 32. Ten pre-generated wave periods of
+// batches are cycled. After the warm-up the live run's TopK and Cost must
+// equal the lockstep run's of the same n and seed, so `-benchtime=1x`
+// checks live = lockstep at the two sizes where Init and the compaction
+// cross live's parallel grain. A step that allocates after the warm-up
+// fails the benchmark, so it holds at 0 allocs/op too.
 func BenchmarkWideChurn(b *testing.B) {
 	const k, contenders, noise, period, steps = 8, 32, 16, 200, 2000
 	wave := func(p int) int64 { // triangle between 1e6 and 2e6
@@ -791,30 +796,54 @@ func BenchmarkWideChurn(b *testing.B) {
 			}
 			batches[s] = batch
 		}
+		// warm builds the monitor on the given engine, loads it and runs the
+		// warm-up; step runs the next batch.
+		warm := func(b *testing.B, engOpts []topk.Option) (m *topk.Monitor, step func()) {
+			opts := append([]topk.Option{topk.WithNodes(n), topk.WithSeed(5)}, engOpts...)
+			m, err := topk.New(k, topk.MustEpsilon(1, 8), opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := m.UpdateBatch(load); err != nil {
+				b.Fatal(err)
+			}
+			i := 0
+			step = func() {
+				if err := m.UpdateBatch(batches[i%steps]); err != nil {
+					b.Fatal(err)
+				}
+				i++
+			}
+			epochs0 := m.Epochs()
+			for range 2 * period {
+				step()
+			}
+			if m.Epochs() == epochs0 {
+				b.Fatal("the warm-up opened no epoch: the trace does not churn")
+			}
+			return m, step
+		}
+		// The lockstep run's answer and bill after the warm-up, which the
+		// live run must reproduce; a live run without a lockstep run before
+		// it (-bench selecting live alone) warms up its own.
+		var wantTop []int
+		var wantCost topk.Cost
 		for _, eng := range engines {
 			b.Run(fmt.Sprintf("%s/n=%d", eng.name, n), func(b *testing.B) {
-				opts := append([]topk.Option{topk.WithNodes(n), topk.WithSeed(5)}, eng.opts...)
-				m, err := topk.New(k, topk.MustEpsilon(1, 8), opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
+				m, step := warm(b, eng.opts)
 				defer m.Close()
-				if err := m.UpdateBatch(load); err != nil {
-					b.Fatal(err)
-				}
-				i := 0
-				step := func() {
-					if err := m.UpdateBatch(batches[i%steps]); err != nil {
-						b.Fatal(err)
+				switch {
+				case eng.opts == nil:
+					wantTop, wantCost = m.TopK(nil), m.Cost()
+				case wantTop == nil:
+					ref, _ := warm(b, nil)
+					wantTop, wantCost = ref.TopK(nil), ref.Cost()
+					ref.Close()
+					fallthrough
+				default:
+					if top, cost := m.TopK(nil), m.Cost(); !slices.Equal(top, wantTop) || cost != wantCost {
+						b.Fatalf("after the warm-up %s answers %v at %+v, lockstep %v at %+v", eng.name, top, cost, wantTop, wantCost)
 					}
-					i++
-				}
-				epochs0 := m.Epochs()
-				for range 2 * period {
-					step()
-				}
-				if m.Epochs() == epochs0 {
-					b.Fatal("the warm-up opened no epoch: the trace does not churn")
 				}
 				if avg := testing.AllocsPerRun(period, step); avg != 0 {
 					b.Fatalf("a churn step allocates %.2f times, want 0", avg)

@@ -554,14 +554,15 @@ func TestConformanceAdvanceLengthPanic(t *testing.T) {
 func TestConformanceSweepCoinsMatchPerRoundLoop(t *testing.T) {
 	const n, seed = 37, 43
 	gaps := nodecore.NewGaps(n)
-	// refSweep is the per-round reference over plain nodes.
-	refSweep := func(nodes []*nodecore.Node, p wire.Pred, rng *rngx.Source) (senders []wire.Report, rounds int64) {
+	// refSweep is the per-round reference over plain nodes, with max-find
+	// activity the reference's own flags (active).
+	refSweep := func(nodes []*nodecore.Node, active []bool, p wire.Pred, rng *rngx.Source) (senders []wire.Report, rounds int64) {
 		gamma := nodecore.ExistenceRounds(n)
 		for r := 0; r <= gamma; r++ {
 			rounds++
 			var matchers []*nodecore.Node
 			for _, nd := range nodes {
-				if nd.Match(p) {
+				if nd.Match(p) && (p.Kind != wire.PredAboveActive || active[nd.ID]) {
 					matchers = append(matchers, nd)
 				}
 			}
@@ -608,7 +609,7 @@ func TestConformanceSweepCoinsMatchPerRoundLoop(t *testing.T) {
 				eng, done := mk()
 				defer done()
 				stream := rngx.New(seed).Child(nodecore.ServerRNG)
-				ref := make([]*nodecore.Node, n)
+				ref, refActive := make([]*nodecore.Node, n), make([]bool, n)
 				for i := range ref {
 					ref[i] = nodecore.New(i)
 					ref[i].Observe(vals[i])
@@ -621,8 +622,8 @@ func TestConformanceSweepCoinsMatchPerRoundLoop(t *testing.T) {
 					},
 					func(floor int64) {
 						eng.MaxFindInit(floor, true)
-						for _, nd := range ref {
-							nd.MaxFindInit(floor, true)
+						for i, nd := range ref {
+							refActive[i] = nd.Value > floor
 						}
 					})
 				eng.EndStep()
@@ -631,7 +632,7 @@ func TestConformanceSweepCoinsMatchPerRoundLoop(t *testing.T) {
 				// its seed, and a single draw out of turn in one sweep
 				// shows in the next at the latest.
 				for sweep := 0; sweep < 12; sweep++ {
-					want, rounds := refSweep(ref, sc.pred, stream)
+					want, rounds := refSweep(ref, refActive, sc.pred, stream)
 					got := eng.Sweep(sc.pred)
 					if !reflect.DeepEqual(append([]wire.Report(nil), got...), want) {
 						t.Fatalf("sweep %d: senders %v, the per-round loop sends %v", sweep, got, want)

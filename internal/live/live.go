@@ -51,25 +51,30 @@
 // sent. A unicast addresses the shard owning its node, a delta Advance the
 // shards owning one of its ids, and every other call every shard. Who runs
 // a call depends on its price in node visits: one per unicast, len(ids)
-// for a delta Advance and n for a dense one, n for ApplyRule, MaxFindInit
-// and Reset, and the shards' scan size for a Collect, a sweep's Resolve
-// and MaxFindRaise. Below parallelGrain — about
-// what one barrier costs, in visits — the caller runs exec itself over
-// every shard, in ascending order, and no goroutine is woken; at or above
-// it every addressed worker gets one signal, runs exec over its own shard
-// beside the others, and decrements an atomic countdown, and whoever
-// brings it to zero lets the caller return. The barrier tokens have no
-// model cost, so this is scheduling only: a quiet step or a late max-find
-// round over a few hundred nodes is not worth two goroutine hand-offs, a
-// dense Advance or a MaxFindInit at n = 10⁵ is. Close stops the workers by
-// closing their signal channels.
+// for a delta Advance and n for a dense one, n for ApplyRule and Reset, n/8
+// for a MaxFindInit below 0 (it copies ids, it tests no node) and n at any
+// other floor, and the shards' scan size for a Collect or a sweep's
+// Resolve — the active lists' lengths for a max-find sweep, which pay for
+// the compaction a pending raise leaves them (nodecore.Shard). A
+// MaxFindRaise only records the raise in each shard and always runs on
+// the caller. Below parallelGrain — about what one barrier costs, in
+// visits — the caller runs exec itself over every shard, in ascending
+// order, and no goroutine is woken; at or above it every addressed worker
+// gets one signal, runs exec over its own shard beside the others, and
+// decrements an atomic countdown, and whoever brings it to zero lets the
+// caller return. The barrier tokens have no model cost, so this is
+// scheduling only: a quiet step or a late max-find round over a few
+// hundred nodes is not worth two goroutine hand-offs, a dense Advance or
+// the first compaction of a max-find at n = 10⁵ is. Close stops the
+// workers by closing their signal channels.
 //
 // Between two calls every worker is parked: it was either not signalled or
 // has passed the countdown of the last call it ran, and it touches nothing
 // until its next signal. So the caller may read the shard-owned lengths a
-// price needs, run exec on any shard, and read the nodes (Node,
-// AppendFilters, Senders) between calls; the next signal a worker receives
-// orders those accesses before its own.
+// price needs, run exec on any shard, record a raise in every shard
+// (MaxFindRaise), and read the nodes (Node, AppendFilters, Senders)
+// between calls; the next signal a worker receives orders those accesses
+// before its own.
 //
 // A call's arguments are read in place — the caller's value vector, id
 // list and rule — since nothing reads them after the call returns. The
@@ -122,7 +127,6 @@ const (
 	opCollect
 	opResolve
 	opMaxInit
-	opMaxRaise
 	opMaxExclude
 	opReset
 )
@@ -130,25 +134,26 @@ const (
 // op is the call being run: its kind and the caller's arguments.
 type op struct {
 	kind   opKind
-	id     int     // the node a unicast or MaxFindExclude names; MaxFindRaise's holder
+	id     int     // the node a unicast or MaxFindExclude names
 	values []int64 // Advance
 	ids    []int   // Advance: the delta's ids, nil for every node
 	rule   *wire.FilterRule
 	iv     filter.Interval
 	tag    wire.Tag
 	pred   wire.Pred
-	v      int64 // MaxFindInit's floor, MaxFindRaise's best
+	v      int64 // MaxFindInit's floor
 	reset  bool
 }
 
 // parallelGrain is the price, in node visits, below which a call runs on
 // the caller's goroutine. One barrier — signal the workers, park, be woken
 // by the last of them — costs about what visiting 2–3·10⁴ nodes costs on
-// the box BenchmarkLiveGrain (root bench_test.go) was read on. The grain
-// sits above that because whole max-find runs measured best with this
-// value. The benchmark's comment has the crossover table and the benchmark
-// fails when the constant stops fitting.
-const parallelGrain = 1 << 16
+// the box BenchmarkLiveGrain (root bench_test.go) was read on, and the
+// grain sits there: whole max-find runs at 2¹⁸ nodes, whose compactions
+// are memory-bound, measured best with this value. The benchmark's comment
+// has the crossover table and the benchmark fails when the constant stops
+// fitting.
+const parallelGrain = 1 << 15
 
 // config collects construction options.
 type config struct {
@@ -354,10 +359,6 @@ func (d *dispatcher) exec(lo, hi int) (top int64) {
 		for _, sh := range d.shards[lo:hi] {
 			sh.MaxFindInit(o.v, o.reset)
 		}
-	case opMaxRaise:
-		for _, sh := range d.shards[lo:hi] {
-			sh.MaxFindRaise(o.id, o.v)
-		}
 	case opMaxExclude:
 		d.owner(o.id).MaxFindExclude(o.id)
 	case opReset:
@@ -523,17 +524,27 @@ func (d *dispatcher) Senders(dst []wire.Report, ranks []int32) []wire.Report {
 	return dst
 }
 
-// MaxFindInit implements cluster.Nodes.
+// MaxFindInit implements cluster.Nodes. Below 0 an Init copies each
+// shard's ids into its active list, and a copied id costs about an eighth
+// of a node visit; any other floor tests every node's value.
 func (d *dispatcher) MaxFindInit(floor int64, reset bool) {
 	d.op = op{kind: opMaxInit, v: floor, reset: reset}
+	if floor < 0 {
+		d.run(d.n / 8)
+		return
+	}
 	d.run(d.n)
 }
 
-// MaxFindRaise implements cluster.Nodes. A raise walks the active lists:
-// the max-find predicate's scan.
+// MaxFindRaise implements cluster.Nodes on the caller, with the workers
+// parked: each shard only records the raise, and the compaction that
+// applies it is paid by the next call that reads the active lists, a
+// sweep's Resolve priced by the lists' lengths before it (ScanSize).
 func (d *dispatcher) MaxFindRaise(holder int, best int64) {
-	d.op = op{kind: opMaxRaise, id: holder, v: best}
-	d.run(d.scanSize(wire.AboveActive(best)))
+	d.checkAlive()
+	for _, sh := range d.shards {
+		sh.MaxFindRaise(holder, best)
+	}
 }
 
 // MaxFindExclude implements cluster.Nodes.

@@ -116,38 +116,41 @@ func FuzzFilterMirror(f *testing.F) {
 	})
 }
 
-// checkActiveListMatchesNodes asserts the engine's max-find active list is
-// exactly the ids of the nodes whose MFActive flag is set, in ascending
-// order — and that both flags of every node are what the delivered
-// broadcasts make them (wantActive, wantExcluded: the test's own replay of
-// the node handlers). It also resolves AboveActive(x) at x, the threshold
-// of the last max-find broadcast sent, where the shard's floor watermark
-// may let it keep the active list untested: the kept ids must be exactly
-// the active nodes above x.
-func checkActiveListMatchesNodes(t *testing.T, e *Engine, wantActive, wantExcluded []bool, x int64) {
+// checkActiveListMatchesNodes asserts that the shard's max-find flags
+// (Shard.MaxFind) are what the delivered broadcasts make them (wantActive,
+// wantExcluded: the test's own replay of the per-node handlers). With
+// list set it then also reads the active list, which applies a pending
+// raise: the list must be exactly the active ids in ascending order, and
+// a resolve of AboveActive(x) at x, the threshold of the last max-find
+// broadcast sent — where the shard's floor watermark may let it keep the
+// active list untested, and under FullScan a walk beside the list over
+// every id — must keep exactly the active nodes above x.
+func checkActiveListMatchesNodes(t *testing.T, e *Engine, wantActive, wantExcluded []bool, x int64, list bool) {
 	t.Helper()
-	list := e.sh.ScanList(wire.AboveActive(-1))
-	var above []int32
-	at := 0
+	var want, above []int32
 	for id := range e.N() {
-		nd := e.sh.Node(id)
-		if nd.MFActive != wantActive[nd.ID] || nd.MFExcluded != wantExcluded[nd.ID] {
+		active, excluded := e.sh.MaxFind(id)
+		if active != wantActive[id] || excluded != wantExcluded[id] {
 			t.Fatalf("node %d: active=%v excluded=%v, the delivered broadcasts make it active=%v excluded=%v",
-				nd.ID, nd.MFActive, nd.MFExcluded, wantActive[nd.ID], wantExcluded[nd.ID])
+				id, active, excluded, wantActive[id], wantExcluded[id])
 		}
-		if !nd.MFActive {
+		if !active {
 			continue
 		}
-		if at >= len(list) || int(list[at]) != id {
-			t.Fatalf("active node %d missing from the active list at position %d (list holds %d)", id, at, len(list))
-		}
-		at++
-		if nd.Value > x {
+		want = append(want, int32(id))
+		if e.sh.Node(id).Value > x {
 			above = append(above, int32(id))
 		}
 	}
-	if at != len(list) {
-		t.Fatalf("active list holds %d nodes, %d have the flag", len(list), at)
+	if !list {
+		return
+	}
+	fullScan := e.sh.FullScan
+	e.sh.FullScan = false // the routed scan is the active list itself
+	got := e.sh.ScanList(wire.AboveActive(-1))
+	e.sh.FullScan = fullScan
+	if !slices.Equal(got, want) {
+		t.Fatalf("active list %v, the active nodes are %v", got, want)
 	}
 	p := wire.AboveActive(x)
 	if got := e.sh.Keep(p, e.sh.ScanList(p)); !slices.Equal(got, above) {
@@ -156,20 +159,33 @@ func checkActiveListMatchesNodes(t *testing.T, e *Engine, wantActive, wantExclud
 }
 
 // FuzzActiveList drives random sequences of the three max-find broadcasts,
-// observations, engine resets and max-find sweeps through the fault
-// injector with whole-broadcast drops enabled, and checks after every
-// single op that the engine's active list equals a full scan of the
-// MFActive flags. A dropped MaxFindInit/Raise/Exclude never reaches the
-// engine, so the flags go stale — and the list must be exactly as stale as
-// they are; an observation moves values under the list without touching
-// it. The test replays the node handlers for the broadcasts that were
-// delivered (the DroppedMsgs counter says which), so a handler the engine
-// skipped, or applied to the wrong nodes, fails too.
+// observations, engine resets, max-find collects and sweeps, and FullScan
+// toggles through the fault injector with whole-broadcast drops enabled,
+// and checks after every single op that the shard's max-find flags equal
+// the test's replay of the per-node handlers. A dropped
+// MaxFindInit/Raise/Exclude never reaches the engine, so the flags go
+// stale — and the shard must be exactly as stale; an observation moves
+// values under the active list without touching it. The test replays the
+// handlers for the broadcasts that were delivered (the DroppedMsgs counter
+// says which), so a handler the engine skipped, or applied to the wrong
+// nodes, fails too, and so does a Collect of the max-find predicate that
+// reports other nodes than the replay's. A delivered raise is only
+// recorded by the shard; the check after it reads the flags but not the
+// list, so the raise stays pending into the next op, and whatever that op
+// is — an observation, an exclude, a dropped Init, a Collect — must see it
+// applied against the values it was announced over.
 func FuzzActiveList(f *testing.F) {
 	f.Add(uint8(0), []byte{1, 0, 1, 2, 3, 40, 3, 5, 0, 7, 1, 9, 0, 2, 4, 80})
 	f.Add(uint8(1), []byte{1, 10, 1, 2, 0, 200, 3, 3, 2, 1, 100, 4, 9, 1, 0, 0, 5, 5})
 	f.Add(uint8(2), []byte{0, 9, 1, 255, 0, 3, 16, 3, 0, 3, 1, 1, 30, 1, 2, 2, 60, 5})
 	f.Add(uint8(1), []byte{1, 0, 0, 3, 4, 3, 4, 1, 0, 1, 4, 7, 1, 0, 0, 2, 4, 0})
+	// A raise left pending across an observation, an exclude, a Collect
+	// (with FullScan on), a delivered Init and a dropped one.
+	f.Add(uint8(0), []byte{0, 5, 1, 0, 0, 5, 0, 2, 3, 20, 0, 40, 5, 0})
+	f.Add(uint8(0), []byte{0, 5, 1, 0, 0, 5, 0, 2, 3, 20, 3, 7, 5, 0})
+	f.Add(uint8(0), []byte{0, 5, 1, 0, 0, 6, 2, 9, 30, 5, 20, 6, 5, 0})
+	f.Add(uint8(0), []byte{0, 5, 1, 0, 0, 2, 3, 20, 1, 0, 1, 5, 0})
+	f.Add(uint8(2), []byte{0, 5, 1, 0, 0, 1, 0, 0, 2, 3, 20, 2, 3, 20, 1, 10, 1, 5, 0})
 
 	f.Fuzz(func(t *testing.T, planByte uint8, script []byte) {
 		const n, seed = 17, 4321
@@ -198,7 +214,8 @@ func FuzzActiveList(f *testing.F) {
 		active, excluded := make([]bool, n), make([]bool, n)
 		var x int64 = -1 // threshold of the last max-find broadcast sent
 		for steps := 0; len(script) > 0 && steps < 4096; steps++ {
-			switch next() % 6 {
+			list := true
+			switch next() % 7 {
 			case 0: // observations: values move, no flag does
 				b := next()
 				for i := range vals {
@@ -222,22 +239,36 @@ func FuzzActiveList(f *testing.F) {
 						active[i] = active[i] && i != holder && vals[i] > best
 					}
 				}
+				list = false // leave the raise pending into the next op
 			case 3: // exclude one node, active or not
 				id := int(next()) % n
 				if delivered(func() { w.MaxFindExclude(id) }) {
 					active[id], excluded[id] = false, true
 				}
-			case 4: // full reset: the list must empty with the flags
+			case 4: // full reset: the flags must clear, FullScan with them
 				w.Reset(uint64(next()))
 				clear(vals)
 				clear(active)
 				clear(excluded)
-			default: // the read paths served from the list
+			case 5: // the read paths served from the list
 				x := int64(next())%128 - 1
+				var got, want []int
+				for _, rep := range w.Collect(wire.AboveActive(x)) {
+					got = append(got, rep.ID)
+				}
+				for i := range active {
+					if active[i] && vals[i] > x {
+						want = append(want, i)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("Collect(AboveActive(%d)) reports %v, the active nodes above it are %v", x, got, want)
+				}
 				w.Sweep(wire.AboveActive(x))
-				w.Collect(wire.AboveActive(x))
+			default: // the full-scan ablation: every read walks every id
+				e.sh.FullScan = !e.sh.FullScan
 			}
-			checkActiveListMatchesNodes(t, e, active, excluded, x)
+			checkActiveListMatchesNodes(t, e, active, excluded, x, list)
 		}
 	})
 }

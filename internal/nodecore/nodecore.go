@@ -2,10 +2,15 @@
 // the deterministic lockstep engine and the concurrent goroutine engine:
 // the node side of cluster.Server, which both engines are.
 //
-// A node owns: its current stream value, its assigned filter, a protocol tag
-// (V1/V2/S1-style set membership, updated by server messages), and a
-// max-find activation flag. All server-visible behaviour is driven through
-// Apply* message handlers, so the two engines cannot diverge in node logic.
+// A node owns: its current stream value, its assigned filter and a protocol
+// tag (V1/V2/S1-style set membership, updated by server messages). All
+// server-visible behaviour is driven through these handlers and the
+// Shard's, so the two engines cannot diverge in node logic. Which nodes
+// take part in a max-find run is not a node's state but its Shard's: the
+// active list, the only record of it, and the exclusion list of the
+// current top-m computation (Shard.MaxFind reads both for one node). A
+// max-find raise is recorded and applied by the next read of the active
+// list, in one pass over it, so no max-find broadcast writes a row.
 // A node draws no randomness: which matchers of an EXISTENCE round send is
 // drawn by the server, as ranks over the round's id-ordered matchers
 // (Gaps), from its own stream.
@@ -40,12 +45,6 @@ type Node struct {
 	Value  int64
 	Filter filter.Interval
 	Tag    wire.Tag
-
-	// MFActive marks participation in the current max-find run.
-	MFActive bool
-	// MFExcluded marks a node already returned by a previous max-find run
-	// of the same top-m computation; it sits out until a resetting init.
-	MFExcluded bool
 }
 
 // ServerRNG is the Child id of the server-side randomness stream
@@ -65,13 +64,11 @@ func New(id int) *Node {
 }
 
 // Reset returns the node to the state New(nd.ID) constructs: value 0, the
-// all-admitting filter, no tag, no max-find participation.
+// all-admitting filter, no tag.
 func (nd *Node) Reset() {
 	nd.Value = 0
 	nd.Filter = filter.All
 	nd.Tag = wire.TagNone
-	nd.MFActive = false
-	nd.MFExcluded = false
 }
 
 // Observe sets the node's current value (the next stream element).
@@ -86,13 +83,15 @@ func (nd *Node) Report() wire.Report {
 	return wire.Report{ID: nd.ID, Value: nd.Value, Dir: nd.Violation()}
 }
 
-// Match evaluates a broadcastable predicate against node-local state.
+// Match evaluates a broadcastable predicate against node-local state. For
+// the max-find predicate that is the value test alone: whether the node is
+// active is its Shard's to say (Shard.MaxFind).
 func (nd *Node) Match(p wire.Pred) bool {
 	switch p.Kind {
 	case wire.PredViolating:
 		return nd.Violation() != filter.DirNone
 	case wire.PredAboveActive:
-		return nd.MFActive && nd.Value > p.X
+		return nd.Value > p.X
 	case wire.PredInRange:
 		return nd.Value >= p.X && nd.Value <= p.Y
 	case wire.PredHasTag:
@@ -114,26 +113,6 @@ func (nd *Node) SetFilter(iv filter.Interval) { nd.Filter = iv }
 
 // SetTag applies a unicast tag change.
 func (nd *Node) SetTag(t wire.Tag) { nd.Tag = t }
-
-// MaxFindInit (broadcast) re-activates the node for a fresh max-find run
-// when its value exceeds the announced floor; nodes at or below deactivate.
-// With reset, prior exclusions (found maxima) are forgotten, starting a new
-// top-m computation.
-func (nd *Node) MaxFindInit(floor int64, reset bool) {
-	if reset {
-		nd.MFExcluded = false
-	}
-	nd.MFActive = !nd.MFExcluded && nd.Value > floor
-}
-
-// MaxFindExclude (broadcast) permanently benches the named node until the
-// next resetting init; used to find the (j+1)-st largest after the j-th.
-func (nd *Node) MaxFindExclude(id int) {
-	if nd.ID == id {
-		nd.MFExcluded = true
-		nd.MFActive = false
-	}
-}
 
 // ExistenceRounds returns γ = ⌈log₂ n⌉, the number of probabilistic rounds
 // of the EXISTENCE protocol (Lemma 3.1). Round γ sends with probability 1.

@@ -49,12 +49,17 @@ func TestMatchPredicates(t *testing.T) {
 	if !nd.Match(wire.HasTag(wire.TagV2)) || nd.Match(wire.HasTag(wire.TagV1)) {
 		t.Error("HasTag wrong")
 	}
-	nd.MFActive = true
 	if !nd.Match(wire.AboveActive(49)) || nd.Match(wire.AboveActive(50)) {
 		t.Error("AboveActive threshold wrong")
 	}
-	nd.MFActive = false
-	if nd.Match(wire.AboveActive(0)) {
+	sh := NewShard(3, 1)
+	sh.Install(3, 50)
+	sh.MaxFindInit(-1, true)
+	if !sh.Match(3, wire.AboveActive(49)) || sh.Match(3, wire.AboveActive(50)) {
+		t.Error("AboveActive threshold wrong on an active node")
+	}
+	sh.MaxFindExclude(3)
+	if sh.Match(3, wire.AboveActive(0)) {
 		t.Error("inactive node must not match AboveActive")
 	}
 }
@@ -72,48 +77,51 @@ func TestApplyFilterRule(t *testing.T) {
 	}
 }
 
+// TestMaxFindLifecycle walks one node through the max-find broadcasts; its
+// flags are its shard's (MaxFind).
 func TestMaxFindLifecycle(t *testing.T) {
-	nd := newNode(t, 2)
-	nd.Observe(100)
-	nd.MaxFindInit(-1, true)
-	if !nd.MFActive {
+	sh := NewShard(2, 1)
+	active := func() bool { a, _ := sh.MaxFind(2); return a }
+	sh.Install(2, 100)
+	sh.MaxFindInit(-1, true)
+	if !active() {
 		t.Error("node above floor must activate")
 	}
-	nd.MaxFindRaise(5, 100) // best equals value: deactivate
-	if nd.MFActive {
+	sh.MaxFindRaise(5, 100) // best equals value: deactivate
+	if active() {
 		t.Error("node at best must deactivate")
 	}
-	nd.MaxFindInit(-1, false)
-	if !nd.MFActive {
+	sh.MaxFindInit(-1, false)
+	if !active() {
 		t.Error("re-init must reactivate non-excluded node")
 	}
-	nd.MaxFindExclude(2)
-	if nd.MFActive || !nd.MFExcluded {
+	sh.MaxFindExclude(2)
+	if a, excluded := sh.MaxFind(2); a || !excluded {
 		t.Error("exclusion must bench the node")
 	}
-	nd.MaxFindInit(-1, false)
-	if nd.MFActive {
+	sh.MaxFindInit(-1, false)
+	if active() {
 		t.Error("excluded node must stay benched without reset")
 	}
-	nd.MaxFindInit(-1, true)
-	if !nd.MFActive {
+	sh.MaxFindInit(-1, true)
+	if !active() {
 		t.Error("reset must clear exclusion")
 	}
-	nd.MaxFindRaise(2, 50) // holder deactivates even above best
-	if nd.MFActive {
+	sh.MaxFindRaise(2, 50) // holder deactivates even above best
+	if active() {
 		t.Error("holder must deactivate on raise")
 	}
 }
 
 func TestMaxFindInitFloor(t *testing.T) {
-	nd := newNode(t, 4)
-	nd.Observe(10)
-	nd.MaxFindInit(10, true)
-	if nd.MFActive {
+	sh := NewShard(4, 1)
+	sh.Install(4, 10)
+	sh.MaxFindInit(10, true)
+	if a, _ := sh.MaxFind(4); a {
 		t.Error("node at floor must not activate")
 	}
-	nd.MaxFindInit(9, true)
-	if !nd.MFActive {
+	sh.MaxFindInit(9, true)
+	if a, _ := sh.MaxFind(4); !a {
 		t.Error("node above floor must activate")
 	}
 }

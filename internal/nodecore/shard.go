@@ -63,25 +63,43 @@ func badValue(id int, v int64) {
 //     value at or below it.
 //   - SetFilter, SetTagFilter, ApplyRule: the violator bit, read from the
 //     filter the node now holds (no tag state of its own).
-//   - MaxFindInit, MaxFindRaise, MaxFindExclude, the only writers of the
-//     max-find flag: the active list. A value change never touches it —
-//     whether an active node is still above a sweep's threshold is what
-//     Match decides, per sweep.
-//   - MaxFindInit and MaxFindRaise also set the floor watermark, a value
-//     every active node's value exceeds: Init's floor, and after a Raise
-//     the larger of that and the raised best. Install invalidates it as
-//     above; Reset, and an Init at math.MinInt64, leave none. While it is
-//     known, a resolve of AboveActive(x) over the active list with x at or
-//     below it keeps the whole list without testing a node — the case of
-//     every sweep of a max-find run.
-//   - Reset: the node state New constructs, an empty index, violator set
-//     and active list, no watermark.
+//   - Reset: the node state New constructs, an empty index, violator set,
+//     active list and exclusion list, no watermark, no pending raise.
+//
+// Max-find participation is not node state. The active list is the one
+// record of which nodes are active, and a sorted exclusion list holds the
+// nodes the current top-m computation has found (at most m ids); MaxFind
+// reads both for one node. MaxFindInit, MaxFindRaise and MaxFindExclude
+// are their only writers, and no row is written for them:
+//
+//   - MaxFindInit clears the exclusions when reset is set and rebuilds the
+//     active list: at a floor below 0, which every value exceeds
+//     (CheckValue), as the ids minus the exclusions by segment copies; at
+//     any other floor by a pass that tests values.
+//   - MaxFindRaise only records (holder, best). The next reader of the
+//     active list — ScanList, Keep, Collect, Install or Advance,
+//     MaxFindExclude, or another raise — applies it in one compaction that
+//     drops the holder and every node not above best, so the raise is
+//     applied against the values it was announced over. A MaxFindInit or
+//     Reset discards it.
+//   - MaxFindExclude takes its node off the active list and adds it to the
+//     exclusion list.
+//
+// A value change never touches the active list: whether an active node is
+// still above a sweep's threshold is what Keep decides, per sweep.
+// MaxFindInit and MaxFindRaise also set the floor watermark, a value every
+// active node's value exceeds: Init's floor, and after a Raise the larger
+// of that and the raised best. Install invalidates it as above; Reset, and
+// an Init at math.MinInt64, leave none. While it is known, a resolve of
+// AboveActive(x) over the active list with x at or below it keeps the
+// list itself without testing a node — the case of every sweep of a
+// max-find run.
 //
 // A broadcast the fault layer drops never reaches the Shard, so the
-// structures stay exactly as stale as the nodes are (FuzzFilterMirror,
-// FuzzActiveList). Code outside the Shard reads nodes (Node) and must
-// never mutate one: a Value or Filter changed behind the Shard's back
-// desyncs the index and the violator set.
+// structures stay exactly as stale as the model's nodes would be
+// (FuzzFilterMirror, FuzzActiveList). Code outside the Shard reads nodes
+// (Node) and must never mutate one: a Value or Filter changed behind the
+// Shard's back desyncs the index and the violator set.
 //
 // On the read side, node state cannot change while an EXISTENCE sweep
 // runs, so a sweep resolves its matchers once (Resolve: Keep over
@@ -103,7 +121,7 @@ type Shard struct {
 	floor  int64 // under every active value, or noFloor
 
 	cand []int32
-	kept []int32
+	kept []int32 // keptBuf[:k], or the active list itself
 
 	// FullScan makes ScanList return every id, ignoring the routing
 	// structures. Ablation scaffolding for the index equivalence property
@@ -112,6 +130,15 @@ type Shard struct {
 	// cost. Reset clears it.
 	FullScan bool
 	visited  int64 // candidates ScanList returned, see Visited
+
+	keptBuf []int32
+	excl    []int32 // the current top-m computation's found nodes, ascending
+
+	// raised marks a MaxFindRaise not yet applied to the active list; it
+	// drops raiseHolder and every node not above raiseBest.
+	raised      bool
+	raiseHolder int
+	raiseBest   int64
 }
 
 // noFloor is the floor watermark when none is known.
@@ -123,15 +150,16 @@ const noFloor = math.MinInt64
 // n up front, so no later call allocates.
 func NewShard(base, n int) *Shard {
 	s := &Shard{
-		base:   base,
-		nodes:  make([]Node, n),
-		ids:    make([]int32, n),
-		idx:    vindex.New(base, n),
-		mir:    vindex.NewMirror(base, n),
-		active: make([]int32, 0, n),
-		floor:  noFloor,
-		cand:   make([]int32, 0, n),
-		kept:   make([]int32, 0, n),
+		base:    base,
+		nodes:   make([]Node, n),
+		ids:     make([]int32, n),
+		idx:     vindex.New(base, n),
+		mir:     vindex.NewMirror(base, n),
+		active:  make([]int32, 0, n),
+		floor:   noFloor,
+		cand:    make([]int32, 0, n),
+		keptBuf: make([]int32, n),
+		excl:    make([]int32, 0, n),
 	}
 	for i := range s.nodes {
 		s.ids[i] = int32(base + i)
@@ -154,12 +182,21 @@ func (s *Shard) IDs() []int32 { return s.ids }
 // node-mutation contract.
 func (s *Shard) Node(id int) *Node { return &s.nodes[id-s.base] }
 
-// Install records the observation v at node id.
+// Install records the observation v at node id. A pending raise is applied
+// first, against the values it was announced over.
 func (s *Shard) Install(id int, v int64) {
-	nd := s.Node(id)
-	if nd.MFActive && v <= s.floor {
+	if s.raised {
+		s.applyRaise()
+	}
+	s.install(id, v)
+}
+
+// install is Install with no raise pending.
+func (s *Shard) install(id int, v int64) {
+	if v <= s.floor && len(s.active) > 0 && s.onList(id) {
 		s.floor = noFloor
 	}
+	nd := s.Node(id)
 	nd.Observe(v)
 	s.idx.Update(id, v)
 	s.mir.Set(id, v, nd.Filter)
@@ -170,6 +207,9 @@ func (s *Shard) Install(id int, v int64) {
 // by absolute id. Each value passes CheckValue before it is installed. It
 // returns the largest value installed, 0 if none was.
 func (s *Shard) Advance(values []int64, ids []int) (top int64) {
+	if s.raised {
+		s.applyRaise()
+	}
 	count := len(ids)
 	if ids == nil {
 		count = len(s.nodes)
@@ -181,7 +221,7 @@ func (s *Shard) Advance(values []int64, ids []int) (top int64) {
 		}
 		v := values[id]
 		CheckValue(id, v)
-		s.Install(id, v)
+		s.install(id, v)
 		top = max(top, v)
 	}
 	return top
@@ -209,61 +249,107 @@ func (s *Shard) SetTagFilter(id int, t wire.Tag, iv filter.Interval) {
 	s.SetFilter(id, iv)
 }
 
-// MaxFindInit applies the broadcast to every node and rebuilds the active
-// list in the same O(n) pass: every id is stored, and the list grows past
-// it only if the node is active.
+// MaxFindInit applies the broadcast: with reset the exclusions are
+// cleared, a pending raise is discarded, and the active list becomes every
+// node not excluded whose value exceeds floor. Below 0 the floor is under
+// every value, so the list is the ids minus the exclusions, copied segment
+// by segment; any other floor takes one pass that tests values.
 func (s *Shard) MaxFindInit(floor int64, reset bool) {
-	nodes, ids := s.nodes, s.ids
-	active, k := s.active[:len(nodes)], 0
+	if reset {
+		s.excl = s.excl[:0]
+	}
+	s.raised = false
+	s.floor = floor
+	ids, active, base := s.ids, s.active[:0], s.base
+	if floor < 0 {
+		from := 0
+		for _, id := range s.excl {
+			active = append(active, ids[from:int(id)-base]...)
+			from = int(id) - base + 1
+		}
+		s.active = append(active, ids[from:]...)
+		return
+	}
+	nodes, excl := s.nodes, s.excl
+	active, k := active[:len(nodes)], 0
 	for i := range nodes {
-		nd := &nodes[i]
-		nd.MaxFindInit(floor, reset)
+		if len(excl) > 0 && excl[0] == ids[i] {
+			excl = excl[1:]
+			continue
+		}
 		active[k] = ids[i]
-		k += b2i(nd.MFActive)
+		k += b2i(nodes[i].Value > floor)
 	}
 	s.active = active[:k]
-	s.floor = floor
 }
 
-// MaxFindRaise applies the broadcast announcing a new best (holder, value)
-// to the active nodes: the holder and every node not exceeding the value
-// drop out. It can only deactivate, so no other node's state could change,
-// and it compacts the list in place like MaxFindInit. The pass drops every
-// node not above best; the holder, if it is this shard's and survived it
-// (its value moved above the one it reported), leaves afterwards.
-// TestRaiseMatchesNodeHandler holds it equal to the per-node handler
-// applied to every row.
+// MaxFindRaise records the broadcast announcing a new best (holder, value):
+// the holder and every active node not exceeding the value drop out when
+// the next reader of the active list applies it (applyRaise). A raise
+// still pending is applied first, and the floor watermark rises to best at
+// once, since no reader can see the list before the raise is applied.
+// TestRaiseMatchesNodeHandler holds the pair equal to the per-node
+// handler applied to every row.
 func (s *Shard) MaxFindRaise(holder int, best int64) {
-	nodes, base, active := s.nodes, s.base, s.active
+	if s.raised {
+		s.applyRaise()
+	}
+	s.raised, s.raiseHolder, s.raiseBest = true, holder, best
+	s.floor = max(s.floor, best)
+}
+
+// applyRaise applies the pending raise in one in-place compaction of the
+// active list: every id is stored, and the list grows past it only if the
+// node is above the raised best. The holder reported best as its value, so
+// the pass drops it too unless its value has since moved above best; then
+// it is taken off the list on its own.
+func (s *Shard) applyRaise() {
+	s.raised = false
+	nodes, base, active, best := s.nodes, s.base, s.active, s.raiseBest
 	k := 0
 	for _, id := range active {
-		keep := nodes[int(id)-base].Value > best
-		nodes[int(id)-base].MFActive = keep
 		active[k] = id
-		k += b2i(keep)
+		k += b2i(nodes[int(id)-base].Value > best)
 	}
 	s.active = active[:k]
-	s.floor = max(s.floor, best)
-	if uint(holder-s.base) < uint(len(s.nodes)) && s.Node(holder).MFActive {
-		s.deactivate(holder)
+	if h := s.raiseHolder; uint(h-base) < uint(len(nodes)) && nodes[h-base].Value > best {
+		if i, ok := slices.BinarySearch(s.active, int32(h)); ok {
+			s.active = slices.Delete(s.active, i, i+1)
+		}
 	}
 }
 
 // MaxFindExclude applies the broadcast to the one node it names: the node
-// leaves the active list if it is on it, and is benched either way.
+// leaves the active list if it is on it, and joins the exclusion list
+// either way.
 func (s *Shard) MaxFindExclude(id int) {
-	if s.Node(id).MFActive {
-		s.deactivate(id)
+	if s.raised {
+		s.applyRaise()
 	}
-	s.Node(id).MaxFindExclude(id)
+	if i, ok := slices.BinarySearch(s.active, int32(id)); ok {
+		s.active = slices.Delete(s.active, i, i+1)
+	}
+	if i, ok := slices.BinarySearch(s.excl, int32(id)); !ok {
+		s.excl = slices.Insert(s.excl, i, int32(id))
+	}
 }
 
-// deactivate takes the active node id off the active list and clears its
-// flag.
-func (s *Shard) deactivate(id int) {
-	i, _ := slices.BinarySearch(s.active, int32(id))
-	s.active = slices.Delete(s.active, i, i+1)
-	s.Node(id).MFActive = false
+// MaxFind returns node id's max-find flags as the broadcasts delivered so
+// far make them: whether it takes part in the current max-find run, and
+// whether the current top-m computation has excluded it. It reads a
+// pending raise without applying it, so it changes nothing. No program
+// calls it; the tests of this package and internal/lockstep do.
+func (s *Shard) MaxFind(id int) (active, excluded bool) {
+	active = s.onList(id) &&
+		!(s.raised && (id == s.raiseHolder || s.Node(id).Value <= s.raiseBest))
+	_, excluded = slices.BinarySearch(s.excl, int32(id))
+	return active, excluded
+}
+
+// onList reports whether id is on the active list.
+func (s *Shard) onList(id int) bool {
+	_, ok := slices.BinarySearch(s.active, int32(id))
+	return ok
 }
 
 // Reset returns every node to the state New(id) constructs and the
@@ -275,8 +361,10 @@ func (s *Shard) Reset() {
 	s.idx.Reset()
 	s.mir.Reset()
 	s.active = s.active[:0]
+	s.excl = s.excl[:0]
+	s.raised = false
 	s.floor = noFloor
-	s.kept = s.kept[:0]
+	s.kept = s.keptBuf[:0]
 	s.FullScan = false
 	s.visited = 0
 }
@@ -291,8 +379,12 @@ func (s *Shard) Reset() {
 // scratch recycled by the next ScanList call; callers must not modify it.
 // Candidate values may lie outside the bounds (bucket coarsening), so
 // callers still Match every node, or Resolve the list. Under FullScan it is
-// IDs for every predicate. Its length is added to Visited.
+// IDs for every predicate. For the max-find predicate it applies a pending
+// raise first. Its length is added to Visited.
 func (s *Shard) ScanList(p wire.Pred) []int32 {
+	if s.raised && p.Kind == wire.PredAboveActive {
+		s.applyRaise()
+	}
 	scan := s.ids
 	switch {
 	case s.FullScan || !vindex.Routable(p): // the full scan
@@ -319,9 +411,12 @@ func (s *Shard) ScanList(p wire.Pred) []int32 {
 // (experiment E12), not message cost.
 func (s *Shard) Visited() int64 { return s.visited }
 
-// ScanSize returns len(ScanList(p)) without building the list, read from
-// the structures' lengths. The live engine prices a Collect, a sweep's
-// Resolve or a MaxFindRaise with it before deciding who runs the call.
+// ScanSize returns the node visits routing p costs, read from the
+// structures' lengths without building a list: len(ScanList(p)), except
+// that with a raise pending the max-find predicate's is the length of the
+// active list before ScanList's compaction, which visits every id of it.
+// The live engine prices a Collect or a sweep's Resolve with it before
+// deciding who runs the call.
 func (s *Shard) ScanSize(p wire.Pred) int {
 	if !vindex.Routable(p) {
 		return len(s.nodes)
@@ -337,25 +432,40 @@ func (s *Shard) ScanSize(p wire.Pred) int {
 	}
 }
 
-// Keep evaluates p once on every node of scan and keeps the ids of those
-// that match, in scan order: a sweep's matchers, whose ranks the server
-// draws the senders over. Each kind is one loop that stores every id and
-// keeps it if its node matches, as Node.Match decides; a max-find scan that
-// is the active list at a threshold the floor watermark covers is kept
-// whole. The result is that kept list, valid until the next Keep or Reset.
+// Keep evaluates p once on every node of scan, which ascends, and keeps
+// the ids of those that match, in scan order: a sweep's matchers, whose
+// ranks the server draws the senders over. Each kind is one loop that
+// stores every id and keeps it if its node matches, as Match decides; a
+// max-find scan that is not the active list walks the list beside it, and
+// one that is the active list at a threshold the floor watermark covers
+// is kept as it is, the list itself. The result is that kept list, valid
+// until the next call that changes the Shard or keeps again.
 func (s *Shard) Keep(p wire.Pred, scan []int32) []int32 {
 	nodes, base := s.nodes, s.base
-	kept, k := s.kept[:len(scan)], 0
+	kept, k := s.keptBuf[:len(scan)], 0
 	switch p.Kind {
 	case wire.PredAboveActive:
-		if p.X <= s.floor && s.floor != noFloor && s.isActive(scan) {
-			k = copy(kept, scan)
+		if s.raised {
+			s.applyRaise()
+		}
+		if !s.isActive(scan) {
+			active := s.active
+			for _, id := range scan {
+				for len(active) > 0 && active[0] < id {
+					active = active[1:]
+				}
+				kept[k] = id
+				k += b2i(len(active) > 0 && active[0] == id && nodes[int(id)-base].Value > p.X)
+			}
 			break
 		}
+		if p.X <= s.floor && s.floor != noFloor {
+			s.kept = scan
+			return scan
+		}
 		for _, id := range scan {
-			nd := &nodes[int(id)-base]
 			kept[k] = id
-			k += b2i(nd.MFActive && nd.Value > p.X)
+			k += b2i(nodes[int(id)-base].Value > p.X)
 		}
 	case wire.PredViolating:
 		for _, id := range scan {
@@ -407,9 +517,13 @@ func (s *Shard) Senders(dst []wire.Report, ranks []int32) []wire.Report {
 
 // Collect appends the reports of p's matchers to dst in ascending id order.
 // It routes through ScanList like a sweep but leaves the kept list alone.
+// Only a max-find scan under FullScan holds inactive nodes, and only there
+// is a node's activity looked up.
 func (s *Shard) Collect(dst []wire.Report, p wire.Pred) []wire.Report {
-	for _, id := range s.ScanList(p) {
-		if nd := s.Node(int(id)); nd.Match(p) {
+	scan := s.ScanList(p)
+	allActive := p.Kind != wire.PredAboveActive || s.isActive(scan)
+	for _, id := range scan {
+		if nd := s.Node(int(id)); nd.Match(p) && (allActive || s.onList(int(id))) {
 			dst = append(dst, nd.Report())
 		}
 	}

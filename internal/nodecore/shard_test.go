@@ -11,18 +11,48 @@ import (
 	"topkmon/internal/wire"
 )
 
-// checkActive asserts the active-list invariant: the list is exactly the
-// ids of the nodes whose MFActive flag is set, in ascending order.
+// checkActive asserts the active-list invariant: the list ScanList returns,
+// with any pending raise applied, is exactly the ids of the nodes MaxFind
+// calls active before it is applied, in ascending order.
 func checkActive(t *testing.T, sh *Shard) {
 	t.Helper()
 	var want []int32
 	for _, id := range sh.IDs() {
-		if sh.Node(int(id)).MFActive {
+		if active, _ := sh.MaxFind(int(id)); active {
 			want = append(want, id)
 		}
 	}
 	if got := sh.ScanList(wire.AboveActive(-1)); !slices.Equal(got, want) {
-		t.Fatalf("active list holds %d nodes, a scan of the MFActive flags finds %d", len(got), len(want))
+		t.Fatalf("active list holds %d nodes, MaxFind calls %d active", len(got), len(want))
+	}
+}
+
+// refNode is one node's max-find flags as per-node handlers of the three
+// broadcasts would keep them: the oracle the tests below hold the Shard's
+// lists to.
+type refNode struct{ active, excluded bool }
+
+// init is the handler of MaxFindInit(floor, reset) at a node holding value.
+func (r *refNode) init(value, floor int64, reset bool) {
+	if reset {
+		r.excluded = false
+	}
+	r.active = !r.excluded && value > floor
+}
+
+// raise is the handler of the max-find raise broadcast (holder, best) at
+// node id holding value: the holder and every node not exceeding best drop
+// out.
+func (r *refNode) raise(id, holder int, value, best int64) {
+	if id == holder || value <= best {
+		r.active = false
+	}
+}
+
+// exclude is the handler of MaxFindExclude(target) at node id.
+func (r *refNode) exclude(id, target int) {
+	if id == target {
+		r.active, r.excluded = false, true
 	}
 }
 
@@ -110,14 +140,14 @@ func TestMatchersEqualFilteredScanList(t *testing.T) {
 						t.Fatalf("round %d %+v: ScanSize %d, ScanList has %d nodes", round, p, got, len(scan))
 					}
 					for _, id := range scan {
-						if sh.Node(int(id)).Match(p) {
+						if sh.Match(int(id), p) {
 							filtered = append(filtered, id)
 						}
 					}
 					for _, id := range sh.IDs() {
-						if nd := sh.Node(int(id)); nd.Match(p) {
+						if sh.Match(int(id), p) {
 							full = append(full, id)
-							reports = append(reports, nd.Report())
+							reports = append(reports, sh.Node(int(id)).Report())
 						}
 					}
 					if got := sh.Keep(p, sh.IDs()); !slices.Equal(got, full) {
@@ -158,7 +188,7 @@ func TestMatchersEqualFilteredScanList(t *testing.T) {
 }
 
 // TestActiveListMirrorsTheFlag pins the three edges of the active-list
-// invariant a sweep cannot see: a value change leaves the list alone (Match
+// invariant a sweep cannot see: a value change leaves the list alone (Keep
 // decides per sweep), Exclude benches a node that is not on the list, and
 // Reset empties it.
 func TestActiveListMirrorsTheFlag(t *testing.T) {
@@ -182,14 +212,16 @@ func TestActiveListMirrorsTheFlag(t *testing.T) {
 	}
 
 	sh.MaxFindExclude(10) // id 10 was never active
-	if !sh.Node(10).MFExcluded {
-		t.Error("Exclude of a node off the list did not set MFExcluded")
+	if _, excluded := sh.MaxFind(10); !excluded {
+		t.Error("Exclude of a node off the list did not exclude it")
 	}
 	sh.MaxFindExclude(14) // from the middle of the list
 	checkActive(t, sh)
 	sh.MaxFindInit(-1, false)
 	checkActive(t, sh)
-	if sh.Node(10).MFActive || sh.Node(14).MFActive {
+	a10, _ := sh.MaxFind(10)
+	a14, _ := sh.MaxFind(14)
+	if a10 || a14 {
 		t.Error("a non-resetting Init re-activated an excluded node")
 	}
 
@@ -216,8 +248,8 @@ func TestRaisedFloorShortcut(t *testing.T) {
 		t.Fatalf("Init set the floor to %d, want 250", sh.floor)
 	}
 	sh.Node(13).Value = 0 // behind the Shard's back: only the shortcut keeps it
-	if got := sh.Matchers(wire.AboveActive(250)); !slices.Equal(got, []int32{12, 13, 14, 15}) {
-		t.Fatalf("AboveActive(250) at floor 250 keeps %v, want the whole active list (the shortcut)", got)
+	if got := sh.Matchers(wire.AboveActive(250)); !slices.Equal(got, []int32{12, 13, 14, 15}) || !sh.isActive(got) {
+		t.Fatalf("AboveActive(250) at floor 250 keeps %v, want the active list itself (the shortcut)", got)
 	}
 	if got := sh.Matchers(wire.AboveActive(251)); !slices.Equal(got, []int32{12, 14, 15}) {
 		t.Fatalf("AboveActive(251) above the floor keeps %v, want a re-filter", got)
@@ -263,10 +295,11 @@ func TestRaisedFloorShortcut(t *testing.T) {
 	// A holder whose value exceeds best still leaves the list.
 	sh.MaxFindInit(-1, true)
 	sh.MaxFindRaise(14, 550) // 14 holds 900, 15 holds 600
+	a14, _ := sh.MaxFind(14)
+	a15, _ := sh.MaxFind(15)
 	checkActive(t, sh)
-	if sh.Node(14).MFActive || !sh.Node(15).MFActive {
-		t.Fatalf("Raise(14, 550): 14 active=%v, 15 active=%v; want false, true",
-			sh.Node(14).MFActive, sh.Node(15).MFActive)
+	if a14 || !a15 {
+		t.Fatalf("Raise(14, 550): 14 active=%v, 15 active=%v; want false, true", a14, a15)
 	}
 
 	sh.Reset()
@@ -291,28 +324,39 @@ func TestShardAllocs(t *testing.T) {
 	}
 }
 
-// MaxFindRaise is the per-node handler of the max-find raise broadcast
-// (holder, best): the holder and every node not exceeding best drop out.
-// The Shard applies the broadcast in one batch pass over its active list
-// instead; TestRaiseMatchesNodeHandler holds the two equal.
-func (nd *Node) MaxFindRaise(holder int, best int64) {
-	if nd.ID == holder || nd.Value <= best {
-		nd.MFActive = false
-	}
-}
-
 // Matchers is Keep over ScanList(p): the ids of the nodes matching p, in
 // ascending order, kept for Senders.
 func (s *Shard) Matchers(p wire.Pred) []int32 { return s.Keep(p, s.ScanList(p)) }
 
-// TestRaiseMatchesNodeHandler holds the Shard's batch MaxFindRaise — a pass
-// over the active list that tests values only, then the holder taken off —
-// to the node handler applied to every row: the same flags on every node,
-// for holders inside and outside the shard, above, at and below best.
+// Match is the per-node reference of a predicate over a shard: Node.Match,
+// and for the max-find predicate also the node's activity (MaxFind).
+func (s *Shard) Match(id int, p wire.Pred) bool {
+	if active, _ := s.MaxFind(id); !active && p.Kind == wire.PredAboveActive {
+		return false
+	}
+	return s.Node(id).Match(p)
+}
+
+// TestRaiseMatchesNodeHandler holds the Shard's MaxFindRaise — recorded,
+// then applied by the next read of the active list in one pass that tests
+// values and drops the holder — to the per-node handler (refNode.raise)
+// applied to every row: the same flags on every node, for holders inside
+// and outside the shard, above, at and below best, read while the raise is
+// pending and after a read applied it; and the raise writes no row.
 func TestRaiseMatchesNodeHandler(t *testing.T) {
 	const base, n = 40, 97
 	r := rngx.New(5)
 	sh := NewShard(base, n)
+	ref := make([]refNode, n)
+	check := func(round int, what string) {
+		t.Helper()
+		for i := range ref {
+			if active, excluded := sh.MaxFind(base + i); active != ref[i].active || excluded != ref[i].excluded {
+				t.Fatalf("round %d, %s: node %d active=%v excluded=%v, the node handlers make it %v, %v",
+					round, what, base+i, active, excluded, ref[i].active, ref[i].excluded)
+			}
+		}
+	}
 	for round := range 200 {
 		for i := range n {
 			if round%5 == 0 || r.Intn(4) == 0 {
@@ -320,17 +364,32 @@ func TestRaiseMatchesNodeHandler(t *testing.T) {
 			}
 		}
 		if round%3 == 0 {
-			sh.MaxFindInit(r.Int63n(32)-1, round%6 == 0)
+			floor, reset := r.Int63n(32)-1, round%6 == 0
+			sh.MaxFindInit(floor, reset)
+			for i := range ref {
+				ref[i].init(sh.nodes[i].Value, floor, reset)
+			}
+		}
+		if round%7 == 3 {
+			id := base + r.Intn(n)
+			sh.MaxFindExclude(id)
+			for i := range ref {
+				ref[i].exclude(base+i, id)
+			}
 		}
 		holder, best := base-2+r.Intn(n+4), r.Int63n(64)
-		want := slices.Clone(sh.nodes)
-		for i := range want {
-			want[i].MaxFindRaise(holder, best)
+		rows := slices.Clone(sh.nodes)
+		for i := range ref {
+			ref[i].raise(base+i, holder, sh.nodes[i].Value, best)
 		}
 		sh.MaxFindRaise(holder, best)
-		if !slices.Equal(sh.nodes, want) {
-			t.Fatalf("round %d: Raise(%d, %d) leaves other rows than the node handler", round, holder, best)
+		if !slices.Equal(sh.nodes, rows) {
+			t.Fatalf("round %d: Raise(%d, %d) wrote a row", round, holder, best)
 		}
-		checkActive(t, sh)
+		check(round, "pending")
+		if round%2 == 0 { // else the next round's Install applies it
+			checkActive(t, sh)
+			check(round, "applied")
+		}
 	}
 }

@@ -44,12 +44,15 @@ func bestValue(best wire.Report, found bool) int64 {
 	return best.Value
 }
 
-// TopM computes the nodes holding the m largest values (value ties broken
-// across runs by node id) using O(m log n) expected messages, by iterating
-// FindMax and excluding each found node. The result is ordered by
-// decreasing value and appended to dst[:0], the caller's buffer (nil
-// allocates one): a monitor that probes once per epoch keeps the buffer and
-// opens its epochs without allocating.
+// TopM computes the nodes holding the m largest values using O(m log n)
+// expected messages, by iterating FindMax and excluding each found node.
+// The result is ordered by decreasing value and appended to dst[:0], the
+// caller's buffer (nil allocates one): a monitor that probes once per epoch
+// keeps the buffer and opens its epochs without allocating. Its values are
+// exactly the m largest, its ids distinct, and each report carries its
+// node's value; which of several tied nodes it returns is not specified. A
+// raise drops every node of the raised value, so among tied nodes the one
+// the sweeps sample first wins, whatever its id (TestTopMValuesExact).
 func TopM(c cluster.Cluster, m int, dst []wire.Report) []wire.Report {
 	if m > c.N() {
 		m = c.N()

@@ -2,8 +2,11 @@ package protocol_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"topkmon/internal/cluster"
+	"topkmon/internal/live"
 	"topkmon/internal/lockstep"
 	"topkmon/internal/protocol"
 	"topkmon/internal/rngx"
@@ -88,6 +91,59 @@ func TestTopMWithTies(t *testing.T) {
 	}
 	if !found[0] || !found[1] || !found[2] {
 		t.Fatalf("tie group incomplete: %+v", reps)
+	}
+}
+
+// TestTopMValuesExact pins what TopM promises when values tie: the values
+// it returns are exactly the m largest, in decreasing order, its ids are
+// distinct, and each id holds the value it reported. Which of several
+// tied nodes it returns is not promised (a raise drops every node of the
+// raised value, so the tied node sampled first wins), and the test does
+// not look. Values from a range of five make most of them ties; 200 seeds
+// on both engines.
+func TestTopMValuesExact(t *testing.T) {
+	engines := map[string]func(n int, seed uint64) (cluster.Engine, func()){
+		"lockstep": func(n int, seed uint64) (cluster.Engine, func()) { return lockstep.New(n, seed), func() {} },
+		"live/m=3": func(n int, seed uint64) (cluster.Engine, func()) {
+			e := live.New(n, seed, live.WithShards(3))
+			return e, e.Close
+		},
+	}
+	for name, mk := range engines {
+		t.Run(name, func(t *testing.T) {
+			rng := rngx.New(404)
+			for seed := range uint64(200) {
+				n := 4 + rng.Intn(60)
+				m := 1 + rng.Intn(n)
+				vals := make([]int64, n)
+				for i := range vals {
+					vals[i] = 100 * rng.Int63n(5)
+				}
+				e, done := mk(n, seed)
+				e.Advance(vals)
+				reps := protocol.TopM(e, m, nil)
+				done()
+
+				want := slices.Clone(vals)
+				slices.Sort(want)
+				slices.Reverse(want)
+				got := make([]int64, len(reps))
+				seen := map[int]bool{}
+				for i, r := range reps {
+					got[i] = r.Value
+					if seen[r.ID] {
+						t.Fatalf("seed %d: TopM(%d) returns node %d twice: %+v", seed, m, r.ID, reps)
+					}
+					seen[r.ID] = true
+					if vals[r.ID] != r.Value {
+						t.Fatalf("seed %d: node %d reported %d, it holds %d", seed, r.ID, r.Value, vals[r.ID])
+					}
+				}
+				if !slices.Equal(got, want[:m]) {
+					t.Fatalf("seed %d: TopM(%d) returns values %v, the %d largest are %v", seed, m, got, m, want[:m])
+				}
+			}
+		})
 	}
 }
 

@@ -32,11 +32,13 @@ func FuzzPredBounds(f *testing.F) {
 
 		nd := nodecore.New(0)
 		nd.Observe(v)
-		nd.MFActive = active
 		nd.SetTag(wire.Tag(tag % uint8(wire.NumTags)))
 		nd.SetFilter(filter.Make(y, x)) // arbitrary, possibly empty filter
+		// Max-find activity is the shard's, not the node's: an inactive
+		// node matches no max-find predicate.
+		matched := nd.Match(p) && (active || p.Kind != wire.PredAboveActive)
 
-		if ok && nd.Match(p) && (v < lo || v > hi) {
+		if ok && matched && (v < lo || v > hi) {
 			t.Fatalf("pred %+v: node value %d matches outside Bounds [%d, %d]", p, v, lo, hi)
 		}
 		if p.Kind == wire.PredInRange {

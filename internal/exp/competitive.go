@@ -32,9 +32,10 @@ func complianceConfig(n int, maxV int64, steps int, seed uint64) sim.Config {
 // framework beats the probe-per-violation baseline.
 func E3ExactCompetitive() Experiment {
 	return Experiment{
-		ID:    "E3",
-		Title: "Exact monitor: O(k log n + log Δ) per epoch",
-		Claim: "Corollary 3.3: O(k log n + log Δ)-competitive exact Top-k",
+		ID:      "E3",
+		Title:   "Exact monitor: O(k log n + log Δ) per epoch",
+		Claim:   "Corollary 3.3: O(k log n + log Δ)-competitive exact Top-k",
+		Verdict: verdictE3,
 		Run: func(o Options) []*metrics.Table {
 			deltas := []int64{1 << 10, 1 << 16, 1 << 22, 1 << 28, 1 << 34}
 			steps := 2500
@@ -87,9 +88,10 @@ func E3ExactCompetitive() Experiment {
 // with log Δ, and logarithmic in 1/ε.
 func E4TopKProtocol() Experiment {
 	return Experiment{
-		ID:    "E4",
-		Title: "TOP-K-PROTOCOL: log log Δ and log 1/ε dependence",
-		Claim: "Theorem 4.5: O(k log n + log log Δ + log 1/ε) vs an exact offline OPT",
+		ID:      "E4",
+		Title:   "TOP-K-PROTOCOL: log log Δ and log 1/ε dependence",
+		Claim:   "Theorem 4.5: O(k log n + log log Δ + log 1/ε) vs an exact offline OPT",
+		Verdict: verdictE4,
 		Run: func(o Options) []*metrics.Table {
 			const k, rest = 4, 11 // n = 16
 			e := eps.MustNew(1, 8)
@@ -169,9 +171,10 @@ func E4TopKProtocol() Experiment {
 // degrades the per-epoch Δ-dependence from log log Δ back to log Δ.
 func E9PhaseAblation() Experiment {
 	return Experiment{
-		ID:    "E9",
-		Title: "Ablation: phases A1/A2 give the log log Δ bound",
-		Claim: "Section 4 design: A1 (double-exponential) + A2 (geometric mean) vs plain bisection",
+		ID:      "E9",
+		Title:   "Ablation: phases A1/A2 give the log log Δ bound",
+		Claim:   "Section 4 design: A1 (double-exponential) + A2 (geometric mean) vs plain bisection",
+		Verdict: verdictE9,
 		Run: func(o Options) []*metrics.Table {
 			const k, rest = 4, 11 // n = 16
 			e := eps.MustNew(1, 8)

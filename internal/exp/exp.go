@@ -147,6 +147,9 @@ type Experiment struct {
 	// Claim cites the paper item whose bound shape the tables reproduce.
 	Claim string
 	Run   func(Options) []*metrics.Table
+	// Verdict, when set, checks Claim against the tables Run built, one
+	// Finding per bounded quantity.
+	Verdict func(tables []*metrics.Table) []Finding
 }
 
 // All returns the experiments in presentation order.

@@ -6,7 +6,8 @@ import (
 )
 
 // TestAllExperimentsRunQuick executes every experiment in quick mode,
-// asserting each produces at least one non-empty table.
+// asserting each produces at least one non-empty table and, where the
+// experiment has a verdict, that every finding of it holds.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	for _, e := range All() {
 		e := e
@@ -21,6 +22,14 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 				}
 				if !strings.Contains(tb.Title, e.ID) {
 					t.Errorf("table title %q does not carry the experiment id", tb.Title)
+				}
+			}
+			if e.Verdict == nil {
+				return
+			}
+			for _, f := range e.Verdict(tables) {
+				if !f.OK() {
+					t.Error(f)
 				}
 			}
 		})

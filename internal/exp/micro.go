@@ -80,9 +80,10 @@ func existenceMean(o Options, n, b, trials int) float64 {
 // costs O(log n) messages in expectation.
 func E2MaxFind() Experiment {
 	return Experiment{
-		ID:    "E2",
-		Title: "Maximum computation expected messages",
-		Claim: "Lemma 2.6: O(log n) messages in expectation",
+		ID:      "E2",
+		Title:   "Maximum computation expected messages",
+		Claim:   "Lemma 2.6: O(log n) messages in expectation",
+		Verdict: verdictE2,
 		Run: func(o Options) []*metrics.Table {
 			ns := []int{16, 64, 256, 1024, 4096}
 			trials := 200

@@ -8,6 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"topkmon/internal/wire"
@@ -253,6 +254,30 @@ func (t *Table) AddRow(cells ...any) {
 // NumRows returns the number of data rows. No program calls it; the tests
 // of this package and internal/exp do.
 func (t *Table) NumRows() int { return len(t.rows) }
+
+// Column returns the cells of the column headed header as numbers, one
+// per row, as rendered: the form an experiment's verdict fits its claim
+// to. It panics when no column has that header or a cell is not a number.
+func (t *Table) Column(header string) []float64 {
+	col := -1
+	for i, h := range t.Headers {
+		if h == header {
+			col = i
+		}
+	}
+	if col < 0 {
+		panic(fmt.Sprintf("metrics: table %q has no column %q", t.Title, header))
+	}
+	out := make([]float64, len(t.rows))
+	for i, row := range t.rows {
+		v, err := strconv.ParseFloat(row[col], 64)
+		if err != nil {
+			panic(fmt.Sprintf("metrics: table %q, column %q: %v", t.Title, header, err))
+		}
+		out[i] = v
+	}
+	return out
+}
 
 func formatFloat(v float64) string {
 	switch {

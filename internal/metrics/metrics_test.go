@@ -187,6 +187,9 @@ func TestTableRendering(t *testing.T) {
 	if tb.NumRows() != 2 {
 		t.Errorf("NumRows = %d", tb.NumRows())
 	}
+	if got := tb.Column("value"); len(got) != 2 || got[0] != 3.142 || got[1] != 12 {
+		t.Errorf("Column(value) = %v, want the rendered [3.142 12]", got)
+	}
 	csv := tb.CSV()
 	if !strings.HasPrefix(csv, "name,value\n") {
 		t.Errorf("CSV header wrong: %q", csv)

@@ -1,8 +1,10 @@
 // Command bench regenerates every reproduction experiment (E1–E13): for
 // each paper claim it runs the corresponding workloads and prints the
-// measured tables, optionally writing text and CSV copies. Independent
-// trials and sweep points fan out across -parallel workers; the tables are
-// byte-identical for every worker count.
+// measured tables and, for the experiments that check their claim, one
+// verdict line per finding, optionally writing text and CSV copies of the
+// tables; it exits 1 when a finding fails. Independent trials and sweep
+// points fan out across -parallel workers; the tables are byte-identical
+// for every worker count.
 //
 // It is an internal tool (it drives internal/exp directly, so it lives
 // under internal/tools rather than cmd/, which holds only consumers of the
@@ -50,6 +52,7 @@ func main() {
 		}
 	}
 
+	failed := false
 	for _, e := range experiments {
 		start := time.Now()
 		fmt.Printf("### %s — %s\n", e.ID, e.Title)
@@ -69,6 +72,17 @@ func main() {
 				}
 			}
 		}
+		if e.Verdict != nil {
+			for _, f := range e.Verdict(tables) {
+				fmt.Printf("    %s\n", f)
+				failed = failed || !f.OK()
+			}
+			fmt.Println()
+		}
 		fmt.Printf("    (%s in %.1fs)\n\n", e.ID, time.Since(start).Seconds())
+	}
+	if failed {
+		fmt.Fprintln(os.Stderr, "bench: a verdict failed")
+		os.Exit(1)
 	}
 }

@@ -1,4 +1,4 @@
-// Package exp defines the reproduction experiments E1–E13, each mapping a
+// Package exp defines the reproduction experiments E1–E14, each mapping a
 // theorem or claim of the paper to measured tables (the paper itself is
 // purely theoretical, so what the tables reproduce are the bound shapes its
 // theorems assert).
@@ -158,7 +158,7 @@ func All() []Experiment {
 		E1Existence(), E2MaxFind(), E3ExactCompetitive(), E4TopKProtocol(),
 		E5LowerBound(), E6Dense(), E7HalfEps(), E8EpsilonSavings(),
 		E9PhaseAblation(), E10Compliance(), E11SweepAblation(),
-		E12Selectivity(), E13HeavyHitters(),
+		E12Selectivity(), E13HeavyHitters(), E14Openings(),
 	}
 }
 
@@ -175,12 +175,22 @@ func ByID(id string) (Experiment, bool) {
 // runOrPanic executes a simulation; experiment workloads are fixed, so a
 // validation failure is a bug, not a data condition.
 func runOrPanic(cfg sim.Config) sim.Report {
+	if wrapEngine != nil {
+		cfg.Engine = wrapEngine(cfg.Engine, cfg.Gen.N(), cfg.Seed)
+	}
 	rep, err := sim.Run(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("exp: %v", err))
 	}
 	return rep
 }
+
+// wrapEngine, when set, replaces the engine of every run runOrPanic
+// starts with what it returns for the run's engine (nil for sim.Run's
+// default), node count and seed. The tests set it to check every epoch
+// opening of the monitor-driven experiments on both engines; it must
+// leave each run as it was and be safe for concurrent use.
+var wrapEngine func(e cluster.Engine, n int, seed uint64) cluster.Engine
 
 // mkMonitor builds the named monitor; shared across experiments. The
 // names are topk.ParseAlgorithm's, the E5 table prints them.

@@ -115,3 +115,19 @@ func verdictE9(tables []*metrics.Table) []Finding {
 		within("E9 ablated minus full slope per log2(Δ)", ablated-full, 0.5, 3),
 	}
 }
+
+// verdictE14 is the opening's cost on the E14 tables: O(k + log n)
+// seeded, (k+1)·O(log n) as the loop. The seeded probe's slope in k is at
+// most a constant at every n, and its slope in log₂ n is about one
+// FindMax's at every k; each FindMax of the loop costs a multiple of
+// log₂ n. On seeds 1–10 the seeded slope in k read 4.58–4.68 quick and
+// 4.65–4.84 full, its largest slope in log₂ n 1.98–3.40, and the loop's
+// per FindMax and log₂ n 1.65–2.17.
+func verdictE14(tables []*metrics.Table) []Finding {
+	b, c := tables[1], tables[2]
+	return []Finding{
+		within("E14b seeded msgs per extra k, largest over n", slices.Max(b.Column("seeded msgs/k")), 0, 6),
+		within("E14c seeded msgs per log2(n), largest over k", slices.Max(c.Column("seeded msgs/log2(n)")), 0, 4.5),
+		within("E14c loop msgs per log2(n) per FindMax, smallest over k", slices.Min(c.Column("loop per FindMax")), 1.2, math.Inf(1)),
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"topkmon/internal/chaintest"
+	"topkmon/internal/eps"
 	"topkmon/internal/faults"
 	"topkmon/internal/live"
 	"topkmon/internal/lockstep"
@@ -61,9 +62,14 @@ func TestEngineConformance(t *testing.T) {
 
 // TestActivePlanInjects: a plan with real rates actually drops, duplicates
 // and retries — the chaos suite must not vacuously pass on a silent
-// injector.
+// injector. It runs chaos's plan and walk at ε = 1/256, whose tight
+// filters make the monitor send 44 unicasts: at chaos's ε = 1/8 it sends
+// 8, since a seeded epoch opening sends few messages, and none of them
+// was retried (nor in 600 steps, as the walk settles).
 func TestActivePlanInjects(t *testing.T) {
-	ref := chaos().Reference()
+	r := chaos()
+	r.Eps = eps.MustNew(1, 256)
+	ref := r.Reference()
 	c := ref.Obs[len(ref.Obs)-1].Cost
 	if c.DroppedMsgs == 0 || c.DupMsgs == 0 || c.Retries == 0 {
 		t.Errorf("active plan left a fault counter at zero: %+v", c)

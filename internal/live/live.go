@@ -52,10 +52,12 @@
 // shards owning one of its ids, and every other call every shard. Who runs
 // a call depends on its price in node visits: one per unicast, len(ids)
 // for a delta Advance and n for a dense one, n for ApplyRule and Reset, n/8
-// for a MaxFindInit below 0 (it copies ids, it tests no node) and n at any
-// other floor, and the shards' scan size for a Collect or a sweep's
-// Resolve — the active lists' lengths for a max-find sweep, which pay for
-// the compaction a pending raise leaves them (nodecore.Shard). A
+// for a MaxFindInit below 0 (it copies ids, it tests no node), the summed
+// index span at a floor the value index routes and n at any other floor,
+// and the shards' scan size for a Collect or a sweep's Resolve — the
+// active lists' lengths for a max-find sweep, which pay for the
+// compaction a pending raise leaves them (nodecore.Shard), and none for
+// one whose active lists the floor watermark keeps whole. A
 // MaxFindRaise only records the raise in each shard and always runs on
 // the caller. Below parallelGrain — about what one barrier costs, in
 // visits — the caller runs exec itself over every shard, in ascending
@@ -426,6 +428,15 @@ func (d *dispatcher) scanSize(p wire.Pred) int {
 	return size
 }
 
+// resolveSize is what resolving p visits over all shards.
+func (d *dispatcher) resolveSize(p wire.Pred) int {
+	size := 0
+	for _, sh := range d.shards {
+		size += sh.ResolveSize(p)
+	}
+	return size
+}
+
 // Advance implements cluster.Nodes: it installs the observations of the
 // nodes ids, or of every node when ids is nil, so a delta addresses only
 // the shards that own one of its ids. Each value is checked on the caller:
@@ -499,7 +510,7 @@ func (d *dispatcher) Collect(dst []wire.Report, p wire.Pred) []wire.Report {
 // and the matcher count is the sum of the kept lengths.
 func (d *dispatcher) Resolve(p wire.Pred) int {
 	d.op = op{kind: opResolve, pred: p}
-	d.run(d.scanSize(p))
+	d.run(d.resolveSize(p))
 	m := 0
 	for _, sh := range d.shards {
 		m += sh.Kept()
@@ -524,16 +535,18 @@ func (d *dispatcher) Senders(dst []wire.Report, ranks []int32) []wire.Report {
 	return dst
 }
 
-// MaxFindInit implements cluster.Nodes. Below 0 an Init copies each
-// shard's ids into its active list, and a copied id costs about an eighth
-// of a node visit; any other floor tests every node's value.
+// MaxFindInit implements cluster.Nodes, priced at the shards' summed
+// Shard.InitVisits: below 0 an Init copies each shard's ids into its
+// active list, and a copied id costs about an eighth of a node visit; a
+// floor the value index routes costs its span, any other floor every node.
 func (d *dispatcher) MaxFindInit(floor int64, reset bool) {
 	d.op = op{kind: opMaxInit, v: floor, reset: reset}
-	if floor < 0 {
-		d.run(d.n / 8)
-		return
+	visits := 0
+	for _, sh := range d.shards {
+		v, _ := sh.InitVisits(floor)
+		visits += v
 	}
-	d.run(d.n)
+	d.run(visits)
 }
 
 // MaxFindRaise implements cluster.Nodes on the caller, with the workers

@@ -1,6 +1,7 @@
 package lockstep
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -121,11 +122,12 @@ func FuzzFilterMirror(f *testing.F) {
 // wantExcluded: the test's own replay of the per-node handlers). With
 // list set it then also reads the active list, which applies a pending
 // raise: the list must be exactly the active ids in ascending order, and
-// a resolve of AboveActive(x) at x, the threshold of the last max-find
-// broadcast sent — where the shard's floor watermark may let it keep the
-// active list untested, and under FullScan a walk beside the list over
-// every id — must keep exactly the active nodes above x.
-func checkActiveListMatchesNodes(t *testing.T, e *Engine, wantActive, wantExcluded []bool, x int64, list bool) {
+// a resolve of the max-find predicate at (x, xid), the threshold of the
+// last max-find broadcast sent — where the shard's floor watermark may let
+// it keep the active list untested, and under FullScan a walk beside the
+// list over every id — must keep exactly the active nodes above it in the
+// max-find order.
+func checkActiveListMatchesNodes(t *testing.T, e *Engine, wantActive, wantExcluded []bool, x, xid int64, list bool) {
 	t.Helper()
 	var want, above []int32
 	for id := range e.N() {
@@ -138,7 +140,7 @@ func checkActiveListMatchesNodes(t *testing.T, e *Engine, wantActive, wantExclud
 			continue
 		}
 		want = append(want, int32(id))
-		if e.sh.Node(id).Value > x {
+		if wire.Above(e.sh.Node(id).Value, int64(id), x, xid) {
 			above = append(above, int32(id))
 		}
 	}
@@ -152,9 +154,9 @@ func checkActiveListMatchesNodes(t *testing.T, e *Engine, wantActive, wantExclud
 	if !slices.Equal(got, want) {
 		t.Fatalf("active list %v, the active nodes are %v", got, want)
 	}
-	p := wire.AboveActive(x)
+	p := wire.Pred{Kind: wire.PredAboveActive, X: x, Y: xid}
 	if got := e.sh.Keep(p, e.sh.ScanList(p)); !slices.Equal(got, above) {
-		t.Fatalf("AboveActive(%d) keeps %v, the active nodes above it are %v", x, got, above)
+		t.Fatalf("%+v keeps %v, the active nodes above it are %v", p, got, above)
 	}
 }
 
@@ -173,102 +175,150 @@ func checkActiveListMatchesNodes(t *testing.T, e *Engine, wantActive, wantExclud
 // recorded by the shard; the check after it reads the flags but not the
 // list, so the raise stays pending into the next op, and whatever that op
 // is — an observation, an exclude, a dropped Init, a Collect — must see it
-// applied against the values it was announced over.
+// applied against the values it was announced over. An Init at a floor
+// builds its list either from the value index's span or by a pass over
+// the rows; TestActiveListSeedsReachBothInits holds the seeds to both.
 func FuzzActiveList(f *testing.F) {
-	f.Add(uint8(0), []byte{1, 0, 1, 2, 3, 40, 3, 5, 0, 7, 1, 9, 0, 2, 4, 80})
-	f.Add(uint8(1), []byte{1, 10, 1, 2, 0, 200, 3, 3, 2, 1, 100, 4, 9, 1, 0, 0, 5, 5})
-	f.Add(uint8(2), []byte{0, 9, 1, 255, 0, 3, 16, 3, 0, 3, 1, 1, 30, 1, 2, 2, 60, 5})
-	f.Add(uint8(1), []byte{1, 0, 0, 3, 4, 3, 4, 1, 0, 1, 4, 7, 1, 0, 0, 2, 4, 0})
+	for _, sd := range activeListSeeds {
+		f.Add(sd.plan, sd.script)
+	}
+	f.Fuzz(func(t *testing.T, planByte uint8, script []byte) { activeListScript(t, planByte, script) })
+}
+
+// activeListSeeds is FuzzActiveList's seed corpus.
+var activeListSeeds = []struct {
+	plan   uint8
+	script []byte
+}{
+	{0, []byte{1, 0, 1, 2, 3, 40, 3, 5, 0, 7, 1, 9, 0, 2, 4, 80}},
+	{1, []byte{1, 10, 1, 2, 0, 200, 3, 3, 2, 1, 100, 4, 9, 1, 0, 0, 5, 5}},
+	{2, []byte{0, 9, 1, 255, 0, 3, 16, 3, 0, 3, 1, 1, 30, 1, 2, 2, 60, 5}},
+	{1, []byte{1, 0, 0, 3, 4, 3, 4, 1, 0, 1, 4, 7, 1, 0, 0, 2, 4, 0}},
 	// A raise left pending across an observation, an exclude, a Collect
 	// (with FullScan on), a delivered Init and a dropped one.
-	f.Add(uint8(0), []byte{0, 5, 1, 0, 0, 5, 0, 2, 3, 20, 0, 40, 5, 0})
-	f.Add(uint8(0), []byte{0, 5, 1, 0, 0, 5, 0, 2, 3, 20, 3, 7, 5, 0})
-	f.Add(uint8(0), []byte{0, 5, 1, 0, 0, 6, 2, 9, 30, 5, 20, 6, 5, 0})
-	f.Add(uint8(0), []byte{0, 5, 1, 0, 0, 2, 3, 20, 1, 0, 1, 5, 0})
-	f.Add(uint8(2), []byte{0, 5, 1, 0, 0, 1, 0, 0, 2, 3, 20, 2, 3, 20, 1, 10, 1, 5, 0})
+	{0, []byte{0, 5, 1, 0, 0, 5, 0, 2, 3, 20, 0, 40, 5, 0}},
+	{0, []byte{0, 5, 1, 0, 0, 5, 0, 2, 3, 20, 3, 7, 5, 0}},
+	{0, []byte{0, 5, 1, 0, 0, 6, 2, 9, 30, 5, 20, 6, 5, 0}},
+	{0, []byte{0, 5, 1, 0, 0, 2, 3, 20, 1, 0, 1, 5, 0}},
+	{2, []byte{0, 5, 1, 0, 0, 1, 0, 0, 2, 3, 20, 2, 3, 20, 1, 10, 1, 5, 0}},
+	// Inits the value index routes: at observation 1 only node 9 holds a
+	// value (64) in the top bucket, so a floor of 63 spans it alone, and a
+	// floor of 30 takes the pass over the rows. A routed Init after node 9
+	// was excluded, and one left pending under a raise of a tie.
+	{0, []byte{0, 1, 1, 64, 0, 5, 64, 3, 2, 9, 64, 5, 63, 9, 1, 31, 1, 5, 40, 2}},
+	{0, []byte{0, 1, 3, 9, 1, 64, 1, 5, 0, 0, 1, 64, 0, 5, 63, 0}},
+	{0, []byte{0, 1, 1, 64, 0, 2, 8, 64, 1, 64, 1, 2, 9, 63, 5, 63, 8}},
+}
 
-	f.Fuzz(func(t *testing.T, planByte uint8, script []byte) {
-		const n, seed = 17, 4321
-		drops := [...]float64{0, 0.3, 0.7}
-		e := New(n, seed)
-		w := faults.Wrap(e, &faults.Plan{
-			Drop:  drops[planByte%3],
-			Kinds: faults.MaskOf(wire.KindMaxFindInit, wire.KindMaxFindRaise, wire.KindMaxFindExclude),
-		}, seed)
+// activeListScript runs one FuzzActiveList script and returns how many
+// delivered Inits at a floor were routed through the value index and how
+// many took the pass over the rows.
+func activeListScript(t *testing.T, planByte uint8, script []byte) (routed, passes int) {
+	const n, seed = 17, 4321
+	drops := [...]float64{0, 0.3, 0.7}
+	e := New(n, seed)
+	w := faults.Wrap(e, &faults.Plan{
+		Drop:  drops[planByte%3],
+		Kinds: faults.MaskOf(wire.KindMaxFindInit, wire.KindMaxFindRaise, wire.KindMaxFindExclude),
+	}, seed)
 
-		next := func() byte {
-			if len(script) == 0 {
-				return 0
+	next := func() byte {
+		if len(script) == 0 {
+			return 0
+		}
+		b := script[0]
+		script = script[1:]
+		return b
+	}
+	// delivered runs one broadcast and reports whether it arrived.
+	delivered := func(broadcast func()) bool {
+		before := w.Counters().DroppedMsgs()
+		broadcast()
+		return w.Counters().DroppedMsgs() == before
+	}
+	vals := make([]int64, n)
+	active, excluded := make([]bool, n), make([]bool, n)
+	// (x, xid) is the threshold of the last max-find broadcast sent.
+	var x, xid int64 = -1, math.MaxInt64
+	for steps := 0; len(script) > 0 && steps < 4096; steps++ {
+		list := true
+		switch next() % 7 {
+		case 0: // observations: values move, no flag does
+			b := next()
+			for i := range vals {
+				vals[i] = int64(b)%64 + int64(i*7%64)
 			}
-			b := script[0]
-			script = script[1:]
-			return b
-		}
-		// delivered runs one broadcast and reports whether it arrived.
-		delivered := func(broadcast func()) bool {
-			before := w.Counters().DroppedMsgs()
-			broadcast()
-			return w.Counters().DroppedMsgs() == before
-		}
-		vals := make([]int64, n)
-		active, excluded := make([]bool, n), make([]bool, n)
-		var x int64 = -1 // threshold of the last max-find broadcast sent
-		for steps := 0; len(script) > 0 && steps < 4096; steps++ {
-			list := true
-			switch next() % 7 {
-			case 0: // observations: values move, no flag does
-				b := next()
-				for i := range vals {
-					vals[i] = int64(b)%64 + int64(i*7%64)
-				}
-				w.Advance(vals)
-			case 1: // init, with and without clearing the exclusions
-				floor, reset := int64(next())%128-1, next()%2 == 0
-				x = floor
-				if delivered(func() { w.MaxFindInit(floor, reset) }) {
-					for i := range active {
-						excluded[i] = excluded[i] && !reset
-						active[i] = !excluded[i] && vals[i] > floor
-					}
-				}
-			case 2: // raise: the holder and everyone at or below best drop out
-				holder, best := int(next())%n, int64(next())%128
-				x = best
-				if delivered(func() { w.MaxFindRaise(holder, best) }) {
-					for i := range active {
-						active[i] = active[i] && i != holder && vals[i] > best
-					}
-				}
-				list = false // leave the raise pending into the next op
-			case 3: // exclude one node, active or not
-				id := int(next()) % n
-				if delivered(func() { w.MaxFindExclude(id) }) {
-					active[id], excluded[id] = false, true
-				}
-			case 4: // full reset: the flags must clear, FullScan with them
-				w.Reset(uint64(next()))
-				clear(vals)
-				clear(active)
-				clear(excluded)
-			case 5: // the read paths served from the list
-				x := int64(next())%128 - 1
-				var got, want []int
-				for _, rep := range w.Collect(wire.AboveActive(x)) {
-					got = append(got, rep.ID)
-				}
+			w.Advance(vals)
+		case 1: // init, with and without clearing the exclusions
+			floor, reset := int64(next())%128-1, next()%2 == 0
+			x, xid = floor, math.MaxInt64
+			_, viaIndex := e.sh.InitVisits(floor)
+			if delivered(func() { w.MaxFindInit(floor, reset) }) {
 				for i := range active {
-					if active[i] && vals[i] > x {
-						want = append(want, i)
-					}
+					excluded[i] = excluded[i] && !reset
+					active[i] = !excluded[i] && vals[i] > floor
 				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("Collect(AboveActive(%d)) reports %v, the active nodes above it are %v", x, got, want)
+				switch {
+				case floor < 0:
+				case viaIndex:
+					routed++
+				default:
+					passes++
 				}
-				w.Sweep(wire.AboveActive(x))
-			default: // the full-scan ablation: every read walks every id
-				e.sh.FullScan = !e.sh.FullScan
 			}
-			checkActiveListMatchesNodes(t, e, active, excluded, x, list)
+		case 2: // raise: the holder and everyone not above (best, holder) drop out
+			holder, best := int(next())%n, int64(next())%128
+			x, xid = best, int64(holder)
+			if delivered(func() { w.MaxFindRaise(holder, best) }) {
+				for i := range active {
+					active[i] = active[i] && i != holder && wire.Above(vals[i], int64(i), best, int64(holder))
+				}
+			}
+			list = false // leave the raise pending into the next op
+		case 3: // exclude one node, active or not
+			id := int(next()) % n
+			if delivered(func() { w.MaxFindExclude(id) }) {
+				active[id], excluded[id] = false, true
+			}
+		case 4: // full reset: the flags must clear, FullScan with them
+			w.Reset(uint64(next()))
+			clear(vals)
+			clear(active)
+			clear(excluded)
+		case 5: // the read paths served from the list
+			p := wire.Pred{Kind: wire.PredAboveActive, X: int64(next())%128 - 1, Y: int64(next()) % n}
+			var got, want []int
+			for _, rep := range w.Collect(p) {
+				got = append(got, rep.ID)
+			}
+			for i := range active {
+				if active[i] && wire.Above(vals[i], int64(i), p.X, p.Y) {
+					want = append(want, i)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("Collect(%+v) reports %v, the active nodes above it are %v", p, got, want)
+			}
+			w.Sweep(p)
+		default: // the full-scan ablation: every read walks every id
+			e.sh.FullScan = !e.sh.FullScan
 		}
-	})
+		checkActiveListMatchesNodes(t, e, active, excluded, x, xid, list)
+	}
+	return routed, passes
+}
+
+// TestActiveListSeedsReachBothInits: FuzzActiveList's seeds deliver Inits
+// at a floor down both of MaxFindInit's paths, the value index's span and
+// the pass over the rows.
+func TestActiveListSeedsReachBothInits(t *testing.T) {
+	var routed, passes int
+	for _, sd := range activeListSeeds {
+		r, p := activeListScript(t, sd.plan, sd.script)
+		routed, passes = routed+r, passes+p
+	}
+	if routed == 0 || passes == 0 {
+		t.Fatalf("the seeds deliver %d routed Inits and %d passes over the rows; want both", routed, passes)
+	}
+	t.Logf("%d routed Inits, %d passes over the rows", routed, passes)
 }

@@ -84,14 +84,14 @@ func (nd *Node) Report() wire.Report {
 }
 
 // Match evaluates a broadcastable predicate against node-local state. For
-// the max-find predicate that is the value test alone: whether the node is
-// active is its Shard's to say (Shard.MaxFind).
+// the max-find predicate that is the (value, id) test alone: whether the
+// node is active is its Shard's to say (Shard.MaxFind).
 func (nd *Node) Match(p wire.Pred) bool {
 	switch p.Kind {
 	case wire.PredViolating:
 		return nd.Violation() != filter.DirNone
 	case wire.PredAboveActive:
-		return nd.Value > p.X
+		return wire.Above(nd.Value, int64(nd.ID), p.X, p.Y)
 	case wire.PredInRange:
 		return nd.Value >= p.X && nd.Value <= p.Y
 	case wire.PredHasTag:

@@ -2,6 +2,7 @@ package nodecore
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"topkmon/internal/filter"
@@ -113,6 +114,10 @@ func TestMaxFindLifecycle(t *testing.T) {
 	}
 }
 
+// TestMaxFindInitFloor: an Init at a floor activates exactly the nodes not
+// excluded above it, whether the value index routes it (its span holds at
+// most a quarter of the shard) or a pass over the rows builds the list;
+// the two build the same list, id for id, and both are reached.
 func TestMaxFindInitFloor(t *testing.T) {
 	sh := NewShard(4, 1)
 	sh.Install(4, 10)
@@ -123,6 +128,59 @@ func TestMaxFindInitFloor(t *testing.T) {
 	sh.MaxFindInit(9, true)
 	if a, _ := sh.MaxFind(4); !a {
 		t.Error("node above floor must activate")
+	}
+
+	const base, n = 100, 64
+	sh = NewShard(base, n)
+	r := rngx.New(8)
+	var routed, passes int
+	for round := range 300 {
+		for i := range n { // a few nodes in the top buckets, most below
+			v := r.Int63n(1 << 10)
+			if r.Intn(8) == 0 {
+				v = 1<<12 + r.Int63n(1<<14)
+			}
+			sh.Install(base+i, v)
+		}
+		sh.MaxFindInit(-1, true)
+		for range r.Intn(4) {
+			sh.MaxFindExclude(base + r.Intn(n))
+		}
+		floor := r.Int63n(1 << 15)
+		if round%3 == 0 {
+			floor = sh.Node(base + r.Intn(n)).Value
+		}
+		visits, viaIndex := sh.InitVisits(floor)
+		sh.MaxFindInit(floor, false)
+		got := slices.Clone(sh.ScanList(wire.AboveActive(-1)))
+		sh.FullScan = true // the pass over the rows
+		if _, ok := sh.InitVisits(floor); ok {
+			t.Fatal("an Init under FullScan is routed")
+		}
+		sh.MaxFindInit(floor, false)
+		sh.FullScan = false
+		pass := sh.ScanList(wire.AboveActive(-1))
+		var want []int32
+		for i := range n {
+			if _, excluded := sh.MaxFind(base + i); !excluded && sh.Node(base+i).Value > floor {
+				want = append(want, int32(base+i))
+			}
+		}
+		if !slices.Equal(got, want) || !slices.Equal(pass, want) {
+			t.Fatalf("round %d: Init(%d) (routed %v) builds %v, the pass over the rows %v, want %v",
+				round, floor, viaIndex, got, pass, want)
+		}
+		if viaIndex {
+			routed++
+			if visits > n/4 {
+				t.Fatalf("round %d: a routed Init visits %d of %d nodes", round, visits, n)
+			}
+		} else {
+			passes++
+		}
+	}
+	if routed == 0 || passes == 0 {
+		t.Fatalf("%d routed Inits and %d passes over the rows; want both", routed, passes)
 	}
 }
 

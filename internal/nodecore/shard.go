@@ -59,8 +59,8 @@ func badValue(id int, v int64) {
 // re-derives the node's entries in the same call, from the node:
 //
 //   - Install (one observation of an Advance batch): the bucket and the
-//     violator bit, and the floor watermark if the node is active and the
-//     value at or below it.
+//     violator bit, and the floor watermark if the node is active and not
+//     above it.
 //   - SetFilter, SetTagFilter, ApplyRule: the violator bit, read from the
 //     filter the node now holds (no tag state of its own).
 //   - Reset: the node state New constructs, an empty index, violator set,
@@ -75,11 +75,14 @@ func badValue(id int, v int64) {
 //   - MaxFindInit clears the exclusions when reset is set and rebuilds the
 //     active list: at a floor below 0, which every value exceeds
 //     (CheckValue), as the ids minus the exclusions by segment copies; at
-//     any other floor by a pass that tests values.
+//     a floor whose value-index span holds at most a quarter of the shard
+//     (InitVisits), from that span, filtered and then sorted; at any
+//     other floor by a pass that tests values.
 //   - MaxFindRaise only records (holder, best). The next reader of the
 //     active list — ScanList, Keep, Collect, Install or Advance,
 //     MaxFindExclude, or another raise — applies it in one compaction that
-//     drops the holder and every node not above best, so the raise is
+//     drops the holder and every node not above (best, holder) in the
+//     max-find order (wire.Above: value, then id), so the raise is
 //     applied against the values it was announced over. A MaxFindInit or
 //     Reset discards it.
 //   - MaxFindExclude takes its node off the active list and adds it to the
@@ -87,13 +90,14 @@ func badValue(id int, v int64) {
 //
 // A value change never touches the active list: whether an active node is
 // still above a sweep's threshold is what Keep decides, per sweep.
-// MaxFindInit and MaxFindRaise also set the floor watermark, a value every
-// active node's value exceeds: Init's floor, and after a Raise the larger
-// of that and the raised best. Install invalidates it as above; Reset, and
-// an Init at math.MinInt64, leave none. While it is known, a resolve of
-// AboveActive(x) over the active list with x at or below it keeps the
+// MaxFindInit and MaxFindRaise also set the floor watermark, a (value, id)
+// pair every active node exceeds in the max-find order: Init's floor with
+// an id no node exceeds, and after a Raise the larger of that and (best,
+// holder). Install invalidates it as above; Reset, and an Init at
+// math.MinInt64, leave none. While it is known, a resolve of the max-find
+// predicate over the active list at a threshold at or below it keeps the
 // list itself without testing a node — the case of every sweep of a
-// max-find run.
+// max-find run after its first.
 //
 // A broadcast the fault layer drops never reaches the Shard, so the
 // structures stay exactly as stale as the model's nodes would be
@@ -118,7 +122,10 @@ type Shard struct {
 	idx    *vindex.Index
 	mir    *vindex.Mirror
 	active []int32
-	floor  int64 // under every active value, or noFloor
+	// (floor, floorID) is under every active node's (value, id) in the
+	// max-find order, or floor is noFloor.
+	floor   int64
+	floorID int64
 
 	cand []int32
 	kept []int32 // keptBuf[:k], or the active list itself
@@ -193,7 +200,7 @@ func (s *Shard) Install(id int, v int64) {
 
 // install is Install with no raise pending.
 func (s *Shard) install(id int, v int64) {
-	if v <= s.floor && len(s.active) > 0 && s.onList(id) {
+	if !wire.Above(v, int64(id), s.floor, s.floorID) && len(s.active) > 0 && s.onList(id) {
 		s.floor = noFloor
 	}
 	nd := s.Node(id)
@@ -253,13 +260,16 @@ func (s *Shard) SetTagFilter(id int, t wire.Tag, iv filter.Interval) {
 // cleared, a pending raise is discarded, and the active list becomes every
 // node not excluded whose value exceeds floor. Below 0 the floor is under
 // every value, so the list is the ids minus the exclusions, copied segment
-// by segment; any other floor takes one pass that tests values.
+// by segment. At a floor the value index routes (InitVisits), the list is
+// built from the index span above it: the span is filtered by value and by
+// exclusion, and only the survivors are sorted. Any other floor takes one
+// pass that tests values. Both build the same list, id for id.
 func (s *Shard) MaxFindInit(floor int64, reset bool) {
 	if reset {
 		s.excl = s.excl[:0]
 	}
 	s.raised = false
-	s.floor = floor
+	s.floor, s.floorID = floor, math.MaxInt64
 	ids, active, base := s.ids, s.active[:0], s.base
 	if floor < 0 {
 		from := 0
@@ -271,6 +281,18 @@ func (s *Shard) MaxFindInit(floor int64, reset bool) {
 		return
 	}
 	nodes, excl := s.nodes, s.excl
+	if span, ok := s.initSpan(floor); ok {
+		for _, id := range span {
+			if nodes[int(id)-base].Value > floor {
+				if _, out := slices.BinarySearch(excl, id); !out {
+					active = append(active, id)
+				}
+			}
+		}
+		slices.Sort(active)
+		s.active = active
+		return
+	}
 	active, k := active[:len(nodes)], 0
 	for i := range nodes {
 		if len(excl) > 0 && excl[0] == ids[i] {
@@ -283,11 +305,40 @@ func (s *Shard) MaxFindInit(floor int64, reset bool) {
 	s.active = active[:k]
 }
 
+// initSpan returns the index span a MaxFindInit at floor ≥ 0 builds its
+// active list from, and whether it does: when the span holds at most a
+// quarter of the shard, and FullScan is off. Its nodes are visited out of
+// id order and its survivors sorted, so a span that prunes little is left
+// to the pass over the rows.
+func (s *Shard) initSpan(floor int64) ([]int32, bool) {
+	if s.FullScan {
+		return nil, false
+	}
+	span := s.idx.Span(floor+1, eps.MaxValue)
+	return span, 4*len(span) <= len(s.nodes)
+}
+
+// InitVisits returns the node visits a MaxFindInit at floor costs and
+// whether it is routed through the value index: below 0 an eighth of a
+// visit per id, since the Init copies ids and tests no node; the span's
+// length at a floor the index routes; every node otherwise. The live
+// engine prices the Init with it before deciding who runs the call.
+func (s *Shard) InitVisits(floor int64) (visits int, routed bool) {
+	if floor < 0 {
+		return len(s.nodes) / 8, false
+	}
+	if span, ok := s.initSpan(floor); ok {
+		return len(span), true
+	}
+	return len(s.nodes), false
+}
+
 // MaxFindRaise records the broadcast announcing a new best (holder, value):
-// the holder and every active node not exceeding the value drop out when
-// the next reader of the active list applies it (applyRaise). A raise
-// still pending is applied first, and the floor watermark rises to best at
-// once, since no reader can see the list before the raise is applied.
+// the holder and every active node not above (value, holder) in the
+// max-find order drop out when the next reader of the active list applies
+// it (applyRaise). A raise still pending is applied first, and the floor
+// watermark rises to (best, holder) at once, since no reader can see the
+// list before the raise is applied.
 // TestRaiseMatchesNodeHandler holds the pair equal to the per-node
 // handler applied to every row.
 func (s *Shard) MaxFindRaise(holder int, best int64) {
@@ -295,24 +346,21 @@ func (s *Shard) MaxFindRaise(holder int, best int64) {
 		s.applyRaise()
 	}
 	s.raised, s.raiseHolder, s.raiseBest = true, holder, best
-	s.floor = max(s.floor, best)
+	if wire.Above(best, int64(holder), s.floor, s.floorID) {
+		s.floor, s.floorID = best, int64(holder)
+	}
 }
 
 // applyRaise applies the pending raise in one in-place compaction of the
-// active list: every id is stored, and the list grows past it only if the
-// node is above the raised best. The holder reported best as its value, so
-// the pass drops it too unless its value has since moved above best; then
-// it is taken off the list on its own.
+// active list (keepAbove): the list keeps the nodes above (best, holder)
+// in the max-find order. The holder reported best as its value, so the
+// pass drops it too unless its value has since moved above best; then it
+// is taken off the list on its own.
 func (s *Shard) applyRaise() {
 	s.raised = false
-	nodes, base, active, best := s.nodes, s.base, s.active, s.raiseBest
-	k := 0
-	for _, id := range active {
-		active[k] = id
-		k += b2i(nodes[int(id)-base].Value > best)
-	}
-	s.active = active[:k]
-	if h := s.raiseHolder; uint(h-base) < uint(len(nodes)) && nodes[h-base].Value > best {
+	h, best := s.raiseHolder, s.raiseBest
+	s.active = s.keepAbove(s.active, s.active, best, int64(h))
+	if uint(h-s.base) < uint(len(s.nodes)) && s.nodes[h-s.base].Value > best {
 		if i, ok := slices.BinarySearch(s.active, int32(h)); ok {
 			s.active = slices.Delete(s.active, i, i+1)
 		}
@@ -340,8 +388,8 @@ func (s *Shard) MaxFindExclude(id int) {
 // pending raise without applying it, so it changes nothing. No program
 // calls it; the tests of this package and internal/lockstep do.
 func (s *Shard) MaxFind(id int) (active, excluded bool) {
-	active = s.onList(id) &&
-		!(s.raised && (id == s.raiseHolder || s.Node(id).Value <= s.raiseBest))
+	active = s.onList(id) && !(s.raised && (id == s.raiseHolder ||
+		!wire.Above(s.Node(id).Value, int64(id), s.raiseBest, int64(s.raiseHolder))))
 	_, excluded = slices.BinarySearch(s.excl, int32(id))
 	return active, excluded
 }
@@ -415,8 +463,8 @@ func (s *Shard) Visited() int64 { return s.visited }
 // structures' lengths without building a list: len(ScanList(p)), except
 // that with a raise pending the max-find predicate's is the length of the
 // active list before ScanList's compaction, which visits every id of it.
-// The live engine prices a Collect or a sweep's Resolve with it before
-// deciding who runs the call.
+// The live engine prices a Collect with it before deciding who runs the
+// call.
 func (s *Shard) ScanSize(p wire.Pred) int {
 	if !vindex.Routable(p) {
 		return len(s.nodes)
@@ -430,6 +478,17 @@ func (s *Shard) ScanSize(p wire.Pred) int {
 		lo, hi, _ := p.Bounds()
 		return len(s.idx.Span(lo, hi))
 	}
+}
+
+// ResolveSize returns the node visits Resolve(p) costs: ScanSize(p),
+// except that a max-find resolve the floor watermark keeps whole, with no
+// raise pending, tests no node and costs none. The live engine prices a
+// sweep's Resolve with it.
+func (s *Shard) ResolveSize(p wire.Pred) int {
+	if p.Kind == wire.PredAboveActive && !s.raised && !s.FullScan && s.keepsWhole(p) {
+		return 0
+	}
+	return s.ScanSize(p)
 }
 
 // Keep evaluates p once on every node of scan, which ascends, and keeps
@@ -455,18 +514,16 @@ func (s *Shard) Keep(p wire.Pred, scan []int32) []int32 {
 					active = active[1:]
 				}
 				kept[k] = id
-				k += b2i(len(active) > 0 && active[0] == id && nodes[int(id)-base].Value > p.X)
+				k += b2i(len(active) > 0 && active[0] == id && wire.Above(nodes[int(id)-base].Value, int64(id), p.X, p.Y))
 			}
 			break
 		}
-		if p.X <= s.floor && s.floor != noFloor {
+		if s.keepsWhole(p) {
 			s.kept = scan
 			return scan
 		}
-		for _, id := range scan {
-			kept[k] = id
-			k += b2i(nodes[int(id)-base].Value > p.X)
-		}
+		s.kept = s.keepAbove(kept[:0], scan, p.X, p.Y)
+		return s.kept
 	case wire.PredViolating:
 		for _, id := range scan {
 			nd := &nodes[int(id)-base]
@@ -487,6 +544,35 @@ func (s *Shard) Keep(p wire.Pred, scan []int32) []int32 {
 	}
 	s.kept = kept[:k]
 	return s.kept
+}
+
+// keepAbove stores the ids of scan, which ascends, into dst's array and
+// keeps those whose node is above (x, y) in the max-find order, in scan
+// order; dst may be scan itself. The ids up to y must exceed x, the ids
+// past it only reach it, so each side is one loop of one comparison.
+func (s *Shard) keepAbove(dst, scan []int32, x, y int64) []int32 {
+	nodes, base := s.nodes, s.base
+	dst = dst[:len(scan)]
+	split := len(scan)
+	if y < math.MaxInt32 {
+		split, _ = slices.BinarySearch(scan, int32(max(y, -1)+1))
+	}
+	k := 0
+	for _, id := range scan[:split] {
+		dst[k] = id
+		k += b2i(nodes[int(id)-base].Value > x)
+	}
+	for _, id := range scan[split:] {
+		dst[k] = id
+		k += b2i(nodes[int(id)-base].Value >= x)
+	}
+	return dst[:k]
+}
+
+// keepsWhole reports whether the floor watermark covers the max-find
+// predicate p, so that every active node matches it.
+func (s *Shard) keepsWhole(p wire.Pred) bool {
+	return s.floor != noFloor && !wire.Above(p.X, p.Y, s.floor, s.floorID)
 }
 
 // isActive reports whether scan is the active list itself, not merely

@@ -41,10 +41,10 @@ func (r *refNode) init(value, floor int64, reset bool) {
 }
 
 // raise is the handler of the max-find raise broadcast (holder, best) at
-// node id holding value: the holder and every node not exceeding best drop
-// out.
+// node id holding value: the holder and every node not above (best,
+// holder) in the max-find order drop out.
 func (r *refNode) raise(id, holder int, value, best int64) {
-	if id == holder || value <= best {
+	if id == holder || !wire.Above(value, int64(id), best, int64(holder)) {
 		r.active = false
 	}
 }

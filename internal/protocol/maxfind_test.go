@@ -1,6 +1,7 @@
 package protocol_test
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"topkmon/internal/lockstep"
 	"topkmon/internal/protocol"
 	"topkmon/internal/rngx"
+	"topkmon/internal/wire"
 )
 
 // TestFindMaxReturnsTrueMax: Lemma 2.6's protocol is Las Vegas.
@@ -74,7 +76,8 @@ func TestTopMOrderAndCompleteness(t *testing.T) {
 	}
 }
 
-// TestTopMWithTies: duplicate values are all found across runs.
+// TestTopMWithTies: duplicate values are all found across runs, the
+// larger id first.
 func TestTopMWithTies(t *testing.T) {
 	e := lockstep.New(6, 5)
 	e.Advance([]int64{50, 50, 50, 10, 10, 5})
@@ -82,34 +85,45 @@ func TestTopMWithTies(t *testing.T) {
 	if len(reps) != 3 {
 		t.Fatalf("got %d reports", len(reps))
 	}
-	found := map[int]bool{}
-	for _, r := range reps {
-		if r.Value != 50 {
-			t.Fatalf("expected the three 50s, got %+v", reps)
+	for i, r := range reps {
+		if r.Value != 50 || r.ID != 2-i {
+			t.Fatalf("expected the three 50s, ids 2, 1, 0; got %+v", reps)
 		}
-		found[r.ID] = true
-	}
-	if !found[0] || !found[1] || !found[2] {
-		t.Fatalf("tie group incomplete: %+v", reps)
 	}
 }
 
-// TestTopMValuesExact pins what TopM promises when values tie: the values
-// it returns are exactly the m largest, in decreasing order, its ids are
-// distinct, and each id holds the value it reported. Which of several
-// tied nodes it returns is not promised (a raise drops every node of the
-// raised value, so the tied node sampled first wins), and the test does
-// not look. Values from a range of five make most of them ties; 200 seeds
-// on both engines.
-func TestTopMValuesExact(t *testing.T) {
-	engines := map[string]func(n int, seed uint64) (cluster.Engine, func()){
-		"lockstep": func(n int, seed uint64) (cluster.Engine, func()) { return lockstep.New(n, seed), func() {} },
-		"live/m=3": func(n int, seed uint64) (cluster.Engine, func()) {
-			e := live.New(n, seed, live.WithShards(3))
-			return e, e.Close
-		},
+// findMaxLoop is the unseeded probe TopM replaces, the oracle of the
+// tests below: m FindMax runs, each excluding the node it found.
+func findMaxLoop(c cluster.Cluster, m int) []wire.Report {
+	var out []wire.Report
+	for j := 0; j < min(m, c.N()); j++ {
+		rep, ok := protocol.FindMax(c, j == 0)
+		if !ok {
+			break
+		}
+		out = append(out, rep)
+		c.MaxFindExclude(rep.ID)
 	}
-	for name, mk := range engines {
+	return out
+}
+
+// topmEngines are the engines the TopM tests run on.
+var topmEngines = map[string]func(n int, seed uint64) (cluster.Engine, func()){
+	"lockstep": func(n int, seed uint64) (cluster.Engine, func()) { return lockstep.New(n, seed), func() {} },
+	"live/m=3": func(n int, seed uint64) (cluster.Engine, func()) {
+		e := live.New(n, seed, live.WithShards(3))
+		return e, e.Close
+	},
+}
+
+// TestTopMValuesExact pins what TopM promises when values tie: its
+// reports are the m first nodes of the max-find order — decreasing value,
+// and of tied values the larger id first — so its ids as well as its
+// values are a function of the values alone, and each report carries its
+// node's value. Values from a range of five make most of them ties; 200
+// seeds on both engines.
+func TestTopMValuesExact(t *testing.T) {
+	for name, mk := range topmEngines {
 		t.Run(name, func(t *testing.T) {
 			rng := rngx.New(404)
 			for seed := range uint64(200) {
@@ -124,26 +138,90 @@ func TestTopMValuesExact(t *testing.T) {
 				reps := protocol.TopM(e, m, nil)
 				done()
 
-				want := slices.Clone(vals)
-				slices.Sort(want)
-				slices.Reverse(want)
-				got := make([]int64, len(reps))
-				seen := map[int]bool{}
-				for i, r := range reps {
-					got[i] = r.Value
-					if seen[r.ID] {
-						t.Fatalf("seed %d: TopM(%d) returns node %d twice: %+v", seed, m, r.ID, reps)
-					}
-					seen[r.ID] = true
-					if vals[r.ID] != r.Value {
-						t.Fatalf("seed %d: node %d reported %d, it holds %d", seed, r.ID, r.Value, vals[r.ID])
-					}
+				order := make([]int, n)
+				for i := range order {
+					order[i] = i
 				}
-				if !slices.Equal(got, want[:m]) {
-					t.Fatalf("seed %d: TopM(%d) returns values %v, the %d largest are %v", seed, m, got, m, want[:m])
+				slices.SortFunc(order, func(a, b int) int {
+					if vals[a] != vals[b] {
+						return cmp.Compare(vals[b], vals[a])
+					}
+					return cmp.Compare(b, a)
+				})
+				if len(reps) != m {
+					t.Fatalf("seed %d: TopM(%d) returns %d reports", seed, m, len(reps))
+				}
+				for i, r := range reps {
+					if r.ID != order[i] || r.Value != vals[r.ID] {
+						t.Fatalf("seed %d: TopM(%d) report %d is node %d holding %d, want node %d holding %d",
+							seed, m, i, r.ID, r.Value, order[i], vals[order[i]])
+					}
 				}
 			}
 		})
+	}
+}
+
+// TestTopMMatchesLoop holds the seeded probe to the repeated-FindMax loop
+// it replaces: on the same values, the same reports in the same order,
+// ids included, on both engines, with distinct values, with ties, and at
+// m = n. It also shows the seeded probe's saving: summed over the
+// instances it sends fewer messages than the loop.
+func TestTopMMatchesLoop(t *testing.T) {
+	for name, mk := range topmEngines {
+		t.Run(name, func(t *testing.T) {
+			rng := rngx.New(77)
+			var seeded, loop int64
+			for seed := range uint64(120) {
+				n := 2 + rng.Intn(200)
+				m := 1 + rng.Intn(min(n, 20))
+				if seed%10 == 0 {
+					m = n
+				}
+				spread := []int64{3, 1000, 1 << 30}[seed%3]
+				vals := make([]int64, n)
+				for i := range vals {
+					vals[i] = rng.Int63n(spread)
+				}
+				a, doneA := mk(n, seed)
+				b, doneB := mk(n, seed)
+				a.Advance(vals)
+				b.Advance(vals)
+				got, want := protocol.TopM(a, m, nil), findMaxLoop(b, m)
+				seeded += a.Counters().Total()
+				loop += b.Counters().Total()
+				doneA()
+				doneB()
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d (n=%d, m=%d): TopM returns %v, the loop %v", seed, n, m, got, want)
+				}
+			}
+			if seeded >= loop {
+				t.Fatalf("the seeded probes sent %d messages, the loops %d", seeded, loop)
+			}
+			t.Logf("messages: seeded %d, loop %d", seeded, loop)
+		})
+	}
+}
+
+// TestTopMBuffer: a probe into a buffer of capacity 2m or more allocates
+// nothing, and one into a smaller buffer returns a buffer that is large
+// enough, so a monitor that keeps it allocates only on its first probe.
+func TestTopMBuffer(t *testing.T) {
+	const n, m = 256, 9
+	e := lockstep.New(n, 3)
+	vals := make([]int64, n)
+	r := rngx.New(3)
+	for i := range vals {
+		vals[i] = r.Int63n(1 << 20)
+	}
+	e.Advance(vals)
+	probe := protocol.TopM(e, m, make([]wire.Report, 0, m))
+	if cap(probe) < 2*m {
+		t.Fatalf("TopM returned a buffer of capacity %d, want at least %d", cap(probe), 2*m)
+	}
+	if avg := testing.AllocsPerRun(20, func() { probe = protocol.TopM(e, m, probe) }); avg != 0 {
+		t.Fatalf("a probe into its own buffer allocates %.1f times", avg)
 	}
 }
 

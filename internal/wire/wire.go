@@ -46,10 +46,11 @@ const (
 	KindFilterRule
 	// KindTag changes one node's tag (unicast).
 	KindTag
-	// KindMaxFindInit resets max-find participation (broadcast).
+	// KindMaxFindInit resets max-find participation above a floor value
+	// (broadcast).
 	KindMaxFindInit
 	// KindMaxFindRaise broadcasts a new best (value, holder) pair;
-	// nodes at or below it deactivate.
+	// nodes at or below it in (value, id) order deactivate.
 	KindMaxFindRaise
 	// KindMaxFindExclude broadcasts the id of a found maximum so that it
 	// sits out subsequent max-find runs (the paper's identifier-based
@@ -117,7 +118,9 @@ const (
 	// PredViolating matches nodes outside their filter. The scheduled
 	// per-step violation sweep uses it implicitly (no broadcast needed).
 	PredViolating PredKind = iota
-	// PredAboveActive matches max-find-active nodes with value > X.
+	// PredAboveActive matches max-find-active nodes whose (value, id)
+	// exceeds (X, Y) in lexicographic order: value > X, or value = X and
+	// id > Y. The max-find order is this order, so ties break by id.
 	PredAboveActive
 	// PredInRange matches nodes with value in [X, Y].
 	PredInRange
@@ -153,6 +156,9 @@ func (p Pred) Bounds() (lo, hi int64, ok bool) {
 	case PredInRange:
 		return p.X, p.Y, true
 	case PredAboveActive:
+		if p.Y < math.MaxInt64 {
+			return p.X, math.MaxInt64, true // an id above Y may tie X
+		}
 		if p.X == math.MaxInt64 {
 			return 1, 0, true // nothing exceeds X: empty interval
 		}
@@ -165,8 +171,19 @@ func (p Pred) Bounds() (lo, hi int64, ok bool) {
 // Violating returns the violation predicate.
 func Violating() Pred { return Pred{Kind: PredViolating} }
 
-// AboveActive returns the max-find predicate "active and value > x".
-func AboveActive(x int64) Pred { return Pred{Kind: PredAboveActive, X: x} }
+// AboveActive returns the max-find predicate "active and value > x": no
+// id exceeds Y = math.MaxInt64, so no node of value x matches.
+func AboveActive(x int64) Pred { return Pred{Kind: PredAboveActive, X: x, Y: math.MaxInt64} }
+
+// AboveBest returns the max-find predicate "active and (value, id) above
+// best's", the sweep of a max-find that holds best.
+func AboveBest(best Report) Pred {
+	return Pred{Kind: PredAboveActive, X: best.Value, Y: int64(best.ID)}
+}
+
+// Above reports whether (v, id) exceeds (x, y) in the max-find order:
+// v > x, or v = x and id > y.
+func Above(v, id, x, y int64) bool { return v > x || v == x && id > y }
 
 // InRange returns the predicate "value ∈ [lo, hi]".
 func InRange(lo, hi int64) Pred { return Pred{Kind: PredInRange, X: lo, Y: hi} }
@@ -254,8 +271,10 @@ func MsgBits(k Kind, n int, maxV int64) int {
 	switch k {
 	case KindExistenceReport, KindProbeReply, KindCollectReply:
 		return frameBits + id + val
-	case KindHalt, KindMaxFindInit:
+	case KindHalt:
 		return frameBits
+	case KindMaxFindInit:
+		return frameBits + val // the floor
 	case KindProbeRequest, KindTag:
 		return frameBits + id
 	case KindCollect:

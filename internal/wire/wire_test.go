@@ -72,14 +72,32 @@ func TestPredConstructors(t *testing.T) {
 	if p := Violating(); p.Kind != PredViolating {
 		t.Error("Violating constructor")
 	}
-	if p := AboveActive(7); p.Kind != PredAboveActive || p.X != 7 {
+	if p := AboveActive(7); p.Kind != PredAboveActive || p.X != 7 || p.Y != 1<<63-1 {
 		t.Error("AboveActive constructor")
+	}
+	if p := AboveBest(Report{ID: 4, Value: 7}); p.Kind != PredAboveActive || p.X != 7 || p.Y != 4 {
+		t.Error("AboveBest constructor")
 	}
 	if p := InRange(3, 9); p.Kind != PredInRange || p.X != 3 || p.Y != 9 {
 		t.Error("InRange constructor")
 	}
 	if p := HasTag(TagV2); p.Kind != PredHasTag || p.Tag != TagV2 {
 		t.Error("HasTag constructor")
+	}
+}
+
+// TestAbove pins the max-find order: value first, then id.
+func TestAbove(t *testing.T) {
+	for _, c := range []struct {
+		v, id, x, y int64
+		want        bool
+	}{
+		{8, 0, 7, 9, true}, {7, 10, 7, 9, true}, {7, 9, 7, 9, false},
+		{7, 8, 7, 9, false}, {6, 99, 7, 9, false}, {0, 0, -1, 1<<63 - 1, true},
+	} {
+		if got := Above(c.v, c.id, c.x, c.y); got != c.want {
+			t.Errorf("Above(%d, %d, %d, %d) = %v", c.v, c.id, c.x, c.y, got)
+		}
 	}
 }
 
@@ -99,6 +117,10 @@ func TestPredBounds(t *testing.T) {
 	// the engines serve the predicate from their max-find active list.
 	if lo, _, ok := AboveActive(-1).Bounds(); !ok || lo != 0 {
 		t.Errorf("AboveActive(-1) lo = %d ok=%v", lo, ok)
+	}
+	// A tie of best's value with a larger id matches AboveBest(best).
+	if lo, _, ok := AboveBest(Report{ID: 4, Value: 7}).Bounds(); !ok || lo != 7 {
+		t.Errorf("AboveBest bounds lo = %d ok=%v", lo, ok)
 	}
 	if lo, hi, ok := AboveActive(1<<63 - 1).Bounds(); !ok || lo <= hi {
 		t.Errorf("AboveActive(max) must be an empty interval, got [%d,%d]", lo, hi)

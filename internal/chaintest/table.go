@@ -202,14 +202,14 @@ var Table = func() []Row {
 			Crashes: []topk.Crash{{Node: 2, From: 20, Until: 60}}}, 0),
 		row("sub-lower-half", subLowerHalf, 4, e64, 120, 30, topk.Dense, true, &topk.FaultPlan{Drop: 0.05, Dup: 0.02}, 0),
 	},
-		pinned("dense-exercised", denseExercised, 4, e4, 1500, 21, 0xa18c8aa9fe1a6cf7, 0xc0d2aec1fd749b, 0x8da3461721498544),
-		pinned("sub-lower-half", subLowerHalf, 4, e64, 60, 30, 0x5608ace61bc23536, 0x4897256395dfdd70, 0x28be63a6ce0d67e8),
+		pinned("dense-exercised", denseExercised, 4, e4, 1500, 21, 0x94b40894661f128e, 0x33e70265eb897f5a, 0x301d527163ebbc84),
+		pinned("sub-lower-half", subLowerHalf, 4, e64, 60, 30, 0x223957ca47770590, 0x9cadac8eb43deb23, 0x21362116405d7a0c),
 		pinned("stress/eps=1_16/seed=0", stress(0), 3, eps.MustNew(1, 16), 200, 0,
-			0x896b9c6b121b4237, 0xf9f8d2a83356b6a4, 0x46324501d0ba56d),
+			0x1e809d93880b26fa, 0xf85f3b3be88be6e0, 0x6486cd32c9b4bd55),
 		pinned("stress/eps=1_64/seed=5", stress(5), 3, e64, 200, 5,
-			0x44aa0da1e8e4bf89, 0x9c6cf8a334f6f905, 0x4eb2339aa7b78e24),
+			0x1a36e0d96252cdc1, 0xd4706695733cc7ea, 0x19998e8ae17ff7ca),
 		pinned("stress/eps=1_256/seed=0", stress(0), 3, eps.MustNew(1, 256), 200, 0,
-			0x4a8c7fad45d98473, 0x5accaf40821dd8c6, 0x35b913086bc2e288),
+			0x835bdda3dd63481, 0x6bbd0929457c79a1, 0x367b01d3acbcfd05),
 	)
 }()
 

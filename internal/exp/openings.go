@@ -72,8 +72,8 @@ func E14Openings() Experiment {
 			for _, n := range ns {
 				var x, ys, yl []float64
 				for _, k := range ks {
-					if cl := (cell{n, k}); k < n {
-						x, ys, yl = append(x, float64(k)), append(ys, seeded[cl]), append(yl, loop[cl])
+					if k < n {
+						x, ys, yl = append(x, float64(k)), append(ys, seeded[cell{n, k}]), append(yl, loop[cell{n, k}])
 					}
 				}
 				tb.AddRow(n, slope(x, ys), slope(x, yl))
@@ -83,8 +83,8 @@ func E14Openings() Experiment {
 			for _, k := range ks {
 				var x, ys, yl []float64
 				for _, n := range ns {
-					if cl := (cell{n, k}); k < n {
-						x, ys, yl = append(x, math.Log2(float64(n))), append(ys, seeded[cl]), append(yl, loop[cl])
+					if k < n {
+						x, ys, yl = append(x, math.Log2(float64(n))), append(ys, seeded[cell{n, k}]), append(yl, loop[cell{n, k}])
 					}
 				}
 				sl := slope(x, yl)

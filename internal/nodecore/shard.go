@@ -97,7 +97,7 @@ func badValue(id int, v int64) {
 // math.MinInt64, leave none. While it is known, a resolve of the max-find
 // predicate over the active list at a threshold at or below it keeps the
 // list itself without testing a node — the case of every sweep of a
-// max-find run after its first.
+// max-find run but a seeded one's first.
 //
 // A broadcast the fault layer drops never reaches the Shard, so the
 // structures stay exactly as stale as the model's nodes would be
@@ -200,7 +200,7 @@ func (s *Shard) Install(id int, v int64) {
 
 // install is Install with no raise pending.
 func (s *Shard) install(id int, v int64) {
-	if !wire.Above(v, int64(id), s.floor, s.floorID) && len(s.active) > 0 && s.onList(id) {
+	if len(s.active) > 0 && !wire.Above(v, int64(id), s.floor, s.floorID) && s.onList(id) {
 		s.floor = noFloor
 	}
 	nd := s.Node(id)

@@ -1,5 +1,5 @@
 // The root benchmarks regenerate every reproduction experiment
-// (one Benchmark per table/claim, E1–E13) plus micro-benchmarks of the
+// (one Benchmark per table/claim, E1–E14) plus micro-benchmarks of the
 // communication primitives.
 //
 // Run with: go test -bench=. -benchmem
@@ -65,6 +65,7 @@ func BenchmarkE11SweepAblation(b *testing.B)   { benchExperiment(b, "E11", 1) }
 
 func BenchmarkE12Selectivity(b *testing.B)  { benchExperiment(b, "E12", 1) }
 func BenchmarkE13HeavyHitters(b *testing.B) { benchExperiment(b, "E13", 1) }
+func BenchmarkE14Openings(b *testing.B)     { benchExperiment(b, "E14", 1) }
 
 func BenchmarkE1ExistenceParallel(b *testing.B)      { benchExperiment(b, "E1", 0) }
 func BenchmarkE8EpsilonSavingsParallel(b *testing.B) { benchExperiment(b, "E8", 0) }
@@ -539,21 +540,20 @@ func benchLiveGrainAt(b *testing.B, n int) {
 }
 
 // BenchmarkEpochOpen measures the probe every epoch of every monitor opens
-// with — TopM(k+1) = k+1 max-finds, about 64 sweeps at k = 8 — in the shape
-// the embed-churn workload has: n = 1024 values inside one power-of-two
-// bucket, where value routing prunes nothing and the max-find active list
-// does the work. Lockstep and live × 2 shards; the probe goes into the
-// caller's buffer, and an iteration that allocates fails the benchmark.
-// Expect ≈0.05 ms on lockstep and ≈0.06 ms on live on a 2-core
-// container: a sweep's rounds cost their senders, drawn as ranks by the
-// server, a max-find writes no row (its Init copies the ids), and what is
-// left is the compactions of the active list, each run by the sweep after
-// a raise, the first of every max-find over all n nodes (0.07–0.09 and
-// 0.08–0.10 ms when Init wrote every row and a raise compacted at once;
-// 0.20 and 0.20–0.25 ms when every matcher drew a coin per round). Every
-// call of the ~64 sweeps is below the parallel grain and runs on the
-// caller, so what live pays over lockstep is per-call dispatch (0.60 ms
-// when each call woke the workers).
+// with — TopM(k+1): one max-find from nothing, then k max-finds seeded from
+// the reports the probe has read — in the shape the embed-churn workload
+// has: n = 1024 values inside one power-of-two bucket, where value routing
+// prunes nothing, so each seeded Init takes the pass over the rows and the
+// max-find active list does the work. Lockstep and live × 2 shards; the
+// probe goes into the caller's buffer (its first call grows it to 2(k+1)
+// reports, the seen list's room), and an iteration that allocates fails
+// the benchmark. Medians of 5 alternating rounds on a 2-core container:
+// 34.8 µs on lockstep and 36.2 µs on live, against 39.8 and 39.7 µs with
+// k+1 unseeded FindMax runs (0.07–0.09 and 0.08–0.10 ms when Init wrote
+// every row and a raise compacted at once; 0.20 and 0.20–0.25 ms when
+// every matcher drew a coin per round). Every call is below the parallel
+// grain and runs on the caller, so what live pays over lockstep is
+// per-call dispatch (0.60 ms when each call woke the workers).
 func BenchmarkEpochOpen(b *testing.B) {
 	const n, k = 1024, 8
 	engines := []struct {
@@ -748,11 +748,16 @@ func BenchmarkSparseStep(b *testing.B) {
 // trade top-8 places every few steps, 16 random other nodes take a ±50
 // move each step, k = 8, ε = 1/8, Approx — at n = 2¹⁶ and 2¹⁸, on lockstep
 // and on live with 2 shards. A step's sweeps cost their matchers once and
-// their senders, and a max-find writes no row, so what grows with n is
-// each max-find's first compaction of its active list (every node, after
-// an Init that copied the ids) and each epoch opening's ApplyRule retag;
-// the contenders are always at most 32. Ten pre-generated wave periods of
-// batches are cycled. After the warm-up the live run's TopK and Cost must
+// their senders, a max-find writes no row, and a seeded max-find's Init is
+// mostly routed through the value index, whose top bucket (2²⁰ and up)
+// holds contenders only; so what grows with n is the first max-find's
+// first compaction of its active list (every node, after an Init that
+// copied the ids) and each epoch opening's ApplyRule retag, most of a step
+// at 2¹⁸. The contenders are always at most 32. Medians of 5 alternating
+// rounds on a 2-core container, seeded probe against k+1 FindMax runs:
+// lockstep 104 against 191 µs at 2¹⁶ and 0.48 against 1.10 ms at 2¹⁸,
+// live 90 against 208 µs and 0.46 against 1.29 ms. Ten pre-generated wave
+// periods of batches are cycled. After the warm-up the live run's TopK and Cost must
 // equal the lockstep run's of the same n and seed, so `-benchtime=1x`
 // checks live = lockstep at the two sizes where Init and the compaction
 // cross live's parallel grain. A step that allocates after the warm-up

@@ -11,7 +11,7 @@
 // SUBPROTOCOL (Section 5.2), the Theorem 5.8 controller, and the
 // Corollary 5.9 half-error monitor — plus the offline optimal adversary the
 // competitive analyses compare against, the Theorem 5.1 lower-bound
-// adversary, and a benchmark harness (E1–E13) that reproduces the bound
+// adversary, and a benchmark harness (E1–E14) that reproduces the bound
 // shape of every theorem.
 //
 // Layout:
@@ -41,7 +41,7 @@
 //	                    stream/items: item-granularity traces (zipfian,
 //	                    bursty, adversarial churn) + the recall@k evaluator
 //	internal/sim        run harness (drives runs through topk);
-//	                    internal/exp: experiments E1–E13
+//	                    internal/exp: experiments E1–E14
 //	internal/serve      multi-tenant HTTP frontend (tenant pool, handlers,
 //	                    SSE bridge, durable commit path)
 //	internal/wal        per-tenant write-ahead batch log (CRC-framed records,

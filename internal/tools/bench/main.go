@@ -1,4 +1,4 @@
-// Command bench regenerates every reproduction experiment (E1–E13): for
+// Command bench regenerates every reproduction experiment (E1–E14): for
 // each paper claim it runs the corresponding workloads and prints the
 // measured tables and, for the experiments that check their claim, one
 // verdict line per finding, optionally writing text and CSV copies of the

@@ -12,9 +12,13 @@ import (
 )
 
 // chaos is the kept fault-layer walk under drops, duplicates, delays and
-// two crash windows.
+// two crash windows, at ε = 1/256: its tight filters make the monitor send
+// enough unicasts that some are retried. At the kept row's ε = 1/8 a seeded
+// epoch opening sends so few messages that the walk retries none, and the
+// suite would run its injector without exercising the retry sublayer.
 func chaos() chaintest.Row {
 	r := chaintest.Kept("faults")
+	r.Eps = eps.MustNew(1, 256)
 	r.Faults = &topk.FaultPlan{Drop: 0.15, Dup: 0.05, Delay: 0.05,
 		Crashes: []topk.Crash{{Node: 1, From: 20, Until: 60}, {Node: 5, From: 80, Until: 110}}}
 	return r
@@ -62,14 +66,9 @@ func TestEngineConformance(t *testing.T) {
 
 // TestActivePlanInjects: a plan with real rates actually drops, duplicates
 // and retries — the chaos suite must not vacuously pass on a silent
-// injector. It runs chaos's plan and walk at ε = 1/256, whose tight
-// filters make the monitor send 44 unicasts: at chaos's ε = 1/8 it sends
-// 8, since a seeded epoch opening sends few messages, and none of them
-// was retried (nor in 600 steps, as the walk settles).
+// injector.
 func TestActivePlanInjects(t *testing.T) {
-	r := chaos()
-	r.Eps = eps.MustNew(1, 256)
-	ref := r.Reference()
+	ref := chaos().Reference()
 	c := ref.Obs[len(ref.Obs)-1].Cost
 	if c.DroppedMsgs == 0 || c.DupMsgs == 0 || c.Retries == 0 {
 		t.Errorf("active plan left a fault counter at zero: %+v", c)

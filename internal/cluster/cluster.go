@@ -136,6 +136,16 @@ type Cluster interface {
 	// MaxFindInit (broadcast, cost 1) activates nodes above floor for a
 	// max-find run; reset also clears exclusions.
 	MaxFindInit(floor int64, reset bool)
+	// MaxFindSeed (broadcast, cost 1, and one reply) is the Init of a
+	// max-find that starts from seed, a report the server holds of a node
+	// not excluded. It carries seed's (value, id): the nodes not excluded
+	// whose value is at least seed's become active, as MaxFindInit at
+	// floor seed.Value−1 without reset makes them, and the first sweep asks
+	// for those above (value, id). The seed's node acknowledges it with its
+	// report (a probe reply), so a lost broadcast cannot pass for a silent
+	// first sweep. It reports whether the acknowledgement arrived; false
+	// leaves the nodes' max-find state unknown to the server.
+	MaxFindSeed(seed wire.Report) bool
 	// MaxFindRaise (broadcast, cost 1) announces a new best.
 	MaxFindRaise(holder int, best int64)
 	// MaxFindExclude (broadcast, cost 1) benches a found maximum.

@@ -108,6 +108,10 @@ func TestConformanceMessageCosts(t *testing.T) {
 			if got := cost(func() { eng.MaxFindInit(-1, true) }); got != 1 {
 				t.Errorf("MaxFindInit cost %d, want 1", got)
 			}
+			// A seeded Init and its seed's acknowledgement.
+			if got := cost(func() { eng.MaxFindSeed(wire.Report{ID: 3, Value: 40}) }); got != 2 {
+				t.Errorf("MaxFindSeed cost %d, want 2", got)
+			}
 			if got := cost(func() { eng.MaxFindRaise(1, 20) }); got != 1 {
 				t.Errorf("MaxFindRaise cost %d, want 1", got)
 			}

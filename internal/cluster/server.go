@@ -296,6 +296,17 @@ func (s *Server) MaxFindInit(floor int64, reset bool) {
 	s.nodes.MaxFindInit(floor, reset)
 }
 
+// MaxFindSeed implements Cluster. Fault-free, the seed's node always
+// answers, and its reply is billed without reading the node: within a
+// probe no value changes, so it repeats the seed.
+func (s *Server) MaxFindSeed(seed wire.Report) bool {
+	s.count(metrics.Broadcast, wire.KindMaxFindInit)
+	s.count(metrics.NodeToServer, wire.KindProbeReply)
+	s.ctr.Rounds(1)
+	s.nodes.MaxFindInit(seed.Value-1, false)
+	return true
+}
+
 // MaxFindRaise implements Cluster.
 func (s *Server) MaxFindRaise(holder int, best int64) {
 	s.count(metrics.Broadcast, wire.KindMaxFindRaise)

@@ -120,13 +120,14 @@ func verdictE9(tables []*metrics.Table) []Finding {
 // seeded, (k+1)·O(log n) as the loop. The seeded probe's slope in k is at
 // most a constant at every n, and its slope in log₂ n is about one
 // FindMax's at every k; each FindMax of the loop costs a multiple of
-// log₂ n. On seeds 1–10 the seeded slope in k read 4.58–4.68 quick and
-// 4.65–4.84 full, its largest slope in log₂ n 1.98–3.40, and the loop's
-// per FindMax and log₂ n 1.65–2.17.
+// log₂ n. On seeds 1–10 the seeded slope in k read 5.58–5.68 quick and
+// 5.65–5.84 full (one of those messages is each seed's acknowledgement of
+// its Init), its largest slope in log₂ n 2.01–3.45, and the loop's per
+// FindMax and log₂ n 1.65–2.17.
 func verdictE14(tables []*metrics.Table) []Finding {
 	b, c := tables[1], tables[2]
 	return []Finding{
-		within("E14b seeded msgs per extra k, largest over n", slices.Max(b.Column("seeded msgs/k")), 0, 6),
+		within("E14b seeded msgs per extra k, largest over n", slices.Max(b.Column("seeded msgs/k")), 0, 7),
 		within("E14c seeded msgs per log2(n), largest over k", slices.Max(c.Column("seeded msgs/log2(n)")), 0, 4.5),
 		within("E14c loop msgs per log2(n) per FindMax, smallest over k", slices.Min(c.Column("loop per FindMax")), 1.2, math.Inf(1)),
 	}

@@ -596,6 +596,25 @@ func (w *Cluster) MaxFindInit(floor int64, reset bool) {
 	w.inner.MaxFindInit(floor, reset)
 }
 
+// MaxFindSeed implements cluster.Cluster; the broadcast can be lost whole,
+// and the seed's acknowledgement like any node→server report: a crashed
+// seed sends none, and a sent one draws a drop coin. Either loss returns
+// false.
+func (w *Cluster) MaxFindSeed(seed wire.Report) bool {
+	if w.dropCoin(wire.KindMaxFindInit) {
+		w.ctr.DroppedMsg()
+		return false
+	}
+	if !w.inner.MaxFindSeed(seed) || w.Crashed(seed.ID) {
+		return false
+	}
+	if w.dropCoin(wire.KindProbeReply) {
+		w.ctr.DroppedMsg()
+		return false
+	}
+	return true
+}
+
 // MaxFindRaise implements cluster.Cluster; the broadcast can be lost whole.
 func (w *Cluster) MaxFindRaise(holder int, best int64) {
 	if w.dropCoin(wire.KindMaxFindRaise) {

@@ -193,3 +193,36 @@ func TestPlanValidate(t *testing.T) {
 		t.Error("crash window starting before step 1 accepted")
 	}
 }
+
+// TestSeedAcknowledged: a seeded Init is acknowledged only when the
+// broadcast arrives and the seed's node answers — a lost broadcast, a lost
+// reply and a crashed seed each return false, and the two losses are
+// billed as drops.
+func TestSeedAcknowledged(t *testing.T) {
+	const n, seed = 4, 7
+	vals := []int64{10, 20, 30, 40}
+	seedRep := wire.Report{ID: 2, Value: 30}
+	for _, c := range []struct {
+		name    string
+		plan    *Plan
+		ack     bool
+		dropped int64
+	}{
+		{"zero-plan", &Plan{}, true, 0},
+		{"init-lost", &Plan{Drop: 1, Kinds: MaskOf(wire.KindMaxFindInit)}, false, 1},
+		{"reply-lost", &Plan{Drop: 1, Kinds: MaskOf(wire.KindProbeReply)}, false, 1},
+		{"seed-crashed", &Plan{Crashes: []Crash{{Node: 2, From: 1, Until: 2}}}, false, 0},
+		{"other-crashed", &Plan{Crashes: []Crash{{Node: 1, From: 1, Until: 2}}}, true, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := Wrap(lockstep.New(n, seed), c.plan, seed)
+			w.Advance(vals)
+			if got := w.MaxFindSeed(seedRep); got != c.ack {
+				t.Errorf("MaxFindSeed = %v, want %v", got, c.ack)
+			}
+			if got := w.Counters().DroppedMsgs(); got != c.dropped {
+				t.Errorf("DroppedMsgs = %d, want %d", got, c.dropped)
+			}
+		})
+	}
+}

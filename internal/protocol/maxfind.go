@@ -23,16 +23,18 @@ func FindMax(c cluster.Cluster, reset bool) (wire.Report, bool) {
 }
 
 // findMax is FindMax started from best when found is set: a report of a
-// node not excluded, which the server already holds. The Init then carries
-// one below best's value as its floor, so that best's ties stay active,
-// and the first sweep asks for the nodes above best. The senders of every
-// sweep are offered to seen, when it is not nil.
+// node not excluded, which the server already holds. Its Init is then
+// MaxFindSeed, whose floor keeps best's ties active, and the first sweep
+// asks for the nodes above best. The max-find fails when best's node does
+// not acknowledge that Init: the nodes may then hold a stale active list,
+// whose silence would pass best off as the maximum unheard. The senders of
+// every sweep are offered to seen, when it is not nil.
 func findMax(c cluster.Cluster, reset bool, best wire.Report, found bool, seen *topSeen) (wire.Report, bool) {
-	floor := int64(-1)
-	if found {
-		floor = best.Value - 1
+	if !found {
+		c.MaxFindInit(-1, reset)
+	} else if !c.MaxFindSeed(best) {
+		return wire.Report{}, false
 	}
-	c.MaxFindInit(floor, reset)
 	for {
 		p := wire.AboveActive(-1)
 		if found {
@@ -67,13 +69,14 @@ func above(a, b wire.Report) bool { return wire.Above(a.Value, int64(a.ID), b.Va
 // Each max-find after the first is seeded: within one probe no value
 // changes and the server has read every sweep's senders, so the best of
 // those reports among the nodes not yet found is a lower bound the next
-// max-find starts from — its Init's floor, and its best. When that seed is
-// the maximum, the max-find costs its Init and one silent sweep. The cost
-// is then about one FindMax plus a few messages per further node, additive
-// in m rather than m·log n (experiment E14). The reports seen are kept, the
-// m best of them, in dst's capacity past m: a buffer of capacity 2m is
-// enough, a smaller one is replaced by one that is, so a monitor that
-// keeps the returned slice opens its epochs without allocating.
+// max-find starts from — its Init's (value, id), and its best. When that
+// seed is the maximum, the max-find costs its Init, the seed's
+// acknowledgement and one silent sweep. The cost is then about one FindMax
+// plus a few messages per further node, additive in m rather than m·log n
+// (experiment E14). The reports seen are kept, the m best of them, in
+// dst's capacity past m: a buffer of capacity 2m is enough, a smaller one
+// is replaced by one that is, so a monitor that keeps the returned slice
+// opens its epochs without allocating.
 func TopM(c cluster.Cluster, m int, dst []wire.Report) []wire.Report {
 	m = min(m, c.N())
 	if cap(dst) < 2*m {

@@ -32,7 +32,8 @@ const (
 	KindHalt
 	// KindProbeRequest asks one node for its value.
 	KindProbeRequest
-	// KindProbeReply answers a probe with (id, value).
+	// KindProbeReply answers a probe with (id, value); the seed's node
+	// acknowledges a seeded MaxFindInit with one.
 	KindProbeReply
 	// KindCollect is a broadcast asking all nodes matching a predicate to
 	// report their values.
@@ -47,7 +48,9 @@ const (
 	// KindTag changes one node's tag (unicast).
 	KindTag
 	// KindMaxFindInit resets max-find participation above a floor value
-	// (broadcast).
+	// (broadcast). A seeded Init carries the seed's (value, id): the nodes
+	// take the floor from its value and the first sweep's threshold from
+	// the pair, and the seed's node acknowledges it with a probe reply.
 	KindMaxFindInit
 	// KindMaxFindRaise broadcasts a new best (value, holder) pair;
 	// nodes at or below it in (value, id) order deactivate.
@@ -273,8 +276,6 @@ func MsgBits(k Kind, n int, maxV int64) int {
 		return frameBits + id + val
 	case KindHalt:
 		return frameBits
-	case KindMaxFindInit:
-		return frameBits + val // the floor
 	case KindProbeRequest, KindTag:
 		return frameBits + id
 	case KindCollect:
@@ -284,7 +285,8 @@ func MsgBits(k Kind, n int, maxV int64) int {
 	case KindFilterRule:
 		// ≤ NumTags interval endpoints; still O(log Δ) total.
 		return frameBits + 2*val*int(NumTags)
-	case KindMaxFindRaise:
+	case KindMaxFindInit, KindMaxFindRaise:
+		// An Init carries a seed's (value, id), a raise the new best's.
 		return frameBits + id + val
 	case KindMaxFindExclude:
 		return frameBits + id

@@ -2,11 +2,14 @@ package topk_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"topkmon/internal/chaintest"
+	"topkmon/internal/cluster"
 	"topkmon/internal/faults"
+	"topkmon/internal/live"
 	"topkmon/internal/lockstep"
 	"topkmon/internal/wire"
 	"topkmon/topk"
@@ -184,6 +187,83 @@ func TestShortProbeNamed(t *testing.T) {
 			h := m.Health()
 			if h.State == topk.Fresh || h.Err == nil || !strings.Contains(h.Err.Error(), "probe returned 0 of 5 reports") {
 				t.Fatalf("health %v, err %v; want a non-Fresh health naming the short probe", h.State, h.Err)
+			}
+		})
+	}
+}
+
+// heardChecker sits between the supervisor and the injector and holds every
+// max-find of a probe to the node it reports: the server must have heard
+// from that node in the same max-find, as a sender of one of its sweeps or
+// as the seed whose node acknowledged the seeded Init. A seed taken on
+// trust would be the best report earlier sweeps happened to read, not
+// necessarily the next node.
+type heardChecker struct {
+	cluster.Engine
+	heard             []int // ids heard since the max-find's Init
+	excludes, unheard int
+}
+
+func (c *heardChecker) MaxFindInit(floor int64, reset bool) {
+	c.heard = c.heard[:0]
+	c.Engine.MaxFindInit(floor, reset)
+}
+
+func (c *heardChecker) MaxFindSeed(seed wire.Report) bool {
+	c.heard = c.heard[:0]
+	ok := c.Engine.MaxFindSeed(seed)
+	if ok {
+		c.heard = append(c.heard, seed.ID)
+	}
+	return ok
+}
+
+func (c *heardChecker) Sweep(p wire.Pred) []wire.Report {
+	reps := c.Engine.Sweep(p)
+	if p.Kind == wire.PredAboveActive {
+		for _, r := range reps {
+			c.heard = append(c.heard, r.ID)
+		}
+	}
+	return reps
+}
+
+func (c *heardChecker) MaxFindExclude(id int) {
+	c.excludes++
+	if !slices.Contains(c.heard, id) {
+		c.unheard++
+	}
+	c.Engine.MaxFindExclude(id)
+}
+
+// TestDroppedSeededInit: a plan that drops a third of the MaxFindInit
+// broadcasts and nothing else. A lost seeded Init leaves the nodes on the
+// previous max-find's spent active list, so its sweep is silent whatever
+// the values; the probe must not then return the seed unheard. Every step
+// still validates or is flagged non-Fresh, on both engines.
+func TestDroppedSeededInit(t *testing.T) {
+	r := chaintest.Kept("sse")
+	r.Faults = &topk.FaultPlan{}
+	trace := r.Reference().Trace
+	for _, engine := range []string{"lockstep", "live/m=3"} {
+		t.Run(engine, func(t *testing.T) {
+			var e cluster.Engine = lockstep.New(r.N, r.Seed)
+			if engine != "lockstep" {
+				lv := live.New(r.N, r.Seed, live.WithShards(3))
+				defer lv.Close()
+				e = lv
+			}
+			plan := &faults.Plan{Drop: 0.3, Kinds: faults.MaskOf(wire.KindMaxFindInit)}
+			c := &heardChecker{Engine: faults.Wrap(e, plan, r.Seed)}
+			obs := chaintest.RunFacade(r, trace, topk.WithClusterEngine(c))
+			if i := chaintest.SilentWrong(obs); i >= 0 {
+				t.Fatalf("step %d: SILENT WRONG ANSWER: Check failed (%s) but Health is fresh", i+1, obs[i].Check)
+			}
+			if c.unheard > 0 {
+				t.Errorf("%d of %d max-finds returned a node the server did not hear from in that max-find", c.unheard, c.excludes)
+			}
+			if last := obs[len(obs)-1].Cost; last.DroppedMsgs == 0 || c.excludes == 0 {
+				t.Errorf("vacuous run: %d Inits dropped, %d max-finds checked", last.DroppedMsgs, c.excludes)
 			}
 		})
 	}

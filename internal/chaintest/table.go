@@ -202,14 +202,14 @@ var Table = func() []Row {
 			Crashes: []topk.Crash{{Node: 2, From: 20, Until: 60}}}, 0),
 		row("sub-lower-half", subLowerHalf, 4, e64, 120, 30, topk.Dense, true, &topk.FaultPlan{Drop: 0.05, Dup: 0.02}, 0),
 	},
-		pinned("dense-exercised", denseExercised, 4, e4, 1500, 21, 0x94b40894661f128e, 0x33e70265eb897f5a, 0x301d527163ebbc84),
-		pinned("sub-lower-half", subLowerHalf, 4, e64, 60, 30, 0x223957ca47770590, 0x9cadac8eb43deb23, 0x21362116405d7a0c),
+		pinned("dense-exercised", denseExercised, 4, e4, 1500, 21, 0x55b2de73daa4a3f6, 0x63534d627f1f0d52, 0x41af72c593db0bf4),
+		pinned("sub-lower-half", subLowerHalf, 4, e64, 60, 30, 0x49679d50b96d036e, 0xe2ae74f207547ab5, 0xf33347d0ab7ab61b),
 		pinned("stress/eps=1_16/seed=0", stress(0), 3, eps.MustNew(1, 16), 200, 0,
-			0x1e809d93880b26fa, 0xf85f3b3be88be6e0, 0x6486cd32c9b4bd55),
+			0x42acad890efc1b1c, 0xde339460f4756c8b, 0x50ea544c457b1e89),
 		pinned("stress/eps=1_64/seed=5", stress(5), 3, e64, 200, 5,
-			0x1a36e0d96252cdc1, 0xd4706695733cc7ea, 0x19998e8ae17ff7ca),
+			0xa7415706b51aa1ae, 0x87109aa7f8937eb2, 0xa0375b9d1dfeafb8),
 		pinned("stress/eps=1_256/seed=0", stress(0), 3, eps.MustNew(1, 256), 200, 0,
-			0x835bdda3dd63481, 0x6bbd0929457c79a1, 0x367b01d3acbcfd05),
+			0x27afd8f85198d0a0, 0x4b290ab41a069d9, 0xb46f9951b8c91d36),
 	)
 }()
 

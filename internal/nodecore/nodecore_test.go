@@ -116,7 +116,7 @@ func TestMaxFindLifecycle(t *testing.T) {
 
 // TestMaxFindInitFloor: an Init at a floor activates exactly the nodes not
 // excluded above it, whether the value index routes it (its span holds at
-// most a quarter of the shard) or a pass over the rows builds the list;
+// most an eighth of the shard) or a pass over the rows builds the list;
 // the two build the same list, id for id, and both are reached.
 func TestMaxFindInitFloor(t *testing.T) {
 	sh := NewShard(4, 1)
@@ -172,7 +172,7 @@ func TestMaxFindInitFloor(t *testing.T) {
 		}
 		if viaIndex {
 			routed++
-			if visits > n/4 {
+			if visits > n/8 {
 				t.Fatalf("round %d: a routed Init visits %d of %d nodes", round, visits, n)
 			}
 		} else {

@@ -75,7 +75,7 @@ func badValue(id int, v int64) {
 //   - MaxFindInit clears the exclusions when reset is set and rebuilds the
 //     active list: at a floor below 0, which every value exceeds
 //     (CheckValue), as the ids minus the exclusions by segment copies; at
-//     a floor whose value-index span holds at most a quarter of the shard
+//     a floor whose value-index span holds at most an eighth of the shard
 //     (InitVisits), from that span, filtered and then sorted; at any
 //     other floor by a pass that tests values.
 //   - MaxFindRaise only records (holder, best). The next reader of the
@@ -280,20 +280,33 @@ func (s *Shard) MaxFindInit(floor int64, reset bool) {
 		s.active = append(active, ids[from:]...)
 		return
 	}
-	nodes, excl := s.nodes, s.excl
 	if span, ok := s.initSpan(floor); ok {
-		for _, id := range span {
-			if nodes[int(id)-base].Value > floor {
-				if _, out := slices.BinarySearch(excl, id); !out {
-					active = append(active, id)
-				}
+		s.active = s.initRouted(span, floor)
+	} else {
+		s.active = s.initPass(floor)
+	}
+}
+
+// initRouted returns the active list of an Init at floor ≥ 0 built from
+// span: the span's nodes not excluded whose value exceeds floor, sorted.
+func (s *Shard) initRouted(span []int32, floor int64) []int32 {
+	nodes, excl, base, active := s.nodes, s.excl, s.base, s.active[:0]
+	for _, id := range span {
+		if nodes[int(id)-base].Value > floor {
+			if _, out := slices.BinarySearch(excl, id); !out {
+				active = append(active, id)
 			}
 		}
-		slices.Sort(active)
-		s.active = active
-		return
 	}
-	active, k := active[:len(nodes)], 0
+	slices.Sort(active)
+	return active
+}
+
+// initPass returns the active list of an Init at floor ≥ 0 built by one
+// pass over the rows.
+func (s *Shard) initPass(floor int64) []int32 {
+	nodes, excl, ids := s.nodes, s.excl, s.ids
+	active, k := s.active[:len(nodes)], 0
 	for i := range nodes {
 		if len(excl) > 0 && excl[0] == ids[i] {
 			excl = excl[1:]
@@ -302,20 +315,24 @@ func (s *Shard) MaxFindInit(floor int64, reset bool) {
 		active[k] = ids[i]
 		k += b2i(nodes[i].Value > floor)
 	}
-	s.active = active[:k]
+	return active[:k]
 }
 
 // initSpan returns the index span a MaxFindInit at floor ≥ 0 builds its
-// active list from, and whether it does: when the span holds at most a
-// quarter of the shard, and FullScan is off. Its nodes are visited out of
-// id order and its survivors sorted, so a span that prunes little is left
-// to the pass over the rows.
+// active list from, and whether it does: when the span holds at most an
+// eighth of the shard, and FullScan is off. The span's nodes are visited
+// out of id order and its survivors sorted, so the routed build costs more
+// per node than the pass over the rows, and the cutoff sits where the two
+// cross (BenchmarkInitPaths, 2-core x86-64 VM): at a sixteenth of the
+// shard the routed build takes about half the pass's time at n = 2^10 and
+// 2^18; at an eighth it is 0.8 of it at 2^10 and 1.0 to 1.1 at 2^18; at a
+// quarter it is 1.5 of it at both.
 func (s *Shard) initSpan(floor int64) ([]int32, bool) {
 	if s.FullScan {
 		return nil, false
 	}
 	span := s.idx.Span(floor+1, eps.MaxValue)
-	return span, 4*len(span) <= len(s.nodes)
+	return span, 8*len(span) <= len(s.nodes)
 }
 
 // InitVisits returns the node visits a MaxFindInit at floor costs and

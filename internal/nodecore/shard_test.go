@@ -1,6 +1,7 @@
 package nodecore
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -390,6 +391,43 @@ func TestRaiseMatchesNodeHandler(t *testing.T) {
 		if round%2 == 0 { // else the next round's Install applies it
 			checkActive(t, sh)
 			check(round, "applied")
+		}
+	}
+}
+
+// BenchmarkInitPaths times the two ways a MaxFindInit at a floor builds its
+// active list, from the value index's span (initRouted) and by the pass
+// over the rows (initPass), at n = 2^10 and 2^18 over spans that hold a
+// 64th to all of the shard, every node of the span above the floor and a
+// probe's worth of exclusions in place. It places initSpan's cutoff.
+func BenchmarkInitPaths(b *testing.B) {
+	const floor = 1<<20 - 1
+	for _, n := range []int{1 << 10, 1 << 18} {
+		for _, den := range []int{64, 32, 16, 8, 4, 2, 1} {
+			sh, r := NewShard(0, n), rngx.New(uint64(n+den))
+			vals := make([]int64, n)
+			for i := range vals {
+				vals[i] = 1 + r.Int63n(1<<10)
+			}
+			for _, i := range r.Perm(n)[:n/den] {
+				vals[i] = floor + 1 + r.Int63n(1<<20)
+			}
+			sh.Advance(vals, nil)
+			for _, i := range r.Perm(n)[:8] {
+				sh.MaxFindExclude(i)
+			}
+			span := sh.idx.Span(floor+1, eps.MaxValue)
+			name := fmt.Sprintf("n=%d/span=1_%d", n, den)
+			b.Run(name+"/routed", func(b *testing.B) {
+				for range b.N {
+					sh.active = sh.initRouted(span, floor)
+				}
+			})
+			b.Run(name+"/pass", func(b *testing.B) {
+				for range b.N {
+					sh.active = sh.initPass(floor)
+				}
+			})
 		}
 	}
 }

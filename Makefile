@@ -92,11 +92,14 @@ check: build fmt-check vet api-check test
 # shard count. Several benchmarks carry their own checks, which run even at
 # BENCHTIME=1x (CI's bench smoke): BenchmarkSparseStep's messages spent,
 # BenchmarkEpochOpen's and BenchmarkItemsStep's zero allocations,
-# BenchmarkSweepSilent's one barrier round per silent sweep on live, and
+# BenchmarkSweepSilent's one barrier round per silent sweep on live,
 # BenchmarkLiveGrain's comparison of the live engine's parallel grain with
-# both pure dispatches (own fixed-size timing; skipped on one CPU).
+# both pure dispatches (own fixed-size timing; skipped on one CPU), and
+# BenchmarkRulePaths (internal/nodecore, the second line), whose two ways of
+# applying a filter rule must leave the same shard.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) .
+	$(GO) test -run='^$$' -bench=BenchmarkRulePaths -benchmem -benchtime=$(BENCHTIME) ./internal/nodecore
 
 # smoke is the end-to-end gate: all six workloads of the repository
 # benchmark for one second each. A child topkd is driven over real sockets

@@ -750,13 +750,16 @@ func BenchmarkSparseStep(b *testing.B) {
 // and on live with 2 shards. A step's sweeps cost their matchers once and
 // their senders, a max-find writes no row, and a seeded max-find's Init is
 // mostly routed through the value index, whose top bucket (2²⁰ and up)
-// holds contenders only; so what grows with n is the first max-find's
-// first compaction of its active list (every node, after an Init that
-// copied the ids) and each epoch opening's ApplyRule retag, most of a step
-// at 2¹⁸. The contenders are always at most 32. Medians of 5 alternating
-// rounds on a 2-core container, seeded probe against k+1 FindMax runs:
-// lockstep 104 against 191 µs at 2¹⁶ and 0.48 against 1.10 ms at 2¹⁸,
-// live 90 against 208 µs and 0.46 against 1.29 ms. Ten pre-generated wave
+// holds contenders only; an epoch opening's filter rule costs the few
+// nodes it retags and the contenders above the rest filter, not n. What
+// grows with n is the first max-find's first compaction of its active
+// list (every node, after an Init that copied the ids), most of a step at
+// 2¹⁸, and the Init's copy. The contenders are always at most 32. Medians
+// of 5 alternating rounds on a 2-core container, rules on tag classes
+// against a rule pass over every row: lockstep 26 against 107 µs at 2¹⁶
+// and 0.12 against 0.70 ms at 2¹⁸, live 30 against 94 µs and 0.09 against
+// 0.43 ms (with the row pass, seeded probes against k+1 FindMax runs had
+// read 104 against 191 µs and 0.48 against 1.10 ms on lockstep). Ten pre-generated wave
 // periods of batches are cycled. After the warm-up the live run's TopK and Cost must
 // equal the lockstep run's of the same n and seed, so `-benchtime=1x`
 // checks live = lockstep at the two sizes where Init and the compaction

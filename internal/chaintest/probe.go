@@ -76,4 +76,4 @@ func (p *ProbeChecker) MaxFindExclude(id int) {
 }
 
 // Node reads node i of the wrapped engine, as the recorder does.
-func (p *ProbeChecker) Node(i int) *nodecore.Node { return nodeOf(p.Engine, i) }
+func (p *ProbeChecker) Node(i int) nodecore.Node { return nodeOf(p.Engine, i) }

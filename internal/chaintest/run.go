@@ -325,11 +325,11 @@ func (r callRecorder) Collect(p wire.Pred) []wire.Report {
 }
 
 // nodeOf reads node i of an engine, through the fault injector if any.
-func nodeOf(e cluster.Engine, i int) *nodecore.Node {
+func nodeOf(e cluster.Engine, i int) nodecore.Node {
 	if w, ok := e.(*faults.Cluster); ok {
 		e = w.Inner()
 	}
-	return e.(interface{ Node(int) *nodecore.Node }).Node(i)
+	return e.(interface{ Node(int) nodecore.Node }).Node(i)
 }
 
 // Pusher pushes each batch through topk.Monitor.UpdateBatch.

@@ -29,7 +29,8 @@ type Nodes interface {
 	// outside [0, eps.MaxValue] before installing it. It returns the
 	// largest value installed (0 when none was).
 	Advance(values []int64, ids []int) int64
-	// ApplyRule retags every node by the rule and derives its filter.
+	// ApplyRule has every node retag itself by the rule and derive its
+	// filter from its new tag.
 	ApplyRule(rule *wire.FilterRule)
 	// SetFilter assigns node id's filter.
 	SetFilter(id int, iv filter.Interval)
@@ -58,8 +59,8 @@ type Nodes interface {
 	Reset()
 	// AppendFilters appends every node's filter to dst in id order.
 	AppendFilters(dst []filter.Interval) []filter.Interval
-	// Node returns node i, read-only, for white-box tests.
-	Node(i int) *nodecore.Node
+	// Node returns a copy of node i, for white-box tests.
+	Node(i int) nodecore.Node
 }
 
 // Server is the server side of an engine over n nodes, written once for
@@ -164,12 +165,11 @@ func (s *Server) FiltersInto(dst []filter.Interval) []filter.Interval {
 	return s.nodes.AppendFilters(dst[:0])
 }
 
-// Node exposes one node for white-box tests. Not part of the cluster
-// interfaces and never used by protocols; read-only, as the
-// nodecore.Shard contract says: assign filters through SetFilter instead.
-// No program calls it; the tests of this package, internal/live and
-// internal/sim do.
-func (s *Server) Node(i int) *nodecore.Node { return s.nodes.Node(i) }
+// Node returns a copy of one node — its value, tag and filter — for
+// white-box tests. Not part of the cluster interfaces and never used by
+// protocols. No program calls it; the tests of this package, internal/live
+// and internal/sim do.
+func (s *Server) Node(i int) nodecore.Node { return s.nodes.Node(i) }
 
 func (s *Server) count(ch metrics.Channel, k wire.Kind) {
 	s.ctr.Count(ch, k, wire.MsgBits(k, s.n, s.maxV))

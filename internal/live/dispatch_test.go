@@ -99,6 +99,59 @@ func TestLargeFlushWakesWorkers(t *testing.T) {
 	}
 }
 
+// TestSmallRuleWakesNobody: a filter rule is priced at what it changes
+// (nodecore.Shard.RuleVisits), not n. At n = 2·parallelGrain an epoch
+// opening's rule — every tag retagged to rest, rest set below the few
+// raised nodes, which become its violators — runs on the caller, and a
+// rule whose walks would visit every node goes to every worker. Both leave
+// the nodes a lockstep twin holds.
+func TestSmallRuleWakesNobody(t *testing.T) {
+	const n, m, raised = 2 * parallelGrain, 4, 32
+	c := New(n, 9, WithShards(m))
+	defer c.Close()
+	ref := lockstep.New(n, 9)
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(1000 + i%1000)
+		if i%(n/raised) == 0 {
+			vals[i] = 1 << 20
+		}
+	}
+	c.Advance(vals)
+	ref.Advance(vals)
+	for i := range 9 {
+		c.SetTagFilter(i*1000, wire.Tag(i), filter.All)
+		ref.SetTagFilter(i*1000, wire.Tag(i), filter.All)
+	}
+	open := new(wire.FilterRule)
+	for tg := wire.Tag(0); tg < wire.NumTags; tg++ {
+		open.WithRetag(tg, wire.TagRest)
+	}
+	open.With(wire.TagRest, filter.AtMost(1<<20-1))
+	narrow := new(wire.FilterRule).With(wire.TagRest, filter.Make(1<<20, 1<<20))
+	for _, r := range []struct {
+		name  string
+		rule  *wire.FilterRule
+		wakes int64
+	}{{"opening", open, 0}, {"narrowing every node", narrow, m}} {
+		w0 := c.d.wakes
+		c.BroadcastRule(r.rule)
+		ref.BroadcastRule(r.rule)
+		if got := c.d.wakes - w0; got != r.wakes {
+			t.Errorf("%s rule woke %d workers, want %d", r.name, got, r.wakes)
+		}
+		if got, want := c.FiltersInto(nil), ref.FiltersInto(nil); !reflect.DeepEqual(got, want) {
+			t.Errorf("after the %s rule the filters differ from lockstep's", r.name)
+		}
+		if got, want := tagsOf(c), tagsOf(ref); !reflect.DeepEqual(got, want) {
+			t.Errorf("after the %s rule the tags differ from lockstep's", r.name)
+		}
+		if got, want := c.Sweep(wire.Violating()), ref.Sweep(wire.Violating()); !reflect.DeepEqual(got, want) {
+			t.Errorf("after the %s rule the violation sweep reports %v, lockstep %v", r.name, got, want)
+		}
+	}
+}
+
 // TestMixedDispatch alternates calls on both sides of the grain inside one
 // run — dense and sparse installs, whole-cluster and routed collects, sweeps
 // whose later rounds shrink below it — and holds the engine to a lockstep

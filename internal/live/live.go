@@ -51,7 +51,9 @@
 // sent. A unicast addresses the shard owning its node, a delta Advance the
 // shards owning one of its ids, and every other call every shard. Who runs
 // a call depends on its price in node visits: one per unicast, len(ids)
-// for a delta Advance and n for a dense one, n for ApplyRule and Reset, n/8
+// for a delta Advance and n for a dense one, for ApplyRule the nodes its
+// retag moves plus its set classes' violators and walks, or n when it
+// takes the pass over the rows (nodecore.Shard.RuleVisits), n for Reset, n/8
 // for a MaxFindInit below 0 (it copies ids, it tests no node), the summed
 // index span at a floor the value index routes and n at any other floor,
 // and the shards' scan size for a Collect or a sweep's Resolve — the
@@ -467,11 +469,18 @@ func (d *dispatcher) Advance(values []int64, ids []int) (top int64) {
 	return top
 }
 
-// ApplyRule implements cluster.Nodes. Every shard applies the rule before
-// the call returns, so the caller may mutate and reuse it at once.
+// ApplyRule implements cluster.Nodes, priced at the shards' summed
+// Shard.RuleVisits: the nodes the retag moves, and the set classes'
+// violators and walks, or every row for a rule whose walks take the pass.
+// Every shard applies the rule before the call returns, so the caller may
+// mutate and reuse it at once.
 func (d *dispatcher) ApplyRule(rule *wire.FilterRule) {
 	d.op = op{kind: opApplyRule, rule: rule}
-	d.run(d.n)
+	visits := 0
+	for _, sh := range d.shards {
+		visits += sh.RuleVisits(rule)
+	}
+	d.run(visits)
 }
 
 // SetFilter implements cluster.Nodes.
@@ -583,10 +592,9 @@ func (d *dispatcher) AppendFilters(dst []filter.Interval) []filter.Interval {
 	return dst
 }
 
-// Node implements cluster.Nodes: read-only, for white-box tests. The
-// workers are parked, so the node is the caller's to read until its next
-// call into the engine.
-func (d *dispatcher) Node(i int) *nodecore.Node {
+// Node implements cluster.Nodes, for white-box tests: the workers are
+// parked, so the caller may read the node's shard between calls.
+func (d *dispatcher) Node(i int) nodecore.Node {
 	d.checkAlive()
 	return d.owner(i).Node(i)
 }

@@ -25,8 +25,8 @@ var (
 // nodeOf reads node i through the white-box Node accessor both engines
 // have, outside the cluster interfaces; valuesOf and tagsOf read every
 // node's state with it.
-func nodeOf(e cluster.Engine, i int) *nodecore.Node {
-	return e.(interface{ Node(int) *nodecore.Node }).Node(i)
+func nodeOf(e cluster.Engine, i int) nodecore.Node {
+	return e.(interface{ Node(int) nodecore.Node }).Node(i)
 }
 
 func valuesOf(e cluster.Engine) []int64 {

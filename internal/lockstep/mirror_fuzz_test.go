@@ -7,34 +7,97 @@ import (
 
 	"topkmon/internal/faults"
 	"topkmon/internal/filter"
+	"topkmon/internal/nodecore"
 	"topkmon/internal/wire"
 )
 
-// checkMirrorMatchesNodes asserts the engine's violator set agrees with the
-// actual per-node state: the mirrored violator flag of every node equals
-// the ground truth !Filter.Contains(Value), and the set holds nothing else.
-// The mirror keeps no value or filter of its own to compare (the node owns
-// both), so this one bit per node is its whole no-desync obligation — a
-// single divergence would make mirror-routed violation sweeps return
-// different reports than a full scan. The shard's ScanList of the violation
-// predicate is the mirror's set in id order, its ScanSize the set's count.
-func checkMirrorMatchesNodes(t *testing.T, e *Engine) {
+// eagerEngine is the engine under test with an eager per-node replay of
+// the node-state calls that reach it: every node's value, tag and filter
+// as the model's nodes would hold them, a broadcast rule applied to every
+// row by rule.Apply (nodecore.Node.ApplyFilterRule), as
+// faults.Cluster.believeRule does. The fault injector wraps it, so a
+// dropped op reaches neither, a delayed op reaches both a step late, and a
+// duplicated one reaches both twice.
+type eagerEngine struct {
+	*Engine
+	ref []nodecore.Node
+}
+
+func newEagerEngine(n int, seed uint64) *eagerEngine {
+	e := &eagerEngine{Engine: New(n, seed), ref: make([]nodecore.Node, n)}
+	for i := range e.ref {
+		e.ref[i] = *nodecore.New(i)
+	}
+	return e
+}
+
+func (e *eagerEngine) Advance(values []int64) {
+	e.Engine.Advance(values)
+	for i := range e.ref {
+		e.ref[i].Observe(values[i])
+	}
+}
+
+func (e *eagerEngine) AdvanceDirty(values []int64, dirty []int) {
+	e.Engine.AdvanceDirty(values, dirty)
+	for _, id := range dirty {
+		e.ref[id].Observe(values[id])
+	}
+}
+
+func (e *eagerEngine) BroadcastRule(rule *wire.FilterRule) {
+	e.Engine.BroadcastRule(rule)
+	for i := range e.ref {
+		e.ref[i].ApplyFilterRule(rule)
+	}
+}
+
+func (e *eagerEngine) SetFilter(id int, iv filter.Interval) {
+	e.Engine.SetFilter(id, iv)
+	e.ref[id].SetFilter(iv)
+}
+
+func (e *eagerEngine) SetTagFilter(id int, t wire.Tag, iv filter.Interval) {
+	e.Engine.SetTagFilter(id, t, iv)
+	e.ref[id].SetTag(t)
+	e.ref[id].SetFilter(iv)
+}
+
+func (e *eagerEngine) Reset(seed uint64) {
+	e.Engine.Reset(seed)
+	for i := range e.ref {
+		e.ref[i].Reset()
+	}
+}
+
+// checkMirrorMatchesNodes asserts the engine's node state and violator set
+// against the eager replay: every node's value, tag and filter as the
+// shard derives them from its tag classes equal the replay's, the
+// mirrored violator flag of every node equals !Filter.Contains(Value) of
+// the replay's node, and the set holds nothing else. A single divergence
+// would make mirror-routed violation sweeps return different reports than
+// a full scan, or a node answer with another filter than the model's. The
+// shard's ScanList of the violation predicate is the mirror's set in id
+// order, its ScanSize the set's count.
+func checkMirrorMatchesNodes(t *testing.T, e *eagerEngine) {
 	t.Helper()
 	set := e.sh.ScanList(wire.Violating())
 	at, violators := 0, 0
-	for id := range e.N() {
-		nd := e.sh.Node(id)
-		want := !nd.Filter.Contains(nd.Value)
-		if want {
+	for id, want := range e.ref {
+		if got := e.sh.Node(id); got != want {
+			t.Fatalf("node %d is %+v, the eager replay makes it %+v", id, got, want)
+		}
+		violating := !want.Filter.Contains(want.Value)
+		if violating {
 			violators++
 		}
 		got := at < len(set) && int(set[at]) == id
 		if got {
 			at++
 		}
-		if got != want {
+		if got != violating {
 			t.Fatalf("mirror Violating(%d) = %v, want %v (value %d, filter %+v)",
-				nd.ID, got, want, nd.Value, nd.Filter)
+				id, got, violating, want.Value, want.Filter)
 		}
 	}
 	if got := e.sh.ScanSize(wire.Violating()); got != violators {
@@ -45,11 +108,16 @@ func checkMirrorMatchesNodes(t *testing.T, e *Engine) {
 // FuzzFilterMirror drives random op sequences — observations, unicast and
 // broadcast filter assignments, engine resets — through the fault injector
 // with delayed filter assignments, message drops, and a crash window
-// enabled, and checks after every single op that the mirror still equals
-// the actual node state. The injector sits ABOVE the engine: a delayed op
-// reaches the engine at the next Advance, a dropped op never reaches it,
-// so the mirror (updated inside the engine, adjacent to the node mutation)
-// must agree with the nodes no matter what the fault layer does.
+// enabled, and checks after every single op that the node state and the
+// mirror equal an eager per-node replay of the ops that reached the engine
+// (eagerEngine). The injector sits ABOVE the engine: a delayed op reaches
+// the engine at the next Advance, a dropped op never reaches it, so the
+// shard's tag classes and its mirror (both updated inside the engine) must
+// agree with the replay no matter what the fault layer does. The rules
+// cover the shapes the protocols broadcast (fuzzRule): a two-tag filter
+// update, a retag of every tag to one, DENSE's round rule with its partial
+// S-set disbands, and one retag with one set, which may set a tag no node
+// holds.
 func FuzzFilterMirror(f *testing.F) {
 	// Delayed-assignment schedules in the PR 6 idiom: filter ops issued
 	// back-to-back with Advances so held ops land one step late, plus a
@@ -58,6 +126,20 @@ func FuzzFilterMirror(f *testing.F) {
 	f.Add(uint8(5), []byte{3, 8, 4, 0, 1, 3, 60, 0, 2, 4, 9, 1, 3, 3, 0, 5})
 	f.Add(uint8(0), []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 0, 9})
 	f.Add(uint8(7), []byte{1, 200, 200, 0, 0, 1, 200, 0, 0, 0, 3, 255, 0, 0})
+	// DENSE's partial S-set disbands: nodes in V1, V2 and the three S
+	// classes, then round rules disbanding S2, S1 and both.
+	f.Add(uint8(0), []byte{0, 10, 2, 1, 3, 5, 2, 2, 7, 6, 2, 3, 8, 7, 2, 4, 9, 4, 2, 5, 11, 3,
+		3, 148, 1, 5, 3, 150, 2, 5, 2, 6, 12, 7, 3, 152, 3, 5})
+	// A retag of every tag to V3 while V3 is the smaller class: the larger
+	// class keeps its slot and is relabelled.
+	f.Add(uint8(0), []byte{0, 10, 3, 94, 2, 2, 1, 3, 8, 2, 2, 6, 8, 3, 104, 8, 5, 0, 50, 3, 69, 2, 5})
+	// A unicast between two rules: the node keeps its own filter through a
+	// rule that does not set its tag and takes the class filter of the next
+	// one that does.
+	f.Add(uint8(0), []byte{0, 20, 3, 30, 5, 1, 3, 40, 2, 3, 202, 3, 4, 4, 3, 0, 21, 3, 33, 2, 5})
+	// A rule that sets a tag no node holds, a node that joins it by a
+	// unicast, and the next rule that sets it.
+	f.Add(uint8(0), []byte{0, 5, 3, 199, 7, 3, 0, 0, 2, 4, 12, 7, 3, 199, 7, 3, 0, 0, 5})
 
 	f.Fuzz(func(t *testing.T, planByte uint8, script []byte) {
 		const n, seed = 17, 1234
@@ -70,7 +152,7 @@ func FuzzFilterMirror(f *testing.F) {
 		if planByte&0x40 != 0 {
 			plan.Crashes = []faults.Crash{{Node: 2, From: 2, Until: 5}}
 		}
-		e := New(n, seed)
+		e := newEagerEngine(n, seed)
 		w := faults.Wrap(e, plan, seed)
 
 		next := func() byte {
@@ -100,12 +182,8 @@ func FuzzFilterMirror(f *testing.F) {
 					iv = filter.Make(9, 3) // empty: always violating
 				}
 				w.SetTagFilter(id, wire.Tag(int(next())%int(wire.NumTags)), iv)
-			case 3: // broadcast rule: narrow for untagged, all for the rest
-				lo := int64(next()) % 64
-				rule := new(wire.FilterRule).
-					With(wire.TagNone, filter.Make(lo, lo+int64(next())%16)).
-					With(wire.TagRest, filter.All)
-				w.BroadcastRule(rule)
+			case 3: // broadcast rule
+				w.BroadcastRule(fuzzRule(next))
 			case 4: // full reset: mirror must rewind with the nodes
 				w.Reset(uint64(next()))
 			default: // exercise the mirror-routed read paths
@@ -115,6 +193,55 @@ func FuzzFilterMirror(f *testing.F) {
 			checkMirrorMatchesNodes(t, e)
 		}
 	})
+}
+
+// fuzzRule decodes one broadcast rule of FuzzFilterMirror. Its first byte
+// b gives the low end lo = b mod 64 of the rule's intervals and, in b/64,
+// its shape:
+//
+//   - 0: untagged nodes narrow to [lo, lo + next mod 16], the rest admit
+//     everything;
+//   - 1: every tag is retagged to next mod NumTags, which is set to
+//     [0, lo];
+//   - 2: DENSE's round rule, which sets V1, V2∩S1, V2, V2∩S2 and V3 around
+//     lo and, by the bits of next, disbands S2 (V2∩S2 → V2, V2∩S1∩S2 →
+//     V2∩S1), S1 (V2∩S1 → V2, V2∩S1∩S2 → V2∩S2) or both;
+//   - 3: tag next mod NumTags is set to [lo, lo + next mod 16], and tag
+//     next mod NumTags is retagged to next mod NumTags.
+func fuzzRule(next func() byte) *wire.FilterRule {
+	b := next()
+	lo := int64(b) % 64
+	rule := new(wire.FilterRule)
+	switch b / 64 {
+	case 0:
+		rule.With(wire.TagNone, filter.Make(lo, lo+int64(next())%16)).
+			With(wire.TagRest, filter.All)
+	case 1:
+		to := wire.Tag(next() % byte(wire.NumTags))
+		for t := wire.Tag(0); t < wire.NumTags; t++ {
+			rule.WithRetag(t, to)
+		}
+		rule.With(to, filter.AtMost(lo))
+	case 2:
+		disband := next()
+		if disband&1 != 0 {
+			rule.WithRetag(wire.TagV2S2, wire.TagV2).WithRetag(wire.TagV2S12, wire.TagV2S1)
+		}
+		if disband&2 != 0 {
+			rule.WithRetag(wire.TagV2S1, wire.TagV2).WithRetag(wire.TagV2S12, wire.TagV2S2)
+		}
+		rule.With(wire.TagV1, filter.AtLeast(lo)).
+			With(wire.TagV2S1, filter.Make(lo, lo+8)).
+			With(wire.TagV2, filter.Make(lo, lo+16)).
+			With(wire.TagV2S2, filter.Make(lo+4, lo+16)).
+			With(wire.TagV3, filter.AtMost(lo+16))
+	default:
+		set := wire.Tag(next() % byte(wire.NumTags))
+		rule.With(set, filter.Make(lo, lo+int64(next())%16))
+		from := wire.Tag(next() % byte(wire.NumTags))
+		rule.WithRetag(from, wire.Tag(next()%byte(wire.NumTags)))
+	}
+	return rule
 }
 
 // checkActiveListMatchesNodes asserts that the shard's max-find flags

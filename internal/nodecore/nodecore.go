@@ -2,28 +2,35 @@
 // the deterministic lockstep engine and the concurrent goroutine engine:
 // the node side of cluster.Server, which both engines are.
 //
-// A node owns: its current stream value, its assigned filter and a protocol
-// tag (V1/V2/S1-style set membership, updated by server messages). All
-// server-visible behaviour is driven through these handlers and the
-// Shard's, so the two engines cannot diverge in node logic. Which nodes
-// take part in a max-find run is not a node's state but its Shard's: the
-// active list, the only record of it, and the exclusion list of the
-// current top-m computation (Shard.MaxFind reads both for one node). A
-// max-find raise is recorded and applied by the next read of the active
-// list, in one pass over it, so no max-find broadcast writes a row.
+// A node has a current stream value, a protocol tag (V1/V2/S1-style set
+// membership) and a filter, both set by server messages: a unicast assigns
+// one node's, a broadcast filter rule retags every node and derives its
+// filter from its tag. Inside an engine a node is a row of a Shard, which
+// keeps the node's value and its own filter and derives its tag and filter
+// from its tag class (the Shard's doc comment says how), so a rule costs
+// the nodes it changes and not n. All server-visible behaviour is driven
+// through the Shard's handlers, so the two engines cannot diverge in node
+// logic. Which nodes take part in a max-find run is not a node's state but
+// its Shard's: the active list, the only record of it, and the exclusion
+// list of the current top-m computation (Shard.MaxFind reads both for one
+// node). A max-find raise is recorded and applied by the next read of the
+// active list, in one pass over it, so no max-find broadcast writes a row.
 // A node draws no randomness: which matchers of an EXISTENCE round send is
 // drawn by the server, as ranks over the round's id-ordered matchers
 // (Gaps), from its own stream.
 //
-// A node is a plain value built for reuse: Reset rewinds it in place to the
-// state New constructs, so engine Reset (trial reuse in the experiment
-// harness) allocates nothing on the node side. Handlers never allocate —
-// the per-step zero-allocation budget of both engines rests on that.
+// Node is a node's state as one plain value: what Shard.Node returns, and,
+// with its own handlers (Observe, SetFilter, SetTag, ApplyFilterRule), the
+// eager per-node reference the tests replay a run on to check the Shard's
+// derived tags and filters. Shard handlers never allocate — the per-step
+// zero-allocation budget of both engines rests on that — and engine Reset
+// (trial reuse in the experiment harness) allocates nothing on the node
+// side.
 //
-// Inside an engine the nodes are the rows of a Shard, one []Node
-// allocated once, which owns them together with the routing structures
-// derived from them and is the only code that changes a node; its doc
-// comment states that node-mutation contract.
+// Inside an engine the nodes are the rows of a Shard, one slice allocated
+// once, which owns them together with the routing structures derived from
+// them and is the only code that changes a node; its doc comment states
+// that node-mutation contract.
 // Outside the engine two other views of the values exist, each with its
 // own job and neither consulted by a protocol: topk.Monitor.vals, the
 // facade's referee copy of what was pushed (Check validates the output
@@ -39,7 +46,7 @@ import (
 	"topkmon/internal/wire"
 )
 
-// Node is the state of one distributed node.
+// Node is the state of one distributed node: its id, value, filter and tag.
 type Node struct {
 	ID     int
 	Value  int64
@@ -55,8 +62,8 @@ type Node struct {
 const ServerRNG = 0xC0FFEE
 
 // New returns node id with the all-admitting filter. No program calls it
-// (a Shard resets its rows in place); the tests of internal/wire and
-// internal/cluster do.
+// (a Shard resets its rows in place); the tests of this package,
+// internal/wire, internal/cluster and internal/lockstep do.
 func New(id int) *Node {
 	nd := &Node{ID: id}
 	nd.Reset()
@@ -75,18 +82,18 @@ func (nd *Node) Reset() {
 func (nd *Node) Observe(v int64) { nd.Value = v }
 
 // Violation classifies the node's value against its filter.
-func (nd *Node) Violation() filter.Direction { return nd.Filter.Violation(nd.Value) }
+func (nd Node) Violation() filter.Direction { return nd.Filter.Violation(nd.Value) }
 
 // Report is the node → server message every reply carries: the node's id,
 // value and violation direction.
-func (nd *Node) Report() wire.Report {
+func (nd Node) Report() wire.Report {
 	return wire.Report{ID: nd.ID, Value: nd.Value, Dir: nd.Violation()}
 }
 
 // Match evaluates a broadcastable predicate against node-local state. For
 // the max-find predicate that is the (value, id) test alone: whether the
 // node is active is its Shard's to say (Shard.MaxFind).
-func (nd *Node) Match(p wire.Pred) bool {
+func (nd Node) Match(p wire.Pred) bool {
 	switch p.Kind {
 	case wire.PredViolating:
 		return nd.Violation() != filter.DirNone
@@ -103,7 +110,8 @@ func (nd *Node) Match(p wire.Pred) bool {
 
 // ApplyFilterRule first retags the node per the rule, then derives its
 // filter from its (possibly new) tag. Nodes whose tag the rule does not
-// define keep their current filter.
+// define keep their current filter. It is the eager per-node rule the
+// Shard's ApplyRule must agree with; no program calls it.
 func (nd *Node) ApplyFilterRule(r *wire.FilterRule) {
 	nd.Tag, nd.Filter = r.Apply(nd.Tag, nd.Filter)
 }

@@ -38,33 +38,69 @@ func badValue(id int, v int64) {
 }
 
 // Shard owns the nodes of the id range [base, base+n) together with the
-// three structures the engines route predicates through: the value-bucket
-// index (vindex.Index), the violator set (vindex.Mirror) and the id-ordered
-// list of the max-find-active nodes. It is the node side of a cluster
-// engine (it implements cluster.Nodes): the lockstep engine is a
-// cluster.Server over one Shard of all its nodes, the live engine runs
-// the same calls over one Shard per worker. Which predicates route through
-// which structure, and which fall back to the full scan, is decided here
-// and can therefore never diverge between them.
+// structures the engines route predicates through: the value-bucket index
+// (vindex.Index), the violator set (vindex.Mirror) and the id-ordered list
+// of the max-find-active nodes, and the tag classes a node's tag and
+// filter are derived from. It is the node side of a cluster engine (it
+// implements cluster.Nodes): the lockstep engine is a cluster.Server over
+// one Shard of all its nodes, the live engine runs the same calls over one
+// Shard per worker. Which predicates route through which structure, and
+// which fall back to the full scan, is decided here and can therefore never
+// diverge between them.
 //
-// A node is a row: the nodes are one []Node, and every list the Shard keeps
+// A node is a row: the rows are one []row, and every list the Shard keeps
 // or returns (the active list, the routed candidates, the full scan, the
-// kept matchers) is a []int32 of absolute ids, looked up with Node.
+// kept matchers) is a []int32 of absolute ids. Node returns a copy of one
+// node, its tag and filter derived as below.
+//
+// # Tag classes
+//
+// A broadcast filter rule is one O(1)-size message from which every node
+// works out its own tag and filter; the Shard applies it at the cost of
+// what it changes, not n. Each tag owns one class slot: a group of the
+// class partition (a vindex.Groups over the slots), which holds the ids of
+// the nodes with that tag, and a class filter with the generation at which
+// a rule set it. Each row holds the node's value, its slot and the
+// generation of its own filter, the one its last unicast assigned, which
+// is kept beside the rows. A node's tag is its slot's label; its filter is
+// the class filter if a rule set it after the node's own assignment, its
+// own filter otherwise (filterAt).
+//
+// ApplyRule has two phases. The retag phase computes every slot's tag
+// after the rule first, so the retag map applies simultaneously; slots
+// that map to one tag merge small into large: the largest keeps its slot
+// and is relabelled, the others' nodes move into it, and a moved node
+// whose new tag the rule does not set takes its filter along as its own.
+// It costs the nodes moved. The set phase gives each class the rule sets
+// its filter under one new generation, rechecks the violators of those
+// classes, and finds their new violators by walking, per class, the
+// cheaper of its members and the value-index spans outside its new
+// interval — or, when the walks together would visit more than two thirds
+// of the rows, by one read-only pass over them (plan).
+// RuleVisits prices a rule the same way without applying it. The
+// generation counter is rebased when it would wrap (nextGen).
 //
 // # Node-mutation contract
 //
-// Node.Value and Node.Filter are THE value and THE filter of a node inside
-// an engine; every structure above is derived from them and holds neither.
-// The Shard is the only code that changes a node, and each of its mutators
-// re-derives the node's entries in the same call, from the node:
+// A node's value, class slot, own filter and its generation, and the
+// slots' labels and class filters are THE value, filter and tag of a node
+// inside an engine; every structure above is derived from them. The Shard
+// is the only code that changes them, and each of its mutators re-derives
+// the node's entries in the same call:
 //
 //   - Install (one observation of an Advance batch): the bucket and the
 //     violator bit, and the floor watermark if the node is active and not
 //     above it.
-//   - SetFilter, SetTagFilter, ApplyRule: the violator bit, read from the
-//     filter the node now holds (no tag state of its own).
-//   - Reset: the node state New constructs, an empty index, violator set,
-//     active list and exclusion list, no watermark, no pending raise.
+//   - SetFilter, SetTagFilter: the node's own filter at the current
+//     generation, its class slot (SetTagFilter) and its violator bit, in
+//     O(1).
+//   - ApplyRule: the slots of the nodes it moves, the labels and class
+//     filters of the slots, and the violator bits of the classes it sets,
+//     as above. A node it neither moves nor walks is not visited.
+//   - Reset: the state NewShard constructs — every value 0, every node in
+//     TagNone's slot under the all-admitting filter, an empty index,
+//     violator set, active list and exclusion list, no watermark, no
+//     pending raise.
 //
 // Max-find participation is not node state. The active list is the one
 // record of which nodes are active, and a sorted exclusion list holds the
@@ -102,8 +138,7 @@ func badValue(id int, v int64) {
 // A broadcast the fault layer drops never reaches the Shard, so the
 // structures stay exactly as stale as the model's nodes would be
 // (FuzzFilterMirror, FuzzActiveList). Code outside the Shard reads nodes
-// (Node) and must never mutate one: a Value or Filter changed behind the
-// Shard's back desyncs the index and the violator set.
+// through Node, a copy, and cannot mutate one.
 //
 // On the read side, node state cannot change while an EXISTENCE sweep
 // runs, so a sweep resolves its matchers once (Resolve: Keep over
@@ -115,9 +150,10 @@ func badValue(id int, v int64) {
 // Shard is not safe for concurrent use; the live engine hands each one to
 // one executor per call.
 type Shard struct {
-	base  int
-	nodes []Node
-	ids   []int32 // every id in order: the full scan
+	base int
+	rows []row
+	own  []filter.Interval // own[i] is row i's own filter
+	ids  []int32           // every id in order: the full scan
 
 	idx    *vindex.Index
 	mir    *vindex.Mirror
@@ -127,14 +163,23 @@ type Shard struct {
 	floor   int64
 	floorID int64
 
+	// byClass groups the ids by class slot; classes[c] is slot c's label
+	// and class filter, classOf[t] the slot tag t owns, and gen the
+	// generation of the last class filter set (see "Tag classes").
+	byClass *vindex.Groups
+	classes [wire.NumTags]class
+	classOf [wire.NumTags]uint8
+	gen     uint32
+
 	cand []int32
 	kept []int32 // keptBuf[:k], or the active list itself
 
 	// FullScan makes ScanList return every id, ignoring the routing
-	// structures. Ablation scaffolding for the index equivalence property
-	// tests and BenchmarkViolationSweep; leave false otherwise. It never
-	// perturbs outputs, counters, or the server's draws — only the scan
-	// cost. Reset clears it.
+	// structures, and makes MaxFindInit and ApplyRule take their passes
+	// over the rows. Ablation scaffolding for the index equivalence
+	// property tests and BenchmarkViolationSweep; leave false otherwise. It
+	// never perturbs outputs, counters, or the server's draws — only the
+	// scan cost. Reset clears it.
 	FullScan bool
 	visited  int64 // candidates ScanList returned, see Visited
 
@@ -148,6 +193,25 @@ type Shard struct {
 	raiseBest   int64
 }
 
+// row is one node's own state: its value, its class slot, and the
+// generation of its own filter (Shard.own), the one its last unicast
+// assigned or a retag that moved it kept. The own filters live apart from
+// the rows, since a node in a class a rule set later never reads its own,
+// and the passes that read values scan rows of 16 bytes.
+type row struct {
+	value int64
+	gen   uint32
+	slot  uint8
+}
+
+// class is one class slot's label, the tag its nodes hold, and its class
+// filter, which applies to the nodes whose own filter is older than gen.
+type class struct {
+	tag wire.Tag
+	iv  filter.Interval
+	gen uint32
+}
+
 // noFloor is the floor watermark when none is known.
 const noFloor = math.MinInt64
 
@@ -158,36 +222,56 @@ const noFloor = math.MinInt64
 func NewShard(base, n int) *Shard {
 	s := &Shard{
 		base:    base,
-		nodes:   make([]Node, n),
+		rows:    make([]row, n),
+		own:     make([]filter.Interval, n),
 		ids:     make([]int32, n),
 		idx:     vindex.New(base, n),
 		mir:     vindex.NewMirror(base, n),
 		active:  make([]int32, 0, n),
-		floor:   noFloor,
+		byClass: vindex.NewGroups(base, n, int(wire.NumTags)),
 		cand:    make([]int32, 0, n),
 		keptBuf: make([]int32, n),
 		excl:    make([]int32, 0, n),
 	}
-	for i := range s.nodes {
+	for i := range s.ids {
 		s.ids[i] = int32(base + i)
-		s.nodes[i].ID = base + i
-		s.nodes[i].Reset()
 	}
+	s.Reset()
 	return s
 }
 
 // Len returns the number of nodes in the shard. No program calls it; the
 // tests of this package and internal/live do.
-func (s *Shard) Len() int { return len(s.nodes) }
+func (s *Shard) Len() int { return len(s.rows) }
 
 // IDs returns every id of the shard in ascending order: the scan of a full
 // scan. Read-only. No program calls it; the tests of this package and
 // internal/live do.
 func (s *Shard) IDs() []int32 { return s.ids }
 
-// Node returns the node with absolute id id. Read-only: see the
-// node-mutation contract.
-func (s *Shard) Node(id int) *Node { return &s.nodes[id-s.base] }
+// Node returns the node with absolute id id as it stands: its value, its
+// tag and its filter (filterAt). It is a copy; the Shard's mutators are
+// the only way to change a node.
+func (s *Shard) Node(id int) Node {
+	i := id - s.base
+	return Node{ID: id, Value: s.rows[i].value, Filter: s.filterAt(i), Tag: s.classes[s.rows[i].slot].tag}
+}
+
+// filterAt returns the filter of the node in row i: its class filter if a
+// rule set that after the node's own assignment, else its own filter.
+func (s *Shard) filterAt(i int) filter.Interval {
+	r := &s.rows[i]
+	if c := &s.classes[r.slot]; c.gen > r.gen {
+		return c.iv
+	}
+	return s.own[i]
+}
+
+// report returns the reply of the node in row i.
+func (s *Shard) report(i int) wire.Report {
+	v := s.rows[i].value
+	return wire.Report{ID: s.base + i, Value: v, Dir: s.filterAt(i).Violation(v)}
+}
 
 // Install records the observation v at node id. A pending raise is applied
 // first, against the values it was announced over.
@@ -203,10 +287,16 @@ func (s *Shard) install(id int, v int64) {
 	if len(s.active) > 0 && !wire.Above(v, int64(id), s.floor, s.floorID) && s.onList(id) {
 		s.floor = noFloor
 	}
-	nd := s.Node(id)
-	nd.Observe(v)
-	s.idx.Update(id, v)
-	s.mir.Set(id, v, nd.Filter)
+	i := id - s.base
+	s.rows[i].value = v
+	// The per-update path: the index and the mirror are called only when
+	// the node's bucket or its violator bit changes, both tested inline.
+	if !s.idx.Holds(id, v) {
+		s.idx.Update(id, v)
+	}
+	if f := s.filterAt(i); f.Contains(v) == s.mir.Violating(id) {
+		s.mir.Set(id, v, f)
+	}
 }
 
 // Advance installs values[id] at node id for every id of ids, in that
@@ -219,7 +309,7 @@ func (s *Shard) Advance(values []int64, ids []int) (top int64) {
 	}
 	count := len(ids)
 	if ids == nil {
-		count = len(s.nodes)
+		count = len(s.rows)
 	}
 	for i := 0; i < count; i++ {
 		id := s.base + i
@@ -234,25 +324,230 @@ func (s *Shard) Advance(values []int64, ids []int) (top int64) {
 	return top
 }
 
-// ApplyRule applies a broadcast filter rule to every node.
+// ApplyRule applies a broadcast filter rule: every node retags itself by
+// it and derives its filter from its new tag, at the cost of the nodes the
+// retag moves and of the set classes' walks ("Tag classes").
 func (s *Shard) ApplyRule(r *wire.FilterRule) {
-	for i := range s.nodes {
-		nd := &s.nodes[i]
-		nd.ApplyFilterRule(r)
-		s.mir.Set(nd.ID, nd.Value, nd.Filter)
+	p := s.plan(r)
+	s.retag(r, &p)
+	s.setClasses(r, &p)
+}
+
+// rulePlan is what a rule does to the class slots, read before it is
+// applied: each slot's tag after the retag, the slot each tag's class
+// keeps, the nodes the merges move, and the set phase's cost.
+type rulePlan struct {
+	to     [wire.NumTags]wire.Tag // slot → its tag after the retag
+	keeper [wire.NumTags]int8     // tag → the slot its class keeps, -1 for none
+	moved  int                    // nodes the retag moves
+	set    bool                   // whether the rule sets any tag
+	walk   int                    // node visits of the set classes' walks
+	pass   bool                   // whether the set phase takes the row pass
+}
+
+// plan returns r's plan over the slots as they stand. Its set phase walks
+// each set class's cheaper list while the walks together visit at most two
+// thirds of the rows, and takes one read-only pass over them otherwise
+// (and under FullScan). A walk visits rows out of id order, the pass in
+// order but all of them, and the cutoff sits where BenchmarkRulePaths (this
+// package; 2-core x86-64 VM) has the two cross. Its epoch-opening rule,
+// with the members of the rest class in the order a long run leaves them,
+// took per application, walk against pass:
+//
+//	new violators          n = 2^10          n = 2^16
+//	split, 1/64 (walk 1/64)   1.9 /  5.1 µs     48 /  326 µs
+//	split, 1/2  (walk 1/2)   11.4 / 16.3 µs    691 / 1461 µs
+//	split, all  (walk all)   28.4 / 28.8 µs   3220 / 1328 µs
+//	bucket, 1/64 (walk all)   5.6 /  5.5 µs    401 /  254 µs
+//	bucket, all  (walk all)  35.7 / 23.5 µs   3449 / 1055 µs
+//
+// "split" is embed-churn's value shape, where the value index's span above
+// the rest filter holds only the new violators; "bucket" puts every value
+// in one bucket, where the span is the whole shard and the walk is the
+// rest class.
+func (s *Shard) plan(r *wire.FilterRule) (p rulePlan) {
+	var size [wire.NumTags]int // tag → its class's size after the retag
+	for t := range p.keeper {
+		p.keeper[t] = -1
 	}
+	for c := range s.classes {
+		t := s.classes[c].tag
+		if r.RetagSet[t] {
+			t = r.Retag[t]
+		}
+		p.to[c] = t
+		size[t] += s.byClass.Len(c)
+		if k := p.keeper[t]; k < 0 || s.byClass.Len(c) > s.byClass.Len(int(k)) {
+			p.keeper[t] = int8(c)
+		}
+	}
+	for t, k := range p.keeper {
+		if k >= 0 {
+			p.moved += size[t] - s.byClass.Len(int(k))
+		}
+		if r.Set[t] {
+			p.set = true
+			p.walk += min(size[t], s.spanOutside(r.ByTag[t]))
+		}
+	}
+	p.pass = p.set && (s.FullScan || 3*p.walk > 2*len(s.rows))
+	return p
+}
+
+// RuleVisits returns the node visits ApplyRule(r) costs: the nodes its
+// retag moves and, when it sets a tag, the violators it rechecks and the
+// set classes' walks, or every row if it takes the pass over them. The
+// live engine prices a rule with it before deciding who runs the call.
+func (s *Shard) RuleVisits(r *wire.FilterRule) int {
+	p := s.plan(r)
+	visits := p.moved
+	switch {
+	case p.pass:
+		visits += s.mir.NumViolating() + len(s.rows)
+	case p.set:
+		visits += s.mir.NumViolating() + p.walk
+	}
+	return visits
+}
+
+// retag is ApplyRule's retag phase: the nodes of every slot that is not
+// its tag's keeper move into the keeper, each taking its filter along as
+// its own unless the rule sets its new tag, and the slots are relabelled —
+// keepers with their tags, the emptied slots with the tags no slot maps to.
+func (s *Shard) retag(r *wire.FilterRule, p *rulePlan) {
+	for c := range s.classes {
+		k := int(p.keeper[p.to[c]])
+		if k == c {
+			continue
+		}
+		keep := !r.Set[p.to[c]]
+		for m := s.byClass.Members(c, c); len(m) > 0; m = s.byClass.Members(c, c) {
+			i := int(m[len(m)-1]) - s.base
+			if keep {
+				s.own[i], s.rows[i].gen = s.filterAt(i), s.gen
+			}
+			s.move(i, k)
+		}
+	}
+	free := 0 // the next tag no slot maps to
+	for c := range s.classes {
+		t := p.to[c]
+		if int(p.keeper[t]) != c {
+			for p.keeper[free] >= 0 {
+				free++
+			}
+			t = wire.Tag(free)
+			free++
+		}
+		s.classes[c].tag, s.classOf[t] = t, uint8(c)
+	}
+}
+
+// setClasses is ApplyRule's set phase: every class whose tag the rule sets
+// takes the rule's filter under one new generation, its old violators are
+// rechecked, and its new ones are found by its walk or by the row pass.
+func (s *Shard) setClasses(r *wire.FilterRule, p *rulePlan) {
+	if !p.set {
+		return
+	}
+	var set [wire.NumTags]bool // slot → whether the rule sets its tag
+	gen := s.nextGen()
+	for t, ok := range r.Set {
+		if ok {
+			c := s.classOf[t]
+			set[c] = true
+			s.classes[c].iv, s.classes[c].gen = r.ByTag[t], gen
+		}
+	}
+	vio := s.mir.Violators()
+	for j := len(vio) - 1; j >= 0; j-- {
+		id := int(vio[j])
+		if c := s.rows[id-s.base].slot; set[c] {
+			s.mir.Set(id, s.rows[id-s.base].value, s.classes[c].iv)
+		}
+	}
+	if p.pass {
+		for i := range s.rows {
+			if c := s.rows[i].slot; set[c] && !s.classes[c].iv.Contains(s.rows[i].value) {
+				s.mir.Set(s.base+i, s.rows[i].value, s.classes[c].iv)
+			}
+		}
+		return
+	}
+	for c := range set {
+		if !set[c] {
+			continue
+		}
+		iv := s.classes[c].iv
+		if s.byClass.Len(c) <= s.spanOutside(iv) {
+			s.addViolators(s.byClass.Members(c, c), c, iv)
+			continue
+		}
+		if iv.Lo > 0 {
+			s.addViolators(s.idx.Span(0, iv.Lo-1), c, iv)
+		}
+		if iv.Hi < eps.MaxValue {
+			s.addViolators(s.idx.Span(iv.Hi+1, eps.MaxValue), c, iv)
+		}
+	}
+}
+
+// spanOutside returns how many ids the value index spans outside iv hold:
+// a superset of the nodes a class filter iv makes violators.
+func (s *Shard) spanOutside(iv filter.Interval) int {
+	n := 0
+	if iv.Lo > 0 {
+		n += len(s.idx.Span(0, iv.Lo-1))
+	}
+	if iv.Hi < eps.MaxValue {
+		n += len(s.idx.Span(iv.Hi+1, eps.MaxValue))
+	}
+	return n
+}
+
+// addViolators adds to the violator set the nodes of ids in slot c whose
+// value lies outside the class filter iv.
+func (s *Shard) addViolators(ids []int32, c int, iv filter.Interval) {
+	for _, id := range ids {
+		if r := &s.rows[int(id)-s.base]; !iv.Contains(r.value) && int(r.slot) == c {
+			s.mir.Set(int(id), r.value, iv)
+		}
+	}
+}
+
+// move takes the node in row i into class slot c.
+func (s *Shard) move(i, c int) {
+	s.byClass.Move(s.base+i, int(s.rows[i].slot), c)
+	s.rows[i].slot = uint8(c)
+}
+
+// nextGen returns a new generation for a class filter. Before the counter
+// would wrap, every node's filter is folded into its own and every
+// generation restarts at 0, which changes no node's filter.
+func (s *Shard) nextGen() uint32 {
+	if s.gen == math.MaxUint32 {
+		for i := range s.rows {
+			s.own[i], s.rows[i].gen = s.filterAt(i), 0
+		}
+		for c := range s.classes {
+			s.classes[c].gen = 0
+		}
+		s.gen = 0
+	}
+	s.gen++
+	return s.gen
 }
 
 // SetFilter applies a unicast filter assignment to node id.
 func (s *Shard) SetFilter(id int, iv filter.Interval) {
-	nd := s.Node(id)
-	nd.SetFilter(iv)
-	s.mir.Set(id, nd.Value, iv)
+	i := id - s.base
+	s.own[i], s.rows[i].gen = iv, s.gen
+	s.mir.Set(id, s.rows[i].value, iv)
 }
 
 // SetTagFilter applies a unicast tag and filter assignment to node id.
 func (s *Shard) SetTagFilter(id int, t wire.Tag, iv filter.Interval) {
-	s.Node(id).SetTag(t)
+	s.move(id-s.base, int(s.classOf[t]))
 	s.SetFilter(id, iv)
 }
 
@@ -290,9 +585,9 @@ func (s *Shard) MaxFindInit(floor int64, reset bool) {
 // initRouted returns the active list of an Init at floor ≥ 0 built from
 // span: the span's nodes not excluded whose value exceeds floor, sorted.
 func (s *Shard) initRouted(span []int32, floor int64) []int32 {
-	nodes, excl, base, active := s.nodes, s.excl, s.base, s.active[:0]
+	rows, excl, base, active := s.rows, s.excl, s.base, s.active[:0]
 	for _, id := range span {
-		if nodes[int(id)-base].Value > floor {
+		if rows[int(id)-base].value > floor {
 			if _, out := slices.BinarySearch(excl, id); !out {
 				active = append(active, id)
 			}
@@ -305,15 +600,15 @@ func (s *Shard) initRouted(span []int32, floor int64) []int32 {
 // initPass returns the active list of an Init at floor ≥ 0 built by one
 // pass over the rows.
 func (s *Shard) initPass(floor int64) []int32 {
-	nodes, excl, ids := s.nodes, s.excl, s.ids
-	active, k := s.active[:len(nodes)], 0
-	for i := range nodes {
+	rows, excl, ids := s.rows, s.excl, s.ids
+	active, k := s.active[:len(rows)], 0
+	for i := range rows {
 		if len(excl) > 0 && excl[0] == ids[i] {
 			excl = excl[1:]
 			continue
 		}
 		active[k] = ids[i]
-		k += b2i(nodes[i].Value > floor)
+		k += b2i(rows[i].value > floor)
 	}
 	return active[:k]
 }
@@ -332,7 +627,7 @@ func (s *Shard) initSpan(floor int64) ([]int32, bool) {
 		return nil, false
 	}
 	span := s.idx.Span(floor+1, eps.MaxValue)
-	return span, 8*len(span) <= len(s.nodes)
+	return span, 8*len(span) <= len(s.rows)
 }
 
 // InitVisits returns the node visits a MaxFindInit at floor costs and
@@ -342,12 +637,12 @@ func (s *Shard) initSpan(floor int64) ([]int32, bool) {
 // engine prices the Init with it before deciding who runs the call.
 func (s *Shard) InitVisits(floor int64) (visits int, routed bool) {
 	if floor < 0 {
-		return len(s.nodes) / 8, false
+		return len(s.rows) / 8, false
 	}
 	if span, ok := s.initSpan(floor); ok {
 		return len(span), true
 	}
-	return len(s.nodes), false
+	return len(s.rows), false
 }
 
 // MaxFindRaise records the broadcast announcing a new best (holder, value):
@@ -377,7 +672,7 @@ func (s *Shard) applyRaise() {
 	s.raised = false
 	h, best := s.raiseHolder, s.raiseBest
 	s.active = s.keepAbove(s.active, s.active, best, int64(h))
-	if uint(h-s.base) < uint(len(s.nodes)) && s.nodes[h-s.base].Value > best {
+	if uint(h-s.base) < uint(len(s.rows)) && s.rows[h-s.base].value > best {
 		if i, ok := slices.BinarySearch(s.active, int32(h)); ok {
 			s.active = slices.Delete(s.active, i, i+1)
 		}
@@ -406,7 +701,7 @@ func (s *Shard) MaxFindExclude(id int) {
 // calls it; the tests of this package and internal/lockstep do.
 func (s *Shard) MaxFind(id int) (active, excluded bool) {
 	active = s.onList(id) && !(s.raised && (id == s.raiseHolder ||
-		!wire.Above(s.Node(id).Value, int64(id), s.raiseBest, int64(s.raiseHolder))))
+		!wire.Above(s.rows[id-s.base].value, int64(id), s.raiseBest, int64(s.raiseHolder))))
 	_, excluded = slices.BinarySearch(s.excl, int32(id))
 	return active, excluded
 }
@@ -417,12 +712,20 @@ func (s *Shard) onList(id int) bool {
 	return ok
 }
 
-// Reset returns every node to the state New(id) constructs and the
-// structures to NewShard's, reusing every array.
+// Reset returns every node to the state New(id) constructs — value 0, the
+// all-admitting filter, no tag — and the structures to NewShard's, reusing
+// every array.
 func (s *Shard) Reset() {
-	for i := range s.nodes {
-		s.nodes[i].Reset()
+	clear(s.rows)
+	for i := range s.own {
+		s.own[i] = filter.All
 	}
+	s.byClass.Reset()
+	for t := range s.classes {
+		s.classes[t] = class{tag: wire.Tag(t), iv: filter.All}
+		s.classOf[t] = uint8(t)
+	}
+	s.gen = 0
 	s.idx.Reset()
 	s.mir.Reset()
 	s.active = s.active[:0]
@@ -484,7 +787,7 @@ func (s *Shard) Visited() int64 { return s.visited }
 // call.
 func (s *Shard) ScanSize(p wire.Pred) int {
 	if !vindex.Routable(p) {
-		return len(s.nodes)
+		return len(s.rows)
 	}
 	switch p.Kind {
 	case wire.PredAboveActive:
@@ -517,7 +820,7 @@ func (s *Shard) ResolveSize(p wire.Pred) int {
 // is kept as it is, the list itself. The result is that kept list, valid
 // until the next call that changes the Shard or keeps again.
 func (s *Shard) Keep(p wire.Pred, scan []int32) []int32 {
-	nodes, base := s.nodes, s.base
+	rows, base := s.rows, s.base
 	kept, k := s.keptBuf[:len(scan)], 0
 	switch p.Kind {
 	case wire.PredAboveActive:
@@ -531,7 +834,7 @@ func (s *Shard) Keep(p wire.Pred, scan []int32) []int32 {
 					active = active[1:]
 				}
 				kept[k] = id
-				k += b2i(len(active) > 0 && active[0] == id && wire.Above(nodes[int(id)-base].Value, int64(id), p.X, p.Y))
+				k += b2i(len(active) > 0 && active[0] == id && wire.Above(rows[int(id)-base].value, int64(id), p.X, p.Y))
 			}
 			break
 		}
@@ -543,20 +846,21 @@ func (s *Shard) Keep(p wire.Pred, scan []int32) []int32 {
 		return s.kept
 	case wire.PredViolating:
 		for _, id := range scan {
-			nd := &nodes[int(id)-base]
+			i := int(id) - base
 			kept[k] = id
-			k += b2i(!nd.Filter.Contains(nd.Value))
+			k += b2i(!s.filterAt(i).Contains(rows[i].value))
 		}
 	case wire.PredInRange:
 		for _, id := range scan {
-			v := nodes[int(id)-base].Value
+			v := rows[int(id)-base].value
 			kept[k] = id
 			k += b2i(v >= p.X && v <= p.Y)
 		}
 	case wire.PredHasTag:
+		c := s.classOf[p.Tag]
 		for _, id := range scan {
 			kept[k] = id
-			k += b2i(nodes[int(id)-base].Tag == p.Tag)
+			k += b2i(rows[int(id)-base].slot == c)
 		}
 	}
 	s.kept = kept[:k]
@@ -568,7 +872,7 @@ func (s *Shard) Keep(p wire.Pred, scan []int32) []int32 {
 // order; dst may be scan itself. The ids up to y must exceed x, the ids
 // past it only reach it, so each side is one loop of one comparison.
 func (s *Shard) keepAbove(dst, scan []int32, x, y int64) []int32 {
-	nodes, base := s.nodes, s.base
+	rows, base := s.rows, s.base
 	dst = dst[:len(scan)]
 	split := len(scan)
 	if y < math.MaxInt32 {
@@ -577,11 +881,11 @@ func (s *Shard) keepAbove(dst, scan []int32, x, y int64) []int32 {
 	k := 0
 	for _, id := range scan[:split] {
 		dst[k] = id
-		k += b2i(nodes[int(id)-base].Value > x)
+		k += b2i(rows[int(id)-base].value > x)
 	}
 	for _, id := range scan[split:] {
 		dst[k] = id
-		k += b2i(nodes[int(id)-base].Value >= x)
+		k += b2i(rows[int(id)-base].value >= x)
 	}
 	return dst[:k]
 }
@@ -607,7 +911,7 @@ func (s *Shard) Kept() int { return len(s.kept) }
 
 // KeptReport returns the report of the kept matcher of rank i, 0 ≤ i <
 // Kept().
-func (s *Shard) KeptReport(i int) wire.Report { return s.nodes[int(s.kept[i])-s.base].Report() }
+func (s *Shard) KeptReport(i int) wire.Report { return s.report(int(s.kept[i]) - s.base) }
 
 // Senders implements cluster.Nodes: it appends to dst the reports of the
 // kept matchers at ranks, which ascend, so dst gets them in id order.
@@ -634,12 +938,12 @@ func (s *Shard) Collect(dst []wire.Report, p wire.Pred) []wire.Report {
 }
 
 // Probe returns node id's report.
-func (s *Shard) Probe(id int) wire.Report { return s.Node(id).Report() }
+func (s *Shard) Probe(id int) wire.Report { return s.report(id - s.base) }
 
 // AppendFilters appends the filter of every node to dst in id order.
 func (s *Shard) AppendFilters(dst []filter.Interval) []filter.Interval {
-	for i := range s.nodes {
-		dst = append(dst, s.nodes[i].Filter)
+	for i := range s.rows {
+		dst = append(dst, s.filterAt(i))
 	}
 	return dst
 }

@@ -2,6 +2,7 @@ package nodecore
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -248,7 +249,7 @@ func TestRaisedFloorShortcut(t *testing.T) {
 	if sh.floor != 250 {
 		t.Fatalf("Init set the floor to %d, want 250", sh.floor)
 	}
-	sh.Node(13).Value = 0 // behind the Shard's back: only the shortcut keeps it
+	sh.rows[13-10].value = 0 // behind the Shard's back: only the shortcut keeps it
 	if got := sh.Matchers(wire.AboveActive(250)); !slices.Equal(got, []int32{12, 13, 14, 15}) || !sh.isActive(got) {
 		t.Fatalf("AboveActive(250) at floor 250 keeps %v, want the active list itself (the shortcut)", got)
 	}
@@ -261,7 +262,7 @@ func TestRaisedFloorShortcut(t *testing.T) {
 
 	// A full scan equal to the active list in content is still not it.
 	sh.MaxFindInit(-1, true) // all six active, floor -1
-	sh.Node(11).Value = -1
+	sh.rows[11-10].value = -1
 	if got := sh.Keep(wire.AboveActive(-1), sh.IDs()); !slices.Equal(got, []int32{10, 12, 13, 14, 15}) {
 		t.Fatalf("AboveActive(-1) over IDs with every node active keeps %v, want a re-filter", got)
 	}
@@ -368,7 +369,7 @@ func TestRaiseMatchesNodeHandler(t *testing.T) {
 			floor, reset := r.Int63n(32)-1, round%6 == 0
 			sh.MaxFindInit(floor, reset)
 			for i := range ref {
-				ref[i].init(sh.nodes[i].Value, floor, reset)
+				ref[i].init(sh.rows[i].value, floor, reset)
 			}
 		}
 		if round%7 == 3 {
@@ -379,12 +380,12 @@ func TestRaiseMatchesNodeHandler(t *testing.T) {
 			}
 		}
 		holder, best := base-2+r.Intn(n+4), r.Int63n(64)
-		rows := slices.Clone(sh.nodes)
+		rows := slices.Clone(sh.rows)
 		for i := range ref {
-			ref[i].raise(base+i, holder, sh.nodes[i].Value, best)
+			ref[i].raise(base+i, holder, sh.rows[i].value, best)
 		}
 		sh.MaxFindRaise(holder, best)
-		if !slices.Equal(sh.nodes, rows) {
+		if !slices.Equal(sh.rows, rows) {
 			t.Fatalf("round %d: Raise(%d, %d) wrote a row", round, holder, best)
 		}
 		check(round, "pending")
@@ -428,6 +429,290 @@ func BenchmarkInitPaths(b *testing.B) {
 					sh.active = sh.initPass(floor)
 				}
 			})
+		}
+	}
+}
+
+// randomRule returns one broadcast rule over intervals inside [0, top): a
+// protocol's shape — a two-tag update, a retag of every tag to one,
+// DENSE's round rule with a random disband — or a random retag map with
+// random sets, which may set tags no node holds.
+func randomRule(r *rngx.Source, top int64) *wire.FilterRule {
+	iv := func() filter.Interval {
+		lo := r.Int63n(top)
+		if r.Intn(8) == 0 {
+			return filter.Make(lo, lo/2) // empty: every value violates
+		}
+		return filter.Make(lo, lo+r.Int63n(top))
+	}
+	tag := func() wire.Tag { return wire.Tag(r.Intn(int(wire.NumTags))) }
+	rule := new(wire.FilterRule)
+	switch r.Intn(4) {
+	case 0:
+		rule.With(wire.TagOut, filter.AtLeast(r.Int63n(top))).With(wire.TagRest, filter.AtMost(r.Int63n(top)))
+	case 1:
+		to := tag()
+		for t := wire.Tag(0); t < wire.NumTags; t++ {
+			rule.WithRetag(t, to)
+		}
+		rule.With(to, iv())
+	case 2:
+		if r.Intn(2) == 0 {
+			rule.WithRetag(wire.TagV2S2, wire.TagV2).WithRetag(wire.TagV2S12, wire.TagV2S1)
+		}
+		if r.Intn(2) == 0 {
+			rule.WithRetag(wire.TagV2S1, wire.TagV2).WithRetag(wire.TagV2S12, wire.TagV2S2)
+		}
+		for _, t := range []wire.Tag{wire.TagV1, wire.TagV2S1, wire.TagV2, wire.TagV2S2, wire.TagV3} {
+			rule.With(t, iv())
+		}
+	default:
+		for t := wire.Tag(0); t < wire.NumTags; t++ {
+			if r.Intn(3) == 0 {
+				rule.WithRetag(t, tag())
+			}
+			if r.Intn(3) == 0 {
+				rule.With(t, iv())
+			}
+		}
+	}
+	return rule
+}
+
+// checkNodes asserts that every node of sh is what the eager per-node
+// replay ref makes it — value, tag and filter — and that the violator set
+// holds exactly the replay's violators.
+func checkNodes(t *testing.T, sh *Shard, ref []Node, what string) {
+	t.Helper()
+	var want []int32
+	for i, nd := range ref {
+		if got := sh.Node(nd.ID); got != nd {
+			t.Fatalf("%s: node %d is %+v, the node handlers make it %+v", what, nd.ID, got, nd)
+		}
+		if nd.Violation() != filter.DirNone {
+			want = append(want, sh.ids[i])
+		}
+	}
+	fullScan := sh.FullScan
+	sh.FullScan = false // the routed scan is the violator set itself
+	got := sh.ScanList(wire.Violating())
+	sh.FullScan = fullScan
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: violator set %v, the node handlers make it %v", what, got, want)
+	}
+}
+
+// TestRuleMatchesNodeHandler holds the Shard's tag classes — a rule
+// applied as a retag of class slots and a set of class filters, each
+// node's filter derived from its slot — to the eager per-node handlers
+// (Node.ApplyFilterRule, SetFilter, SetTag, Observe) applied to every row:
+// after every op each node's value, tag and filter, and the violator set,
+// equal the replay's. It runs with ApplyRule choosing its walks and with
+// FullScan, which forces the pass over the rows, and with the generation
+// counter started just below its maximum (the hook: the test sets it), so
+// that the counter wraps and is rebased mid-run.
+func TestRuleMatchesNodeHandler(t *testing.T) {
+	const base, n, rounds, top = 70, 113, 400, 1 << 12
+	for _, gen0 := range []uint32{0, math.MaxUint32 - 100} {
+		for _, fullScan := range []bool{false, true} {
+			t.Run(fmt.Sprintf("gen0=%d/fullscan=%v", gen0, fullScan), func(t *testing.T) {
+				r := rngx.New(uint64(gen0) + 3)
+				sh := NewShard(base, n)
+				sh.gen, sh.FullScan = gen0, fullScan
+				ref := make([]Node, n)
+				for i := range ref {
+					ref[i] = *New(base + i)
+				}
+				wrapped := false
+				for round := range rounds {
+					for i := range ref {
+						if round == 0 || r.Intn(4) == 0 {
+							v := r.Int63n(top)
+							if r.Intn(16) == 0 {
+								v = r.Int63n(eps.MaxValue)
+							}
+							sh.Install(base+i, v)
+							ref[i].Observe(v)
+						}
+					}
+					checkNodes(t, sh, ref, fmt.Sprintf("round %d, observations", round))
+					for range r.Intn(4) {
+						i := r.Intn(n)
+						iv := filter.Make(r.Int63n(top), r.Int63n(2*top))
+						if r.Intn(2) == 0 {
+							sh.SetFilter(base+i, iv)
+						} else {
+							tg := wire.Tag(r.Intn(int(wire.NumTags)))
+							sh.SetTagFilter(base+i, tg, iv)
+							ref[i].SetTag(tg)
+						}
+						ref[i].SetFilter(iv)
+					}
+					checkNodes(t, sh, ref, fmt.Sprintf("round %d, unicasts", round))
+					rule := randomRule(r, top)
+					before := sh.gen
+					sh.ApplyRule(rule)
+					wrapped = wrapped || sh.gen < before
+					for i := range ref {
+						ref[i].ApplyFilterRule(rule)
+					}
+					checkNodes(t, sh, ref, fmt.Sprintf("round %d, rule %+v", round, *rule))
+				}
+				if wrapped != (gen0 != 0) {
+					t.Fatalf("the generation counter wrapped: %v, want %v", wrapped, gen0 != 0)
+				}
+			})
+		}
+	}
+}
+
+// TestGenerationWrap pins the rebase of the generation counter, through
+// the hook that starts it just below its maximum: the rule that wraps it
+// leaves the class filter of a class it does not set in force, and a
+// unicast after the wrap still outranks the class filter until the next
+// rule that sets it.
+func TestGenerationWrap(t *testing.T) {
+	sh := NewShard(0, 3)
+	ref := make([]Node, 3)
+	for i, tg := range []wire.Tag{wire.TagV1, wire.TagV2, wire.TagV2} {
+		v := int64(15 + 20*i)
+		sh.Install(i, v)
+		sh.SetTagFilter(i, tg, filter.AtLeast(100))
+		ref[i] = *New(i)
+		ref[i].Observe(v)
+		ref[i].SetTag(tg)
+		ref[i].SetFilter(filter.AtLeast(100))
+	}
+	sh.gen = math.MaxUint32 - 1 // the hook: the second rule wraps the counter
+	setV1 := new(wire.FilterRule).With(wire.TagV1, filter.Make(10, 20))
+	setV2 := new(wire.FilterRule).With(wire.TagV2, filter.Make(30, 40))
+	apply := func(r *wire.FilterRule, what string) {
+		t.Helper()
+		sh.ApplyRule(r)
+		for i := range ref {
+			ref[i].ApplyFilterRule(r)
+		}
+		checkNodes(t, sh, ref, what)
+	}
+	apply(setV1, "the rule that takes the counter to its maximum")
+	apply(setV2, "the rule that wraps it")
+	if sh.gen != 1 {
+		t.Fatalf("after the wrap the counter is %d, want 1", sh.gen)
+	}
+	sh.SetFilter(2, filter.Make(0, 9))
+	ref[2].SetFilter(filter.Make(0, 9))
+	apply(setV1, "a rule that does not set the class of the node a unicast assigned")
+	apply(setV2, "a rule that sets it")
+}
+
+// churnShard returns a shard of n nodes in the tag mix of an embed-churn
+// epoch and the epoch-opening rule, which retags every tag to rest and
+// sets rest to [0, split − 1]: n − 9 nodes in rest and 9 nodes, the output
+// and a probe's worth, in the small classes. n/den of the nodes (at least
+// 32) sit above split, the rule's new violators. With oneBucket false the
+// others sit below 2^20 and split is 2^20, so the value index's span above
+// split holds only the raised nodes, as on embed-churn; with oneBucket set
+// every value lies in [2^20, 2^21) and split is 1.5·2^20, so the span is
+// the whole shard, as in BenchmarkEpochOpen. The rest class's members are
+// shuffled by moves out and back, the order a long run leaves them in.
+func churnShard(n, den int, oneBucket bool) (*Shard, *wire.FilterRule) {
+	lo, split := int64(1e5), int64(1<<20)
+	if oneBucket {
+		lo, split = 1<<20, 3<<19
+	}
+	r := rngx.New(uint64(n + den))
+	sh := NewShard(0, n)
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = lo + r.Int63n(split-lo)
+	}
+	for _, i := range r.Perm(n)[:max(32, n/den)] {
+		vals[i] = split + r.Int63n(1<<19)
+	}
+	sh.Advance(vals, nil)
+	rule := new(wire.FilterRule)
+	for t := wire.Tag(0); t < wire.NumTags; t++ {
+		rule.WithRetag(t, wire.TagRest)
+	}
+	rule.With(wire.TagRest, filter.AtMost(split-1))
+	sh.ApplyRule(rule)
+	for range 2 * n {
+		id := 9 + r.Intn(n-9)
+		sh.SetTagFilter(id, wire.TagV3, filter.All)
+		sh.SetTagFilter(id, wire.TagRest, filter.All)
+	}
+	retagSmall(sh)
+	return sh, rule
+}
+
+// retagSmall unicasts nodes 0..8 into the small classes.
+func retagSmall(sh *Shard) {
+	for i := range 9 {
+		sh.SetTagFilter(i, wire.Tag(i), filter.AtLeast(1<<20))
+	}
+}
+
+// TestRuleCostsWhatItChanges: the epoch-opening rule on a churn-like shard
+// costs the nodes it moves, the violators and the span above the rest
+// filter — whatever n is — and leaves the nodes the eager handlers make.
+func TestRuleCostsWhatItChanges(t *testing.T) {
+	for _, n := range []int{1 << 10, 1 << 14} {
+		sh, rule := churnShard(n, n, false)
+		ref := make([]Node, n)
+		for i := range ref {
+			ref[i] = sh.Node(i)
+		}
+		violators := sh.mir.NumViolating()
+		// 8 moved, the violators rechecked, 32 span ids walked.
+		if got, want := sh.RuleVisits(rule), 8+violators+32; got != want {
+			t.Fatalf("n=%d: RuleVisits %d, want %d", n, got, want)
+		}
+		sh.ApplyRule(rule)
+		for i := range ref {
+			ref[i].ApplyFilterRule(rule)
+		}
+		checkNodes(t, sh, ref, fmt.Sprintf("n=%d", n))
+	}
+}
+
+// BenchmarkRulePaths times ApplyRule's two ways of finding a set class's
+// new violators — walking the cheaper of its members and the value-index
+// spans outside its filter (walk), or one read-only pass over the rows
+// (pass) — on the epoch-opening rule of churnShard at n = 2^10 and 2^16,
+// with the rule's new violators a 64th to all of the shard, in embed-churn's
+// value shape (the span above the rest filter holds the violators) and in
+// one bucket (it holds the shard, so the walk is the rest class). Each
+// iteration first widens rest to admit every value, which clears the
+// violators, then applies the rule down the path named, and unicasts the
+// nine small-class nodes back. Both paths must leave the same shard — the
+// same violator set and filters — which it checks after timing them, so a
+// -benchtime=1x run (make bench) checks it too. It places ruleWalkCutoff.
+func BenchmarkRulePaths(b *testing.B) {
+	widen := new(wire.FilterRule).With(wire.TagRest, filter.All)
+	for _, n := range []int{1 << 10, 1 << 16} {
+		for _, shape := range []string{"split", "bucket"} {
+			for _, den := range []int{64, 16, 4, 2, 1} {
+				var shards [2]*Shard
+				for k, path := range []string{"walk", "pass"} {
+					sh, rule := churnShard(n, den, shape == "bucket")
+					shards[k] = sh
+					b.Run(fmt.Sprintf("n=%d/%s/vio=1_%d/%s", n, shape, den, path), func(b *testing.B) {
+						for range b.N {
+							sh.ApplyRule(widen)
+							p := sh.plan(rule)
+							p.pass = path == "pass"
+							sh.retag(rule, &p)
+							sh.setClasses(rule, &p)
+							retagSmall(sh)
+						}
+					})
+				}
+				walk, pass := shards[0], shards[1]
+				if !slices.Equal(walk.ScanList(wire.Violating()), pass.ScanList(wire.Violating())) ||
+					!slices.Equal(walk.AppendFilters(nil), pass.AppendFilters(nil)) {
+					b.Fatalf("n=%d, %s, violators 1/%d: the walk and the pass leave different shards", n, shape, den)
+				}
+			}
 		}
 	}
 }

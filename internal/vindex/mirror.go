@@ -15,14 +15,15 @@ import (
 // violation sweep of a quiet step O(1) instead of an O(n) full scan of
 // ~136µs (n=4096) to ~674µs (n=16384) per step.
 //
-// The mirror holds no values and no filters of its own: nodecore.Node is
-// the one owner of both inside an engine, and Set takes the pair from the
-// node at the call site. What it mirrors is one derived bit per node —
-// "value outside filter" — plus the compact list of the ids whose bit is
-// set. Its owner is nodecore.Shard, which calls Set in the same mutator
-// that changes the node's value or filter (see the node-mutation contract
-// there), so layers above the engine cannot desync it (property-tested by
-// FuzzFilterMirror and the chaos routing suites).
+// The mirror holds no values and no filters of its own: nodecore.Shard is
+// the one owner of both inside an engine (a node's filter is its tag
+// class's or its own, as the Shard's doc comment says), and Set takes the
+// pair from the Shard at the call site. What it mirrors is one derived bit
+// per node — "value outside filter" — plus the compact list of the ids
+// whose bit is set. Its owner is nodecore.Shard, which calls Set in the
+// same mutator that changes the node's value or filter (see the
+// node-mutation contract there), so layers above the engine cannot desync
+// it (property-tested by FuzzFilterMirror and the chaos routing suites).
 //
 // # Exactness
 //
@@ -81,6 +82,15 @@ func (m *Mirror) Set(id int, v int64, iv filter.Interval) {
 		m.pos[i] = -1
 	}
 }
+
+// Violating reports whether node id is in the violator set.
+func (m *Mirror) Violating(id int) bool { return m.pos[id-m.base] >= 0 }
+
+// Violators returns the violating ids in no particular order: a view of
+// the set, which callers must not modify. A Set that removes an id moves
+// the last id of the view into its place, so a walk from the end may Set
+// the ids it visits as long as none is added.
+func (m *Mirror) Violators() []int32 { return m.vio }
 
 // NumViolating returns the current violator count.
 func (m *Mirror) NumViolating() int { return len(m.vio) }

@@ -12,16 +12,16 @@
 // Buckets are power-of-two value classes: bucket 0 holds value 0 and bucket
 // b ≥ 1 holds values in [2^(b-1), 2^b - 1], so there are O(log Δ) buckets
 // over the supported domain [0, eps.MaxValue]. The index keeps every node id
-// in one flat array grouped by ascending bucket (byBucket) with a boundary
-// offset per bucket (start) and, per node, its current bucket and position.
-// All four arrays are allocated once in New and never grow:
+// in one flat array grouped by ascending bucket, with a boundary offset per
+// bucket and, per node, its current bucket and position (Groups). All four
+// arrays are allocated once in New and never grow:
 //
 //   - Update moves a node between adjacent buckets with one swap and a
 //     boundary shift, so a value change costs O(|bucket distance|) ≤
 //     O(log Δ) writes and the steady state allocates nothing.
 //   - Span returns the candidate ids for a value interval as one zero-copy
-//     subslice of byBucket, because the buckets intersecting [lo, hi] are
-//     contiguous in the grouped array.
+//     subslice of the grouped array, because the buckets intersecting
+//     [lo, hi] are contiguous in it.
 //
 // A bucket is a coarsening: Span is a superset of the true matchers (the
 // boundary buckets can hold values just outside [lo, hi]), so callers must
@@ -97,34 +97,19 @@ func Routable(p wire.Pred) bool {
 	return ok && !FullRange(lo, hi)
 }
 
-// Index is a value-bucket index over the node ids [base, base+n). The zero
+// Index is a value-bucket index over the node ids [base, base+n): Groups
+// over the buckets, an id's group being the bucket of its value. The zero
 // value is not usable; construct with New.
 type Index struct {
-	base int
-
-	// byBucket holds every indexed id exactly once, grouped by ascending
-	// bucket; start[b] is the offset of bucket b's segment, so bucket b is
-	// byBucket[start[b]:start[b+1]] (possibly empty).
-	byBucket []int32
-	start    []int32
-
-	// pos[id-base] is the id's position in byBucket; bkt[id-base] its
-	// current bucket.
-	pos []int32
-	bkt []uint8
+	Groups
+	bkt []uint8 // bkt[id-base] is the id's bucket
 }
 
 // New returns an index over the ids [base, base+n), all with value 0 — the
 // state engine construction and Reset leave every node in.
 func New(base, n int) *Index {
-	ix := &Index{
-		base:     base,
-		byBucket: make([]int32, n),
-		start:    make([]int32, numBuckets+1),
-		pos:      make([]int32, n),
-		bkt:      make([]uint8, n),
-	}
-	ix.Reset()
+	ix := &Index{bkt: make([]uint8, n)}
+	ix.init(base, n, numBuckets)
 	return ix
 }
 
@@ -132,56 +117,24 @@ func New(base, n int) *Index {
 // node state after an engine Reset. It reuses the arrays and allocates
 // nothing.
 func (ix *Index) Reset() {
-	for i := range ix.byBucket {
-		ix.byBucket[i] = int32(ix.base + i)
-		ix.pos[i] = int32(i)
-		ix.bkt[i] = 0
-	}
-	ix.start[0] = 0
-	for b := 1; b < len(ix.start); b++ {
-		ix.start[b] = int32(len(ix.byBucket))
-	}
+	ix.Groups.Reset()
+	clear(ix.bkt)
 }
 
 // Update records that node id now holds value v, moving it between buckets
-// when its magnitude class changed. The move walks adjacent bucket
-// boundaries — one swap plus one boundary shift each — so it costs
-// O(|bucket distance|) and never allocates.
+// when its magnitude class changed (Groups.Move): O(|bucket distance|),
+// and never allocating.
 func (ix *Index) Update(id int, v int64) {
 	i := id - ix.base
-	nb := uint8(BucketOf(v))
-	ob := ix.bkt[i]
-	if nb == ob {
-		return
-	}
-	ix.bkt[i] = nb
-	p := ix.pos[i]
-	for b := ob; b < nb; b++ {
-		// Swap to the end of bucket b, then pull b+1's boundary back over
-		// the id so it becomes the first element of bucket b+1.
-		last := ix.start[b+1] - 1
-		ix.swap(p, last)
-		ix.start[b+1] = last
-		p = last
-	}
-	for b := ob; b > nb; b-- {
-		// Symmetric: swap to the front of bucket b, push the boundary
-		// forward, and the id becomes the last element of bucket b-1.
-		first := ix.start[b]
-		ix.swap(p, first)
-		ix.start[b] = first + 1
-		p = first
+	if b := uint8(BucketOf(v)); b != ix.bkt[i] {
+		ix.Move(id, int(ix.bkt[i]), int(b))
+		ix.bkt[i] = b
 	}
 }
 
-func (ix *Index) swap(a, b int32) {
-	if a == b {
-		return
-	}
-	ia, ib := ix.byBucket[a], ix.byBucket[b]
-	ix.byBucket[a], ix.byBucket[b] = ib, ia
-	ix.pos[ia-int32(ix.base)], ix.pos[ib-int32(ix.base)] = b, a
-}
+// Holds reports whether node id's bucket is the one a value of v has, so
+// that Update(id, v) would move nothing.
+func (ix *Index) Holds(id int, v int64) bool { return ix.bkt[id-ix.base] == uint8(BucketOf(v)) }
 
 // Span returns the ids of every indexed node whose value could lie in
 // [lo, hi]: the contents of the buckets intersecting the interval, in no
@@ -192,8 +145,7 @@ func (ix *Index) Span(lo, hi int64) []int32 {
 	if lo > hi {
 		return nil
 	}
-	bLo, bHi := BucketOf(lo), BucketOf(hi)
-	return ix.byBucket[ix.start[bLo]:ix.start[bHi+1]]
+	return ix.Members(BucketOf(lo), BucketOf(hi))
 }
 
 // AppendSorted appends Span(lo, hi) to dst in ascending id order, reusing

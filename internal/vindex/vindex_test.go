@@ -10,29 +10,29 @@ import (
 
 // checkInvariants verifies the full structural contract of the index
 // against a reference value vector: segment boundaries are monotone, every
-// id appears exactly once in byBucket, pos/bkt agree with the layout, and
+// id appears exactly once in ids, pos/bkt agree with the layout, and
 // each id sits in the bucket BucketOf(values[id]) demands.
 func checkInvariants(t *testing.T, ix *Index, base int, values []int64) {
 	t.Helper()
-	if len(ix.byBucket) != len(values) {
-		t.Fatalf("index holds %d ids, want %d", len(ix.byBucket), len(values))
+	if len(ix.ids) != len(values) {
+		t.Fatalf("index holds %d ids, want %d", len(ix.ids), len(values))
 	}
 	prev := int32(0)
 	for b, s := range ix.start {
-		if s < prev || int(s) > len(ix.byBucket) {
-			t.Fatalf("start[%d] = %d not monotone in [0, %d]", b, s, len(ix.byBucket))
+		if s < prev || int(s) > len(ix.ids) {
+			t.Fatalf("start[%d] = %d not monotone in [0, %d]", b, s, len(ix.ids))
 		}
 		prev = s
 	}
-	if ix.start[0] != 0 || ix.start[len(ix.start)-1] != int32(len(ix.byBucket)) {
+	if ix.start[0] != 0 || ix.start[len(ix.start)-1] != int32(len(ix.ids)) {
 		t.Fatalf("start endpoints = %d, %d", ix.start[0], ix.start[len(ix.start)-1])
 	}
-	seen := make(map[int32]bool, len(ix.byBucket))
+	seen := make(map[int32]bool, len(ix.ids))
 	for b := 0; b+1 < len(ix.start); b++ {
 		for p := ix.start[b]; p < ix.start[b+1]; p++ {
-			id := ix.byBucket[p]
+			id := ix.ids[p]
 			if seen[id] {
-				t.Fatalf("id %d appears twice in byBucket", id)
+				t.Fatalf("id %d appears twice in ids", id)
 			}
 			seen[id] = true
 			i := int(id) - base
@@ -40,10 +40,10 @@ func checkInvariants(t *testing.T, ix *Index, base int, values []int64) {
 				t.Fatalf("foreign id %d (base %d, n %d)", id, base, len(values))
 			}
 			if ix.pos[i] != p {
-				t.Fatalf("pos[%d] = %d, byBucket has it at %d", i, ix.pos[i], p)
+				t.Fatalf("pos[%d] = %d, ids has it at %d", i, ix.pos[i], p)
 			}
 			if int(ix.bkt[i]) != b {
-				t.Fatalf("bkt[%d] = %d, byBucket places it in %d", i, ix.bkt[i], b)
+				t.Fatalf("bkt[%d] = %d, ids places it in %d", i, ix.bkt[i], b)
 			}
 			if want := BucketOf(values[i]); want != b {
 				t.Fatalf("id %d value %d in bucket %d, want %d", id, values[i], b, want)

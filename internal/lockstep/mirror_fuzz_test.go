@@ -21,14 +21,73 @@ import (
 type eagerEngine struct {
 	*Engine
 	ref []nodecore.Node
+	// unicast marks the nodes whose filter a unicast assigned after the
+	// last rule that set their tag; shapes counts the rules delivered.
+	unicast []bool
+	shapes  ruleShapes
+}
+
+// ruleShapes counts delivered rules by what they do to the tag classes.
+type ruleShapes struct {
+	moved   int // some node's tag changes
+	partial int // some node's tag changes and a held tag keeps its nodes
+	smaller int // a tag's class receives a larger class than its own
+	empty   int // a tag the rule sets is held by no node after the retag
+	own     int // a node's unicast filter outlives the rule
 }
 
 func newEagerEngine(n int, seed uint64) *eagerEngine {
-	e := &eagerEngine{Engine: New(n, seed), ref: make([]nodecore.Node, n)}
+	e := &eagerEngine{Engine: New(n, seed), ref: make([]nodecore.Node, n), unicast: make([]bool, n)}
 	for i := range e.ref {
 		e.ref[i] = *nodecore.New(i)
 	}
 	return e
+}
+
+// count adds rule's shapes, read from the replay's nodes before it
+// applies, to e.shapes.
+func (e *eagerEngine) count(rule *wire.FilterRule) {
+	var before, after, into [wire.NumTags]int
+	own := false
+	for i, nd := range e.ref {
+		before[nd.Tag]++
+		to, _ := rule.Apply(nd.Tag, nd.Filter)
+		after[to]++
+		own = own || e.unicast[i] && !rule.Set[to]
+	}
+	moved, kept := false, false
+	for t, n := range before {
+		to := wire.Tag(t)
+		if rule.RetagSet[t] {
+			to = rule.Retag[t]
+		}
+		switch {
+		case n == 0:
+		case to == wire.Tag(t):
+			kept = true
+		default:
+			moved = true
+			into[to] = max(into[to], n)
+		}
+	}
+	smaller, empty := false, false
+	for t := range before {
+		smaller = smaller || before[t] > 0 && into[t] > before[t]
+		empty = empty || rule.Set[t] && after[t] == 0
+	}
+	e.shapes.moved += b2i(moved)
+	e.shapes.partial += b2i(moved && kept)
+	e.shapes.smaller += b2i(smaller)
+	e.shapes.empty += b2i(empty)
+	e.shapes.own += b2i(own)
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func (e *eagerEngine) Advance(values []int64) {
@@ -46,21 +105,25 @@ func (e *eagerEngine) AdvanceDirty(values []int64, dirty []int) {
 }
 
 func (e *eagerEngine) BroadcastRule(rule *wire.FilterRule) {
+	e.count(rule)
 	e.Engine.BroadcastRule(rule)
 	for i := range e.ref {
 		e.ref[i].ApplyFilterRule(rule)
+		e.unicast[i] = e.unicast[i] && !rule.Set[e.ref[i].Tag]
 	}
 }
 
 func (e *eagerEngine) SetFilter(id int, iv filter.Interval) {
 	e.Engine.SetFilter(id, iv)
 	e.ref[id].SetFilter(iv)
+	e.unicast[id] = true
 }
 
 func (e *eagerEngine) SetTagFilter(id int, t wire.Tag, iv filter.Interval) {
 	e.Engine.SetTagFilter(id, t, iv)
 	e.ref[id].SetTag(t)
 	e.ref[id].SetFilter(iv)
+	e.unicast[id] = true
 }
 
 func (e *eagerEngine) Reset(seed uint64) {
@@ -68,6 +131,7 @@ func (e *eagerEngine) Reset(seed uint64) {
 	for i := range e.ref {
 		e.ref[i].Reset()
 	}
+	clear(e.unicast)
 }
 
 // checkMirrorMatchesNodes asserts the engine's node state and violator set
@@ -117,82 +181,118 @@ func checkMirrorMatchesNodes(t *testing.T, e *eagerEngine) {
 // cover the shapes the protocols broadcast (fuzzRule): a two-tag filter
 // update, a retag of every tag to one, DENSE's round rule with its partial
 // S-set disbands, and one retag with one set, which may set a tag no node
-// holds.
+// holds; TestFilterMirrorSeedsReachRuleShapes holds the seeds to the
+// shapes the tag classes treat apart.
 func FuzzFilterMirror(f *testing.F) {
+	for _, sd := range filterMirrorSeeds {
+		f.Add(sd.plan, sd.script)
+	}
+	f.Fuzz(func(t *testing.T, planByte uint8, script []byte) { filterMirrorScript(t, planByte, script) })
+}
+
+// filterMirrorSeeds is FuzzFilterMirror's seed corpus.
+var filterMirrorSeeds = []struct {
+	plan   uint8
+	script []byte
+}{
 	// Delayed-assignment schedules in the PR 6 idiom: filter ops issued
 	// back-to-back with Advances so held ops land one step late, plus a
 	// reset mid-run and an empty-filter assignment.
-	f.Add(uint8(2), []byte{1, 10, 3, 0, 40, 1, 20, 5, 0, 41, 2, 7, 9, 0, 42})
-	f.Add(uint8(5), []byte{3, 8, 4, 0, 1, 3, 60, 0, 2, 4, 9, 1, 3, 3, 0, 5})
-	f.Add(uint8(0), []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 0, 9})
-	f.Add(uint8(7), []byte{1, 200, 200, 0, 0, 1, 200, 0, 0, 0, 3, 255, 0, 0})
+	{2, []byte{1, 10, 3, 0, 40, 1, 20, 5, 0, 41, 2, 7, 9, 0, 42}},
+	{5, []byte{3, 8, 4, 0, 1, 3, 60, 0, 2, 4, 9, 1, 3, 3, 0, 5}},
+	{0, []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 0, 9}},
+	{7, []byte{1, 200, 200, 0, 0, 1, 200, 0, 0, 0, 3, 255, 0, 0}},
 	// DENSE's partial S-set disbands: nodes in V1, V2 and the three S
 	// classes, then round rules disbanding S2, S1 and both.
-	f.Add(uint8(0), []byte{0, 10, 2, 1, 3, 5, 2, 2, 7, 6, 2, 3, 8, 7, 2, 4, 9, 4, 2, 5, 11, 3,
-		3, 148, 1, 5, 3, 150, 2, 5, 2, 6, 12, 7, 3, 152, 3, 5})
+	{0, []byte{0, 10, 2, 1, 3, 5, 2, 2, 7, 6, 2, 3, 8, 7, 2, 4, 9, 4, 2, 5, 11, 3,
+		3, 148, 1, 5, 3, 150, 2, 5, 2, 6, 12, 7, 3, 152, 3, 5}},
 	// A retag of every tag to V3 while V3 is the smaller class: the larger
 	// class keeps its slot and is relabelled.
-	f.Add(uint8(0), []byte{0, 10, 3, 94, 2, 2, 1, 3, 8, 2, 2, 6, 8, 3, 104, 8, 5, 0, 50, 3, 69, 2, 5})
+	{0, []byte{0, 10, 3, 94, 2, 2, 1, 3, 8, 2, 2, 6, 8, 3, 104, 8, 5, 0, 50, 3, 69, 2, 5}},
 	// A unicast between two rules: the node keeps its own filter through a
 	// rule that does not set its tag and takes the class filter of the next
 	// one that does.
-	f.Add(uint8(0), []byte{0, 20, 3, 30, 5, 1, 3, 40, 2, 3, 202, 3, 4, 4, 3, 0, 21, 3, 33, 2, 5})
+	{0, []byte{0, 20, 3, 30, 5, 1, 3, 40, 2, 3, 202, 3, 4, 4, 3, 0, 21, 3, 33, 2, 5}},
 	// A rule that sets a tag no node holds, a node that joins it by a
 	// unicast, and the next rule that sets it.
-	f.Add(uint8(0), []byte{0, 5, 3, 199, 7, 3, 0, 0, 2, 4, 12, 7, 3, 199, 7, 3, 0, 0, 5})
+	{0, []byte{0, 5, 3, 199, 7, 3, 0, 0, 2, 4, 12, 7, 3, 199, 7, 3, 0, 0, 5}},
+}
 
-	f.Fuzz(func(t *testing.T, planByte uint8, script []byte) {
-		const n, seed = 17, 1234
-		delays := [...]float64{0, 0.5, 1}
-		drops := [...]float64{0, 0.4}
-		plan := &faults.Plan{
-			Delay: delays[planByte%3],
-			Drop:  drops[(planByte/3)%2],
-		}
-		if planByte&0x40 != 0 {
-			plan.Crashes = []faults.Crash{{Node: 2, From: 2, Until: 5}}
-		}
-		e := newEagerEngine(n, seed)
-		w := faults.Wrap(e, plan, seed)
+// filterMirrorScript runs one FuzzFilterMirror script and returns the
+// shapes of the rules that reached the engine.
+func filterMirrorScript(t *testing.T, planByte uint8, script []byte) ruleShapes {
+	const n, seed = 17, 1234
+	delays := [...]float64{0, 0.5, 1}
+	drops := [...]float64{0, 0.4}
+	plan := &faults.Plan{
+		Delay: delays[planByte%3],
+		Drop:  drops[(planByte/3)%2],
+	}
+	if planByte&0x40 != 0 {
+		plan.Crashes = []faults.Crash{{Node: 2, From: 2, Until: 5}}
+	}
+	e := newEagerEngine(n, seed)
+	w := faults.Wrap(e, plan, seed)
 
-		next := func() byte {
-			if len(script) == 0 {
-				return 0
-			}
-			b := script[0]
-			script = script[1:]
-			return b
+	next := func() byte {
+		if len(script) == 0 {
+			return 0
 		}
-		vals := make([]int64, n)
-		for steps := 0; len(script) > 0 && steps < 4096; steps++ {
-			switch next() % 6 {
-			case 0: // new observations (small domain → frequent flips)
-				b := next()
-				for i := range vals {
-					vals[i] = int64(b)%64 + int64(i*7%64)
-				}
-				w.Advance(vals)
-			case 1: // unicast filter (possibly delayed or dropped)
-				id, lo, width := int(next())%n, int64(next())%64, int64(next())%8
-				w.SetFilter(id, filter.Make(lo, lo+width))
-			case 2: // tag+filter unicast, occasionally the empty interval
-				id, lo := int(next())%n, int64(next())%64
-				iv := filter.Make(lo, lo+4)
-				if lo%5 == 0 {
-					iv = filter.Make(9, 3) // empty: always violating
-				}
-				w.SetTagFilter(id, wire.Tag(int(next())%int(wire.NumTags)), iv)
-			case 3: // broadcast rule
-				w.BroadcastRule(fuzzRule(next))
-			case 4: // full reset: mirror must rewind with the nodes
-				w.Reset(uint64(next()))
-			default: // exercise the mirror-routed read paths
-				w.Sweep(wire.Violating())
-				w.DetectViolation()
+		b := script[0]
+		script = script[1:]
+		return b
+	}
+	vals := make([]int64, n)
+	for steps := 0; len(script) > 0 && steps < 4096; steps++ {
+		switch next() % 6 {
+		case 0: // new observations (small domain → frequent flips)
+			b := next()
+			for i := range vals {
+				vals[i] = int64(b)%64 + int64(i*7%64)
 			}
-			checkMirrorMatchesNodes(t, e)
+			w.Advance(vals)
+		case 1: // unicast filter (possibly delayed or dropped)
+			id, lo, width := int(next())%n, int64(next())%64, int64(next())%8
+			w.SetFilter(id, filter.Make(lo, lo+width))
+		case 2: // tag+filter unicast, occasionally the empty interval
+			id, lo := int(next())%n, int64(next())%64
+			iv := filter.Make(lo, lo+4)
+			if lo%5 == 0 {
+				iv = filter.Make(9, 3) // empty: always violating
+			}
+			w.SetTagFilter(id, wire.Tag(int(next())%int(wire.NumTags)), iv)
+		case 3: // broadcast rule
+			w.BroadcastRule(fuzzRule(next))
+		case 4: // full reset: mirror must rewind with the nodes
+			w.Reset(uint64(next()))
+		default: // exercise the mirror-routed read paths
+			w.Sweep(wire.Violating())
+			w.DetectViolation()
 		}
-	})
+		checkMirrorMatchesNodes(t, e)
+	}
+	return e.shapes
+}
+
+// TestFilterMirrorSeedsReachRuleShapes: FuzzFilterMirror's seeds deliver
+// rules of every shape the tag classes treat apart — one that moves nodes,
+// a partial retag that keeps a held tag's nodes in place, one whose target
+// class is smaller than a class retagged into it, one that sets a tag no
+// node holds, and one that a unicast filter outlives.
+func TestFilterMirrorSeedsReachRuleShapes(t *testing.T) {
+	var sum ruleShapes
+	for _, sd := range filterMirrorSeeds {
+		got := filterMirrorScript(t, sd.plan, sd.script)
+		sum.moved += got.moved
+		sum.partial += got.partial
+		sum.smaller += got.smaller
+		sum.empty += got.empty
+		sum.own += got.own
+	}
+	if sum.moved == 0 || sum.partial == 0 || sum.smaller == 0 || sum.empty == 0 || sum.own == 0 {
+		t.Fatalf("the seeds deliver rules of shapes %+v; want every shape", sum)
+	}
+	t.Logf("rule shapes delivered: %+v", sum)
 }
 
 // fuzzRule decodes one broadcast rule of FuzzFilterMirror. Its first byte

@@ -101,7 +101,7 @@ func Routable(p wire.Pred) bool {
 // over the buckets, an id's group being the bucket of its value. The zero
 // value is not usable; construct with New.
 type Index struct {
-	Groups
+	g   Groups
 	bkt []uint8 // bkt[id-base] is the id's bucket
 }
 
@@ -109,7 +109,7 @@ type Index struct {
 // state engine construction and Reset leave every node in.
 func New(base, n int) *Index {
 	ix := &Index{bkt: make([]uint8, n)}
-	ix.init(base, n, numBuckets)
+	ix.g.init(base, n, numBuckets)
 	return ix
 }
 
@@ -117,7 +117,7 @@ func New(base, n int) *Index {
 // node state after an engine Reset. It reuses the arrays and allocates
 // nothing.
 func (ix *Index) Reset() {
-	ix.Groups.Reset()
+	ix.g.Reset()
 	clear(ix.bkt)
 }
 
@@ -125,16 +125,16 @@ func (ix *Index) Reset() {
 // when its magnitude class changed (Groups.Move): O(|bucket distance|),
 // and never allocating.
 func (ix *Index) Update(id int, v int64) {
-	i := id - ix.base
+	i := id - ix.g.base
 	if b := uint8(BucketOf(v)); b != ix.bkt[i] {
-		ix.Move(id, int(ix.bkt[i]), int(b))
+		ix.g.Move(id, int(ix.bkt[i]), int(b))
 		ix.bkt[i] = b
 	}
 }
 
 // Holds reports whether node id's bucket is the one a value of v has, so
 // that Update(id, v) would move nothing.
-func (ix *Index) Holds(id int, v int64) bool { return ix.bkt[id-ix.base] == uint8(BucketOf(v)) }
+func (ix *Index) Holds(id int, v int64) bool { return ix.bkt[id-ix.g.base] == uint8(BucketOf(v)) }
 
 // Span returns the ids of every indexed node whose value could lie in
 // [lo, hi]: the contents of the buckets intersecting the interval, in no
@@ -145,7 +145,7 @@ func (ix *Index) Span(lo, hi int64) []int32 {
 	if lo > hi {
 		return nil
 	}
-	return ix.Members(BucketOf(lo), BucketOf(hi))
+	return ix.g.Members(BucketOf(lo), BucketOf(hi))
 }
 
 // AppendSorted appends Span(lo, hi) to dst in ascending id order, reusing

@@ -14,23 +14,23 @@ import (
 // each id sits in the bucket BucketOf(values[id]) demands.
 func checkInvariants(t *testing.T, ix *Index, base int, values []int64) {
 	t.Helper()
-	if len(ix.ids) != len(values) {
-		t.Fatalf("index holds %d ids, want %d", len(ix.ids), len(values))
+	if len(ix.g.ids) != len(values) {
+		t.Fatalf("index holds %d ids, want %d", len(ix.g.ids), len(values))
 	}
 	prev := int32(0)
-	for b, s := range ix.start {
-		if s < prev || int(s) > len(ix.ids) {
-			t.Fatalf("start[%d] = %d not monotone in [0, %d]", b, s, len(ix.ids))
+	for b, s := range ix.g.start {
+		if s < prev || int(s) > len(ix.g.ids) {
+			t.Fatalf("start[%d] = %d not monotone in [0, %d]", b, s, len(ix.g.ids))
 		}
 		prev = s
 	}
-	if ix.start[0] != 0 || ix.start[len(ix.start)-1] != int32(len(ix.ids)) {
-		t.Fatalf("start endpoints = %d, %d", ix.start[0], ix.start[len(ix.start)-1])
+	if ix.g.start[0] != 0 || ix.g.start[len(ix.g.start)-1] != int32(len(ix.g.ids)) {
+		t.Fatalf("start endpoints = %d, %d", ix.g.start[0], ix.g.start[len(ix.g.start)-1])
 	}
-	seen := make(map[int32]bool, len(ix.ids))
-	for b := 0; b+1 < len(ix.start); b++ {
-		for p := ix.start[b]; p < ix.start[b+1]; p++ {
-			id := ix.ids[p]
+	seen := make(map[int32]bool, len(ix.g.ids))
+	for b := 0; b+1 < len(ix.g.start); b++ {
+		for p := ix.g.start[b]; p < ix.g.start[b+1]; p++ {
+			id := ix.g.ids[p]
 			if seen[id] {
 				t.Fatalf("id %d appears twice in ids", id)
 			}
@@ -39,8 +39,8 @@ func checkInvariants(t *testing.T, ix *Index, base int, values []int64) {
 			if i < 0 || i >= len(values) {
 				t.Fatalf("foreign id %d (base %d, n %d)", id, base, len(values))
 			}
-			if ix.pos[i] != p {
-				t.Fatalf("pos[%d] = %d, ids has it at %d", i, ix.pos[i], p)
+			if ix.g.pos[i] != p {
+				t.Fatalf("pos[%d] = %d, ids has it at %d", i, ix.g.pos[i], p)
 			}
 			if int(ix.bkt[i]) != b {
 				t.Fatalf("bkt[%d] = %d, ids places it in %d", i, ix.bkt[i], b)

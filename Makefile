@@ -7,7 +7,7 @@ BENCHTIME ?= 300ms
 FUZZTIME ?= 10s
 SERVE_ADDR ?= 127.0.0.1:7070
 
-.PHONY: all build fmt-check vet api-check test race fuzz check cover bench smoke serve
+.PHONY: all build fmt-check vet api-check test race fuzz check cover bench smoke serve lines
 
 all: check
 
@@ -53,7 +53,7 @@ race:
 # with the float coin it replaces, the sweep sampler's sender ranks
 # (strictly ascending below the matcher count, every rank without a draw
 # in the final round, no allocation), the Pred.Bounds value-routing contract,
-# the filter-interval mirror's no-desync obligation and the max-find active
+# the violator set's no-desync obligation and the max-find active
 # list's agreement with a replay of the per-node max-find handlers under
 # fault injection (a raise left pending across the next op), the HTTP
 # frontend's all-or-nothing batch-decode path and the batch decoder's
@@ -76,7 +76,7 @@ fuzz:
 
 # cover prints per-package statement coverage for the engine-core packages
 # the violation-routing test matrix concentrates on — the node core with
-# its Shard (the one writer of node state), the index + mirror, both
+# its Shard (the one writer of node state), the index and its groups, both
 # engines, and the fault layer — plus the paper's protocols that run on
 # them (DENSE/SUB's case analysis is covered by its own script tests), the
 # sketch leaf and the item layer that stands on it.
@@ -108,6 +108,17 @@ bench:
 # what it answered before. Exit 1 on any failed check.
 smoke:
 	$(GO) run ./benchmark -seconds 1 -trace 0
+
+# lines prints the Go lines added, removed and net since BASE (a commit),
+# split into source and _test.go files, from git diff --numstat between
+# BASE and the working tree, which counts a new file once it is staged
+# (git add): `make lines BASE=<commit>`. CHANGES.md reports these counts.
+lines:
+	@test -n "$(BASE)" || { echo "usage: make lines BASE=<commit>"; exit 2; }
+	@git diff --numstat $(BASE) -- '*.go' | awk ' \
+		$$3 ~ /_test\.go$$/ { ta += $$1; tr += $$2; next } \
+		{ sa += $$1; sr += $$2 } \
+		END { printf "source +%d -%d (net %+d)\ntests  +%d -%d (net %+d)\n", sa, sr, sa - sr, ta, tr, ta - tr }'
 
 # serve runs the multi-tenant HTTP frontend on $(SERVE_ADDR) with the
 # stock per-server defaults (override via topkd flags, see cmd/topkd).

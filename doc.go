@@ -74,7 +74,9 @@
 //     offline.SigmaMax, and cmd/topkmon hold one Scratch per run.
 //   - The one server (cluster.Server) reuses its sweep buffer and
 //     double-buffers Collect results; see the ownership contract on
-//     cluster.Cluster. Inspector
+//     cluster.Cluster. A Collect is a sweep's round 0 in which every
+//     matcher sends, so both engines evaluate and price a predicate on one
+//     path (nodecore.Shard.Resolve, ResolveSize). Inspector
 //     has FiltersInto for per-step filter reads into caller scratch.
 //   - A committed step costs its dirty set, not n: the facade lists the
 //     nodes a batch staged and hands the engine that delta
@@ -86,7 +88,9 @@
 //   - Both engines keep their nodes in nodecore.Shard and route
 //     Sweep/Collect through its structures: a
 //     value-bucket index (updated at each install of a node's value) for
-//     the predicate's wire.Pred.Bounds interval, the violator set for the
+//     the predicate's wire.Pred.Bounds interval, the violator set (a bit
+//     per row and a two-group vindex.Groups, rechecked at every change of
+//     a value or filter) for the
 //     violation predicate, the max-find active list (edited by the three
 //     MaxFind* broadcasts) for the max-find predicate — so scan cost tracks
 //     the matcher count σ rather than n (BenchmarkSweepSelectivity,
@@ -101,12 +105,14 @@
 //   - The live engine runs m worker shards (default GOMAXPROCS; see
 //     live.WithShards), each owning a contiguous range of nodes and its
 //     bucket partition. Each call completes at the nodes before it returns;
-//     Probe, Collect and sweep replies land in per-shard report lists, and
-//     a sweep nobody matches ends after its first round, with no
-//     steady-state allocation. The engine prices every call in node visits
-//     and runs the ones too small to repay a goroutine wake-up on the
-//     caller, so a quiet step wakes nobody (BenchmarkLiveGrain has the
-//     crossover). See the internal/live package docs for the dispatch.
+//     unicasts, max-find raises and exclusions, and every report read
+//     (Probe, and a sweep's or Collect's senders) run on the caller, and a
+//     sweep nobody matches ends after its first round, with no
+//     steady-state allocation. The engine prices each of its other calls
+//     in node visits and runs the ones too small to repay a goroutine
+//     wake-up on the caller, so a quiet step wakes nobody
+//     (BenchmarkLiveGrain has the crossover). See the internal/live
+//     package docs for the dispatch.
 //   - Protocols reuse broadcast FilterRules (engines apply rules before
 //     returning) and their set/output scratch buffers.
 //   - offline.Solve reuses envelope and solver buffers and materialises a

@@ -40,30 +40,34 @@
 //
 // # Selectivity of Sweep and Collect
 //
-// Both node sides hold their nodes in nodecore.Shard, which keeps three
-// routing structures in step with every node mutation (its doc comment
-// states that contract once for both engines). Sweep and Collect route
-// through a value-bucket index (internal/vindex) keyed by
+// A Collect is round 0 of a sweep in which every matcher sends: the Server
+// runs both as Nodes.Resolve, the one place the node side evaluates a
+// predicate, and reads the reports through Nodes.Senders — at the ranks it
+// draws for a sweep, at every rank for a Collect. Both node sides hold
+// their nodes in nodecore.Shard, which keeps three routing structures in
+// step with every node mutation (its doc comment states that contract once
+// for both engines), and Resolve routes through them. Interval predicates
+// go through a value-bucket index (internal/vindex) keyed by
 // wire.Pred.Bounds: only nodes whose values can possibly match the
 // predicate's interval are visited, so the engines' internal scan cost
-// tracks the plausible-matcher count σ rather than n. Violation sweeps —
-// whose matches depend on per-node filters, not value bounds — are routed
-// through the violator set (vindex.Mirror): the server assigns every
-// filter, so the shard re-evaluates a node against its filter whenever
-// either changes, making the scheduled quiet-step violation sweep O(1)
-// server-side work. Max-find sweeps (AboveActive, at any threshold) are
-// routed through the list of max-find-active nodes, which the three
-// MaxFind* broadcasts — the flag's only writers — keep. Each primitive
-// resolves its predicate once: a sweep's rounds draw their senders over
-// the nodes that matched in round 0, and a sweep nobody matches bills its
-// γ+1 rounds and does no other work than its round 0 (one node round on the
-// live engine). All routing is an implementation property with NO
-// protocol-visible effect — the model's message costs stated on each
-// method, the report contents and id order, the rounds billed and every
-// draw are identical to a full scan repeated every round (nodes
-// outside the candidates could not have matched or sent, and node state
-// cannot change while a sweep runs). Only
-// tag predicates (HasTag) and domain-covering InRange intervals scan all
+// tracks the plausible-matcher count σ rather than n. The violation
+// predicate — whose matches depend on per-node filters, not value bounds —
+// goes through the violator set (a vindex.Groups whose group 1 holds the
+// violators): the server assigns every filter, so the shard rechecks a node
+// against its filter whenever either changes, making the scheduled
+// quiet-step violation sweep O(1) server-side work. The max-find
+// predicate (AboveActive, at any threshold) goes through the list of
+// max-find-active nodes, which the three MaxFind* broadcasts — the flag's
+// only writers — keep. Each primitive resolves its predicate once: a
+// sweep's rounds draw their senders over the nodes that matched in round 0,
+// and a sweep nobody matches bills its γ+1 rounds and does no other work
+// than its round 0 (one node round on the live engine). All routing is an
+// implementation property with NO protocol-visible effect — the model's
+// message costs stated on each method, the report contents and id order,
+// the rounds billed and every draw are identical to a full scan repeated
+// every round (nodes outside the candidates could not have matched or
+// sent, and node state cannot change while a sweep runs). Only tag
+// predicates (HasTag) and domain-covering InRange intervals scan all
 // nodes, the documented fallback. Protocols should therefore prefer
 // interval predicates over tag collects when either formulation is
 // available.

@@ -38,12 +38,11 @@ type Nodes interface {
 	SetTagFilter(id int, t wire.Tag, iv filter.Interval)
 	// Probe returns node id's report.
 	Probe(id int) wire.Report
-	// Collect appends the reports of the nodes matching p to dst.
-	Collect(dst []wire.Report, p wire.Pred) []wire.Report
 	// Resolve is round 0 of an EXISTENCE sweep for p: every node
 	// evaluates p, and the nodes keep their matchers for the sweep's later
 	// rounds. It returns their number M; the matchers' ranks 0..M−1 are
-	// their places in id order.
+	// their places in id order. A Collect is the same round with every
+	// matcher sending: Resolve, then Senders at every rank.
 	Resolve(p wire.Pred) int
 	// Senders appends to dst the reports of the matchers of the last
 	// Resolve at the given ranks, which ascend and lie below its M, so
@@ -76,6 +75,7 @@ type Server struct {
 	maxV  int64         // running Δ for message-size accounting
 	gaps  nodecore.Gaps // the EXISTENCE rounds' threshold tables over n
 	ranks []int32       // a sweep's sender ranks, reused
+	every []int32       // every[r] = r: the ranks of a round every matcher sends in
 
 	// sweepBuf backs the slices Sweep returns; collectBufs double-buffer
 	// Collect so protocols holding one Collect result across a second
@@ -210,14 +210,15 @@ func (s *Server) Probe(id int) wire.Report {
 	return s.nodes.Probe(id)
 }
 
-// Collect implements Cluster. Results alternate between two server-owned
+// Collect implements Cluster: a sweep's round 0 in which every matcher
+// sends (everyMatcher). Results alternate between two server-owned
 // buffers, honouring the contract that a Collect result survives exactly
 // one further Collect.
 func (s *Server) Collect(p wire.Pred) []wire.Report {
 	s.count(metrics.Broadcast, wire.KindCollect)
 	s.ctr.Rounds(1)
 	s.fallback(p)
-	out := s.nodes.Collect(s.collectBufs[s.collectIdx][:0], p)
+	out := s.everyMatcher(s.collectBufs[s.collectIdx][:0], p)
 	for range out {
 		s.count(metrics.NodeToServer, wire.KindCollectReply)
 	}
@@ -267,7 +268,7 @@ func (s *Server) Sweep(p wire.Pred) []wire.Report {
 // sweep — the baseline against which Lemma 3.1's O(1) expectation wins.
 func (s *Server) directSweep(p wire.Pred) []wire.Report {
 	s.ctr.Rounds(1)
-	senders := s.nodes.Collect(s.sweepBuf[:0], p)
+	senders := s.everyMatcher(s.sweepBuf[:0], p)
 	for range senders {
 		s.count(metrics.NodeToServer, wire.KindExistenceReport)
 	}
@@ -276,6 +277,17 @@ func (s *Server) directSweep(p wire.Pred) []wire.Report {
 		return nil
 	}
 	return senders
+}
+
+// everyMatcher appends to dst the reports of p's matchers in id order: a
+// sweep's round 0 (Resolve) in which every matcher sends, read at every
+// rank.
+func (s *Server) everyMatcher(dst []wire.Report, p wire.Pred) []wire.Report {
+	m := s.nodes.Resolve(p)
+	for len(s.every) < m {
+		s.every = append(s.every, int32(len(s.every)))
+	}
+	return s.nodes.Senders(dst, s.every[:m])
 }
 
 // DetectViolation implements Cluster: one violation sweep; among the

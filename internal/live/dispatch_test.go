@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"topkmon/internal/cluster"
 	"topkmon/internal/eps"
 	"topkmon/internal/filter"
 	"topkmon/internal/lockstep"
@@ -152,6 +153,58 @@ func TestSmallRuleWakesNobody(t *testing.T) {
 	}
 }
 
+// TestUnicastsRunOnCaller: a unicast and MaxFindExclude are one node visit
+// at the shard owning the node, so they run on the caller at any grain —
+// even grain 0, where a BroadcastRule wakes all m workers — and leave the
+// node a lockstep twin holds.
+func TestUnicastsRunOnCaller(t *testing.T) {
+	const n, m = 16, 4
+	c := New(n, 9, WithShards(m), WithGrain(0))
+	defer c.Close()
+	ref := lockstep.New(n, 9)
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(100 * i)
+	}
+	c.Advance(vals)
+	ref.Advance(vals)
+	for _, e := range []cluster.Engine{c, ref} {
+		e.MaxFindInit(-1, true)
+	}
+	for _, call := range []struct {
+		name  string
+		do    func(e cluster.Engine)
+		wakes int64
+	}{
+		{"SetFilter", func(e cluster.Engine) { e.SetFilter(5, filter.AtMost(99)) }, 0},
+		{"SetTagFilter", func(e cluster.Engine) { e.SetTagFilter(9, wire.TagV2, filter.AtLeast(1000)) }, 0},
+		{"Probe", func(e cluster.Engine) {
+			if rep := e.Probe(5); rep.Value != 500 || rep.Dir != filter.DirUp {
+				t.Errorf("Probe(5) = %+v, want value 500 above its filter", rep)
+			}
+		}, 0},
+		{"MaxFindExclude", func(e cluster.Engine) { e.MaxFindExclude(13) }, 0},
+		{"BroadcastRule", func(e cluster.Engine) {
+			e.BroadcastRule(new(wire.FilterRule).With(wire.TagV2, filter.AtMost(1000)))
+		}, m},
+	} {
+		w0 := c.d.wakes
+		call.do(c)
+		call.do(ref)
+		if got := c.d.wakes - w0; got != call.wakes {
+			t.Errorf("%s at grain 0 woke %d workers, want %d", call.name, got, call.wakes)
+		}
+		for id := range n {
+			if got, want := c.Node(id), ref.Node(id); got != want {
+				t.Fatalf("after %s node %d is %+v, lockstep's %+v", call.name, id, got, want)
+			}
+		}
+	}
+	if got, want := c.Sweep(wire.AboveActive(-1)), ref.Sweep(wire.AboveActive(-1)); !reflect.DeepEqual(got, want) {
+		t.Errorf("after the exclusion the max-find sweep reports %v, lockstep %v", got, want)
+	}
+}
+
 // TestMixedDispatch alternates calls on both sides of the grain inside one
 // run — dense and sparse installs, whole-cluster and routed collects, sweeps
 // whose later rounds shrink below it — and holds the engine to a lockstep
@@ -224,7 +277,7 @@ func TestMixedDispatch(t *testing.T) {
 		for _, p := range []wire.Pred{
 			wire.InRange(lo, lo+40),        // routed, a few candidates
 			wire.HasTag(wire.TagNone),      // unroutable: n visits
-			wire.Violating(),               // the mirror's set
+			wire.Violating(),               // the violator set
 			wire.InRange(0, eps.MaxValue),  // domain-covering: n visits
 			wire.AboveActive(lo),           // the active lists
 			wire.InRange(lo+100, lo+10000), // one bucket or two

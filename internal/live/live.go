@@ -22,14 +22,11 @@
 // Each shard is a nodecore.Shard: the nodes of its id range and the routing
 // structures over them, kept in step by the Shard's own mutators (its doc
 // comment has the contract), so every call that changes a node is one
-// Shard call per shard. A Collect and round 0 of an EXISTENCE sweep route
-// their predicate through those structures and fall back to the full shard
-// scan only for tag predicates or domain-covering intervals. Server-side
-// work per Collect is O(m + matches) — each shard publishes its matches
-// into the shard's report list, which the server concatenates in shard
-// order — not O(n).
+// Shard call per shard. Round 0 of an EXISTENCE sweep routes its predicate
+// through those structures and falls back to the full shard scan only for
+// tag predicates or domain-covering intervals.
 //
-// # Sweeps
+// # Sweeps and Collects
 //
 // A sweep is one call to the shards, Resolve, and one walk on the caller,
 // Senders. Resolve is round 0: it addresses every shard, and each keeps
@@ -42,62 +39,66 @@
 // shards' kept lengths, which the parked workers leave alone, and reads
 // each sender's report from its shard. Rounds past 0 dispatch nothing, and
 // the ranks, drawn without looking at the shards, are the same at every
-// shard count.
+// shard count. A Collect is round 0 with every matcher sending: the
+// server's Resolve, then Senders at every rank, so it costs one node round
+// and its reports are read on the caller.
 //
 // # Dispatch
 //
 // Each call has run on every shard it addresses when it returns, as each
 // of the model's rounds completes at the nodes before the next message is
-// sent. A unicast addresses the shard owning its node, a delta Advance the
-// shards owning one of its ids, and every other call every shard. Who runs
-// a call depends on its price in node visits: one per unicast, len(ids)
-// for a delta Advance and n for a dense one, for ApplyRule the nodes its
-// retag moves plus its set classes' violators and walks, or n when it
-// takes the pass over the rows (nodecore.Shard.RuleVisits), n for Reset, n/8
-// for a MaxFindInit below 0 (it copies ids, it tests no node), the summed
-// index span at a floor the value index routes and n at any other floor,
-// and the shards' scan size for a Collect or a sweep's Resolve — the
-// active lists' lengths for a max-find sweep, which pay for the
-// compaction a pending raise leaves them (nodecore.Shard), and none for
-// one whose active lists the floor watermark keeps whole. A
-// MaxFindRaise only records the raise in each shard and always runs on
-// the caller. Below parallelGrain — about what one barrier costs, in
-// visits — the caller runs exec itself over every shard, in ascending
-// order, and no goroutine is woken; at or above it every addressed worker
-// gets one signal, runs exec over its own shard beside the others, and
-// decrements an atomic countdown, and whoever brings it to zero lets the
-// caller return. The barrier tokens have no model cost, so this is
+// sent. Five kinds of call go through the dispatch (opKind): Advance,
+// ApplyRule, Resolve, MaxFindInit and Reset. A delta Advance addresses the
+// shards owning one of its ids, every other one of them every shard. Who
+// runs such a call depends on its price in node visits: len(ids) for a
+// delta Advance and n for a dense one, for ApplyRule the nodes its retag
+// moves plus its set classes' violators and walks, or n when it takes the
+// pass over the rows (nodecore.Shard.RuleVisits), n for Reset, n/8 for a
+// MaxFindInit below 0 (it copies ids, it tests no node), the summed index
+// span at a floor the value index routes and n at any other floor, and the
+// shards' summed nodecore.Shard.ResolveSize for a Resolve — the active
+// lists' lengths for a max-find sweep, which pay for the compaction a
+// pending raise leaves them, and none for one whose active lists the floor
+// watermark keeps whole. Below parallelGrain — about what one barrier
+// costs, in visits — the caller runs exec itself over every shard, in
+// ascending order, and no goroutine is woken; at or above it every
+// addressed worker gets one signal, runs exec over its own shard beside the
+// others, and decrements an atomic countdown, and whoever brings it to zero
+// lets the caller return. The barrier tokens have no model cost, so this is
 // scheduling only: a quiet step or a late max-find round over a few
 // hundred nodes is not worth two goroutine hand-offs, a dense Advance or
 // the first compaction of a max-find at n = 10⁵ is. Close stops the
 // workers by closing their signal channels.
 //
-// Between two calls every worker is parked: it was either not signalled or
-// has passed the countdown of the last call it ran, and it touches nothing
-// until its next signal. So the caller may read the shard-owned lengths a
-// price needs, run exec on any shard, record a raise in every shard
-// (MaxFindRaise), and read the nodes (Node, AppendFilters, Senders)
+// Every other call runs on the caller, whatever the grain: the unicasts
+// (SetFilter, SetTagFilter, Probe) and MaxFindExclude, each one visit at
+// the shard owning its node; MaxFindRaise, which only records the raise in
+// each shard; and the reads (Senders, AppendFilters, Node). Between two
+// calls every worker is parked: it was either not signalled or has passed
+// the countdown of the last call it ran, and it touches nothing until its
+// next signal. So the caller may read the shard-owned lengths a price
+// needs, run exec or any Shard method on any shard, and read the nodes
 // between calls; the next signal a worker receives orders those accesses
 // before its own.
 //
 // A call's arguments are read in place — the caller's value vector, id
-// list and rule — since nothing reads them after the call returns. The
-// report lists are engine-owned and reused, like the server's report
-// buffers: the steady state allocates nothing under either dispatch
-// (asserted by TestLiveStepAllocs and tracked by BenchmarkLiveStep).
-// Report-slice ownership follows the cluster.Cluster contract — a Collect
-// result survives exactly one further Collect, a Sweep result only until the
-// next Sweep.
+// list and rule — since nothing reads them after the call returns. Every
+// report is read on the caller into the server's buffers (Probe, Senders),
+// and the steady state allocates nothing under either dispatch (asserted
+// by TestLiveStepAllocs and tracked by BenchmarkLiveStep). Report-slice
+// ownership follows the cluster.Cluster contract — a Collect result
+// survives exactly one further Collect, a Sweep result only until the next
+// Sweep.
 //
 // # Semantics
 //
 // Billing and every draw are the server's, so they are the lockstep
 // engine's by construction; what remains to match is the node work. Shards
 // visit their candidate nodes in ascending id order and cover ascending id
-// ranges, so concatenated reports — and a sweep's matchers, whose ranks
-// the server draws over — are in id order, as in lockstep. Nodes draw
-// nothing. Both dispatches run the same exec over the same disjoint
-// shards, so which one ran a call shows in nothing but time. A live run
+// ranges, so a sweep's matchers, whose ranks the server draws over, and the
+// reports Senders reads at those ranks are in id order, as in lockstep.
+// Nodes draw nothing. Both dispatches run the same exec over the same
+// disjoint shards, so which one ran a call shows in nothing but time. A live run
 // with the same seed therefore reproduces the lockstep run's counters,
 // outputs and server stream state bit for bit — for every shard count and
 // on either side of the grain — asserted by the cross-engine equivalence
@@ -125,25 +126,17 @@ type opKind uint8
 const (
 	opAdvance opKind = iota
 	opApplyRule
-	opSetFilter
-	opSetTagFilter
-	opProbe
-	opCollect
 	opResolve
 	opMaxInit
-	opMaxExclude
 	opReset
 )
 
 // op is the call being run: its kind and the caller's arguments.
 type op struct {
 	kind   opKind
-	id     int     // the node a unicast or MaxFindExclude names
 	values []int64 // Advance
 	ids    []int   // Advance: the delta's ids, nil for every node
 	rule   *wire.FilterRule
-	iv     filter.Interval
-	tag    wire.Tag
 	pred   wire.Pred
 	v      int64 // MaxFindInit's floor
 	reset  bool
@@ -180,8 +173,10 @@ func WithShards(m int) Option {
 	return func(c *config) { c.shards = m }
 }
 
-// WithGrain replaces parallelGrain for one engine: 0 sends every call
-// through the workers, math.MaxInt runs every call on the caller.
+// WithGrain replaces parallelGrain for one engine: 0 sends every call that
+// goes through the dispatch (Advance, ApplyRule, Resolve, MaxFindInit,
+// Reset) to the workers, math.MaxInt runs every call on the caller. The
+// calls that always run on the caller (see "Dispatch") do so at any grain.
 // White-box scaffolding for tests and benchmarks, like Node — it keeps
 // both dispatches under test at sizes where the constant would pick one —
 // and not a tuning knob: nothing outside _test.go files calls it, and no
@@ -204,14 +199,11 @@ type dispatcher struct {
 	m int // worker (shard) count
 
 	// shards[w] is the node range worker w owns (nodecore.Shard states the
-	// node-mutation contract), outs[w] the report list exec publishes its
-	// Probe and Collect replies into, in id order. Both are
-	// written only inside a call, by whoever runs exec for w, and read by
-	// the caller between calls. A shard keeps the matchers of the running
-	// sweep (Shard.Kept), resolved in round 0, which Senders reads on the
-	// caller.
+	// node-mutation contract), written inside a call by whoever runs exec
+	// for w, and by the caller itself for the calls it always runs. A
+	// shard keeps the matchers of the running sweep or Collect
+	// (Shard.Kept), resolved in round 0, which Senders reads on the caller.
 	shards   []*nodecore.Shard
-	outs     [][]wire.Report
 	workerOf []int32 // node id → owning worker index
 
 	// op is the call being run; the caller writes it, whoever runs exec
@@ -259,7 +251,6 @@ func New(n int, seed uint64, opts ...Option) *Cluster {
 		n:        n,
 		m:        m,
 		shards:   make([]*nodecore.Shard, m),
-		outs:     make([][]wire.Report, m),
 		workerOf: make([]int32, n),
 		owns:     make([]bool, m),
 		grain:    cfg.grain,
@@ -276,7 +267,6 @@ func New(n int, seed uint64, opts ...Option) *Cluster {
 			size++
 		}
 		d.shards[w] = nodecore.NewShard(base, size)
-		d.outs[w] = make([]wire.Report, 0, nodecore.ReportCap)
 		for i := base; i < base+size; i++ {
 			d.workerOf[i] = int32(w)
 		}
@@ -317,11 +307,10 @@ func (d *dispatcher) worker(w int) {
 }
 
 // exec is the one executor of a call: it runs d.op on the shards of
-// [lo, hi) the call addresses and publishes the replies — the caller passes
-// every shard, a worker its own. A unicast goes straight to its node's
-// shard, which lies in the range of whoever runs it. A delta Advance walks
-// its ids once, so on the caller it costs len(ids), not m·len(ids). For
-// Advance it returns the largest value installed.
+// [lo, hi) the call addresses — the caller passes every shard, a worker its
+// own. A delta Advance walks its ids once, so on the caller it costs
+// len(ids), not m·len(ids). For Advance it returns the largest value
+// installed.
 func (d *dispatcher) exec(lo, hi int) (top int64) {
 	o := &d.op
 	switch o.kind {
@@ -344,17 +333,6 @@ func (d *dispatcher) exec(lo, hi int) (top int64) {
 		for _, sh := range d.shards[lo:hi] {
 			sh.ApplyRule(o.rule)
 		}
-	case opSetFilter:
-		d.owner(o.id).SetFilter(o.id, o.iv)
-	case opSetTagFilter:
-		d.owner(o.id).SetTagFilter(o.id, o.tag, o.iv)
-	case opProbe:
-		w := d.workerOf[o.id]
-		d.outs[w] = append(d.outs[w][:0], d.shards[w].Probe(o.id))
-	case opCollect:
-		for w := lo; w < hi; w++ {
-			d.outs[w] = d.shards[w].Collect(d.outs[w][:0], o.pred)
-		}
 	case opResolve:
 		for _, sh := range d.shards[lo:hi] {
 			sh.Resolve(o.pred)
@@ -363,8 +341,6 @@ func (d *dispatcher) exec(lo, hi int) (top int64) {
 		for _, sh := range d.shards[lo:hi] {
 			sh.MaxFindInit(o.v, o.reset)
 		}
-	case opMaxExclude:
-		d.owner(o.id).MaxFindExclude(o.id)
 	case opReset:
 		for _, sh := range d.shards[lo:hi] {
 			sh.Reset()
@@ -376,24 +352,19 @@ func (d *dispatcher) exec(lo, hi int) (top int64) {
 // owner returns the shard holding node id.
 func (d *dispatcher) owner(id int) *nodecore.Shard { return d.shards[d.workerOf[id]] }
 
-// addressed reports whether d.op reaches worker w's shard.
+// addressed reports whether d.op reaches worker w's shard: a delta Advance
+// reaches the shards owning one of its ids, every other call every shard.
 func (d *dispatcher) addressed(w int) bool {
-	o := &d.op
-	switch o.kind {
-	case opAdvance:
-		return o.ids == nil || d.owns[w]
-	case opSetFilter, opSetTagFilter, opProbe, opMaxExclude:
-		return int(d.workerOf[o.id]) == w
-	}
-	return true
+	return d.op.kind != opAdvance || d.op.ids == nil || d.owns[w]
 }
 
 // run executes d.op, priced at visits node visits, on every shard it
 // addresses and returns when all of them are done. Below the grain it runs
 // exec here, since waking a worker costs more than the call does, and
 // returns exec's result; otherwise every addressed worker gets one signal,
-// and run returns 0. After Close every call that reaches the nodes comes
-// through here, and it panics: the workers it would signal have exited.
+// and run returns 0. After Close it panics, as every call that reaches the
+// nodes on the caller does (checkAlive): the workers it would signal have
+// exited.
 //
 // Happens-before, worker dispatch: the caller's writes to d.op and the
 // shards precede a worker's reads (signal channel send/receive). The
@@ -419,15 +390,6 @@ func (d *dispatcher) run(visits int) (top int64) {
 		<-d.done
 	}
 	return 0
-}
-
-// scanSize is what routing p visits over all shards; n if p is unroutable.
-func (d *dispatcher) scanSize(p wire.Pred) int {
-	size := 0
-	for _, sh := range d.shards {
-		size += sh.ScanSize(p)
-	}
-	return size
 }
 
 // resolveSize is what resolving p visits over all shards.
@@ -483,36 +445,23 @@ func (d *dispatcher) ApplyRule(rule *wire.FilterRule) {
 	d.run(visits)
 }
 
-// SetFilter implements cluster.Nodes.
+// SetFilter implements cluster.Nodes on the caller, with the workers
+// parked, against the shard owning id: one node visit never repays a wake-up.
 func (d *dispatcher) SetFilter(id int, iv filter.Interval) {
-	d.op = op{kind: opSetFilter, id: id, iv: iv}
-	d.run(1)
+	d.checkAlive()
+	d.owner(id).SetFilter(id, iv)
 }
 
-// SetTagFilter implements cluster.Nodes.
+// SetTagFilter implements cluster.Nodes on the caller, like SetFilter.
 func (d *dispatcher) SetTagFilter(id int, t wire.Tag, iv filter.Interval) {
-	d.op = op{kind: opSetTagFilter, id: id, tag: t, iv: iv}
-	d.run(1)
+	d.checkAlive()
+	d.owner(id).SetTagFilter(id, t, iv)
 }
 
-// Probe implements cluster.Nodes: the reply is the one report the target's
-// shard publishes.
+// Probe implements cluster.Nodes on the caller, like SetFilter.
 func (d *dispatcher) Probe(id int) wire.Report {
-	d.op = op{kind: opProbe, id: id}
-	d.run(1)
-	return d.outs[d.workerOf[id]][0]
-}
-
-// Collect implements cluster.Nodes: every shard routes p through its own
-// structures, and the per-shard match lists are concatenated in shard order
-// (= id order), so gather cost is O(m + matches) rather than O(n).
-func (d *dispatcher) Collect(dst []wire.Report, p wire.Pred) []wire.Report {
-	d.op = op{kind: opCollect, pred: p}
-	d.run(d.scanSize(p))
-	for _, reps := range d.outs {
-		dst = append(dst, reps...)
-	}
-	return dst
+	d.checkAlive()
+	return d.owner(id).Probe(id)
 }
 
 // Resolve implements cluster.Nodes: every shard keeps its matchers of p,
@@ -561,7 +510,7 @@ func (d *dispatcher) MaxFindInit(floor int64, reset bool) {
 // MaxFindRaise implements cluster.Nodes on the caller, with the workers
 // parked: each shard only records the raise, and the compaction that
 // applies it is paid by the next call that reads the active lists, a
-// sweep's Resolve priced by the lists' lengths before it (ScanSize).
+// sweep's Resolve priced by the lists' lengths before it (ResolveSize).
 func (d *dispatcher) MaxFindRaise(holder int, best int64) {
 	d.checkAlive()
 	for _, sh := range d.shards {
@@ -569,13 +518,13 @@ func (d *dispatcher) MaxFindRaise(holder int, best int64) {
 	}
 }
 
-// MaxFindExclude implements cluster.Nodes.
+// MaxFindExclude implements cluster.Nodes on the caller, like SetFilter.
 func (d *dispatcher) MaxFindExclude(id int) {
-	d.op = op{kind: opMaxExclude, id: id}
-	d.run(1)
+	d.checkAlive()
+	d.owner(id).MaxFindExclude(id)
 }
 
-// Reset implements cluster.Nodes; the workers and report lists are kept.
+// Reset implements cluster.Nodes; the workers are kept.
 func (d *dispatcher) Reset() {
 	d.op = op{kind: opReset}
 	d.run(d.n)

@@ -141,8 +141,8 @@ func (e *eagerEngine) Reset(seed uint64) {
 // the replay's node, and the set holds nothing else. A single divergence
 // would make mirror-routed violation sweeps return different reports than
 // a full scan, or a node answer with another filter than the model's. The
-// shard's ScanList of the violation predicate is the mirror's set in id
-// order, its ScanSize the set's count.
+// shard's ScanList of the violation predicate is the violator set in id
+// order, its ResolveSize the set's count.
 func checkMirrorMatchesNodes(t *testing.T, e *eagerEngine) {
 	t.Helper()
 	set := e.sh.ScanList(wire.Violating())
@@ -164,7 +164,7 @@ func checkMirrorMatchesNodes(t *testing.T, e *eagerEngine) {
 				id, got, violating, want.Value, want.Filter)
 		}
 	}
-	if got := e.sh.ScanSize(wire.Violating()); got != violators {
+	if got := e.sh.ResolveSize(wire.Violating()); got != violators {
 		t.Fatalf("mirror holds %d violators, the nodes have %d", got, violators)
 	}
 }

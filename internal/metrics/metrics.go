@@ -64,7 +64,7 @@ type Counters struct {
 	// node-local tags the server does not index) and domain-covering
 	// InRange intervals, where routing could prune nothing. Violation
 	// sweeps do not fall back: they are resolved from the engines'
-	// filter-interval mirror (vindex.Mirror), so a quiet-step run holds
+	// violator set (a vindex.Groups in nodecore.Shard), so a quiet-step run holds
 	// this counter flat (asserted by the quiet-step regression tests). Nor,
 	// since PR 13, do max-find sweeps at any threshold: AboveActive(-1),
 	// which used to be billed here once per max-find run, is served from

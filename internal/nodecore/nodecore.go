@@ -92,7 +92,9 @@ func (nd Node) Report() wire.Report {
 
 // Match evaluates a broadcastable predicate against node-local state. For
 // the max-find predicate that is the (value, id) test alone: whether the
-// node is active is its Shard's to say (Shard.MaxFind).
+// node is active is its Shard's to say (Shard.MaxFind). No program calls
+// it — a Shard evaluates predicates in Keep, one loop per kind — and it is
+// the per-node oracle the tests hold Keep to.
 func (nd Node) Match(p wire.Pred) bool {
 	switch p.Kind {
 	case wire.PredViolating:

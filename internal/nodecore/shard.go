@@ -39,9 +39,10 @@ func badValue(id int, v int64) {
 
 // Shard owns the nodes of the id range [base, base+n) together with the
 // structures the engines route predicates through: the value-bucket index
-// (vindex.Index), the violator set (vindex.Mirror) and the id-ordered list
-// of the max-find-active nodes, and the tag classes a node's tag and
-// filter are derived from. It is the node side of a cluster engine (it
+// (vindex.Index), the violator set (a vindex.Groups whose group 1 holds the
+// violators, beside a bit in each row) and the id-ordered list of the
+// max-find-active nodes, and the tag classes a node's tag and filter are
+// derived from. It is the node side of a cluster engine (it
 // implements cluster.Nodes): the lockstep engine is a cluster.Server over
 // one Shard of all its nodes, the live engine runs the same calls over one
 // Shard per worker. Which predicates route through which structure, and
@@ -50,7 +51,9 @@ func badValue(id int, v int64) {
 //
 // A node is a row: the rows are one []row, and every list the Shard keeps
 // or returns (the active list, the routed candidates, the full scan, the
-// kept matchers) is a []int32 of absolute ids. Node returns a copy of one
+// kept matchers) is a []int32 of absolute ids. One method, recheck, keeps a
+// node's violator bit and its group in the violator set; every mutator that
+// can change whether a node violates calls it. Node returns a copy of one
 // node, its tag and filter derived as below.
 //
 // # Tag classes
@@ -73,7 +76,9 @@ func badValue(id int, v int64) {
 // whose new tag the rule does not set takes its filter along as its own.
 // It costs the nodes moved. The set phase gives each class the rule sets
 // its filter under one new generation, rechecks the violators of those
-// classes, and finds their new violators by walking, per class, the
+// classes (a forward walk over the violator group, which a cleared
+// violator leaves by swapping with the group's first member, one the walk
+// has passed), and finds their new violators by walking, per class, the
 // cheaper of its members and the value-index spans outside its new
 // interval — or, when the walks together would visit more than two thirds
 // of the rows, by one read-only pass over them (plan).
@@ -115,7 +120,7 @@ func badValue(id int, v int64) {
 //     (InitVisits), from that span, filtered and then sorted; at any
 //     other floor by a pass that tests values.
 //   - MaxFindRaise only records (holder, best). The next reader of the
-//     active list — ScanList, Keep, Collect, Install or Advance,
+//     active list — ScanList, Keep, Install or Advance,
 //     MaxFindExclude, or another raise — applies it in one compaction that
 //     drops the holder and every node not above (best, holder) in the
 //     max-find order (wire.Above: value, then id), so the raise is
@@ -144,7 +149,9 @@ func badValue(id int, v int64) {
 // runs, so a sweep resolves its matchers once (Resolve: Keep over
 // ScanList), and the server, which draws each round's sender ranks over
 // them, reads the reports at those ranks of the kept list (Senders,
-// KeptReport). An active step costs its matchers once and its senders, not
+// KeptReport). A Collect is the same round 0 read at every rank, so Resolve
+// is the one place a predicate is evaluated and ResolveSize its one price.
+// An active step costs its matchers once and its senders, not
 // candidates × rounds. Every candidate list comes from ScanList, which
 // also counts the candidates (Visited) and obeys the FullScan ablation. A
 // Shard is not safe for concurrent use; the live engine hands each one to
@@ -156,7 +163,7 @@ type Shard struct {
 	ids  []int32           // every id in order: the full scan
 
 	idx    *vindex.Index
-	mir    *vindex.Mirror
+	vio    *vindex.Groups // group 1 holds the violators, group 0 the rest
 	active []int32
 	// (floor, floorID) is under every active node's (value, id) in the
 	// max-find order, or floor is noFloor.
@@ -193,15 +200,17 @@ type Shard struct {
 	raiseBest   int64
 }
 
-// row is one node's own state: its value, its class slot, and the
-// generation of its own filter (Shard.own), the one its last unicast
-// assigned or a retag that moved it kept. The own filters live apart from
-// the rows, since a node in a class a rule set later never reads its own,
-// and the passes that read values scan rows of 16 bytes.
+// row is one node's own state: its value, its class slot, the generation
+// of its own filter (Shard.own), the one its last unicast assigned or a
+// retag that moved it kept, and whether it violates its filter, its group
+// in the violator set. The own filters live apart from the rows, since a
+// node in a class a rule set later never reads its own, and the passes
+// that read values scan rows of 16 bytes.
 type row struct {
 	value int64
 	gen   uint32
 	slot  uint8
+	vio   bool
 }
 
 // class is one class slot's label, the tag its nodes hold, and its class
@@ -226,7 +235,7 @@ func NewShard(base, n int) *Shard {
 		own:     make([]filter.Interval, n),
 		ids:     make([]int32, n),
 		idx:     vindex.New(base, n),
-		mir:     vindex.NewMirror(base, n),
+		vio:     vindex.NewGroups(base, n, 2),
 		active:  make([]int32, 0, n),
 		byClass: vindex.NewGroups(base, n, int(wire.NumTags)),
 		cand:    make([]int32, 0, n),
@@ -289,13 +298,21 @@ func (s *Shard) install(id int, v int64) {
 	}
 	i := id - s.base
 	s.rows[i].value = v
-	// The per-update path: the index and the mirror are called only when
-	// the node's bucket or its violator bit changes, both tested inline.
+	// The per-update path: the index is called only when the node's bucket
+	// changes, tested inline, and recheck only moves a changed bit.
 	if !s.idx.Holds(id, v) {
 		s.idx.Update(id, v)
 	}
-	if f := s.filterAt(i); f.Contains(v) == s.mir.Violating(id) {
-		s.mir.Set(id, v, f)
+	s.recheck(i, s.filterAt(i))
+}
+
+// recheck sets the violator bit of the node in row i to whether its value
+// lies outside iv, its filter, and moves the node into the violator set's
+// group the bit names when the bit changes.
+func (s *Shard) recheck(i int, iv filter.Interval) {
+	if r := &s.rows[i]; iv.Contains(r.value) == r.vio {
+		r.vio = !r.vio
+		s.vio.Move(s.base+i, b2i(!r.vio), b2i(r.vio))
 	}
 }
 
@@ -403,9 +420,9 @@ func (s *Shard) RuleVisits(r *wire.FilterRule) int {
 	visits := p.moved
 	switch {
 	case p.pass:
-		visits += s.mir.NumViolating() + len(s.rows)
+		visits += s.vio.Len(1) + len(s.rows)
 	case p.set:
-		visits += s.mir.NumViolating() + p.walk
+		visits += s.vio.Len(1) + p.walk
 	}
 	return visits
 }
@@ -459,17 +476,18 @@ func (s *Shard) setClasses(r *wire.FilterRule, p *rulePlan) {
 			s.classes[c].iv, s.classes[c].gen = r.ByTag[t], gen
 		}
 	}
-	vio := s.mir.Violators()
-	for j := len(vio) - 1; j >= 0; j-- {
-		id := int(vio[j])
-		if c := s.rows[id-s.base].slot; set[c] {
-			s.mir.Set(id, s.rows[id-s.base].value, s.classes[c].iv)
+	// A violator the recheck clears swaps with the group's first member,
+	// which this forward walk has passed, so it visits each violator once.
+	for _, id := range s.vio.Members(1, 1) {
+		i := int(id) - s.base
+		if c := s.rows[i].slot; set[c] {
+			s.recheck(i, s.classes[c].iv)
 		}
 	}
 	if p.pass {
 		for i := range s.rows {
-			if c := s.rows[i].slot; set[c] && !s.classes[c].iv.Contains(s.rows[i].value) {
-				s.mir.Set(s.base+i, s.rows[i].value, s.classes[c].iv)
+			if c := s.rows[i].slot; set[c] {
+				s.recheck(i, s.classes[c].iv)
 			}
 		}
 		return
@@ -505,12 +523,12 @@ func (s *Shard) spanOutside(iv filter.Interval) int {
 	return n
 }
 
-// addViolators adds to the violator set the nodes of ids in slot c whose
-// value lies outside the class filter iv.
+// addViolators rechecks the nodes of ids in slot c against its class
+// filter iv, adding those whose value lies outside it to the violator set.
 func (s *Shard) addViolators(ids []int32, c int, iv filter.Interval) {
 	for _, id := range ids {
-		if r := &s.rows[int(id)-s.base]; !iv.Contains(r.value) && int(r.slot) == c {
-			s.mir.Set(int(id), r.value, iv)
+		if i := int(id) - s.base; int(s.rows[i].slot) == c {
+			s.recheck(i, iv)
 		}
 	}
 }
@@ -542,7 +560,7 @@ func (s *Shard) nextGen() uint32 {
 func (s *Shard) SetFilter(id int, iv filter.Interval) {
 	i := id - s.base
 	s.own[i], s.rows[i].gen = iv, s.gen
-	s.mir.Set(id, s.rows[i].value, iv)
+	s.recheck(i, iv)
 }
 
 // SetTagFilter applies a unicast tag and filter assignment to node id.
@@ -727,7 +745,7 @@ func (s *Shard) Reset() {
 	}
 	s.gen = 0
 	s.idx.Reset()
-	s.mir.Reset()
+	s.vio.Reset()
 	s.active = s.active[:0]
 	s.excl = s.excl[:0]
 	s.raised = false
@@ -759,7 +777,8 @@ func (s *Shard) ScanList(p wire.Pred) []int32 {
 	case p.Kind == wire.PredAboveActive:
 		scan = s.active
 	case p.Kind == wire.PredViolating:
-		s.cand = s.mir.AppendViolators(s.cand[:0])
+		s.cand = append(s.cand[:0], s.vio.Members(1, 1)...)
+		slices.Sort(s.cand)
 		scan = s.cand
 	default:
 		lo, hi, _ := p.Bounds()
@@ -771,44 +790,36 @@ func (s *Shard) ScanList(p wire.Pred) []int32 {
 }
 
 // Visited returns the cumulative number of candidates ScanList has
-// returned since construction or the last Reset: per Collect or sweep, the
-// size of its scan list, once, since a sweep resolves its matchers in its
-// first round and its rounds visit no further candidate. A max-find
+// returned since construction or the last Reset: per Resolve, the size of
+// its scan list, once, since a sweep resolves its matchers in its first
+// round and its rounds visit no further candidate, and a Collect is a
+// sweep's round 0. A max-find
 // scan the floor watermark keeps whole counts in full, though no node is
 // tested. Work accounting for measuring the routing's selectivity
 // (experiment E12), not message cost.
 func (s *Shard) Visited() int64 { return s.visited }
 
-// ScanSize returns the node visits routing p costs, read from the
+// ResolveSize returns the node visits Resolve(p) costs, read from the
 // structures' lengths without building a list: len(ScanList(p)), except
-// that with a raise pending the max-find predicate's is the length of the
-// active list before ScanList's compaction, which visits every id of it.
-// The live engine prices a Collect with it before deciding who runs the
-// call.
-func (s *Shard) ScanSize(p wire.Pred) int {
-	if !vindex.Routable(p) {
-		return len(s.rows)
-	}
-	switch p.Kind {
-	case wire.PredAboveActive:
-		return len(s.active)
-	case wire.PredViolating:
-		return s.mir.NumViolating()
-	default:
-		lo, hi, _ := p.Bounds()
-		return len(s.idx.Span(lo, hi))
-	}
-}
-
-// ResolveSize returns the node visits Resolve(p) costs: ScanSize(p),
-// except that a max-find resolve the floor watermark keeps whole, with no
-// raise pending, tests no node and costs none. The live engine prices a
-// sweep's Resolve with it.
+// for the max-find predicate, where it is the length of the active list
+// before ScanList applies a pending raise, whose compaction visits every id
+// of it, and 0 when no raise is pending and the floor watermark keeps the
+// list whole, since then no node is tested. The live engine prices a
+// Resolve, and so a Collect, with it before deciding who runs the call.
 func (s *Shard) ResolveSize(p wire.Pred) int {
-	if p.Kind == wire.PredAboveActive && !s.raised && !s.FullScan && s.keepsWhole(p) {
-		return 0
+	switch {
+	case s.FullScan || !vindex.Routable(p):
+		return len(s.rows)
+	case p.Kind == wire.PredAboveActive:
+		if !s.raised && s.keepsWhole(p) {
+			return 0
+		}
+		return len(s.active)
+	case p.Kind == wire.PredViolating:
+		return s.vio.Len(1)
 	}
-	return s.ScanSize(p)
+	lo, hi, _ := p.Bounds()
+	return len(s.idx.Span(lo, hi))
 }
 
 // Keep evaluates p once on every node of scan, which ascends, and keeps
@@ -918,21 +929,6 @@ func (s *Shard) KeptReport(i int) wire.Report { return s.report(int(s.kept[i]) -
 func (s *Shard) Senders(dst []wire.Report, ranks []int32) []wire.Report {
 	for _, r := range ranks {
 		dst = append(dst, s.KeptReport(int(r)))
-	}
-	return dst
-}
-
-// Collect appends the reports of p's matchers to dst in ascending id order.
-// It routes through ScanList like a sweep but leaves the kept list alone.
-// Only a max-find scan under FullScan holds inactive nodes, and only there
-// is a node's activity looked up.
-func (s *Shard) Collect(dst []wire.Report, p wire.Pred) []wire.Report {
-	scan := s.ScanList(p)
-	allActive := p.Kind != wire.PredAboveActive || s.isActive(scan)
-	for _, id := range scan {
-		if nd := s.Node(int(id)); nd.Match(p) && (allActive || s.onList(int(id))) {
-			dst = append(dst, nd.Report())
-		}
 	}
 	return dst
 }

@@ -13,7 +13,11 @@ package vindex
 //     subslice of ids, since adjacent groups are contiguous in it.
 //
 // Index is Groups over the value buckets; nodecore.Shard keeps a second
-// one over its tag classes.
+// one over its tag classes and a third, of two groups, whose group 1 is its
+// violator set. Move swaps an id leaving a group downwards with the
+// group's first member, so a forward walk over a group's Members that
+// moves only ids it has visited into the group below still visits every
+// original member once.
 type Groups struct {
 	base int
 

@@ -30,16 +30,19 @@
 // the span — which is what makes index-routed sweeps byte-identical to full
 // scans (asserted by the lockstep index property tests).
 //
-// # Filter-interval mirror
+// # Groups
 //
-// The violation predicate (PredViolating) has no value bounds — a match
+// The index is one use of Groups, a fixed partition of the ids into g
+// groups held in the same grouped layout; nodecore.Shard keeps two more.
+// One is over its tag classes. The other is its violator set: the
+// violation predicate (PredViolating) has no value bounds — a match
 // depends on each node's assigned filter — so bucket routing alone cannot
-// serve it. But every filter is server-assigned, so the owner of the nodes
-// re-evaluates a node's (value, filter) pair at each change of either
-// (Mirror) and maintains the exact violator set incrementally.
+// serve it, but every filter is server-assigned, so the Shard rechecks a
+// node's (value, filter) pair at each change of either and keeps the
+// violators in group 1 of a two-group partition, exactly.
 //
-// Both structures hold ids, never nodes. The nodes, the max-find active
-// list and the routing policy over all three live in nodecore.Shard, whose
+// Groups hold ids, never nodes. The nodes, the max-find active list and
+// the routing policy over all the structures live in nodecore.Shard, whose
 // doc comment states when each entry is re-derived.
 package vindex
 
@@ -79,8 +82,8 @@ func FullRange(lo, hi int64) bool {
 }
 
 // Routable reports whether predicate p can be served from the engines'
-// routing structures: the violation predicate from the filter-interval
-// Mirror, the max-find predicate from nodecore.Shard's active list (at every
+// routing structures: the violation predicate from nodecore.Shard's
+// violator set, the max-find predicate from nodecore.Shard's active list (at every
 // threshold, AboveActive(-1) included), interval predicates from the
 // value-bucket Index when their Bounds do not cover the whole domain. The
 // negation is exactly the full node scan both engines count through

@@ -151,7 +151,7 @@ type Pred struct {
 // for predicates decided by non-value node state — PredViolating (per-node
 // filters) and PredHasTag (tags). PredViolating is nevertheless routable:
 // filters are server-assigned, so the engines resolve it from their
-// filter-interval mirror (vindex.Mirror) instead of these bounds; only
+// violator set (a vindex.Groups in nodecore.Shard) instead of these bounds; only
 // PredHasTag (and domain-covering PredInRange intervals) still take the
 // full node scan.
 func (p Pred) Bounds() (lo, hi int64, ok bool) {

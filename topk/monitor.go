@@ -376,7 +376,7 @@ type Cost struct {
 	// back to a full node scan (engine-side work, not message cost). Only
 	// tag predicates and domain-covering intervals full-scan; violation
 	// sweeps — once the dominant source — are routed through the engines'
-	// filter-interval mirror, so a settled monitor's quiet steps hold this
+	// violator set, so a settled monitor's quiet steps hold this
 	// counter flat (a regression test pins that on both engines).
 	IndexFallbacks int64 `json:"indexFallbacks"`
 	// Fault-layer accounting, all zero without WithFaults: messages the

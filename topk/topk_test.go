@@ -150,8 +150,8 @@ func TestHeartbeatFlushIsQuiet(t *testing.T) {
 }
 
 // TestQuietFlushNoIndexFallbacks is the facade-level quiet-step regression
-// for the filter-interval mirror: once the monitor has settled, heartbeat
-// flushes with unchanged values drain violations via mirror-routed sweeps,
+// for the violator set: once the monitor has settled, heartbeat
+// flushes with unchanged values drain violations via routed sweeps,
 // so Cost.IndexFallbacks must not move — on either engine. A regression to
 // full-scan violation sweeps would not move this counter (full scans forced
 // by routing policy bill fallbacks only for unroutable predicates), but a

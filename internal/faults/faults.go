@@ -84,8 +84,8 @@ const NoRetries = -1
 
 // Crash takes one node down for a window of committed steps: the node is
 // unreachable (and silent) during steps t with From ≤ t < Until, where the
-// first committed step is step 1. Windows of distinct Crash entries for the
-// same node may not overlap.
+// first committed step is step 1. A node with several Crash entries is
+// down during the union of their windows, which may overlap.
 type Crash struct {
 	Node int
 	// From is the first committed step (1-based) the node is down for.
@@ -163,7 +163,7 @@ func (p *Plan) Validate(n int) error {
 		name string
 		v    float64
 	}{{"Drop", p.Drop}, {"Dup", p.Dup}, {"Delay", p.Delay}} {
-		if r.v < 0 || r.v > 1 {
+		if !(r.v >= 0 && r.v <= 1) { // false for NaN too
 			return fmt.Errorf("faults: %s rate %v outside [0, 1]", r.name, r.v)
 		}
 	}

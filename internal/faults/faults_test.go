@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -11,11 +12,11 @@ import (
 
 // TestCrashWindowSemantics: during its window a crashed node reports
 // nothing and probes serve the stale pre-crash cache; after the window it
-// reports again.
+// reports again. A node with overlapping windows is down for their union.
 func TestCrashWindowSemantics(t *testing.T) {
 	const n, seed = 4, 7
 	w := Wrap(lockstep.New(n, seed), &Plan{
-		Crashes: []Crash{{Node: 2, From: 2, Until: 4}},
+		Crashes: []Crash{{Node: 2, From: 2, Until: 4}, {Node: 1, From: 5, Until: 7}, {Node: 1, From: 6, Until: 8}},
 	}, seed)
 
 	vals := []int64{10, 20, 30, 40}
@@ -51,6 +52,24 @@ func TestCrashWindowSemantics(t *testing.T) {
 		t.Fatalf("collect after recovery returned %d reports, want %d", len(reps), n)
 	}
 	w.EndStep()
+
+	// Node 1's windows [5, 7) and [6, 8) overlap: it is down at steps 5-7,
+	// and the end of the first window leaves its cache frozen.
+	vals[1] = 77
+	for step := int64(5); step <= 8; step++ {
+		w.Advance(vals)
+		down, cached := step < 8, int64(77)
+		if down {
+			cached = 20
+		}
+		if w.Crashed(1) != down {
+			t.Fatalf("step %d: Crashed(1) = %v, want %v", step, !down, down)
+		}
+		if got := w.Probe(1); got.Value != cached {
+			t.Fatalf("step %d: probe of node 1 = %d, want %d", step, got.Value, cached)
+		}
+		w.EndStep()
+	}
 }
 
 // TestDeltaRefreshesCacheAtWindowEnd: the stale-probe cache follows only the
@@ -185,6 +204,11 @@ func TestPlanValidate(t *testing.T) {
 	}
 	if err := (&Plan{Drop: 1.5}).Validate(4); err == nil {
 		t.Error("rate > 1 accepted")
+	}
+	for _, p := range []*Plan{{Drop: math.NaN()}, {Dup: math.NaN()}, {Delay: math.NaN()}} {
+		if err := p.Validate(4); err == nil {
+			t.Errorf("NaN rate accepted: %+v", *p)
+		}
 	}
 	if err := (&Plan{Crashes: []Crash{{Node: 4, From: 1, Until: 2}}}).Validate(4); err == nil {
 		t.Error("out-of-range crash node accepted")

@@ -77,6 +77,18 @@ func TestTenantLifecycle(t *testing.T) {
 	wantStatus(t, do(t, s, "PUT", "/v1/neg", `{"k":-1}`), http.StatusBadRequest)
 	wantStatus(t, do(t, s, "PUT", "/v1/neg", `{"engine":"vax"}`), http.StatusBadRequest)
 	wantStatus(t, do(t, s, "PUT", "/v1/neg", `{"unknown":1}`), http.StatusBadRequest)
+	// So is a config its algorithm cannot run (k = n, or ε = 0 under
+	// Approx and HalfEps), on either engine, and it leaves no tenant.
+	for _, body := range []string{
+		`{"nodes":4,"k":4}`,
+		`{"nodes":4,"k":4,"engine":"live"}`,
+		`{"eps":"0/1"}`,
+		`{"eps":"0/1","engine":"live","monitor":"half-eps"}`,
+	} {
+		wantStatus(t, do(t, s, "PUT", "/v1/neg", body), http.StatusBadRequest)
+	}
+	wantStatus(t, do(t, s, "GET", "/v1/neg", ""), http.StatusNotFound)
+	wantStatus(t, do(t, s, "PUT", "/v1/whole", `{"nodes":4,"k":4,"monitor":"naive"}`), http.StatusCreated)
 
 	// Ingest three steps: one batch, one staged pair via update+flush shape
 	// (the update route always commits the batch as one step), one
@@ -182,6 +194,12 @@ func TestLazyCreationAndLimits(t *testing.T) {
 	if len(list) != 2 || list[0].Name != "a" || list[1].Name != "c" {
 		t.Fatalf("tenant list = %+v", list)
 	}
+
+	// Defaults the algorithm cannot run fail every lazy creation with 400.
+	bad := newTestServer(t, Options{Defaults: Config{Nodes: 8, K: 2, Eps: "0/1", Engine: "live"}, Lazy: true})
+	wantStatus(t, do(t, bad, "POST", "/v1/a/update", `[{"node":0,"value":1}]`), http.StatusBadRequest)
+	wantStatus(t, do(t, bad, "POST", "/v1/a/flush", ""), http.StatusBadRequest)
+	wantStatus(t, do(t, bad, "GET", "/v1/a", ""), http.StatusNotFound)
 }
 
 // TestUpdateRejections pins the ingest route's error envelope: bad

@@ -141,12 +141,23 @@ func FuzzSpaceSaving(f *testing.F) {
 	f.Add(uint8(1), []byte{0, 1, 0, 0, 1, 0, 1, 1, 0})
 	f.Add(uint8(8), []byte{5, 10, 0, 5, 10, 0, 7, 1, 0, 9, 3, 0, 11, 2, 0})
 	f.Add(uint8(2), []byte{1, 255, 0, 2, 128, 0, 3, 127, 0, 1, 0, 0})
+	// One counter, weighted arrivals: decrement rounds that absorb an
+	// arrival and ones that leave a remainder.
+	f.Add(uint8(0), []byte{0, 5, 0, 1, 3, 0, 2, 9, 0, 0, 2, 0, 1, 1, 0})
 	f.Fuzz(func(t *testing.T, capSel uint8, data []byte) {
 		capacity := int(capSel)%24 + 1
 		fuzzSummary(t, NewSpaceSaving(capacity), data, true)
 		// Misra-Gries shares the counter-table machinery; fuzz it in the
 		// same session under the dual (never-over-estimate) invariant.
 		fuzzSummary(t, NewMisraGries(capacity), data, false)
+		// And replay the tape into the map-based reference, comparing
+		// every estimate, the tracked set and Heavy after every op.
+		m, r := NewMisraGries(capacity), newRefMisraGries(capacity)
+		for _, op := range decodeOps(data) {
+			m.Observe(op.item, op.delta)
+			r.observe(op.item, op.delta)
+			checkMisraGriesView(t, m, r, 48)
+		}
 	})
 }
 

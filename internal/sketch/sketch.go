@@ -1,11 +1,14 @@
 // Package sketch provides allocation-free-after-construction streaming
 // summaries of item-frequency streams: Space-Saving, Misra-Gries, and
-// Count-Min, behind one Summary interface. They are the per-node state of
-// the heavy-hitter item-monitoring layer (topk/items): each distributed
-// node summarises its local item stream in O(capacity) memory, and the
-// per-item estimates feed the paper's top-k-position monitor as scalar
-// node values (the distributed top-k/k-select setting of arXiv:1709.07259
-// over the node-value model of arXiv:1410.7912).
+// Count-Min, behind one Summary interface. Misra-Gries with c counters is
+// read off a Space-Saving summary with c+1 (each counter minus the
+// minimum), so the two deterministic summaries share one implementation.
+// They are the per-node state of the heavy-hitter item-monitoring layer
+// (topk/items): each distributed node summarises its local item stream in
+// O(capacity) memory, and the per-item estimates feed the paper's
+// top-k-position monitor as scalar node values (the distributed
+// top-k/k-select setting of arXiv:1709.07259 over the node-value model of
+// arXiv:1410.7912).
 //
 // Contracts shared by every Summary, pinned by the unit and fuzz suites:
 //
@@ -89,8 +92,9 @@ func hashSeed(seed uint64, i int) uint64 {
 // --- fixed-capacity open-addressing index (item -> slot) ---
 //
 // Linear probing over a power-of-two table with backward-shift deletion:
-// no tombstones, no growth, no allocation after construction. Both the
-// counter-based sketches use it to find an item's slot in O(1) expected.
+// no tombstones, no growth, no allocation after construction. Space-Saving
+// (hence Misra-Gries) and Count-Min's keeper use it to find an item's slot
+// in O(1) expected.
 
 type oaTable struct {
 	mask uint64

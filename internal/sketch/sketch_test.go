@@ -1,8 +1,11 @@
 package sketch
 
 import (
+	"cmp"
 	"math"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -345,6 +348,139 @@ func TestMisraGriesDecrementAccounting(t *testing.T) {
 	}
 	if eb := errorBound(m); eb != 3 {
 		t.Fatalf("decrs = %d, want 3", eb)
+	}
+}
+
+// refMisraGries is the textbook weighted Misra-Gries summary over a map,
+// the oracle of the Space-Saving view: an arrival that finds no free
+// counter decrements every counter and itself by the smallest of them (or
+// by what is left of its weight), drops the counters that reach zero, and
+// repeats until it is absorbed or finds room.
+type refMisraGries struct {
+	c     int
+	cnt   map[uint64]int64
+	total int64
+	decrs int64
+	split int // arrivals cut down by a decrement round that then took a counter
+}
+
+func newRefMisraGries(c int) *refMisraGries {
+	return &refMisraGries{c: c, cnt: make(map[uint64]int64)}
+}
+
+func (r *refMisraGries) observe(item uint64, delta int64) {
+	if delta <= 0 {
+		return
+	}
+	r.total += delta
+	for decremented := false; delta > 0; decremented = true {
+		if _, ok := r.cnt[item]; ok || len(r.cnt) < r.c {
+			if decremented {
+				r.split++
+			}
+			r.cnt[item] += delta
+			return
+		}
+		d := delta
+		for _, v := range r.cnt {
+			d = min(d, v)
+		}
+		r.decrs += d
+		delta -= d
+		for it, v := range r.cnt {
+			if v == d {
+				delete(r.cnt, it)
+			} else {
+				r.cnt[it] = v - d
+			}
+		}
+	}
+}
+
+// heavy lists every counter in Heavy's order (count descending, item
+// ascending), each with the shared decrement bound as its Err.
+func (r *refMisraGries) heavy() []Counter {
+	out := make([]Counter, 0, len(r.cnt))
+	for it, v := range r.cnt {
+		out = append(out, Counter{Item: it, Count: v, Err: r.decrs})
+	}
+	sort.Slice(out, func(a, b int) bool {
+		return out[a].Count > out[b].Count || out[a].Count == out[b].Count && out[a].Item < out[b].Item
+	})
+	return out
+}
+
+// checkMisraGriesView compares m with the reference r: Total, the
+// untracked estimate, Estimate and its bound for every item of
+// [0, universe) and an unseen one, Tracked as a set, and Heavy(k) for
+// every k up to one past the capacity.
+func checkMisraGriesView(t *testing.T, m *MisraGries, r *refMisraGries, universe uint64) {
+	t.Helper()
+	if m.Total() != r.total {
+		t.Fatalf("%s: Total %d, reference %d", m.Name(), m.Total(), r.total)
+	}
+	if u, uniform := m.UntrackedEstimate(); u != 0 || !uniform {
+		t.Fatalf("%s: UntrackedEstimate (%d, %v), want (0, true)", m.Name(), u, uniform)
+	}
+	for i := uint64(0); i <= universe; i++ {
+		item := i
+		if i == universe {
+			item = unseen
+		}
+		if est, bound := m.Estimate(item); est != r.cnt[item] || bound != r.decrs {
+			t.Fatalf("%s: Estimate(%d) = (%d, %d), reference (%d, %d)", m.Name(), item, est, bound, r.cnt[item], r.decrs)
+		}
+	}
+	want := r.heavy()
+	tracked := m.Tracked(nil)
+	slices.SortFunc(tracked, func(a, b Counter) int { return cmp.Compare(a.Item, b.Item) })
+	byItem := slices.Clone(want)
+	slices.SortFunc(byItem, func(a, b Counter) int { return cmp.Compare(a.Item, b.Item) })
+	if !slices.Equal(tracked, byItem) {
+		t.Fatalf("%s: Tracked %v, reference %v", m.Name(), tracked, byItem)
+	}
+	for k := 0; k <= r.c+1; k++ {
+		if got, want := m.Heavy(k, nil), want[:min(k, len(want))]; !slices.Equal(got, want) {
+			t.Fatalf("%s: Heavy(%d) = %v, reference %v", m.Name(), k, got, want)
+		}
+	}
+}
+
+// TestMisraGriesMatchesReference holds the Space-Saving view to the
+// map-based reference after every op of seeded weighted tapes (weights up
+// to 40, ignored ones among them, occasional Resets) at every capacity
+// from 1 to 12, with a vacuity guard: decrements must happen, and so must
+// weighted arrivals that a decrement round cuts down to a remainder.
+func TestMisraGriesMatchesReference(t *testing.T) {
+	decremented, split := 0, 0
+	for c := 1; c <= 12; c++ {
+		universe := uint64(2*c + 3)
+		for seed := uint64(1); seed <= 8; seed++ {
+			rng := &testRNG{state: seed<<8 | uint64(c)}
+			m, r := NewMisraGries(c), newRefMisraGries(c)
+			for op := 0; op < 300; op++ {
+				if rng.next()%64 == 0 {
+					decremented += min(int(r.decrs), 1)
+					split += r.split
+					m.Reset(seed)
+					r = newRefMisraGries(c)
+				} else {
+					item := rng.next() % universe
+					if rng.next()%2 == 0 {
+						item %= uint64(c/2 + 1) // a few items heavier than the rest
+					}
+					delta := int64(rng.next()%44) - 3
+					m.Observe(item, delta)
+					r.observe(item, delta)
+				}
+				checkMisraGriesView(t, m, r, universe)
+			}
+			decremented += min(int(r.decrs), 1)
+			split += r.split
+		}
+	}
+	if decremented == 0 || split == 0 {
+		t.Fatalf("vacuous: %d tapes decremented, %d arrivals cut down", decremented, split)
 	}
 }
 

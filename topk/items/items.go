@@ -72,7 +72,9 @@ const (
 	// per-item over-estimation error; the usual best choice for top-k.
 	SpaceSaving SketchKind = iota
 	// MisraGries never over-estimates; deterministic counterpart with the
-	// dual one-sided guarantee.
+	// dual one-sided guarantee. With Capacity c it is read off a
+	// Space-Saving summary of c+1 counters (each minus the minimum), so it
+	// tracks at most c items in the memory of c+1 Space-Saving counters.
 	MisraGries
 	// CountMin is the hashed sketch: probabilistic, never under-estimates,
 	// with a keeper of the Track highest-estimate items for heavy lists.
@@ -100,15 +102,18 @@ type Config struct {
 	// Items is the item-universe size m (required, >= 1); the inner
 	// monitor runs over m streams, so K <= Items.
 	Items int
-	// K is the size of the monitored top set (required, 1 <= K <= Items).
+	// K is the size of the monitored top set (required, 1 <= K <= Items;
+	// K = Items only under an inner algorithm that takes k = n, Naive).
 	K int
-	// Epsilon is the inner monitor's approximation error.
+	// Epsilon is the inner monitor's approximation error; the default
+	// algorithm (Approx) needs it above 0, and ε = 0 needs an exact one
+	// selected through Monitor.
 	Epsilon topk.Epsilon
 	// Sketch selects the per-node summary (default SpaceSaving).
 	Sketch SketchKind
-	// Capacity is the per-node counter budget for SpaceSaving and
-	// MisraGries, and the keeper size for CountMin when Track is 0.
-	// Default 64.
+	// Capacity is the per-node counter budget: the counters SpaceSaving
+	// keeps and the items MisraGries tracks (on c+1 Space-Saving counters),
+	// and the keeper size for CountMin when Track is 0. Default 64.
 	Capacity int
 	// Width and Depth size the CountMin table (defaults 256 and 4). A
 	// width of ⌈e/ε⌉ bounds each estimate's over-count by ε·N, where N is
@@ -193,12 +198,6 @@ func New(c Config) (*Monitor, error) {
 	}
 	if cfg.K < 1 || cfg.K > cfg.Items {
 		return nil, fmt.Errorf("items: K = %d outside [1, Items = %d]", cfg.K, cfg.Items)
-	}
-	if cfg.Epsilon.IsZero() && len(cfg.Monitor) == 0 {
-		// The inner default algorithm (Approx) requires ε > 0; callers who
-		// really want the exact problem must select an exact algorithm via
-		// cfg.Monitor explicitly.
-		return nil, errors.New("items: Epsilon required (or select an exact algorithm via Monitor options)")
 	}
 	per := make([]sketch.Summary, cfg.Nodes)
 	for i := range per {

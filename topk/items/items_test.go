@@ -205,6 +205,15 @@ func TestValidationAndClose(t *testing.T) {
 	if _, err := items.New(items.Config{Nodes: 1, Items: 4, K: 1}); err == nil {
 		t.Fatal("zero Epsilon with default algorithm accepted")
 	}
+	if _, err := items.New(items.Config{Nodes: 1, Items: 4, K: 4, Epsilon: e}); err == nil {
+		t.Fatal("K == Items accepted by the default algorithm")
+	}
+	whole, err := items.New(items.Config{Nodes: 1, Items: 4, K: 4, Epsilon: e,
+		Monitor: []topk.Option{topk.WithMonitor(topk.Naive)}})
+	if err != nil {
+		t.Fatalf("K == Items under Naive: %v", err)
+	}
+	whole.Close()
 	m, err := items.New(items.Config{Nodes: 2, Items: 4, K: 1, Epsilon: e})
 	if err != nil {
 		t.Fatal(err)

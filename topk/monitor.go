@@ -97,7 +97,10 @@ type Monitor struct {
 
 // New returns a Monitor for the k largest of n node streams with error ε.
 // n comes from WithNodes (or an injected engine); the remaining options
-// have working defaults: Lockstep engine, Approx algorithm, seed 1.
+// have working defaults: Lockstep engine, Approx algorithm, seed 1. Every
+// algorithm but Naive needs k < n, and Approx, Dense and HalfEps need
+// ε > 0; New returns an error for those, and for an invalid fault plan,
+// before it builds an engine.
 func New(k int, e Epsilon, opts ...Option) (*Monitor, error) {
 	cfg := config{seed: 1}
 	for _, o := range opts {
@@ -122,6 +125,15 @@ func New(k int, e Epsilon, opts ...Option) (*Monitor, error) {
 	if cfg.engine != Lockstep && cfg.engine != Live {
 		return nil, fmt.Errorf("topk: unknown engine %d (WithEngine)", int(cfg.engine))
 	}
+	if cfg.monitorFn == nil {
+		if err := cfg.algo.check(k, n, e.e); err != nil {
+			return nil, err
+		}
+	}
+	fp := cfg.faults.Injector()
+	if err := fp.Validate(n); err != nil {
+		return nil, err
+	}
 
 	eng := cfg.rawEngine
 	owns := false
@@ -136,16 +148,7 @@ func New(k int, e Epsilon, opts ...Option) (*Monitor, error) {
 	}
 
 	var faulty *faults.Cluster
-	if cfg.faults != nil {
-		fp := cfg.faults.Injector()
-		if err := fp.Validate(n); err != nil {
-			if owns {
-				if lc, ok := eng.(*live.Cluster); ok {
-					lc.Close()
-				}
-			}
-			return nil, err
-		}
+	if fp != nil {
 		faulty = faults.Wrap(eng, fp, cfg.seed)
 		eng = faulty
 	}

@@ -1,6 +1,8 @@
 package topk
 
 import (
+	"fmt"
+
 	"topkmon/internal/cluster"
 	"topkmon/internal/eps"
 	"topkmon/internal/protocol"
@@ -70,22 +72,38 @@ const (
 )
 
 // algorithms is the one table of the algorithms, indexed by Algorithm:
-// String, ParseAlgorithm and NewMonitor all read it.
+// String, ParseAlgorithm, New's precondition check and NewMonitor all read
+// it. kBelowN and posEps are the constructor's preconditions beyond
+// 1 ≤ k ≤ n: k < n, and ε > 0.
 var algorithms = [...]struct {
-	name string
-	new  func(cluster.Cluster, int, eps.Eps) protocol.Monitor
+	name            string
+	kBelowN, posEps bool
+	new             func(cluster.Cluster, int, eps.Eps) protocol.Monitor
 }{
-	Approx:       {"approx", func(c cluster.Cluster, k int, e eps.Eps) protocol.Monitor { return protocol.NewApprox(c, k, e) }},
-	Exact:        {"exact", func(c cluster.Cluster, k int, _ eps.Eps) protocol.Monitor { return protocol.NewExactMid(c, k) }},
-	TopKProtocol: {"topk-protocol", func(c cluster.Cluster, k int, e eps.Eps) protocol.Monitor { return protocol.NewTopKProto(c, k, e) }},
-	Dense:        {"dense", func(c cluster.Cluster, k int, e eps.Eps) protocol.Monitor { return protocol.NewDense(c, k, e) }},
-	HalfEps:      {"half-eps", func(c cluster.Cluster, k int, e eps.Eps) protocol.Monitor { return protocol.NewHalfEps(c, k, e) }},
-	Naive:        {"naive", func(c cluster.Cluster, k int, _ eps.Eps) protocol.Monitor { return protocol.NewNaive(c, k) }},
-	MidNaive:     {"mid-naive", func(c cluster.Cluster, k int, _ eps.Eps) protocol.Monitor { return protocol.NewMidNaive(c, k) }},
+	Approx:       {"approx", true, true, func(c cluster.Cluster, k int, e eps.Eps) protocol.Monitor { return protocol.NewApprox(c, k, e) }},
+	Exact:        {"exact", true, false, func(c cluster.Cluster, k int, _ eps.Eps) protocol.Monitor { return protocol.NewExactMid(c, k) }},
+	TopKProtocol: {"topk-protocol", true, false, func(c cluster.Cluster, k int, e eps.Eps) protocol.Monitor { return protocol.NewTopKProto(c, k, e) }},
+	Dense:        {"dense", true, true, func(c cluster.Cluster, k int, e eps.Eps) protocol.Monitor { return protocol.NewDense(c, k, e) }},
+	HalfEps:      {"half-eps", true, true, func(c cluster.Cluster, k int, e eps.Eps) protocol.Monitor { return protocol.NewHalfEps(c, k, e) }},
+	Naive:        {"naive", false, false, func(c cluster.Cluster, k int, _ eps.Eps) protocol.Monitor { return protocol.NewNaive(c, k) }},
+	MidNaive:     {"mid-naive", true, false, func(c cluster.Cluster, k int, _ eps.Eps) protocol.Monitor { return protocol.NewMidNaive(c, k) }},
 }
 
 // valid reports whether a names a row of the algorithm table.
 func (a Algorithm) valid() bool { return a >= 0 && int(a) < len(algorithms) }
+
+// check returns the error for a k of n (1 ≤ k ≤ n) and an ε that a's
+// constructor would panic on, or nil.
+func (a Algorithm) check(k, n int, e eps.Eps) error {
+	row := algorithms[a]
+	if row.kBelowN && k == n {
+		return fmt.Errorf("topk: %s needs k < n, got k = n = %d", row.name, n)
+	}
+	if row.posEps && e.IsZero() {
+		return fmt.Errorf("topk: %s needs ε > 0 (exact solves ε = 0)", row.name)
+	}
+	return nil
+}
 
 // String implements fmt.Stringer.
 func (a Algorithm) String() string {

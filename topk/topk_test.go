@@ -1,6 +1,8 @@
 package topk_test
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -24,6 +26,7 @@ func TestNewValidation(t *testing.T) {
 		{"k zero", 0, []topk.Option{topk.WithNodes(8)}, "outside"},
 		{"unknown algorithm", 2, []topk.Option{topk.WithNodes(8), topk.WithMonitor(topk.Algorithm(99))}, "unknown algorithm"},
 		{"unknown engine", 2, []topk.Option{topk.WithNodes(8), topk.WithEngine(topk.EngineKind(9))}, "unknown engine"},
+		{"NaN fault rate", 2, []topk.Option{topk.WithNodes(8), topk.WithEngine(topk.Live), topk.WithFaults(&topk.FaultPlan{Drop: math.NaN()})}, "rate"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -32,6 +35,47 @@ func TestNewValidation(t *testing.T) {
 				t.Errorf("New error = %v, want containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestAlgorithmPreconditions: New returns an error, and builds no engine,
+// for a k = n or an ε = 0 that the selected algorithm's constructor
+// rejects, and builds every other combination, on both engines.
+func TestAlgorithmPreconditions(t *testing.T) {
+	for _, tc := range []struct {
+		algo              topk.Algorithm
+		kEqualsN, epsZero bool // accepted?
+	}{
+		{topk.Approx, false, false},
+		{topk.Exact, false, true},
+		{topk.TopKProtocol, false, true},
+		{topk.Dense, false, false},
+		{topk.HalfEps, false, false},
+		{topk.Naive, true, true},
+		{topk.MidNaive, false, true},
+	} {
+		for _, engine := range []topk.EngineKind{topk.Lockstep, topk.Live} {
+			for _, c := range []struct {
+				name string
+				k, n int
+				e    topk.Epsilon
+				ok   bool
+			}{
+				{"k=n", 4, 4, topk.MustEpsilon(1, 8), tc.kEqualsN},
+				{"eps=0", 2, 8, topk.Zero, tc.epsZero},
+				{"k<n", 2, 8, topk.MustEpsilon(1, 8), true},
+			} {
+				t.Run(fmt.Sprintf("%s/%s/%s", tc.algo, engine, c.name), func(t *testing.T) {
+					m, err := topk.New(c.k, c.e, topk.WithNodes(c.n), topk.WithEngine(engine), topk.WithMonitor(tc.algo))
+					if c.ok != (err == nil) {
+						t.Fatalf("New(k=%d, n=%d, ε=%s) error = %v, want accepted = %v", c.k, c.n, c.e, err, c.ok)
+					}
+					if m != nil {
+						m.Close()
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -61,7 +61,9 @@ race:
 # torn-write obligations (no panic, exact canonical prefix, idempotent
 # truncation) on arbitrary bytes, and the streaming summaries' estimate
 # invariants (Space-Saving/Misra-Gries one-sided bounds, Count-Min
-# never-under-estimates, Reset replay identity) on arbitrary op tapes.
+# never-under-estimates, Reset replay identity, and every read equal to a
+# map-based reference's after every op) on arbitrary tapes of observes,
+# reads and Resets.
 fuzz:
 	$(GO) test -fuzz FuzzIntervalContainment -fuzztime $(FUZZTIME) ./internal/filter/
 	$(GO) test -fuzz FuzzThreshold -fuzztime $(FUZZTIME) ./internal/rngx/
@@ -92,6 +94,8 @@ check: build fmt-check vet api-check test
 # shard count. Several benchmarks carry their own checks, which run even at
 # BENCHTIME=1x (CI's bench smoke): BenchmarkSparseStep's messages spent,
 # BenchmarkEpochOpen's and BenchmarkItemsStep's zero allocations,
+# BenchmarkSketchObserve's weighted and all-miss Space-Saving rows, whose
+# Heavy must equal a reference Space-Saving's after the timed loop,
 # BenchmarkSweepSilent's one barrier round per silent sweep on live,
 # BenchmarkLiveGrain's comparison of the live engine's parallel grain with
 # both pure dispatches (own fixed-size timing; skipped on one CPU), and

@@ -6,6 +6,7 @@
 package topkmon
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -299,8 +300,15 @@ func sketchTrace(n int) []uint64 {
 }
 
 // BenchmarkSketchObserve measures the per-event ingest cost of each
-// summary on a zipf(1.2) item stream — the sketch layer's hot path.
-// 0 allocs/op is the enforced budget (sketch's TestObserveAllocs).
+// summary on a zipf(1.2) item stream — the sketch layer's hot path — and
+// Space-Saving's on the two streams that empty its floor of the minimum
+// count most often: the same stream with weights 1..40 (counts nearly all
+// distinct, so a floor holds few slots) and a uniform one over 2^20 items
+// (nearly every event an eviction). Those two rows observe their whole
+// trace before the timer starts and, after the timed loop, require Heavy
+// to equal a reference Space-Saving's (refSpaceSaving), so a run at
+// -benchtime=1x checks them too. 0 allocs/op is the enforced budget
+// (sketch's TestObserveAllocs).
 func BenchmarkSketchObserve(b *testing.B) {
 	trace := sketchTrace(1 << 14)
 	for _, s := range sketchKinds() {
@@ -313,6 +321,90 @@ func BenchmarkSketchObserve(b *testing.B) {
 			}
 		})
 	}
+	rng := rngx.New(5)
+	weights := make([]int64, len(trace))
+	for i := range weights {
+		weights[i] = 1 + rng.Int63n(40)
+	}
+	uniform, ones := make([]uint64, 1<<16), make([]int64, 1<<16)
+	for i := range uniform {
+		uniform[i], ones[i] = uint64(rng.Intn(1<<20)), 1
+	}
+	for _, row := range []struct {
+		name   string
+		items  []uint64
+		deltas []int64
+	}{
+		{"space-saving-weighted", trace, weights},
+		{"space-saving-all-miss", uniform, ones},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			items, deltas, mask := row.items, row.deltas, len(row.items)-1
+			sum := sketch.NewSpaceSaving(128)
+			for i := range items {
+				sum.Observe(items[i], deltas[i])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sum.Observe(items[i&mask], deltas[i&mask])
+			}
+			b.StopTimer()
+			ref := &refSpaceSaving{c: 128, at: make(map[uint64]int64)}
+			for i := range items {
+				ref.observe(items[i], deltas[i])
+			}
+			for i := 0; i < b.N; i++ {
+				ref.observe(items[i&mask], deltas[i&mask])
+			}
+			if got, want := sum.Heavy(128, nil), ref.heavy(); !slices.Equal(got, want) {
+				b.Fatalf("Heavy differs from the reference:\n%v\n%v", got, want)
+			}
+		})
+	}
+}
+
+// refSpaceSaving is Space-Saving over a slice kept sorted by (count, item),
+// the order in which it evicts.
+type refSpaceSaving struct {
+	c   int
+	ord []sketch.Counter // ascending (Count, Item)
+	at  map[uint64]int64 // item -> count
+}
+
+func (r *refSpaceSaving) observe(item uint64, delta int64) {
+	c := sketch.Counter{Item: item, Count: delta}
+	if cnt, ok := r.at[item]; ok {
+		i := r.find(cnt, item)
+		c = r.ord[i]
+		c.Count += delta
+		r.ord = slices.Delete(r.ord, i, i+1)
+	} else if len(r.ord) == r.c {
+		m := r.ord[0]
+		delete(r.at, m.Item)
+		c.Count, c.Err = m.Count+delta, m.Count
+		r.ord = slices.Delete(r.ord, 0, 1)
+	}
+	r.at[item] = c.Count
+	r.ord = slices.Insert(r.ord, r.find(c.Count, item), c)
+}
+
+// find returns the position of (cnt, item) in ord.
+func (r *refSpaceSaving) find(cnt int64, item uint64) int {
+	i, _ := slices.BinarySearchFunc(r.ord, sketch.Counter{Item: item, Count: cnt}, func(a, t sketch.Counter) int {
+		return cmp.Or(cmp.Compare(a.Count, t.Count), cmp.Compare(a.Item, t.Item))
+	})
+	return i
+}
+
+// heavy lists every counter in Heavy's order: count descending, item
+// ascending.
+func (r *refSpaceSaving) heavy() []sketch.Counter {
+	out := slices.Clone(r.ord)
+	slices.SortFunc(out, func(a, b sketch.Counter) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.Item, b.Item))
+	})
+	return out
 }
 
 // BenchmarkSketchHeavy measures extracting the ranked heavy list into a

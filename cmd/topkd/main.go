@@ -72,22 +72,14 @@ func main() {
 	snapEvery := flag.Int("snapshot-every", 0, "committed steps between durable snapshots (0 = 1024)")
 	flag.Parse()
 
-	// Validate the default config eagerly — a typo should fail the boot,
-	// not the first tenant creation.
-	if _, err := topk.ParseEpsilon(*epsStr); err != nil {
-		fail(err)
-	}
-	if _, err := topk.ParseEngine(*engine); err != nil {
-		fail(err)
-	}
-	if _, err := topk.ParseAlgorithm(*monitor); err != nil {
-		fail(err)
-	}
 	plan, err := topk.ParseFaultPlan(*faultSpec)
 	if err != nil {
 		fail(err)
 	}
 
+	// serve.New builds one monitor from the defaults, so defaults no tenant
+	// can be created from (a typo, ε = 0, k = n under approx) fail the
+	// boot, not every tenant creation.
 	srv, err := serve.New(serve.Options{
 		Defaults: serve.Config{
 			Nodes: *n, K: *k, Eps: *epsStr, Engine: *engine, Shards: *shards,

@@ -55,10 +55,13 @@ func benchTenant(tb testing.TB, fsync string) *Tenant {
 
 // BenchmarkDurableCommit measures the per-batch ingest cost of each fsync
 // policy against the volatile baseline: what durability costs. Every
-// iteration commits one 16-update batch with a fresh seq through the full
-// validate → journal → commit path. fsync=always pays a disk flush per
-// batch; interval and never pay only the buffered append + CRC; volatile
-// pays nothing.
+// iteration commits the same 16-update batch with a fresh seq through the
+// full validate → journal → commit path, so after the first iteration
+// every commit is a step that changes no value (a quiet step): the numbers
+// are the journal plus a quiet step, not protocol work
+// (TestDurableCommitAllocs varies its batches for that). fsync=always pays
+// a disk flush per batch; interval and never pay only the buffered append
+// + CRC; volatile pays nothing.
 func BenchmarkDurableCommit(b *testing.B) {
 	for _, bc := range commitCases {
 		b.Run(bc.name, func(b *testing.B) {

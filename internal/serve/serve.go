@@ -88,10 +88,14 @@ type Server struct {
 	batches sync.Pool
 }
 
-// New builds a Server from opts. With durability configured it opens the
-// data directory and replays every tenant found there before returning;
-// a log that cannot be recovered exactly (lost acked data, unreplayable
-// records) fails construction rather than serving a shorter history.
+// New builds a Server from opts. It first builds one monitor from the
+// defaults (and closes it), so defaults no tenant could be created from
+// (an unparsable or zero ε, k not below the node count under approx) fail
+// construction instead of every lazy creation. With durability configured
+// it opens the data directory and replays every tenant found there before
+// returning; a log that cannot be recovered exactly (lost acked data,
+// unreplayable records) fails construction rather than serving a shorter
+// history.
 func New(opts Options) (*Server, error) {
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 65536
@@ -99,6 +103,11 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = 4 << 20
 	}
+	mon, err := opts.Defaults.withDefaults(baseDefaults).build()
+	if err != nil {
+		return nil, fmt.Errorf("defaults: %w", err)
+	}
+	mon.Close()
 	store, err := opts.Durability.openStore()
 	if err != nil {
 		return nil, err

@@ -195,11 +195,17 @@ func TestLazyCreationAndLimits(t *testing.T) {
 		t.Fatalf("tenant list = %+v", list)
 	}
 
-	// Defaults the algorithm cannot run fail every lazy creation with 400.
-	bad := newTestServer(t, Options{Defaults: Config{Nodes: 8, K: 2, Eps: "0/1", Engine: "live"}, Lazy: true})
-	wantStatus(t, do(t, bad, "POST", "/v1/a/update", `[{"node":0,"value":1}]`), http.StatusBadRequest)
-	wantStatus(t, do(t, bad, "POST", "/v1/a/flush", ""), http.StatusBadRequest)
-	wantStatus(t, do(t, bad, "GET", "/v1/a", ""), http.StatusNotFound)
+	// Defaults the algorithm cannot run fail the server's construction.
+	for _, d := range []Config{
+		{Nodes: 8, K: 2, Eps: "0/1", Engine: "live"},
+		{Nodes: 4, K: 4},
+		{Monitor: "bogus"},
+	} {
+		if bad, err := New(Options{Defaults: d, Lazy: true}); err == nil {
+			bad.Close()
+			t.Fatalf("New accepted defaults %+v", d)
+		}
+	}
 }
 
 // TestUpdateRejections pins the ingest route's error envelope: bad

@@ -12,9 +12,10 @@ import (
 // eps*N with eps = e/width, failing with probability at most e^-depth —
 // probabilistic where Space-Saving and Misra-Gries are exact, which is why
 // the seed participates in Reset. Because a bare CMS cannot enumerate
-// items, a track-slot min-heap keeper (the min-heap + frequency-map top-k
-// of the heavy-hitters literature) retains the highest-estimate items seen
-// so Heavy works; the keeper is deterministic (ties broken by item id).
+// items, a track-slot keeper (the bounded top-k + frequency map of the
+// heavy-hitters literature) retains the highest-estimate items seen so
+// Heavy works; the keeper is deterministic (ties broken by item id) and
+// shares Space-Saving's floor of the minimum count.
 type CountMin struct {
 	width, depth int
 	seed         uint64
@@ -22,10 +23,11 @@ type CountMin struct {
 	rowSeed      []uint64
 	total        int64
 
-	// Heavy keeper: up to track items with the largest estimates, a
-	// min-heap over (estimate as of the item's last observation, item).
+	// Heavy keeper: up to track items with the largest estimates, each
+	// as of the item's last observation, evicting the minimum (estimate,
+	// item).
 	track int
-	keep  slotHeap
+	keep  slotFloor
 	hn    int
 	hidx  oaTable
 	ord   heavyOrder
@@ -42,7 +44,7 @@ func NewCountMin(width, depth, track int, seed uint64) *CountMin {
 		width: width, depth: depth, seed: seed, track: track,
 		rows:    make([]int64, width*depth),
 		rowSeed: make([]uint64, depth),
-		keep:    newSlotHeap(track),
+		keep:    newSlotFloor(track),
 		hidx:    newOATable(track),
 	}
 	c.ord = heavyOrder{order: make([]int32, 0, track), cnt: c.keep.cnt, item: c.keep.item}
@@ -89,8 +91,7 @@ func (c *CountMin) Observe(item uint64, delta int64) {
 	// Keeper update: track the item if it is already kept, there is room,
 	// or it now beats the smallest kept estimate (strictly — deterministic).
 	if slot := c.hidx.get(item); slot >= 0 {
-		c.keep.cnt[slot] = est
-		c.keep.grew(slot)
+		c.keep.set(slot, est)
 		return
 	}
 	if c.hn < c.track {
@@ -102,15 +103,14 @@ func (c *CountMin) Observe(item uint64, delta int64) {
 		c.keep.push(slot)
 		return
 	}
-	slot := c.keep.min()
-	if est <= c.keep.cnt[slot] {
+	if est <= c.keep.level {
 		return
 	}
+	slot := c.keep.min()
 	c.hidx.del(c.keep.item[slot])
-	c.keep.cnt[slot] = est
 	c.keep.item[slot] = item
 	c.hidx.put(item, slot)
-	c.keep.grew(slot)
+	c.keep.set(slot, est)
 }
 
 // Estimate implements Summary.

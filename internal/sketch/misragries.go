@@ -17,8 +17,9 @@ import "fmt"
 //
 // A tracked item is one whose counter exceeds m, so at most c are listed;
 // an item at or below it estimates 0. Memory is the c+1 Space-Saving
-// counters, and Observe is Space-Saving's O(log c) heap step whatever the
-// weight, allocation-free.
+// counters, and Observe is Space-Saving's: one add and compare on a hit, a
+// step of the minimum count's floor on an eviction, whatever the weight,
+// allocation-free.
 type MisraGries struct {
 	ss *SpaceSaving
 }
@@ -45,7 +46,7 @@ func (m *MisraGries) Observe(item uint64, delta int64) { m.ss.Observe(item, delt
 // under-estimates by at most the minimum; an untracked item's true count
 // is at most the minimum.
 func (m *MisraGries) Estimate(item uint64) (est, bound int64) {
-	d := m.ss.minCount()
+	d := m.ss.level
 	if slot := m.ss.idx.get(item); slot >= 0 {
 		return m.ss.cnt[slot] - d, d
 	}
@@ -54,7 +55,7 @@ func (m *MisraGries) Estimate(item uint64) (est, bound int64) {
 
 // Heavy implements Summary. Per-counter Err is the shared decrement bound.
 func (m *MisraGries) Heavy(k int, dst []Counter) []Counter {
-	d := m.ss.minCount()
+	d := m.ss.level
 	dst = appendHeavy(&m.ss.ord, m.ss.n, k, dst, nil)
 	for i := range dst {
 		// Counts descend, so the counters at the minimum are a suffix.
@@ -69,7 +70,7 @@ func (m *MisraGries) Heavy(k int, dst []Counter) []Counter {
 
 // Tracked implements Summary.
 func (m *MisraGries) Tracked(dst []Counter) []Counter {
-	d := m.ss.minCount()
+	d := m.ss.level
 	dst = dst[:0]
 	for i := 0; i < m.ss.n; i++ {
 		if c := m.ss.cnt[i] - d; c > 0 {

@@ -183,100 +183,135 @@ func (t *oaTable) clear() {
 	}
 }
 
-// --- shared slot min-heap ---
+// --- shared floor of the minimum count ---
 
-// slotHeap is an intrusive min-heap of counter slots ordered by (count,
-// item) ascending — the deterministic eviction order of Space-Saving and of
-// Count-Min's keeper. Items are distinct, so the order is total and the
-// minimum does not depend on the heap's layout. The owner writes cnt and
-// item for a slot and then calls push (a new slot) or grew (a used one);
-// heap positions stay in here.
-type slotHeap struct {
-	cnt  []int64  // slot -> count
-	item []uint64 // slot -> item
-	heap []int32  // heap of slot indices
-	pos  []int32  // slot -> heap position
+// slotFloor holds the counter slots of Space-Saving and of Count-Min's
+// keeper and their eviction order: the minimum (count, item) first, ties
+// broken by the smallest item, so runs replay byte-identically. Counts
+// never fall, and once every slot is used a count that enters is strictly
+// above the minimum (Space-Saving's min + delta, the keeper's est > min),
+// so the minimum level only ever loses members. The floor lists them once,
+// in ascending item order, when the level is found: a hit costs one
+// compare, an eviction takes the first listed slot still at the level, and
+// when the last one leaves, one pass over the slots finds the next level.
+// The owner writes a used slot's count through set; a new slot's count and
+// item it writes itself, then calls push.
+type slotFloor struct {
+	cnt   []int64  // slot -> count
+	item  []uint64 // slot -> item
+	level int64    // the minimum count once every slot is used, 0 before
+	live  int      // slots still at level
+	at    []int32  // the slots found at level, ascending item; at[:head] have left it
+	head  int
+	tmp   []int32 // radix sort scratch, len capacity
 }
 
-func newSlotHeap(capacity int) slotHeap {
-	return slotHeap{
+func newSlotFloor(capacity int) slotFloor {
+	return slotFloor{
 		cnt:  make([]int64, capacity),
 		item: make([]uint64, capacity),
-		heap: make([]int32, 0, capacity),
-		pos:  make([]int32, capacity),
+		at:   make([]int32, 0, capacity),
+		tmp:  make([]int32, capacity),
 	}
 }
 
-// min returns the slot with the smallest (count, item).
-func (h *slotHeap) min() int32 { return h.heap[0] }
-
-// push adds slot, whose cnt and item are already written.
-func (h *slotHeap) push(slot int32) {
-	h.heap = append(h.heap, slot)
-	h.up(int32(len(h.heap) - 1))
-}
-
-// grew restores the heap after slot's count rose (on an eviction its item
-// changed with it); counts never fall.
-func (h *slotHeap) grew(slot int32) { h.down(h.pos[slot]) }
-
-// clear empties the heap in place; slots are reused from 0.
-func (h *slotHeap) clear() { h.heap = h.heap[:0] }
-
-// before reports whether entry (ac, ai) orders before entry (bc, bi).
-func before(ac int64, ai uint64, bc int64, bi uint64) bool {
-	return ac < bc || ac == bc && ai < bi
-}
-
-// up places the entry appended at position i.
-// Both sifts move a hole: entries on the path shift one level and the
-// moving entry is written once at the end, half the writes of a swap chain.
-func (h *slotHeap) up(i int32) {
-	heap, pos := h.heap, h.pos
-	s := heap[i]
-	cnt, item := h.cnt[s], h.item[s]
-	for i > 0 {
-		p := (i - 1) / 2
-		ps := heap[p]
-		if before(h.cnt[ps], h.item[ps], cnt, item) {
-			break
-		}
-		heap[i] = ps
-		pos[ps] = i
-		i = p
+// set raises a used slot's count to c; counts are at least 1, so before
+// the floor is built (level 0) no slot leaves it. The last slot to leave
+// the level finds the next one, so reads never rebuild.
+func (f *slotFloor) set(slot int32, c int64) {
+	old := f.cnt[slot]
+	f.cnt[slot] = c
+	if old == f.level {
+		f.leave()
 	}
-	heap[i] = s
-	pos[s] = i
 }
 
-// down sinks the entry at position i to where it belongs.
-func (h *slotHeap) down(i int32) {
-	heap, pos, cnts, items := h.heap, h.pos, h.cnt, h.item
-	s := heap[i]
-	cnt, item := cnts[s], items[s]
-	n := int32(len(heap))
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
+// min returns the slot with the smallest (count, item) of a full floor:
+// the first listed slot whose count has not risen since the level was found.
+func (f *slotFloor) min() int32 {
+	for f.cnt[f.at[f.head]] != f.level {
+		f.head++
+	}
+	return f.at[f.head]
+}
+
+// push reports that slot, the next unused one, now holds a count and an
+// item; the floor is built once the last slot is used.
+func (f *slotFloor) push(slot int32) {
+	if int(slot) == len(f.cnt)-1 {
+		f.live = 1
+		f.leave()
+	}
+}
+
+// clear empties the floor in place; slots are reused from 0.
+func (f *slotFloor) clear() { f.level, f.live = 0, 0 }
+
+// leave counts down the slots at the level. When none is left it finds the
+// minimum count over every slot and lists the slots holding it in
+// ascending item order.
+func (f *slotFloor) leave() {
+	if f.live--; f.live > 0 {
+		return
+	}
+	level := f.cnt[0]
+	for _, c := range f.cnt[1:] {
+		level = min(level, c)
+	}
+	at := f.at[:0]
+	for s, c := range f.cnt {
+		if c == level {
+			at = append(at, int32(s))
 		}
-		cs := heap[c]
-		cc, ci := cnts[cs], items[cs]
-		if r := c + 1; r < n {
-			rs := heap[r]
-			if rc, ri := cnts[rs], items[rs]; before(rc, ri, cc, ci) {
-				c, cs, cc, ci = r, rs, rc, ri
+	}
+	f.at, f.level, f.live, f.head = at, level, len(at), 0
+	f.sortAt()
+}
+
+// sortAt sorts f.at by item: insertion sort for a few slots, else an LSD
+// radix sort over only the bytes in which the listed items differ (two
+// passes for items below 2^16), through tmp. A comparison sort here is
+// bound by mispredicted branches.
+func (f *slotFloor) sortAt() {
+	at, item := f.at, f.item
+	if len(at) <= 24 {
+		for i := 1; i < len(at); i++ {
+			s := at[i]
+			v := item[s]
+			j := i
+			for ; j > 0 && item[at[j-1]] > v; j-- {
+				at[j] = at[j-1]
 			}
+			at[j] = s
 		}
-		if !before(cc, ci, cnt, item) {
-			break
-		}
-		heap[i] = cs
-		pos[cs] = i
-		i = c
+		return
 	}
-	heap[i] = s
-	pos[s] = i
+	var diff uint64
+	for _, s := range at[1:] {
+		diff |= item[s] ^ item[at[0]]
+	}
+	src, dst := at, f.tmp[:len(at)]
+	for shift := uint(0); diff>>shift != 0; shift += 8 {
+		if byte(diff>>shift) == 0 {
+			continue
+		}
+		var next [256]int32
+		for _, s := range src {
+			next[byte(item[s]>>shift)]++
+		}
+		sum := int32(0)
+		for b, n := range next {
+			next[b] = sum
+			sum += n
+		}
+		for _, s := range src {
+			b := byte(item[s] >> shift)
+			dst[next[b]] = s
+			next[b]++
+		}
+		src, dst = dst, src
+	}
+	f.at, f.tmp = src, dst[:cap(dst)]
 }
 
 // --- shared deterministic Heavy ordering ---

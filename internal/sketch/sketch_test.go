@@ -484,6 +484,250 @@ func TestMisraGriesMatchesReference(t *testing.T) {
 	}
 }
 
+// refSpaceSaving is Space-Saving over maps, the oracle of the floor of the
+// minimum count: an arrival that finds no free counter takes over the one
+// with the smallest (count, item), found by a scan.
+type refSpaceSaving struct {
+	c     int
+	cnt   map[uint64]int64
+	err   map[uint64]int64
+	total int64
+	tied  int // evictions that chose among two or more minimum counters
+}
+
+func newRefSpaceSaving(c int) *refSpaceSaving {
+	return &refSpaceSaving{c: c, cnt: make(map[uint64]int64), err: make(map[uint64]int64)}
+}
+
+func (r *refSpaceSaving) observe(item uint64, delta int64) {
+	if delta <= 0 {
+		return
+	}
+	r.total += delta
+	if _, ok := r.cnt[item]; ok || len(r.cnt) < r.c {
+		r.cnt[item] += delta
+		return
+	}
+	m, at := r.floor()
+	if len(at) > 1 {
+		r.tied++
+	}
+	delete(r.cnt, at[0])
+	delete(r.err, at[0])
+	r.cnt[item], r.err[item] = m+delta, m
+}
+
+// floor returns the minimum count once every counter is used (0 before)
+// and the items holding it, ascending.
+func (r *refSpaceSaving) floor() (int64, []uint64) {
+	if len(r.cnt) < r.c {
+		return 0, nil
+	}
+	m := int64(math.MaxInt64)
+	var at []uint64
+	for it, v := range r.cnt {
+		if v < m {
+			m, at = v, at[:0]
+		}
+		if v == m {
+			at = append(at, it)
+		}
+	}
+	slices.Sort(at)
+	return m, at
+}
+
+// heavy lists every counter in Heavy's order (count descending, item
+// ascending) with its takeover error.
+func (r *refSpaceSaving) heavy() []Counter {
+	out := make([]Counter, 0, len(r.cnt))
+	for it, v := range r.cnt {
+		out = append(out, Counter{Item: it, Count: v, Err: r.err[it]})
+	}
+	sortHeavy(out)
+	return out
+}
+
+func sortHeavy(cs []Counter) {
+	slices.SortFunc(cs, func(a, b Counter) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.Item, b.Item))
+	})
+}
+
+// checkSpaceSavingView compares s with the reference r: Total, the
+// untracked estimate, Estimate and its bound for every item of universe
+// and an unseen one, Tracked as a set, and Heavy(k) for every k up to one
+// past the capacity.
+func checkSpaceSavingView(t *testing.T, s *SpaceSaving, r *refSpaceSaving, universe []uint64) {
+	t.Helper()
+	if s.Total() != r.total {
+		t.Fatalf("%s: Total %d, reference %d", s.Name(), s.Total(), r.total)
+	}
+	m, _ := r.floor()
+	if u, uniform := s.UntrackedEstimate(); u != m || !uniform {
+		t.Fatalf("%s: UntrackedEstimate (%d, %v), reference (%d, true)", s.Name(), u, uniform, m)
+	}
+	for _, item := range append(universe, unseen) {
+		want, bound := m, m
+		if v, ok := r.cnt[item]; ok {
+			want, bound = v, r.err[item]
+		}
+		if est, b := s.Estimate(item); est != want || b != bound {
+			t.Fatalf("%s: Estimate(%d) = (%d, %d), reference (%d, %d)", s.Name(), item, est, b, want, bound)
+		}
+	}
+	checkCounters(t, s, r.heavy(), r.c+1)
+}
+
+// checkCounters compares a summary's Tracked, as a set, and its Heavy(k)
+// for every k up to maxK with want, listed in Heavy's order.
+func checkCounters(t *testing.T, s Summary, want []Counter, maxK int) {
+	t.Helper()
+	byItem := func(cs []Counter) []Counter {
+		cs = slices.Clone(cs)
+		slices.SortFunc(cs, func(a, b Counter) int { return cmp.Compare(a.Item, b.Item) })
+		return cs
+	}
+	if got := byItem(s.Tracked(nil)); !slices.Equal(got, byItem(want)) {
+		t.Fatalf("%s: Tracked %v, reference %v", s.Name(), got, byItem(want))
+	}
+	for k := 0; k <= maxK; k++ {
+		if got, want := s.Heavy(k, nil), want[:min(k, len(want))]; !slices.Equal(got, want) {
+			t.Fatalf("%s: Heavy(%d) = %v, reference %v", s.Name(), k, got, want)
+		}
+	}
+}
+
+// TestSpaceSavingMatchesReference pins the eviction order, the minimum
+// (count, item), against the map-based reference after every op of seeded
+// tapes: every capacity from 1 to 16 with weights -3..40 (ignored ones
+// among them) and occasional Resets, and two larger capacities with unit
+// weights, whose floors outgrow the insertion sort: at c = 40 the item ids
+// differ only in their third byte, so the radix sort skips the rest, and
+// at c = 64 they are spread over every byte, so it takes all eight. The
+// checks after each op are the reads between the writes. Vacuity guard:
+// evictions must choose among tied minimum counters, at every capacity
+// above 1.
+func TestSpaceSavingMatchesReference(t *testing.T) {
+	for _, c := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 40, 64} {
+		universe := make([]uint64, 2*c+3)
+		for i := range universe {
+			switch c {
+			case 40:
+				universe[i] = uint64(i) << 16
+			case 64:
+				universe[i] = mix(uint64(i))
+			default:
+				universe[i] = uint64(i)
+			}
+		}
+		tied := 0
+		for seed := uint64(1); seed <= 8; seed++ {
+			rng := &testRNG{state: seed<<8 | uint64(c)}
+			s, r := NewSpaceSaving(c), newRefSpaceSaving(c)
+			for op := 0; op < 300; op++ {
+				if rng.next()%64 == 0 {
+					tied += r.tied
+					s.Reset(seed)
+					r = newRefSpaceSaving(c)
+				} else {
+					i := rng.next() % uint64(len(universe))
+					if rng.next()%2 == 0 {
+						i %= uint64(c/2 + 1) // a few items heavier than the rest
+					}
+					delta := int64(rng.next()%44) - 3
+					if c > 16 {
+						delta = 1
+					}
+					s.Observe(universe[i], delta)
+					r.observe(universe[i], delta)
+				}
+				checkSpaceSavingView(t, s, r, universe)
+			}
+			tied += r.tied
+		}
+		if c > 1 && tied == 0 {
+			t.Fatalf("vacuous: no eviction at c = %d chose among tied minimum counters", c)
+		}
+	}
+}
+
+// refKeeper is Count-Min's keeper over a map: the track items with the
+// largest estimates as of their last observation, an arrival taking over
+// the smallest (estimate, item) only when its estimate is larger.
+type refKeeper struct {
+	track    int
+	est      map[uint64]int64
+	replaced int
+}
+
+func (r *refKeeper) observe(item uint64, est int64) {
+	if _, ok := r.est[item]; ok || len(r.est) < r.track {
+		r.est[item] = est
+		return
+	}
+	var mi uint64
+	m := int64(math.MaxInt64)
+	for it, v := range r.est {
+		if v < m || v == m && it < mi {
+			m, mi = v, it
+		}
+	}
+	if est > m {
+		delete(r.est, mi)
+		r.est[item] = est
+		r.replaced++
+	}
+}
+
+// heavy lists the kept items in Heavy's order, each with the shared bound.
+func (r *refKeeper) heavy(bound int64) []Counter {
+	out := make([]Counter, 0, len(r.est))
+	for it, v := range r.est {
+		out = append(out, Counter{Item: it, Count: v, Err: bound})
+	}
+	sortHeavy(out)
+	return out
+}
+
+// TestCountMinKeeperMatchesReference holds Count-Min's keeper to refKeeper
+// after every op of seeded weighted tapes (narrow tables, so estimates
+// collide and tie) at every keeper size from 1 to 16, with occasional
+// reseeding Resets. The reference is fed each arrival's estimate as
+// Estimate reads it right after the Observe, which is the estimate the
+// keeper sees.
+func TestCountMinKeeperMatchesReference(t *testing.T) {
+	replaced := 0
+	for track := 1; track <= 16; track++ {
+		universe := uint64(2*track + 3)
+		for seed := uint64(1); seed <= 4; seed++ {
+			rng := &testRNG{state: seed<<8 | uint64(track)}
+			c := NewCountMin(int(seed)*3, 2, track, seed)
+			r := &refKeeper{track: track, est: make(map[uint64]int64)}
+			for op := 0; op < 300; op++ {
+				if rng.next()%64 == 0 {
+					replaced += r.replaced
+					c.Reset(rng.next())
+					r = &refKeeper{track: track, est: make(map[uint64]int64)}
+				} else {
+					item := rng.next() % universe
+					delta := int64(rng.next()%44) - 3
+					c.Observe(item, delta)
+					if delta > 0 {
+						est, _ := c.Estimate(item)
+						r.observe(item, est)
+					}
+				}
+				checkCounters(t, c, r.heavy(errorBound(c)), track+1)
+			}
+			replaced += r.replaced
+		}
+	}
+	if replaced == 0 {
+		t.Fatal("vacuous: the keeper never replaced an item")
+	}
+}
+
 // TestCountMinNeverUnderEstimates exercises heavy collision pressure (tiny
 // width) — the over-estimate invariant must survive it.
 func TestCountMinNeverUnderEstimates(t *testing.T) {

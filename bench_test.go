@@ -966,6 +966,95 @@ func BenchmarkWideChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkColdLoad measures a cold start through the public facade: the
+// paper's server must learn every node's value before it opens the first
+// epoch, so a monitor starts with one full-vector UpdateBatch. The new rows
+// time topk.New, that load (which opens the first epoch), TopK and Close —
+// what the repository benchmark's recovery_s times for an embedder; the
+// reset rows time Reset(seed) and the same load and TopK on one monitor,
+// the checkpoint path that keeps every buffer. k = 8, ε = 1/8, Approx, at
+// n = 2¹⁰, 2¹⁴ and 2¹⁸ on lockstep and on live with 2 shards. Values are
+// uniform in [10⁵, 9·10⁵] with 32 contenders in [10⁶, 2·10⁶], so the load
+// moves every node about 17 value buckets up from 0: the value index takes
+// it as one batch past its budget, one counting regroup per shard
+// (vindex.Index.Settle). Both rows of live must answer the lockstep load's
+// TopK and Cost, or the benchmark fails.
+func BenchmarkColdLoad(b *testing.B) {
+	const k, contenders, seed = 8, 32, 5
+	engines := []struct {
+		name string
+		opts []topk.Option
+	}{
+		{"lockstep", nil},
+		{"live/m=2", []topk.Option{topk.WithEngine(topk.Live), topk.WithShards(2)}},
+	}
+	for _, n := range []int{1 << 10, 1 << 14, 1 << 18} {
+		r := rngx.New(31)
+		load := make([]topk.Update, n)
+		for i := range load {
+			v := 1e5 + r.Int63n(8e5+1)
+			if i < contenders {
+				v = 1e6 + r.Int63n(1e6+1)
+			}
+			load[i] = topk.Update{Node: i, Value: v}
+		}
+		// cold builds a monitor and loads it; the lockstep engine's answer
+		// and bill are what every live row must reproduce.
+		cold := func(b *testing.B, engOpts []topk.Option) *topk.Monitor {
+			opts := append([]topk.Option{topk.WithNodes(n), topk.WithSeed(seed)}, engOpts...)
+			m, err := topk.New(k, topk.MustEpsilon(1, 8), opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := m.UpdateBatch(load); err != nil {
+				b.Fatal(err)
+			}
+			return m
+		}
+		ref := cold(b, nil)
+		wantTop, wantCost := ref.TopK(nil), ref.Cost()
+		ref.Close()
+		same := func(b *testing.B, name string, m *topk.Monitor) {
+			if top, cost := m.TopK(nil), m.Cost(); !slices.Equal(top, wantTop) || cost != wantCost {
+				b.Fatalf("%s answers %v at %+v after the load, lockstep %v at %+v", name, top, cost, wantTop, wantCost)
+			}
+		}
+		for _, eng := range engines {
+			b.Run(fmt.Sprintf("%s/n=%d/new", eng.name, n), func(b *testing.B) {
+				m := cold(b, eng.opts)
+				same(b, eng.name, m)
+				m.Close()
+				top := make([]int, 0, k)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for range b.N {
+					m := cold(b, eng.opts)
+					top = m.TopK(top)
+					m.Close()
+				}
+			})
+			b.Run(fmt.Sprintf("%s/n=%d/reset", eng.name, n), func(b *testing.B) {
+				m := cold(b, eng.opts)
+				defer m.Close()
+				top := make([]int, 0, k)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for range b.N {
+					if err := m.Reset(seed); err != nil {
+						b.Fatal(err)
+					}
+					if err := m.UpdateBatch(load); err != nil {
+						b.Fatal(err)
+					}
+					top = m.TopK(top)
+				}
+				b.StopTimer()
+				same(b, eng.name+" after Reset", m)
+			})
+		}
+	}
+}
+
 // BenchmarkOracle measures the steady-state per-step ground-truth
 // computation (reused Scratch — the path sim.Run takes; 0 allocs/op).
 func BenchmarkOracle(b *testing.B) {

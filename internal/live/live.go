@@ -309,7 +309,9 @@ func (d *dispatcher) worker(w int) {
 // exec is the one executor of a call: it runs d.op on the shards of
 // [lo, hi) the call addresses — the caller passes every shard, a worker its
 // own. A delta Advance walks its ids once, so on the caller it costs
-// len(ids), not m·len(ids). For Advance it returns the largest value
+// len(ids), not m·len(ids); it stages each install and then settles every
+// shard of [lo, hi), so each shard's value index takes the delta as one
+// batch, as in Shard.Advance. For Advance it returns the largest value
 // installed.
 func (d *dispatcher) exec(lo, hi int) (top int64) {
 	o := &d.op
@@ -325,9 +327,12 @@ func (d *dispatcher) exec(lo, hi int) (top int64) {
 			if w := int(d.workerOf[id]); lo <= w && w < hi {
 				v := o.values[id]
 				nodecore.CheckValue(id, v)
-				d.shards[w].Install(id, v)
+				d.shards[w].Stage(id, v)
 				top = max(top, v)
 			}
+		}
+		for _, sh := range d.shards[lo:hi] {
+			sh.Settle()
 		}
 	case opApplyRule:
 		for _, sh := range d.shards[lo:hi] {

@@ -93,9 +93,12 @@ func badValue(id int, v int64) {
 // is the only code that changes them, and each of its mutators re-derives
 // the node's entries in the same call:
 //
-//   - Install (one observation of an Advance batch): the bucket and the
-//     violator bit, and the floor watermark if the node is active and not
-//     above it.
+//   - Install (one observation), Stage (one observation of a batch that
+//     Settle ends) and Advance (a batch): the bucket and the violator bit,
+//     and the floor watermark if the node is active and not above it. A
+//     batch's bucket moves cost O(min(Σ distance, n)) (vindex.Index.Stage),
+//     so a full-vector load is one O(n) regroup; every reader of the index
+//     runs after the Settle.
 //   - SetFilter, SetTagFilter: the node's own filter at the current
 //     generation, its class slot (SetTagFilter) and its violator bit, in
 //     O(1).
@@ -245,7 +248,7 @@ func NewShard(base, n int) *Shard {
 	for i := range s.ids {
 		s.ids[i] = int32(base + i)
 	}
-	s.Reset()
+	s.reset() // vindex.New and NewGroups return their structures reset
 	return s
 }
 
@@ -282,16 +285,30 @@ func (s *Shard) report(i int) wire.Report {
 	return wire.Report{ID: s.base + i, Value: v, Dir: s.filterAt(i).Violation(v)}
 }
 
-// Install records the observation v at node id. A pending raise is applied
-// first, against the values it was announced over.
+// Install records the observation v at node id: a batch of one (Stage,
+// then Settle). No program calls it; the tests of this package do.
 func (s *Shard) Install(id int, v int64) {
+	s.Stage(id, v)
+	s.Settle()
+}
+
+// Stage records the observation v at node id as one observation of a batch,
+// which the caller must end with Settle before any other call on the Shard.
+// A pending raise is applied first, against the values it was announced
+// over.
+func (s *Shard) Stage(id int, v int64) {
 	if s.raised {
 		s.applyRaise()
 	}
 	s.install(id, v)
 }
 
-// install is Install with no raise pending.
+// Settle ends a batch of Stage calls: the value index regroups the ids the
+// batch left unmoved (vindex.Index.Settle), in O(n) if it ran past its
+// budget and O(1) otherwise.
+func (s *Shard) Settle() { s.idx.Settle() }
+
+// install is Stage with no raise pending.
 func (s *Shard) install(id int, v int64) {
 	if len(s.active) > 0 && !wire.Above(v, int64(id), s.floor, s.floorID) && s.onList(id) {
 		s.floor = noFloor
@@ -301,7 +318,7 @@ func (s *Shard) install(id int, v int64) {
 	// The per-update path: the index is called only when the node's bucket
 	// changes, tested inline, and recheck only moves a changed bit.
 	if !s.idx.Holds(id, v) {
-		s.idx.Update(id, v)
+		s.idx.Stage(id, v)
 	}
 	s.recheck(i, s.filterAt(i))
 }
@@ -318,8 +335,11 @@ func (s *Shard) recheck(i int, iv filter.Interval) {
 
 // Advance installs values[id] at node id for every id of ids, in that
 // order, or at every node of the shard when ids is nil; values is indexed
-// by absolute id. Each value passes CheckValue before it is installed. It
-// returns the largest value installed, 0 if none was.
+// by absolute id. Each value passes CheckValue before it is installed. The
+// installs are one batch of the value index, settled before Advance
+// returns, so they cost it O(min(Σ bucket distance, n)): a dense load from
+// value 0 is one regroup, a quiet step the moves it makes. It returns the
+// largest value installed, 0 if none was.
 func (s *Shard) Advance(values []int64, ids []int) (top int64) {
 	if s.raised {
 		s.applyRaise()
@@ -338,6 +358,7 @@ func (s *Shard) Advance(values []int64, ids []int) (top int64) {
 		s.install(id, v)
 		top = max(top, v)
 	}
+	s.idx.Settle()
 	return top
 }
 
@@ -734,18 +755,24 @@ func (s *Shard) onList(id int) bool {
 // all-admitting filter, no tag — and the structures to NewShard's, reusing
 // every array.
 func (s *Shard) Reset() {
+	s.byClass.Reset()
+	s.idx.Reset()
+	s.vio.Reset()
+	s.reset()
+}
+
+// reset is Reset but for the three vindex structures, which NewShard takes
+// reset from their constructors.
+func (s *Shard) reset() {
 	clear(s.rows)
 	for i := range s.own {
 		s.own[i] = filter.All
 	}
-	s.byClass.Reset()
 	for t := range s.classes {
 		s.classes[t] = class{tag: wire.Tag(t), iv: filter.All}
 		s.classOf[t] = uint8(t)
 	}
 	s.gen = 0
-	s.idx.Reset()
-	s.vio.Reset()
 	s.active = s.active[:0]
 	s.excl = s.excl[:0]
 	s.raised = false

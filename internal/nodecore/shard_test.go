@@ -326,6 +326,68 @@ func TestShardAllocs(t *testing.T) {
 	}
 }
 
+// TestAdvanceMatchesInstalls holds a batch's one settle of the value index
+// (Advance: Stage per id, then Settle) to the same installs made one by one
+// (Install, each settled): after a dense Advance from construction, which
+// runs far past the index's budget and regroups it, and after delta
+// Advances over a 64th, a half and all of the shard, over every value
+// shape with one node of each batch at the domain's top (the last bucket),
+// the index-routed reads — ScanList of intervals, InitVisits and
+// spanOutside — must agree between the two shards.
+func TestAdvanceMatchesInstalls(t *testing.T) {
+	const base, n = 50, 1 << 10
+	for name := range testDistributions(rngx.New(0)) {
+		t.Run(name, func(t *testing.T) {
+			r := rngx.New(29)
+			dist := testDistributions(r)[name]
+			batched, single := NewShard(base, n), NewShard(base, n)
+			values := make([]int64, base+n)
+			check := func(what string) {
+				t.Helper()
+				for range 32 {
+					lo := r.Int63n(1 << uint(r.Intn(41)))
+					hi := lo + r.Int63n(1<<uint(r.Intn(41)))
+					p := wire.InRange(lo, hi)
+					if got, want := batched.ScanList(p), single.ScanList(p); !slices.Equal(got, want) {
+						t.Fatalf("%s: ScanList(%v) = %v, installs one by one give %v", what, p, got, want)
+					}
+					gotV, gotR := batched.InitVisits(lo)
+					wantV, wantR := single.InitVisits(lo)
+					if gotV != wantV || gotR != wantR {
+						t.Fatalf("%s: InitVisits(%d) = %d, %v; installs one by one give %d, %v", what, lo, gotV, gotR, wantV, wantR)
+					}
+					iv := filter.Make(lo, hi)
+					if got, want := batched.spanOutside(iv), single.spanOutside(iv); got != want {
+						t.Fatalf("%s: spanOutside(%v) = %d, installs one by one give %d", what, iv, got, want)
+					}
+				}
+			}
+			for i := range n {
+				values[base+i] = dist(i)
+				if i == n/2 {
+					values[base+i] = eps.MaxValue
+				}
+				single.Install(base+i, values[base+i])
+			}
+			batched.Advance(values, nil)
+			check("dense Advance")
+			for _, den := range []int{64, 2, 1} {
+				ids := r.Perm(n)[:n/den]
+				for k, i := range ids {
+					ids[k] = base + i
+					values[base+i] = dist(i)
+					if k == 0 {
+						values[base+i] = eps.MaxValue
+					}
+					single.Install(base+i, values[base+i])
+				}
+				batched.Advance(values, ids)
+				check(fmt.Sprintf("delta Advance over 1/%d", den))
+			}
+		})
+	}
+}
+
 // Matchers is Keep over ScanList(p): the ids of the nodes matching p, in
 // ascending order, kept for Senders.
 func (s *Shard) Matchers(p wire.Pred) []int32 { return s.Keep(p, s.ScanList(p)) }

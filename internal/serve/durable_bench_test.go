@@ -24,6 +24,17 @@ func benchBatch(rng *rand.Rand, nodes int) []topk.Update {
 	return batch
 }
 
+// benchBatches builds count deterministic batches of benchBatch, the
+// rotation the moving commits cycle through.
+func benchBatches(count int) [][]topk.Update {
+	rng := rand.New(rand.NewSource(1))
+	batches := make([][]topk.Update, count)
+	for i := range batches {
+		batches[i] = benchBatch(rng, benchConfig.Nodes)
+	}
+	return batches
+}
+
 // commitCases are the fsync policies the commit path is measured under,
 // cheapest first.
 var commitCases = []struct{ name, fsync string }{
@@ -55,26 +66,41 @@ func benchTenant(tb testing.TB, fsync string) *Tenant {
 
 // BenchmarkDurableCommit measures the per-batch ingest cost of each fsync
 // policy against the volatile baseline: what durability costs. Every
-// iteration commits the same 16-update batch with a fresh seq through the
-// full validate → journal → commit path, so after the first iteration
-// every commit is a step that changes no value (a quiet step): the numbers
-// are the journal plus a quiet step, not protocol work
-// (TestDurableCommitAllocs varies its batches for that). fsync=always pays
-// a disk flush per batch; interval and never pay only the buffered append
-// + CRC; volatile pays nothing.
+// iteration commits a 16-update batch with a fresh seq through the full
+// validate → journal → commit path. The plain rows commit the same batch
+// every time, so after the first iteration every commit is a step that
+// changes no value (a quiet step): the journal plus a quiet step, the
+// fsync-policy comparison. The /moving rows cycle 256 batches of random
+// values, after one warm-up pass over them, so their steps move values and
+// include protocol work: a commit stage figure for a served request.
+// fsync=always pays a disk flush per batch; interval and never pay only
+// the buffered append + CRC; volatile pays nothing.
 func BenchmarkDurableCommit(b *testing.B) {
 	for _, bc := range commitCases {
-		b.Run(bc.name, func(b *testing.B) {
-			tn := benchTenant(b, bc.fsync)
-			batch := benchBatch(rand.New(rand.NewSource(1)), benchConfig.Nodes)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := tn.CommitBatch(batch, "bench-client", uint64(i+1)); err != nil {
-					b.Fatal(err)
-				}
+		for _, moving := range []bool{false, true} {
+			name, batches := bc.name, benchBatches(1)
+			if moving {
+				name, batches = name+"/moving", benchBatches(256)
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				tn := benchTenant(b, bc.fsync)
+				seq := uint64(0)
+				commit := func() {
+					seq++
+					if _, _, err := tn.CommitBatch(batches[seq%uint64(len(batches))], "bench-client", seq); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for range len(batches) {
+					commit()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for range b.N {
+					commit()
+				}
+			})
+		}
 	}
 }
 
@@ -89,11 +115,7 @@ func TestDurableCommitAllocs(t *testing.T) {
 	for _, tc := range commitCases[:2] {
 		t.Run(tc.name, func(t *testing.T) {
 			tn := benchTenant(t, tc.fsync)
-			rng := rand.New(rand.NewSource(1))
-			batches := make([][]topk.Update, 64)
-			for i := range batches {
-				batches[i] = benchBatch(rng, benchConfig.Nodes)
-			}
+			batches := benchBatches(64)
 			seq := uint64(0)
 			commit := func() {
 				seq++

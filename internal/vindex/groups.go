@@ -12,6 +12,10 @@ package vindex
 //   - Members returns the ids of a run of adjacent groups as one zero-copy
 //     subslice of ids, since adjacent groups are contiguous in it.
 //
+// Order within a group is whatever the moves left, except after Reset or
+// a regroup (Index.Settle past its budget), which list every group's ids
+// in ascending order.
+//
 // Index is Groups over the value buckets; nodecore.Shard keeps a second
 // one over its tag classes and a third, of two groups, whose group 1 is its
 // violator set. Move swaps an id leaving a group downwards with the
@@ -106,4 +110,26 @@ func (gs *Groups) swap(a, b int32) {
 	ia, ib := gs.ids[a], gs.ids[b]
 	gs.ids[a], gs.ids[b] = ib, ia
 	gs.pos[ia-int32(gs.base)], gs.pos[ib-int32(gs.base)] = b, a
+}
+
+// regroup puts every id into the group of[id-base] names, which must be
+// below g, in one counting pass: the group sizes, their prefix sums into
+// start, then the ids in ascending order, each at its group's cursor. The
+// cursors are start itself, which the placing leaves one group ahead and
+// the last loop shifts back. It costs O(n + g) and allocates nothing.
+func (gs *Groups) regroup(of []uint8) {
+	clear(gs.start)
+	for _, k := range of {
+		gs.start[int(k)+1]++
+	}
+	for k := 1; k < len(gs.start); k++ {
+		gs.start[k] += gs.start[k-1]
+	}
+	for i, k := range of {
+		p := gs.start[k]
+		gs.ids[p], gs.pos[i] = int32(gs.base+i), p
+		gs.start[k] = p + 1
+	}
+	copy(gs.start[1:], gs.start[:len(gs.start)-1])
+	gs.start[0] = 0
 }

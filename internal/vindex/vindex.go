@@ -16,9 +16,14 @@
 // bucket and, per node, its current bucket and position (Groups). All four
 // arrays are allocated once in New and never grow:
 //
-//   - Update moves a node between adjacent buckets with one swap and a
-//     boundary shift, so a value change costs O(|bucket distance|) ≤
-//     O(log Δ) writes and the steady state allocates nothing.
+//   - A batch of value changes (Stage each, then Settle) costs
+//     O(min(Σ distance, n + g)) writes for g buckets and allocates nothing.
+//     Stage moves a node between adjacent buckets with one swap and a
+//     boundary shift each, O(|bucket distance|), while the batch's summed
+//     distance stays within n; past that it only records the bucket, and
+//     Settle regroups every id in one counting pass (Groups.regroup). A
+//     full-vector load from value 0, about log Δ boundaries per node, thus
+//     costs O(n) and not O(n·log Δ). Update is a batch of one.
 //   - Span returns the candidate ids for a value interval as one zero-copy
 //     subslice of the grouped array, because the buckets intersecting
 //     [lo, hi] are contiguous in it.
@@ -106,6 +111,12 @@ func Routable(p wire.Pred) bool {
 type Index struct {
 	g   Groups
 	bkt []uint8 // bkt[id-base] is the id's bucket
+
+	// spent is the bucket distance the open batch has moved ids, at most
+	// len(bkt); stale marks a batch past that budget, whose moves Settle
+	// makes in one regroup.
+	spent int
+	stale bool
 }
 
 // New returns an index over the ids [base, base+n), all with value 0 — the
@@ -122,27 +133,60 @@ func New(base, n int) *Index {
 func (ix *Index) Reset() {
 	ix.g.Reset()
 	clear(ix.bkt)
+	ix.spent, ix.stale = 0, false
 }
 
 // Update records that node id now holds value v, moving it between buckets
-// when its magnitude class changed (Groups.Move): O(|bucket distance|),
-// and never allocating.
+// when its magnitude class changed: a batch of one (Stage, then Settle),
+// O(min(|bucket distance|, n + g)), and never allocating. No program calls
+// it; the tests of this package do.
 func (ix *Index) Update(id int, v int64) {
+	ix.Stage(id, v)
+	ix.Settle()
+}
+
+// Stage records that node id now holds value v as one change of the open
+// batch. While the batch's summed bucket distance stays within the number
+// of ids, it moves the id at once (Groups.Move); past that it records only
+// the bucket, and the ids stay where they were until Settle regroups them.
+// Between a Stage and the Settle that ends its batch, Holds is current but
+// Span and AppendSorted must not be called.
+func (ix *Index) Stage(id int, v int64) {
 	i := id - ix.g.base
-	if b := uint8(BucketOf(v)); b != ix.bkt[i] {
-		ix.g.Move(id, int(ix.bkt[i]), int(b))
-		ix.bkt[i] = b
+	b := uint8(BucketOf(v))
+	if b == ix.bkt[i] {
+		return
 	}
+	if !ix.stale {
+		d := int(b) - int(ix.bkt[i])
+		ix.spent += max(d, -d)
+		if ix.spent <= len(ix.bkt) {
+			ix.g.Move(id, int(ix.bkt[i]), int(b))
+		} else {
+			ix.stale = true
+		}
+	}
+	ix.bkt[i] = b
+}
+
+// Settle ends the open batch: if it ran past its budget, every id is
+// regrouped by its recorded bucket in one O(n + g) counting pass, in
+// ascending id order within each bucket. It allocates nothing.
+func (ix *Index) Settle() {
+	if ix.stale {
+		ix.g.regroup(ix.bkt)
+	}
+	ix.spent, ix.stale = 0, false
 }
 
 // Holds reports whether node id's bucket is the one a value of v has, so
-// that Update(id, v) would move nothing.
+// that Stage(id, v) would change nothing.
 func (ix *Index) Holds(id int, v int64) bool { return ix.bkt[id-ix.g.base] == uint8(BucketOf(v)) }
 
 // Span returns the ids of every indexed node whose value could lie in
 // [lo, hi]: the contents of the buckets intersecting the interval, in no
 // particular order. The result is a zero-copy view into the index — valid
-// only until the next Update or Reset, and callers must not modify it. An
+// only until the next Update, Stage or Reset, and callers must not modify it. An
 // empty interval (lo > hi) yields nil.
 func (ix *Index) Span(lo, hi int64) []int32 {
 	if lo > hi {

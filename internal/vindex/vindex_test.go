@@ -177,3 +177,72 @@ func TestAppendSortedOrdersAndReuses(t *testing.T) {
 		t.Fatalf("AppendSorted = %v, span sorted = %v", got, span)
 	}
 }
+
+// valueIn returns a random value of bucket b, within [0, eps.MaxValue].
+func valueIn(r *rngx.Source, b int) int64 {
+	if b == 0 {
+		return 0
+	}
+	lo := int64(1) << (b - 1)
+	return min(lo+r.Int63n(lo), eps.MaxValue)
+}
+
+// TestSettleMatchesPerUpdate drives one index in batches (Stage per change,
+// Settle per batch) whose summed bucket distance lands below, exactly at,
+// just above and far above the budget of n, and a reference index by
+// single Updates, each of which stays within the budget. After every batch
+// the two must hold the same buckets as sets (an index past its budget in
+// ascending id order), a layout whose pos inverts ids, and the same Span
+// and AppendSorted over random intervals; and the batch must have been
+// regrouped exactly when it ran past the budget.
+func TestSettleMatchesPerUpdate(t *testing.T) {
+	const n, base, rounds = 97, 300, 40
+	r := rngx.New(11)
+	ix, ref := New(base, n), New(base, n)
+	values := make([]int64, n)
+	for round := range rounds {
+		total := []int{n / 2, n, n + 1, 5 * n}[round%4]
+		for spent := 0; spent < total; {
+			i := r.Intn(n)
+			cur := int(ref.bkt[i])
+			lo, hi := max(cur-(total-spent), 0), min(cur+(total-spent), numBuckets-1)
+			b := lo + r.Intn(hi-lo+1)
+			if b == cur {
+				continue
+			}
+			spent += max(b-cur, cur-b)
+			values[i] = valueIn(r, b)
+			ix.Stage(base+i, values[i])
+			ref.Update(base+i, values[i])
+		}
+		if ix.stale != (total > n) {
+			t.Fatalf("round %d: a batch of distance %d against a budget of %d left stale = %v", round, total, n, ix.stale)
+		}
+		regrouped := ix.stale
+		ix.Settle()
+		checkInvariants(t, ix, base, values)
+		checkInvariants(t, ref, base, values)
+		for b := range numBuckets {
+			got := slices.Sorted(slices.Values(ix.g.Members(b, b)))
+			want := slices.Sorted(slices.Values(ref.g.Members(b, b)))
+			if !slices.Equal(got, want) {
+				t.Fatalf("round %d: bucket %d holds %v, the reference %v", round, b, got, want)
+			}
+			if regrouped && !slices.IsSorted(ix.g.Members(b, b)) {
+				t.Fatalf("round %d: bucket %d after a regroup is not in id order: %v", round, b, ix.g.Members(b, b))
+			}
+		}
+		for range 16 {
+			lo := valueIn(r, r.Intn(numBuckets))
+			hi := valueIn(r, r.Intn(numBuckets))
+			got := slices.Sorted(slices.Values(ix.Span(lo, hi)))
+			want := slices.Sorted(slices.Values(ref.Span(lo, hi)))
+			if !slices.Equal(got, want) {
+				t.Fatalf("round %d: Span(%d, %d) = %v, the reference %v", round, lo, hi, got, want)
+			}
+			if got, want := ix.AppendSorted(nil, lo, hi), ref.AppendSorted(nil, lo, hi); !slices.Equal(got, want) {
+				t.Fatalf("round %d: AppendSorted(%d, %d) = %v, the reference %v", round, lo, hi, got, want)
+			}
+		}
+	}
+}

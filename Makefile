@@ -63,7 +63,8 @@ race:
 # invariants (Space-Saving/Misra-Gries one-sided bounds, Count-Min
 # never-under-estimates, Reset replay identity, and every read equal to a
 # map-based reference's after every op) on arbitrary tapes of observes,
-# reads and Resets.
+# reads and Resets; Count-Min's on arbitrary shapes and on the one
+# NewCountMin derives from a capacity (seeded at capacities 1 and 256).
 fuzz:
 	$(GO) test -fuzz FuzzIntervalContainment -fuzztime $(FUZZTIME) ./internal/filter/
 	$(GO) test -fuzz FuzzThreshold -fuzztime $(FUZZTIME) ./internal/rngx/

@@ -283,7 +283,7 @@ func sketchKinds() []struct {
 	}{
 		{"space-saving", func() sketch.Summary { return sketch.NewSpaceSaving(128) }},
 		{"misra-gries", func() sketch.Summary { return sketch.NewMisraGries(128) }},
-		{"count-min", func() sketch.Summary { return sketch.NewCountMin(512, 4, 128, 42) }},
+		{"count-min", func() sketch.Summary { return sketch.NewCountMin(128, 42) }},
 	}
 }
 

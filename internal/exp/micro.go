@@ -17,9 +17,10 @@ import (
 // independent of n and of the number b of ones.
 func E1Existence() Experiment {
 	return Experiment{
-		ID:    "E1",
-		Title: "EXISTENCE protocol expected messages",
-		Claim: "Lemma 3.1: O(1) messages in expectation (≈ ≤ 6), any n, any b ≥ 1",
+		ID:      "E1",
+		Title:   "EXISTENCE protocol expected messages",
+		Claim:   "Lemma 3.1: O(1) messages in expectation (≈ ≤ 6), any n, any b ≥ 1",
+		Verdict: verdictE1,
 		Run: func(o Options) []*metrics.Table {
 			ns := []int{16, 256, 4096, 65536}
 			trials := 400

@@ -43,9 +43,10 @@ func HotInterval() wire.Pred { return wire.InRange(1<<30, 1<<31-1) }
 // structures of arXiv:1709.07259.
 func E12Selectivity() Experiment {
 	return Experiment{
-		ID:    "E12",
-		Title: "Value-index selectivity: visited nodes track σ, not n",
-		Claim: "ROADMAP sharded state: Sweep/Collect cost O(σ + log Δ) candidates, not n (cf. arXiv:1410.7912, arXiv:1709.07259)",
+		ID:      "E12",
+		Title:   "Value-index selectivity: visited nodes track σ, not n",
+		Claim:   "ROADMAP sharded state: Sweep/Collect cost O(σ + log Δ) candidates, not n (cf. arXiv:1410.7912, arXiv:1709.07259)",
+		Verdict: verdictE12,
 		Run: func(o Options) []*metrics.Table {
 			ns := []int{256, 4096, 16384}
 			if o.Quick {

@@ -132,3 +132,48 @@ func verdictE14(tables []*metrics.Table) []Finding {
 		within("E14c loop msgs per log2(n) per FindMax, smallest over k", slices.Min(c.Column("loop per FindMax")), 1.2, math.Inf(1)),
 	}
 }
+
+// verdictE1 is Lemma 3.1 on the E1 table: EXISTENCE costs O(1) messages
+// in expectation whatever n and the number b of ones, and the lemma's
+// constant is about 6, so every mean is at most 6. On seeds 1–10 the
+// largest mean read 2.91–3.16 quick and 2.95–3.08 full.
+func verdictE1(tables []*metrics.Table) []Finding {
+	tb := tables[0]
+	worst := 0.0
+	for _, b := range []string{"b=1", "b=sqrt(n)", "b=n/2", "b=n"} {
+		worst = max(worst, slices.Max(tb.Column(b)))
+	}
+	return []Finding{within("E1 EXISTENCE mean msgs, largest (n, b)", worst, 0, 6)}
+}
+
+// verdictE12 is the value index's selectivity on the E12 table: a Collect
+// over a value interval visits exactly the σ nodes it matches, and a tag
+// predicate, which has no value bounds, visits all n. Every row of seeds
+// 1–10, quick and full, read visits/σ = 1 and n fallback visits.
+func verdictE12(tables []*metrics.Table) []Finding {
+	tb := tables[0]
+	ns, fallback, off := tb.Column("n"), tb.Column("fallback (tag)"), 0.0
+	for i, n := range ns {
+		off = max(off, math.Abs(fallback[i]-n))
+	}
+	return []Finding{
+		within("E12 Collect visits/σ, largest row", slices.Max(tb.Column("max visits/σ")), 1, 1),
+		within("E12 tag-predicate Collect visits minus n, largest |·| over rows", off, 0, 0),
+	}
+}
+
+// verdictE13 is the E13 table at equal memory per node (rows kind by
+// kind: space-saving, misra-gries, count-min; capacities ascending). At
+// the smallest capacity Count-Min's recall is at least Space-Saving's, and
+// at the largest every kind reaches 0.9, the layer's operating point. On
+// seeds 1–10 Count-Min led by 0.04–0.19 quick and 0.12–0.24 full, and the
+// least recall at the largest capacity read 0.969 quick and 0.977 full.
+func verdictE13(tables []*metrics.Table) []Finding {
+	recall := tables[0].Column("recall@8")
+	nc := len(recall) / 3
+	largest := []float64{recall[nc-1], recall[2*nc-1], recall[3*nc-1]}
+	return []Finding{
+		within("E13 count-min minus space-saving recall@8, smallest capacity", recall[2*nc]-recall[0], 0, 1),
+		within("E13 least recall@8 over kinds, largest capacity", slices.Min(largest), 0.9, 1),
+	}
+}

@@ -213,20 +213,31 @@ func FuzzSpaceSaving(f *testing.F) {
 // FuzzCountMin fuzzes the Count-Min over-estimate invariant (estimates
 // never below the true count, whatever the collisions), no panics, Reset
 // replay identity — including across the keeper — and the keeper against
-// refKeeper after every op.
+// refKeeper after every op. A depth selector of 128 or more builds
+// NewCountMin's own shape for capacity widthSel+1 (1 to 256); below it
+// the shape is arbitrary.
 func FuzzCountMin(f *testing.F) {
 	f.Add(uint8(3), uint8(2), uint64(1), []byte{})
 	f.Add(uint8(0), uint8(0), uint64(7), []byte{1, 1, 0, 2, 1, 0, 3, 1, 0})
 	f.Add(uint8(16), uint8(1), uint64(42), []byte{9, 100, 0, 9, 100, 0, 4, 50, 0})
 	// A two-item keeper whose floor empties on a hit, then a read.
 	f.Add(uint8(1), uint8(0), uint64(3), []byte{1, 1, 0, 2, 1, 0, 1, 3, 0, 2, 3, 0, 5, 9, 224, 2, 1, 252, 2, 1, 224})
+	// Capacity 1: one cell and a one-slot keeper that every new item takes
+	// over; a read, a Reset and a read.
+	f.Add(uint8(0), uint8(128), uint64(5), []byte{1, 2, 0, 2, 1, 0, 1, 1, 0, 3, 4, 224, 2, 2, 0, 9, 0, 252, 4, 1, 0, 4, 1, 224})
+	// Capacity 256: four rows of 256 cells, a 64-slot keeper.
+	f.Add(uint8(255), uint8(128), uint64(11), []byte{1, 9, 0, 2, 8, 0, 3, 7, 0, 47, 6, 0, 1, 5, 224, 30, 1, 0, 5, 0, 252, 6, 3, 0, 6, 3, 224})
 	f.Fuzz(func(t *testing.T, widthSel, depthSel uint8, seed uint64, data []byte) {
-		width := int(widthSel)%32 + 1
-		depth := int(depthSel)%4 + 1
-		track := int(widthSel)%8 + 1
+		build := func() *CountMin {
+			if depthSel >= 128 {
+				return NewCountMin(int(widthSel)+1, seed)
+			}
+			return newCountMin(int(widthSel)%32+1, int(depthSel)%4+1, int(widthSel)%8+1, seed)
+		}
 		ops := decodeOps(data)
-		fuzzSummary(t, NewCountMin(width, depth, track, seed), seed, ops, true)
-		c := NewCountMin(width, depth, track, seed)
+		fuzzSummary(t, build(), seed, ops, true)
+		c := build()
+		track := c.cap
 		r := &refKeeper{track: track, est: make(map[uint64]int64)}
 		for _, op := range ops {
 			op.apply(c)

@@ -56,7 +56,7 @@ func (m *MisraGries) Estimate(item uint64) (est, bound int64) {
 // Heavy implements Summary. Per-counter Err is the shared decrement bound.
 func (m *MisraGries) Heavy(k int, dst []Counter) []Counter {
 	d := m.ss.level
-	dst = appendHeavy(&m.ss.ord, m.ss.n, k, dst, nil)
+	dst = m.ss.heavy(k, dst, nil)
 	for i := range dst {
 		// Counts descend, so the counters at the minimum are a suffix.
 		if dst[i].Count <= d {

@@ -1,9 +1,11 @@
 // Package sketch provides allocation-free-after-construction streaming
 // summaries of item-frequency streams: Space-Saving, Misra-Gries, and
-// Count-Min, behind one Summary interface. Misra-Gries with c counters is
-// read off a Space-Saving summary with c+1 (each counter minus the
-// minimum), so the two deterministic summaries share one implementation.
-// They are the per-node state of the heavy-hitter item-monitoring layer
+// Count-Min, behind one Summary interface, each built from one capacity c.
+// Misra-Gries with c counters is read off a Space-Saving summary with c+1
+// (each counter minus the minimum), and Count-Min is min(4, c) rows of c
+// cells beside a keeper of ⌈c/4⌉ items that is Space-Saving's slot table,
+// never more bytes than NewSpaceSaving(c). They are the per-node state of
+// the heavy-hitter item-monitoring layer
 // (topk/items): each distributed node summarises its local item stream in
 // O(capacity) memory, and the per-item estimates feed the paper's
 // top-k-position monitor as scalar node values (the distributed
@@ -17,7 +19,9 @@
 //   - Estimate returns (est, bound) with |true - est| <= bound, plus the
 //     tighter one-sided guarantee documented per sketch: Space-Saving and
 //     Count-Min never under-estimate (est >= true), Misra-Gries never
-//     over-estimates (est <= true).
+//     over-estimates (est <= true). The bound is exact for Space-Saving and
+//     Misra-Gries; Count-Min's fails for a given item with probability at
+//     most δ = e^-depth over its seed (e^-4 ≈ 0.018 from capacity 4 on).
 //   - Heavy fills dst[:0] with up to k counters in deterministic order
 //     (count descending, item ascending) — byte-identical across runs,
 //     worker counts, and -race.
@@ -56,7 +60,8 @@ type Summary interface {
 	// Observe adds delta occurrences of item. delta <= 0 is ignored.
 	Observe(item uint64, delta int64)
 	// Estimate returns the item's estimated total count and the current
-	// bound on its error: the true count lies in [est-bound, est+bound].
+	// bound on its error: the true count lies in [est-bound, est+bound]
+	// (for Count-Min, except with probability δ = e^-depth per item).
 	Estimate(item uint64) (est, bound int64)
 	// Heavy appends the up-to-k heaviest tracked counters to dst[:0] in
 	// deterministic order (count descending, item ascending) and returns it.
@@ -84,7 +89,8 @@ func mix(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// hashSeed derives the i-th hash-function seed from a root seed.
+// hashSeed derives the i-th of a family of independent-looking hashes
+// from one root value (Count-Min's row hashes of an item's hash).
 func hashSeed(seed uint64, i int) uint64 {
 	return mix(seed + 0x9e3779b97f4a7c15*uint64(i+1))
 }
@@ -183,97 +189,126 @@ func (t *oaTable) clear() {
 	}
 }
 
-// --- shared floor of the minimum count ---
+// --- the slot table shared by Space-Saving and Count-Min's keeper ---
 
-// slotFloor holds the counter slots of Space-Saving and of Count-Min's
-// keeper and their eviction order: the minimum (count, item) first, ties
-// broken by the smallest item, so runs replay byte-identically. Counts
-// never fall, and once every slot is used a count that enters is strictly
-// above the minimum (Space-Saving's min + delta, the keeper's est > min),
-// so the minimum level only ever loses members. The floor lists them once,
-// in ascending item order, when the level is found: a hit costs one
-// compare, an eviction takes the first listed slot still at the level, and
-// when the last one leaves, one pass over the slots finds the next level.
-// The owner writes a used slot's count through set; a new slot's count and
-// item it writes itself, then calls push.
-type slotFloor struct {
-	cnt   []int64  // slot -> count
-	item  []uint64 // slot -> item
-	level int64    // the minimum count once every slot is used, 0 before
-	live  int      // slots still at level
-	at    []int32  // the slots found at level, ascending item; at[:head] have left it
-	head  int
-	tmp   []int32 // radix sort scratch, len capacity
+// slotTable is cap counter slots, the first n of them used, each holding
+// an item and its count; the index finds an item's slot and ord sorts the
+// slots for Heavy. Space-Saving is a slot table with a takeover error per
+// slot; Count-Min is one beside its rows. The owner decides what a count
+// means and when an item takes over the minimum.
+//
+// The table evicts the minimum (count, item) first, ties broken by the
+// smallest item, so runs replay byte-identically. Counts never fall, and
+// once every slot is used a count that enters is strictly above the
+// minimum (Space-Saving's min + delta, the keeper's est > min), so the
+// minimum level only ever loses members. The floor lists them once, in
+// ascending item order, when the level is found: a hit costs one compare,
+// an eviction takes the first listed slot still at the level, and when the
+// last one leaves, one pass over the slots finds the next level.
+type slotTable struct {
+	cnt    []int64  // slot -> count
+	item   []uint64 // slot -> item
+	level  int64    // the minimum count once every slot is used, 0 before
+	live   int      // slots still at level
+	at     []int32  // the slots found at level, ascending item; at[:head] have left it
+	head   int
+	tmp    []int32 // radix sort scratch, len cap
+	cap, n int
+	total  int64 // the owner's N, the sum of observed deltas
+	idx    oaTable
+	ord    heavyOrder
 }
 
-func newSlotFloor(capacity int) slotFloor {
-	return slotFloor{
+func newSlotTable(capacity int) slotTable {
+	t := slotTable{
 		cnt:  make([]int64, capacity),
 		item: make([]uint64, capacity),
 		at:   make([]int32, 0, capacity),
 		tmp:  make([]int32, capacity),
+		cap:  capacity,
+		idx:  newOATable(capacity),
 	}
+	t.ord = heavyOrder{order: make([]int32, 0, capacity), cnt: t.cnt, item: t.item}
+	return t
+}
+
+// Total implements Summary.
+func (t *slotTable) Total() int64 { return t.total }
+
+// add gives item the next unused slot, with count c, and returns it; the
+// caller checks n < cap. The floor is built once the last slot is used.
+func (t *slotTable) add(item uint64, c int64) int32 {
+	slot := int32(t.n)
+	t.n++
+	t.cnt[slot] = c
+	t.item[slot] = item
+	t.idx.put(item, slot)
+	if t.n == t.cap {
+		t.live = 1
+		t.leave()
+	}
+	return slot
+}
+
+// replaceMin gives the slot of the minimum (count, item) of a full table,
+// the first listed slot whose count has not risen since the level was
+// found, to item with count c above the minimum, and returns it.
+func (t *slotTable) replaceMin(item uint64, c int64) int32 {
+	for t.cnt[t.at[t.head]] != t.level {
+		t.head++
+	}
+	slot := t.at[t.head]
+	t.idx.del(t.item[slot])
+	t.item[slot] = item
+	t.idx.put(item, slot)
+	t.set(slot, c)
+	return slot
 }
 
 // set raises a used slot's count to c; counts are at least 1, so before
 // the floor is built (level 0) no slot leaves it. The last slot to leave
 // the level finds the next one, so reads never rebuild.
-func (f *slotFloor) set(slot int32, c int64) {
-	old := f.cnt[slot]
-	f.cnt[slot] = c
-	if old == f.level {
-		f.leave()
+func (t *slotTable) set(slot int32, c int64) {
+	old := t.cnt[slot]
+	t.cnt[slot] = c
+	if old == t.level {
+		t.leave()
 	}
 }
 
-// min returns the slot with the smallest (count, item) of a full floor:
-// the first listed slot whose count has not risen since the level was found.
-func (f *slotFloor) min() int32 {
-	for f.cnt[f.at[f.head]] != f.level {
-		f.head++
-	}
-	return f.at[f.head]
+// clear empties the table in place; slots are reused from 0.
+func (t *slotTable) clear() {
+	t.n, t.total, t.level, t.live = 0, 0, 0, 0
+	t.idx.clear()
 }
-
-// push reports that slot, the next unused one, now holds a count and an
-// item; the floor is built once the last slot is used.
-func (f *slotFloor) push(slot int32) {
-	if int(slot) == len(f.cnt)-1 {
-		f.live = 1
-		f.leave()
-	}
-}
-
-// clear empties the floor in place; slots are reused from 0.
-func (f *slotFloor) clear() { f.level, f.live = 0, 0 }
 
 // leave counts down the slots at the level. When none is left it finds the
 // minimum count over every slot and lists the slots holding it in
 // ascending item order.
-func (f *slotFloor) leave() {
-	if f.live--; f.live > 0 {
+func (t *slotTable) leave() {
+	if t.live--; t.live > 0 {
 		return
 	}
-	level := f.cnt[0]
-	for _, c := range f.cnt[1:] {
+	level := t.cnt[0]
+	for _, c := range t.cnt[1:] {
 		level = min(level, c)
 	}
-	at := f.at[:0]
-	for s, c := range f.cnt {
+	at := t.at[:0]
+	for s, c := range t.cnt {
 		if c == level {
 			at = append(at, int32(s))
 		}
 	}
-	f.at, f.level, f.live, f.head = at, level, len(at), 0
-	f.sortAt()
+	t.at, t.level, t.live, t.head = at, level, len(at), 0
+	t.sortAt()
 }
 
-// sortAt sorts f.at by item: insertion sort for a few slots, else an LSD
+// sortAt sorts t.at by item: insertion sort for a few slots, else an LSD
 // radix sort over only the bytes in which the listed items differ (two
 // passes for items below 2^16), through tmp. A comparison sort here is
 // bound by mispredicted branches.
-func (f *slotFloor) sortAt() {
-	at, item := f.at, f.item
+func (t *slotTable) sortAt() {
+	at, item := t.at, t.item
 	if len(at) <= 24 {
 		for i := 1; i < len(at); i++ {
 			s := at[i]
@@ -290,7 +325,7 @@ func (f *slotFloor) sortAt() {
 	for _, s := range at[1:] {
 		diff |= item[s] ^ item[at[0]]
 	}
-	src, dst := at, f.tmp[:len(at)]
+	src, dst := at, t.tmp[:len(at)]
 	for shift := uint(0); diff>>shift != 0; shift += 8 {
 		if byte(diff>>shift) == 0 {
 			continue
@@ -311,10 +346,8 @@ func (f *slotFloor) sortAt() {
 		}
 		src, dst = dst, src
 	}
-	f.at, f.tmp = src, dst[:cap(dst)]
+	t.at, t.tmp = src, dst[:cap(dst)]
 }
-
-// --- shared deterministic Heavy ordering ---
 
 // heavyOrder sorts slot indices by (count descending, item ascending) —
 // the package-wide deterministic iteration order. It implements
@@ -337,20 +370,18 @@ func (h *heavyOrder) Less(a, b int) bool {
 }
 func (h *heavyOrder) Swap(a, b int) { h.order[a], h.order[b] = h.order[b], h.order[a] }
 
-// appendHeavy fills dst[:0] with the top-k of the used slots under
-// heavyOrder, reading the per-slot error from errAt (nil = all zero).
-func appendHeavy(h *heavyOrder, used int, k int, dst []Counter, errAt []int64) []Counter {
+// heavy fills dst[:0] with the top-k of the used slots under heavyOrder,
+// reading the per-slot error from errAt (nil = all zero).
+func (t *slotTable) heavy(k int, dst []Counter, errAt []int64) []Counter {
+	h := &t.ord
 	h.order = h.order[:0]
-	for s := 0; s < used; s++ {
+	for s := 0; s < t.n; s++ {
 		h.order = append(h.order, int32(s))
 	}
 	sort.Sort(h)
 	dst = dst[:0]
-	if k > used {
-		k = used
-	}
-	for _, s := range h.order[:k] {
-		c := Counter{Item: h.item[s], Count: h.cnt[s]}
+	for _, s := range h.order[:min(k, t.n)] {
+		c := Counter{Item: t.item[s], Count: t.cnt[s]}
 		if errAt != nil {
 			c.Err = errAt[s]
 		}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -71,7 +72,7 @@ func mkSummaries() []Summary {
 	return []Summary{
 		NewSpaceSaving(64),
 		NewMisraGries(64),
-		NewCountMin(256, 4, 64, 42),
+		newCountMin(256, 4, 64, 42),
 	}
 }
 
@@ -271,10 +272,38 @@ func TestObserveAllocs(t *testing.T) {
 	}
 }
 
+// constructed keeps what a construction test builds on the heap.
+var constructed Summary
+
+// TestCountMinFitsSpaceSaving holds NewCountMin(c, seed) to the bytes
+// NewSpaceSaving(c) allocates, so a capacity sizes every summary to the
+// same memory. Each constructor's TotalAlloc is averaged over many builds,
+// which spreads the 16-byte blocks of Go's tiny allocator evenly.
+func TestCountMinFitsSpaceSaving(t *testing.T) {
+	bytes := func(build func() Summary) uint64 {
+		const builds = 64
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range builds {
+			constructed = build()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / builds
+	}
+	for _, c := range []int{1, 16, 48, 128, 256} {
+		ss := bytes(func() Summary { return NewSpaceSaving(c) })
+		cm := bytes(func() Summary { return NewCountMin(c, 7) })
+		t.Logf("c = %d: space-saving %d B, %s %d B", c, ss, constructed.Name(), cm)
+		if cm > ss {
+			t.Errorf("c = %d: NewCountMin allocates %d B, NewSpaceSaving %d B", c, cm, ss)
+		}
+	}
+}
+
 // TestWeightedAndDegenerateObserves covers deltas > 1, ignored deltas,
 // single-counter capacities, and the all-equal-ties regime.
 func TestWeightedAndDegenerateObserves(t *testing.T) {
-	for _, s := range []Summary{NewSpaceSaving(1), NewMisraGries(1), NewCountMin(2, 1, 1, 5)} {
+	for _, s := range []Summary{NewSpaceSaving(1), NewMisraGries(1), newCountMin(2, 1, 1, 5)} {
 		s.Observe(10, 5)
 		s.Observe(11, 0)  // ignored
 		s.Observe(12, -3) // ignored
@@ -702,7 +731,7 @@ func TestCountMinKeeperMatchesReference(t *testing.T) {
 		universe := uint64(2*track + 3)
 		for seed := uint64(1); seed <= 4; seed++ {
 			rng := &testRNG{state: seed<<8 | uint64(track)}
-			c := NewCountMin(int(seed)*3, 2, track, seed)
+			c := newCountMin(int(seed)*3, 2, track, seed)
 			r := &refKeeper{track: track, est: make(map[uint64]int64)}
 			for op := 0; op < 300; op++ {
 				if rng.next()%64 == 0 {
@@ -733,7 +762,7 @@ func TestCountMinKeeperMatchesReference(t *testing.T) {
 func TestCountMinNeverUnderEstimates(t *testing.T) {
 	const items, events = 300, 10000
 	trace := zipfTrace(items, events, 1.0, 13)
-	c := NewCountMin(8, 2, 8, 99)
+	c := newCountMin(8, 2, 8, 99)
 	truth := exactCounts(trace)
 	for _, it := range trace {
 		c.Observe(it, 1)
@@ -802,7 +831,7 @@ func TestNames(t *testing.T) {
 	}{
 		{NewSpaceSaving(64), "space-saving(c=64)"},
 		{NewMisraGries(32), "misra-gries(c=32)"},
-		{NewCountMin(256, 4, 64, 1), "count-min(w=256,d=4,track=64)"},
+		{newCountMin(256, 4, 64, 1), "count-min(w=256,d=4,track=64)"},
 	} {
 		if got := want.s.Name(); got != want.name {
 			t.Fatalf("Name = %q, want %q", got, want.name)

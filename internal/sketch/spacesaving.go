@@ -2,11 +2,11 @@ package sketch
 
 import "fmt"
 
-// SpaceSaving is the Metwally–Agrawal–El Abbadi stream-summary sketch: c
-// counters and the floor of the minimum ones. A new item evicts the
-// minimum counter and inherits its count as the per-item over-estimation
-// error, which yields the classic guarantees (for every item x with true
-// count f(x)):
+// SpaceSaving is the Metwally–Agrawal–El Abbadi stream-summary sketch: a
+// slot table of c counters, each with its takeover error. A new item
+// evicts the minimum counter and inherits its count as the per-item
+// over-estimation error, which yields the classic guarantees (for every
+// item x with true count f(x)):
 //
 //	Estimate(x) >= f(x)                      (never under-estimates)
 //	Estimate(x) - Err(x) <= f(x)             (per-item error is tracked)
@@ -14,16 +14,10 @@ import "fmt"
 //
 // Eviction is deterministic: the minimum counter, ties broken by the
 // smallest item id, so runs replay byte-identically. A hit is one add and
-// one compare; an eviction takes the floor's next slot (slotFloor).
+// one compare; an eviction takes the floor's next slot (slotTable).
 type SpaceSaving struct {
-	cap   int
-	n     int
-	total int64
-	err   []int64 // slot -> takeover error
-
-	slotFloor // slot -> cnt and item, and the minimum count's slots
-	idx       oaTable
-	ord       heavyOrder
+	slotTable
+	err []int64 // slot -> takeover error
 }
 
 // NewSpaceSaving returns a Space-Saving summary with capacity counters
@@ -32,21 +26,11 @@ func NewSpaceSaving(capacity int) *SpaceSaving {
 	if capacity < 1 {
 		panic("sketch: SpaceSaving capacity must be >= 1")
 	}
-	s := &SpaceSaving{
-		cap:       capacity,
-		slotFloor: newSlotFloor(capacity),
-		err:       make([]int64, capacity),
-		idx:       newOATable(capacity),
-	}
-	s.ord = heavyOrder{order: make([]int32, 0, capacity), cnt: s.cnt, item: s.item}
-	return s
+	return &SpaceSaving{slotTable: newSlotTable(capacity), err: make([]int64, capacity)}
 }
 
 // Name implements Summary.
 func (s *SpaceSaving) Name() string { return fmt.Sprintf("space-saving(c=%d)", s.cap) }
-
-// Total implements Summary.
-func (s *SpaceSaving) Total() int64 { return s.total }
 
 // Observe implements Summary.
 func (s *SpaceSaving) Observe(item uint64, delta int64) {
@@ -59,22 +43,12 @@ func (s *SpaceSaving) Observe(item uint64, delta int64) {
 		return
 	}
 	if s.n < s.cap {
-		slot := int32(s.n)
-		s.n++
-		s.cnt[slot] = delta
-		s.err[slot] = 0
-		s.item[slot] = item
-		s.idx.put(item, slot)
-		s.push(slot)
+		s.err[s.add(item, delta)] = 0
 		return
 	}
 	// Evict the deterministic minimum: it vouches for the new item's count.
-	slot := s.min()
-	s.idx.del(s.item[slot])
-	s.err[slot] = s.level
-	s.item[slot] = item
-	s.idx.put(item, slot)
-	s.set(slot, s.level+delta)
+	level := s.level
+	s.err[s.replaceMin(item, level+delta)] = level
 }
 
 // Estimate implements Summary. A tracked item returns its counter and
@@ -95,7 +69,7 @@ func (s *SpaceSaving) UntrackedEstimate() (int64, bool) { return s.level, true }
 
 // Heavy implements Summary.
 func (s *SpaceSaving) Heavy(k int, dst []Counter) []Counter {
-	return appendHeavy(&s.ord, s.n, k, dst, s.err)
+	return s.heavy(k, dst, s.err)
 }
 
 // Tracked implements Summary.
@@ -109,9 +83,4 @@ func (s *SpaceSaving) Tracked(dst []Counter) []Counter {
 
 // Reset implements Summary. Space-Saving is deterministic, so the seed
 // only honors the rewind contract.
-func (s *SpaceSaving) Reset(uint64) {
-	s.n = 0
-	s.total = 0
-	s.slotFloor.clear()
-	s.idx.clear()
-}
+func (s *SpaceSaving) Reset(uint64) { s.clear() }

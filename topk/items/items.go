@@ -76,8 +76,9 @@ const (
 	// Space-Saving summary of c+1 counters (each minus the minimum), so it
 	// tracks at most c items in the memory of c+1 Space-Saving counters.
 	MisraGries
-	// CountMin is the hashed sketch: probabilistic, never under-estimates,
-	// with a keeper of the Track highest-estimate items for heavy lists.
+	// CountMin is the hashed sketch: never under-estimates, and its
+	// bound holds per item except with probability δ = e^-depth; a keeper
+	// of its highest-estimate items supplies the heavy lists.
 	CountMin
 )
 
@@ -91,7 +92,7 @@ func (k SketchKind) String() string {
 	case CountMin:
 		return "count-min"
 	default:
-		return "SketchKind(?)"
+		return fmt.Sprintf("SketchKind(%d)", int(k))
 	}
 }
 
@@ -111,19 +112,11 @@ type Config struct {
 	Epsilon topk.Epsilon
 	// Sketch selects the per-node summary (default SpaceSaving).
 	Sketch SketchKind
-	// Capacity is the per-node counter budget: the counters SpaceSaving
-	// keeps and the items MisraGries tracks (on c+1 Space-Saving counters),
-	// and the keeper size for CountMin when Track is 0. Default 64.
+	// Capacity c sizes every kind of per-node summary: the counters
+	// SpaceSaving keeps, the items MisraGries tracks (on c+1 Space-Saving
+	// counters), and CountMin's rows and keeper, in no more bytes than c
+	// Space-Saving counters (sketch.NewCountMin). Default 64.
 	Capacity int
-	// Width and Depth size the CountMin table (defaults 256 and 4). A
-	// width of ⌈e/ε⌉ bounds each estimate's over-count by ε·N, where N is
-	// the node's stream length, with probability at least 1 − δ for a
-	// depth of ⌈ln 1/δ⌉.
-	Width, Depth int
-	// Track sizes CountMin's keeper (default Capacity) and nothing else:
-	// every counter a SpaceSaving or MisraGries summary tracks is a
-	// candidate each step, whatever Track says.
-	Track int
 	// Seed is the root seed: it derives every per-node sketch seed and
 	// the inner monitor's seed, so equal seeds replay bit for bit.
 	// Default 1.
@@ -138,15 +131,6 @@ func (c *Config) withDefaults() Config {
 	cfg := *c
 	if cfg.Capacity == 0 {
 		cfg.Capacity = 64
-	}
-	if cfg.Width == 0 {
-		cfg.Width = 256
-	}
-	if cfg.Depth == 0 {
-		cfg.Depth = 4
-	}
-	if cfg.Track == 0 {
-		cfg.Track = cfg.Capacity
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -199,15 +183,20 @@ func New(c Config) (*Monitor, error) {
 	if cfg.K < 1 || cfg.K > cfg.Items {
 		return nil, fmt.Errorf("items: K = %d outside [1, Items = %d]", cfg.K, cfg.Items)
 	}
+	if cfg.Capacity < 1 {
+		return nil, fmt.Errorf("items: Capacity = %d, want >= 1 (0 selects the default)", cfg.Capacity)
+	}
 	per := make([]sketch.Summary, cfg.Nodes)
 	for i := range per {
 		switch cfg.Sketch {
+		case SpaceSaving:
+			per[i] = sketch.NewSpaceSaving(cfg.Capacity)
 		case MisraGries:
 			per[i] = sketch.NewMisraGries(cfg.Capacity)
 		case CountMin:
-			per[i] = sketch.NewCountMin(cfg.Width, cfg.Depth, cfg.Track, nodeSeed(cfg.Seed, i))
+			per[i] = sketch.NewCountMin(cfg.Capacity, nodeSeed(cfg.Seed, i))
 		default:
-			per[i] = sketch.NewSpaceSaving(cfg.Capacity)
+			return nil, fmt.Errorf("items: unknown Sketch %v", cfg.Sketch)
 		}
 	}
 	opts := append([]topk.Option{topk.WithNodes(cfg.Items), topk.WithSeed(cfg.Seed)}, cfg.Monitor...)
@@ -219,7 +208,7 @@ func New(c Config) (*Monitor, error) {
 		cfg:        cfg,
 		inner:      inner,
 		per:        per,
-		tracked:    make([]sketch.Counter, 0, max(cfg.Capacity, cfg.Track)),
+		tracked:    make([]sketch.Counter, 0, cfg.Capacity),
 		acc:        make([]int64, cfg.Items),
 		marked:     make([]uint64, (cfg.Items+63)/64),
 		byEstimate: make([]sketch.Summary, 0, cfg.Nodes),

@@ -1,6 +1,7 @@
 package items_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -36,7 +37,6 @@ func zipfConfig(kind items.SketchKind) items.Config {
 		Nodes: 8, Items: 256, K: 8,
 		Epsilon: topk.MustEpsilon(1, 8),
 		Sketch:  kind, Capacity: 128,
-		Width: 512, Depth: 4, Track: 128,
 		Seed: 7,
 	}
 }
@@ -99,7 +99,7 @@ func TestAllSketchKinds(t *testing.T) {
 // reproduce the same run on the same buffers.
 func TestDeterministicReplay(t *testing.T) {
 	cfg := zipfConfig(items.SpaceSaving)
-	cfg.Items, cfg.Capacity, cfg.Track, cfg.Width = 64, 32, 32, 128
+	cfg.Items, cfg.Capacity = 64, 32
 	run := func(m *items.Monitor) ([][]int, topk.Cost) {
 		g := istream.NewZipf(m.N(), m.Items(), 300, 1.2, 17)
 		var outs [][]int
@@ -187,6 +187,37 @@ func TestEstimateAggregates(t *testing.T) {
 	}
 	if e, b := m.Estimate(-1); e != 0 || b != 0 {
 		t.Fatalf("out-of-range Estimate = (%d,%d), want (0,0)", e, b)
+	}
+}
+
+// TestNewRejectsBadSketch pins that New refuses a summary it cannot
+// build, rather than panicking inside the sketch package or building
+// another kind: a negative Capacity (0 selects the default) and a
+// SketchKind outside the three.
+func TestNewRejectsBadSketch(t *testing.T) {
+	for _, tc := range []struct {
+		kind     items.SketchKind
+		capacity int
+		ok       bool
+	}{
+		{items.SpaceSaving, 0, true},
+		{items.CountMin, 1, true},
+		{items.SpaceSaving, -1, false},
+		{items.MisraGries, -1, false},
+		{items.CountMin, -64, false},
+		{items.SketchKind(7), 16, false},
+		{items.SketchKind(-1), 16, false},
+	} {
+		t.Run(fmt.Sprintf("%v/c=%d", tc.kind, tc.capacity), func(t *testing.T) {
+			m, err := items.New(items.Config{Nodes: 2, Items: 8, K: 1, Epsilon: topk.MustEpsilon(1, 10),
+				Sketch: tc.kind, Capacity: tc.capacity})
+			if (err == nil) != tc.ok {
+				t.Fatalf("New: err = %v, want ok = %v", err, tc.ok)
+			}
+			if m != nil {
+				m.Close()
+			}
+		})
 	}
 }
 

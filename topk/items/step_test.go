@@ -49,7 +49,6 @@ func testConfig(kind SketchKind) Config {
 		Nodes: 8, Items: 256, K: 8,
 		Epsilon: topk.MustEpsilon(1, 8),
 		Sketch:  kind, Capacity: 48,
-		Width: 128, Depth: 4, Track: 48,
 		Seed: 7,
 	}
 }
@@ -104,7 +103,7 @@ func TestStepMatchesReference(t *testing.T) {
 				}
 				defer m.Close()
 				step := func(s int) []topk.Update {
-					want := referenceBatch(m.per, cfg.Track)
+					want := referenceBatch(m.per, cfg.Capacity)
 					if err := m.Step(); err != nil {
 						t.Fatalf("step %d: %v", s, err)
 					}
@@ -169,42 +168,6 @@ func TestStepMatchesReference(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestTrackSizesOnlyTheKeeper pins Config.Track's scope: a Space-Saving or
-// Misra-Gries monitor pushes every tracked counter's item whatever Track
-// says, so Track: 1 is the same monitor as Track: 0.
-func TestTrackSizesOnlyTheKeeper(t *testing.T) {
-	for _, kind := range []SketchKind{SpaceSaving, MisraGries} {
-		t.Run(kind.String(), func(t *testing.T) {
-			run := func(track int) ([][]int, topk.Cost) {
-				cfg := testConfig(kind)
-				cfg.Track = track
-				m, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer m.Close()
-				g := testTraces(cfg)[0]
-				var outs [][]int
-				var evs []istream.Event
-				for s := 0; s < 30; s++ {
-					evs = g.Next(s, evs[:0])
-					observeAll(t, m, evs)
-					if err := m.Step(); err != nil {
-						t.Fatal(err)
-					}
-					outs = append(outs, m.TopItems(nil))
-				}
-				return outs, m.Cost()
-			}
-			o0, c0 := run(0)
-			o1, c1 := run(1)
-			if !reflect.DeepEqual(o0, o1) || c0 != c1 {
-				t.Fatalf("Track: 1 changed the run:\n%v %+v\n%v %+v", o0, c0, o1, c1)
-			}
-		})
 	}
 }
 

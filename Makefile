@@ -95,8 +95,10 @@ check: build fmt-check vet api-check test
 # shard count. Several benchmarks carry their own checks, which run even at
 # BENCHTIME=1x (CI's bench smoke): BenchmarkSparseStep's messages spent,
 # BenchmarkEpochOpen's and BenchmarkItemsStep's zero allocations,
-# BenchmarkSketchObserve's weighted and all-miss Space-Saving rows, whose
-# Heavy must equal a reference Space-Saving's after the timed loop,
+# BenchmarkSketchObserve's weighted, all-miss and items-zipf Space-Saving
+# rows (the last is the items-zipf workload's 8 nodes' stream), whose
+# every summary's Heavy must equal a reference Space-Saving's after the
+# timed loop,
 # BenchmarkSweepSilent's one barrier round per silent sweep on live,
 # BenchmarkLiveGrain's comparison of the live engine's parallel grain with
 # both pure dispatches (own fixed-size timing; skipped on one CPU), and

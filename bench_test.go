@@ -304,11 +304,13 @@ func sketchTrace(n int) []uint64 {
 // Space-Saving's on the two streams that empty its floor of the minimum
 // count most often: the same stream with weights 1..40 (counts nearly all
 // distinct, so a floor holds few slots) and a uniform one over 2^20 items
-// (nearly every event an eviction). Those two rows observe their whole
-// trace before the timer starts and, after the timed loop, require Heavy
-// to equal a reference Space-Saving's (refSpaceSaving), so a run at
-// -benchtime=1x checks them too. 0 allocs/op is the enforced budget
-// (sketch's TestObserveAllocs).
+// (nearly every event an eviction), and on the items-zipf workload's
+// stream: 8 nodes' summaries fed zipf(1.1) events over 4096 items in the
+// order the generator emits them (37 % of them evictions). Those
+// three rows observe their whole trace before the timer starts and, after
+// the timed loop, require every summary's Heavy to equal a reference
+// Space-Saving's (refSpaceSaving), so a run at -benchtime=1x checks them
+// too. 0 allocs/op is the enforced budget (sketch's TestObserveAllocs).
 func BenchmarkSketchObserve(b *testing.B) {
 	trace := sketchTrace(1 << 14)
 	for _, s := range sketchKinds() {
@@ -330,35 +332,53 @@ func BenchmarkSketchObserve(b *testing.B) {
 	for i := range uniform {
 		uniform[i], ones[i] = uint64(rng.Intn(1<<20)), 1
 	}
+	zipf, zipfAt := make([]uint64, 0, 1<<16), make([]int, 0, 1<<16)
+	gen := istream.NewZipf(8, 4096, 2048, 1.1, 13)
+	for s, buf := 0, []istream.Event(nil); len(zipf) < 1<<16; s++ {
+		buf = gen.Next(s, buf[:0])
+		for _, e := range buf {
+			zipf, zipfAt = append(zipf, uint64(e.Item)), append(zipfAt, e.Node)
+		}
+	}
 	for _, row := range []struct {
 		name   string
 		items  []uint64
 		deltas []int64
+		nodes  []int // event -> summary
 	}{
-		{"space-saving-weighted", trace, weights},
-		{"space-saving-all-miss", uniform, ones},
+		{"space-saving-weighted", trace, weights, make([]int, len(trace))},
+		{"space-saving-all-miss", uniform, ones, make([]int, len(uniform))},
+		{"space-saving-items-zipf", zipf, ones, zipfAt},
 	} {
 		b.Run(row.name, func(b *testing.B) {
-			items, deltas, mask := row.items, row.deltas, len(row.items)-1
-			sum := sketch.NewSpaceSaving(128)
+			items, deltas, nodes, mask := row.items, row.deltas, row.nodes, len(row.items)-1
+			sums := make([]*sketch.SpaceSaving, slices.Max(nodes)+1)
+			refs := make([]*refSpaceSaving, len(sums))
+			for n := range sums {
+				sums[n] = sketch.NewSpaceSaving(128)
+				refs[n] = &refSpaceSaving{c: 128, at: make(map[uint64]int64)}
+			}
 			for i := range items {
-				sum.Observe(items[i], deltas[i])
+				sums[nodes[i]].Observe(items[i], deltas[i])
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sum.Observe(items[i&mask], deltas[i&mask])
+				j := i & mask
+				sums[nodes[j]].Observe(items[j], deltas[j])
 			}
 			b.StopTimer()
-			ref := &refSpaceSaving{c: 128, at: make(map[uint64]int64)}
 			for i := range items {
-				ref.observe(items[i], deltas[i])
+				refs[nodes[i]].observe(items[i], deltas[i])
 			}
 			for i := 0; i < b.N; i++ {
-				ref.observe(items[i&mask], deltas[i&mask])
+				j := i & mask
+				refs[nodes[j]].observe(items[j], deltas[j])
 			}
-			if got, want := sum.Heavy(128, nil), ref.heavy(); !slices.Equal(got, want) {
-				b.Fatalf("Heavy differs from the reference:\n%v\n%v", got, want)
+			for n, sum := range sums {
+				if got, want := sum.Heavy(128, nil), refs[n].heavy(); !slices.Equal(got, want) {
+					b.Fatalf("summary %d: Heavy differs from the reference:\n%v\n%v", n, got, want)
+				}
 			}
 		})
 	}

@@ -4,10 +4,12 @@
 // Misra-Gries with c counters is read off a Space-Saving summary with c+1
 // (each counter minus the minimum), and Count-Min is min(4, c) rows of c
 // cells beside a keeper of ⌈c/4⌉ items that is Space-Saving's slot table,
-// never more bytes than NewSpaceSaving(c). They are the per-node state of
-// the heavy-hitter item-monitoring layer
-// (topk/items): each distributed node summarises its local item stream in
-// O(capacity) memory, and the per-item estimates feed the paper's
+// never more bytes than NewSpaceSaving(c). A slot table finds an item's
+// slot through an index of 4-byte slot numbers at load <= 1/4 (oaTable).
+//
+// The summaries are the per-node state of the heavy-hitter item-monitoring
+// layer (topk/items): each distributed node summarises its local item
+// stream in O(capacity) memory, and the per-item estimates feed the paper's
 // top-k-position monitor as scalar node values (the distributed
 // top-k/k-select setting of arXiv:1709.07259 over the node-value model of
 // arXiv:1410.7912).
@@ -98,94 +100,82 @@ func hashSeed(seed uint64, i int) uint64 {
 // --- fixed-capacity open-addressing index (item -> slot) ---
 //
 // Linear probing over a power-of-two table with backward-shift deletion:
-// no tombstones, no growth, no allocation after construction. Space-Saving
-// (hence Misra-Gries) and Count-Min's keeper use it to find an item's slot
-// in O(1) expected.
+// no tombstones, no growth, no allocation after construction. An entry is
+// only a slot number (or -1); its key is item[slot] in the slot table's
+// item array, so a probe compares item[entry] with the key and a displaced
+// entry's home is mix(item[entry]). The table has at least 4 entries per
+// slot, so it is never more than a quarter full and a miss, the eviction
+// path's first probe, ends after about 1.4 entries. Space-Saving (hence
+// Misra-Gries) and Count-Min's keeper use it to find an item's slot in
+// O(1) expected.
 
 type oaTable struct {
-	mask uint64
-	keys []uint64
-	vals []int32 // slot index; -1 = empty
+	mask  uint64
+	slots []int32  // slot number; -1 = empty
+	item  []uint64 // slot -> item, the owner's: the key of each entry
 }
 
-// newOATable returns a table holding up to cap entries at load factor <= ~0.5.
-func newOATable(capacity int) oaTable {
+// newOATable returns an index over item, whose len is the capacity: the
+// smallest power of two >= 4*len(item) entries, so the load stays <= 1/4.
+func newOATable(item []uint64) oaTable {
 	size := 4
-	for size < 2*capacity {
+	for size < 4*len(item) {
 		size <<= 1
 	}
-	t := oaTable{mask: uint64(size - 1), keys: make([]uint64, size), vals: make([]int32, size)}
-	for i := range t.vals {
-		t.vals[i] = -1
-	}
+	t := oaTable{mask: uint64(size - 1), slots: make([]int32, size), item: item}
+	t.clear()
 	return t
 }
 
 func (t *oaTable) home(key uint64) uint64 { return mix(key) & t.mask }
 
-// get returns the slot stored for key, or -1.
+// get returns the slot indexed for key, or -1.
 func (t *oaTable) get(key uint64) int32 {
 	for i := t.home(key); ; i = (i + 1) & t.mask {
-		if t.vals[i] == -1 {
-			return -1
-		}
-		if t.keys[i] == key {
-			return t.vals[i]
+		s := t.slots[i]
+		if s < 0 || t.item[s] == key {
+			return s
 		}
 	}
 }
 
-// put inserts or overwrites key -> slot. The caller guarantees the table
-// never exceeds its construction capacity.
-func (t *oaTable) put(key uint64, slot int32) {
-	for i := t.home(key); ; i = (i + 1) & t.mask {
-		if t.vals[i] == -1 || t.keys[i] == key {
-			t.keys[i] = key
-			t.vals[i] = slot
-			return
-		}
-	}
-}
-
-// del removes key, back-shifting the probe chain so lookups stay correct
-// without tombstones.
-func (t *oaTable) del(key uint64) {
-	i := t.home(key)
-	for {
-		if t.vals[i] == -1 {
-			return
-		}
-		if t.keys[i] == key {
-			break
-		}
+// put indexes slot under its item, item[slot], which the caller guarantees
+// is not indexed yet.
+func (t *oaTable) put(slot int32) {
+	i := t.home(t.item[slot])
+	for t.slots[i] >= 0 {
 		i = (i + 1) & t.mask
 	}
-	j := i
-	for {
-		t.vals[j] = -1
-		k := j
-		for {
-			k = (k + 1) & t.mask
-			if t.vals[k] == -1 {
-				return
-			}
-			h := t.home(t.keys[k])
-			// Entry at k may move into the hole at j only if its home
-			// position is cyclically outside (j, k].
-			if (k-h)&t.mask >= (k-j)&t.mask {
-				t.keys[j] = t.keys[k]
-				t.vals[j] = t.vals[k]
-				break
-			}
+	t.slots[i] = slot
+}
+
+// del removes slot, indexed under item[slot], back-shifting the probe chain
+// so lookups stay correct without tombstones.
+func (t *oaTable) del(slot int32) {
+	j := t.home(t.item[slot])
+	for t.slots[j] != slot {
+		j = (j + 1) & t.mask
+	}
+	for k := j; ; {
+		k = (k + 1) & t.mask
+		s := t.slots[k]
+		if s < 0 {
+			t.slots[j] = -1
+			return
 		}
-		j = k
+		// The entry at k may move into the hole at j only if its home is
+		// cyclically outside (j, k].
+		if (k-t.home(t.item[s]))&t.mask >= (k-j)&t.mask {
+			t.slots[j] = s
+			j = k
+		}
 	}
 }
 
 // clear empties the table in place.
 func (t *oaTable) clear() {
-	for i := range t.vals {
-		t.vals[i] = -1
+	for i := range t.slots {
+		t.slots[i] = -1
 	}
 }
 
@@ -226,8 +216,8 @@ func newSlotTable(capacity int) slotTable {
 		at:   make([]int32, 0, capacity),
 		tmp:  make([]int32, capacity),
 		cap:  capacity,
-		idx:  newOATable(capacity),
 	}
+	t.idx = newOATable(t.item)
 	t.ord = heavyOrder{order: make([]int32, 0, capacity), cnt: t.cnt, item: t.item}
 	return t
 }
@@ -242,7 +232,7 @@ func (t *slotTable) add(item uint64, c int64) int32 {
 	t.n++
 	t.cnt[slot] = c
 	t.item[slot] = item
-	t.idx.put(item, slot)
+	t.idx.put(slot)
 	if t.n == t.cap {
 		t.live = 1
 		t.leave()
@@ -258,9 +248,9 @@ func (t *slotTable) replaceMin(item uint64, c int64) int32 {
 		t.head++
 	}
 	slot := t.at[t.head]
-	t.idx.del(t.item[slot])
+	t.idx.del(slot)
 	t.item[slot] = item
-	t.idx.put(item, slot)
+	t.idx.put(slot)
 	t.set(slot, c)
 	return slot
 }

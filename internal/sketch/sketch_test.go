@@ -275,10 +275,17 @@ func TestObserveAllocs(t *testing.T) {
 // constructed keeps what a construction test builds on the heap.
 var constructed Summary
 
+// raceEnabled is set by the -race build, which turns off Go's tiny
+// allocator, so small blocks take more bytes than in a plain build.
+var raceEnabled bool
+
 // TestCountMinFitsSpaceSaving holds NewCountMin(c, seed) to the bytes
 // NewSpaceSaving(c) allocates, so a capacity sizes every summary to the
-// same memory. Each constructor's TotalAlloc is averaged over many builds,
-// which spreads the 16-byte blocks of Go's tiny allocator evenly.
+// same memory, and NewSpaceSaving(c) to a byte budget: what it took when
+// its index held 8-byte keys beside the slot numbers at load <= 1/2. Each
+// constructor's TotalAlloc is averaged over many builds, which spreads the
+// 16-byte blocks of Go's tiny allocator evenly. The budget is a plain
+// build's: under -race only Count-Min <= Space-Saving is checked.
 func TestCountMinFitsSpaceSaving(t *testing.T) {
 	bytes := func(build func() Summary) uint64 {
 		const builds = 64
@@ -290,10 +297,20 @@ func TestCountMinFitsSpaceSaving(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return (after.TotalAlloc - before.TotalAlloc) / builds
 	}
-	for _, c := range []int{1, 16, 48, 128, 256} {
+	// On linux/amd64 with go1.24, NewSpaceSaving takes 376, 1152, 3072,
+	// 6976 and 13632 B at these capacities, NewCountMin 376, 1008, 2448,
+	// 5824 and 11328 B.
+	for _, row := range []struct {
+		c      int
+		budget uint64
+	}{{1, 408}, {16, 1280}, {48, 3584}, {128, 8000}, {256, 15680}} {
+		c := row.c
 		ss := bytes(func() Summary { return NewSpaceSaving(c) })
 		cm := bytes(func() Summary { return NewCountMin(c, 7) })
 		t.Logf("c = %d: space-saving %d B, %s %d B", c, ss, constructed.Name(), cm)
+		if ss > row.budget && !raceEnabled {
+			t.Errorf("c = %d: NewSpaceSaving allocates %d B, budget %d B", c, ss, row.budget)
+		}
 		if cm > ss {
 			t.Errorf("c = %d: NewCountMin allocates %d B, NewSpaceSaving %d B", c, cm, ss)
 		}
@@ -783,44 +800,90 @@ func TestCountMinNeverUnderEstimates(t *testing.T) {
 }
 
 // TestOATableDeleteChains stresses the backward-shift deletion against a
-// mirror map through adversarial same-bucket churn.
+// mirror map through adversarial same-bucket churn: 32 slots over a 64-key
+// space, three quarters of whose keys are homed in the index's last 8
+// entries, so the probe chains pile up at the end and wrap past it. The
+// entries are real slot numbers over an item array: an insert takes a free
+// slot, a delete frees one and leaves its stale item behind, and an insert
+// into a full table is a takeover in replaceMin's order (delete the slot,
+// write the new item into it, index it again). After every op every key of
+// the space must resolve to its mirrored slot or -1.
 func TestOATableDeleteChains(t *testing.T) {
-	const capacity = 32
-	tab := newOATable(capacity)
+	const capacity, space = 32, 64
+	item := make([]uint64, capacity)
+	tab := newOATable(item)
+	keys := make([]uint64, 0, space)
+	for k := uint64(0); len(keys) < 3*space/4; k++ {
+		if tab.home(k) > tab.mask-8 {
+			keys = append(keys, k)
+		}
+	}
+	for k := uint64(1 << 32); len(keys) < space; k++ {
+		keys = append(keys, k)
+	}
 	mirror := make(map[uint64]int32)
+	free := make([]int32, 0, capacity)
+	for s := capacity - 1; s >= 0; s-- {
+		free = append(free, int32(s))
+	}
 	rng := &testRNG{state: 77}
-	keys := make([]uint64, 0, capacity)
+	used := make([]uint64, 0, capacity) // the keys in mirror
+	wrapped := 0
 	for op := 0; op < 20000; op++ {
 		switch rng.next() % 3 {
 		case 0, 1:
-			if len(keys) < capacity {
-				k := rng.next() % 64 // small key space: heavy collisions
-				if _, ok := mirror[k]; !ok {
-					v := int32(op % 1000)
-					tab.put(k, v)
-					mirror[k] = v
-					keys = append(keys, k)
-				}
+			k := keys[rng.next()%space]
+			if _, ok := mirror[k]; ok {
+				break
 			}
+			var slot int32
+			if len(free) > 0 {
+				slot, free = free[len(free)-1], free[:len(free)-1]
+				used = append(used, k)
+			} else {
+				i := int(rng.next() % uint64(len(used)))
+				slot = mirror[used[i]]
+				tab.del(slot)
+				delete(mirror, used[i])
+				used[i] = k
+			}
+			item[slot] = k
+			tab.put(slot)
+			mirror[k] = slot
 		case 2:
-			if len(keys) > 0 {
-				i := int(rng.next() % uint64(len(keys)))
-				k := keys[i]
-				tab.del(k)
-				delete(mirror, k)
-				keys[i] = keys[len(keys)-1]
-				keys = keys[:len(keys)-1]
+			if len(used) > 0 {
+				i := int(rng.next() % uint64(len(used)))
+				slot := mirror[used[i]]
+				tab.del(slot)
+				delete(mirror, used[i])
+				free = append(free, slot)
+				used[i] = used[len(used)-1]
+				used = used[:len(used)-1]
 			}
 		}
-		for k, v := range mirror {
-			if got := tab.get(k); got != v {
-				t.Fatalf("op %d: get(%d) = %d, want %d", op, k, got, v)
+		for _, k := range keys {
+			want, ok := mirror[k]
+			if !ok {
+				want = -1
+			}
+			if got := tab.get(k); got != want {
+				t.Fatalf("op %d: get(%d) = %d, want %d", op, k, got, want)
 			}
 		}
 		if got := tab.get(12345678); got != -1 {
 			t.Fatalf("op %d: absent key resolved to %d", op, got)
 		}
+		for i, s := range tab.slots {
+			if s >= 0 && uint64(i) < tab.home(item[s]) {
+				wrapped++
+				break
+			}
+		}
 	}
+	if wrapped == 0 {
+		t.Fatal("vacuous: no probe chain wrapped past the table's end")
+	}
+	t.Logf("a chain wrapped the table's end after %d of 20000 ops", wrapped)
 }
 
 // TestNames pins the report-name format other layers embed in tables.

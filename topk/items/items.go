@@ -147,7 +147,11 @@ func nodeSeed(seed uint64, i int) uint64 {
 // Monitor tracks the approximate top-k items of a distributed item
 // stream. Observe stages events; Step commits everything observed since
 // the last Step as ONE time step of the inner monitor. Methods are safe
-// for one goroutine at a time.
+// for concurrent use: one mutex serialises every call that touches the
+// sketches, and the reads of the inner monitor (TopItems, Cost, Check,
+// Steps) take the inner monitor's own. Each node's sketch sees its events
+// in call order, so concurrent Observes on disjoint nodes end in the state
+// of any sequential order.
 type Monitor struct {
 	mu sync.Mutex
 

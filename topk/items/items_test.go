@@ -3,6 +3,7 @@ package items_test
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	istream "topkmon/internal/stream/items"
@@ -140,6 +141,91 @@ func TestDeterministicReplay(t *testing.T) {
 	o3, c3 := run(m1)
 	if !reflect.DeepEqual(o1, o3) || c1 != c3 {
 		t.Fatalf("Reset replay diverged from fresh run")
+	}
+}
+
+// TestConcurrentCalls runs the monitor from three goroutines at once (run
+// it under -race): two Observe disjoint halves of the nodes, each in its
+// events' order, while a third calls Step, Estimate and TopItems. Each node's
+// sketch sees its own events in order whatever the interleave, so the
+// final estimates must equal a sequential replay's, and the inner monitor
+// must still pass Check.
+func TestConcurrentCalls(t *testing.T) {
+	for _, kind := range []items.SketchKind{items.SpaceSaving, items.MisraGries, items.CountMin} {
+		t.Run(kind.String(), func(t *testing.T) {
+			cfg := zipfConfig(kind)
+			g := istream.NewZipf(cfg.Nodes, cfg.Items, 2000, 1.1, 13)
+			var evs []istream.Event
+			for s := 0; s < 10; s++ {
+				evs = g.Next(s, evs)
+			}
+			m, err := items.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			var observers, reader sync.WaitGroup
+			done := make(chan struct{})
+			for half := range 2 {
+				observers.Add(1)
+				go func() {
+					defer observers.Done()
+					for _, e := range evs {
+						if e.Node*2/cfg.Nodes != half {
+							continue
+						}
+						if err := m.Observe(e.Node, e.Item, e.Count); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			reader.Add(1)
+			go func() {
+				defer reader.Done()
+				var top []int
+				for j := 0; ; j++ {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					if err := m.Step(); err != nil {
+						t.Error(err)
+						return
+					}
+					m.Estimate(j % cfg.Items)
+					top = m.TopItems(top)
+				}
+			}()
+			observers.Wait()
+			close(done)
+			reader.Wait()
+			if err := m.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Check(); err != nil {
+				t.Fatalf("Check: %v", err)
+			}
+			seq, err := items.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer seq.Close()
+			for _, e := range evs {
+				if err := seq.Observe(e.Node, e.Item, e.Count); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for j := range cfg.Items {
+				got, gotB := m.Estimate(j)
+				want, wantB := seq.Estimate(j)
+				if got != want || gotB != wantB {
+					t.Fatalf("item %d: Estimate = (%d, %d), sequential replay (%d, %d)", j, got, gotB, want, wantB)
+				}
+			}
+		})
 	}
 }
 

@@ -60,11 +60,9 @@ race:
 # equality with the encoding/json reference it replaced, the WAL decoder's
 # torn-write obligations (no panic, exact canonical prefix, idempotent
 # truncation) on arbitrary bytes, and the streaming summaries' estimate
-# invariants (Space-Saving/Misra-Gries one-sided bounds, Count-Min
-# never-under-estimates, Reset replay identity, and every read equal to a
-# map-based reference's after every op) on arbitrary tapes of observes,
-# reads and Resets; Count-Min's on arbitrary shapes and on the one
-# NewCountMin derives from a capacity (seeded at capacities 1 and 256).
+# invariants (Space-Saving/Misra-Gries one-sided bounds, Reset replay
+# identity, and every read equal to a map-based reference's after every
+# op) on arbitrary tapes of observes, reads and Resets.
 fuzz:
 	$(GO) test -fuzz FuzzIntervalContainment -fuzztime $(FUZZTIME) ./internal/filter/
 	$(GO) test -fuzz FuzzThreshold -fuzztime $(FUZZTIME) ./internal/rngx/
@@ -75,7 +73,6 @@ fuzz:
 	$(GO) test -fuzz FuzzBatchDecode -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz FuzzWALDecode -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -fuzz FuzzSpaceSaving -fuzztime $(FUZZTIME) ./internal/sketch/
-	$(GO) test -fuzz FuzzCountMin -fuzztime $(FUZZTIME) ./internal/sketch/
 
 # cover prints per-package statement coverage for the engine-core packages
 # the violation-routing test matrix concentrates on — the node core with

@@ -271,8 +271,7 @@ func BenchmarkSweepSelectivity(b *testing.B) {
 }
 
 // sketchKinds enumerates the streaming summaries for the sketch hot-path
-// benchmarks (sized to the E13 / topk-items operating point: 128 counters,
-// Count-Min 512x4 with a 128-item keeper).
+// benchmarks (sized to the E13 / topk-items operating point: 128 counters).
 func sketchKinds() []struct {
 	name string
 	mk   func() sketch.Summary
@@ -283,7 +282,6 @@ func sketchKinds() []struct {
 	}{
 		{"space-saving", func() sketch.Summary { return sketch.NewSpaceSaving(128) }},
 		{"misra-gries", func() sketch.Summary { return sketch.NewMisraGries(128) }},
-		{"count-min", func() sketch.Summary { return sketch.NewCountMin(128, 42) }},
 	}
 }
 

@@ -1,8 +1,9 @@
 // Heavyhitters: track the top-k ITEMS of a distributed event stream with
 // constant per-node state. 8 ingest nodes see a zipf-skewed stream of
 // 100k events over 4096 distinct items; each node summarises its share
-// in a 256-counter Space-Saving sketch, and the sketch estimates feed
-// the ε-Top-k monitor (topk/items) — so the full filter protocol, cost
+// in a 256-counter Space-Saving sketch, and each counter minus the node's
+// minimum — a lower bound on the node's count of that item — feeds the
+// ε-Top-k monitor (topk/items), so the full filter protocol, cost
 // accounting, and referee run over item aggregates. The example keeps an
 // exact per-item count on the side and scores the monitor's recall
 // against it, then prints the communication bill: the point is that the
@@ -62,7 +63,7 @@ func main() {
 		}
 		// One Step = one committed monitor time step: Step reads every
 		// counter each node's sketch tracks (Tracked), sums the per-item
-		// estimates and pushes them through the filter protocol.
+		// lower bounds and pushes them through the filter protocol.
 		if err := mon.Step(); err != nil {
 			log.Fatal(err)
 		}
@@ -94,7 +95,7 @@ func main() {
 			mark = "*"
 			hits++
 		}
-		fmt.Printf("  %s item %4d  est %6d ±%4d  exact %6d\n", mark, item, est, bound, exact[item])
+		fmt.Printf("  %s item %4d  est %6d +%4d  exact %6d\n", mark, item, est, bound, exact[item])
 	}
 	recall := float64(hits) / float64(k)
 	fmt.Printf("recall@%d vs exact ground truth: %.2f\n", k, recall)

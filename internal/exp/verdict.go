@@ -162,18 +162,17 @@ func verdictE12(tables []*metrics.Table) []Finding {
 	}
 }
 
-// verdictE13 is the E13 table at equal memory per node (rows kind by
-// kind: space-saving, misra-gries, count-min; capacities ascending). At
-// the smallest capacity Count-Min's recall is at least Space-Saving's, and
-// at the largest every kind reaches 0.9, the layer's operating point. On
-// seeds 1–10 Count-Min led by 0.04–0.19 quick and 0.12–0.24 full, and the
-// least recall at the largest capacity read 0.969 quick and 0.977 full.
+// verdictE13 is the E13 table (capacities ascending): with each counter
+// read as its lower bound, recall@8 at the smallest capacity stays above a
+// band, and at the largest it reaches 0.9, the layer's operating point. On
+// seeds 1–10 recall@8 at capacity 16 read 0.797–0.867 quick and
+// 0.812–0.883 full (read as over-estimates, the same counters gave
+// 0.594–0.750 and 0.484–0.594, below the band), and at the largest
+// capacity 0.984–1 quick and 0.992–1 full.
 func verdictE13(tables []*metrics.Table) []Finding {
 	recall := tables[0].Column("recall@8")
-	nc := len(recall) / 3
-	largest := []float64{recall[nc-1], recall[2*nc-1], recall[3*nc-1]}
 	return []Finding{
-		within("E13 count-min minus space-saving recall@8, smallest capacity", recall[2*nc]-recall[0], 0, 1),
-		within("E13 least recall@8 over kinds, largest capacity", slices.Min(largest), 0.9, 1),
+		within("E13 recall@8, smallest capacity", recall[0], 0.76, 1),
+		within("E13 recall@8, largest capacity", recall[len(recall)-1], 0.9, 1),
 	}
 }

@@ -16,12 +16,12 @@ import "fmt"
 //	m <= Total()/(c+1)                        (the epsilon*N bound)
 //
 // A tracked item is one whose counter exceeds m, so at most c are listed;
-// an item at or below it estimates 0. Memory is the c+1 Space-Saving
-// counters, and Observe is Space-Saving's: one add and compare on a hit, a
-// step of the minimum count's floor on an eviction, whatever the weight,
-// allocation-free.
+// an item at or below it estimates 0. The summary is the embedded c+1
+// Space-Saving counters, whose Observe, Total and Reset it uses as they
+// are: one add and compare on a hit, a step of the minimum count's floor
+// on an eviction, whatever the weight, allocation-free.
 type MisraGries struct {
-	ss *SpaceSaving
+	SpaceSaving
 }
 
 // NewMisraGries returns a Misra-Gries summary with capacity counters
@@ -30,33 +30,27 @@ func NewMisraGries(capacity int) *MisraGries {
 	if capacity < 1 {
 		panic("sketch: MisraGries capacity must be >= 1")
 	}
-	return &MisraGries{ss: NewSpaceSaving(capacity + 1)}
+	return &MisraGries{SpaceSaving: *NewSpaceSaving(capacity + 1)}
 }
 
 // Name implements Summary.
-func (m *MisraGries) Name() string { return fmt.Sprintf("misra-gries(c=%d)", m.ss.cap-1) }
-
-// Total implements Summary.
-func (m *MisraGries) Total() int64 { return m.ss.total }
-
-// Observe implements Summary.
-func (m *MisraGries) Observe(item uint64, delta int64) { m.ss.Observe(item, delta) }
+func (m *MisraGries) Name() string { return fmt.Sprintf("misra-gries(c=%d)", m.cap-1) }
 
 // Estimate implements Summary: a tracked item's count above the minimum
 // under-estimates by at most the minimum; an untracked item's true count
 // is at most the minimum.
 func (m *MisraGries) Estimate(item uint64) (est, bound int64) {
-	d := m.ss.level
-	if slot := m.ss.idx.get(item); slot >= 0 {
-		return m.ss.cnt[slot] - d, d
+	d := m.level
+	if slot := m.idx.get(item); slot >= 0 {
+		return m.cnt[slot] - d, d
 	}
 	return 0, d
 }
 
 // Heavy implements Summary. Per-counter Err is the shared decrement bound.
 func (m *MisraGries) Heavy(k int, dst []Counter) []Counter {
-	d := m.ss.level
-	dst = m.ss.heavy(k, dst, nil)
+	d := m.level
+	dst = m.heavy(k, dst, nil)
 	for i := range dst {
 		// Counts descend, so the counters at the minimum are a suffix.
 		if dst[i].Count <= d {
@@ -70,19 +64,12 @@ func (m *MisraGries) Heavy(k int, dst []Counter) []Counter {
 
 // Tracked implements Summary.
 func (m *MisraGries) Tracked(dst []Counter) []Counter {
-	d := m.ss.level
+	d := m.level
 	dst = dst[:0]
-	for i := 0; i < m.ss.n; i++ {
-		if c := m.ss.cnt[i] - d; c > 0 {
-			dst = append(dst, Counter{Item: m.ss.item[i], Count: c, Err: d})
+	for i, c := range m.cnt[:m.n] {
+		if c > d {
+			dst = append(dst, Counter{Item: m.item[i], Count: c - d, Err: d})
 		}
 	}
 	return dst
 }
-
-// UntrackedEstimate implements Summary: an untracked item estimates 0.
-func (m *MisraGries) UntrackedEstimate() (int64, bool) { return 0, true }
-
-// Reset implements Summary (deterministic; the seed only honors the
-// rewind contract).
-func (m *MisraGries) Reset(seed uint64) { m.ss.Reset(seed) }

@@ -1,11 +1,9 @@
 // Package sketch provides allocation-free-after-construction streaming
-// summaries of item-frequency streams: Space-Saving, Misra-Gries, and
-// Count-Min, behind one Summary interface, each built from one capacity c.
-// Misra-Gries with c counters is read off a Space-Saving summary with c+1
-// (each counter minus the minimum), and Count-Min is min(4, c) rows of c
-// cells beside a keeper of ⌈c/4⌉ items that is Space-Saving's slot table,
-// never more bytes than NewSpaceSaving(c). A slot table finds an item's
-// slot through an index of 4-byte slot numbers at load <= 1/4 (oaTable).
+// summaries of item-frequency streams: Space-Saving and Misra-Gries,
+// behind one Summary interface. Misra-Gries with c counters is read off a
+// Space-Saving summary with c+1 (each counter minus the minimum), so the
+// two share one slot table, which finds an item's slot through an index of
+// 4-byte slot numbers at load <= 1/4 (oaTable).
 //
 // The summaries are the per-node state of the heavy-hitter item-monitoring
 // layer (topk/items): each distributed node summarises its local item
@@ -19,28 +17,20 @@
 //   - Observe never allocates after construction and never panics on any
 //     (item, delta) input; delta <= 0 is ignored (counts are monotone).
 //   - Estimate returns (est, bound) with |true - est| <= bound, plus the
-//     tighter one-sided guarantee documented per sketch: Space-Saving and
-//     Count-Min never under-estimate (est >= true), Misra-Gries never
-//     over-estimates (est <= true). The bound is exact for Space-Saving and
-//     Misra-Gries; Count-Min's fails for a given item with probability at
-//     most δ = e^-depth over its seed (e^-4 ≈ 0.018 from capacity 4 on).
+//     tighter one-sided guarantee documented per sketch: Space-Saving never
+//     under-estimates (est >= true), Misra-Gries never over-estimates
+//     (est <= true). Both bounds are exact.
 //   - Heavy fills dst[:0] with up to k counters in deterministic order
 //     (count descending, item ascending) — byte-identical across runs,
 //     worker counts, and -race.
 //   - Tracked fills dst[:0] with EVERY tracked counter in slot order: no
 //     sort, O(tracked). As a set it equals Heavy(capacity), with equal Count
-//     and Err per item.
-//   - UntrackedEstimate states what Estimate answers for every item Tracked
-//     does not list, when that is one number: Space-Saving's minimum counter
-//     once full and 0 before, Misra-Gries's 0. The deterministic counter
-//     sketches say (est, true); Count-Min, whose untracked estimate is a
-//     per-item read of the hashed table, says (0, false). This is the
-//     deterministic/probabilistic split as a method: a caller summing
-//     estimates over many summaries (topk/items.Step) needs Estimate only
-//     for summaries that answer false.
-//   - Reset(seed) rewinds to the state a fresh construction with that seed
-//     would produce (the repo-wide replay contract; the deterministic
-//     sketches ignore the seed's value but honor the rewind).
+//     and Err per item. An item Tracked does not list estimates to
+//     Space-Saving's minimum counter once full (0 before), and to
+//     Misra-Gries's 0.
+//   - Reset(seed) rewinds to the freshly-constructed state (the repo-wide
+//     replay contract; the summaries are deterministic, so the seed's value
+//     is ignored).
 //
 // The package is self-contained by design: it imports nothing from the
 // module (stdlib only), pinned by topk/boundary_test.go — sketches are
@@ -62,8 +52,7 @@ type Summary interface {
 	// Observe adds delta occurrences of item. delta <= 0 is ignored.
 	Observe(item uint64, delta int64)
 	// Estimate returns the item's estimated total count and the current
-	// bound on its error: the true count lies in [est-bound, est+bound]
-	// (for Count-Min, except with probability δ = e^-depth per item).
+	// bound on its error: the true count lies in [est-bound, est+bound].
 	Estimate(item uint64) (est, bound int64)
 	// Heavy appends the up-to-k heaviest tracked counters to dst[:0] in
 	// deterministic order (count descending, item ascending) and returns it.
@@ -71,10 +60,6 @@ type Summary interface {
 	// Tracked appends every tracked counter to dst[:0] in slot order (no
 	// sort, O(tracked)) and returns it: Heavy(capacity) as a set.
 	Tracked(dst []Counter) []Counter
-	// UntrackedEstimate returns the est Estimate answers for every item
-	// Tracked does not list, and true — or (0, false) when that estimate
-	// differs per item, so only Estimate can tell.
-	UntrackedEstimate() (est int64, uniform bool)
 	// Total returns N, the sum of all observed deltas.
 	Total() int64
 	// Reset rewinds to the freshly-constructed state for seed.
@@ -91,12 +76,6 @@ func mix(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// hashSeed derives the i-th of a family of independent-looking hashes
-// from one root value (Count-Min's row hashes of an item's hash).
-func hashSeed(seed uint64, i int) uint64 {
-	return mix(seed + 0x9e3779b97f4a7c15*uint64(i+1))
-}
-
 // --- fixed-capacity open-addressing index (item -> slot) ---
 //
 // Linear probing over a power-of-two table with backward-shift deletion:
@@ -106,8 +85,7 @@ func hashSeed(seed uint64, i int) uint64 {
 // entry's home is mix(item[entry]). The table has at least 4 entries per
 // slot, so it is never more than a quarter full and a miss, the eviction
 // path's first probe, ends after about 1.4 entries. Space-Saving (hence
-// Misra-Gries) and Count-Min's keeper use it to find an item's slot in
-// O(1) expected.
+// Misra-Gries) uses it to find an item's slot in O(1) expected.
 
 type oaTable struct {
 	mask  uint64
@@ -179,19 +157,18 @@ func (t *oaTable) clear() {
 	}
 }
 
-// --- the slot table shared by Space-Saving and Count-Min's keeper ---
+// --- Space-Saving's slot table ---
 
 // slotTable is cap counter slots, the first n of them used, each holding
 // an item and its count; the index finds an item's slot and ord sorts the
 // slots for Heavy. Space-Saving is a slot table with a takeover error per
-// slot; Count-Min is one beside its rows. The owner decides what a count
-// means and when an item takes over the minimum.
+// slot.
 //
 // The table evicts the minimum (count, item) first, ties broken by the
 // smallest item, so runs replay byte-identically. Counts never fall, and
 // once every slot is used a count that enters is strictly above the
-// minimum (Space-Saving's min + delta, the keeper's est > min), so the
-// minimum level only ever loses members. The floor lists them once, in
+// minimum (Space-Saving's min + delta), so the minimum level only ever
+// loses members. The floor lists them once, in
 // ascending item order, when the level is found: a hit costs one compare,
 // an eviction takes the first listed slot still at the level, and when the
 // last one leaves, one pass over the slots finds the next level.

@@ -60,9 +60,8 @@ func zipfTrace(items, events int, s float64, seed uint64) []uint64 {
 const unseen = math.MaxUint64
 
 // errorBound is the summary-wide worst-case error: Estimate's bound on an
-// item the summary has never seen. That is one number for every kind —
-// Space-Saving's minimum counter once full (0 before), Misra-Gries's
-// cumulative decrement, Count-Min's ceil(e*N/width).
+// item the summary has never seen — Space-Saving's minimum counter once
+// full (0 before), Misra-Gries's cumulative decrement.
 func errorBound(s Summary) int64 {
 	_, bound := s.Estimate(unseen)
 	return bound
@@ -72,7 +71,6 @@ func mkSummaries() []Summary {
 	return []Summary{
 		NewSpaceSaving(64),
 		NewMisraGries(64),
-		newCountMin(256, 4, 64, 42),
 	}
 }
 
@@ -87,8 +85,7 @@ func exactCounts(trace []uint64) map[uint64]int64 {
 
 // TestErrorBounds pins each sketch's documented guarantee on a seeded
 // zipf trace, with vacuity guards: the trace must actually overflow the
-// summaries (Space-Saving evictions, Misra-Gries decrements, Count-Min
-// collisions) and at least one estimate must differ from the truth,
+// summaries (Space-Saving evictions, Misra-Gries decrements) and at least one estimate must differ from the truth,
 // otherwise the bounds are tested on nothing.
 func TestErrorBounds(t *testing.T) {
 	const items, events = 512, 20000
@@ -113,7 +110,7 @@ func TestErrorBounds(t *testing.T) {
 					t.Fatalf("item %d: true %d outside [%d-%d, %d+%d]", it, f, est, bound, est, bound)
 				}
 				switch s.(type) {
-				case *SpaceSaving, *CountMin:
+				case *SpaceSaving:
 					if est < f {
 						t.Fatalf("%s under-estimates item %d: est %d < true %d", s.Name(), it, est, f)
 					}
@@ -132,7 +129,7 @@ func TestErrorBounds(t *testing.T) {
 			if eb <= 0 {
 				t.Fatal("vacuous: error bound is 0 under overflow pressure")
 			}
-			switch sk := s.(type) {
+			switch s.(type) {
 			case *SpaceSaving:
 				// eps*N with eps = 1/c.
 				if max := s.Total() / 64; eb > max {
@@ -142,10 +139,6 @@ func TestErrorBounds(t *testing.T) {
 				if max := s.Total() / (64 + 1); eb > max {
 					t.Fatalf("misra-gries error bound %d exceeds N/(c+1) = %d", eb, max)
 				}
-			case *CountMin:
-				// The per-item bound must actually hold on this seed for
-				// every item (deterministic given the seed).
-				_ = sk
 			}
 		})
 	}
@@ -183,27 +176,22 @@ func TestHeavyDeterministicOrder(t *testing.T) {
 
 // TestTrackedEnumeration pins the enumeration contract on a trace that
 // overflows the summaries, at checkpoints from empty to full and after
-// Reset: Tracked is Heavy(capacity) as a set, and the summaries that state
-// an untracked estimate answer Estimate with it across the whole universe.
+// Reset: Tracked is Heavy(capacity) as a set.
 func TestTrackedEnumeration(t *testing.T) {
 	const items, events = 512, 6000
 	trace := zipfTrace(items, events, 1.1, 5)
 	for _, s := range mkSummaries() {
 		t.Run(s.Name(), func(t *testing.T) {
-			checkTracked(t, s, items)
+			checkTracked(t, s)
 			for i, it := range trace {
 				s.Observe(it, 1)
 				if i%97 == 0 {
-					checkTracked(t, s, items)
+					checkTracked(t, s)
 				}
 			}
-			checkTracked(t, s, items)
-			_, uniform := s.UntrackedEstimate()
-			if _, hashed := s.(*CountMin); uniform == hashed {
-				t.Fatalf("UntrackedEstimate uniform = %v", uniform)
-			}
+			checkTracked(t, s)
 			s.Reset(42)
-			checkTracked(t, s, items)
+			checkTracked(t, s)
 		})
 	}
 }
@@ -279,14 +267,15 @@ var constructed Summary
 // allocator, so small blocks take more bytes than in a plain build.
 var raceEnabled bool
 
-// TestCountMinFitsSpaceSaving holds NewCountMin(c, seed) to the bytes
-// NewSpaceSaving(c) allocates, so a capacity sizes every summary to the
-// same memory, and NewSpaceSaving(c) to a byte budget: what it took when
-// its index held 8-byte keys beside the slot numbers at load <= 1/2. Each
-// constructor's TotalAlloc is averaged over many builds, which spreads the
-// 16-byte blocks of Go's tiny allocator evenly. The budget is a plain
-// build's: under -race only Count-Min <= Space-Saving is checked.
-func TestCountMinFitsSpaceSaving(t *testing.T) {
+// TestSpaceSavingByteBudget holds NewSpaceSaving(c) to a byte budget: what
+// it took when its index held 8-byte keys beside the slot numbers at load
+// <= 1/2. The constructor's TotalAlloc is averaged over many builds, which
+// spreads the 16-byte blocks of Go's tiny allocator evenly. The budget is
+// a plain build's, so -race skips it.
+func TestSpaceSavingByteBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race build turns off the tiny allocator the budget assumes")
+	}
 	bytes := func(build func() Summary) uint64 {
 		const builds = 64
 		var before, after runtime.MemStats
@@ -298,21 +287,16 @@ func TestCountMinFitsSpaceSaving(t *testing.T) {
 		return (after.TotalAlloc - before.TotalAlloc) / builds
 	}
 	// On linux/amd64 with go1.24, NewSpaceSaving takes 376, 1152, 3072,
-	// 6976 and 13632 B at these capacities, NewCountMin 376, 1008, 2448,
-	// 5824 and 11328 B.
+	// 6976 and 13632 B at these capacities.
 	for _, row := range []struct {
 		c      int
 		budget uint64
 	}{{1, 408}, {16, 1280}, {48, 3584}, {128, 8000}, {256, 15680}} {
 		c := row.c
 		ss := bytes(func() Summary { return NewSpaceSaving(c) })
-		cm := bytes(func() Summary { return NewCountMin(c, 7) })
-		t.Logf("c = %d: space-saving %d B, %s %d B", c, ss, constructed.Name(), cm)
-		if ss > row.budget && !raceEnabled {
+		t.Logf("c = %d: space-saving %d B", c, ss)
+		if ss > row.budget {
 			t.Errorf("c = %d: NewSpaceSaving allocates %d B, budget %d B", c, ss, row.budget)
-		}
-		if cm > ss {
-			t.Errorf("c = %d: NewCountMin allocates %d B, NewSpaceSaving %d B", c, cm, ss)
 		}
 	}
 }
@@ -320,7 +304,7 @@ func TestCountMinFitsSpaceSaving(t *testing.T) {
 // TestWeightedAndDegenerateObserves covers deltas > 1, ignored deltas,
 // single-counter capacities, and the all-equal-ties regime.
 func TestWeightedAndDegenerateObserves(t *testing.T) {
-	for _, s := range []Summary{NewSpaceSaving(1), NewMisraGries(1), newCountMin(2, 1, 1, 5)} {
+	for _, s := range []Summary{NewSpaceSaving(1), NewMisraGries(1)} {
 		s.Observe(10, 5)
 		s.Observe(11, 0)  // ignored
 		s.Observe(12, -3) // ignored
@@ -456,17 +440,13 @@ func (r *refMisraGries) heavy() []Counter {
 	return out
 }
 
-// checkMisraGriesView compares m with the reference r: Total, the
-// untracked estimate, Estimate and its bound for every item of
-// [0, universe) and an unseen one, Tracked as a set, and Heavy(k) for
-// every k up to one past the capacity.
+// checkMisraGriesView compares m with the reference r: Total, Estimate and
+// its bound for every item of [0, universe) and an unseen one, Tracked as
+// a set, and Heavy(k) for every k up to one past the capacity.
 func checkMisraGriesView(t *testing.T, m *MisraGries, r *refMisraGries, universe uint64) {
 	t.Helper()
 	if m.Total() != r.total {
 		t.Fatalf("%s: Total %d, reference %d", m.Name(), m.Total(), r.total)
-	}
-	if u, uniform := m.UntrackedEstimate(); u != 0 || !uniform {
-		t.Fatalf("%s: UntrackedEstimate (%d, %v), want (0, true)", m.Name(), u, uniform)
 	}
 	for i := uint64(0); i <= universe; i++ {
 		item := i
@@ -600,19 +580,15 @@ func sortHeavy(cs []Counter) {
 	})
 }
 
-// checkSpaceSavingView compares s with the reference r: Total, the
-// untracked estimate, Estimate and its bound for every item of universe
-// and an unseen one, Tracked as a set, and Heavy(k) for every k up to one
-// past the capacity.
+// checkSpaceSavingView compares s with the reference r: Total, Estimate
+// and its bound for every item of universe and an unseen one, Tracked as a
+// set, and Heavy(k) for every k up to one past the capacity.
 func checkSpaceSavingView(t *testing.T, s *SpaceSaving, r *refSpaceSaving, universe []uint64) {
 	t.Helper()
 	if s.Total() != r.total {
 		t.Fatalf("%s: Total %d, reference %d", s.Name(), s.Total(), r.total)
 	}
 	m, _ := r.floor()
-	if u, uniform := s.UntrackedEstimate(); u != m || !uniform {
-		t.Fatalf("%s: UntrackedEstimate (%d, %v), reference (%d, true)", s.Name(), u, uniform, m)
-	}
 	for _, item := range append(universe, unseen) {
 		want, bound := m, m
 		if v, ok := r.cnt[item]; ok {
@@ -695,107 +671,6 @@ func TestSpaceSavingMatchesReference(t *testing.T) {
 		if c > 1 && tied == 0 {
 			t.Fatalf("vacuous: no eviction at c = %d chose among tied minimum counters", c)
 		}
-	}
-}
-
-// refKeeper is Count-Min's keeper over a map: the track items with the
-// largest estimates as of their last observation, an arrival taking over
-// the smallest (estimate, item) only when its estimate is larger.
-type refKeeper struct {
-	track    int
-	est      map[uint64]int64
-	replaced int
-}
-
-func (r *refKeeper) observe(item uint64, est int64) {
-	if _, ok := r.est[item]; ok || len(r.est) < r.track {
-		r.est[item] = est
-		return
-	}
-	var mi uint64
-	m := int64(math.MaxInt64)
-	for it, v := range r.est {
-		if v < m || v == m && it < mi {
-			m, mi = v, it
-		}
-	}
-	if est > m {
-		delete(r.est, mi)
-		r.est[item] = est
-		r.replaced++
-	}
-}
-
-// heavy lists the kept items in Heavy's order, each with the shared bound.
-func (r *refKeeper) heavy(bound int64) []Counter {
-	out := make([]Counter, 0, len(r.est))
-	for it, v := range r.est {
-		out = append(out, Counter{Item: it, Count: v, Err: bound})
-	}
-	sortHeavy(out)
-	return out
-}
-
-// TestCountMinKeeperMatchesReference holds Count-Min's keeper to refKeeper
-// after every op of seeded weighted tapes (narrow tables, so estimates
-// collide and tie) at every keeper size from 1 to 16, with occasional
-// reseeding Resets. The reference is fed each arrival's estimate as
-// Estimate reads it right after the Observe, which is the estimate the
-// keeper sees.
-func TestCountMinKeeperMatchesReference(t *testing.T) {
-	replaced := 0
-	for track := 1; track <= 16; track++ {
-		universe := uint64(2*track + 3)
-		for seed := uint64(1); seed <= 4; seed++ {
-			rng := &testRNG{state: seed<<8 | uint64(track)}
-			c := newCountMin(int(seed)*3, 2, track, seed)
-			r := &refKeeper{track: track, est: make(map[uint64]int64)}
-			for op := 0; op < 300; op++ {
-				if rng.next()%64 == 0 {
-					replaced += r.replaced
-					c.Reset(rng.next())
-					r = &refKeeper{track: track, est: make(map[uint64]int64)}
-				} else {
-					item := rng.next() % universe
-					delta := int64(rng.next()%44) - 3
-					c.Observe(item, delta)
-					if delta > 0 {
-						est, _ := c.Estimate(item)
-						r.observe(item, est)
-					}
-				}
-				checkCounters(t, c, r.heavy(errorBound(c)), track+1)
-			}
-			replaced += r.replaced
-		}
-	}
-	if replaced == 0 {
-		t.Fatal("vacuous: the keeper never replaced an item")
-	}
-}
-
-// TestCountMinNeverUnderEstimates exercises heavy collision pressure (tiny
-// width) — the over-estimate invariant must survive it.
-func TestCountMinNeverUnderEstimates(t *testing.T) {
-	const items, events = 300, 10000
-	trace := zipfTrace(items, events, 1.0, 13)
-	c := newCountMin(8, 2, 8, 99)
-	truth := exactCounts(trace)
-	for _, it := range trace {
-		c.Observe(it, 1)
-	}
-	under := false
-	for it, f := range truth {
-		est, _ := c.Estimate(it)
-		if est < f {
-			t.Fatalf("under-estimate: item %d est %d < true %d", it, est, f)
-		}
-		if est > f {
-			under = true // over-estimates exist: collisions are real
-		}
-	}
-	if !under {
-		t.Fatal("vacuous: width-8 sketch produced no collisions")
 	}
 }
 
@@ -894,7 +769,6 @@ func TestNames(t *testing.T) {
 	}{
 		{NewSpaceSaving(64), "space-saving(c=64)"},
 		{NewMisraGries(32), "misra-gries(c=32)"},
-		{newCountMin(256, 4, 64, 1), "count-min(w=256,d=4,track=64)"},
 	} {
 		if got := want.s.Name(); got != want.name {
 			t.Fatalf("Name = %q, want %q", got, want.name)

@@ -63,10 +63,6 @@ func (s *SpaceSaving) Estimate(item uint64) (est, bound int64) {
 	return s.level, s.level
 }
 
-// UntrackedEstimate implements Summary: the floor's level, by Estimate's
-// argument.
-func (s *SpaceSaving) UntrackedEstimate() (int64, bool) { return s.level, true }
-
 // Heavy implements Summary.
 func (s *SpaceSaving) Heavy(k int, dst []Counter) []Counter {
 	return s.heavy(k, dst, s.err)

@@ -18,40 +18,36 @@
 // aggregation the inner monitor's output IS the answer (item ids), and
 // its size is independent of the node count.
 //
-// Each committed step, every node enumerates the counters its sketch
-// tracks (sketch.Summary.Tracked: slot order, no sort); an item some node
-// tracks is a candidate, and every candidate's aggregate — the sum over
-// ALL nodes of Estimate(item) — is pushed, in ascending item id, as one
-// batch. Items no node tracks keep their previous pushed value — safe
-// because counts are monotone non-decreasing, so a stale value only
-// under-states an item that, by not being tracked anywhere, is bounded
-// below the per-node error bounds anyway. The recall harness
-// (internal/stream/items + the E-table experiment) measures the
-// end-to-end effect of both approximations — sketch error and stale
-// non-candidates — against exact ground truth.
+// A node's summary is c Space-Saving counters read as a lower bound: each
+// counter minus the node's minimum counter, the Misra-Gries view
+// (sketch.MisraGries over c−1 counters), which never exceeds the node's
+// true count of the item and falls short of it by at most that minimum.
+// Each committed step, every node enumerates the counters whose lower
+// bound is positive (sketch.Summary.Tracked: slot order, no sort); an item
+// some node lists is a candidate, and every candidate's aggregate — the
+// sum over ALL nodes of the lower bound, 0 on a node that does not list
+// it — is pushed, in ascending item id, as one batch.
+//
+// So every pushed value is at most the item's true count when it is
+// pushed, and since counts never fall, at most its true count at every
+// later step too: an item no node lists keeps its previous pushed value,
+// stale but never above the truth (TestPushedNeverExceedsTruth checks it
+// after every step). An item that nobody lists has a true count of at
+// most the sum of the nodes' minimum counters, the same slack a listed
+// item's aggregate has, so the filters see every item under-stated by at
+// most that sum and never over-stated: a fringe item cannot be pushed past
+// a heavier one on the strength of another node's minimum. The recall
+// harness (internal/stream/items + the E-table experiment) measures the
+// end-to-end effect against exact ground truth.
 //
 // # The step accumulates; it does not look up
 //
 // Sketch updates are node-local and free in the model, so a step should
-// cost what the tracked counters cost to read. A Space-Saving or
-// Misra-Gries summary answers Estimate for every item it does NOT track
-// with one number u (sketch.Summary.UntrackedEstimate: the minimum counter
-// once full, else 0). So node i's term of an item's sum is u_i unless the
-// node tracks the item, and then it is the counter the enumeration just
-// produced:
-//
-//	Σ_i Estimate_i(j) = Σ_i u_i + Σ_{i tracks j} (count_i(j) − u_i)
-//
-// Step adds count − u_i into a dense per-item accumulator during the
-// enumeration and adds Σ u_i once per candidate: the same integer, with no
-// Estimate call and no sort (candidates come out of a bitset over the
-// universe in ascending id). Count-Min states no such number — an item
-// outside its keeper still estimates to the minimum of its own row cells,
-// and a kept item's keeper count is the estimate as of ITS last
-// observation while Estimate reads the live table — so a Count-Min node
-// contributes its keeper's items as candidates from the same enumeration
-// and its term is read with Estimate per candidate. Which of the two a
-// summary gets is the summary's own answer, not a setting.
+// cost what the tracked counters cost to read. A node's term of an item's
+// sum is the lower bound its enumeration just listed, or 0, so Step adds
+// each listed count into a dense per-item accumulator and reads the
+// candidates out of a bitset over the universe in ascending id: no
+// Estimate call and no sort.
 package items
 
 import (
@@ -67,33 +63,16 @@ import (
 // SketchKind selects the per-node summary algorithm.
 type SketchKind int
 
-const (
-	// SpaceSaving (the default) never under-estimates and tracks a
-	// per-item over-estimation error; the usual best choice for top-k.
-	SpaceSaving SketchKind = iota
-	// MisraGries never over-estimates; deterministic counterpart with the
-	// dual one-sided guarantee. With Capacity c it is read off a
-	// Space-Saving summary of c+1 counters (each minus the minimum), so it
-	// tracks at most c items in the memory of c+1 Space-Saving counters.
-	MisraGries
-	// CountMin is the hashed sketch: never under-estimates, and its
-	// bound holds per item except with probability δ = e^-depth; a keeper
-	// of its highest-estimate items supplies the heavy lists.
-	CountMin
-)
+// SpaceSaving (the default and only kind) keeps Capacity Space-Saving
+// counters per node and pushes each counter minus the node's minimum.
+const SpaceSaving SketchKind = 0
 
 // String implements fmt.Stringer.
 func (k SketchKind) String() string {
-	switch k {
-	case SpaceSaving:
+	if k == SpaceSaving {
 		return "space-saving"
-	case MisraGries:
-		return "misra-gries"
-	case CountMin:
-		return "count-min"
-	default:
-		return fmt.Sprintf("SketchKind(%d)", int(k))
 	}
+	return fmt.Sprintf("SketchKind(%d)", int(k))
 }
 
 // Config parameterises New. Zero values get working defaults where noted.
@@ -112,13 +91,11 @@ type Config struct {
 	Epsilon topk.Epsilon
 	// Sketch selects the per-node summary (default SpaceSaving).
 	Sketch SketchKind
-	// Capacity c sizes every kind of per-node summary: the counters
-	// SpaceSaving keeps, the items MisraGries tracks (on c+1 Space-Saving
-	// counters), and CountMin's rows and keeper, in no more bytes than c
-	// Space-Saving counters (sketch.NewCountMin). Default 64.
+	// Capacity c is the Space-Saving counters per node, so at most c−1
+	// items are tracked per node: the minimum counter is what every other
+	// one is read against (required >= 2; default 64).
 	Capacity int
-	// Seed is the root seed: it derives every per-node sketch seed and
-	// the inner monitor's seed, so equal seeds replay bit for bit.
+	// Seed is the inner monitor's seed, so equal seeds replay bit for bit.
 	// Default 1.
 	Seed uint64
 	// Monitor is appended to the inner topk.New options, after the ones
@@ -138,12 +115,6 @@ func (c *Config) withDefaults() Config {
 	return cfg
 }
 
-// nodeSeed derives node i's sketch seed from the root seed (splitmix64's
-// golden-ratio stride, matching the repo's child-stream idiom).
-func nodeSeed(seed uint64, i int) uint64 {
-	return seed ^ (0x9e3779b97f4a7c15 * (uint64(i) + 1))
-}
-
 // Monitor tracks the approximate top-k items of a distributed item
 // stream. Observe stages events; Step commits everything observed since
 // the last Step as ONE time step of the inner monitor. Methods are safe
@@ -157,19 +128,18 @@ type Monitor struct {
 
 	cfg   Config
 	inner *topk.Monitor
-	per   []sketch.Summary // one summary per node
+	per   []*sketch.MisraGries // one summary per node
 
-	// Step scratch, sized once in New. acc[j] is Σ (count − u_i) over the
-	// nodes tracking item j and marked is the candidate bitset over the
+	// Step scratch, sized once in New. acc[j] is the sum of the lower
+	// bounds listed for item j and marked is the candidate bitset over the
 	// universe; Step clears each entry as it consumes it, so both are
 	// all-zero between Steps and Reset, Close and an early return leave no
 	// residue. The scan is Items/64 words a step (16k words at a universe
 	// of 1M), below what the inner batch costs, so there is no sparse form.
-	tracked    []sketch.Counter // one node's enumeration
-	acc        []int64
-	marked     []uint64
-	byEstimate []sketch.Summary // this step's nodes without a single untracked estimate
-	batch      []topk.Update
+	tracked []sketch.Counter // one node's enumeration
+	acc     []int64
+	marked  []uint64
+	batch   []topk.Update
 
 	closed bool
 }
@@ -187,21 +157,15 @@ func New(c Config) (*Monitor, error) {
 	if cfg.K < 1 || cfg.K > cfg.Items {
 		return nil, fmt.Errorf("items: K = %d outside [1, Items = %d]", cfg.K, cfg.Items)
 	}
-	if cfg.Capacity < 1 {
-		return nil, fmt.Errorf("items: Capacity = %d, want >= 1 (0 selects the default)", cfg.Capacity)
+	if cfg.Sketch != SpaceSaving {
+		return nil, fmt.Errorf("items: unknown Sketch %v", cfg.Sketch)
 	}
-	per := make([]sketch.Summary, cfg.Nodes)
+	if cfg.Capacity < 2 {
+		return nil, fmt.Errorf("items: Capacity = %d, want >= 2 (0 selects the default): one counter's lower bound is always 0", cfg.Capacity)
+	}
+	per := make([]*sketch.MisraGries, cfg.Nodes)
 	for i := range per {
-		switch cfg.Sketch {
-		case SpaceSaving:
-			per[i] = sketch.NewSpaceSaving(cfg.Capacity)
-		case MisraGries:
-			per[i] = sketch.NewMisraGries(cfg.Capacity)
-		case CountMin:
-			per[i] = sketch.NewCountMin(cfg.Capacity, nodeSeed(cfg.Seed, i))
-		default:
-			return nil, fmt.Errorf("items: unknown Sketch %v", cfg.Sketch)
-		}
+		per[i] = sketch.NewMisraGries(cfg.Capacity - 1)
 	}
 	opts := append([]topk.Option{topk.WithNodes(cfg.Items), topk.WithSeed(cfg.Seed)}, cfg.Monitor...)
 	inner, err := topk.New(cfg.K, cfg.Epsilon, opts...)
@@ -209,14 +173,13 @@ func New(c Config) (*Monitor, error) {
 		return nil, err
 	}
 	return &Monitor{
-		cfg:        cfg,
-		inner:      inner,
-		per:        per,
-		tracked:    make([]sketch.Counter, 0, cfg.Capacity),
-		acc:        make([]int64, cfg.Items),
-		marked:     make([]uint64, (cfg.Items+63)/64),
-		byEstimate: make([]sketch.Summary, 0, cfg.Nodes),
-		batch:      make([]topk.Update, 0, cfg.Items),
+		cfg:     cfg,
+		inner:   inner,
+		per:     per,
+		tracked: make([]sketch.Counter, 0, cfg.Capacity),
+		acc:     make([]int64, cfg.Items),
+		marked:  make([]uint64, (cfg.Items+63)/64),
+		batch:   make([]topk.Update, 0, cfg.Items),
 	}, nil
 }
 
@@ -241,8 +204,8 @@ func (m *Monitor) Observe(node, item int, count int64) error {
 
 // Step commits everything observed since the last Step as one time step:
 // every item some node's sketch tracks is a candidate, each candidate's
-// value is the sum over all nodes of the node's estimate (accumulated, see
-// the package doc), and the candidates go to the inner monitor as one
+// value is the sum over all nodes of the node's lower bound (accumulated,
+// see the package doc), and the candidates go to the inner monitor as one
 // batch in ascending item id. Steps with no candidate still advance time
 // (the inner monitor's heartbeat semantics). Step allocates nothing.
 func (m *Monitor) Step() error {
@@ -253,21 +216,11 @@ func (m *Monitor) Step() error {
 	}
 	// Every Counter.Item below reached its sketch through Observe's
 	// item < Items check, which is what makes it an index.
-	var base int64 // Σ u_i over the nodes that state one
-	m.byEstimate = m.byEstimate[:0]
 	for _, s := range m.per {
 		m.tracked = s.Tracked(m.tracked)
-		u, uniform := s.UntrackedEstimate()
-		if uniform {
-			base += u
-		} else {
-			m.byEstimate = append(m.byEstimate, s)
-		}
 		for _, c := range m.tracked {
 			m.marked[c.Item>>6] |= 1 << (c.Item & 63)
-			if uniform {
-				m.acc[c.Item] += c.Count - u
-			}
+			m.acc[c.Item] += c.Count
 		}
 	}
 	// The word scan yields ascending item ids, one entry per item however
@@ -281,16 +234,8 @@ func (m *Monitor) Step() error {
 		m.marked[w] = 0
 		for ; word != 0; word &= word - 1 {
 			j := w<<6 | bits.TrailingZeros64(word)
-			sum := m.acc[j] + base
+			m.batch = append(m.batch, topk.Update{Node: j, Value: min(m.acc[j], topk.MaxValue)})
 			m.acc[j] = 0
-			for _, s := range m.byEstimate {
-				est, _ := s.Estimate(uint64(j))
-				sum += est
-			}
-			if sum > topk.MaxValue {
-				sum = topk.MaxValue
-			}
-			m.batch = append(m.batch, topk.Update{Node: j, Value: sum})
 		}
 	}
 	return m.inner.UpdateBatch(m.batch)
@@ -301,9 +246,11 @@ func (m *Monitor) Step() error {
 // the first Step it returns dst[:0].
 func (m *Monitor) TopItems(dst []int) []int { return m.inner.TopK(dst) }
 
-// Estimate returns the monitor's current aggregate estimate for one item
-// — the sum of the per-node sketch estimates — and the summed error
-// bound. It reads the sketches live (not the last pushed value).
+// Estimate returns the monitor's current lower bound on one item's count
+// — the sum of the per-node lower bounds, what Step would push for it now
+// — and the sum of the nodes' minimum counters, by which the true count
+// exceeds it at most: est <= count <= est + bound. It reads the sketches
+// live (not the last pushed value).
 func (m *Monitor) Estimate(item int) (est, bound int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -342,7 +289,8 @@ func (m *Monitor) K() int { return m.cfg.K }
 
 // Reset rewinds the monitor — sketches and inner monitor; Step's scratch
 // is all-zero between steps — to the state a fresh New with the given seed
-// would produce, keeping every buffer. A reset monitor replays a fresh monitor's run bit for bit.
+// would produce, keeping every buffer. A reset monitor replays a fresh
+// monitor's run bit for bit.
 func (m *Monitor) Reset(seed uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -353,8 +301,8 @@ func (m *Monitor) Reset(seed uint64) error {
 		return err
 	}
 	m.cfg.Seed = seed
-	for i, s := range m.per {
-		s.Reset(nodeSeed(seed, i))
+	for _, s := range m.per {
+		s.Reset(seed)
 	}
 	return nil
 }

@@ -48,8 +48,12 @@ const subBuffer = 64
 // Monitor is the embeddable push-based ε-Top-k monitor: an engine hosting
 // the n nodes, one of the paper's monitoring algorithms on top, and the
 // batching that turns pushed updates into the model's time steps. Methods
-// are safe for use from one goroutine at a time (guarded by one mutex);
-// subscription channels may be drained from any goroutine.
+// are safe for concurrent use: one mutex serialises every call but
+// Epsilon, N and K, which read fields fixed at New. A push joins whatever
+// batch is staged when it takes the mutex, so the steps that concurrent
+// pushers form depend on the interleave; a run that must replay pushes
+// from one goroutine. Subscription channels may be drained from any
+// goroutine.
 type Monitor struct {
 	mu sync.Mutex
 

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"topkmon/internal/chaintest"
@@ -454,5 +455,106 @@ func TestWrapEpsRoundTrip(t *testing.T) {
 	e := eps.MustNew(3, 16)
 	if got := topk.WrapEps(e).String(); got != "3/16" {
 		t.Errorf("WrapEps → %s", got)
+	}
+}
+
+// TestConcurrentCalls runs the monitor from four goroutines at once, on
+// both engines (run it under -race): two push disjoint halves of the nodes
+// one UpdateBatch a round, while a third reads (TopK, Cost, Check, Steps,
+// Epochs, AlgorithmName) and flushes, and a fourth drains a subscription.
+// Every call commits whole steps, so the step count must be the number of
+// commits whatever the interleave. In the last round the top k nodes jump
+// far above the rest, so after a final Flush TopK must be exactly those k
+// and Check must pass.
+func TestConcurrentCalls(t *testing.T) {
+	const n, k, rounds = 64, 4, 200
+	value := func(node, round int) int64 {
+		if round < rounds-1 {
+			return int64((node*7+round*13)%1000 + 1)
+		}
+		if node >= n-k {
+			return int64(1_000_000 + node)
+		}
+		return int64(node + 1)
+	}
+	for _, engine := range []topk.EngineKind{topk.Lockstep, topk.Live} {
+		t.Run(engine.String(), func(t *testing.T) {
+			m, err := topk.New(k, topk.MustEpsilon(1, 8), topk.WithNodes(n), topk.WithSeed(3),
+				topk.WithEngine(engine), topk.WithShards(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			events := m.Subscribe()
+			var pushers, others sync.WaitGroup
+			for half := range 2 {
+				pushers.Add(1)
+				go func() {
+					defer pushers.Done()
+					batch := make([]topk.Update, 0, n/2)
+					for r := range rounds {
+						batch = batch[:0]
+						for node := half * n / 2; node < (half+1)*n/2; node++ {
+							batch = append(batch, topk.Update{Node: node, Value: value(node, r)})
+						}
+						if err := m.UpdateBatch(batch); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			done := make(chan struct{})
+			var flushes int64
+			others.Add(2)
+			go func() {
+				defer others.Done()
+				var top []int
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					if err := m.Flush(); err != nil {
+						t.Error(err)
+						return
+					}
+					flushes++
+					top = m.TopK(top)
+					m.Cost()
+					m.Steps()
+					m.Epochs()
+					m.AlgorithmName()
+					if err := m.Check(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			go func() {
+				defer others.Done()
+				for range events {
+				}
+			}()
+			pushers.Wait()
+			close(done)
+			m.Unsubscribe(events)
+			others.Wait()
+			if err := m.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := m.Steps(), 2*rounds+flushes+1; got != want {
+				t.Fatalf("Steps = %d, want %d (2×%d batches, %d flushes, the last Flush)", got, want, rounds, flushes)
+			}
+			if err := m.Check(); err != nil {
+				t.Fatal(err)
+			}
+			top := m.TopK(nil)
+			slices.Sort(top)
+			if want := []int{n - 4, n - 3, n - 2, n - 1}; !slices.Equal(top, want) {
+				t.Fatalf("TopK = %v, want %v", top, want)
+			}
+		})
 	}
 }

@@ -48,7 +48,7 @@ race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -run '^TestLockstepEquivalenceLargeN$$' ./internal/live
 
-# fuzz gives each of the ten seeded fuzz targets a short randomized
+# fuzz gives each of the nine seeded fuzz targets a short randomized
 # session — the interval algebra, the integer coin threshold's equality
 # with the float coin it replaces, the sweep sampler's sender ranks
 # (strictly ascending below the matcher count, every rank without a draw
@@ -59,9 +59,10 @@ race:
 # frontend's all-or-nothing batch-decode path and the batch decoder's
 # equality with the encoding/json reference it replaced, the WAL decoder's
 # torn-write obligations (no panic, exact canonical prefix, idempotent
-# truncation) on arbitrary bytes, and the streaming summaries' estimate
-# invariants (Space-Saving/Misra-Gries one-sided bounds, Reset replay
-# identity, and every read equal to a map-based reference's after every
+# truncation) on arbitrary bytes, and the one streaming summary's
+# invariants (Space-Saving's counters read as lower bounds: est <= true <=
+# est + bound, Reset replay identity, its slots equal to a map-based
+# Space-Saving's and every read to a map-based Misra-Gries's after every
 # op) on arbitrary tapes of observes, reads and Resets.
 fuzz:
 	$(GO) test -fuzz FuzzIntervalContainment -fuzztime $(FUZZTIME) ./internal/filter/
@@ -94,8 +95,8 @@ check: build fmt-check vet api-check test
 # BenchmarkEpochOpen's and BenchmarkItemsStep's zero allocations,
 # BenchmarkSketchObserve's weighted, all-miss and items-zipf Space-Saving
 # rows (the last is the items-zipf workload's 8 nodes' stream), whose
-# every summary's Heavy must equal a reference Space-Saving's after the
-# timed loop,
+# every summary's Heavy must equal a reference Space-Saving's, read as
+# lower bounds, after the timed loop,
 # BenchmarkSweepSilent's one barrier round per silent sweep on live,
 # BenchmarkLiveGrain's comparison of the live engine's parallel grain with
 # both pure dispatches (own fixed-size timing; skipped on one CPU), and

@@ -270,21 +270,6 @@ func BenchmarkSweepSelectivity(b *testing.B) {
 	}
 }
 
-// sketchKinds enumerates the streaming summaries for the sketch hot-path
-// benchmarks (sized to the E13 / topk-items operating point: 128 counters).
-func sketchKinds() []struct {
-	name string
-	mk   func() sketch.Summary
-} {
-	return []struct {
-		name string
-		mk   func() sketch.Summary
-	}{
-		{"space-saving", func() sketch.Summary { return sketch.NewSpaceSaving(128) }},
-		{"misra-gries", func() sketch.Summary { return sketch.NewMisraGries(128) }},
-	}
-}
-
 // sketchTrace pre-generates a zipf-skewed item sequence outside the timed
 // loops so the sketch benchmarks measure only the summaries.
 func sketchTrace(n int) []uint64 {
@@ -297,30 +282,29 @@ func sketchTrace(n int) []uint64 {
 	return trace
 }
 
-// BenchmarkSketchObserve measures the per-event ingest cost of each
-// summary on a zipf(1.2) item stream — the sketch layer's hot path — and
-// Space-Saving's on the two streams that empty its floor of the minimum
-// count most often: the same stream with weights 1..40 (counts nearly all
-// distinct, so a floor holds few slots) and a uniform one over 2^20 items
-// (nearly every event an eviction), and on the items-zipf workload's
-// stream: 8 nodes' summaries fed zipf(1.1) events over 4096 items in the
-// order the generator emits them (37 % of them evictions). Those
-// three rows observe their whole trace before the timer starts and, after
-// the timed loop, require every summary's Heavy to equal a reference
-// Space-Saving's (refSpaceSaving), so a run at -benchtime=1x checks them
-// too. 0 allocs/op is the enforced budget (sketch's TestObserveAllocs).
+// BenchmarkSketchObserve measures the per-event ingest cost of the
+// summary (Space-Saving with 128 counters, the E13 / topk-items operating
+// point) on a zipf(1.2) item stream — the sketch layer's hot path — and on
+// the two streams that empty its floor of the minimum count most often:
+// the same stream with weights 1..40 (counts nearly all distinct, so a
+// floor holds few slots) and a uniform one over 2^20 items (nearly every
+// event an eviction), and on the items-zipf workload's stream: 8 nodes'
+// summaries fed zipf(1.1) events over 4096 items in the order the
+// generator emits them (37 % of them evictions). Those three rows observe
+// their whole trace before the timer starts and, after the timed loop,
+// require every summary's Heavy to equal a reference Space-Saving's
+// (refSpaceSaving) read as lower bounds, so a run at -benchtime=1x checks
+// them too. 0 allocs/op is the enforced budget (sketch's TestObserveAllocs).
 func BenchmarkSketchObserve(b *testing.B) {
 	trace := sketchTrace(1 << 14)
-	for _, s := range sketchKinds() {
-		b.Run(s.name, func(b *testing.B) {
-			sum := s.mk()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sum.Observe(trace[i&(len(trace)-1)], 1)
-			}
-		})
-	}
+	b.Run("space-saving", func(b *testing.B) {
+		sum := sketch.NewSpaceSaving(128)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sum.Observe(trace[i&(len(trace)-1)], 1)
+		}
+	})
 	rng := rngx.New(5)
 	weights := make([]int64, len(trace))
 	for i := range weights {
@@ -383,7 +367,7 @@ func BenchmarkSketchObserve(b *testing.B) {
 }
 
 // refSpaceSaving is Space-Saving over a slice kept sorted by (count, item),
-// the order in which it evicts.
+// the order in which it evicts; heavy reads it as the summary does.
 type refSpaceSaving struct {
 	c   int
 	ord []sketch.Counter // ascending (Count, Item)
@@ -400,7 +384,7 @@ func (r *refSpaceSaving) observe(item uint64, delta int64) {
 	} else if len(r.ord) == r.c {
 		m := r.ord[0]
 		delete(r.at, m.Item)
-		c.Count, c.Err = m.Count+delta, m.Count
+		c.Count = m.Count + delta
 		r.ord = slices.Delete(r.ord, 0, 1)
 	}
 	r.at[item] = c.Count
@@ -415,10 +399,20 @@ func (r *refSpaceSaving) find(cnt int64, item uint64) int {
 	return i
 }
 
-// heavy lists every counter in Heavy's order: count descending, item
-// ascending.
+// heavy lists every counter above the minimum (0 until every counter is
+// used) in Heavy's order, count descending and item ascending, each read
+// as its count minus the minimum, with the minimum as its Err.
 func (r *refSpaceSaving) heavy() []sketch.Counter {
-	out := slices.Clone(r.ord)
+	var level int64
+	if len(r.ord) == r.c {
+		level = r.ord[0].Count
+	}
+	var out []sketch.Counter
+	for _, c := range r.ord {
+		if c.Count > level {
+			out = append(out, sketch.Counter{Item: c.Item, Count: c.Count - level, Err: level})
+		}
+	}
 	slices.SortFunc(out, func(a, b sketch.Counter) int {
 		return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.Item, b.Item))
 	})
@@ -431,23 +425,21 @@ func (r *refSpaceSaving) heavy() []sketch.Counter {
 // does not sort).
 func BenchmarkSketchHeavy(b *testing.B) {
 	trace := sketchTrace(1 << 14)
-	for _, s := range sketchKinds() {
-		b.Run(s.name, func(b *testing.B) {
-			sum := s.mk()
-			for _, it := range trace {
-				sum.Observe(it, 1)
+	b.Run("space-saving", func(b *testing.B) {
+		sum := sketch.NewSpaceSaving(128)
+		for _, it := range trace {
+			sum.Observe(it, 1)
+		}
+		buf := make([]sketch.Counter, 0, 128)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf = sum.Heavy(128, buf[:0])
+			if len(buf) == 0 {
+				b.Fatal("empty heavy list")
 			}
-			buf := make([]sketch.Counter, 0, 128)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf = sum.Heavy(128, buf[:0])
-				if len(buf) == 0 {
-					b.Fatal("empty heavy list")
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkItemsStep measures one committed step of the item-monitoring

@@ -15,7 +15,7 @@
 //
 //	topkmon [-n 32] [-k 4] [-eps 1/8] [-steps 2000] [-workload loads]
 //	        [-monitor approx] [-seed 7] [-report 200] [-engine live]
-//	        [-shards 0] [-repeat 1] [-parallel 0] [-faults spec]
+//	        [-shards 0] [-repeat 1] [-faults spec]
 //
 // With -repeat R the session runs R times on ONE monitor, rewound between
 // sessions with Monitor.Reset(seed+r) — each repetition is bit-identical to
@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 
 	"topkmon/topk"
 )
@@ -52,8 +51,6 @@ func main() {
 	seed := flag.Uint64("seed", 7, "random seed")
 	report := flag.Int("report", 200, "status line every this many steps")
 	engine := flag.String("engine", "live", "engine: live (goroutines) | lockstep")
-	parallel := flag.Int("parallel", 0,
-		"cap OS-level parallelism (GOMAXPROCS) for the live engine's workers; 0 keeps the runtime default")
 	shards := flag.Int("shards", 0,
 		"worker shards for the live engine (each owns n/m nodes and its value-bucket partition); 0 = GOMAXPROCS. Output is bit-identical for every value")
 	repeat := flag.Int("repeat", 1,
@@ -61,10 +58,6 @@ func main() {
 	faultSpec := flag.String("faults", "",
 		"deterministic fault injection: comma list of drop=P, dup=P, delay=P, retries=N, crash=NODE@FROM:UNTIL (repeatable)")
 	flag.Parse()
-
-	if *parallel > 0 {
-		runtime.GOMAXPROCS(*parallel)
-	}
 
 	e, err := topk.ParseEpsilon(*epsStr)
 	if err != nil {

@@ -21,9 +21,9 @@
 //	topk/items          PUBLIC item-monitoring layer: per-node streaming
 //	                    summaries feed the monitor so it tracks top-k ITEMS
 //	                    (heavy hitters) across nodes
-//	internal/sketch     streaming summaries (Space-Saving, and Misra-Gries
-//	                    as a view of it) behind one Summary interface;
-//	                    allocation-free Observe, Reset replay
+//	internal/sketch     the streaming summary: Space-Saving's counters read
+//	                    as lower bounds (Misra-Gries); allocation-free
+//	                    Observe, Reset replay
 //	internal/protocol   the paper's algorithms (the core contribution)
 //	internal/cluster    the engine contract, and cluster.Server: the
 //	                    server side written once (billing, buffers, the

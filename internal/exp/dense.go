@@ -46,7 +46,7 @@ func E5LowerBound() Experiment {
 			for i, rep := range reps {
 				sigma := sigmas[i/len(monitors)]
 				mon := monitors[i%len(monitors)]
-				ratio := float64(rep.Messages.Total()) / float64(max64(rep.OPTRealistic, 1))
+				ratio := float64(rep.Messages.Total()) / float64(max(rep.OPTRealistic, 1))
 				tb.AddRow(sigma, float64(sigma)/k, mon,
 					rep.Messages.Total(), rep.OPTRealistic, ratio,
 					float64(rep.Messages.Total())/float64(phases))
@@ -262,11 +262,4 @@ func ratio(a, b int64) float64 {
 		b = 1
 	}
 	return float64(a) / float64(b)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

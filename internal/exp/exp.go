@@ -28,7 +28,6 @@ package exp
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -200,15 +199,6 @@ func mkMonitor(name string, k int, e eps.Eps) func(cluster.Cluster) protocol.Mon
 		panic("exp: " + err.Error())
 	}
 	return func(c cluster.Cluster) protocol.Monitor { return a.NewMonitor(c, k, e) }
-}
-
-func sortedKeys[K int | int64, V any](m map[K]V) []K {
-	out := make([]K, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }
 
 func perEpoch(total int64, epochs int64) float64 {

@@ -25,10 +25,9 @@ type HalfEps struct {
 	k int
 	e eps.Eps // the online error ε; the adversary is held to ε/2
 
-	topk    *TopKProto
-	inTopK  bool
-	epochs  int64
-	started bool
+	topk   *TopKProto
+	inTopK bool
+	epochs int64
 
 	z      int64
 	l0, u0 int64 // the round-0 thresholds (1-ε/2)z and (1-ε/2)z/(1-ε)

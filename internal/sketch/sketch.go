@@ -1,36 +1,33 @@
-// Package sketch provides allocation-free-after-construction streaming
-// summaries of item-frequency streams: Space-Saving and Misra-Gries,
-// behind one Summary interface. Misra-Gries with c counters is read off a
-// Space-Saving summary with c+1 (each counter minus the minimum), so the
-// two share one slot table, which finds an item's slot through an index of
-// 4-byte slot numbers at load <= 1/4 (oaTable).
+// Package sketch provides an allocation-free-after-construction streaming
+// summary of item-frequency streams: Space-Saving's c counters, each read
+// as a lower bound (the counter minus the minimum counter), which is
+// Misra-Gries with c−1 counters (Agarwal et al., Mergeable Summaries, PODS
+// 2012). Its slot table finds an item's slot through an index of 4-byte
+// slot numbers at load <= 1/4 (oaTable).
 //
-// The summaries are the per-node state of the heavy-hitter item-monitoring
+// The summary is the per-node state of the heavy-hitter item-monitoring
 // layer (topk/items): each distributed node summarises its local item
-// stream in O(capacity) memory, and the per-item estimates feed the paper's
-// top-k-position monitor as scalar node values (the distributed
+// stream in O(capacity) memory, and the per-item lower bounds feed the
+// paper's top-k-position monitor as scalar node values (the distributed
 // top-k/k-select setting of arXiv:1709.07259 over the node-value model of
 // arXiv:1410.7912).
 //
-// Contracts shared by every Summary, pinned by the unit and fuzz suites:
+// Contracts, pinned by the unit and fuzz suites:
 //
 //   - Observe never allocates after construction and never panics on any
 //     (item, delta) input; delta <= 0 is ignored (counts are monotone).
-//   - Estimate returns (est, bound) with |true - est| <= bound, plus the
-//     tighter one-sided guarantee documented per sketch: Space-Saving never
-//     under-estimates (est >= true), Misra-Gries never over-estimates
-//     (est <= true). Both bounds are exact.
+//   - Estimate returns (est, bound) with est <= true <= est + bound, both
+//     exact: the bound is the minimum counter, the most any item's count
+//     has lost to the Misra-Gries decrements the reading replays.
 //   - Heavy fills dst[:0] with up to k counters in deterministic order
 //     (count descending, item ascending) — byte-identical across runs,
 //     worker counts, and -race.
-//   - Tracked fills dst[:0] with EVERY tracked counter in slot order: no
-//     sort, O(tracked). As a set it equals Heavy(capacity), with equal Count
-//     and Err per item. An item Tracked does not list estimates to
-//     Space-Saving's minimum counter once full (0 before), and to
-//     Misra-Gries's 0.
-//   - Reset(seed) rewinds to the freshly-constructed state (the repo-wide
-//     replay contract; the summaries are deterministic, so the seed's value
-//     is ignored).
+//   - Tracked fills dst[:0] with EVERY counter whose lower bound is
+//     positive, in slot order: no sort, one pass over the used slots. As
+//     a set it equals Heavy(capacity), with equal Count and Err per item.
+//     An item Tracked does not list estimates to 0.
+//   - Reset rewinds to the freshly-constructed state, so a replay is
+//     byte-identical.
 //
 // The package is self-contained by design: it imports nothing from the
 // module (stdlib only), pinned by topk/boundary_test.go — sketches are
@@ -39,33 +36,27 @@ package sketch
 
 import "sort"
 
-// Counter is one tracked (item, estimate) pair. Err is the per-item
-// estimation bound at the time of the snapshot (0 when the count is exact).
+// Counter is one tracked (item, estimate) pair. Err is the summary's bound
+// at the time of the snapshot: the item's true count lies in
+// [Count, Count+Err].
 type Counter struct {
 	Item  uint64
 	Count int64
 	Err   int64
 }
 
-// Summary is the common interface of the streaming summaries.
+// Summary is the three calls made on a summary held as an interface value
+// (benchmark/items.go times them); the item layer holds *SpaceSaving.
 type Summary interface {
 	// Observe adds delta occurrences of item. delta <= 0 is ignored.
 	Observe(item uint64, delta int64)
-	// Estimate returns the item's estimated total count and the current
-	// bound on its error: the true count lies in [est-bound, est+bound].
+	// Estimate returns a lower bound on the item's total count and the
+	// most the true count exceeds it by: the true count lies in
+	// [est, est+bound].
 	Estimate(item uint64) (est, bound int64)
 	// Heavy appends the up-to-k heaviest tracked counters to dst[:0] in
 	// deterministic order (count descending, item ascending) and returns it.
 	Heavy(k int, dst []Counter) []Counter
-	// Tracked appends every tracked counter to dst[:0] in slot order (no
-	// sort, O(tracked)) and returns it: Heavy(capacity) as a set.
-	Tracked(dst []Counter) []Counter
-	// Total returns N, the sum of all observed deltas.
-	Total() int64
-	// Reset rewinds to the freshly-constructed state for seed.
-	Reset(seed uint64)
-	// Name identifies the sketch and its sizing in reports.
-	Name() string
 }
 
 // mix is the splitmix64 finalizer — the module's standard bit mixer,
@@ -84,8 +75,8 @@ func mix(z uint64) uint64 {
 // item array, so a probe compares item[entry] with the key and a displaced
 // entry's home is mix(item[entry]). The table has at least 4 entries per
 // slot, so it is never more than a quarter full and a miss, the eviction
-// path's first probe, ends after about 1.4 entries. Space-Saving (hence
-// Misra-Gries) uses it to find an item's slot in O(1) expected.
+// path's first probe, ends after about 1.4 entries. Space-Saving uses it
+// to find an item's slot in O(1) expected.
 
 type oaTable struct {
 	mask  uint64
@@ -161,8 +152,7 @@ func (t *oaTable) clear() {
 
 // slotTable is cap counter slots, the first n of them used, each holding
 // an item and its count; the index finds an item's slot and ord sorts the
-// slots for Heavy. Space-Saving is a slot table with a takeover error per
-// slot.
+// slots for Heavy. Space-Saving is a slot table read against its level.
 //
 // The table evicts the minimum (count, item) first, ties broken by the
 // smallest item, so runs replay byte-identically. Counts never fall, and
@@ -199,12 +189,12 @@ func newSlotTable(capacity int) slotTable {
 	return t
 }
 
-// Total implements Summary.
+// Total returns N, the sum of all observed deltas.
 func (t *slotTable) Total() int64 { return t.total }
 
-// add gives item the next unused slot, with count c, and returns it; the
-// caller checks n < cap. The floor is built once the last slot is used.
-func (t *slotTable) add(item uint64, c int64) int32 {
+// add gives item the next unused slot, with count c; the caller checks
+// n < cap. The floor is built once the last slot is used.
+func (t *slotTable) add(item uint64, c int64) {
 	slot := int32(t.n)
 	t.n++
 	t.cnt[slot] = c
@@ -214,13 +204,12 @@ func (t *slotTable) add(item uint64, c int64) int32 {
 		t.live = 1
 		t.leave()
 	}
-	return slot
 }
 
 // replaceMin gives the slot of the minimum (count, item) of a full table,
 // the first listed slot whose count has not risen since the level was
-// found, to item with count c above the minimum, and returns it.
-func (t *slotTable) replaceMin(item uint64, c int64) int32 {
+// found, to item with count c above the minimum.
+func (t *slotTable) replaceMin(item uint64, c int64) {
 	for t.cnt[t.at[t.head]] != t.level {
 		t.head++
 	}
@@ -229,7 +218,6 @@ func (t *slotTable) replaceMin(item uint64, c int64) int32 {
 	t.item[slot] = item
 	t.idx.put(slot)
 	t.set(slot, c)
-	return slot
 }
 
 // set raises a used slot's count to c; counts are at least 1, so before
@@ -338,8 +326,8 @@ func (h *heavyOrder) Less(a, b int) bool {
 func (h *heavyOrder) Swap(a, b int) { h.order[a], h.order[b] = h.order[b], h.order[a] }
 
 // heavy fills dst[:0] with the top-k of the used slots under heavyOrder,
-// reading the per-slot error from errAt (nil = all zero).
-func (t *slotTable) heavy(k int, dst []Counter, errAt []int64) []Counter {
+// each with its raw count and Err 0.
+func (t *slotTable) heavy(k int, dst []Counter) []Counter {
 	h := &t.ord
 	h.order = h.order[:0]
 	for s := 0; s < t.n; s++ {
@@ -348,11 +336,7 @@ func (t *slotTable) heavy(k int, dst []Counter, errAt []int64) []Counter {
 	sort.Sort(h)
 	dst = dst[:0]
 	for _, s := range h.order[:min(k, t.n)] {
-		c := Counter{Item: t.item[s], Count: t.cnt[s]}
-		if errAt != nil {
-			c.Err = errAt[s]
-		}
-		dst = append(dst, c)
+		dst = append(dst, Counter{Item: t.item[s], Count: t.cnt[s]})
 	}
 	return dst
 }

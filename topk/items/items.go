@@ -19,14 +19,14 @@
 // its size is independent of the node count.
 //
 // A node's summary is c Space-Saving counters read as a lower bound: each
-// counter minus the node's minimum counter, the Misra-Gries view
-// (sketch.MisraGries over c−1 counters), which never exceeds the node's
-// true count of the item and falls short of it by at most that minimum.
-// Each committed step, every node enumerates the counters whose lower
-// bound is positive (sketch.Summary.Tracked: slot order, no sort); an item
-// some node lists is a candidate, and every candidate's aggregate — the
-// sum over ALL nodes of the lower bound, 0 on a node that does not list
-// it — is pushed, in ascending item id, as one batch.
+// counter minus the node's minimum counter (sketch.SpaceSaving, Misra-Gries
+// over c−1 counters), which never exceeds the node's true count of the
+// item and falls short of it by at most that minimum. Each committed step,
+// every node enumerates the counters whose lower bound is positive
+// (sketch.SpaceSaving.Tracked: slot order, no sort); an item some node
+// lists is a candidate, and every candidate's aggregate — the sum over ALL
+// nodes of the lower bound, 0 on a node that does not list it — is pushed,
+// in ascending item id, as one batch.
 //
 // So every pushed value is at most the item's true count when it is
 // pushed, and since counts never fall, at most its true count at every
@@ -91,9 +91,9 @@ type Config struct {
 	Epsilon topk.Epsilon
 	// Sketch selects the per-node summary (default SpaceSaving).
 	Sketch SketchKind
-	// Capacity c is the Space-Saving counters per node, so at most c−1
-	// items are tracked per node: the minimum counter is what every other
-	// one is read against (required >= 2; default 64).
+	// Capacity c is the Space-Saving counters per node, each read against
+	// the node's minimum counter, so at most c−1 items are tracked per node
+	// (required >= 2; default 64).
 	Capacity int
 	// Seed is the inner monitor's seed, so equal seeds replay bit for bit.
 	// Default 1.
@@ -128,7 +128,7 @@ type Monitor struct {
 
 	cfg   Config
 	inner *topk.Monitor
-	per   []*sketch.MisraGries // one summary per node
+	per   []*sketch.SpaceSaving // one summary per node
 
 	// Step scratch, sized once in New. acc[j] is the sum of the lower
 	// bounds listed for item j and marked is the candidate bitset over the
@@ -163,9 +163,9 @@ func New(c Config) (*Monitor, error) {
 	if cfg.Capacity < 2 {
 		return nil, fmt.Errorf("items: Capacity = %d, want >= 2 (0 selects the default): one counter's lower bound is always 0", cfg.Capacity)
 	}
-	per := make([]*sketch.MisraGries, cfg.Nodes)
+	per := make([]*sketch.SpaceSaving, cfg.Nodes)
 	for i := range per {
-		per[i] = sketch.NewMisraGries(cfg.Capacity - 1)
+		per[i] = sketch.NewSpaceSaving(cfg.Capacity)
 	}
 	opts := append([]topk.Option{topk.WithNodes(cfg.Items), topk.WithSeed(cfg.Seed)}, cfg.Monitor...)
 	inner, err := topk.New(cfg.K, cfg.Epsilon, opts...)
@@ -302,7 +302,7 @@ func (m *Monitor) Reset(seed uint64) error {
 	}
 	m.cfg.Seed = seed
 	for _, s := range m.per {
-		s.Reset(seed)
+		s.Reset()
 	}
 	return nil
 }

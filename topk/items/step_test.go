@@ -14,7 +14,7 @@ import (
 // referenceBatch is the step this package ran before it accumulated, kept
 // as the oracle: every node's Heavy(track) list, the union deduplicated and
 // sorted by item id, and one Estimate per (candidate, node) pair.
-func referenceBatch(per []*sketch.MisraGries, track int) []topk.Update {
+func referenceBatch(per []*sketch.SpaceSaving, track int) []topk.Update {
 	stamp := make(map[int]bool)
 	var candidates []int
 	var heavy []sketch.Counter
@@ -89,11 +89,25 @@ func scratchIsZero(m *Monitor) bool {
 // Heavy → dedupe → sort → Estimate-per-pair step, entry for entry, on three
 // traces — through the steps where the summaries are not yet full (every
 // minimum 0), into eviction pressure, and across a step whose aggregates
-// clamp at topk.MaxValue.
+// clamp at topk.MaxValue — and on the zipf trace at Capacity 2, the
+// smallest New accepts, where each node lists at most one counter.
 func TestStepMatchesReference(t *testing.T) {
-	cfg := testConfig()
-	for _, g := range testTraces(cfg) {
-		t.Run(g.Name(), func(t *testing.T) {
+	type row struct {
+		name     string
+		capacity int
+		g        istream.Generator
+	}
+	base := testConfig()
+	var rows []row
+	for _, g := range testTraces(base) {
+		rows = append(rows, row{g.Name(), base.Capacity, g})
+	}
+	zipf := testTraces(base)[0]
+	rows = append(rows, row{zipf.Name() + ",c=2", 2, zipf})
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			cfg, g := base, r.g
+			cfg.Capacity = r.capacity
 			m, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -113,28 +127,27 @@ func TestStepMatchesReference(t *testing.T) {
 				return want
 			}
 			// Vacuity guards: some node's minimum must be positive, so a
-			// lower bound sits below its counter, and some used slot must
-			// sit at the minimum, so its item is filtered out.
+			// lower bound sits below its counter, and a full node with a
+			// positive minimum must list fewer than Capacity counters, so
+			// the counters at the minimum are filtered out.
 			var sawMin, sawFiltered bool
 			var evs []istream.Event
-			var slots []sketch.Counter
+			var listed []sketch.Counter
 			for s := 0; s < 40; s++ {
 				evs = g.Next(s, evs[:0])
 				observeAll(t, m, evs)
 				for _, sk := range m.per {
 					_, d := sk.Estimate(uint64(cfg.Items)) // never observed
 					sawMin = sawMin || d > 0
-					slots = sk.SpaceSaving.Tracked(slots)
-					for _, c := range slots {
-						sawFiltered = sawFiltered || d > 0 && c.Count == d
-					}
+					listed = sk.Tracked(listed)
+					sawFiltered = sawFiltered || d > 0 && len(listed) < cfg.Capacity
 				}
 				if len(step(s)) == 0 {
 					t.Fatalf("step %d: empty batch", s)
 				}
 			}
 			if !sawMin || !sawFiltered {
-				t.Fatalf("vacuous: positive minimum seen %v, slot at the minimum seen %v", sawMin, sawFiltered)
+				t.Fatalf("vacuous: positive minimum seen %v, a full node listing fewer than Capacity seen %v", sawMin, sawFiltered)
 			}
 			// Two nodes each push one item by MaxValue: the sum clamps, and
 			// it must clamp after the nodes' terms are added, exactly as
